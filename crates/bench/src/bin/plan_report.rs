@@ -1,10 +1,10 @@
 //! Planner report — the `znn-plan` cost-model planner vs the grid of
 //! fixed strategies it replaces, on the paper's benchmark geometries.
 //!
-//! For each net the `Auto` plan is resolved against the detected
+//! For each net the `Autotune` plan is resolved against the detected
 //! machine prior, trained long enough for online calibration to engage,
 //! and timed; every fixed strategy (direct / FFT × smooth / pow2 pads ×
-//! fan-out) is built as a `NetPlan::force` plan, priced through the
+//! fan-out) is a `NetPlan::force` plan run via `Znn::with_plan`, priced through the
 //! *same* model, and timed identically. The headline number per net is
 //! the gap `auto_measured / best_fixed_measured`.
 //!
@@ -22,7 +22,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-use znn_core::{ConvPolicy, PlanPolicy, TrainConfig, Znn};
+use znn_core::{TrainConfig, Znn};
 use znn_graph::builder::{comparison_net, scalability_net_2d, scalability_net_3d};
 use znn_graph::{EdgeOp, Graph};
 use znn_ops::ConvMethod;
@@ -91,11 +91,12 @@ fn median_round_us(znn: &Znn, out: Vec3, warmup: usize, rounds: usize, seed: u64
     samples[samples.len() / 2]
 }
 
-fn config(workers: usize, plan: PlanPolicy) -> TrainConfig {
+/// `Autotune` (the default policy) at `workers`, priced by `planner`
+/// when given; `with_plan` runs ignore the policy.
+fn config(workers: usize, planner: Option<Arc<Planner>>) -> TrainConfig {
     TrainConfig {
         workers,
-        conv: ConvPolicy::Autotune,
-        plan: Some(plan),
+        planner,
         ..Default::default()
     }
 }
@@ -107,7 +108,7 @@ fn main() {
         .unwrap_or(1);
     let (warmup, rounds) = if smoke { (1, 3) } else { (2, 7) };
 
-    let machine = znn_plan::Machine::detect();
+    let machine = znn_plan::Machine::host();
     println!(
         "# plan report — Auto vs the fixed-strategy grid ({} workers)\n",
         workers
@@ -133,15 +134,15 @@ fn main() {
     for case in nets(smoke) {
         println!("## {}", case.name);
         // one planner per net: its calibration history belongs to this
-        // net's trajectory, and detect() already ran above
+        // net's trajectory
         let planner = Arc::new(Planner::new(PlanConfig::for_machine(machine.clone())));
         let znn = Znn::new(
             case.graph.clone(),
             case.out,
-            config(workers, PlanPolicy::Auto(Arc::clone(&planner))),
+            config(workers, Some(Arc::clone(&planner))),
         )
         .expect("net sizes");
-        let plan = Arc::clone(znn.net_plan().expect("Auto resolves a plan"));
+        let plan = Arc::clone(znn.net_plan());
         let prior_us = plan.predicted_round_us;
 
         // the fixed grid: direct once (pads/fan-out are FFT knobs), FFT
@@ -163,12 +164,8 @@ fn main() {
             let predicted_us = planner
                 .price(&case.graph, case.out, workers, &forced)
                 .unwrap();
-            let fz = Znn::new(
-                case.graph.clone(),
-                case.out,
-                config(workers, PlanPolicy::Fixed(Arc::clone(&forced))),
-            )
-            .expect("net sizes");
+            let fz = Znn::with_plan(case.graph.clone(), case.out, config(workers, None), forced)
+                .expect("net sizes");
             let measured_us = median_round_us(&fz, case.out, warmup, rounds, 11);
             let label = format!(
                 "{}_t{}{}",

@@ -150,7 +150,7 @@ fn main() {
         );
         let reps = if smoke { 24 } else { 150 };
         for _ in 0..3 {
-            serve_one(&server, &input); // warm workers + conv autotune
+            serve_one(&server, &input); // warm workers + kernel spectra
         }
         let start = Instant::now();
         let mut lat: Vec<f64> = (0..reps).map(|_| serve_one(&server, &input)).collect();

@@ -56,15 +56,13 @@ struct Args {
     degrade: Option<usize>,
     deadline: Option<Duration>,
     pool_report: bool,
-    plan: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: znn-serve [--spec FILE] [--in Z,Y,X] [--requests N] [--rate R]\n\
          \t[--workers N] [--queue N] [--watermark N] [--batch N]\n\
-         \t[--block Z,Y,X] [--degrade N] [--deadline-ms N] [--pool-report]\n\
-         \t[--plan auto|off]"
+         \t[--block Z,Y,X] [--degrade N] [--deadline-ms N] [--pool-report]"
     );
     std::process::exit(2)
 }
@@ -98,7 +96,6 @@ fn parse_args() -> Args {
         degrade: None,
         deadline: None,
         pool_report: false,
-        plan: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -120,11 +117,6 @@ fn parse_args() -> Args {
                 ))
             }
             "--pool-report" => args.pool_report = true,
-            "--plan" => match val().as_str() {
-                "auto" => args.plan = true,
-                "off" => args.plan = false,
-                _ => usage(),
-            },
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -163,15 +155,9 @@ fn main() -> ExitCode {
         graph.parameter_count()
     );
 
-    // --plan auto: price serving-side direct-vs-FFT choices through the
-    // cost model instead of timing each geometry on first use
-    let dense_cfg = DenseConfig {
-        planner: args.plan.then(|| {
-            Arc::new(znn_plan::Planner::new(znn_plan::PlanConfig::host()))
-        }),
-        ..DenseConfig::default()
-    };
-    let net = match DenseNet::new(graph, 42, dense_cfg) {
+    // direct-vs-FFT per geometry is priced by the cost model (the
+    // default conv policy); nothing is timed on the serving path
+    let net = match DenseNet::new(graph, 42, DenseConfig::default()) {
         Ok(n) => Arc::new(n),
         Err(e) => {
             eprintln!("cannot size network: {e}");

@@ -3,8 +3,7 @@
 //!
 //! ```sh
 //! znn-train --spec net.znn --out 8 --rounds 50 --lr 0.01 \
-//!           [--workers N] [--fft-threads N] [--plan auto|off] \
-//!           [--fft|--direct] \
+//!           [--workers N] [--fft-threads N] [--fft|--direct] \
 //!           [--no-memoize] [--no-pool] [--stealing] [--pool-report] \
 //!           [--checkpoint-dir D] [--checkpoint-every N] [--resume]
 //! ```
@@ -13,12 +12,16 @@
 //! transforms share the scheduler's worker budget (idle workers donate
 //! themselves to FFT line chunks).
 //!
-//! `--plan auto` enables the `znn-plan` cost-model planner: per conv
-//! edge it picks direct vs FFT, the pad shape, and the FFT fan-out by
-//! pricing the theory FLOP model through a detected machine model,
-//! then calibrates that model online from measured round times
-//! (re-plans move only the bit-safe fan-out). The chosen plan and the
-//! calibration summary are printed. A plan overrides `--fft`/`--direct`.
+//! By default the `znn-plan` cost model picks, per conv edge, direct
+//! vs FFT and the pad shape, plus one FFT fan-out, by pricing the
+//! theory FLOP model through a detected machine model; it then
+//! calibrates that model online from measured round times (re-plans
+//! move only the bit-safe fan-out). `--fft` / `--direct` force one
+//! method everywhere instead. Either way the engine runs exactly the
+//! plan that is printed; the calibration summary follows the run.
+//! Methods and pads depend only on the network, `--out` and
+//! `--no-memoize`, so a `--resume` on another host replays the same
+//! plan.
 //!
 //! `--no-pool` disables the §VII-C pooled allocator (hot-path buffers
 //! fall back to plain `Vec`s); by default every image/spectrum buffer
@@ -39,8 +42,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use znn_cli::parse_spec;
 use znn_core::{
-    BlobsDataset, CheckpointConfig, ConvPolicy, LrSchedule, PlanPolicy, TrainConfig, TrainOutcome,
-    Trainer, Znn,
+    BlobsDataset, CheckpointConfig, ConvPolicy, LrSchedule, TrainConfig, TrainOutcome, Trainer, Znn,
 };
 use znn_ops::Loss;
 use znn_tensor::Vec3;
@@ -63,7 +65,6 @@ struct Args {
     lr: f32,
     workers: Option<usize>,
     fft_threads: Option<usize>,
-    plan: bool,
     conv: ConvPolicy,
     memoize: bool,
     stealing: bool,
@@ -77,7 +78,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: znn-train [--spec FILE] [--out N] [--rounds N] [--lr F]\n\
-         \t[--workers N] [--fft-threads N] [--plan auto|off] [--fft|--direct]\n\
+         \t[--workers N] [--fft-threads N] [--fft|--direct]\n\
          \t[--no-memoize] [--no-pool] [--stealing] [--pool-report]\n\
          \t[--checkpoint-dir D] [--checkpoint-every N] [--resume]"
     );
@@ -92,7 +93,6 @@ fn parse_args() -> Args {
         lr: 0.01,
         workers: None,
         fft_threads: None,
-        plan: false,
         conv: ConvPolicy::Autotune,
         memoize: true,
         stealing: false,
@@ -114,11 +114,6 @@ fn parse_args() -> Args {
             "--fft-threads" => {
                 args.fft_threads = Some(val().parse().unwrap_or_else(|_| usage()))
             }
-            "--plan" => match val().as_str() {
-                "auto" => args.plan = true,
-                "off" => args.plan = false,
-                _ => usage(),
-            },
             "--fft" => args.conv = ConvPolicy::ForceFft,
             "--direct" => args.conv = ConvPolicy::ForceDirect,
             "--no-memoize" => args.memoize = false,
@@ -174,8 +169,13 @@ fn main() -> ExitCode {
         }
         cc
     });
-    let planner = args.plan.then(|| {
-        let p = std::sync::Arc::new(znn_plan::Planner::new(znn_plan::PlanConfig::host()));
+    // the planner is ours (not the engine's own) only so its
+    // calibration trajectory can be printed after the run
+    let planner = (args.conv == ConvPolicy::Autotune).then(|| {
+        let p = std::sync::Arc::new(znn_plan::Planner::new(znn_plan::PlanConfig {
+            memoize_fft: args.memoize,
+            ..znn_plan::PlanConfig::host()
+        }));
         let m = &p.config().machine;
         println!(
             "planner: machine prior {} ({} cores, {:.1} GFLOP/s, {:.1} GB/s)",
@@ -188,9 +188,7 @@ fn main() -> ExitCode {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         }),
         fft_threads: args.fft_threads,
-        plan: planner
-            .as_ref()
-            .map(|p| PlanPolicy::Auto(std::sync::Arc::clone(p))),
+        planner: planner.clone(),
         learning_rate: args.lr,
         conv: args.conv,
         memoize_fft: args.memoize,
@@ -209,19 +207,21 @@ fn main() -> ExitCode {
         }
     };
     println!("input {} -> output {out_shape}", znn.input_shape());
-    if let Some(plan) = znn.net_plan() {
-        let (direct, fft) = plan.edges.iter().flatten().fold((0, 0), |(d, f), ep| {
-            match ep.method {
-                znn_ops::ConvMethod::Direct => (d + 1, f),
-                znn_ops::ConvMethod::Fft => (d, f + 1),
-            }
-        });
-        println!(
-            "plan: {direct} direct / {fft} FFT conv edges, fft_threads {}, \
-             predicted round {:.0}µs",
-            plan.fft_threads, plan.predicted_round_us
-        );
+    let plan = znn.net_plan();
+    let (direct, fft) = plan.edges.iter().flatten().fold((0, 0), |(d, f), ep| {
+        match ep.method {
+            znn_ops::ConvMethod::Direct => (d + 1, f),
+            znn_ops::ConvMethod::Fft => (d, f + 1),
+        }
+    });
+    print!(
+        "plan: {direct} direct / {fft} FFT conv edges, fft_threads {}",
+        plan.fft_threads
+    );
+    if planner.is_some() {
+        print!(", predicted round {:.0}µs", plan.predicted_round_us);
     }
+    println!();
 
     let data = BlobsDataset {
         input_shape: znn.input_shape(),

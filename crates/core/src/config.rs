@@ -4,7 +4,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use znn_alloc::PoolSet;
 use znn_fault::FaultPlan;
-use znn_ops::Loss;
+use znn_ops::{ConvMethod, Loss};
+use znn_plan::{PlanConfig, Planner};
 use znn_sched::QueuePolicy;
 
 /// Where and how often training snapshots its state to disk.
@@ -64,10 +65,17 @@ impl Default for HealthPolicy {
 }
 
 /// How the engine chooses between direct and FFT convolution (§IV).
+///
+/// Every policy resolves to one [`znn_plan::NetPlan`] at construction
+/// (`Znn::net_plan`) and the engine executes only that plan; a caller
+/// who already holds a plan passes it to `Znn::with_plan` instead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ConvPolicy {
-    /// Time both per distinct layer geometry and keep the winner — the
-    /// paper's layerwise autotuning.
+    /// Price both methods per conv edge through the `znn-plan` cost
+    /// model and keep the cheaper — the paper's layerwise choice, made
+    /// without timing anything. Methods and pads are a pure function of
+    /// (graph, output shape, `memoize_fft`), the same on every host and
+    /// under any load; only the bit-safe fan-out is host-dependent.
     #[default]
     Autotune,
     /// Always direct convolution.
@@ -76,34 +84,34 @@ pub enum ConvPolicy {
     ForceFft,
 }
 
-/// How the engine obtains its execution plan (method, pad, fan-out
-/// per conv edge) when cost-model planning is enabled
-/// ([`TrainConfig::plan`]).
-///
-/// A plan *overrides* [`ConvPolicy`]: with a plan present the
-/// per-edge methods and pads come from the plan and `conv` is
-/// ignored. Without one (`plan: None`, the default) the engine keeps
-/// its legacy behaviour — `ConvPolicy` methods, `good_shape` pads,
-/// the configured `fft_threads` fan-out.
-#[derive(Clone, Debug)]
-pub enum PlanPolicy {
-    /// Plan at construction by pricing the `znn-theory` FLOP model
-    /// through the planner's `znn-sim` machine model, then calibrate
-    /// that model online from measured round times and re-plan the
-    /// `fft_threads` fan-out when predictions drift (bit-safe: the
-    /// fan-out is pinned bitwise-identical across all values). Share
-    /// the [`znn_plan::Planner`] to read its calibration trajectory.
-    Auto(Arc<znn_plan::Planner>),
-    /// Execute a fixed, externally supplied plan — reproducing a
-    /// previously reported plan, or pinning one strategy for A/B
-    /// comparison. No calibration, no re-planning.
-    ///
-    /// Pads must be valid engine transform shapes: at least the
-    /// from-node shape on every axis, even (or unit) packed axis, and
-    /// shared by all out-edges of a node (use
-    /// [`znn_plan::NetPlan::force`] or a planner-produced plan; the
-    /// engine panics at construction on an invalid pad).
-    Fixed(Arc<znn_plan::NetPlan>),
+/// What a [`ConvPolicy`] resolves to: the one source of conv methods
+/// and pads shared by `Znn` and `DenseNet`.
+pub(crate) enum Chooser {
+    /// One method everywhere, `good_shape` pads. No planner or machine
+    /// model exists on this path.
+    Forced(ConvMethod),
+    /// Per-geometry argmin of the planner's cost model.
+    Priced(Arc<Planner>),
+}
+
+impl ConvPolicy {
+    /// Resolves the policy — the only place a `ConvPolicy` is matched
+    /// to methods. Under `Autotune`, `planner` is the caller's shared
+    /// planner, or `None` for a private one over the once-per-process
+    /// host machine model, pricing FFT edges with `memoize_fft`.
+    pub(crate) fn chooser(self, planner: Option<&Arc<Planner>>, memoize_fft: bool) -> Chooser {
+        match self {
+            ConvPolicy::ForceDirect => Chooser::Forced(ConvMethod::Direct),
+            ConvPolicy::ForceFft => Chooser::Forced(ConvMethod::Fft),
+            ConvPolicy::Autotune => Chooser::Priced(match planner {
+                Some(p) => Arc::clone(p),
+                None => Arc::new(Planner::new(PlanConfig {
+                    memoize_fft,
+                    ..PlanConfig::host()
+                })),
+            }),
+        }
+    }
 }
 
 /// Training-engine configuration.
@@ -131,12 +139,14 @@ pub struct TrainConfig {
     pub momentum: f32,
     /// L2 weight decay coefficient (0 disables).
     pub weight_decay: f32,
-    /// Convolution method selection (ignored when [`TrainConfig::plan`]
-    /// is set — the plan carries per-edge methods).
+    /// Convolution method selection.
     pub conv: ConvPolicy,
-    /// Cost-model execution planning; `None` (the default) keeps the
-    /// legacy [`ConvPolicy`]-driven behaviour.
-    pub plan: Option<PlanPolicy>,
+    /// The planner [`ConvPolicy::Autotune`] prices through (unused by
+    /// the forced policies). `None` (the default): the engine builds
+    /// its own over the once-per-process host machine model. `Some`:
+    /// share one, to read its calibration trajectory; its
+    /// `PlanConfig::memoize_fft` must equal [`TrainConfig::memoize_fft`].
+    pub planner: Option<Arc<Planner>>,
     /// Memoize FFTs of images and kernels across passes (Table II).
     pub memoize_fft: bool,
     /// Loss function.
@@ -180,7 +190,7 @@ impl Default for TrainConfig {
             momentum: 0.0,
             weight_decay: 0.0,
             conv: ConvPolicy::Autotune,
-            plan: None,
+            planner: None,
             memoize_fft: true,
             loss: Loss::Mse,
             dropout: None,
@@ -215,7 +225,7 @@ mod tests {
         let c = TrainConfig::default();
         assert!(c.workers >= 1);
         assert_eq!(c.conv, ConvPolicy::Autotune);
-        assert!(c.plan.is_none(), "planning is opt-in");
+        assert!(c.planner.is_none(), "the engine builds its own planner");
         assert!(c.memoize_fft);
         assert!(c.dropout.is_none());
         // FFT line parallelism shares the scheduler's budget by default

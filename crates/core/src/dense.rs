@@ -5,8 +5,8 @@
 //! (typically max-filtering) graph forward-only, with
 //!
 //! * **shared immutable state** — one net is safely shared by any
-//!   number of worker threads (`&self` evaluation, interior caches
-//!   behind locks that are read-only after warmup);
+//!   number of worker threads (`&self` evaluation, the one interior
+//!   cache behind a lock that is read-only after warmup);
 //! * **memoized kernel spectra** — FFT-convolved edges transform each
 //!   kernel once per transform geometry and every subsequent volume
 //!   reuses the cached half-spectrum (§IV memoization, here across
@@ -23,7 +23,7 @@
 //! net run once) means a `DenseNet` over the filtering graph *is* the
 //! dense sliding-window output, produced in one pass.
 
-use crate::config::ConvPolicy;
+use crate::config::{Chooser, ConvPolicy};
 use crate::engine::transform_shape;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -36,14 +36,19 @@ use znn_graph::init::ParamSet;
 use znn_graph::{shapes, EdgeOp, Graph, GraphError};
 use znn_ops::filter::{max_filter, FilterImpl};
 use znn_ops::pool::max_pool;
-use znn_ops::{conv, convolver, ConvMethod};
+use znn_ops::{conv, ConvMethod};
 use znn_plan::Planner;
 use znn_tensor::{ops, pad, Image, Spectrum, Vec3};
 
 /// Configuration for a [`DenseNet`].
 #[derive(Clone)]
 pub struct DenseConfig {
-    /// Direct-vs-FFT selection per distinct convolution geometry.
+    /// Direct-vs-FFT selection per convolution geometry: forced, or
+    /// (`Autotune`) priced by [`Planner::choose_forward`] — a pure
+    /// function of the geometry, so nothing is timed on the serving
+    /// path and every net resolves the same methods. FFT pads are
+    /// `good_shape` when forced and the planner's radix-aware
+    /// [`Planner::pad_for`] when priced.
     pub conv: ConvPolicy,
     /// Pooled allocator for outputs, windows and FFT scratch; `None`
     /// falls back to plain allocation.
@@ -56,13 +61,10 @@ pub struct DenseConfig {
     /// default — this is the read-only-after-warmup cache servers
     /// share across requests.
     pub memoize_spectra: bool,
-    /// Route the serving-side method cache through a cost-model
-    /// planner instead of measurement: under `ConvPolicy::Autotune`
-    /// each new geometry is *priced* ([`Planner::choose_forward`])
-    /// rather than timed — no warmup convolutions on the serving path,
-    /// deterministic choices, and pads follow the planner's
-    /// radix-aware pad model. Forced policies still force. `None`
-    /// (the default) keeps the measurement-based autotune.
+    /// The planner `ConvPolicy::Autotune` prices through (unused by
+    /// the forced policies). `None` (the default) lets the net build
+    /// its own over the once-per-process host machine model; `Some`
+    /// shares one with other engines.
     pub planner: Option<Arc<Planner>>,
 }
 
@@ -150,22 +152,21 @@ pub struct BlockEvent {
 /// A thread-safe forward-only evaluator producing dense outputs.
 ///
 /// Construction validates the graph; evaluation is `&self` and may be
-/// called concurrently from any number of threads. Interior caches
-/// (autotuned convolution methods, memoized kernel spectra) are filled
-/// on first use — call [`DenseNet::warmup`] once to make them
-/// read-only before sharing the net across server workers.
+/// called concurrently from any number of threads. The memoized
+/// kernel spectra are filled on first use — call [`DenseNet::warmup`]
+/// once to make them read-only before sharing the net across server
+/// workers.
 pub struct DenseNet {
     graph: Graph,
     params: ParamSet,
     fov: Vec3,
     cfg: DenseConfig,
+    /// `cfg.conv` resolved once at construction.
+    chooser: Chooser,
     fft: Arc<FftEngine>,
     /// Memoized kernel half-spectra keyed by (edge index, transform
     /// shape) — the cross-request §IV cache.
     kernel_spectra: Mutex<HashMap<(usize, Vec3), Arc<Spectrum>>>,
-    /// Autotuned method per distinct (input, kernel, sparsity)
-    /// geometry.
-    methods: Mutex<HashMap<(Vec3, Vec3, Vec3), ConvMethod>>,
 }
 
 impl DenseNet {
@@ -187,14 +188,15 @@ impl DenseNet {
         if let Some(p) = &cfg.pools {
             fft = fft.with_buffer_pools(Arc::clone(p));
         }
+        let chooser = cfg.conv.chooser(cfg.planner.as_ref(), cfg.memoize_spectra);
         Ok(DenseNet {
             graph,
             params,
             fov,
             cfg,
+            chooser,
             fft: Arc::new(fft),
             kernel_spectra: Mutex::new(HashMap::new()),
-            methods: Mutex::new(HashMap::new()),
         })
     }
 
@@ -209,11 +211,10 @@ impl DenseNet {
     }
 
     /// Mutable access to the parameters. Invalidates the memoized
-    /// kernel spectra and autotuned methods (they are derived from
-    /// the kernels being replaced).
+    /// kernel spectra (they are derived from the kernels being
+    /// replaced).
     pub fn params_mut(&mut self) -> &mut ParamSet {
         self.kernel_spectra.get_mut().clear();
-        self.methods.get_mut().clear();
         &mut self.params
     }
 
@@ -258,8 +259,7 @@ impl DenseNet {
     }
 
     /// Runs one throwaway evaluation at `input_shape` so every interior
-    /// cache (autotuned methods, kernel spectra, FFT plans, pool
-    /// classes) is populated. After warmup, evaluation at this shape
+    /// cache (kernel spectra, FFT plans, pool classes) is populated. After warmup, evaluation at this shape
     /// takes no interior locks beyond cheap cache reads and allocates
     /// only from the pools.
     pub fn warmup(&self, input_shape: Vec3) {
@@ -411,22 +411,11 @@ impl DenseNet {
         Ok(out)
     }
 
-    fn method_for(&self, n: Vec3, k: Vec3, sparsity: Vec3) -> ConvMethod {
-        match self.cfg.conv {
-            ConvPolicy::ForceDirect => ConvMethod::Direct,
-            ConvPolicy::ForceFft => ConvMethod::Fft,
-            ConvPolicy::Autotune => {
-                if let Some(&m) = self.methods.lock().get(&(n, k, sparsity)) {
-                    return m;
-                }
-                // cost model when a planner is routed in (no timing
-                // runs on the serving path), measurement otherwise
-                let m = match &self.cfg.planner {
-                    Some(p) => p.choose_forward(n, k, sparsity).0,
-                    None => convolver::autotune(n, k, sparsity, &self.fft, 1),
-                };
-                *self.methods.lock().entry((n, k, sparsity)).or_insert(m)
-            }
+    /// Method and FFT pad for one convolution geometry.
+    fn conv_plan(&self, n: Vec3, k: Vec3, sparsity: Vec3) -> (ConvMethod, Vec3) {
+        match &self.chooser {
+            Chooser::Forced(method) => (*method, transform_shape(n)),
+            Chooser::Priced(p) => p.choose_forward(n, k, sparsity),
         }
     }
 
@@ -465,23 +454,15 @@ impl DenseNet {
         match e.op {
             EdgeOp::Conv { kernel, sparsity } => {
                 let w = self.params.kernels[eid].as_ref().expect("conv kernel");
-                match self.method_for(input.shape(), kernel, sparsity) {
-                    ConvMethod::Direct => {
+                match self.conv_plan(input.shape(), kernel, sparsity) {
+                    (ConvMethod::Direct, _) => {
                         let out_shape = conv::valid_shape(input.shape(), w.shape(), sparsity)
                             .expect("validated geometry");
                         let mut out = lease_image(self.cfg.pools.as_ref(), out_shape);
                         conv::conv_valid_into(input, w, sparsity, &mut out);
                         out
                     }
-                    ConvMethod::Fft => {
-                        // the planner's pad model when routed in (it
-                        // may prefer a pow2 pad where the radix mix
-                        // favours it), the engine default otherwise;
-                        // both satisfy the packed-even invariant
-                        let m = match &self.cfg.planner {
-                            Some(p) => p.pad_for(input.shape()),
-                            None => transform_shape(input.shape()),
-                        };
+                    (ConvMethod::Fft, m) => {
                         let x_spec = match node_spec {
                             Some((cached_m, s)) if *cached_m == m => Arc::clone(s),
                             _ => {

@@ -1,9 +1,8 @@
 //! The task-parallel training engine.
 
-use crate::config::{ConvPolicy, PlanPolicy, TrainConfig};
+use crate::config::{Chooser, TrainConfig};
 use crate::state::{Contribution, ConvEdge, EdgeState, FreqPlan, MaxEdge, NodeState, TransferEdge};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -14,7 +13,7 @@ use znn_graph::init::{bias_init, kernel_init, ParamSet};
 use znn_graph::{priority, shapes, EdgeId, EdgeOp, Graph, NodeId};
 use znn_ops::filter::{max_filter, max_filter_backward, FilterImpl};
 use znn_ops::pool::{max_pool, max_pool_backward};
-use znn_ops::{conv, convolver, ConvMethod};
+use znn_ops::{conv, ConvMethod};
 use znn_plan::{NetPlan, Planner};
 use znn_sched::{Executor, Latch, Scheduler, StealingExecutor, UPDATE_PRIORITY};
 use znn_tensor::{ops, Image, Spectrum, Tensor3, Vec3};
@@ -36,6 +35,12 @@ pub(crate) fn transform_shape(n: Vec3) -> Vec3 {
          and tight half-spectrum require it to be even (or unit)"
     );
     m
+}
+
+/// The construction-time cap on intra-transform fan-out: the configured
+/// `fft_threads`, else the scheduler's worker count.
+fn fft_budget(cfg: &TrainConfig) -> usize {
+    cfg.fft_threads.unwrap_or(cfg.workers).max(1)
 }
 
 /// Statistics of one training round.
@@ -79,7 +84,7 @@ pub struct RoundStats {
     pub detached_panics: u64,
     /// Wall time of the last completed training round, µs (0 before
     /// the first round). This is the measurement the `znn-plan`
-    /// calibrator consumes when [`crate::PlanPolicy::Auto`] is active.
+    /// calibrator consumes under [`crate::ConvPolicy::Autotune`].
     pub round_us: u64,
 }
 
@@ -149,10 +154,10 @@ struct Inner {
     panic_note: Mutex<Option<String>>,
     /// Engine-contained task panics since construction.
     task_panics: AtomicU64,
-    /// The resolved execution plan, when planning is enabled.
-    net_plan: Option<Arc<NetPlan>>,
-    /// The live planner behind `PlanPolicy::Auto` — fed each round's
-    /// measured wall time; its re-plans move the FFT fan-out.
+    /// The one execution plan this engine runs.
+    net_plan: Arc<NetPlan>,
+    /// The live planner behind `ConvPolicy::Autotune` — fed each
+    /// round's measured wall time; its re-plans move the FFT fan-out.
     planner: Option<Arc<Planner>>,
     /// Construction-time fan-out cap; re-plans never exceed it.
     fft_budget: usize,
@@ -209,27 +214,81 @@ impl Drop for Znn {
 
 impl Znn {
     /// Builds an engine for `graph`, sized so output nodes produce
-    /// `output_shape` patches.
+    /// `output_shape` patches. [`TrainConfig::conv`] is resolved to one
+    /// [`NetPlan`] here — forced policies through [`NetPlan::force`],
+    /// `Autotune` through [`Planner::plan`] — and the engine executes
+    /// only that plan.
     pub fn new(
         graph: Graph,
         output_shape: Vec3,
         cfg: TrainConfig,
     ) -> Result<Self, shapes::ShapeError> {
         graph.validate().map_err(shapes::ShapeError::Graph)?;
+        let budget = fft_budget(&cfg);
+        let (plan, planner) = match cfg.conv.chooser(cfg.planner.as_ref(), cfg.memoize_fft) {
+            Chooser::Forced(method) => (
+                NetPlan::force(&graph, output_shape, method, budget, false)?,
+                None,
+            ),
+            Chooser::Priced(p) => {
+                // a shared planner prices FFT edges with its own flag;
+                // a mismatch would misprice every one of them
+                assert_eq!(
+                    p.config().memoize_fft,
+                    cfg.memoize_fft,
+                    "TrainConfig::planner prices a different memoize_fft than the engine runs"
+                );
+                (p.plan(&graph, output_shape, cfg.workers, budget)?, Some(p))
+            }
+        };
+        Self::build(graph, output_shape, cfg, Arc::new(plan), planner)
+    }
+
+    /// Builds an engine that executes a caller-supplied plan — replaying
+    /// a previously reported plan, or pinning one strategy for A/B
+    /// comparison. [`TrainConfig::conv`] is not consulted; there is no
+    /// calibration and no re-planning.
+    ///
+    /// Panics if the plan does not fit the graph: one entry per edge,
+    /// every conv pad at least the from-node shape with an even (or
+    /// unit) packed axis. Out-edges of a node should share a pad (as
+    /// [`NetPlan::force`] and planner-produced plans do).
+    pub fn with_plan(
+        graph: Graph,
+        output_shape: Vec3,
+        cfg: TrainConfig,
+        plan: Arc<NetPlan>,
+    ) -> Result<Self, shapes::ShapeError> {
+        graph.validate().map_err(shapes::ShapeError::Graph)?;
+        Self::build(graph, output_shape, cfg, plan, None)
+    }
+
+    fn build(
+        graph: Graph,
+        output_shape: Vec3,
+        cfg: TrainConfig,
+        net_plan: Arc<NetPlan>,
+        planner: Option<Arc<Planner>>,
+    ) -> Result<Self, shapes::ShapeError> {
         let input_shape = shapes::required_input_shape(&graph, output_shape)?;
         let shape_map = shapes::infer_shapes(&graph, input_shape)?;
         let node_shape: Vec<Vec3> = (0..graph.node_count())
             .map(|i| shape_map[&NodeId(i)])
             .collect();
+        assert_eq!(
+            net_plan.edges.len(),
+            graph.edge_count(),
+            "plan must have one entry per graph edge"
+        );
 
         // one thread budget for task- and data-parallelism: transforms
         // fan out over a donor-only fork-join pool whose jobs run on
         // the calling task's thread and on idle scheduler workers
         // (which donate below) — never on extra OS threads. The cap
-        // defaults to the scheduler's worker count and is routed from
-        // the training config.
+        // defaults to the scheduler's worker count; the plan's fan-out
+        // applies within it.
         let fft_pool = Arc::new(rayon::ThreadPool::donor_only());
-        let fft_budget = cfg.fft_threads.unwrap_or(cfg.workers).max(1);
+        let fft_budget = fft_budget(&cfg);
         // one memory budget too: every engine-allocated buffer (spectra,
         // padded inputs, cropped outputs, scratch) leases from the
         // configured PoolSet, so steady-state rounds never touch the
@@ -239,33 +298,10 @@ impl Znn {
             fft = fft.with_buffer_pools(Arc::clone(pools));
         }
         let fft = Arc::new(fft);
+        // scratch is slotted for the whole budget; the plan's fan-out
+        // (and any later re-plan) moves within it
+        fft.set_threads(net_plan.fft_threads.min(fft_budget));
 
-        // resolve the execution plan before any per-edge state exists:
-        // Auto prices the theory FLOP model through the planner's
-        // machine model; Fixed takes the caller's plan verbatim
-        let (planner, net_plan): (Option<Arc<Planner>>, Option<Arc<NetPlan>>) = match &cfg.plan {
-            None => (None, None),
-            Some(PlanPolicy::Auto(p)) => {
-                let plan = Arc::new(p.plan(&graph, output_shape, cfg.workers, fft_budget)?);
-                (Some(Arc::clone(p)), Some(plan))
-            }
-            Some(PlanPolicy::Fixed(plan)) => (None, Some(Arc::clone(plan))),
-        };
-        if let Some(plan) = &net_plan {
-            assert_eq!(
-                plan.edges.len(),
-                graph.edge_count(),
-                "plan must have one entry per graph edge"
-            );
-            fft.set_threads(plan.fft_threads.min(fft_budget));
-        }
-
-        // the scheduler exists before any method decision so its idle
-        // workers already donate to the fork-join pool: the
-        // measurement-based autotune fallback below times convolutions
-        // at the engine's real parallel width (it used to run before
-        // donors existed, which silently measured every candidate
-        // serially regardless of the configured fft_threads budget)
         let sched = if cfg.work_stealing {
             Pool::Stealing(StealingExecutor::with_donation(
                 cfg.workers,
@@ -279,51 +315,22 @@ impl Znn {
             ))
         };
 
-        // decide method and pad per conv edge: from the plan when one
-        // is present, else per distinct layer geometry (§IV) via the
-        // legacy policy
-        let mut method_cache: HashMap<(Vec3, Vec3, Vec3), ConvMethod> = HashMap::new();
-        let mut edge_method = vec![ConvMethod::Direct; graph.edge_count()];
-        let mut edge_pad: Vec<Vec3> = graph
-            .edges()
-            .iter()
-            .map(|e| transform_shape(node_shape[e.from.0]))
-            .collect();
-        for (i, e) in graph.edges().iter().enumerate() {
-            if let EdgeOp::Conv { kernel, sparsity } = e.op {
-                let n = node_shape[e.from.0];
-                match &net_plan {
-                    Some(plan) => {
-                        let ep = plan.edges[i].unwrap_or_else(|| {
-                            panic!("plan is missing an entry for conv edge {i}")
-                        });
-                        assert!(
-                            n.le(ep.pad),
-                            "plan pad {} for edge {i} is smaller than its image {n}",
-                            ep.pad
-                        );
-                        assert!(
-                            Spectrum::packed_axis_is_even(ep.pad),
-                            "plan pad {} for edge {i} has an odd packed axis",
-                            ep.pad
-                        );
-                        edge_method[i] = ep.method;
-                        edge_pad[i] = ep.pad;
-                    }
-                    None => {
-                        let key = (n, kernel, sparsity);
-                        let m = *method_cache.entry(key).or_insert_with(|| match cfg.conv {
-                            ConvPolicy::ForceDirect => ConvMethod::Direct,
-                            ConvPolicy::ForceFft => ConvMethod::Fft,
-                            ConvPolicy::Autotune => {
-                                convolver::autotune(n, kernel, sparsity, &fft, 1)
-                            }
-                        });
-                        edge_method[i] = m;
-                    }
-                }
-            }
-        }
+        // method and pad of every conv edge come from the plan
+        let conv_plan = |i: usize, n: Vec3| {
+            let ep = net_plan.edges[i]
+                .unwrap_or_else(|| panic!("plan is missing an entry for conv edge {i}"));
+            assert!(
+                n.le(ep.pad),
+                "plan pad {} for edge {i} is smaller than its image {n}",
+                ep.pad
+            );
+            assert!(
+                Spectrum::packed_axis_is_even(ep.pad),
+                "plan pad {} for edge {i} has an odd packed axis",
+                ep.pad
+            );
+            ep
+        };
 
         // per-edge runtime state with deterministic parameter init
         let edges: Vec<EdgeState> = graph
@@ -331,16 +338,19 @@ impl Znn {
             .iter()
             .enumerate()
             .map(|(i, e)| match e.op {
-                EdgeOp::Conv { kernel, sparsity } => EdgeState::Conv(ConvEdge {
-                    kernel: Mutex::new(kernel_init(cfg.seed, EdgeId(i), kernel)),
-                    velocity: Mutex::new(None),
-                    method: edge_method[i],
-                    kernel_spectrum: Mutex::new(None),
-                    update: znn_sched::UpdateHandle::new(),
-                    k: kernel,
-                    sparsity,
-                    m: edge_pad[i],
-                }),
+                EdgeOp::Conv { kernel, sparsity } => {
+                    let ep = conv_plan(i, node_shape[e.from.0]);
+                    EdgeState::Conv(ConvEdge {
+                        kernel: Mutex::new(kernel_init(cfg.seed, EdgeId(i), kernel)),
+                        velocity: Mutex::new(None),
+                        method: ep.method,
+                        kernel_spectrum: Mutex::new(None),
+                        update: znn_sched::UpdateHandle::new(),
+                        k: kernel,
+                        sparsity,
+                        m: ep.pad,
+                    })
+                }
                 EdgeOp::Transfer { function } => EdgeState::Transfer(TransferEdge {
                     bias: Mutex::new(bias_init(cfg.seed, EdgeId(i))),
                     function,
@@ -404,8 +414,8 @@ impl Znn {
             nodes[i].fwd_freq = fwd_plan;
             // backward: all out-edges FFT convs *sharing* a transform
             // shape (always true for planner pads, which are keyed per
-            // node; a hand-built Fixed plan with divergent pads merely
-            // loses the frequency-domain sum, not correctness)
+            // node; a hand-built plan with divergent pads merely loses
+            // the frequency-domain sum, not correctness)
             let eligible_bwd = !node.out_edges.is_empty()
                 && node.out_edges.iter().all(|&e| {
                     matches!(&edges[e.0], EdgeState::Conv(c) if c.method == ConvMethod::Fft)
@@ -485,7 +495,7 @@ impl Znn {
         &self.inner.graph
     }
 
-    /// The convolution method chosen for edge `e` (after autotuning).
+    /// The convolution method edge `e` runs (`None` for non-conv edges).
     pub fn conv_method(&self, e: EdgeId) -> Option<ConvMethod> {
         match &self.inner.edges[e.0] {
             EdgeState::Conv(c) => Some(c.method),
@@ -606,16 +616,16 @@ impl Znn {
         Ok(loss_total)
     }
 
-    /// The resolved execution plan, when [`crate::PlanPolicy`] planning
-    /// is enabled (`None` under the legacy [`ConvPolicy`] path). Note
-    /// the *plan* is frozen at construction; only the FFT fan-out
-    /// moves when the `Auto` calibrator re-plans.
-    pub fn net_plan(&self) -> Option<&Arc<NetPlan>> {
-        self.inner.net_plan.as_ref()
+    /// The execution plan this engine runs: method and pad per conv
+    /// edge, frozen at construction. Only the FFT fan-out moves
+    /// afterwards, when the `Autotune` calibrator re-plans
+    /// ([`Znn::fft_threads`]).
+    pub fn net_plan(&self) -> &Arc<NetPlan> {
+        &self.inner.net_plan
     }
 
     /// The live fan-out cap of the engine's FFT engine (moves when the
-    /// `Auto` planner re-plans; otherwise the configured budget).
+    /// `Autotune` planner re-plans; otherwise the plan's fan-out).
     pub fn fft_threads(&self) -> usize {
         self.inner.fft.threads()
     }

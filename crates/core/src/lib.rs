@@ -14,7 +14,12 @@
 //! * update tasks run at the lowest priority and are **forced** by the
 //!   next round's forward tasks (Algorithms 1–3), so parameters are
 //!   written cache-hot right before use and no thread ever blocks;
-//! * per-layer **autotuning** picks direct vs FFT convolution, and FFT
+//! * direct vs FFT convolution is decided **once, per layer, before
+//!   training** (§IV): every [`ConvPolicy`] resolves to one
+//!   `znn_plan::NetPlan` at construction ([`Znn::net_plan`]) — forced
+//!   policies to a single-method plan, `Autotune` to the `znn-plan`
+//!   cost model's per-edge argmin — and the engine executes only that
+//!   plan ([`Znn::with_plan`] takes a caller's plan instead). FFT
 //!   **memoization** reuses forward-pass transforms in the backward and
 //!   update passes (Table II);
 //! * image buffers are recycled through the pooled allocator of
@@ -44,7 +49,7 @@ mod state;
 mod trainer;
 
 pub use checkpoint::{latest_valid, Checkpoint, CheckpointError};
-pub use config::{CheckpointConfig, ConvPolicy, HealthPolicy, PlanPolicy, TrainConfig};
+pub use config::{CheckpointConfig, ConvPolicy, HealthPolicy, TrainConfig};
 pub use data::{BlobsDataset, Dataset, RandomDataset};
 pub use dense::{BlockEvent, Cancelled, DenseConfig, DenseError, DenseNet};
 pub use engine::{RoundError, RoundStats, Znn};

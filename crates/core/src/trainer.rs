@@ -168,30 +168,13 @@ impl<'a, D: Dataset> Trainer<'a, D> {
         for _ in 0..rounds {
             let factor = self.schedule.factor(self.round);
             let (inputs, mut targets) = self.data.sample(self.round);
-            // schedule-by-target-scaling: for MSE-family losses, scaling
-            // the residual scales the gradient; for exactness across
-            // losses we instead scale by running extra no-op rounds —
-            // here we take the simple route of scaling targets toward
-            // the current output only when factor != 1, which reduces
-            // the effective step. Constant schedules take the fast path.
-            last = if (factor - 1.0).abs() < f32::EPSILON {
-                self.znn.train_step(&inputs, &targets)
-            } else {
-                // blend target toward prediction: t' = y + f·(t − y)
-                let preds = self.znn.forward(&inputs);
-                for (t, y) in targets.iter_mut().zip(&preds) {
-                    let mut blended = y.clone();
-                    for (b, (&tv, &yv)) in blended
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(t.as_slice().iter().zip(y.as_slice()))
-                    {
-                        *b = yv + factor * (tv - yv);
-                    }
-                    *t = blended;
-                }
-                self.znn.train_step(&inputs, &targets)
-            };
+            // schedule-by-target-scaling: targets move toward the
+            // current output only when factor != 1, which reduces the
+            // effective step; constant schedules take the fast path
+            if (factor - 1.0).abs() >= f32::EPSILON {
+                self.blend_targets(factor, &inputs, &mut targets);
+            }
+            last = self.znn.train_step(&inputs, &targets);
             window.push(last);
             self.history.push(last);
             self.round += 1;

@@ -126,16 +126,6 @@ fn paper_3d_architecture_matches_reference() {
 }
 
 #[test]
-fn autotune_picks_a_method_and_stays_correct() {
-    let (g, out) = small_graph();
-    let config = TrainConfig {
-        conv: ConvPolicy::Autotune,
-        ..cfg(2, ConvPolicy::Autotune, true)
-    };
-    check_agreement(g, out, config, 2, 2e-3);
-}
-
-#[test]
 fn multi_output_networks_train() {
     // a diamond: input feeds two conv stacks with separate outputs
     let mut g = Graph::new();

@@ -4,10 +4,11 @@
 //!
 //! The paper's §IV observation is that the direct-vs-FFT crossover is
 //! input-size *and* machine dependent, so any static choice is wrong
-//! somewhere. The engine's measurement-based autotuner handles the
-//! method choice by timing both paths, but it cannot see pad shapes or
-//! the `fft_threads` fan-out, and it re-measures on every new
-//! geometry. This crate instead *prices* every candidate strategy:
+//! somewhere. Timing both paths at construction answers the method
+//! question, but it cannot see pad shapes or the `fft_threads`
+//! fan-out, and its answer moves with whatever else the host is doing
+//! at that moment. This crate instead *prices* every candidate
+//! strategy, and is the engine's only chooser:
 //!
 //! 1. [`cost`] counts per-edge FLOPs from the paper's Tables I–II,
 //!    refined to be pad- and radix-aware (a 5-smooth pad's mixed-radix
@@ -26,10 +27,16 @@
 //!    bit-identical across every `fft_threads` value, while method and
 //!    pad (which do change low-order bits) stay frozen at plan time.
 //!
-//! The engine consumes plans through `TrainConfig::plan`
-//! (`PlanPolicy::Auto` / `PlanPolicy::Fixed` in `znn-core`), and
-//! `DenseNet`'s serving-side method cache can route through the same
-//! planner via [`Planner::choose_forward`].
+//! There is one path from policy to execution in `znn-core`: every
+//! `ConvPolicy` resolves to one [`NetPlan`] at `Znn::new` — the forced
+//! policies to [`NetPlan::force`], `Autotune` to [`Planner::plan`] —
+//! and the engine runs only that plan (`Znn::with_plan` accepts a
+//! caller's). `DenseNet` asks [`Planner::choose_forward`] per
+//! geometry. Methods are compared in FLOP-equivalents — the machine's
+//! speed would divide both prices — so methods and pads are a pure
+//! function of (graph, output shape, `memoize_fft`): a resumed
+//! `Autotune` run replays the same plan on any host. Only the
+//! fan-out, which cannot change a bit, depends on the machine model.
 //!
 //! ```
 //! use znn_plan::{PlanConfig, Planner};

@@ -49,8 +49,10 @@ pub struct PlanConfig {
     /// transform fans out. Not scaled by calibration, which is what
     /// makes the fan-out argmin move as the scale converges.
     pub spawn_overhead_us: f64,
-    /// Whether the engine memoizes FFTs across passes (Table II);
-    /// must match `TrainConfig::memoize_fft` for honest pricing.
+    /// Whether the engine memoizes FFTs across passes (Table II). An
+    /// engine that builds its own planner copies its
+    /// `TrainConfig::memoize_fft` here; it rejects a supplied planner
+    /// whose value disagrees.
     pub memoize_fft: bool,
 }
 
@@ -68,10 +70,10 @@ impl PlanConfig {
         }
     }
 
-    /// A config priced through a microprobed model of the current host
-    /// ([`Machine::detect`]).
+    /// A config priced through the microprobed model of the current
+    /// host, probed once per process ([`Machine::host`]).
     pub fn host() -> Self {
-        Self::for_machine(Machine::detect())
+        Self::for_machine(Machine::host().clone())
     }
 }
 
@@ -113,9 +115,9 @@ pub struct NetPlan {
 impl NetPlan {
     /// A fixed single-method plan: every conv edge uses `method`, pads
     /// are `good_shape` (or `pow2_shape` with `pow2`), and the fan-out
-    /// is pinned to `fft_threads`. This is the "best fixed strategy"
-    /// grid the planner is benchmarked against, and the `Fixed`
-    /// escape hatch for reproducing a previously reported plan.
+    /// is pinned to `fft_threads`. This is what the engine's forced
+    /// conv policies resolve to, and the "best fixed strategy" grid
+    /// the planner is benchmarked against.
     pub fn force(
         graph: &Graph,
         output_shape: Vec3,
@@ -279,21 +281,15 @@ impl Planner {
         // the same image, and the engine's frequency-domain summation
         // requires all contributions at a node to share the transform
         // shape — a per-edge pad would silently forfeit it
-        let mut node_pad: HashMap<NodeId, Vec3> = HashMap::new();
-        for i in 0..graph.node_count() {
-            let n = shape_of[&NodeId(i)];
-            let smooth = good_shape(n);
-            let pow2 = pow2_shape(n);
-            let pad = if cost::fft3_flops(pow2) < cost::fft3_flops(smooth) {
-                pow2
-            } else {
-                smooth
-            };
-            node_pad.insert(NodeId(i), pad);
-        }
+        let node_pad: HashMap<NodeId, Vec3> = shape_of
+            .iter()
+            .map(|(&node, &n)| (node, self.pad_for(n)))
+            .collect();
 
-        // per-edge method choice: the per-edge argmin of the priced
-        // cost model
+        // per-edge method choice: the per-edge argmin of the cost
+        // model, compared in FLOP-equivalents — the machine's speed
+        // would divide both sides, so it is left out and the choice is
+        // exactly the same on every host
         let d_out = |n: NodeId| graph.node(n).out_edges.len().max(1);
         let d_in = |n: NodeId| graph.node(n).in_edges.len().max(1);
         let mut edges: Vec<Option<EdgePlan>> = Vec::with_capacity(graph.edge_count());
@@ -302,19 +298,19 @@ impl Planner {
             match e.op {
                 EdgeOp::Conv { kernel, sparsity } => {
                     let pad = node_pad[&e.from];
-                    let direct_us = self.us(cost::direct_round_flops(nu, kernel, sparsity));
+                    let direct = cost::direct_round_flops(nu, kernel, sparsity);
                     let (tf, pw) =
                         cost::fft_round_split(pad, d_out(e.from), d_in(e.to), self.cfg.memoize_fft);
-                    let fft_us = self.us(tf) + self.us_pw(pw);
-                    let (method, us) = if direct_us <= fft_us {
-                        (ConvMethod::Direct, direct_us)
+                    let fft = tf + pw / cost::PW_EFF;
+                    let (method, flops) = if direct <= fft {
+                        (ConvMethod::Direct, direct)
                     } else {
-                        (ConvMethod::Fft, fft_us)
+                        (ConvMethod::Fft, fft)
                     };
                     edges.push(Some(EdgePlan {
                         method,
                         pad,
-                        predicted_us: us / scale,
+                        predicted_us: self.us(flops) / scale,
                     }));
                 }
                 _ => edges.push(None),
@@ -460,22 +456,23 @@ impl Planner {
     }
 
     /// Direct/FFT choice for a single *serving* (forward-only)
-    /// geometry — the cost-model replacement for the measurement-based
-    /// `convolver::autotune` in `DenseNet`'s method cache. Returns the
-    /// method and the pad FFT would use.
+    /// geometry — what `DenseNet` runs under `ConvPolicy::Autotune`.
+    /// Returns the method and the pad FFT would use. Like
+    /// [`Planner::plan`] it compares FLOP-equivalents, so the answer
+    /// is a pure function of the geometry.
     pub fn choose_forward(&self, n: Vec3, k: Vec3, sparsity: Vec3) -> (ConvMethod, Vec3) {
         let pad = self.pad_for(n);
         let kd = k.dilated(sparsity);
         let direct = match n.valid_conv(kd) {
-            Some(out) => self.us(2.0 * out.len() as f64 * k.len() as f64),
+            Some(out) => 2.0 * out.len() as f64 * k.len() as f64,
             None => f64::INFINITY,
         };
         // forward only: shared image FFT amortizes across a dense
         // layer's edges (assume it is shared at least once), kernel
         // spectra are memoized across requests (free in steady state),
         // plus the pointwise product and the per-edge inverse
-        let t3 = self.us(cost::fft3_flops(pad));
-        let fft = t3 / 2.0 + self.us_pw(cost::pointwise_flops(pad)) + t3;
+        let t3 = cost::fft3_flops(pad);
+        let fft = t3 / 2.0 + cost::pointwise_flops(pad) / cost::PW_EFF + t3;
         if direct <= fft {
             (ConvMethod::Direct, pad)
         } else {

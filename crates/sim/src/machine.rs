@@ -1,5 +1,11 @@
 //! Machine models for the Table V hardware.
 
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
+
+/// Wall-clock budget of each host microprobe.
+const PROBE_BUDGET: Duration = Duration::from_millis(5);
+
 /// A shared-memory machine model: core count, hardware threads, clock,
 /// and an SMT throughput curve.
 ///
@@ -88,12 +94,14 @@ impl Machine {
 
     /// A machine model of the **current host**: core count from the
     /// OS, single-thread FLOP and bandwidth rates from one-shot
-    /// microprobes (a dependent-FMA sweep and a large `memcpy`,
-    /// ~10 ms each). The probes are deliberately rough — the model is
-    /// a planner *prior*, refined online from measured round times —
+    /// microprobes (a vectorisable multiply-add sweep and a large
+    /// `memcpy`, each bounded by time, ~5 ms, not by iteration
+    /// count). The probes are deliberately rough — the model is a
+    /// planner *prior*, refined online from measured round times —
     /// but they anchor absolute predictions to the right order of
     /// magnitude on unknown hardware, where a hardcoded Table V model
-    /// could be off by 10×.
+    /// could be off by 10×. Every call probes afresh; engines share
+    /// [`Machine::host`].
     ///
     /// SMT topology is not probed: the model treats every hardware
     /// thread as a core with a flat throughput curve, which makes
@@ -112,6 +120,15 @@ impl Machine {
             gflops: flop_probe(),
             bandwidth_gbs: bandwidth_probe(),
         }
+    }
+
+    /// The current host's model, probed by [`Machine::detect`] on first
+    /// use and cached for the life of the process — what every engine
+    /// that builds its own planner prices through, so N engines probe
+    /// once and agree on the fan-out sweep.
+    pub fn host() -> &'static Machine {
+        static HOST: OnceLock<Machine> = OnceLock::new();
+        HOST.get_or_init(Machine::detect)
     }
 
     /// All Table V machines.
@@ -155,43 +172,60 @@ impl Machine {
     }
 }
 
-/// Measured single-thread f32 throughput, GFLOP/s: 16 independent
-/// FMA chains (enough to cover FMA latency on anything current), a
-/// few million iterations, `black_box` so the loop survives.
-fn flop_probe() -> f64 {
-    use std::time::Instant;
-    let mut acc = [1.0f32; 16];
-    let mul = [0.999_999f32; 16];
-    let iters: u32 = 4_000_000;
+/// Repeats `work` until [`PROBE_BUDGET`] is spent — so a slow or
+/// contended host gets a rough figure, never a long stall — and
+/// returns (repetitions, elapsed seconds).
+fn run_for_budget(mut work: impl FnMut()) -> (f64, f64) {
     let start = Instant::now();
-    for i in 0..iters {
-        let x = (i & 1023) as f32 * 1e-9;
-        for (a, m) in acc.iter_mut().zip(mul) {
-            *a = a.mul_add(m, x);
+    let mut reps = 0.0;
+    loop {
+        work();
+        reps += 1.0;
+        let dt = start.elapsed();
+        if dt >= PROBE_BUDGET {
+            return (reps, dt.as_secs_f64());
         }
     }
-    let dt = start.elapsed().as_secs_f64().max(1e-9);
+}
+
+/// Measured single-thread f32 throughput, GFLOP/s: 32 independent
+/// `a * m + x` chains (eight SSE, four AVX2 or two AVX-512 vectors —
+/// enough to cover the multiply→add latency), written as plain
+/// arithmetic so the compiler vectorises them whatever the target
+/// features. `f32::mul_add` without `+fma` is a libm call per lane,
+/// which measured the call, not the core.
+fn flop_probe() -> f64 {
+    const LANES: usize = 32;
+    const BLOCK: u32 = 4096;
+    let mut acc = [1.0f32; LANES];
+    let mul = std::hint::black_box(0.999_999f32);
+    let (blocks, secs) = run_for_budget(|| {
+        for i in 0..BLOCK {
+            let x = (i & 1023) as f32 * 1e-9;
+            for a in acc.iter_mut() {
+                *a = *a * mul + x;
+            }
+        }
+    });
     std::hint::black_box(acc);
-    let flops = iters as f64 * 16.0 * 2.0; // mul + add per lane
-    (flops / dt / 1e9).max(0.1)
+    let flops = blocks * (BLOCK as usize * LANES * 2) as f64; // mul + add per lane
+    (flops / secs / 1e9).max(0.1)
 }
 
 /// Measured single-thread copy bandwidth, GB/s (read + write bytes),
-/// over buffers far larger than L2.
+/// over buffers far larger than L2. The first copy faults the
+/// destination's pages in and is not timed.
 fn bandwidth_probe() -> f64 {
-    use std::time::Instant;
-    const WORDS: usize = 4 << 20; // 16 MiB per buffer
+    const WORDS: usize = 2 << 20; // 8 MiB per buffer
     let src = vec![1u32; WORDS];
     let mut dst = vec![0u32; WORDS];
-    let reps = 4;
-    let start = Instant::now();
-    for _ in 0..reps {
+    dst.copy_from_slice(&src);
+    let (reps, secs) = run_for_budget(|| {
         dst.copy_from_slice(&src);
         std::hint::black_box(&mut dst);
-    }
-    let dt = start.elapsed().as_secs_f64().max(1e-9);
-    let bytes = (reps * 2 * WORDS * std::mem::size_of::<u32>()) as f64;
-    (bytes / dt / 1e9).max(0.1)
+    });
+    let bytes = reps * (2 * WORDS * std::mem::size_of::<u32>()) as f64;
+    (bytes / secs / 1e9).max(0.1)
 }
 
 #[cfg(test)]
@@ -262,6 +296,28 @@ mod tests {
         );
         // flat SMT curve → throughput linear in workers
         assert!((m.total_throughput(m.cores) - m.cores as f64).abs() < 1e-9);
+    }
+
+    #[test]
+    fn detect_is_time_bounded() {
+        // each probe stops at its ~5 ms budget; the bound here leaves
+        // room for page faults and a contended test host, and is still
+        // far below the old iteration-counted probe (~230 ms)
+        let t0 = Instant::now();
+        let m = Machine::detect();
+        let dt = t0.elapsed();
+        assert!(dt < Duration::from_millis(100), "detect took {dt:?}");
+        assert!(m.gflops.is_finite() && m.gflops > 0.0);
+        assert!(m.bandwidth_gbs.is_finite() && m.bandwidth_gbs > 0.0);
+    }
+
+    #[test]
+    fn host_is_probed_once_per_process() {
+        // two probes never time identically; two reads of one do
+        let (a, b) = (Machine::host(), Machine::host());
+        assert!(std::ptr::eq(a, b));
+        assert_eq!(a.gflops.to_bits(), b.gflops.to_bits());
+        assert_eq!(a.name, "host (detected)");
     }
 
     #[test]

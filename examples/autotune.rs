@@ -1,14 +1,14 @@
 //! Watch the cost-model planner (`znn-plan`) choose direct vs FFT
 //! convolution, pad shapes, and the FFT fan-out per conv edge — then
 //! verify the planned engine agrees numerically with both forced
-//! paths and with the legacy measurement-based autotuner.
+//! paths.
 //!
 //! ```sh
 //! cargo run --release --example autotune
 //! ```
 
 use std::sync::Arc;
-use znn::core::{ConvPolicy, PlanPolicy, TrainConfig, Znn};
+use znn::core::{ConvPolicy, TrainConfig, Znn};
 use znn::graph::NetBuilder;
 use znn::ops::Transfer;
 use znn::plan::{PlanConfig, Planner};
@@ -27,8 +27,9 @@ fn main() {
         .unwrap();
 
     let out_shape = Vec3::cube(3);
-    // `--plan auto` in the CLI: price the theory FLOP model through a
-    // detected machine model instead of timing each layer
+    // the default policy (`ConvPolicy::Autotune`) prices the theory
+    // FLOP model through a detected machine model; the planner is
+    // shared here only to print its machine prior
     let planner = Arc::new(Planner::new(PlanConfig::host()));
     println!(
         "machine prior: {} ({} cores, {:.1} GFLOP/s, {:.1} GB/s)",
@@ -41,13 +42,13 @@ fn main() {
         graph.clone(),
         out_shape,
         TrainConfig {
-            plan: Some(PlanPolicy::Auto(Arc::clone(&planner))),
+            planner: Some(Arc::clone(&planner)),
             ..Default::default()
         },
     )
     .unwrap();
 
-    let plan = planned.net_plan().expect("Auto always resolves a plan");
+    let plan = planned.net_plan();
     println!(
         "plan: fft_threads = {}, predicted round = {:.0}µs",
         plan.fft_threads, plan.predicted_round_us
@@ -68,15 +69,10 @@ fn main() {
         }
     }
 
-    // the planned engine, both forced paths, and the legacy
-    // measurement-based autotuner all agree numerically
+    // the planned engine and both forced paths agree numerically
     let x = ops::random(planned.input_shape(), 5);
     let y_planned = planned.forward(std::slice::from_ref(&x)).remove(0);
-    for policy in [
-        ConvPolicy::Autotune,
-        ConvPolicy::ForceDirect,
-        ConvPolicy::ForceFft,
-    ] {
+    for policy in [ConvPolicy::ForceDirect, ConvPolicy::ForceFft] {
         let forced = Znn::new(
             graph.clone(),
             out_shape,
