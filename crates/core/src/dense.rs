@@ -34,7 +34,7 @@ use znn_alloc::{lease_image, PoolSet};
 use znn_fft::FftEngine;
 use znn_graph::init::ParamSet;
 use znn_graph::{shapes, EdgeOp, Graph, GraphError};
-use znn_ops::filter::{max_filter, FilterImpl};
+use znn_ops::filter::max_filter_output;
 use znn_ops::pool::max_pool;
 use znn_ops::{conv, ConvMethod};
 use znn_plan::Planner;
@@ -483,9 +483,7 @@ impl DenseNet {
                 }
             }
             EdgeOp::MaxPool { window } => max_pool(input, window).output,
-            EdgeOp::MaxFilter { window, sparsity } => {
-                max_filter(input, window, sparsity, FilterImpl::Deque).output
-            }
+            EdgeOp::MaxFilter { window, sparsity } => max_filter_output(input, window, sparsity),
             EdgeOp::Transfer { function } => {
                 let b = self.params.biases[eid].expect("transfer bias");
                 function.forward(input, b)

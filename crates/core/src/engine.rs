@@ -11,7 +11,7 @@ use znn_fault::FaultKind;
 use znn_fft::{good_shape, spectra, FftEngine};
 use znn_graph::init::{bias_init, kernel_init, ParamSet};
 use znn_graph::{priority, shapes, EdgeId, EdgeOp, Graph, NodeId};
-use znn_ops::filter::{max_filter, max_filter_backward, FilterImpl};
+use znn_ops::filter::{max_filter, max_filter_backward, max_filter_output, FilterImpl};
 use znn_ops::pool::{max_pool, max_pool_backward};
 use znn_ops::{conv, ConvMethod};
 use znn_plan::{NetPlan, Planner};
@@ -743,11 +743,12 @@ impl Znn {
     }
 
     /// Forces every pending parameter update to completion (used before
-    /// reading parameters and at the end of training).
+    /// reading parameters and at the end of training), waiting for any
+    /// that a worker is still running.
     pub fn flush_updates(&self) {
         for e in &self.inner.edges {
             if let Some(h) = e.update_handle() {
-                h.force(Box::new(|| {}));
+                h.complete();
             }
         }
     }
@@ -979,10 +980,13 @@ impl Inner {
                     let r = max_pool(&input, m.window);
                     *m.argmax.lock() = Some(r.argmax);
                     Contribution::Spatial(r.output)
-                } else {
+                } else if inner.training.load(Ordering::Acquire) {
                     let r = max_filter(&input, m.window, m.sparsity, FilterImpl::Deque);
                     *m.argmax.lock() = Some(r.argmax);
                     Contribution::Spatial(r.output)
+                } else {
+                    // inference runs no backward pass, so nothing reads an argmax
+                    Contribution::Spatial(max_filter_output(&input, m.window, m.sparsity))
                 }
             }
         };
@@ -1146,10 +1150,8 @@ impl Inner {
                 Contribution::Spatial(back)
             }
             EdgeState::Max(m) => {
-                let argmax = {
-                    let a = m.argmax.lock();
-                    a.as_ref().expect("forward before backward").clone()
-                };
+                // forward stores a fresh argmax every training round
+                let argmax = m.argmax.lock().take().expect("forward before backward");
                 let out = if m.is_pool {
                     max_pool_backward(&grad, &argmax, m.in_shape)
                 } else {

@@ -162,6 +162,8 @@ pub(crate) struct MaxEdge {
     pub sparsity: Vec3,
     /// True for pooling, false for filtering.
     pub is_pool: bool,
+    /// Winner indices from this round's training forward, taken by its
+    /// backward (inference forwards of filtering edges store none).
     pub argmax: Mutex<Option<Tensor3<u32>>>,
     pub in_shape: Vec3,
 }

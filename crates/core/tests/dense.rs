@@ -162,6 +162,30 @@ fn cancellation_returns_every_pooled_lease() {
 }
 
 #[test]
+fn completed_blocked_evaluation_returns_every_pooled_lease() {
+    // the max-filter layer leases its output and pass scratch from the
+    // input's pool; once the result drops, nothing may still be leased
+    let pools = PoolSet::new();
+    let cfg = DenseConfig {
+        conv: ConvPolicy::ForceDirect,
+        pools: Some(Arc::clone(&pools)),
+        ..DenseConfig::default()
+    };
+    let dense = DenseNet::new(filtering_net(), 3, cfg).unwrap();
+    let image = ops::random(Vec3::flat(24, 24), 1);
+    let out = dense
+        .forward_blocked(&image, Vec3::flat(5, 7), &mut |_| ControlFlow::Continue(()))
+        .unwrap();
+    assert_eq!(out, dense.forward(&image));
+    drop(out);
+    assert_eq!(
+        pools.stats().bytes_in_use(),
+        0,
+        "completed evaluation must return every pooled lease"
+    );
+}
+
+#[test]
 fn spectra_memoize_once_and_params_mut_invalidates() {
     let dense = DenseNet::new(filtering_net(), 21, dense_cfg(ConvPolicy::ForceFft)).unwrap();
     let shape = Vec3::flat(20, 20);

@@ -120,6 +120,31 @@ fn flushed_engine_returns_all_pooled_bytes() {
 }
 
 #[test]
+fn max_filter_leases_return_after_training_and_inference() {
+    // max-filter outputs lease from their input's pool; after a pooled
+    // training round and an inference pass (the forward-only filter),
+    // every lease must be home once the engine and its outputs drop
+    let pools = PoolSet::new();
+    let out_shape = Vec3::cube(2);
+    let (g, _) = comparison_net(2, Vec3::cube(3), Vec3::cube(2), true);
+    let znn = Znn::new(g, out_shape, cfg(Some(Arc::clone(&pools)))).unwrap();
+    let x = ops::random(znn.input_shape(), 5);
+    let t = ops::random(out_shape, 6).map(|v| 0.5 + 0.4 * v);
+    znn.train_step(std::slice::from_ref(&x), std::slice::from_ref(&t));
+    let y = znn.forward(std::slice::from_ref(&x));
+    assert!(y[0].home().is_some(), "inference output left the pool");
+    znn.flush_updates();
+    drop(znn);
+    assert!(pools.stats().bytes_in_use() > 0, "the output still holds its lease");
+    drop(y);
+    assert_eq!(
+        pools.stats().bytes_in_use(),
+        0,
+        "pooled bytes leaked out of custody after a max-filter net"
+    );
+}
+
+#[test]
 fn stats_expose_queue_depth_and_alloc_fields() {
     let (znn, x, t) = net();
     znn.train_step(std::slice::from_ref(&x), std::slice::from_ref(&t));

@@ -14,9 +14,13 @@
 //!
 //! Convolution comes in two interchangeable implementations — direct
 //! loops here and FFT-based in [`znn_fft`] — selected per layer by the
-//! plan `znn-core` resolves at construction (§IV). Max-filtering likewise has two
-//! implementations: a monotonic-deque O(n) variant (default) and the
-//! paper's heap-based O(n log k) variant, kept for the ablation bench.
+//! plan `znn-core` resolves at construction (§IV). Max-filtering runs
+//! one shifted-row kernel — `k − 1` strict-`>` maxima of contiguous
+//! shifted slices per axis — with two entry points: values only
+//! ([`filter::max_filter_output`], for inference and `DenseNet`) and
+//! values plus the winner index the backward pass scatters to
+//! ([`filter::max_filter`], for training). The paper's heap-based
+//! O(n log k) variant is kept for the ablation bench.
 //!
 //! Loss functions ([`loss`]) close the training loop (§III, step 3).
 

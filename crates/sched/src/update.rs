@@ -18,6 +18,7 @@
 //! queue free of random-access removal; a claimed entry is skipped in
 //! O(1) when popped.
 
+use crate::Latch;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -149,6 +150,19 @@ impl UpdateHandle {
         subtask();
     }
 
+    /// FORCE that also waits: returns only once the pending update, if
+    /// any, has finished — including one already running on another
+    /// thread, where [`UpdateHandle::force`] parks its subtask and
+    /// returns at once. For callers outside the worker pool that read
+    /// the parameters next (snapshots, checkpoints, teardown); a worker
+    /// task must use `force`, which never waits.
+    pub fn complete(&self) {
+        let done = Arc::new(Latch::new(1));
+        let signal = Arc::clone(&done);
+        self.force(Box::new(move || signal.count_down()));
+        done.wait();
+    }
+
     /// Completes an execution: flips back to Idle and runs any subtask
     /// that was attached while the update ran (Algorithm 3 lines 3–6).
     fn finish(&self) {
@@ -184,7 +198,7 @@ impl Default for UpdateHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Executor, Latch, QueuePolicy, Scheduler, UPDATE_PRIORITY};
+    use crate::{Executor, QueuePolicy, Scheduler, UPDATE_PRIORITY};
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -274,6 +288,50 @@ mod tests {
         release.count_down();
         runner.join().unwrap();
         assert_eq!(*log.lock(), vec!["update", "forward"]);
+    }
+
+    #[test]
+    fn complete_waits_for_an_update_running_elsewhere() {
+        let h = UpdateHandle::new();
+        let entered = Arc::new(Latch::new(1));
+        let release = Arc::new(Latch::new(1));
+        let applied = Arc::new(AtomicUsize::new(0));
+        {
+            let (entered, release) = (Arc::clone(&entered), Arc::clone(&release));
+            let applied = Arc::clone(&applied);
+            h.arm(Box::new(move || {
+                entered.count_down();
+                release.wait();
+                applied.fetch_add(1, Ordering::SeqCst);
+            }));
+        }
+        let runner = {
+            let h = h.clone();
+            std::thread::spawn(move || h.queue_entry()())
+        };
+        entered.wait();
+        // a parameter reader completes the handle while the update runs
+        let returned = Arc::new(Latch::new(1));
+        let reader = {
+            let (h, returned) = (h.clone(), Arc::clone(&returned));
+            let applied = Arc::clone(&applied);
+            std::thread::spawn(move || {
+                h.complete();
+                returned.count_down();
+                applied.load(Ordering::SeqCst)
+            })
+        };
+        while h.stats().delegated.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        assert!(
+            !returned.wait_timeout(std::time::Duration::from_millis(50)),
+            "complete() returned while the update was still running"
+        );
+        release.count_down();
+        runner.join().unwrap();
+        assert_eq!(reader.join().unwrap(), 1, "reader saw the update applied");
+        assert!(h.is_idle());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`Tensor3`] — an owned, contiguous, row-major (`z` fastest) 3D tensor,
 //! * padding / cropping / reflection / dilation helpers ([`pad`]),
 //! * elementwise kernels used on hot paths ([`ops`]),
-//! * axis line iteration used by separable sliding-window maxima
+//! * axis line iteration used by the FFT's per-axis passes
 //!   ([`lines`]),
 //! * the pooled-storage contract ([`storage`]): tensors may lease their
 //!   buffer from a [`BufferSource`] (implemented by `znn-alloc`'s

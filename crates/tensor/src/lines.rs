@@ -1,9 +1,10 @@
 //! Axis line extraction.
 //!
-//! 3D max-filtering is performed "by sequential 1D max-filtering of n²
-//! arrays in each of the three directions" (paper §II). The 3D FFT is
-//! likewise decomposed into 1D transforms along each axis. This module
-//! provides the strided line walks both of them need.
+//! The 3D FFT is decomposed into 1D transforms along each axis, and the
+//! paper's heap-based max-filter (§II: "sequential 1D max-filtering of
+//! n² arrays in each of the three directions", kept as an ablation)
+//! slides its window along the same lines. This module provides the
+//! strided line walks both of them need.
 
 use crate::{Tensor3, Vec3};
 
