@@ -1,11 +1,12 @@
-//! 3D r2c/c2r FFT throughput: smooth vs awkward sizes, and the cost of
-//! padding to a smooth transform shape.
+//! 3D r2c/c2r FFT throughput: smooth vs awkward sizes, the cost of
+//! padding to a smooth transform shape, and the pruned transforms
+//! against the full-box ones they replace.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use znn_fft::{good_size, FftEngine};
-use znn_tensor::{ops, Vec3};
+use znn_fft::{good_size, spectra, FftEngine};
+use znn_tensor::{ops, pad, Image, Spectrum, Vec3};
 
 fn bench_fft(c: &mut Criterion) {
     let engine = FftEngine::new();
@@ -54,5 +55,54 @@ fn bench_fft(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fft);
+/// The pruned transforms of the FFT training path, each beside the
+/// full-box transform it replaces, at `train3d_fft`'s geometries on one
+/// thread: kernel spectra, the forward-node crop and the kernel-gradient
+/// lattice.
+fn bench_pruned(c: &mut Criterion) {
+    let engine = FftEngine::with_threads(1);
+    let mut group = c.benchmark_group("pruned");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(100))
+        .measurement_time(Duration::from_millis(400));
+    let k = Vec3::cube(5);
+    let w = ops::random(k, 3);
+    for (s, m) in [(1usize, 60usize), (4, 40)] {
+        let (s, m) = (Vec3::cube(s), Vec3::cube(m));
+        let padded = pad::pad(&pad::dilate(&w, s), m, Vec3::zero());
+        let label = format!("k5_s{}_to_{}", s[0], m[0]);
+        group.bench_function(format!("kernel_spectrum_{label}"), |b| {
+            b.iter(|| black_box(spectra::kernel_spectrum(&engine, &w, s, m)))
+        });
+        group.bench_function(format!("kernel_spectrum_{label}_full_box"), |b| {
+            b.iter(|| black_box(engine.rfft3(&padded)))
+        });
+    }
+    let m = Vec3::cube(60);
+    let spec = engine.rfft3(&ops::random(m, 4));
+    let inverses: [(&str, &dyn Fn(Spectrum) -> Image); 3] = [
+        ("inverse_crop_51_of_60", &|s| {
+            engine.inverse_real(s, Vec3::cube(4), Vec3::cube(51))
+        }),
+        ("kernel_gradient_5_of_60", &|s| {
+            spectra::kernel_gradient_from_corr(&engine, s, k, Vec3::one())
+        }),
+        ("inverse_60_full_box", &|s| engine.irfft3(s)),
+    ];
+    for (name, inverse) in inverses {
+        // the inverse consumes its spectrum, so the clone runs in
+        // iter_batched's setup, off the clock
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || spec.clone(),
+                |s| black_box(inverse(s)),
+                BatchSize::PerIteration,
+            )
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_fft, bench_pruned);
 criterion_main!(benches);

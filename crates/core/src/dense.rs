@@ -31,7 +31,7 @@ use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use znn_alloc::{lease_image, PoolSet};
-use znn_fft::FftEngine;
+use znn_fft::{spectra, FftEngine};
 use znn_graph::init::ParamSet;
 use znn_graph::{shapes, EdgeOp, Graph, GraphError};
 use znn_ops::filter::max_filter_output;
@@ -420,15 +420,8 @@ impl DenseNet {
     }
 
     fn kernel_spectrum(&self, eid: usize, w: &Image, sparsity: Vec3, m: Vec3) -> Arc<Spectrum> {
-        let compute = || {
-            // sparse kernels are dilated onto the skip lattice before
-            // the transform, exactly as in training
-            if sparsity == Vec3::one() {
-                self.fft.forward_padded(w, m)
-            } else {
-                self.fft.forward_padded(&pad::dilate(w, sparsity), m)
-            }
-        };
+        // sparse kernels land on the skip lattice, exactly as in training
+        let compute = || spectra::kernel_spectrum(&self.fft, w, sparsity, m);
         if !self.cfg.memoize_spectra {
             return Arc::new(compute());
         }

@@ -561,7 +561,6 @@ impl Znn {
             let g = Arc::new(g);
             let node = &self.inner.nodes[o.0];
             node.bwd_spectra.clear();
-            *node.bwd_image.lock() = Some(Arc::clone(&g));
             if self.inner.graph.node(o).in_edges.is_empty() {
                 // degenerate single-node graph
                 self.inner.bwd_latch.count_down();
@@ -1056,6 +1055,7 @@ impl Inner {
                 let plan = node.fwd_freq.expect("freq sum implies a plan");
                 inner.fft.inverse_real(spec, plan.crop_at, plan.out_shape)
             }
+            Contribution::Unread => unreachable!("forward contributions are always read"),
         };
         debug_assert_eq!(img.shape(), node.shape);
         node.fwd_spectra.clear();
@@ -1085,16 +1085,26 @@ impl Inner {
 
     /// Algorithm 2: backward transform, arm + enqueue the update task,
     /// accumulate into the source node's backward sum.
+    ///
+    /// A source node without in-edges (a network input) has a backward
+    /// image nobody reads, so its out-edges skip the input-side work and
+    /// contribute [`Contribution::Unread`]: they still arm their updates
+    /// and still count toward the node's completion.
     fn do_backward(inner: &Arc<Inner>, e: EdgeId, grad: Arc<Image>) {
         let edge = inner.graph.edge(e);
         let (from, to) = (edge.from, edge.to);
+        let read = !inner.graph.node(from).in_edges.is_empty();
         let contribution = match &inner.edges[e.0] {
             EdgeState::Conv(c) => {
                 // Algorithm 2 order matters: the backward transform must
                 // read the kernel *before* the update task is armed — an
                 // idle worker may pick the update up immediately and
                 // modify the kernel.
-                let out = Inner::conv_backward(inner, c, from, to, &grad);
+                let out = if read {
+                    Inner::conv_backward(inner, c, from, to, &grad)
+                } else {
+                    Contribution::Unread
+                };
                 Inner::arm_conv_update(inner, e, c, from, to, &grad);
                 out
             }
@@ -1119,17 +1129,22 @@ impl Inner {
                 Inner::arm_bias_update(inner, e, db);
                 // weight decay does not apply to biases
                 let _ = &mut back;
-                Contribution::Spatial(back)
+                if read {
+                    Contribution::Spatial(back)
+                } else {
+                    Contribution::Unread
+                }
             }
             EdgeState::Max(m) => {
                 // forward stores a fresh argmax every training round
                 let argmax = m.argmax.lock().take().expect("forward before backward");
-                let out = if m.is_pool {
-                    max_pool_backward(&grad, &argmax, m.in_shape)
+                if !read {
+                    Contribution::Unread
+                } else if m.is_pool {
+                    Contribution::Spatial(max_pool_backward(&grad, &argmax, m.in_shape))
                 } else {
-                    max_filter_backward(&grad, &argmax, m.in_shape)
-                };
-                Contribution::Spatial(out)
+                    Contribution::Spatial(max_filter_backward(&grad, &argmax, m.in_shape))
+                }
             }
         };
         let node = &inner.nodes[from.0];
@@ -1174,19 +1189,10 @@ impl Inner {
 
     /// The memoized kernel half-spectrum (Table II): computed in the
     /// forward pass and reused by backward/update when memoization is
-    /// on. Sparse kernels are dilated onto the skip lattice before
-    /// transforming.
+    /// on. Sparse kernels are read onto the skip lattice by the pruned
+    /// transform itself.
     fn kernel_spectrum(inner: &Arc<Inner>, c: &ConvEdge, m: Vec3) -> Arc<znn_tensor::Spectrum> {
-        let compute = || {
-            let w = c.kernel.lock();
-            if c.sparsity == Vec3::one() {
-                inner.fft.forward_padded(&w, m)
-            } else {
-                inner
-                    .fft
-                    .forward_padded(&znn_tensor::pad::dilate(&w, c.sparsity), m)
-            }
-        };
+        let compute = || spectra::kernel_spectrum(&inner.fft, &c.kernel.lock(), c.sparsity, m);
         if inner.cfg.memoize_fft {
             let mut cached = c.kernel_spectrum.lock();
             if let Some(s) = cached.as_ref() {
@@ -1313,24 +1319,23 @@ impl Inner {
 
     fn finalize_backward(inner: &Arc<Inner>, u: NodeId) {
         let node = &inner.nodes[u.0];
-        let total = node.bwd_sum.take();
-        let img = match total {
+        let img = match node.bwd_sum.take() {
             Contribution::Spatial(i) => i,
             Contribution::Freq(spec) => {
                 let plan = node.bwd_freq.expect("freq sum implies a plan");
                 inner.fft.inverse_real(spec, plan.crop_at, plan.out_shape)
             }
+            Contribution::Unread => {
+                // an input node: its backward pass is complete
+                node.bwd_spectra.clear();
+                inner.bwd_latch.count_down();
+                return;
+            }
         };
         node.bwd_spectra.clear();
         let img = Arc::new(img);
-        *node.bwd_image.lock() = Some(Arc::clone(&img));
-        let in_edges = &inner.graph.node(u).in_edges;
-        if in_edges.is_empty() {
-            inner.bwd_latch.count_down();
-        } else {
-            for &e in in_edges {
-                Inner::submit_backward(inner, e, Arc::clone(&img));
-            }
+        for &e in &inner.graph.node(u).in_edges {
+            Inner::submit_backward(inner, e, Arc::clone(&img));
         }
     }
 }

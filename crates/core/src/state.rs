@@ -15,6 +15,9 @@ pub(crate) enum Contribution {
     Spatial(Image),
     /// Frequency-domain half-spectrum (deferred inverse transform).
     Freq(Spectrum),
+    /// Nothing to add: the backward image of a node without in-edges
+    /// has no reader, so its out-edges only count toward completion.
+    Unread,
 }
 
 impl Accumulate for Contribution {
@@ -22,6 +25,7 @@ impl Accumulate for Contribution {
         match (self, other) {
             (Contribution::Spatial(a), Contribution::Spatial(b)) => ops::add_assign(a, &b),
             (Contribution::Freq(a), Contribution::Freq(b)) => ops::add_assign_s(a, &b),
+            (Contribution::Unread, Contribution::Unread) => {}
             _ => panic!("mixed spatial/frequency contributions at one node"),
         }
     }
@@ -98,8 +102,6 @@ pub(crate) struct NodeState {
     /// The node's forward image (output of the sum), refreshed each
     /// round.
     pub fwd_image: Mutex<Option<Arc<Image>>>,
-    /// The node's backward image.
-    pub bwd_image: Mutex<Option<Arc<Image>>>,
     /// Shared spectra of the forward image, keyed by transform shape.
     pub fwd_spectra: SpectrumCache,
     /// Shared spectra of the backward image.
@@ -118,7 +120,6 @@ impl NodeState {
             fwd_sum: ConcurrentSum::new(in_degree.max(1)),
             bwd_sum: ConcurrentSum::new(out_degree.max(1)),
             fwd_image: Mutex::new(None),
-            bwd_image: Mutex::new(None),
             fwd_spectra: SpectrumCache::default(),
             bwd_spectra: SpectrumCache::default(),
             fwd_freq: None,

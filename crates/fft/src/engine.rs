@@ -7,7 +7,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use znn_alloc::PoolSet;
-use znn_tensor::lines::{Axis, LineSpec};
 use znn_tensor::{BufferSource, CImage, Complex32, Image, Spectrum, Vec3};
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,23 +108,139 @@ fn borrow_buf<'a>(
 
 /// A raw tensor base pointer that may cross thread boundaries.
 ///
-/// Used by the parallel x/y line transforms: the lines along a strided
-/// axis interleave in memory, so the buffer cannot be split into
-/// contiguous `&mut` chunks per worker. Soundness rests on the line
-/// decomposition instead: line `i` touches exactly the elements
-/// `starts[i] + k·stride`, sets that are pairwise disjoint across lines,
-/// and each worker is handed a disjoint range of line indices.
+/// Used by every parallel line loop: the lines along a strided axis
+/// interleave in memory, and a pruned stage's lines are scattered, so
+/// the buffer cannot be split into contiguous `&mut` chunks per worker.
+/// Soundness rests on the line decomposition instead: line `i` touches
+/// exactly the elements `start(i) + k·stride` (or its own output row),
+/// sets that are pairwise disjoint across lines, and each worker is
+/// handed a disjoint range of line indices.
 #[derive(Clone, Copy)]
-struct SendPtr(*mut Complex32);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
+struct SendPtr<T>(*mut T);
+// SAFETY: the one field is a base pointer into a buffer the spawning
+// call borrows mutably for the whole fork-join scope; workers only
+// dereference it at the disjoint offsets described above, and only
+// `f32` / `Complex32` (plain `Copy` data) sit behind it.
+unsafe impl<T> Send for SendPtr<T> {}
+// SAFETY: as for `Send` — shared copies of the pointer are only ever
+// dereferenced at line offsets no other worker touches.
+unsafe impl<T> Sync for SendPtr<T> {}
 
-impl SendPtr {
+impl<T> SendPtr<T> {
     /// The wrapped pointer. A method (rather than field access) so
     /// closures capture the `Send` wrapper, not the bare pointer —
     /// edition-2021 closures capture individual fields otherwise.
-    fn get(self) -> *mut Complex32 {
+    fn get(self) -> *mut T {
         self.0
+    }
+}
+
+/// The voxels a pruned transform reads (forward) or writes (inverse):
+/// along each axis `a`, the `count[a]` coordinates `at[a] + i·step[a]`
+/// for `i < count[a]`, enumerated in descending `i` when `flip` is set.
+///
+/// A forward transform only transforms the lines that meet the lattice
+/// before their axis is transformed; an inverse only the lines that
+/// meet it after. Every other line is all-zero (forward) or never read
+/// (inverse), so skipping it changes no kept value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Lattice {
+    pub at: Vec3,
+    pub count: Vec3,
+    pub step: Vec3,
+    pub flip: bool,
+}
+
+impl Lattice {
+    /// The dense box of `count` voxels at `at`.
+    pub fn dense(at: Vec3, count: Vec3) -> Self {
+        Lattice {
+            at,
+            count,
+            step: Vec3::one(),
+            flip: false,
+        }
+    }
+
+    /// The `i`-th coordinate along axis `a`.
+    fn coord(&self, a: usize, i: usize) -> usize {
+        let i = if self.flip { self.count[a] - 1 - i } else { i };
+        self.at[a] + i * self.step[a]
+    }
+
+    /// True when the lattice is non-empty and every coordinate lies
+    /// inside a transform of shape `m`.
+    fn fits(&self, m: Vec3) -> bool {
+        (0..3).all(|a| self.count[a] >= 1 && self.at[a] + (self.count[a] - 1) * self.step[a] < m[a])
+    }
+
+    /// The lines along `axis` in a tensor of `shape`, in row-major order
+    /// of the two other axes. Along each other axis `b`, only the
+    /// lattice's coordinates are kept when `keep(b)`, every coordinate
+    /// otherwise.
+    fn lines(&self, shape: Vec3, axis: usize, keep: impl Fn(usize) -> bool) -> Lines {
+        let strides = [shape[1] * shape[2], shape[2], 1];
+        let others = match axis {
+            0 => [1, 2],
+            1 => [0, 2],
+            _ => [0, 1],
+        };
+        let keep = others.map(&keep);
+        Lines {
+            lat: *self,
+            axis,
+            others,
+            keep,
+            counts: [0, 1].map(|k| {
+                if keep[k] {
+                    self.count[others[k]]
+                } else {
+                    shape[others[k]]
+                }
+            }),
+            strides: others.map(|b| strides[b]),
+        }
+    }
+}
+
+/// The lines one transform stage runs: the row-major product of the
+/// coordinates along the two other axes, each either every coordinate
+/// or only the lattice's. Line origins are computed from the line
+/// index, so no stage allocates.
+#[derive(Clone, Copy)]
+struct Lines {
+    lat: Lattice,
+    /// The axis the lines run along.
+    axis: usize,
+    /// The two other axes, outer first.
+    others: [usize; 2],
+    /// Whether each other axis keeps only the lattice's coordinates.
+    keep: [bool; 2],
+    /// Coordinates along each other axis.
+    counts: [usize; 2],
+    /// Element strides of the two other axes.
+    strides: [usize; 2],
+}
+
+impl Lines {
+    /// Number of lines.
+    fn len(&self) -> usize {
+        self.counts[0] * self.counts[1]
+    }
+
+    /// Offset of line `j`'s first element.
+    fn start(&self, j: usize) -> usize {
+        let idx = [j / self.counts[1], j % self.counts[1]];
+        (0..2)
+            .map(|k| {
+                let c = if self.keep[k] {
+                    self.lat.coord(self.others[k], idx[k])
+                } else {
+                    idx[k]
+                };
+                c * self.strides[k]
+            })
+            .sum()
     }
 }
 
@@ -163,7 +278,9 @@ type TwiddleMap = HashMap<(usize, Dir), Arc<Vec<Complex32>>>;
 /// costs half the FLOPs. The packed axis is the last non-unit axis —
 /// `z` for volumes, `y` for flat (`m_z == 1`) images — whose lines are
 /// always contiguous; the other axes are strided complex line
-/// transforms over the halved tensor.
+/// transforms over the halved tensor. Each stage skips the lines that
+/// are zero on the way in or unread on the way out (see the crate docs'
+/// *Pruned transforms*).
 ///
 /// # Threading model
 ///
@@ -204,13 +321,18 @@ type TwiddleMap = HashMap<(usize, Dir), Arc<Vec<Complex32>>>;
 /// # Memory model
 ///
 /// With [`FftEngine::with_buffer_pools`] every buffer the engine
-/// allocates — half-spectra, padded transform inputs, cropped outputs,
-/// per-slot scratch — is leased from a `znn_alloc::PoolSet` and
-/// recycled when the produced tensor drops (`irfft3` additionally
-/// re-adopts the spectrum's storage it consumed in place, so the c2r
-/// buffer reuse survives pooling). A steady-state transform loop then
-/// performs zero allocation; see the crate-level docs of `znn-alloc`
-/// and the §VII-C discussion in `docs/ARCHITECTURE.md`.
+/// allocates — half-spectra, cropped outputs, per-slot scratch — is
+/// leased from a `znn_alloc::PoolSet` and recycled when the produced
+/// tensor drops. A forward transform leases only its half-spectrum:
+/// [`FftEngine::forward_padded`] reads the unpadded image directly, so
+/// no padded copy is leased. A cropped [`FftEngine::inverse_real`]
+/// leases only its `shape` output and writes each cropped run into it,
+/// recycling the consumed spectrum. Only the full box
+/// ([`FftEngine::irfft3`]) works in place: it re-adopts the spectrum's
+/// storage as the real output, so the c2r buffer reuse survives
+/// pooling. A steady-state transform loop then performs zero
+/// allocation; see the crate-level docs of `znn-alloc` and the §VII-C
+/// discussion in `docs/ARCHITECTURE.md`.
 ///
 /// # Example
 ///
@@ -452,85 +574,52 @@ impl FftEngine {
         self.plans.lock().len()
     }
 
-    fn transform_axis(&self, t: &mut CImage, axis: Axis, dir: Dir) {
+    /// Transforms, in place, `lines` of `t` (every line along their
+    /// axis, or a pruned subset). `lines` must come from
+    /// [`Lattice::lines`] for `t`'s shape, with a lattice that fits it.
+    fn transform_axis(&self, t: &mut CImage, dir: Dir, lines: Lines) {
         let shape = t.shape();
-        let len = shape[axis as usize];
+        let axis = lines.axis;
+        let len = shape[axis];
         if len == 1 {
             return; // a length-1 DFT is the identity
         }
+        let stride = [shape[1] * shape[2], shape[2], 1][axis];
         let plan = self.plan(len, dir);
-        let count = t.len() / len;
-        let workers = self.workers_for(count, len);
-        let spec = LineSpec::new(shape, axis);
-        if workers <= 1 {
-            // gather lines in groups of LINE_BATCH so a full group runs
-            // the Stockham kernels' batched SIMD path in one call
+        let base = SendPtr(t.as_mut_slice().as_mut_ptr());
+        self.par_lines(lines.len(), len, &|lo, hi| {
+            let ptr = base.get();
             self.scratch.with(|s| {
-                let scratch = borrow_buf(&mut s.plan, plan.get_inplace_scratch_len(), s.home.as_ref());
-                let buf = borrow_buf(&mut s.line, LINE_BATCH * spec.len, s.home.as_ref());
-                let mut i = 0;
-                while i < spec.count {
-                    let g = LINE_BATCH.min(spec.count - i);
-                    let group = &mut buf[..g * spec.len];
-                    for (j, line) in group.chunks_exact_mut(spec.len).enumerate() {
-                        spec.read_line(t, i + j, line);
+                let scratch =
+                    borrow_buf(&mut s.plan, plan.get_inplace_scratch_len(), s.home.as_ref());
+                let buf = borrow_buf(&mut s.line, LINE_BATCH * len, s.home.as_ref());
+                // gather lines in groups of LINE_BATCH so a full group runs
+                // the Stockham kernels' batched SIMD path in one call
+                for g0 in (lo..hi).step_by(LINE_BATCH) {
+                    let group = &mut buf[..LINE_BATCH.min(hi - g0) * len];
+                    // SAFETY: line j touches exactly the elements
+                    // lines.start(j) + k·stride, k < len — pairwise
+                    // disjoint across lines, and this worker's line range
+                    // [lo, hi) is disjoint from every other worker's.
+                    // Every start is a line origin of `shape`, so all
+                    // offsets are in bounds.
+                    for (j, line) in (g0..).zip(group.chunks_exact_mut(len)) {
+                        let start = lines.start(j);
+                        for (k, b) in line.iter_mut().enumerate() {
+                            // SAFETY: in bounds and unshared, as above
+                            *b = unsafe { *ptr.add(start + k * stride) };
+                        }
                     }
                     plan.process_with_scratch(group, scratch);
-                    for (j, line) in group.chunks_exact(spec.len).enumerate() {
-                        spec.write_line(t, i + j, line);
+                    for (j, line) in (g0..).zip(group.chunks_exact(len)) {
+                        let start = lines.start(j);
+                        for (k, b) in line.iter().enumerate() {
+                            // SAFETY: in bounds and unshared, as above
+                            unsafe { *ptr.add(start + k * stride) = *b };
+                        }
                     }
-                    i += g;
                 }
             });
-            return;
-        }
-        // strided lines interleave, so workers share the buffer through a
-        // raw base pointer and own disjoint ranges of line indices
-        let base = SendPtr(t.as_mut_slice().as_mut_ptr());
-        let per = count.div_ceil(workers);
-        let plan = &plan;
-        let spec = &spec;
-        let scratch_pool = &self.scratch;
-        self.in_scope(|sc| {
-            let mut lo = 0;
-            while lo < count {
-                let hi = (lo + per).min(count);
-                sc.spawn(move |_| {
-                    let ptr = base.get();
-                    scratch_pool.with(|s| {
-                        let scratch = borrow_buf(&mut s.plan, plan.get_inplace_scratch_len(), s.home.as_ref());
-                        let buf = borrow_buf(&mut s.line, LINE_BATCH * spec.len, s.home.as_ref());
-                        let mut i = lo;
-                        while i < hi {
-                            let g = LINE_BATCH.min(hi - i);
-                            let group = &mut buf[..g * spec.len];
-                            // SAFETY: line i touches exactly the elements
-                            // starts[i] + k·stride, k < len — pairwise
-                            // disjoint across lines, and this worker's
-                            // line range [lo, hi) is disjoint from every
-                            // other worker's. All offsets are in bounds
-                            // by LineSpec's construction.
-                            for (j, line) in group.chunks_exact_mut(spec.len).enumerate() {
-                                let mut p = spec.starts()[i + j];
-                                for b in line.iter_mut() {
-                                    unsafe { *b = *ptr.add(p) };
-                                    p += spec.stride;
-                                }
-                            }
-                            plan.process_with_scratch(group, scratch);
-                            for (j, line) in group.chunks_exact(spec.len).enumerate() {
-                                let mut p = spec.starts()[i + j];
-                                for b in line.iter() {
-                                    unsafe { *ptr.add(p) = *b };
-                                    p += spec.stride;
-                                }
-                            }
-                            i += g;
-                        }
-                    });
-                });
-                lo = hi;
-            }
         });
     }
 
@@ -551,103 +640,7 @@ impl FftEngine {
     /// Lines are split across the engine's workers; see the
     /// [threading model](FftEngine#threading-model).
     pub fn rfft3(&self, img: &Image) -> Spectrum {
-        let m = img.shape();
-        let pa = Spectrum::packed_axis(m);
-        let n = m[pa];
-        let h = n / 2 + 1;
-        let mut half = self.lease_cimage(Spectrum::half_shape(m));
-        let lines = m.len() / n;
-        if n == 1 {
-            // the all-unit shape: a 1-point DFT is the identity
-            for (d, s) in half.as_mut_slice().iter_mut().zip(img.as_slice()) {
-                *d = Complex32::new(*s, 0.0);
-            }
-        } else if n.is_multiple_of(2) {
-            let hn = n / 2;
-            let plan = (hn > 1).then(|| self.plan(hn, Dir::Fwd));
-            let tw = self.rtwiddle(n, Dir::Fwd);
-            let pack = |src_all: &[f32], dst_all: &mut [Complex32]| {
-                // pack LINE_BATCH lines per transform call so a full
-                // group runs the Stockham batched SIMD path
-                self.scratch.with(|s| {
-                    let scratch = borrow_buf(
-                        &mut s.plan,
-                        plan.as_ref().map_or(0, |p| p.get_inplace_scratch_len()),
-                        s.home.as_ref(),
-                    );
-                    let buf = borrow_buf(&mut s.line, LINE_BATCH * hn, s.home.as_ref());
-                    for (sg, dg) in src_all
-                        .chunks(LINE_BATCH * n)
-                        .zip(dst_all.chunks_mut(LINE_BATCH * h))
-                    {
-                        let g = sg.len() / n;
-                        let group = &mut buf[..g * hn];
-                        for (src, line) in
-                            sg.chunks_exact(n).zip(group.chunks_exact_mut(hn))
-                        {
-                            for (t, b) in line.iter_mut().enumerate() {
-                                *b = Complex32::new(src[2 * t], src[2 * t + 1]);
-                            }
-                        }
-                        if let Some(p) = &plan {
-                            p.process_with_scratch(group, scratch);
-                        }
-                        for (dst, line) in
-                            dg.chunks_exact_mut(h).zip(group.chunks_exact(hn))
-                        {
-                            for (k, d) in dst.iter_mut().enumerate() {
-                                let zk = line[k % hn];
-                                let zc = line[(hn - k) % hn].conj();
-                                let ze = (zk + zc) * 0.5;
-                                let zo = (zk - zc) * Complex32::new(0.0, -0.5);
-                                *d = ze + tw[k] * zo;
-                            }
-                        }
-                    }
-                });
-            };
-            self.par_line_chunks(
-                self.workers_for(lines, n),
-                lines,
-                img.as_slice(),
-                n,
-                half.as_mut_slice(),
-                h,
-                &pack,
-            );
-        } else {
-            let plan = self.plan(n, Dir::Fwd);
-            let pack = |src_all: &[f32], dst_all: &mut [Complex32]| {
-                self.scratch.with(|s| {
-                    let scratch = borrow_buf(&mut s.plan, plan.get_inplace_scratch_len(), s.home.as_ref());
-                    let buf = borrow_buf(&mut s.line, n, s.home.as_ref());
-                    for (src, dst) in src_all.chunks_exact(n).zip(dst_all.chunks_exact_mut(h)) {
-                        for (b, v) in buf.iter_mut().zip(src) {
-                            *b = Complex32::new(*v, 0.0);
-                        }
-                        plan.process_with_scratch(buf, scratch);
-                        dst.copy_from_slice(&buf[..h]);
-                    }
-                });
-            };
-            self.par_line_chunks(
-                self.workers_for(lines, n),
-                lines,
-                img.as_slice(),
-                n,
-                half.as_mut_slice(),
-                h,
-                &pack,
-            );
-        }
-        // the remaining (un-packed) axes, in Z..X order so the inverse
-        // can mirror the stage order exactly
-        for axis in Axis::ALL.into_iter().rev() {
-            if axis as usize != pa {
-                self.transform_axis(&mut half, axis, Dir::Fwd);
-            }
-        }
-        Spectrum::new(half, m)
+        self.forward_lattice(img, Vec3::one(), img.shape())
     }
 
     /// Inverse of [`FftEngine::rfft3`], normalized so
@@ -659,9 +652,171 @@ impl FftEngine {
     /// allocation.
     pub fn irfft3(&self, spec: Spectrum) -> Image {
         let m = spec.full_shape();
+        self.inverse_lattice(spec, Lattice::dense(Vec3::zero(), m))
+    }
+
+    /// The forward transform of the staged convolution API: the r2c
+    /// transform of `img` zero-padded to `shape` (placed at the origin).
+    ///
+    /// The padded copy is never built: the packed stage reads its lines
+    /// straight from `img`, and only the lines that hold data are
+    /// transformed (see the crate docs' *Pruned transforms*).
+    ///
+    /// This is the per-node transform that convergent edges share (§IV);
+    /// each memoized result is a [`Spectrum`] occupying roughly half the
+    /// memory of the full complex transform.
+    pub fn forward_padded(&self, img: &Image, shape: Vec3) -> Spectrum {
+        self.forward_lattice(img, Vec3::one(), shape)
+    }
+
+    /// The inverse stage: transforms a frequency-domain accumulator back
+    /// and extracts the real box of `shape` at `at` — the crop that turns
+    /// circular convolution into valid/full linear convolution.
+    ///
+    /// Only the lines the crop reads are inverted, and each cropped run
+    /// is written straight into a fresh `shape` output; the full box is
+    /// [`FftEngine::irfft3`], which works in place.
+    pub fn inverse_real(&self, spec: Spectrum, at: Vec3, shape: Vec3) -> Image {
+        self.inverse_lattice(spec, Lattice::dense(at, shape))
+    }
+
+    /// The r2c transform at shape `m` of the image that holds `src[i]` at
+    /// `i·step` and zeros elsewhere — `rfft3(pad(dilate(src, step), m))`,
+    /// read straight from `src`.
+    ///
+    /// Pruning: the packed stage transforms only the lines whose other
+    /// two coordinates lie on the lattice (all others are zero); each
+    /// later axis skips the lines whose not-yet-transformed coordinate is
+    /// off the lattice, so the middle axis of a volume runs on
+    /// `src_x · h` lines and only the last axis runs in full. A kept line
+    /// runs the same butterflies on the same data as the unpruned
+    /// transform; a skipped line stays at the lease's `+0`.
+    pub(crate) fn forward_lattice(&self, src: &Image, step: Vec3, m: Vec3) -> Spectrum {
+        let lat = Lattice {
+            at: Vec3::zero(),
+            count: src.shape(),
+            step,
+            flip: false,
+        };
+        assert!(
+            lat.fits(m),
+            "image {} at step {step} does not fit transform shape {m}",
+            src.shape()
+        );
         let pa = Spectrum::packed_axis(m);
         let n = m[pa];
         let h = n / 2 + 1;
+        let hs = Spectrum::half_shape(m);
+        let mut half = self.lease_cimage(hs);
+        // packed stage: source row j (contiguous, since every axis after
+        // the packed one is unit) fills the line at lines.start(j)
+        let lines = lat.lines(hs, pa, |_| true);
+        let (e, sp) = (src.shape()[pa], step[pa]);
+        let src = src.as_slice();
+        let dst = SendPtr(half.as_mut_slice().as_mut_ptr());
+        // SAFETY: the lattice fits `m`, so every start is the origin of
+        // an h-bin row inside `half`; the rows are distinct, and each
+        // worker owns a disjoint range of line indices.
+        let row =
+            |j: usize| unsafe { std::slice::from_raw_parts_mut(dst.get().add(lines.start(j)), h) };
+        if n.is_multiple_of(2) {
+            let hn = n / 2;
+            let plan = (hn > 1).then(|| self.plan(hn, Dir::Fwd));
+            let tw = self.rtwiddle(n, Dir::Fwd);
+            self.par_lines(lines.len(), n, &|lo, hi| {
+                // pack LINE_BATCH lines per transform call so a full
+                // group runs the Stockham batched SIMD path
+                self.scratch.with(|s| {
+                    let scratch = borrow_buf(
+                        &mut s.plan,
+                        plan.as_ref().map_or(0, |p| p.get_inplace_scratch_len()),
+                        s.home.as_ref(),
+                    );
+                    let buf = borrow_buf(&mut s.line, LINE_BATCH * hn, s.home.as_ref());
+                    for g0 in (lo..hi).step_by(LINE_BATCH) {
+                        let g = LINE_BATCH.min(hi - g0);
+                        let group = &mut buf[..g * hn];
+                        // z[t] = x[2t] + i·x[2t+1] over the zero-padded row
+                        for (j, line) in (g0..).zip(group.chunks_exact_mut(hn)) {
+                            line.fill(Complex32::default());
+                            for (i, &v) in src[j * e..(j + 1) * e].iter().enumerate() {
+                                let p = i * sp;
+                                if p.is_multiple_of(2) {
+                                    line[p / 2].re = v;
+                                } else {
+                                    line[p / 2].im = v;
+                                }
+                            }
+                        }
+                        if let Some(p) = &plan {
+                            p.process_with_scratch(group, scratch);
+                        }
+                        for (j, line) in (g0..).zip(group.chunks_exact(hn)) {
+                            for (k, d) in row(j).iter_mut().enumerate() {
+                                let zk = line[k % hn];
+                                let zc = line[(hn - k) % hn].conj();
+                                let ze = (zk + zc) * 0.5;
+                                let zo = (zk - zc) * Complex32::new(0.0, -0.5);
+                                *d = ze + tw[k] * zo;
+                            }
+                        }
+                    }
+                });
+            });
+        } else {
+            let plan = (n > 1).then(|| self.plan(n, Dir::Fwd));
+            self.par_lines(lines.len(), n, &|lo, hi| {
+                self.scratch.with(|s| {
+                    let scratch = borrow_buf(
+                        &mut s.plan,
+                        plan.as_ref().map_or(0, |p| p.get_inplace_scratch_len()),
+                        s.home.as_ref(),
+                    );
+                    let buf = borrow_buf(&mut s.line, n, s.home.as_ref());
+                    for j in lo..hi {
+                        buf.fill(Complex32::default());
+                        for (i, &v) in src[j * e..(j + 1) * e].iter().enumerate() {
+                            buf[i * sp] = Complex32::new(v, 0.0);
+                        }
+                        if let Some(p) = &plan {
+                            p.process_with_scratch(buf, scratch);
+                        }
+                        row(j).copy_from_slice(&buf[..h]);
+                    }
+                });
+            });
+        }
+        // the remaining axes, in Z..X order so the inverse can mirror
+        // the stage order exactly; an axis still untransformed (b < a)
+        // is zero off the lattice
+        for a in (0..3).rev().filter(|&a| a != pa) {
+            self.transform_axis(&mut half, Dir::Fwd, lat.lines(hs, a, |b| b < a && b != pa));
+        }
+        Spectrum::new(half, m)
+    }
+
+    /// The normalized inverse of `spec`, evaluated only on `lat`: output
+    /// voxel `(i, j, k)` is the inverse transform at
+    /// `(lat.coord(0, i), lat.coord(1, j), lat.coord(2, k))`, so the
+    /// output has shape `lat.count`.
+    ///
+    /// Pruning mirrors [`FftEngine::forward_lattice`]: the first axis
+    /// runs in full, each later axis skips the lines whose
+    /// already-inverted coordinate is off the lattice, and the c2r stage
+    /// runs only on lattice lines and writes each line's lattice samples
+    /// straight into its output row. The dense full box works in place
+    /// on the spectrum's storage; every other lattice writes into a
+    /// fresh `lat.count` lease and recycles the spectrum.
+    pub(crate) fn inverse_lattice(&self, spec: Spectrum, lat: Lattice) -> Image {
+        let m = spec.full_shape();
+        assert!(
+            lat.fits(m),
+            "output lattice {lat:?} does not fit transform shape {m}"
+        );
+        let pa = Spectrum::packed_axis(m);
+        let n = m[pa];
+        let h = n / 2 + 1;
+        let in_place = lat == Lattice::dense(Vec3::zero(), m);
         // Re-adopt the output storage into the pool only when the
         // incoming spectrum's buffer was leased from THIS engine's own
         // pool: the lease is still counted in the pool's bytes_in_use
@@ -670,20 +825,18 @@ impl FftEngine {
         // foreign-pool buffer instead would push never-leased bytes at
         // the pool and corrupt its accounting.
         let adopt_home = match &self.pools {
-            Some(p) => spec
+            Some(p) if in_place => spec
                 .half()
                 .home()
                 .is_some_and(|h| Arc::ptr_eq(h, p.complex_home()))
                 .then(|| Arc::clone(p.real_home())),
-            None => None,
+            _ => None,
         };
         let mut half = spec.into_half();
-        for axis in Axis::ALL {
-            if axis as usize != pa {
-                self.transform_axis(&mut half, axis, Dir::Inv);
-            }
+        let hs = half.shape();
+        for a in (0..3).filter(|&a| a != pa) {
+            self.transform_axis(&mut half, Dir::Inv, lat.lines(hs, a, |b| b < a && b != pa));
         }
-        let lines = m.len() / n;
         // the non-packed inverse stages above are unnormalized, each
         // contributing its extent; the packed stage contributes n/2
         // (even), n (odd) or 1 (unit)
@@ -695,20 +848,95 @@ impl FftEngine {
             n
         };
         let scale = 1.0 / ((m.len() / n) * zfac) as f32;
-        // In-place c2r: view the half buffer as interleaved f32 storage.
-        // Line i's h complex bins occupy the 2h-float "slot" at 2·i·h;
-        // its n real outputs (n ≤ 2h-1) are written back into the same
-        // slot's prefix after the bins are consumed into scratch, so
-        // parallel workers stay inside their own slots and nothing
-        // allocates.
-        let mut data = complex_vec_into_reals(half.into_vec());
-        if n == 1 {
-            data[0] *= scale; // single voxel (slot [re, im], output [re])
-        } else if n.is_multiple_of(2) {
+        // c2r stage: line j's h bins occupy the 2h-float slot at
+        // 2·lines.start(j); its lattice samples become output row j
+        let lines = lat.lines(hs, pa, |_| true);
+        if in_place {
+            // In-place c2r: view the half buffer as interleaved f32
+            // storage. Line j's n real outputs (n ≤ 2h-1) are written
+            // back into its own slot's prefix after the bins are
+            // consumed into scratch, so parallel workers stay inside
+            // their own slots and nothing allocates.
+            let mut data = complex_vec_into_reals(half.into_vec());
+            let p = SendPtr(data.as_mut_ptr());
+            // SAFETY: the full box enumerates every line in memory
+            // order, so lines.start(j) = j·h: row j (n floats at 2·j·h) is
+            // the prefix of slot j (2h floats at 2·j·h), all inside
+            // `data`'s 2·len(half) floats.
+            unsafe { self.c2r_lines(p, p, 2 * h, &lines, n, scale) };
+            // compact the per-slot real lines into a dense image: line i
+            // moves left from 2·i·h to i·n, so a forward pass never
+            // overwrites an unmoved line
+            for i in 1..lines.len() {
+                data.copy_within(2 * i * h..2 * i * h + n, i * n);
+            }
+            data.truncate(m.len());
+            let out = Image::from_vec(m, data);
+            // The storage began life as the spectrum's complex lease and
+            // was detached by the reinterpretation; re-adopt it (as so
+            // many f32 units) so it rejoins the same chunk pool when the
+            // image drops.
+            match adopt_home {
+                Some(home) => out.with_home(home),
+                None => out,
+            }
+        } else {
+            let mut out = self.lease_image(lat.count);
+            let src = SendPtr(half.as_mut_slice().as_mut_ptr().cast::<f32>());
+            let dst = SendPtr(out.as_mut_slice().as_mut_ptr());
+            // SAFETY: the lattice fits `m`, so each start is a packed
+            // line origin of `half` (Complex32 is two f32s, so slot j
+            // is the line's 2h floats); `out` holds one lat.count[pa]
+            // row per start, and the two buffers are distinct.
+            unsafe { self.c2r_lines(src, dst, lat.count[pa], &lines, n, scale) };
+            out
+        }
+    }
+
+    /// The c2r stage of [`FftEngine::inverse_lattice`]: for each line
+    /// `j`, reads the `h` interleaved bins at `src + 2·lines.start(j)`,
+    /// inverts them at length `n`, and writes sample `lat.coord(pa, i)`
+    /// times `scale` to `dst[j·row_len + i]` for `i < lat.count[pa]`,
+    /// where `lat` is the lattice `lines` was taken from and `pa` the
+    /// packed axis they run along.
+    ///
+    /// `src` and `dst` may alias when every row lies inside its own
+    /// line's slot (the in-place full box): a line's bins are consumed
+    /// into scratch before its row is written.
+    ///
+    /// # Safety
+    ///
+    /// For every `j < lines.len()`, the `2h` floats at
+    /// `src + 2·lines.start(j)` must be readable and the `lat.count[pa]`
+    /// floats at `dst + j·row_len` writable for the whole call. Rows
+    /// must be pairwise disjoint, and a row may overlap only its own
+    /// line's slot.
+    unsafe fn c2r_lines(
+        &self,
+        src: SendPtr<f32>,
+        dst: SendPtr<f32>,
+        row_len: usize,
+        lines: &Lines,
+        n: usize,
+        scale: f32,
+    ) {
+        let h = n / 2 + 1;
+        let (lat, pa) = (&lines.lat, lines.axis);
+        let count = lat.count[pa];
+        // SAFETY: valid by the caller's contract; each worker owns a
+        // disjoint range of line indices, so no slot or row is touched
+        // by two workers.
+        let slot = |j: usize| unsafe {
+            std::slice::from_raw_parts(src.get().add(2 * lines.start(j)), 2 * h)
+        };
+        // SAFETY: as for `slot`
+        let row =
+            |j: usize| unsafe { std::slice::from_raw_parts_mut(dst.get().add(j * row_len), count) };
+        if n.is_multiple_of(2) {
             let hn = n / 2;
             let plan = (hn > 1).then(|| self.plan(hn, Dir::Inv));
             let tw = self.rtwiddle(n, Dir::Inv);
-            let unpack = |slots: &mut [f32]| {
+            self.par_lines(lines.len(), n, &|lo, hi| {
                 // repack LINE_BATCH slots per transform call so a full
                 // group runs the Stockham batched SIMD path
                 self.scratch.with(|s| {
@@ -718,12 +946,11 @@ impl FftEngine {
                         s.home.as_ref(),
                     );
                     let buf = borrow_buf(&mut s.line, LINE_BATCH * hn, s.home.as_ref());
-                    for sg in slots.chunks_mut(LINE_BATCH * 2 * h) {
-                        let g = sg.len() / (2 * h);
+                    for g0 in (lo..hi).step_by(LINE_BATCH) {
+                        let g = LINE_BATCH.min(hi - g0);
                         let group = &mut buf[..g * hn];
-                        for (slot, line) in
-                            sg.chunks_exact(2 * h).zip(group.chunks_exact_mut(hn))
-                        {
+                        for (j, line) in (g0..).zip(group.chunks_exact_mut(hn)) {
+                            let slot = slot(j);
                             for (k, b) in line.iter_mut().enumerate() {
                                 let xk = Complex32::new(slot[2 * k], slot[2 * k + 1]);
                                 let xc =
@@ -737,151 +964,68 @@ impl FftEngine {
                         if let Some(p) = &plan {
                             p.process_with_scratch(group, scratch);
                         }
-                        for (slot, line) in
-                            sg.chunks_exact_mut(2 * h).zip(group.chunks_exact(hn))
-                        {
-                            for (t, b) in line.iter().enumerate() {
-                                slot[2 * t] = b.re * scale;
-                                slot[2 * t + 1] = b.im * scale;
+                        // sample t of the real line is z[t/2].re (even t)
+                        // or z[t/2].im (odd t)
+                        for (j, line) in (g0..).zip(group.chunks_exact(hn)) {
+                            for (i, d) in row(j).iter_mut().enumerate() {
+                                let t = lat.coord(pa, i);
+                                let z = line[t / 2];
+                                let v = if t.is_multiple_of(2) { z.re } else { z.im };
+                                *d = v * scale;
                             }
                         }
                     }
                 });
-            };
-            self.par_slot_chunks(self.workers_for(lines, n), lines, &mut data, 2 * h, &unpack);
+            });
         } else {
-            let plan = self.plan(n, Dir::Inv);
-            let unpack = |slots: &mut [f32]| {
+            let plan = (n > 1).then(|| self.plan(n, Dir::Inv));
+            self.par_lines(lines.len(), n, &|lo, hi| {
                 self.scratch.with(|s| {
-                    let scratch = borrow_buf(&mut s.plan, plan.get_inplace_scratch_len(), s.home.as_ref());
+                    let scratch = borrow_buf(
+                        &mut s.plan,
+                        plan.as_ref().map_or(0, |p| p.get_inplace_scratch_len()),
+                        s.home.as_ref(),
+                    );
                     let buf = borrow_buf(&mut s.line, n, s.home.as_ref());
-                    for slot in slots.chunks_exact_mut(2 * h) {
+                    for j in lo..hi {
+                        let slot = slot(j);
                         for (k, b) in buf[..h].iter_mut().enumerate() {
                             *b = Complex32::new(slot[2 * k], slot[2 * k + 1]);
                         }
                         // Hermitian reconstruction of the dropped bins
                         for k in 1..h {
-                            buf[n - k] =
-                                Complex32::new(slot[2 * k], -slot[2 * k + 1]);
+                            buf[n - k] = Complex32::new(slot[2 * k], -slot[2 * k + 1]);
                         }
-                        plan.process_with_scratch(buf, scratch);
-                        for (d, b) in slot[..n].iter_mut().zip(buf.iter()) {
-                            *d = b.re * scale;
+                        if let Some(p) = &plan {
+                            p.process_with_scratch(buf, scratch);
+                        }
+                        for (i, d) in row(j).iter_mut().enumerate() {
+                            *d = buf[lat.coord(pa, i)].re * scale;
                         }
                     }
                 });
-            };
-            self.par_slot_chunks(self.workers_for(lines, n), lines, &mut data, 2 * h, &unpack);
-        }
-        // compact the per-slot real lines into a dense image: line i
-        // moves left from 2·i·h to i·n, so a forward pass never
-        // overwrites an unmoved line
-        for i in 1..lines {
-            data.copy_within(2 * i * h..2 * i * h + n, i * n);
-        }
-        data.truncate(m.len());
-        let out = Image::from_vec(m, data);
-        // The storage began life as the spectrum's complex lease and was
-        // detached by the reinterpretation; re-adopt it (as so many f32
-        // units) so it rejoins the same chunk pool when the image drops.
-        match adopt_home {
-            Some(home) => out.with_home(home),
-            None => out,
-        }
-    }
-
-    /// The forward transform of the staged convolution API: zero-pads a
-    /// real image to `shape` (placing it at the origin) and takes its
-    /// r2c transform.
-    ///
-    /// This is the per-node transform that convergent edges share (§IV);
-    /// each memoized result is a [`Spectrum`] occupying roughly half the
-    /// memory of the full complex transform.
-    pub fn forward_padded(&self, img: &Image, shape: Vec3) -> Spectrum {
-        assert!(
-            img.shape().le(shape),
-            "image {} does not fit transform shape {shape}",
-            img.shape()
-        );
-        if img.shape() == shape {
-            self.rfft3(img)
-        } else {
-            // the padded copy is transient: leased from the pool (zeroed
-            // like any lease) and recycled the moment the transform ends
-            let mut padded = self.lease_image(shape);
-            znn_tensor::pad::pad_into(img, &mut padded, Vec3::zero());
-            self.rfft3(&padded)
-        }
-    }
-
-    /// The inverse stage: transforms a frequency-domain accumulator back
-    /// and extracts the real box of `shape` at `at` — the crop that turns
-    /// circular convolution into valid/full linear convolution.
-    pub fn inverse_real(&self, spec: Spectrum, at: Vec3, shape: Vec3) -> Image {
-        let real = self.irfft3(spec);
-        if at == Vec3::zero() && shape == real.shape() {
-            real
-        } else {
-            let mut out = self.lease_image(shape);
-            znn_tensor::pad::crop_into(&real, at, &mut out);
-            out
+            });
         }
     }
 }
 
 impl FftEngine {
-    /// Runs `work` over a batch of `lines` lines that are contiguous in
-    /// both buffers (`src_len` reals in, `dst_len` complexes out per
-    /// line): serially for one worker, else split into per-worker
-    /// chunks of whole lines on the engine's pool. The chunk boundaries
-    /// depend only on `(workers, lines)`, and each line's arithmetic is
-    /// independent of its chunk, so the result is identical for every
-    /// worker count.
-    #[allow(clippy::too_many_arguments)]
-    fn par_line_chunks(
-        &self,
-        workers: usize,
-        lines: usize,
-        src: &[f32],
-        src_len: usize,
-        dst: &mut [Complex32],
-        dst_len: usize,
-        work: &(impl Fn(&[f32], &mut [Complex32]) + Sync),
-    ) {
+    /// Runs `work(lo, hi)` over line-index ranges that cover
+    /// `0..lines`: one range on the calling thread for a small batch of
+    /// `line_len`-element lines, else one contiguous range per worker
+    /// on the engine's pool. The ranges depend only on the worker count
+    /// and `lines`, and each line's arithmetic is independent of its
+    /// range, so the result is identical for every worker count.
+    fn par_lines(&self, lines: usize, line_len: usize, work: &(impl Fn(usize, usize) + Sync)) {
+        let workers = self.workers_for(lines, line_len);
         if workers <= 1 {
-            work(src, dst);
+            work(0, lines);
             return;
         }
         let per = lines.div_ceil(workers);
         self.in_scope(|sc| {
-            for (s_chunk, d_chunk) in src
-                .chunks(per * src_len)
-                .zip(dst.chunks_mut(per * dst_len))
-            {
-                sc.spawn(move |_| work(s_chunk, d_chunk));
-            }
-        });
-    }
-
-    /// In-place variant of [`FftEngine::par_line_chunks`] for the c2r
-    /// unpack: the buffer is one f32 slab of `lines` slots of
-    /// `slot_len` floats each, split across workers at slot boundaries.
-    fn par_slot_chunks(
-        &self,
-        workers: usize,
-        lines: usize,
-        data: &mut [f32],
-        slot_len: usize,
-        work: &(impl Fn(&mut [f32]) + Sync),
-    ) {
-        if workers <= 1 {
-            work(data);
-            return;
-        }
-        let per = lines.div_ceil(workers);
-        self.in_scope(|sc| {
-            for chunk in data.chunks_mut(per * slot_len) {
-                sc.spawn(move |_| work(chunk));
+            for lo in (0..lines).step_by(per) {
+                sc.spawn(move |_| work(lo, (lo + per).min(lines)));
             }
         });
     }
@@ -909,6 +1053,7 @@ impl Default for FftEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use znn_tensor::lines::{Axis, LineSpec};
     use znn_tensor::{ops, pad};
 
     /// O(n²) reference DFT along one axis for validation.
@@ -1140,6 +1285,49 @@ mod tests {
         // ...which is the naive c2c inverse of the naive spectrum
         let c2c = ops::to_real(&idft3_naive(&dft3_naive(&ops::to_complex(&img))));
         assert!(a.max_abs_diff(&pad::crop(&c2c, at, shape)) < 1e-4);
+    }
+
+    #[test]
+    fn pruned_transforms_match_naive_dft() {
+        // the pruned paths against the O(n²) DFT rather than the
+        // engine's own full-box transform: a dilated source on a
+        // volume (odd packed extent), a flat image and a 1D row
+        let engine = FftEngine::with_threads(1);
+        for (k, s, m) in [
+            (Vec3::new(2, 3, 2), Vec3::new(2, 1, 3), Vec3::new(6, 5, 5)),
+            (Vec3::new(2, 3, 2), Vec3::new(3, 2, 2), Vec3::new(4, 6, 8)),
+            (Vec3::new(3, 2, 1), Vec3::new(1, 3, 1), Vec3::new(5, 6, 1)),
+            (Vec3::new(3, 1, 1), Vec3::new(4, 1, 1), Vec3::new(10, 1, 1)),
+        ] {
+            let w = ops::random(k, 5);
+            let dense = pad::pad(&pad::dilate(&w, s), m, Vec3::zero());
+            let got = engine.forward_lattice(&w, s, m);
+            let want = naive_half(&dense);
+            assert!(
+                max_cdiff(got.half(), &want) < 1e-3,
+                "forward k={k} s={s} m={m}"
+            );
+            // inverting the naive spectrum of an image recovers it on
+            // every lattice: a crop, and the reflected kernel lattice
+            let img = ops::random(m, 6);
+            let spec = Spectrum::new(naive_half(&img), m);
+            let at = Vec3::new(m[0] / 2, m[1] / 3, 0);
+            let crop = m - at;
+            let back = engine.inverse_real(spec.clone(), at, crop);
+            assert!(
+                back.max_abs_diff(&pad::crop(&img, at, crop)) < 1e-4,
+                "crop m={m}"
+            );
+            let lattice = Lattice {
+                at: Vec3::zero(),
+                count: k,
+                step: s,
+                flip: true,
+            };
+            let back = engine.inverse_lattice(spec, lattice);
+            let want = pad::flip(&pad::gather_strided(&img, Vec3::zero(), s, k));
+            assert!(back.max_abs_diff(&want) < 1e-4, "lattice k={k} s={s} m={m}");
+        }
     }
 
     #[test]

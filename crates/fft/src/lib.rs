@@ -42,6 +42,46 @@
 //!   [`spectra::flip_spectrum`], and [`spectra::corr_spectrum`] all
 //!   operate directly on half-spectra at half cost.
 //!
+//! # Pruned transforms
+//!
+//! Every operand is zero-padded to its node's transform shape, so most
+//! of a padded transform's lines are known to be zero on the way in or
+//! are never read on the way out. Each transform knows its box and
+//! skips those lines:
+//!
+//! * **Forward** ([`FftEngine::forward_padded`],
+//!   [`spectra::kernel_spectrum`]). The input can be non-zero only on
+//!   the source extent, at a per-axis step equal to the kernel's
+//!   sparsity. The packed stage reads its lines straight from the
+//!   unpadded, undilated source and transforms only the lines whose
+//!   other two coordinates lie in that box. The middle axis of a volume
+//!   runs only on lines whose leading coordinate is in the box, and the
+//!   last axis runs in full. A 5³ kernel padded to 60³ packs 25 of 3600
+//!   lines and runs 155 of 1860 middle-axis lines.
+//! * **Inverse** ([`FftEngine::inverse_real`],
+//!   [`spectra::kernel_gradient_from_corr`]). The output is read only on
+//!   the crop, or on the kernel lattice for a kernel gradient. The first
+//!   axis runs in full, the middle axis only on the wanted leading
+//!   coordinates, and the c2r stage only on the wanted lines. Each c2r
+//!   line writes its wanted run straight into the output: the crop, or
+//!   the reflected kernel gradient.
+//!
+//! No padded, dilated, cropped or gathered copy is ever built.
+//! [`FftEngine::rfft3`] and [`FftEngine::irfft3`] are the full-box case
+//! of the same code.
+//!
+//! **Contract.** A kept line runs the same butterflies on the same data
+//! as the unpruned transform. Every output is therefore `==`-equal to
+//! padding (and dilating) the input, running the full transform, then
+//! cropping (and gathering and reflecting) the result;
+//! `tests/pruned.rs` pins this on random geometries. The one possible
+//! difference is the sign of an exact zero: a skipped all-zero line
+//! holds the lease's `+0` where butterflies over zeros could produce
+//! `−0`. That sign cannot reach a non-zero value downstream, since
+//! `x + (±0) = x` for `x ≠ 0` and `±0 · y = ±0` for finite `y`.
+//! Pruning never reaches inside a line, because skipping the zero
+//! samples of a kept line would change its rounding.
+//!
 //! # Kernels and threading
 //!
 //! The 1D line transforms come from the vendored `rustfft` shim, which

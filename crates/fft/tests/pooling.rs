@@ -71,8 +71,8 @@ fn pooled_transforms_are_bitwise_identical_to_raw() {
 
 #[test]
 fn pooled_staged_convolution_path_is_bitwise_identical() {
-    // forward_padded (pooled pad_into) + flip/corr identities (pooled
-    // clones) + inverse_real (pooled crop_into) against the raw engine
+    // forward_padded (pooled spectrum) + flip/corr identities (pooled
+    // clones) + inverse_real (pooled output) against the raw engine
     let raw = FftEngine::with_threads(1);
     let pooled = FftEngine::with_threads(1).with_buffer_pools(PoolSet::new());
     let n = Vec3::cube(7);
@@ -142,6 +142,65 @@ fn steady_state_rounds_allocate_nothing() {
     assert!(
         pools.stats().hits() as f64 / total as f64 > 0.5,
         "hit rate did not climb"
+    );
+}
+
+#[test]
+fn pruned_transforms_lease_only_their_outputs() {
+    // a 5³ image padded to 60³, a kernel spectrum and a cropped inverse
+    // lease exactly their own outputs — the half-spectrum, or the crop
+    // — and never an m³ real buffer: no padded copy of the input, no
+    // full-size inverse to crop from
+    let pools = PoolSet::new();
+    let engine = FftEngine::with_threads(1).with_buffer_pools(Arc::clone(&pools));
+    let m = Vec3::cube(60);
+    let x = ops::random(Vec3::cube(5), 61);
+    let w = ops::random(Vec3::cube(5), 62);
+    // warm the scratch slots, so the windows below see output leases only
+    drop(engine.irfft3(engine.rfft3(&ops::random(m, 63))));
+    let warm = pools.stats().bytes_in_use();
+    let chunk = |floats: usize| znn_alloc::size_of_class(znn_alloc::class_of(floats)) * 4;
+    let spectrum_chunk = chunk(2 * Spectrum::half_shape(m).len());
+    let leased_by = |f: &mut dyn FnMut()| {
+        let before = pools.stats().bytes_leased();
+        f();
+        pools.stats().bytes_leased() - before
+    };
+    let mut xs = None;
+    let bytes = leased_by(&mut || xs = Some(engine.forward_padded(&x, m)));
+    assert_eq!(bytes, spectrum_chunk, "forward_padded leased a padded copy");
+    let mut ws = None;
+    let bytes =
+        leased_by(&mut || ws = Some(spectra::kernel_spectrum(&engine, &w, Vec3::cube(2), m)));
+    assert_eq!(
+        bytes, spectrum_chunk,
+        "kernel_spectrum leased a dilated or padded copy"
+    );
+    let (xs, ws) = (xs.unwrap(), ws.unwrap());
+    let mut prod = Some(ops::mul_s(&xs, &ws));
+    let crop = Vec3::cube(7);
+    let mut out = None;
+    let bytes = leased_by(&mut || {
+        out = prod
+            .take()
+            .map(|p| engine.inverse_real(p, Vec3::cube(3), crop));
+    });
+    assert_eq!(
+        bytes,
+        chunk(crop.len()),
+        "cropped inverse leased more than its crop"
+    );
+    drop((xs, ws, out));
+    assert_eq!(
+        pools.stats().bytes_in_use(),
+        warm,
+        "an output lease outlived its tensor"
+    );
+    drop(engine);
+    assert_eq!(
+        pools.stats().bytes_in_use(),
+        0,
+        "pooled bytes leaked out of custody"
     );
 }
 
