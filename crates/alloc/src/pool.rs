@@ -5,7 +5,7 @@
 //! non-blocking queue family the paper cites). Getting a buffer pops
 //! from the class queue or allocates; returning a buffer pushes it
 //! back. Nothing is ever freed, so steady-state traffic does no
-//! allocation at all. The training engine reaches these pools through
+//! allocation at all. The pool is private to
 //! [`PoolSet`](crate::PoolSet), which fronts one shared `f32` chunk
 //! pool for both real and complex tensor buffers and hands out RAII
 //! leases instead of requiring explicit `put` calls.
@@ -14,11 +14,11 @@ use crate::class::{class_of, size_of_class, CLASS_COUNT};
 use crate::stats::PoolStats;
 use crossbeam_queue::SegQueue;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use znn_tensor::{Tensor3, Vec3};
 
 /// One row of a per-size-class occupancy report
-/// ([`BufferPool::class_report`]): which classes a workload actually
-/// touches, how well each recycles, and how many chunks sit parked.
+/// ([`PoolSet::class_report`](crate::PoolSet::class_report)): which
+/// classes a workload actually touches, how well each recycles, and how
+/// many chunks sit parked.
 #[derive(Clone, Copy, Debug)]
 pub struct ClassReport {
     /// Class index (chunk capacity is `2^class` elements).
@@ -46,7 +46,7 @@ impl ClassReport {
 }
 
 /// A lock-free pool of `Vec<T>` buffers in power-of-two capacity classes.
-pub struct BufferPool<T> {
+pub(crate) struct BufferPool<T> {
     classes: Vec<SegQueue<Vec<T>>>,
     stats: PoolStats,
     class_hits: Vec<AtomicUsize>,
@@ -148,11 +148,6 @@ impl<T: Copy + Default> BufferPool<T> {
         self.classes[class].push(buf);
     }
 
-    /// Number of buffers currently parked in class `i`.
-    pub fn parked_in_class(&self, class: usize) -> usize {
-        self.classes[class].len()
-    }
-
     /// Allocation counters.
     pub fn stats(&self) -> &PoolStats {
         &self.stats
@@ -160,45 +155,6 @@ impl<T: Copy + Default> BufferPool<T> {
 }
 
 impl<T: Copy + Default> Default for BufferPool<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The paper's "3D image" allocator: a [`BufferPool<f32>`] that speaks
-/// tensors. `get` yields a zeroed image of the requested shape; `put`
-/// recycles the image's backing buffer.
-pub struct ImagePool {
-    inner: BufferPool<f32>,
-}
-
-impl ImagePool {
-    /// An empty image pool.
-    pub fn new() -> Self {
-        ImagePool {
-            inner: BufferPool::new(),
-        }
-    }
-
-    /// A zero-filled image of `shape`, reusing pooled storage when
-    /// available.
-    pub fn get(&self, shape: impl Into<Vec3>) -> Tensor3<f32> {
-        let shape = shape.into();
-        Tensor3::from_vec(shape, self.inner.get(shape.len()))
-    }
-
-    /// Recycles an image's storage.
-    pub fn put(&self, image: Tensor3<f32>) {
-        self.inner.put(image.into_vec());
-    }
-
-    /// Allocation counters.
-    pub fn stats(&self) -> &PoolStats {
-        &self.inner.stats
-    }
-}
-
-impl Default for ImagePool {
     fn default() -> Self {
         Self::new()
     }
@@ -223,23 +179,24 @@ mod tests {
 
     #[test]
     fn recycled_buffers_are_zeroed() {
-        let pool = ImagePool::new();
-        let mut img = pool.get(Vec3::cube(4));
-        img.as_mut_slice().fill(7.0);
-        pool.put(img);
-        let img2 = pool.get(Vec3::cube(4));
-        assert!(img2.as_slice().iter().all(|&v| v == 0.0));
+        let pool = BufferPool::<f32>::new();
+        let mut buf = pool.get(64);
+        buf.fill(7.0);
+        pool.put(buf);
+        let buf2 = pool.get(64);
+        assert_eq!(pool.stats().hits(), 1);
+        assert!(buf2.iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn footprint_never_decreases_but_plateaus() {
-        let pool = ImagePool::new();
+        let pool = BufferPool::<f32>::new();
         let mut footprints = vec![];
         for _round in 0..5 {
             // a training-like loop: allocate a working set, release it
-            let imgs: Vec<_> = (1..6).map(|s| pool.get(Vec3::cube(s))).collect();
-            for img in imgs {
-                pool.put(img);
+            let bufs: Vec<_> = (1..6).map(|s| pool.get(s * s * s)).collect();
+            for buf in bufs {
+                pool.put(buf);
             }
             footprints.push(pool.stats().bytes_from_system());
         }
@@ -258,7 +215,8 @@ mod tests {
         assert_eq!(pool.stats().misses(), 1);
         assert_eq!(pool.stats().hits(), 0);
         drop(b);
-        assert_eq!(pool.parked_in_class(4), 1);
+        let report = pool.class_report();
+        assert_eq!(report.iter().find(|r| r.class == 4).unwrap().parked, 1);
     }
 
     #[test]
@@ -283,14 +241,15 @@ mod tests {
 
     #[test]
     fn concurrent_get_put_is_safe_and_loses_nothing() {
-        let pool = Arc::new(ImagePool::new());
+        let pool = Arc::new(BufferPool::<f32>::new());
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let pool = Arc::clone(&pool);
                 std::thread::spawn(move || {
                     for i in 0..200 {
-                        let img = pool.get(Vec3::cube(1 + (t + i) % 7));
-                        pool.put(img);
+                        let n = 1 + (t + i) % 7;
+                        let buf = pool.get(n * n * n);
+                        pool.put(buf);
                     }
                 })
             })

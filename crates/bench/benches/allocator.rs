@@ -1,12 +1,11 @@
 //! Allocator ablation (§VII-C): pooled power-of-two recycling vs the
-//! system allocator for image-sized buffers — both the explicit
-//! `get`/`put` pool and the RAII `PoolSet` leases the training engine
-//! uses (storage returns on drop).
+//! system allocator for image-sized buffers, through the RAII
+//! `PoolSet` leases the training engine uses (storage returns on drop).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use znn_alloc::{ImagePool, PoolSet};
+use znn_alloc::PoolSet;
 use znn_tensor::{Tensor3, Vec3};
 
 fn bench_alloc(c: &mut Criterion) {
@@ -17,20 +16,6 @@ fn bench_alloc(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(400));
     let shapes: Vec<Vec3> = (2..10).map(|s| Vec3::cube(s * 4)).collect();
 
-    let pool = ImagePool::new();
-    // warm the pools so the steady state is measured
-    for &s in &shapes {
-        let img = pool.get(s);
-        pool.put(img);
-    }
-    group.bench_function("pooled", |b| {
-        b.iter(|| {
-            for &s in &shapes {
-                let img = pool.get(black_box(s));
-                pool.put(black_box(img));
-            }
-        })
-    });
     let set = PoolSet::new();
     for &s in &shapes {
         drop(set.image(s));

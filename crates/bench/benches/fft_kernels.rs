@@ -125,8 +125,9 @@ fn bench_simd_kernels(c: &mut Criterion) {
 }
 
 /// Dispatched (AVX2 where detected) vs pinned-scalar pointwise kernels
-/// over a spectrum-sized buffer: the complex product/MAC pair that
-/// dominates the §IV frequency-domain convolution, plus the real FMA
+/// over a spectrum-sized buffer: the complex product and the
+/// conjugate product (`corr_spectrum`) that dominate the §IV
+/// frequency-domain convolution, plus the real FMA
 /// row the direct convolver and SGD updates lean on.
 fn bench_pointwise(c: &mut Criterion) {
     const N: usize = 64 * 1024;
@@ -153,17 +154,17 @@ fn bench_pointwise(c: &mut Criterion) {
             black_box(&dst_c);
         })
     });
-    g.bench_function("simd_conj_mac", |b| {
+    g.bench_function("simd_conj_mul", |b| {
         b.iter(|| {
             dst_c.copy_from_slice(&cbase);
-            znn_simd::conj_mul_add_assign_c(black_box(&mut dst_c), &cbase, &cbase);
+            znn_simd::conj_mul_assign_c(black_box(&mut dst_c), &cbase);
             black_box(&dst_c);
         })
     });
-    g.bench_function("scalar_conj_mac", |b| {
+    g.bench_function("scalar_conj_mul", |b| {
         b.iter(|| {
             dst_c.copy_from_slice(&cbase);
-            znn_simd::scalar::conj_mul_add_assign_c(black_box(&mut dst_c), &cbase, &cbase);
+            znn_simd::scalar::conj_mul_assign_c(black_box(&mut dst_c), &cbase);
             black_box(&dst_c);
         })
     });

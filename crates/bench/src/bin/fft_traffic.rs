@@ -37,7 +37,7 @@ use std::sync::Arc;
 use znn_alloc::PoolSet;
 use znn_bench::{fmt, header, row, time_per_round};
 use znn_fft::{good_shape, pow2_shape, spectra, FftEngine};
-use znn_tensor::{ops, Spectrum, Vec3};
+use znn_tensor::{ops, Complex32, Spectrum, Vec3};
 
 struct ThreadPoint {
     threads: usize,
@@ -87,6 +87,7 @@ fn main() {
         let img = ops::random(m, 1);
         let spec = engine.rfft3(&img);
         let r2c_bytes = spec.stored_bytes();
+        let complex_bytes = m.len() * std::mem::size_of::<Complex32>();
         let (warm, reps) = reps_for(n);
         let t_r2c = time_per_round(warm, reps, || {
             std::hint::black_box(engine.rfft3(&img));
@@ -94,7 +95,7 @@ fn main() {
         row(&[
             format!("{n}³"),
             r2c_bytes.to_string(),
-            format!("{:.3}", r2c_bytes as f64 / spec.full_bytes() as f64),
+            format!("{:.3}", r2c_bytes as f64 / complex_bytes as f64),
             fmt(t_r2c),
         ]);
         // threads sweep on the r2c pipeline (forward + inverse)
@@ -377,8 +378,8 @@ fn main() {
         // spectrum-sized streaming sweep reads ~1x for every kernel —
         // both sides sit at the same memory wall). The multiplier is
         // unit-magnitude (e^{iθ}), so repeated in-place products
-        // neither decay into denormals nor overflow; the MAC/FMA
-        // accumulants grow only linearly in K.
+        // neither decay into denormals nor overflow; the FMA
+        // accumulant grows only linearly in K.
         const PW_N: usize = 1024;
         const PW_K: usize = 256;
         let unit: Vec<Complex<f32>> = (0..PW_N)
@@ -416,11 +417,11 @@ fn main() {
                 j = (j + 17) & mask;
             }
         }
-        fn strict_conj_mac(acc: &mut [Complex<f32>], x: &[Complex<f32>], g: &[Complex<f32>]) {
-            let mask = acc.len() - 1;
+        fn strict_conj_mul(dst: &mut [Complex<f32>], g: &[Complex<f32>]) {
+            let mask = dst.len() - 1;
             let mut j = 0usize;
-            for _ in 0..acc.len() {
-                acc[j] += x[j] * g[j].conj();
+            for _ in 0..dst.len() {
+                dst[j] *= g[j].conj();
                 j = (j + 17) & mask;
             }
         }
@@ -475,15 +476,14 @@ fn main() {
             for _ in 0..PW_K {
                 let d = std::hint::black_box(&mut dst_c);
                 match path {
-                    Path::Simd => znn_simd::conj_mul_add_assign_c(d, &seed_c, &unit),
-                    Path::Autovec => {
-                        znn_simd::scalar::conj_mul_add_assign_c(d, &seed_c, &unit)
-                    }
-                    Path::Strict => strict_conj_mac(d, &seed_c, &unit),
+                    // the correlation-spectrum kernel `corr_spectrum` runs
+                    Path::Simd => znn_simd::conj_mul_assign_c(d, &unit),
+                    Path::Autovec => znn_simd::scalar::conj_mul_assign_c(d, &unit),
+                    Path::Strict => strict_conj_mul(d, &unit),
                 }
             }
         });
-        push_kernel("pointwise_conj_mac", scalar_s, autovec_s, simd_s, &mut recs);
+        push_kernel("pointwise_conj_mul", scalar_s, autovec_s, simd_s, &mut recs);
 
         let mut dst_f = seed_f.clone();
         let [simd_s, autovec_s, scalar_s] = duel(|path| {
@@ -544,7 +544,7 @@ fn main() {
         half.len(),
         m.len(),
         Spectrum::zeros(m).stored_bytes(),
-        Spectrum::zeros(m).full_bytes(),
+        m.len() * std::mem::size_of::<Complex32>(),
     );
 
     match std::fs::write("BENCH_fft.json", &json) {

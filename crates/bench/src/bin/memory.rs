@@ -4,7 +4,7 @@
 //! buffer now leases from a `PoolSet` — and the memory cost of FFT
 //! memoization vs the speed it buys.
 
-use znn_alloc::{ImagePool, PoolSet};
+use znn_alloc::PoolSet;
 use znn_bench::{fmt, header, row, time_per_round};
 use znn_core::{ConvPolicy, TrainConfig, Znn};
 use znn_graph::builder::comparison_net;
@@ -12,13 +12,12 @@ use znn_tensor::{ops, Vec3};
 
 fn main() {
     println!("# §VII-C — pooled allocator footprint across training-like rounds\n");
-    let pool = ImagePool::new();
+    let pool = PoolSet::new();
     header(&["round", "bytes from system", "hits", "misses"]);
     for round in 0..6 {
-        let imgs: Vec<_> = (1..8).map(|s| pool.get(Vec3::cube(4 * s))).collect();
-        for img in imgs {
-            pool.put(img);
-        }
+        // a round's working set, recycled when the leases drop
+        let imgs: Vec<_> = (1..8).map(|s| pool.image(Vec3::cube(4 * s))).collect();
+        drop(imgs);
         row(&[
             round.to_string(),
             pool.stats().bytes_from_system().to_string(),
@@ -76,7 +75,6 @@ fn main() {
         "s/update",
         "memoized spectra (count)",
         "half-spectrum bytes",
-        "c2c bytes (avoided)",
     ]);
     for memoize in [false, true] {
         let (g, _) = comparison_net(3, kernel, Vec3::cube(2), true);
@@ -97,7 +95,6 @@ fn main() {
             fmt(dt),
             znn.memoized_spectra().to_string(),
             znn.memoized_spectrum_bytes().to_string(),
-            znn.memoized_spectrum_c2c_bytes().to_string(),
         ]);
     }
     println!("\nshape check: memoization trades retained spectra (memory");

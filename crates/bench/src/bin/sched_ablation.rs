@@ -32,7 +32,7 @@ fn main() {
     let _ = writeln!(json, "  \"sim_machine\": \"{}\",", machine.name);
     let _ = writeln!(json, "  \"sim_workers\": 18,");
     json.push_str("  \"simulated\": [\n");
-    header(&["network", "priority", "fifo", "lifo", "binary-heap"]);
+    header(&["network", "priority", "fifo", "lifo"]);
     let mut recs = Vec::new();
     for (name, key, tgc) in [
         (format!("2D width {width}"), "net2d", {
@@ -59,23 +59,21 @@ fn main() {
             )
             .makespan
         };
-        let (pri, fifo, lifo, heap) = (
+        let (pri, fifo, lifo) = (
             run(QueuePolicy::Priority),
             run(QueuePolicy::Fifo),
             run(QueuePolicy::Lifo),
-            run(QueuePolicy::BinaryHeap),
         );
-        row(&[name.clone(), fmt(pri), fmt(fifo), fmt(lifo), fmt(heap)]);
+        row(&[name.clone(), fmt(pri), fmt(fifo), fmt(lifo)]);
         recs.push(format!(
             "    {{\"net\": \"{key}\", \"width\": {width}, \"priority_s\": {pri:.6e}, \
-             \"fifo_s\": {fifo:.6e}, \"lifo_s\": {lifo:.6e}, \"binary_heap_s\": {heap:.6e}}}"
+             \"fifo_s\": {fifo:.6e}, \"lifo_s\": {lifo:.6e}}}"
         ));
     }
     json.push_str(&recs.join(",\n"));
     json.push_str("\n  ],\n");
-    println!("\n(binary-heap shares the priority *order* — same makespan — but");
-    println!("pays O(log N) per queue op instead of O(log K); see the `queue`");
-    println!("criterion bench for the data-structure cost.)\n");
+    println!("\n(see the `queue` criterion bench for the heap-of-lists' cost");
+    println!("against a binary heap over every task.)\n");
 
     println!("# host rows: real engine under each policy (s/update)\n");
     header(&["policy", "s/update"]);

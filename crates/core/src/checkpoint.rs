@@ -236,19 +236,7 @@ impl Checkpoint {
 
     /// Serializes the complete file image (header + payload).
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&self.round.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        // CRC over round ++ payload: a flipped header bit must be as
-        // detectable as a flipped body bit
-        let mut crc_input = Vec::with_capacity(8 + payload.len());
-        crc_input.extend_from_slice(&self.round.to_le_bytes());
-        crc_input.extend_from_slice(&payload);
-        out.extend_from_slice(&crc32(&crc_input).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        frame(self.round, &self.encode_payload())
     }
 
     /// Parses a file image produced by [`Checkpoint::encode`],
@@ -277,7 +265,13 @@ impl Checkpoint {
             data: payload,
             at: 0,
         };
-        let n = r.u64()? as usize;
+        // every edge carries at least its three presence tags, so a
+        // count the payload cannot hold is rejected before allocating
+        let n = r.u64()?;
+        if n > ((payload.len() - 8) / 3) as u64 {
+            return Err(CheckpointError::Corrupt("edge count larger than payload"));
+        }
+        let n = n as usize;
         let mut kernels = Vec::with_capacity(n);
         let mut biases = Vec::with_capacity(n);
         let mut velocities = Vec::with_capacity(n);
@@ -325,6 +319,22 @@ impl Checkpoint {
         prune(dir, keep)?;
         Ok(final_path)
     }
+}
+
+/// The file image of `payload` for `round`: header, then payload.
+fn frame(round: u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&round.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    // CRC over round ++ payload: a flipped header bit must be as
+    // detectable as a flipped body bit
+    let mut crc_input = Vec::with_capacity(8 + payload.len());
+    crc_input.extend_from_slice(&round.to_le_bytes());
+    crc_input.extend_from_slice(payload);
+    out.extend_from_slice(&crc32(&crc_input).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
 }
 
 /// Round number encoded in a snapshot file name, if it is one.
@@ -456,6 +466,18 @@ mod tests {
                 "flip at byte {byte} accepted"
             );
         }
+    }
+
+    #[test]
+    fn huge_edge_count_is_corrupt_not_an_allocation() {
+        // a CRC-valid file whose edge count no payload could hold
+        let good = sample(7).encode();
+        let mut payload = good[HEADER_LEN..].to_vec();
+        payload[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            Checkpoint::decode(&frame(7, &payload)),
+            Err(CheckpointError::Corrupt("edge count larger than payload"))
+        ));
     }
 
     #[test]

@@ -821,23 +821,13 @@ impl Znn {
     }
 
     /// Bytes of half-spectra currently memoized — the paper's main RAM
-    /// consumer (§IV), halved by the r2c representation relative to
-    /// full c2c spectra of the same transform shapes.
+    /// consumer (§IV), about half of what full complex spectra of the
+    /// same transform shapes would hold.
     pub fn memoized_spectrum_bytes(&self) -> usize {
         self.inner
             .nodes
             .iter()
             .map(|n| n.fwd_spectra.bytes() + n.bwd_spectra.bytes())
-            .sum()
-    }
-
-    /// Bytes the same memoized spectra would occupy as full c2c
-    /// transforms — the exact footprint r2c avoids.
-    pub fn memoized_spectrum_c2c_bytes(&self) -> usize {
-        self.inner
-            .nodes
-            .iter()
-            .map(|n| n.fwd_spectra.c2c_bytes() + n.bwd_spectra.c2c_bytes())
             .sum()
     }
 

@@ -72,23 +72,12 @@ impl SpectrumCache {
         self.map.lock().len()
     }
 
-    /// Bytes held by materialized cached spectra (§IX-B accounting —
-    /// roughly half of what the full c2c representation would retain).
+    /// Bytes held by materialized cached spectra (§IX-B accounting).
     pub fn bytes(&self) -> usize {
         self.map
             .lock()
             .values()
             .filter_map(|cell| cell.get().map(|s| s.stored_bytes()))
-            .sum()
-    }
-
-    /// Bytes full c2c spectra of the same transform shapes would hold —
-    /// the exact footprint the half-spectrum representation avoids.
-    pub fn c2c_bytes(&self) -> usize {
-        self.map
-            .lock()
-            .values()
-            .filter_map(|cell| cell.get().map(|s| s.full_bytes()))
             .sum()
     }
 }

@@ -197,12 +197,27 @@ impl<'a, D: Dataset> Trainer<'a, D> {
     /// never interrupted. Returns the restored round, or `None` when no
     /// checkpointing is configured or no valid snapshot exists (corrupt
     /// ones are skipped, falling back to the previous snapshot).
+    ///
+    /// A snapshot taken from another network — a different edge count,
+    /// kernel shape, or set of biases and velocities — is refused with
+    /// [`std::io::ErrorKind::InvalidData`] naming the first mismatch,
+    /// before anything is installed.
     pub fn resume(&mut self) -> std::io::Result<Option<u64>> {
         let Some(cc) = &self.znn.config().checkpoint else {
             return Ok(None);
         };
         match latest_valid(&cc.dir)? {
             Some(c) => {
+                fits(&c, &self.znn.params()).map_err(|what| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!(
+                            "checkpoint of round {} in {} does not fit this network: {what}",
+                            c.round,
+                            cc.dir.display()
+                        ),
+                    )
+                })?;
                 self.znn.set_params(&c.params);
                 self.znn.set_optimizer_state(&c.velocities);
                 self.znn.set_round(c.round);
@@ -386,6 +401,44 @@ impl<'a, D: Dataset> Trainer<'a, D> {
     pub fn restore(&self, params: &ParamSet) {
         self.znn.set_params(params);
     }
+}
+
+/// Checks snapshot `c` against the live parameters `live`: the same
+/// edge count, the same kernel shape (or none) on every edge, a bias
+/// exactly where the network has one, and a velocity only on a kernel
+/// of its shape. Names the first mismatch.
+fn fits(c: &Checkpoint, live: &ParamSet) -> Result<(), String> {
+    let n = live.kernels.len();
+    if c.params.kernels.len() != n {
+        return Err(format!(
+            "{} edges in the snapshot, {n} in the network",
+            c.params.kernels.len()
+        ));
+    }
+    let shape = |k: Option<&Image>| k.map_or("none".to_string(), |k| k.shape().to_string());
+    for i in 0..n {
+        let want = live.kernels[i].as_ref().map(Image::shape);
+        if c.params.kernels[i].as_ref().map(Image::shape) != want {
+            return Err(format!(
+                "edge {i} kernel is {} in the snapshot, {} in the network",
+                shape(c.params.kernels[i].as_ref()),
+                shape(live.kernels[i].as_ref())
+            ));
+        }
+        if c.params.biases[i].is_some() != live.biases[i].is_some() {
+            return Err(format!("edge {i} bias presence differs"));
+        }
+        if let Some(v) = &c.velocities[i] {
+            if Some(v.shape()) != want {
+                return Err(format!(
+                    "edge {i} velocity is {} in the snapshot, kernel {} in the network",
+                    v.shape(),
+                    shape(live.kernels[i].as_ref())
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// True when `loss` exceeds the policy's multiple of the rolling

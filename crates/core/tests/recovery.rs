@@ -1,18 +1,22 @@
 //! End-to-end pins for the fault-tolerance layer: durable checkpoints
 //! survive a kill bit-identically, corrupt snapshots fall back to older
-//! valid ones, injected panics leak no pooled bytes, every fault class
-//! recovers, and a truly divergent run aborts after bounded retries
-//! with the engine left on its last good state.
+//! valid ones, the decoder rejects hostile payloads without panicking,
+//! a snapshot of another network is refused on resume, injected panics
+//! leak no pooled bytes, every fault class recovers, and a truly
+//! divergent run aborts after bounded retries with the engine left on
+//! its last good state.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
 use znn_alloc::PoolSet;
+use znn_core::checkpoint::crc32;
 use znn_core::{
     latest_valid, Checkpoint, CheckpointConfig, Dataset, RandomDataset, TrainConfig, TrainError,
     TrainOutcome, Trainer, Znn,
 };
 use znn_fault::{FaultKind, FaultPlan};
+use znn_graph::init::ParamSet;
 use znn_graph::NetBuilder;
 use znn_ops::Transfer;
 use znn_tensor::{Image, Vec3};
@@ -161,6 +165,142 @@ proptest! {
         let restored = restored.expect("older snapshot must still load");
         prop_assert_eq!(restored.round, 5);
     }
+}
+
+/// A snapshot with every record kind: kernels with and without a
+/// velocity, a bias, and an edge with nothing.
+fn corpus_seed() -> Checkpoint {
+    let img = |s: f32| {
+        Image::from_fn([2, 3, 2], |Vec3([x, y, z])| {
+            (x * 6 + y * 2 + z) as f32 * 0.1 - s
+        })
+    };
+    Checkpoint {
+        round: 12,
+        params: ParamSet {
+            kernels: vec![Some(img(0.0)), None, Some(img(1.0)), None],
+            biases: vec![None, Some(-0.5), None, None],
+        },
+        velocities: vec![Some(img(2.0)), None, None, None],
+    }
+}
+
+/// Payload offsets of every image-shape `u64` in `c`'s encoding.
+fn shape_offsets(c: &Checkpoint) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut at = 8; // the edge count
+    let mut image = |at: &mut usize, img: &Option<Image>| {
+        *at += 1; // presence tag
+        if let Some(img) = img {
+            out.extend([*at, *at + 8, *at + 16]);
+            *at += 24 + 4 * img.len();
+        }
+    };
+    for i in 0..c.params.kernels.len() {
+        image(&mut at, &c.params.kernels[i]);
+        at += 1 + if c.params.biases[i].is_some() { 4 } else { 0 };
+        image(&mut at, &c.velocities[i]);
+    }
+    out
+}
+
+/// A file image of `payload` with a valid header and CRC, so only the
+/// decoder's structural checks can reject it.
+fn framed(round: u64, payload: &[u8]) -> Vec<u8> {
+    let crc_input = [&round.to_le_bytes()[..], payload].concat();
+    [
+        &b"ZNNCKPT1"[..],
+        &round.to_le_bytes(),
+        &(payload.len() as u64).to_le_bytes(),
+        &crc32(&crc_input).to_le_bytes(),
+        payload,
+    ]
+    .concat()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Decoder corpus: one structural mutation of a valid snapshot —
+    /// a hostile edge count or image shape, a truncation, or one
+    /// overwritten byte — re-CRC'd. `decode` must return, never panic
+    /// or allocate what the payload cannot hold, and anything it
+    /// accepts must re-encode to the same bytes.
+    #[test]
+    fn decoder_survives_hostile_payloads(
+        kind in 0u8..4,
+        pick in any::<usize>(),
+        value in any::<u64>(),
+    ) {
+        let seed = corpus_seed();
+        let file = seed.encode();
+        let mut payload = file[28..].to_vec();
+        match kind {
+            0 => payload[..8].copy_from_slice(&value.to_le_bytes()),
+            1 => {
+                let offsets = shape_offsets(&seed);
+                let at = offsets[pick % offsets.len()];
+                payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            }
+            2 => payload.truncate(pick % payload.len()),
+            _ => {
+                let at = pick % payload.len();
+                payload[at] = value as u8;
+            }
+        }
+        let bytes = framed(seed.round, &payload);
+        if let Ok(c) = Checkpoint::decode(&bytes) {
+            prop_assert_eq!(c.encode(), bytes, "accepted a payload it cannot reproduce");
+        }
+    }
+}
+
+/// The tiny net's shape with the first layer's width and kernel
+/// changed, for snapshots that do not fit.
+fn other_net(dir: &PathBuf, width: usize, kernel: usize) -> Znn {
+    let (g, _) = NetBuilder::new("other", 1)
+        .conv(width, Vec3::cube(kernel))
+        .transfer(Transfer::Tanh)
+        .conv(1, Vec3::cube(2))
+        .build()
+        .unwrap();
+    let cfg = TrainConfig {
+        momentum: 0.9,
+        checkpoint: Some(CheckpointConfig::new(dir)),
+        ..TrainConfig::test_default(2)
+    };
+    Znn::new(g, Vec3::cube(2), cfg).unwrap()
+}
+
+#[test]
+fn resume_refuses_another_networks_snapshot() {
+    let dir = tmpdir("foreign");
+    let mut cc = CheckpointConfig::new(&dir);
+    cc.every = 1;
+    let a = tiny(Some(cc), None, None);
+    let mut ta = Trainer::new(&a, data(&a));
+    assert!(matches!(
+        ta.run_recoverable(3, 3, |_| {}),
+        Ok(TrainOutcome::Completed { .. })
+    ));
+
+    // more edges, fewer edges, and the same edges with another kernel
+    for (width, kernel, names) in [(3, 2, "edges"), (1, 2, "edges"), (2, 3, "kernel")] {
+        let b = other_net(&dir, width, kernel);
+        let before = b.params();
+        let mut tb = Trainer::new(&b, data(&b));
+        let err = tb.resume().expect_err("a foreign snapshot must be refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            err.to_string().contains(names),
+            "width {width} kernel {kernel}: {err}"
+        );
+        // nothing was installed, and training still runs from round 0
+        assert_eq!(b.params(), before);
+        assert_eq!(tb.rounds_done(), 0);
+        assert!(tb.run(1, 1, |_| {}).is_finite());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1053,34 +1053,26 @@ impl Default for FftEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use znn_tensor::lines::{Axis, LineSpec};
     use znn_tensor::{ops, pad};
 
-    /// O(n²) reference DFT along one axis for validation.
-    fn dft_axis_naive(t: &CImage, axis: Axis, inverse: bool) -> CImage {
-        let shape = t.shape();
-        let n = shape[axis as usize];
+    /// O(n²) reference DFT along `axis` (0 = x … 2 = z) for validation:
+    /// bin `k` of every line is `Σ_j line[j]·e^{∓2πi·k·j/n}`.
+    fn dft_axis_naive(t: &CImage, axis: usize, inverse: bool) -> CImage {
+        let n = t.shape()[axis];
         let sign = if inverse { 1.0 } else { -1.0 };
-        let mut out = t.clone();
-        let spec = LineSpec::new(shape, axis);
-        let mut line = vec![Complex32::default(); n];
-        for i in 0..spec.count {
-            spec.read_line(t, i, &mut line);
-            let mut res = vec![Complex32::default(); n];
-            for (k, r) in res.iter_mut().enumerate() {
-                for (j, &v) in line.iter().enumerate() {
-                    let ang = sign * 2.0 * std::f32::consts::PI * (k * j) as f32 / n as f32;
-                    *r += v * Complex32::new(ang.cos(), ang.sin());
-                }
-            }
-            spec.write_line(&mut out, i, &res);
-        }
-        out
+        znn_tensor::Tensor3::from_fn(t.shape(), |at| {
+            (0..n).fold(Complex32::default(), |acc, j| {
+                let mut src = at;
+                src[axis] = j;
+                let ang = sign * 2.0 * std::f32::consts::PI * (at[axis] * j) as f32 / n as f32;
+                acc + t.at(src) * Complex32::new(ang.cos(), ang.sin())
+            })
+        })
     }
 
     fn dft3_naive(t: &CImage) -> CImage {
         let mut out = t.clone();
-        for axis in Axis::ALL {
+        for axis in 0..3 {
             out = dft_axis_naive(&out, axis, false);
         }
         out
@@ -1089,7 +1081,7 @@ mod tests {
     /// Normalized O(n²) inverse 3D DFT.
     fn idft3_naive(t: &CImage) -> CImage {
         let mut out = t.clone();
-        for axis in Axis::ALL {
+        for axis in 0..3 {
             out = dft_axis_naive(&out, axis, true);
         }
         let scale = 1.0 / out.len() as f32;

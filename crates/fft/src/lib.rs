@@ -113,8 +113,8 @@
 //! single-threaded ones for every pool and worker count; see the
 //! [threading model](FftEngine#threading-model) for ownership details.
 //!
-//! The staged API (`forward_padded` → pointwise multiply-accumulate in
-//! `znn_tensor::ops` (`mul_s`, `mul_add_assign_s`, `add_assign_s`) →
+//! The staged API (`forward_padded` → pointwise products in
+//! `znn_tensor::ops` (`mul_s`, summed with `add_assign_s`) →
 //! `inverse_real`) lets callers accumulate convergent convolutions
 //! **in the frequency domain** and pay one inverse transform per node
 //! rather than one per edge — exactly the `f' + f + f'·f` term

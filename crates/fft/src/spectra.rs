@@ -84,25 +84,6 @@ pub fn corr_spectrum(x_spec: &Spectrum, g_spec: &Spectrum) -> Spectrum {
     out
 }
 
-/// Accumulating form of [`corr_spectrum`]: `acc += x ∘ conj(g)`.
-pub fn corr_mul_add(acc: &mut Spectrum, x_spec: &Spectrum, g_spec: &Spectrum) {
-    assert_eq!(
-        acc.full_shape(),
-        x_spec.full_shape(),
-        "spectrum shape mismatch"
-    );
-    assert_eq!(
-        acc.full_shape(),
-        g_spec.full_shape(),
-        "spectrum shape mismatch"
-    );
-    znn_simd::conj_mul_add_assign_c(
-        acc.half_mut().as_mut_slice(),
-        x_spec.half().as_slice(),
-        g_spec.half().as_slice(),
-    );
-}
-
 /// The half-spectrum at transform shape `m` of kernel `w` dilated by
 /// `sparsity` onto the skip lattice and zero-padded — equal to
 /// `rfft3(pad(dilate(w, sparsity), m))`, but read straight from the

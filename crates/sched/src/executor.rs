@@ -222,15 +222,6 @@ impl Executor {
         }
     }
 
-    /// The paper's default configuration: priority policy, one worker
-    /// per available hardware thread.
-    pub fn with_default_workers() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Executor::new(n, QueuePolicy::Priority)
-    }
-
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.shared.workers

@@ -9,8 +9,7 @@
 //! * [`queue`] — the global task queue as a *heap of lists*: insertion
 //!   and removal cost O(log K) in the number of **distinct priorities**
 //!   K rather than O(log N) in the number of tasks (§VII-A). FIFO and
-//!   LIFO policies from §X are provided for the scheduling ablation,
-//!   plus a plain binary heap for the data-structure ablation.
+//!   LIFO policies from §X are provided for the scheduling ablation.
 //! * [`executor`] — the worker pool: each worker repeatedly picks the
 //!   highest-priority ready task and runs it (§VI-B). Workers can
 //!   *donate* idle time to a `rayon` fork-join pool

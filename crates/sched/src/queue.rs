@@ -6,7 +6,7 @@
 //! present — much smaller than the number of queued tasks N for wide
 //! networks, where whole layers share a priority.
 
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Ordering policy for the global queue (§VI-A default, §X alternatives).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -19,9 +19,6 @@ pub enum QueuePolicy {
     Fifo,
     /// Last-in first-out, ignoring priorities (§X).
     Lifo,
-    /// Priority order backed by a plain binary heap keyed on every task
-    /// (O(log N)); kept for the data-structure ablation of §VII-A.
-    BinaryHeap,
 }
 
 /// A non-thread-safe priority multi-queue; the executor wraps it in a
@@ -30,34 +27,7 @@ pub struct TaskQueue<T> {
     policy: QueuePolicy,
     lists: BTreeMap<u64, VecDeque<T>>,
     fifo: VecDeque<(u64, T)>,
-    heap: BinaryHeap<HeapEntry<T>>,
-    seq: u64,
     len: usize,
-}
-
-struct HeapEntry<T> {
-    priority: u64,
-    seq: u64,
-    task: T,
-}
-
-// Order entries so the *smallest* (priority, seq) pops first from the
-// max-heap: reverse the comparison.
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
-    }
-}
-impl<T> Eq for HeapEntry<T> {}
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.priority, other.seq).cmp(&(self.priority, self.seq))
-    }
 }
 
 impl<T> TaskQueue<T> {
@@ -67,8 +37,6 @@ impl<T> TaskQueue<T> {
             policy,
             lists: BTreeMap::new(),
             fifo: VecDeque::new(),
-            heap: BinaryHeap::new(),
-            seq: 0,
             len: 0,
         }
     }
@@ -100,14 +68,6 @@ impl<T> TaskQueue<T> {
             QueuePolicy::Fifo | QueuePolicy::Lifo => {
                 self.fifo.push_back((priority, task));
             }
-            QueuePolicy::BinaryHeap => {
-                self.heap.push(HeapEntry {
-                    priority,
-                    seq: self.seq,
-                    task,
-                });
-                self.seq += 1;
-            }
         }
     }
 
@@ -125,7 +85,6 @@ impl<T> TaskQueue<T> {
             }
             QueuePolicy::Fifo => self.fifo.pop_front().map(|(_, t)| t),
             QueuePolicy::Lifo => self.fifo.pop_back().map(|(_, t)| t),
-            QueuePolicy::BinaryHeap => self.heap.pop().map(|e| e.task),
         };
         if out.is_some() {
             self.len -= 1;
@@ -152,24 +111,6 @@ mod tests {
         assert_eq!(q.pop(), Some("c2"));
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn binary_heap_matches_priority_semantics() {
-        let mut a = TaskQueue::new(QueuePolicy::Priority);
-        let mut b = TaskQueue::new(QueuePolicy::BinaryHeap);
-        let items = [(4u64, 0), (2, 1), (4, 2), (1, 3), (2, 4), (9, 5)];
-        for (p, v) in items {
-            a.push(p, v);
-            b.push(p, v);
-        }
-        loop {
-            let (x, y) = (a.pop(), b.pop());
-            assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

@@ -24,7 +24,6 @@ fn policy() -> impl Strategy<Value = QueuePolicy> {
         Just(QueuePolicy::Priority),
         Just(QueuePolicy::Fifo),
         Just(QueuePolicy::Lifo),
-        Just(QueuePolicy::BinaryHeap),
     ]
 }
 

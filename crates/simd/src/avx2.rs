@@ -167,30 +167,6 @@ pub unsafe fn mul_assign_c(dst: &mut [Complex<f32>], src: &[Complex<f32>]) {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn mul_add_assign_c(
-    dst: &mut [Complex<f32>],
-    a: &[Complex<f32>],
-    b: &[Complex<f32>],
-) {
-    assert_eq!(dst.len(), a.len());
-    assert_eq!(dst.len(), b.len());
-    let n = dst.len();
-    let main = n - n % 4;
-    let dp = complex_as_floats_mut(dst).as_mut_ptr();
-    let ap = complex_as_floats(a).as_ptr();
-    let bp = complex_as_floats(b).as_ptr();
-    let mut i = 0;
-    while i < main * 2 {
-        let d = _mm256_loadu_ps(dp.add(i));
-        let x = _mm256_loadu_ps(ap.add(i));
-        let y = _mm256_loadu_ps(bp.add(i));
-        _mm256_storeu_ps(dp.add(i), _mm256_add_ps(d, cmul(x, y)));
-        i += 8;
-    }
-    crate::scalar::mul_add_assign_c(&mut dst[main..], &a[main..], &b[main..]);
-}
-
-#[target_feature(enable = "avx2,fma")]
 pub unsafe fn conj_mul_assign_c(dst: &mut [Complex<f32>], g: &[Complex<f32>]) {
     assert_eq!(dst.len(), g.len());
     let n = dst.len();
@@ -205,52 +181,6 @@ pub unsafe fn conj_mul_assign_c(dst: &mut [Complex<f32>], g: &[Complex<f32>]) {
         i += 8;
     }
     crate::scalar::conj_mul_assign_c(&mut dst[main..], &g[main..]);
-}
-
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn conj_mul_add_assign_c(
-    acc: &mut [Complex<f32>],
-    x: &[Complex<f32>],
-    g: &[Complex<f32>],
-) {
-    assert_eq!(acc.len(), x.len());
-    assert_eq!(acc.len(), g.len());
-    let n = acc.len();
-    let main = n - n % 4;
-    let ap = complex_as_floats_mut(acc).as_mut_ptr();
-    let xp = complex_as_floats(x).as_ptr();
-    let gp = complex_as_floats(g).as_ptr();
-    let mut i = 0;
-    // 4x unrolled like `mul_assign_c`: four independent
-    // conj+cmul+add chains per iteration, no within-element reordering
-    let main16 = (n - n % 16) * 2;
-    while i < main16 {
-        let a0 = _mm256_loadu_ps(ap.add(i));
-        let a1 = _mm256_loadu_ps(ap.add(i + 8));
-        let a2 = _mm256_loadu_ps(ap.add(i + 16));
-        let a3 = _mm256_loadu_ps(ap.add(i + 24));
-        let x0 = _mm256_loadu_ps(xp.add(i));
-        let x1 = _mm256_loadu_ps(xp.add(i + 8));
-        let x2 = _mm256_loadu_ps(xp.add(i + 16));
-        let x3 = _mm256_loadu_ps(xp.add(i + 24));
-        let g0 = conj4(_mm256_loadu_ps(gp.add(i)));
-        let g1 = conj4(_mm256_loadu_ps(gp.add(i + 8)));
-        let g2 = conj4(_mm256_loadu_ps(gp.add(i + 16)));
-        let g3 = conj4(_mm256_loadu_ps(gp.add(i + 24)));
-        _mm256_storeu_ps(ap.add(i), _mm256_add_ps(a0, cmul(x0, g0)));
-        _mm256_storeu_ps(ap.add(i + 8), _mm256_add_ps(a1, cmul(x1, g1)));
-        _mm256_storeu_ps(ap.add(i + 16), _mm256_add_ps(a2, cmul(x2, g2)));
-        _mm256_storeu_ps(ap.add(i + 24), _mm256_add_ps(a3, cmul(x3, g3)));
-        i += 32;
-    }
-    while i < main * 2 {
-        let a = _mm256_loadu_ps(ap.add(i));
-        let xv = _mm256_loadu_ps(xp.add(i));
-        let gv = conj4(_mm256_loadu_ps(gp.add(i)));
-        _mm256_storeu_ps(ap.add(i), _mm256_add_ps(a, cmul(xv, gv)));
-        i += 8;
-    }
-    crate::scalar::conj_mul_add_assign_c(&mut acc[main..], &x[main..], &g[main..]);
 }
 
 #[target_feature(enable = "avx2,fma")]

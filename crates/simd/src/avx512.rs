@@ -93,30 +93,6 @@ pub unsafe fn mul_assign_c(dst: &mut [Complex<f32>], src: &[Complex<f32>]) {
 }
 
 #[target_feature(enable = "avx512f,avx2,fma")]
-pub unsafe fn mul_add_assign_c(
-    dst: &mut [Complex<f32>],
-    a: &[Complex<f32>],
-    b: &[Complex<f32>],
-) {
-    assert_eq!(dst.len(), a.len());
-    assert_eq!(dst.len(), b.len());
-    let n = dst.len();
-    let main = n - n % 8;
-    let dp = complex_as_floats_mut(dst).as_mut_ptr();
-    let ap = complex_as_floats(a).as_ptr();
-    let bp = complex_as_floats(b).as_ptr();
-    let mut i = 0;
-    while i < main * 2 {
-        let d = _mm512_loadu_ps(dp.add(i));
-        let av = _mm512_loadu_ps(ap.add(i));
-        let bv = _mm512_loadu_ps(bp.add(i));
-        _mm512_storeu_ps(dp.add(i), _mm512_add_ps(d, cmul(av, bv)));
-        i += 16;
-    }
-    super::avx2::mul_add_assign_c(&mut dst[main..], &a[main..], &b[main..]);
-}
-
-#[target_feature(enable = "avx512f,avx2,fma")]
 pub unsafe fn conj_mul_assign_c(dst: &mut [Complex<f32>], g: &[Complex<f32>]) {
     assert_eq!(dst.len(), g.len());
     let n = dst.len();
@@ -131,49 +107,4 @@ pub unsafe fn conj_mul_assign_c(dst: &mut [Complex<f32>], g: &[Complex<f32>]) {
         i += 16;
     }
     super::avx2::conj_mul_assign_c(&mut dst[main..], &g[main..]);
-}
-
-#[target_feature(enable = "avx512f,avx2,fma")]
-pub unsafe fn conj_mul_add_assign_c(
-    acc: &mut [Complex<f32>],
-    x: &[Complex<f32>],
-    g: &[Complex<f32>],
-) {
-    assert_eq!(acc.len(), x.len());
-    assert_eq!(acc.len(), g.len());
-    let n = acc.len();
-    let main = n - n % 8;
-    let dp = complex_as_floats_mut(acc).as_mut_ptr();
-    let xp = complex_as_floats(x).as_ptr();
-    let gp = complex_as_floats(g).as_ptr();
-    // 4x unrolled, as in `mul_assign_c`.
-    let main32 = (n - n % 32) * 2;
-    let mut i = 0;
-    while i < main32 {
-        let d0 = _mm512_loadu_ps(dp.add(i));
-        let d1 = _mm512_loadu_ps(dp.add(i + 16));
-        let d2 = _mm512_loadu_ps(dp.add(i + 32));
-        let d3 = _mm512_loadu_ps(dp.add(i + 48));
-        let x0 = _mm512_loadu_ps(xp.add(i));
-        let x1 = _mm512_loadu_ps(xp.add(i + 16));
-        let x2 = _mm512_loadu_ps(xp.add(i + 32));
-        let x3 = _mm512_loadu_ps(xp.add(i + 48));
-        let g0 = conj8(_mm512_loadu_ps(gp.add(i)));
-        let g1 = conj8(_mm512_loadu_ps(gp.add(i + 16)));
-        let g2 = conj8(_mm512_loadu_ps(gp.add(i + 32)));
-        let g3 = conj8(_mm512_loadu_ps(gp.add(i + 48)));
-        _mm512_storeu_ps(dp.add(i), _mm512_add_ps(d0, cmul(x0, g0)));
-        _mm512_storeu_ps(dp.add(i + 16), _mm512_add_ps(d1, cmul(x1, g1)));
-        _mm512_storeu_ps(dp.add(i + 32), _mm512_add_ps(d2, cmul(x2, g2)));
-        _mm512_storeu_ps(dp.add(i + 48), _mm512_add_ps(d3, cmul(x3, g3)));
-        i += 64;
-    }
-    while i < main * 2 {
-        let d = _mm512_loadu_ps(dp.add(i));
-        let xv = _mm512_loadu_ps(xp.add(i));
-        let gv = conj8(_mm512_loadu_ps(gp.add(i)));
-        _mm512_storeu_ps(dp.add(i), _mm512_add_ps(d, cmul(xv, gv)));
-        i += 16;
-    }
-    super::avx2::conj_mul_add_assign_c(&mut acc[main..], &x[main..], &g[main..]);
 }

@@ -72,33 +72,11 @@ pub fn mul_assign_c(dst: &mut [Complex<f32>], src: &[Complex<f32>]) {
     }
 }
 
-/// `dst[i] += a[i]·b[i]`.
-pub fn mul_add_assign_c(dst: &mut [Complex<f32>], a: &[Complex<f32>], b: &[Complex<f32>]) {
-    assert_eq!(dst.len(), a.len());
-    assert_eq!(dst.len(), b.len());
-    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        *d += x * y;
-    }
-}
-
 /// `dst[i] *= conj(g[i])`.
 pub fn conj_mul_assign_c(dst: &mut [Complex<f32>], g: &[Complex<f32>]) {
     assert_eq!(dst.len(), g.len());
     for (d, &s) in dst.iter_mut().zip(g) {
         *d *= s.conj();
-    }
-}
-
-/// `acc[i] += x[i]·conj(g[i])`.
-pub fn conj_mul_add_assign_c(
-    acc: &mut [Complex<f32>],
-    x: &[Complex<f32>],
-    g: &[Complex<f32>],
-) {
-    assert_eq!(acc.len(), x.len());
-    assert_eq!(acc.len(), g.len());
-    for ((a, &xv), &gv) in acc.iter_mut().zip(x).zip(g) {
-        *a += xv * gv.conj();
     }
 }
 

@@ -11,8 +11,6 @@
 //! * [`Tensor3`] — an owned, contiguous, row-major (`z` fastest) 3D tensor,
 //! * padding / cropping / reflection / dilation helpers ([`pad`]),
 //! * elementwise kernels used on hot paths ([`ops`]),
-//! * axis line iteration used by the FFT's per-axis passes
-//!   ([`lines`]),
 //! * the pooled-storage contract ([`storage`]): tensors may lease their
 //!   buffer from a [`BufferSource`] (implemented by `znn-alloc`'s
 //!   recycling pools) and return it on drop — the §VII-C allocator
@@ -25,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod lines;
 pub mod ops;
 pub mod pad;
 mod shape;

@@ -25,14 +25,6 @@ pub fn add_assign_c(dst: &mut Tensor3<Complex32>, src: &Tensor3<Complex32>) {
     znn_simd::add_assign_c(dst.as_mut_slice(), src.as_slice());
 }
 
-/// `dst += a * b`, elementwise complex multiply-accumulate — the
-/// frequency-domain convolution kernel of §IV.
-pub fn mul_add_assign_c(dst: &mut Tensor3<Complex32>, a: &Tensor3<Complex32>, b: &Tensor3<Complex32>) {
-    assert_eq!(dst.shape(), a.shape(), "mul_add_assign_c shape mismatch");
-    assert_eq!(dst.shape(), b.shape(), "mul_add_assign_c shape mismatch");
-    znn_simd::mul_add_assign_c(dst.as_mut_slice(), a.as_slice(), b.as_slice());
-}
-
 /// Elementwise complex product `a * b` into a fresh tensor.
 pub fn mul_c(a: &Tensor3<Complex32>, b: &Tensor3<Complex32>) -> Tensor3<Complex32> {
     assert_eq!(a.shape(), b.shape(), "mul_c shape mismatch");
@@ -96,26 +88,6 @@ pub fn mul_s(a: &Spectrum, b: &Spectrum) -> Spectrum {
     let mut out = a.clone();
     znn_simd::mul_assign_c(out.half_mut().as_mut_slice(), b.half().as_slice());
     out
-}
-
-/// `dst += a ∘ b` for half-spectra.
-pub fn mul_add_assign_s(dst: &mut Spectrum, a: &Spectrum, b: &Spectrum) {
-    assert_eq!(
-        dst.full_shape(),
-        a.full_shape(),
-        "mul_add_assign_s logical shape mismatch"
-    );
-    assert_eq!(
-        dst.full_shape(),
-        b.full_shape(),
-        "mul_add_assign_s logical shape mismatch"
-    );
-    mul_add_assign_c(dst.half_mut(), a.half(), b.half());
-}
-
-/// `dst *= s` for half-spectra.
-pub fn scale_s(dst: &mut Spectrum, s: f32) {
-    scale_c(dst.half_mut(), s);
 }
 
 /// Widens a real tensor to complex (imaginary part zero) for the FFT.
@@ -198,19 +170,6 @@ mod tests {
         let t = random(Vec3::new(2, 3, 4), 7);
         let c = to_complex(&t);
         assert_eq!(to_real(&c), t);
-    }
-
-    #[test]
-    fn mul_add_assign_c_accumulates_products() {
-        let s = Vec3::cube(2);
-        let a = Tensor3::filled(s, Complex32::new(2.0, 1.0));
-        let b = Tensor3::filled(s, Complex32::new(0.0, 1.0));
-        let mut d = Tensor3::filled(s, Complex32::new(1.0, 0.0));
-        mul_add_assign_c(&mut d, &a, &b);
-        // (2+i)(i) = -1 + 2i, plus 1 = 0 + 2i
-        for v in d.as_slice() {
-            assert!((v.re - 0.0).abs() < 1e-6 && (v.im - 2.0).abs() < 1e-6);
-        }
     }
 
     #[test]

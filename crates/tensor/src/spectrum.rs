@@ -146,13 +146,6 @@ impl Spectrum {
     pub fn stored_bytes(&self) -> usize {
         self.stored_bins() * std::mem::size_of::<crate::Complex32>()
     }
-
-    /// Bytes a full complex spectrum of the same logical shape would
-    /// occupy — the c2c cost this representation avoids.
-    #[inline]
-    pub fn full_bytes(&self) -> usize {
-        self.full.len() * std::mem::size_of::<crate::Complex32>()
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +181,6 @@ mod tests {
         assert_eq!(s.half().shape(), Vec3::new(2, 3, 4));
         assert_eq!(s.stored_bins(), 24);
         assert_eq!(s.stored_bytes(), 24 * 8);
-        assert_eq!(s.full_bytes(), 36 * 8);
     }
 
     #[test]

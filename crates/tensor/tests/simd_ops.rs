@@ -112,15 +112,6 @@ proptest! {
             prop_assert_eq!(got.as_slice()[i].re.to_bits(), want.re.to_bits());
             prop_assert_eq!(got.as_slice()[i].im.to_bits(), want.im.to_bits());
         }
-
-        let mut got = random_c(shape, seed ^ 1);
-        let init = got.clone();
-        ops::mul_add_assign_c(&mut got, &a, &b);
-        for (i, (&av, &bv)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
-            let want = init.as_slice()[i] + av * bv;
-            prop_assert_eq!(got.as_slice()[i].re.to_bits(), want.re.to_bits());
-            prop_assert_eq!(got.as_slice()[i].im.to_bits(), want.im.to_bits());
-        }
     }
 
     /// The §IV frequency-product on the packed half-spectrum

@@ -134,12 +134,12 @@ fn facade_end_to_end_2d_training() {
 /// The pooled allocator integrates with tensors end to end.
 #[test]
 fn image_pool_round_trips_tensors() {
-    let pool = znn::alloc::ImagePool::new();
-    let mut img = pool.get(Vec3::cube(8));
+    let pool = znn::alloc::PoolSet::new();
+    let mut img = pool.image(Vec3::cube(8));
     img.as_mut_slice().fill(3.0);
     assert_eq!(img.sum(), 3.0 * 512.0);
-    pool.put(img);
-    let again = pool.get(Vec3::cube(8));
+    drop(img);
+    let again = pool.image(Vec3::cube(8));
     assert!(again.as_slice().iter().all(|&v| v == 0.0));
     assert_eq!(pool.stats().hits(), 1);
 }
