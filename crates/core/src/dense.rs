@@ -11,6 +11,12 @@
 //!   kernel once per transform geometry and every subsequent volume
 //!   reuses the cached half-spectrum (§IV memoization, here across
 //!   *requests* instead of across *passes*);
+//! * **frequency-domain node sums** — a node whose in-edges are all
+//!   FFT convolutions sharing one pad and crop (the rule `Znn` uses)
+//!   adds every in-edge product into one pooled half-spectrum and pays
+//!   one inverse transform when it is reached, not one per edge (§IV);
+//!   the evaluation is sequential, so each sum runs in a fixed edge
+//!   order and is deterministic;
 //! * **blocked evaluation with cooperative cancellation** —
 //!   [`DenseNet::forward_blocked`] tiles the output volume and calls a
 //!   checkpoint closure between blocks, so a server can abandon an
@@ -25,6 +31,7 @@
 
 use crate::config::{Chooser, ConvPolicy};
 use crate::engine::transform_shape;
+use crate::state::{Contribution, FreqPlan};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -33,11 +40,12 @@ use std::sync::Arc;
 use znn_alloc::{lease_image, PoolSet};
 use znn_fft::{spectra, FftEngine};
 use znn_graph::init::ParamSet;
-use znn_graph::{shapes, EdgeOp, Graph, GraphError};
+use znn_graph::{shapes, EdgeOp, Graph, GraphError, NodeId};
 use znn_ops::filter::max_filter_output;
 use znn_ops::pool::max_pool;
 use znn_ops::{conv, ConvMethod};
 use znn_plan::Planner;
+use znn_sched::Accumulate;
 use znn_tensor::{ops, pad, Image, Spectrum, Vec3};
 
 /// Configuration for a [`DenseNet`].
@@ -295,23 +303,69 @@ impl DenseNet {
             input_nodes.len()
         );
         let order = self.graph.topo_order().expect("validated graph");
-        let mut sums: Vec<Option<Image>> = vec![None; self.graph.node_count()];
+        let node_shape = shapes::infer_shapes_multi(
+            &self.graph,
+            input_nodes.iter().zip(inputs).map(|(&n, img)| (n, img.shape())).collect(),
+        )
+        .expect("input shapes must fit the graph");
+        // each conv edge's (method, pad, crop) at its source shape
+        let conv: Vec<Option<(ConvMethod, Vec3, Vec3)>> = self
+            .graph
+            .edges()
+            .iter()
+            .map(|e| match e.op {
+                EdgeOp::Conv { kernel, sparsity } => {
+                    let (method, m) = self.conv_plan(node_shape[&e.from], kernel, sparsity);
+                    Some((method, m, kernel.dilated(sparsity) - Vec3::one()))
+                }
+                _ => None,
+            })
+            .collect();
+        // nodes that sum their fan-in as half-spectra: one inverse
+        // transform per node, not per edge (§IV)
+        let freq: Vec<Option<FreqPlan>> = self
+            .graph
+            .nodes()
+            .iter()
+            .enumerate()
+            .map(|(i, node)| {
+                FreqPlan::for_sum(
+                    node.in_edges.iter().map(|e| conv[e.0]),
+                    node_shape[&NodeId(i)],
+                )
+            })
+            .collect();
+        let mut sums: Vec<Option<Contribution>> =
+            (0..self.graph.node_count()).map(|_| None).collect();
         for (n, img) in input_nodes.iter().zip(inputs) {
-            sums[n.0] = Some(img.clone());
+            sums[n.0] = Some(Contribution::Spatial(img.clone()));
         }
         let outputs = self.graph.outputs();
         let mut outs: HashMap<usize, Image> = HashMap::new();
         for n in order {
-            let img = sums[n.0].take().expect("topological order fills sums");
+            let img = match sums[n.0].take().expect("topological order fills sums") {
+                Contribution::Spatial(img) => img,
+                Contribution::Freq(spec) => {
+                    let plan = freq[n.0].expect("freq sum implies a plan");
+                    self.fft.inverse_real(spec, plan.crop_at, plan.out_shape)
+                }
+                Contribution::Unread => unreachable!("forward contributions are always read"),
+            };
             // the node's forward spectrum is computed once and shared
             // by every FFT-convolved edge leaving it (§IV)
             let mut node_spec: Option<(Vec3, Arc<Spectrum>)> = None;
             for &eid in &self.graph.node(n).out_edges {
-                let out = self.edge_forward(eid.0, &img, &mut node_spec);
                 let to = self.graph.edge(eid).to;
+                let out = self.edge_forward(
+                    eid.0,
+                    &img,
+                    conv[eid.0],
+                    freq[to.0].is_some(),
+                    &mut node_spec,
+                );
                 match &mut sums[to.0] {
                     None => sums[to.0] = Some(out),
-                    Some(acc) => ops::add_assign(acc, &out),
+                    Some(acc) => acc.accumulate(out),
                 }
             }
             if outputs.contains(&n) {
@@ -437,25 +491,31 @@ impl DenseNet {
         )
     }
 
+    /// One edge's forward contribution. `conv` is a conv edge's
+    /// (method, pad, crop); `freq_sum` says its target sums in the
+    /// frequency domain, so an FFT product is returned untransformed.
     fn edge_forward(
         &self,
         eid: usize,
         input: &Image,
+        conv: Option<(ConvMethod, Vec3, Vec3)>,
+        freq_sum: bool,
         node_spec: &mut Option<(Vec3, Arc<Spectrum>)>,
-    ) -> Image {
+    ) -> Contribution {
         let e = &self.graph.edges()[eid];
-        match e.op {
-            EdgeOp::Conv { kernel, sparsity } => {
+        let out = match e.op {
+            EdgeOp::Conv { sparsity, .. } => {
+                let (method, m, crop_at) = conv.expect("every conv edge has a plan");
                 let w = self.params.kernels[eid].as_ref().expect("conv kernel");
-                match self.conv_plan(input.shape(), kernel, sparsity) {
-                    (ConvMethod::Direct, _) => {
-                        let out_shape = conv::valid_shape(input.shape(), w.shape(), sparsity)
-                            .expect("validated geometry");
+                let out_shape = conv::valid_shape(input.shape(), w.shape(), sparsity)
+                    .expect("validated geometry");
+                match method {
+                    ConvMethod::Direct => {
                         let mut out = lease_image(self.cfg.pools.as_ref(), out_shape);
                         conv::conv_valid_into(input, w, sparsity, &mut out);
                         out
                     }
-                    (ConvMethod::Fft, m) => {
+                    ConvMethod::Fft => {
                         let x_spec = match node_spec {
                             Some((cached_m, s)) if *cached_m == m => Arc::clone(s),
                             _ => {
@@ -466,12 +526,10 @@ impl DenseNet {
                         };
                         let w_spec = self.kernel_spectrum(eid, w, sparsity, m);
                         let prod = ops::mul_s(&x_spec, &w_spec);
-                        let kd = kernel.dilated(sparsity);
-                        let out_shape = input
-                            .shape()
-                            .valid_conv(kd)
-                            .expect("validated geometry");
-                        self.fft.inverse_real(prod, kd - Vec3::one(), out_shape)
+                        if freq_sum {
+                            return Contribution::Freq(prod);
+                        }
+                        self.fft.inverse_real(prod, crop_at, out_shape)
                     }
                 }
             }
@@ -481,6 +539,7 @@ impl DenseNet {
                 let b = self.params.biases[eid].expect("transfer bias");
                 function.forward(input, b)
             }
-        }
+        };
+        Contribution::Spatial(out)
     }
 }

@@ -354,63 +354,30 @@ impl Znn {
                 NodeState::new(n.in_edges.len(), n.out_edges.len(), node_shape[i])
             })
             .collect();
+        let conv_edge = |e: EdgeId| match &edges[e.0] {
+            EdgeState::Conv(c) => Some(c),
+            _ => None,
+        };
         for (i, node) in graph.nodes().iter().enumerate() {
-            // forward: all in-edges FFT convs sharing (m, crop)
-            let mut fwd_plan: Option<FreqPlan> = None;
-            let eligible_fwd = !node.in_edges.is_empty()
-                && node.in_edges.iter().all(|&e| {
-                    matches!(&edges[e.0], EdgeState::Conv(c) if c.method == ConvMethod::Fft)
-                });
-            if eligible_fwd {
-                let plans: Vec<FreqPlan> = node
-                    .in_edges
+            // forward: in-edge products crop at the dilated kernel's
+            // far corner (valid convolution)
+            nodes[i].fwd_freq = FreqPlan::for_sum(
+                node.in_edges.iter().map(|&e| {
+                    conv_edge(e).map(|c| (c.method, c.m, c.k.dilated(c.sparsity) - Vec3::one()))
+                }),
+                node_shape[i],
+            );
+            // backward: out-edge products are full correlations cropped
+            // at the origin, so only the transform shape must agree
+            // (always true for planner pads, which are keyed per node; a
+            // hand-built plan with divergent pads merely loses the
+            // frequency-domain sum, not correctness)
+            nodes[i].bwd_freq = FreqPlan::for_sum(
+                node.out_edges
                     .iter()
-                    .map(|&e| {
-                        let EdgeState::Conv(c) = &edges[e.0] else {
-                            unreachable!()
-                        };
-                        FreqPlan {
-                            m: c.m,
-                            crop_at: c.k.dilated(c.sparsity) - Vec3::one(),
-                            out_shape: node_shape[i],
-                        }
-                    })
-                    .collect();
-                if plans
-                    .windows(2)
-                    .all(|w| w[0].m == w[1].m && w[0].crop_at == w[1].crop_at)
-                {
-                    fwd_plan = Some(plans[0]);
-                }
-            }
-            nodes[i].fwd_freq = fwd_plan;
-            // backward: all out-edges FFT convs *sharing* a transform
-            // shape (always true for planner pads, which are keyed per
-            // node; a hand-built plan with divergent pads merely loses
-            // the frequency-domain sum, not correctness)
-            let eligible_bwd = !node.out_edges.is_empty()
-                && node.out_edges.iter().all(|&e| {
-                    matches!(&edges[e.0], EdgeState::Conv(c) if c.method == ConvMethod::Fft)
-                });
-            if eligible_bwd {
-                let ms: Vec<Vec3> = node
-                    .out_edges
-                    .iter()
-                    .map(|&e| {
-                        let EdgeState::Conv(c) = &edges[e.0] else {
-                            unreachable!()
-                        };
-                        c.m
-                    })
-                    .collect();
-                if ms.windows(2).all(|w| w[0] == w[1]) {
-                    nodes[i].bwd_freq = Some(FreqPlan {
-                        m: ms[0],
-                        crop_at: Vec3::zero(),
-                        out_shape: node_shape[i],
-                    });
-                }
-            }
+                    .map(|&e| conv_edge(e).map(|c| (c.method, c.m, Vec3::zero()))),
+                node_shape[i],
+            );
         }
 
         let fwd_prio_map = priority::forward_priorities(&graph);

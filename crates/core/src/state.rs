@@ -33,11 +33,45 @@ impl Accumulate for Contribution {
 
 /// How a node finalizes a frequency-domain sum: inverse-transform at
 /// shape `m`, then crop `out_shape` at `crop_at`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct FreqPlan {
     pub m: Vec3,
     pub crop_at: Vec3,
     pub out_shape: Vec3,
+}
+
+impl FreqPlan {
+    /// The one rule for summing a node in the frequency domain (§IV):
+    /// the node pays one inverse transform per pass instead of one per
+    /// contributing edge iff it has a contributing edge, every one is
+    /// an FFT convolution, and all share one transform shape and crop.
+    ///
+    /// Each item is one contributing edge's `(method, pad, crop)`, or
+    /// `None` for an edge that is not a convolution. Training and
+    /// serving both decide through here.
+    pub fn for_sum(
+        edges: impl IntoIterator<Item = Option<(ConvMethod, Vec3, Vec3)>>,
+        out_shape: Vec3,
+    ) -> Option<FreqPlan> {
+        let mut plan: Option<FreqPlan> = None;
+        for edge in edges {
+            let (ConvMethod::Fft, m, crop_at) = edge? else {
+                return None;
+            };
+            match plan {
+                None => {
+                    plan = Some(FreqPlan {
+                        m,
+                        crop_at,
+                        out_shape,
+                    })
+                }
+                Some(p) if p.m == m && p.crop_at == crop_at => {}
+                Some(_) => return None,
+            }
+        }
+        plan
+    }
 }
 
 /// A per-(node, transform-shape) cache of image half-spectra, so an
@@ -195,6 +229,31 @@ mod tests {
     fn mixed_contributions_panic() {
         let mut a = Contribution::Spatial(Tensor3::filled(Vec3::one(), 1.0));
         a.accumulate(Contribution::Freq(Spectrum::zeros(Vec3::one())));
+    }
+
+    #[test]
+    fn freq_sum_needs_fft_edges_sharing_pad_and_crop() {
+        let (m, crop, out) = (Vec3::cube(16), Vec3::cube(2), Vec3::cube(12));
+        let fft = Some((ConvMethod::Fft, m, crop));
+        assert_eq!(
+            FreqPlan::for_sum([fft, fft, fft], out),
+            Some(FreqPlan {
+                m,
+                crop_at: crop,
+                out_shape: out
+            })
+        );
+        // any direct in-edge, or any non-convolution edge, spoils it
+        let direct = Some((ConvMethod::Direct, m, crop));
+        assert_eq!(FreqPlan::for_sum([fft, direct], out), None);
+        assert_eq!(FreqPlan::for_sum([fft, None], out), None);
+        // differing pads or crops spoil it
+        let other_pad = Some((ConvMethod::Fft, Vec3::cube(18), crop));
+        let other_crop = Some((ConvMethod::Fft, m, Vec3::cube(4)));
+        assert_eq!(FreqPlan::for_sum([fft, other_pad], out), None);
+        assert_eq!(FreqPlan::for_sum([fft, other_crop], out), None);
+        // a node without contributing edges has nothing to sum
+        assert_eq!(FreqPlan::for_sum([], out), None);
     }
 
     #[test]

@@ -12,8 +12,9 @@ use std::sync::Arc;
 use znn_alloc::PoolSet;
 use znn_baseline::ReferenceNet;
 use znn_core::{ConvPolicy, DenseConfig, DenseNet};
-use znn_graph::{Graph, NetBuilder};
-use znn_ops::Transfer;
+use znn_graph::{EdgeOp, Graph, NetBuilder};
+use znn_ops::{ConvMethod, Transfer};
+use znn_plan::{PlanConfig, Planner};
 use znn_tensor::{ops, pad, Tensor3, Vec3};
 
 /// A tiny max-pooling recognition net: C3 T P2 C3 T, field of view 9².
@@ -40,6 +41,33 @@ fn filtering_net() -> Graph {
         .build()
         .unwrap()
         .0
+}
+
+/// `in → a` (conv `k_a`), then `in → out` (conv `k_skip`) and `a → out`
+/// (conv `k_out`) converge: the two in-edges of `out` see different
+/// source shapes and kernels, so they differ in crop, pad or method.
+fn skip_net(k_a: Vec3, k_skip: Vec3, k_out: Vec3) -> Graph {
+    let conv = |kernel| EdgeOp::Conv {
+        kernel,
+        sparsity: Vec3::one(),
+    };
+    let mut g = Graph::new();
+    let input = g.add_node("in");
+    let a = g.add_node("a");
+    let out = g.add_node("out");
+    g.add_edge(input, a, conv(k_a));
+    g.add_edge(input, out, conv(k_skip));
+    g.add_edge(a, out, conv(k_out));
+    g
+}
+
+/// `DenseNet` under `conv` against the direct-only net on the same
+/// parameters.
+fn max_diff_from_direct(graph: Graph, conv: ConvPolicy, input: Vec3) -> f32 {
+    let image = ops::random(input, 4);
+    let direct = DenseNet::new(graph.clone(), 8, dense_cfg(ConvPolicy::ForceDirect)).unwrap();
+    let other = DenseNet::new(graph, 8, dense_cfg(conv)).unwrap();
+    direct.forward(&image).max_abs_diff(&other.forward(&image))
 }
 
 fn dense_cfg(conv: ConvPolicy) -> DenseConfig {
@@ -240,4 +268,30 @@ fn multi_threaded_sharing_is_consistent() {
             "concurrent callers share one cache and agree bitwise"
         );
     }
+}
+
+#[test]
+fn fft_in_edges_with_different_crops_sum_in_space() {
+    // both sources pad to 24×24, but the crops differ at `out` (4 for
+    // 5×5 from `in`, 2 for 3×3 from `a`): no shared frequency-domain
+    // sum, each edge inverts on its own
+    let g = skip_net(Vec3::flat(3, 3), Vec3::flat(5, 5), Vec3::flat(3, 3));
+    let diff = max_diff_from_direct(g, ConvPolicy::ForceFft, Vec3::flat(24, 24));
+    assert!(diff < 1e-4, "mixed-crop FFT node vs direct: max diff {diff:.2e}");
+}
+
+#[test]
+fn autotuned_node_mixing_direct_and_fft_sums_in_space() {
+    // the planner prices a 7³ kernel on 16³ as FFT and a 1³ kernel as
+    // direct, so `out` gets one in-edge of each
+    let n = Vec3::cube(16);
+    let planner = Planner::new(PlanConfig::host());
+    assert_eq!(planner.choose_forward(n, Vec3::cube(7), Vec3::one()).0, ConvMethod::Fft);
+    assert_eq!(
+        planner.choose_forward(n - Vec3::cube(6), Vec3::one(), Vec3::one()).0,
+        ConvMethod::Direct
+    );
+    let g = skip_net(Vec3::cube(7), Vec3::cube(7), Vec3::one());
+    let diff = max_diff_from_direct(g, ConvPolicy::Autotune, n);
+    assert!(diff < 1e-4, "mixed-method node vs direct: max diff {diff:.2e}");
 }

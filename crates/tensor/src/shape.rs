@@ -98,14 +98,15 @@ impl Vec3 {
         }
     }
 
-    /// Output shape of a *full* convolution: `n + k - 1` per axis
-    /// (paper §III-A, "Convolution Jacobian").
+    /// Output shape of a *full* convolution: `n + (k - 1)` per axis
+    /// (paper §III-A, "Convolution Jacobian"). Grouped so no
+    /// intermediate exceeds the result.
     #[inline]
     pub fn full_conv(&self, k: Vec3) -> Vec3 {
         Vec3([
-            self.0[0] + k.0[0] - 1,
-            self.0[1] + k.0[1] - 1,
-            self.0[2] + k.0[2] - 1,
+            self.0[0] + (k.0[0] - 1),
+            self.0[1] + (k.0[1] - 1),
+            self.0[2] + (k.0[2] - 1),
         ])
     }
 
