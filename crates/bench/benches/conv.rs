@@ -2,13 +2,70 @@
 //! behind the §IV method choice and the Fig 8/9 crossovers. Each case
 //! is one unshared convolution: the direct kernels of `znn_ops::conv`
 //! against the one-shot `znn_fft::fft_conv_valid`.
+//!
+//! `direct_passes` times the three direct passes of one conv edge —
+//! forward, input gradient, kernel gradient — at every conv geometry of
+//! the two direct-convolution benchmark nets: `scalability_net_3d(8)`
+//! at output 4³ (3³ kernels at sparsity 1/2/4/4 onto 27³/22³/12³/4³)
+//! and the sparse `comparison_net(3, 5², 2²)` at output 16² (flat 5²
+//! kernels onto 91²…16²).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::time::Duration;
 use znn_fft::{fft_conv_valid, FftEngine};
+use znn_graph::builder::{comparison_net, scalability_net_3d};
+use znn_graph::{shapes, EdgeOp, Graph};
 use znn_ops::conv;
 use znn_tensor::{ops, pad, Vec3};
+
+/// The distinct `(input shape, kernel, sparsity)` of a net's conv edges
+/// at output shape `out`, first layer first.
+fn conv_geometries(g: &Graph, out: Vec3) -> Vec<(Vec3, Vec3, Vec3)> {
+    let input = shapes::required_input_shape(g, out).expect("net fits");
+    let shape = shapes::infer_shapes(g, input).expect("shapes");
+    let mut seen = BTreeSet::new();
+    g.edges()
+        .iter()
+        .filter_map(|e| match e.op {
+            EdgeOp::Conv { kernel, sparsity } => Some((shape[&e.from], kernel, sparsity)),
+            _ => None,
+        })
+        .filter(|&(n, k, s)| seen.insert((n.0, k.0, s.0)))
+        .collect()
+}
+
+fn bench_direct_passes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("direct_passes");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(100))
+        .measurement_time(Duration::from_millis(300));
+    let nets = [
+        ("3d", scalability_net_3d(8).0, Vec3::cube(4)),
+        ("2d", comparison_net(3, Vec3::flat(5, 5), Vec3::flat(2, 2), true).0, Vec3::flat(16, 16)),
+    ];
+    for (name, g, out) in nets {
+        for (n, k, s) in conv_geometries(&g, out) {
+            let img = ops::random(n, 1);
+            let ker = ops::random(k, 2);
+            let y = conv::valid_shape(n, k, s).expect("valid geometry");
+            let grad = ops::random(y, 3);
+            let id = format!("{name}/k{}_s{}_out{}", k[2], s[2], y[2]);
+            group.bench_function(format!("forward/{id}"), |b| {
+                b.iter(|| black_box(conv::conv_valid(black_box(&img), &ker, s)))
+            });
+            group.bench_function(format!("input_gradient/{id}"), |b| {
+                b.iter(|| black_box(conv::input_gradient(black_box(&grad), &ker, s)))
+            });
+            group.bench_function(format!("kernel_gradient/{id}"), |b| {
+                b.iter(|| black_box(conv::kernel_gradient(black_box(&img), &grad, k, s)))
+            });
+        }
+    }
+    group.finish();
+}
 
 fn bench_conv(c: &mut Criterion) {
     let engine = FftEngine::new();
@@ -53,5 +110,5 @@ fn bench_conv(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_conv);
+criterion_group!(benches, bench_conv, bench_direct_passes);
 criterion_main!(benches);

@@ -1120,7 +1120,9 @@ impl Inner {
         match c.method {
             ConvMethod::Direct => {
                 let w = c.kernel.lock();
-                Contribution::Spatial(conv::input_gradient(grad, &w, c.sparsity))
+                let mut out = Inner::lease_image(inner, inner.node_shape[from.0]);
+                conv::input_gradient_into(grad, &w, c.sparsity, &mut out);
+                Contribution::Spatial(out)
             }
             ConvMethod::Fft => {
                 let m = c.m; // == good(shape of `from`)

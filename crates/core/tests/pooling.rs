@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use znn_alloc::PoolSet;
 use znn_core::{ConvPolicy, TrainConfig, Znn};
-use znn_graph::builder::comparison_net;
+use znn_graph::builder::{comparison_net, NetBuilder};
 use znn_tensor::{ops, Vec3};
 
 fn cfg(pools: Option<Arc<PoolSet>>) -> TrainConfig {
@@ -161,4 +161,45 @@ fn stats_expose_queue_depth_and_alloc_fields() {
     assert!(s.alloc_resident_bytes > 0, "no footprint recorded");
     // resident never exceeds what was leased
     assert!(s.alloc_resident_bytes <= s.alloc_leased_bytes);
+}
+
+#[test]
+fn direct_backward_leases_its_outputs_and_returns_them() {
+    // the direct input gradient writes into a lease, as the forward
+    // does. In `C3³ C3³` nothing but the first conv's output (forward)
+    // and the second conv's input gradient (backward) has the hidden
+    // node's shape, so that size class sees both leases every round;
+    // and once the updates flush and the engine drops, every byte is
+    // back in custody
+    let pools = PoolSet::new();
+    let (g, _) = NetBuilder::new("c3c3", 1)
+        .conv(1, Vec3::cube(3))
+        .conv(1, Vec3::cube(3))
+        .build()
+        .unwrap();
+    let out_shape = Vec3::cube(4);
+    let cfg = TrainConfig {
+        conv: ConvPolicy::ForceDirect,
+        ..cfg(Some(Arc::clone(&pools)))
+    };
+    let znn = Znn::new(g, out_shape, cfg).unwrap();
+    let hidden = (out_shape + Vec3::cube(2)).len();
+    let class = hidden.next_power_of_two().trailing_zeros() as usize;
+    let leases = || {
+        let r = pools.class_report();
+        r.iter().find(|r| r.class == class).map_or(0, |r| r.hits + r.misses)
+    };
+    let x = ops::random(znn.input_shape(), 5);
+    let t = ops::random(out_shape, 6).map(|v| 0.5 + 0.4 * v);
+    znn.train_step(std::slice::from_ref(&x), std::slice::from_ref(&t));
+    let before = leases();
+    znn.train_step(std::slice::from_ref(&x), std::slice::from_ref(&t));
+    assert!(
+        leases() - before >= 2,
+        "{} lease(s) of the hidden node's size class in a round: an input gradient left the pool",
+        leases() - before
+    );
+    znn.flush_updates();
+    drop(znn);
+    assert_eq!(pools.stats().bytes_in_use(), 0, "pooled bytes leaked out of custody");
 }

@@ -9,12 +9,35 @@
 //!   convolution of the reflected input with the output gradient
 //!   (§III-B), restricted to the kernel lattice when sparse.
 //!
-//! The inner loops run along the contiguous `z` axis and dispatch
-//! through [`znn_simd::fma_acc_f`]: a fused multiply-accumulate (one
-//! rounding per element) with an AVX2+FMA body on detecting hosts and a
-//! bitwise-identical `f32::mul_add` scalar twin elsewhere.
+//! Every pass walks output rows along the contiguous `z` axis and
+//! makes one dispatched `znn-simd` call for the whole pass:
+//!
+//! * **forward** ([`conv_valid_into`]) — one tap list shared by every
+//!   output row, run by [`znn_simd::fma_taps_f`], which keeps a row (or
+//!   a block of rows) in vector registers across all of its taps.
+//!   Bit contract: each output element is the same `fma` chain, in
+//!   `(ux, uy, uz)` tap order with zero taps skipped, as one
+//!   [`znn_simd::fma_acc_f`] call per (row, tap) — bitwise.
+//! * **input gradient** ([`input_gradient_into`]) — the full
+//!   convolution with the reflected kernel in gather form: each output
+//!   row applies only the x/y kernel rows that land inside the output
+//!   gradient, over a copy of it with a zero halo along `z` only, on
+//!   the same row kernel. Bit contract: equal under `==` to the valid
+//!   convolution of the fully padded gradient with the flipped kernel;
+//!   the dropped taps only ever added exact zeros, so at most the sign
+//!   of a zero can differ.
+//! * **kernel gradient** ([`kernel_gradient`]) — one f64 dot per tap
+//!   over all output rows, exact f32×f32 products accumulated in eight
+//!   f64 lanes by [`znn_simd::dot_taps_f64`], rounded to f32 once.
+//!   Bit contract: the f64 accumulation of exact products; only the
+//!   association differs from a sequential sum, so results stay within
+//!   1 f32 ulp of it.
+//!
+//! The `znn-simd` bodies (AVX2+FMA, scalar twin) are bitwise
+//! identical to each other, so none of this depends on the host.
 
-use znn_tensor::{pad, Image, Tensor3, Vec3};
+use znn_simd::{Tap, TapRow};
+use znn_tensor::{Image, Tensor3, Vec3};
 
 /// Convolution algorithm selector: the direct loops of this module, or
 /// the FFT path of `znn_fft` (§IV). Chosen per conv edge by the plan
@@ -58,56 +81,32 @@ pub fn conv_valid_into(img: &Image, ker: &Image, sparsity: Vec3, out: &mut Image
     let out_shape = valid_shape(n, k, s)
         .unwrap_or_else(|| panic!("kernel {k} at sparsity {s} larger than image {n}"));
     assert_eq!(out.shape(), out_shape, "conv_valid_into output shape");
-    let in_data = img.as_slice();
     let (iy_stride, ix_stride) = (n[2], n[1] * n[2]);
 
     // out[o] = Σ_t ker[t] · img[o + (k−1−t)·s]  (true convolution).
     // Substituting u = k−1−t: weight is the reflected kernel at u and the
-    // input offset is o + u·s, so each (u, weight) pair contributes an
-    // axpy over a contiguous z-run of the input.
-    for ox in 0..out_shape[0] {
-        for oy in 0..out_shape[1] {
-            let row_start = out_shape.offset(Vec3::new(ox, oy, 0));
-            for ux in 0..k[0] {
-                for uy in 0..k[1] {
-                    let in_base =
-                        (ox + ux * s[0]) * ix_stride + (oy + uy * s[1]) * iy_stride;
-                    for uz in 0..k[2] {
-                        let w = ker.at(Vec3::new(k[0] - 1 - ux, k[1] - 1 - uy, k[2] - 1 - uz));
-                        if w == 0.0 {
-                            continue;
-                        }
-                        // As the output z index advances by one, the input
-                        // index advances by one as well (sparsity dilates
-                        // the kernel, not the output walk), so this is a
-                        // contiguous fused multiply-accumulate row.
-                        let src = &in_data[in_base + uz * s[2]..][..out_shape[2]];
-                        let dst = &mut out.as_mut_slice()[row_start..row_start + out_shape[2]];
-                        znn_simd::fma_acc_f(dst, w, src);
-                    }
-                }
-            }
+    // input offset is o + u·s. As the output z index advances by one so
+    // does the input index (sparsity dilates the kernel, not the output
+    // walk), so every tap is a contiguous run at a fixed offset from the
+    // output row's input base — one tap list serves every row.
+    let mut taps = Vec::with_capacity(k.len());
+    for u in k.iter() {
+        let w = ker.at(k - Vec3::one() - u);
+        if w != 0.0 {
+            let off = u[0] * s[0] * ix_stride + u[1] * s[1] * iy_stride + u[2] * s[2];
+            taps.push(Tap { off, w });
         }
     }
-}
-
-/// Full true convolution with per-axis sparsity: output `n + s·(k−1)`.
-///
-/// Implemented as a valid convolution of the zero-padded input, which
-/// keeps a single set of boundary semantics.
-pub fn conv_full(img: &Image, ker: &Image, sparsity: Vec3) -> Image {
-    let n = img.shape();
-    let k = ker.shape();
-    let margin = (k - Vec3::one()) * sparsity;
-    let padded = pad::pad(img, n + margin * 2, margin);
-    conv_valid(&padded, ker, sparsity)
-}
-
-/// Valid cross-correlation (no reflection) with sparsity — provided for
-/// callers that think in correlation terms; equals a valid convolution
-/// with the reflected kernel.
-pub fn xcorr_valid(img: &Image, ker: &Image, sparsity: Vec3) -> Image {
-    conv_valid(img, &pad::flip(ker), sparsity)
+    let rows: Vec<TapRow> = (0..out_shape[0])
+        .flat_map(|ox| (0..out_shape[1]).map(move |oy| (ox, oy)))
+        .map(|(ox, oy)| TapRow {
+            dst: out_shape.offset(Vec3::new(ox, oy, 0)),
+            src: ox * ix_stride + oy * iy_stride,
+            first: 0,
+            end: taps.len(),
+        })
+        .collect();
+    znn_simd::fma_taps_f(out.as_mut_slice(), img.as_slice(), out_shape[2], &taps, &rows);
 }
 
 /// Kernel gradient of a sparse valid convolution (§III-B).
@@ -118,7 +117,9 @@ pub fn xcorr_valid(img: &Image, ker: &Image, sparsity: Vec3) -> Image {
 /// `∂L/∂w[t] = Σ_o g[o] · x[o + (k−1−t)·s]`
 ///
 /// which is the paper's "reflected forward image convolved with the
-/// backward image", sampled on the sparse kernel lattice.
+/// backward image", sampled on the kernel lattice. Each sum runs in
+/// f64 over exact f32 products ([`znn_simd::dot_taps_f64`]) and is
+/// rounded to f32 once.
 pub fn kernel_gradient(x: &Image, g: &Image, k: Vec3, sparsity: Vec3) -> Image {
     let n = x.shape();
     let s = sparsity;
@@ -129,44 +130,156 @@ pub fn kernel_gradient(x: &Image, g: &Image, k: Vec3, sparsity: Vec3) -> Image {
         "output gradient shape {} does not match valid shape {expect}",
         g.shape()
     );
-    let g_data = g.as_slice();
-    let x_data = x.as_slice();
     let (xy_stride, xx_stride) = (n[2], n[1] * n[2]);
     let go = g.shape();
-
-    Tensor3::from_fn(k, |t| {
-        let u = Vec3::new(k[0] - 1 - t[0], k[1] - 1 - t[1], k[2] - 1 - t[2]);
-        let mut acc = 0.0f64;
-        for ox in 0..go[0] {
-            for oy in 0..go[1] {
-                let g_base = go.offset(Vec3::new(ox, oy, 0));
-                let x_base = (ox + u[0] * s[0]) * xx_stride + (oy + u[1] * s[1]) * xy_stride
-                    + u[2] * s[2];
-                let g_row = &g_data[g_base..g_base + go[2]];
-                // Contiguous dot: both walks advance by one voxel in z.
-                let x_row = &x_data[x_base..x_base + go[2]];
-                acc += g_row
-                    .iter()
-                    .zip(x_row)
-                    .map(|(&a, &b)| a as f64 * b as f64)
-                    .sum::<f64>();
-            }
-        }
-        acc as f32
-    })
+    // both walks advance by one voxel in z: one contiguous dot per
+    // output row and tap, the tap fixing the offset into `x`
+    let rows: Vec<(usize, usize)> = (0..go[0])
+        .flat_map(|ox| (0..go[1]).map(move |oy| (ox, oy)))
+        .map(|(ox, oy)| (go.offset(Vec3::new(ox, oy, 0)), ox * xx_stride + oy * xy_stride))
+        .collect();
+    let offs: Vec<usize> = k
+        .iter()
+        .map(|t| {
+            let u = k - Vec3::one() - t;
+            u[0] * s[0] * xx_stride + u[1] * s[1] * xy_stride + u[2] * s[2]
+        })
+        .collect();
+    let mut acc = vec![0.0f64; k.len()];
+    znn_simd::dot_taps_f64(&mut acc, g.as_slice(), x.as_slice(), go[2], &rows, &offs);
+    Tensor3::from_vec(k, acc.into_iter().map(|a| a as f32).collect())
 }
 
 /// Input gradient of a sparse valid convolution: the backward-pass
 /// operation of §III-A — a *full* convolution of the output gradient
 /// with the **reflected** kernel at the same sparsity.
 pub fn input_gradient(g: &Image, ker: &Image, sparsity: Vec3) -> Image {
-    conv_full(g, &pad::flip(ker), sparsity)
+    let margin = (ker.shape() - Vec3::one()) * sparsity;
+    let mut out = Tensor3::<f32>::zeros(g.shape() + margin);
+    input_gradient_into(g, ker, sparsity, &mut out);
+    out
+}
+
+/// [`input_gradient`] into a caller-provided **zero-filled** output of
+/// shape `g + s·(k−1)` — the form the engine runs on pool-leased
+/// buffers. Panics on a wrong output shape.
+///
+/// Gather form: output row `(x, y)` applies only the `(ux, uy)` kernel
+/// rows that land inside `g` — the full convolution's x/y halo taps
+/// would only add exact zeros — so no flipped kernel or padded copy is
+/// built. Along z the rows read a copy of `g` with a zero halo of
+/// `s·(k−1)` on each side, keeping every z tap a contiguous run.
+pub fn input_gradient_into(g: &Image, ker: &Image, sparsity: Vec3, out: &mut Image) {
+    let gs = g.shape();
+    let k = ker.shape();
+    let s = sparsity;
+    let m = (k - Vec3::one()) * s;
+    let n = gs + m;
+    assert_eq!(out.shape(), n, "input_gradient_into output shape");
+    let halo;
+    let src = if m[2] == 0 {
+        g
+    } else {
+        // a plain allocation, freed on return: leased from the pool, its
+        // power-of-two class would stay resident after the pass
+        let shape = Vec3::new(gs[0], gs[1], gs[2] + 2 * m[2]);
+        let mut v = Vec::with_capacity(shape.len());
+        for x in 0..gs[0] {
+            for y in 0..gs[1] {
+                v.resize(v.len() + m[2], 0.0);
+                v.extend_from_slice(g.z_line(x, y));
+                v.resize(v.len() + m[2], 0.0);
+            }
+        }
+        halo = Image::from_vec(shape, v);
+        &halo
+    };
+    let zp = src.shape()[2];
+    let (y_stride, x_stride) = (zp, gs[1] * zp);
+
+    // The full convolution is a valid convolution of g padded by m with
+    // the reflected kernel, whose weight at u is ker[u]: output o reads
+    // padded g at o + u·s, i.e. g at o + u·s − m. Along x (and y) the
+    // taps that land inside g form one range u ∈ lo..hi per output
+    // coordinate; rows that share both ranges share one tap list.
+    let (xr, xi) = tap_ranges(n[0], gs[0], k[0], s[0]);
+    let (yr, yi) = tap_ranges(n[1], gs[1], k[1], s[1]);
+    let mut taps = Vec::new();
+    let mut lists = Vec::with_capacity(xr.len() * yr.len());
+    for &(ax, bx) in &xr {
+        for &(ay, by) in &yr {
+            let first = taps.len();
+            for ux in ax..bx {
+                for uy in ay..by {
+                    for uz in 0..k[2] {
+                        let w = ker.at(Vec3::new(ux, uy, uz));
+                        if w != 0.0 {
+                            let off = (ux - ax) * s[0] * x_stride
+                                + (uy - ay) * s[1] * y_stride
+                                + uz * s[2];
+                            taps.push(Tap { off, w });
+                        }
+                    }
+                }
+            }
+            lists.push((first, taps.len()));
+        }
+    }
+    let mut rows = Vec::with_capacity(n[0] * n[1]);
+    for ox in 0..n[0] {
+        let (ax, bx) = xr[xi[ox]];
+        for oy in 0..n[1] {
+            let (ay, by) = yr[yi[oy]];
+            if ax == bx || ay == by {
+                continue; // only halo taps: the row stays zero
+            }
+            let (first, end) = lists[xi[ox] * yr.len() + yi[oy]];
+            rows.push(TapRow {
+                dst: (ox * n[1] + oy) * n[2],
+                src: (ox + ax * s[0] - m[0]) * x_stride + (oy + ay * s[1] - m[1]) * y_stride,
+                first,
+                end,
+            });
+        }
+    }
+    znn_simd::fma_taps_f(out.as_mut_slice(), src.as_slice(), n[2], &taps, &rows);
+}
+
+/// Along one axis of a full convolution onto `n = g + s·(k−1)`
+/// outputs: the distinct in-range tap intervals `lo..hi` (taps `u` with
+/// `o + u·s − s·(k−1)` inside `0..g`), and each output's index into
+/// them.
+fn tap_ranges(n: usize, g: usize, k: usize, s: usize) -> (Vec<(usize, usize)>, Vec<usize>) {
+    let m = (k - 1) * s;
+    let mut distinct: Vec<(usize, usize)> = Vec::new();
+    let index = (0..n)
+        .map(|o| {
+            let lo = m.saturating_sub(o).div_ceil(s);
+            let r = (lo, (g + m - o).div_ceil(s).clamp(lo, k));
+            distinct.iter().position(|&d| d == r).unwrap_or_else(|| {
+                distinct.push(r);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    (distinct, index)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use znn_tensor::ops::random;
+    use znn_tensor::pad;
+
+    /// Full true convolution with per-axis sparsity: output
+    /// `n + s·(k−1)`, as a valid convolution of the zero-padded input.
+    fn conv_full(img: &Image, ker: &Image, sparsity: Vec3) -> Image {
+        let n = img.shape();
+        let k = ker.shape();
+        let margin = (k - Vec3::one()) * sparsity;
+        let padded = pad::pad(img, n + margin * 2, margin);
+        conv_valid(&padded, ker, sparsity)
+    }
 
     /// Reference implementation: direct translation of the definition.
     fn conv_valid_reference(img: &Image, ker: &Image, s: Vec3) -> Image {

@@ -14,7 +14,14 @@
 //!
 //! Convolution comes in two interchangeable implementations — direct
 //! loops here and FFT-based in [`znn_fft`] — selected per layer by the
-//! plan `znn-core` resolves at construction (§IV). Max-filtering runs
+//! plan `znn-core` resolves at construction (§IV). Each direct pass is
+//! one register-blocked `znn-simd` call: the forward and the input
+//! gradient share the multi-tap row kernel (the input gradient in
+//! gather form, touching only taps that land inside the gradient), and
+//! the kernel gradient is an f64 dot over exact products. The forward
+//! is bitwise the per-tap `fma` loop, the input gradient equals the
+//! padded full convolution under `==`, and the kernel gradient is
+//! within 1 f32 ulp of a sequential f64 sum (see [`conv`]). Max-filtering runs
 //! one shifted-row kernel — `k − 1` strict-`>` maxima of contiguous
 //! shifted slices per axis — with two entry points: values only
 //! ([`filter::max_filter_output`], for inference and `DenseNet`) and

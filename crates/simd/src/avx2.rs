@@ -13,7 +13,7 @@
 //! the vendored `num-complex` product with the imaginary-part add
 //! commuted — bitwise identical (IEEE add commutes).
 
-use crate::{complex_as_floats, complex_as_floats_mut};
+use crate::{complex_as_floats, complex_as_floats_mut, taps, Tap, TapRow};
 use num_complex::Complex;
 use std::arch::x86_64::*;
 
@@ -283,4 +283,36 @@ pub unsafe fn tanh_deriv_mul_f(dst: &mut [f32], y: &[f32]) {
         _mm256_storeu_ps(dp.add(i), _mm256_mul_ps(d, f));
     });
     crate::scalar::tanh_deriv_mul_f(&mut dst[main..], &y[main..]);
+}
+
+/// Multi-tap row pass over 8-lane vectors (see `taps.rs`); AVX-512
+/// hosts run it too.
+///
+/// # Safety
+///
+/// AVX2+FMA must be available, and every row and tap run must be in
+/// bounds, as `crate::fma_taps_f` checks before calling.
+#[target_feature(enable = "avx2,fma")]
+pub unsafe fn fma_taps_f(dst: &mut [f32], src: &[f32], len: usize, t: &[Tap], rows: &[TapRow]) {
+    taps::fma_taps(dst, src, len, t, rows);
+}
+
+/// f64 tap dot over two 4-lane halves (see `taps.rs`); AVX-512 hosts
+/// run it too.
+///
+/// # Safety
+///
+/// AVX2+FMA must be available, `out.len() == offs.len()`, and every
+/// row plus its farthest tap must be in bounds, as
+/// `crate::dot_taps_f64` checks before calling.
+#[target_feature(enable = "avx2,fma")]
+pub unsafe fn dot_taps_f64(
+    out: &mut [f64],
+    a: &[f32],
+    b: &[f32],
+    len: usize,
+    rows: &[(usize, usize)],
+    offs: &[usize],
+) {
+    taps::dot_taps(out, a, b, len, rows, offs);
 }

@@ -1,4 +1,5 @@
-//! Runtime-dispatched SIMD microkernels for the pointwise layer.
+//! Runtime-dispatched SIMD microkernels for the pointwise layer and the
+//! direct convolution passes.
 //!
 //! The paper's per-core throughput assumes wide-vector arithmetic
 //! (its many-core results lean on Xeon-Phi-class SIMD); this crate is
@@ -9,7 +10,8 @@
 //!   `is_x86_feature_detected!`,
 //! * an **AVX-512F** body for the shuffle-bound complex kernels
 //!   (selected when `avx512f` is detected on top of AVX2+FMA; the
-//!   streaming real kernels reuse the AVX2 bodies there), and
+//!   streaming real kernels and the direct-convolution kernels reuse
+//!   the AVX2 bodies there), and
 //! * a portable **scalar twin** ([`scalar`]) that compiles everywhere
 //!   and is the reference every vector body is pinned against.
 //!
@@ -22,9 +24,26 @@
 //!   perform the *same IEEE operations in the same order* as the twin
 //!   — the only re-association ever used is `x + y = y + x`, which is
 //!   exact;
-//! * FMA kernels ([`axpy_f`], [`sub_scaled_f`], [`fma_acc_f`]) fuse in
-//!   **both** bodies: the twin uses [`f32::mul_add`], which is the
-//!   same correctly-rounded operation as the hardware `vfmadd`.
+//! * FMA kernels ([`axpy_f`], [`sub_scaled_f`], [`fma_acc_f`],
+//!   [`fma_taps_f`]) fuse in **both** bodies: the twin uses
+//!   [`f32::mul_add`], which is the same correctly-rounded operation as
+//!   the hardware `vfmadd`.
+//!
+//! # Direct-convolution kernels
+//!
+//! Each is one dispatched call per convolution pass, with the row and
+//! tap loops inside the vector body:
+//!
+//! * [`fma_taps_f`] — the multi-tap row kernel of the forward pass and
+//!   the input gradient. It keeps a row (or a block of rows sharing a
+//!   tap range) in registers across all of its taps, in the caller's
+//!   order, and masks the row tail. Exactness class: FMA, bitwise — per
+//!   element it is the [`fma_acc_f`] chain over the row's taps.
+//! * [`dot_taps_f64`] — the kernel gradient's per-tap dot. Exact
+//!   f32×f32 products are accumulated in eight f64 lanes (element `i`
+//!   into lane `i % 8`) and reduced in one fixed order. Exactness
+//!   class: add-only in f64, bitwise — every body performs the twin's
+//!   additions in the twin's order.
 //!
 //! Because results never depend on which body ran, on lane position,
 //! or on tail handling, all of the workspace's bit-determinism
@@ -65,6 +84,8 @@ pub mod scalar;
 mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod avx512;
+#[cfg(target_arch = "x86_64")]
+mod taps;
 #[cfg(target_arch = "x86_64")]
 pub mod x8;
 
@@ -210,6 +231,138 @@ dispatched!(
     "`dst[i] = fma(w, src[i], dst[i])` — the direct convolver's \
      contiguous tap accumulation, fused in both bodies."
 );
+/// One weighted tap of a multi-tap row pass ([`fma_taps_f`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Tap {
+    /// Source offset of the tap, added to each row's `src` base.
+    pub off: usize,
+    /// The tap's weight.
+    pub w: f32,
+}
+
+/// One output row of [`fma_taps_f`]: where it lives in `dst`, where its
+/// source run starts, and which taps it applies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TapRow {
+    /// Offset of the row's first element in `dst`.
+    pub dst: usize,
+    /// Source base every tap offset of the row is added to.
+    pub src: usize,
+    /// The row's taps are `taps[first..end]`, applied in that order.
+    pub first: usize,
+    /// One past the row's last tap.
+    pub end: usize,
+}
+
+/// Panics unless every row of a [`fma_taps_f`] pass stays inside
+/// `dst` and every tap run inside `src` — the bounds the vector bodies
+/// rely on. One pass over the rows; the reach of a tap range is
+/// recomputed only when it changes from the previous row's.
+fn check_tap_rows(dst_len: usize, src_len: usize, len: usize, taps: &[Tap], rows: &[TapRow]) {
+    let mut range = (0, 0);
+    let mut reach = 0;
+    for r in rows {
+        let in_taps = r.first <= r.end && r.end <= taps.len();
+        assert!(in_taps, "tap range {}..{} out of bounds", r.first, r.end);
+        let row_end = r.dst.checked_add(len);
+        assert!(row_end.is_some_and(|e| e <= dst_len), "row at {} overruns dst", r.dst);
+        if r.first == r.end {
+            continue;
+        }
+        if (r.first, r.end) != range {
+            range = (r.first, r.end);
+            reach = taps[r.first..r.end].iter().map(|t| t.off).max().unwrap_or(0);
+        }
+        assert!(
+            r.src.checked_add(reach).and_then(|e| e.checked_add(len)).is_some_and(|e| e <= src_len),
+            "row at {} reads past src",
+            r.src
+        );
+    }
+}
+
+/// Panics unless every row of a [`dot_taps_f64`] pass stays inside `a`
+/// and, at its farthest tap, inside `b`.
+fn check_dot_rows(a_len: usize, b_len: usize, len: usize, rows: &[(usize, usize)], offs: &[usize]) {
+    let Some(&reach) = offs.iter().max() else { return };
+    for &(ra, rb) in rows {
+        assert!(ra.checked_add(len).is_some_and(|e| e <= a_len), "row at {ra} overruns a");
+        assert!(
+            rb.checked_add(reach).and_then(|e| e.checked_add(len)).is_some_and(|e| e <= b_len),
+            "row at {rb} reads past b"
+        );
+    }
+}
+
+/// Multi-tap row pass: for every row `r` and every `i < len`,
+/// `dst[r.dst + i] = fma(w, src[r.src + off + i], dst[r.dst + i])`
+/// for each tap `(off, w)` of `taps[r.first..r.end]`, in that order.
+///
+/// Per element this is exactly the [`fma_acc_f`] sequence over the
+/// row's taps, so the result is bitwise the per-tap loop's; the vector
+/// bodies keep each row (or a block of rows sharing one tap range) in
+/// registers across all of its taps and mask the tail. Rows must not
+/// overlap in `dst`. Panics when a row or a tap run is out of bounds.
+///
+/// Dispatched: the AVX2+FMA body when detected (AVX-512 hosts
+/// included), else the scalar twin in [`scalar`].
+pub fn fma_taps_f(dst: &mut [f32], src: &[f32], len: usize, taps: &[Tap], rows: &[TapRow]) {
+    check_tap_rows(dst.len(), src.len(), len, taps, rows);
+    #[cfg(target_arch = "x86_64")]
+    {
+        match isa() {
+            // SAFETY: AVX2+FMA were detected at runtime (`Avx512F`
+            // implies them), and `check_tap_rows` bounded every row and
+            // tap run.
+            Isa::Avx512F | Isa::Avx2Fma => {
+                unsafe { avx2::fma_taps_f(dst, src, len, taps, rows) };
+                return;
+            }
+            Isa::Scalar => {}
+        }
+    }
+    scalar::fma_taps_f(dst, src, len, taps, rows);
+}
+
+/// Many dot products over one set of rows, in f64: for each tap `t`,
+/// `out[t] = Σ_rows Σ_{i<len} a[ra + i] · b[rb + offs[t] + i]` over the
+/// `(ra, rb)` pairs of `rows`.
+///
+/// Every product of two f32s is exact in f64. Element `i` of a row is
+/// added into lane `i % 8` of eight f64 accumulators (rows in order),
+/// which are then reduced as `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))`.
+/// All bodies perform exactly these additions, so they are bitwise
+/// identical. Panics on `out.len() != offs.len()` or an out-of-bounds
+/// row.
+///
+/// Dispatched: the AVX2+FMA body when detected (AVX-512 hosts
+/// included), else the scalar twin in [`scalar`].
+pub fn dot_taps_f64(
+    out: &mut [f64],
+    a: &[f32],
+    b: &[f32],
+    len: usize,
+    rows: &[(usize, usize)],
+    offs: &[usize],
+) {
+    assert_eq!(out.len(), offs.len(), "one output per tap");
+    check_dot_rows(a.len(), b.len(), len, rows, offs);
+    #[cfg(target_arch = "x86_64")]
+    {
+        match isa() {
+            // SAFETY: AVX2+FMA were detected at runtime (`Avx512F`
+            // implies them), and every row plus the farthest tap was
+            // bounded above.
+            Isa::Avx512F | Isa::Avx2Fma => {
+                unsafe { avx2::dot_taps_f64(out, a, b, len, rows, offs) };
+                return;
+            }
+            Isa::Scalar => {}
+        }
+    }
+    scalar::dot_taps_f64(out, a, b, len, rows, offs);
+}
+
 dispatched!(
     add_assign_c,
     (dst: &mut [Complex<f32>], src: &[Complex<f32>]),
@@ -338,6 +491,125 @@ mod tests {
                 assert_eq!(a, b, "{name} n={n}");
             }
         }
+        tap_kernels_match_scalar_twins_bitwise();
+    }
+
+    type TapCase = (Vec<f32>, Vec<f32>, Vec<Tap>, Vec<TapRow>);
+    type DotCase = (Vec<f32>, Vec<f32>, Vec<(usize, usize)>, Vec<usize>);
+
+    /// A multi-tap pass at row length `len`: `nrows` rows whose tap
+    /// ranges come in runs of 1, 2, …, so every row-block size and
+    /// leftover is hit; rows sit at a gap in `dst` and at odd
+    /// (unaligned) offsets in `src`. Returns (dst, src, taps, rows).
+    fn tap_pass(len: usize, nrows: usize, seed: u64) -> TapCase {
+        let offs = [0usize, 1, 3, 8, 13, 17, 40, 41, 5, 2, 29];
+        let w = rand_f(seed, offs.len());
+        let mut taps: Vec<Tap> = offs.iter().zip(&w).map(|(&off, &w)| Tap { off, w }).collect();
+        taps[4].w = 0.0; // a zero tap is applied like any other
+        let ranges = [(0, 11), (2, 7), (0, 1), (5, 11), (3, 3)];
+        let (mut rows, mut run, mut r) = (Vec::new(), 1, 0);
+        while rows.len() < nrows {
+            let (first, end) = ranges[r % ranges.len()];
+            for _ in 0..run {
+                let k = rows.len();
+                rows.push(TapRow { dst: k * (len + 3) + 1, src: k * (len + 5) + 3, first, end });
+            }
+            run = run % 9 + 1;
+            r += 1;
+        }
+        let dst = rand_f(seed ^ 1, rows.len() * (len + 3) + 1);
+        let src = rand_f(seed ^ 2, rows.len() * (len + 5) + 3 + 41 + len);
+        (dst, src, taps, rows)
+    }
+
+    /// Per-tap dots at row length `len` over `nrows` rows at odd
+    /// offsets, for 1..=9 taps (every group size and remainder).
+    fn dot_pass(len: usize, nrows: usize, seed: u64) -> DotCase {
+        let rows: Vec<(usize, usize)> =
+            (0..nrows).map(|k| (k * (len + 1) + 3, k * (len + 2) + 1)).collect();
+        let offs = vec![0, 5, 1, 19, 7, 2, 33, 11, 3][..1 + (seed as usize % 9)].to_vec();
+        // magnitudes spread over 2^±20, so the f64 additions round and
+        // any change of association shows in the bits
+        let a = rand_f(seed ^ 3, nrows * (len + 1) + 3 + len)
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| x * 2f32.powi((i * 7 % 41) as i32 - 20))
+            .collect();
+        let b = rand_f(seed ^ 4, nrows * (len + 2) + 1 + 33 + len);
+        (a, b, rows, offs)
+    }
+
+    /// The multi-tap row pass and the f64 tap dot against their twins,
+    /// through the dispatcher and through the AVX2 body directly (when
+    /// the hardware has it), at every row length 0–40.
+    fn tap_kernels_match_scalar_twins_bitwise() {
+        type Rows = fn(&mut [f32], &[f32], usize, &[Tap], &[TapRow]);
+        type Dots = fn(&mut [f64], &[f32], &[f32], usize, &[(usize, usize)], &[usize]);
+        let mut bodies: Vec<(&str, Rows, Dots)> = vec![("dispatched", fma_taps_f, dot_taps_f64)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            // listed whenever the hardware has AVX2+FMA, even under
+            // ZNN_FORCE_SCALAR
+            if detect(false) != Isa::Scalar {
+                bodies.push((
+                    "avx2",
+                    |d, s, l, t, r| {
+                        check_tap_rows(d.len(), s.len(), l, t, r);
+                        // SAFETY: AVX2+FMA detected; rows bounded above.
+                        unsafe { avx2::fma_taps_f(d, s, l, t, r) }
+                    },
+                    |o, a, b, l, r, f| {
+                        check_dot_rows(a.len(), b.len(), l, r, f);
+                        // SAFETY: AVX2+FMA detected; rows bounded above.
+                        unsafe { avx2::dot_taps_f64(o, a, b, l, r, f) }
+                    },
+                ));
+            }
+        }
+        for len in 0..=40 {
+            for nrows in [0, 1, 5, 23] {
+                let seed = (len * 31 + nrows) as u64;
+                let (dst, src, taps, rows) = tap_pass(len, nrows, seed);
+                let mut want = dst.clone();
+                scalar::fma_taps_f(&mut want, &src, len, &taps, &rows);
+                let (a, b, drows, offs) = dot_pass(len, nrows, seed);
+                let mut dwant = vec![0.0; offs.len()];
+                scalar::dot_taps_f64(&mut dwant, &a, &b, len, &drows, &offs);
+                for (name, rows_fn, dot_fn) in &bodies {
+                    let mut got = dst.clone();
+                    rows_fn(&mut got, &src, len, &taps, &rows);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "fma_taps_f {name} len={len} rows={nrows}");
+                    let mut dgot = vec![f64::NAN; offs.len()];
+                    dot_fn(&mut dgot, &a, &b, len, &drows, &offs);
+                    let dbits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let what = format!("dot_taps_f64 {name} len={len} rows={nrows}");
+                    assert_eq!(dbits(&dgot), dbits(&dwant), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tap_kernels_follow_their_definitions() {
+        // one row, two taps: fma(w1, x1, fma(w0, x0, d)) per element
+        let src = [1.0f32, 2.0, 3.0, 4.0];
+        let taps = [Tap { off: 0, w: 0.5 }, Tap { off: 2, w: -1.0 }];
+        let mut dst = [10.0f32, 20.0];
+        fma_taps_f(&mut dst, &src, 2, &taps, &[TapRow { dst: 0, src: 0, first: 0, end: 2 }]);
+        assert_eq!(dst, [10.0 + 0.5 - 3.0, 20.0 + 1.0 - 4.0]);
+        let mut out = [f64::NAN];
+        let a = [1.0f32, 2.0, 3.0];
+        dot_taps_f64(&mut out, &a, &src, 3, &[(0, 0)], &[1]);
+        assert_eq!(out, [2.0 + 6.0 + 12.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "reads past src")]
+    fn tap_rows_out_of_bounds_panic() {
+        let mut dst = [0.0f32; 4];
+        let taps = [Tap { off: 3, w: 1.0 }];
+        fma_taps_f(&mut dst, &[0.0; 6], 4, &taps, &[TapRow { dst: 0, src: 0, first: 0, end: 1 }]);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! operation the hardware `vfmadd` performs — so fusing is part of the
 //! contract, not a vector-path quirk.
 
+use crate::{Tap, TapRow};
 use num_complex::Complex;
 
 /// `dst[i] += src[i]`.
@@ -53,6 +54,42 @@ pub fn fma_acc_f(dst: &mut [f32], w: f32, src: &[f32]) {
     assert_eq!(dst.len(), src.len());
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = w.mul_add(s, *d);
+    }
+}
+
+/// Multi-tap row pass: each row of `rows` gets its taps applied one
+/// after another as [`fma_acc_f`] over the row — the per-tap loop the
+/// vector bodies are pinned against.
+pub fn fma_taps_f(dst: &mut [f32], src: &[f32], len: usize, taps: &[Tap], rows: &[TapRow]) {
+    for r in rows {
+        let d = &mut dst[r.dst..][..len];
+        for t in &taps[r.first..r.end] {
+            fma_acc_f(d, t.w, &src[r.src + t.off..][..len]);
+        }
+    }
+}
+
+/// Per-tap f64 dot over `rows`: element `i` of a row adds its exact
+/// product into lane `i % 8`, and the lanes reduce as
+/// `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))`.
+pub fn dot_taps_f64(
+    out: &mut [f64],
+    a: &[f32],
+    b: &[f32],
+    len: usize,
+    rows: &[(usize, usize)],
+    offs: &[usize],
+) {
+    assert_eq!(out.len(), offs.len());
+    for (o, &off) in out.iter_mut().zip(offs) {
+        let mut l = [0.0f64; 8];
+        for &(ra, rb) in rows {
+            for (i, (&x, &y)) in a[ra..][..len].iter().zip(&b[rb + off..][..len]).enumerate() {
+                // f32 × f32 is exact in f64: one rounding, in the add
+                l[i % 8] += x as f64 * y as f64;
+            }
+        }
+        *o = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
     }
 }
 
