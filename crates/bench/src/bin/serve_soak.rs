@@ -15,7 +15,7 @@
 //!   ratio isolates queueing delay from submitter-thread wakeup noise.
 //! * `"degrade"` — the same pressure against a server whose
 //!   degradation watermark sits below its admission watermark: workers
-//!   must halve batch/block sizes (`ladder_engaged`) before shedding.
+//!   must halve their batch size (`ladder_engaged`) before shedding.
 //! * `"faults"` — a request mix under deadlines with recurring
 //!   `SlowTask` (stalls past the budget → typed mid-volume
 //!   cancellation), recurring `TaskPanic` (contained per request), and
@@ -44,7 +44,7 @@ use znn_serve::{Rejected, ServeConfig, Server};
 use znn_tensor::{ops, Image, Vec3};
 
 /// The served net: the Fig. 2 filtering form (max-filter, not
-/// max-pool) so the dense path tiles it freely. fov (1,8,8).
+/// max-pool), which the dense path serves. fov (1,8,8).
 fn dense_net(pools: Arc<PoolSet>) -> Arc<DenseNet> {
     let (graph, _) = NetBuilder::new("serve-soak", 1)
         .conv(2, Vec3::flat(3, 3))
@@ -68,12 +68,15 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
-/// Open-loop paced run against a fresh server: submit `n` arrivals at
-/// `interval`, collect worker-side completion latencies for every
-/// admitted request, shut down. Baseline and overload both run through
-/// this, so the submitter thread's wakeup noise (which preempts
-/// workers on small machines) lands in both samples and the p99 ratio
-/// isolates what queueing adds.
+/// Open-loop paced run against a fresh server: arrival `i` is due at
+/// `t0 + i·interval`, collect worker-side completion latencies for
+/// every admitted request, shut down. The submitter sleeps only until
+/// the next due time and a late arrival goes out at once, so the rate
+/// is the one asked for, not one capped by the OS sleep floor.
+/// Baseline and overload both run through this, so the submitter
+/// thread's wakeup noise (which preempts workers on small machines)
+/// lands in both samples and the p99 ratio isolates what queueing
+/// adds.
 fn open_loop(
     net: &Arc<DenseNet>,
     cfg: ServeConfig,
@@ -83,14 +86,18 @@ fn open_loop(
 ) -> (Vec<f64>, znn_serve::ServeStats) {
     let server = Server::start(Arc::clone(net), cfg);
     let mut pending = Vec::new();
-    for _ in 0..n {
+    let t0 = Instant::now();
+    for i in 0..n {
+        let due = t0 + interval.mul_f64(i as f64);
+        if let Some(wait) = due.checked_duration_since(Instant::now()) {
+            std::thread::sleep(wait);
+        }
         let start = Instant::now();
         match server.submit(input.clone(), None) {
             Ok(ticket) => pending.push((start, ticket)),
             Err(Rejected::Overloaded { .. }) => {}
             Err(e) => panic!("unexpected rejection in open-loop run: {e}"),
         }
-        std::thread::sleep(interval);
     }
     let mut lat: Vec<f64> = pending
         .into_iter()
@@ -125,7 +132,6 @@ fn main() {
     let in_shape = Vec3::flat(40, 40);
     net.warmup(in_shape);
     let input = ops::random(in_shape, 11);
-    let block = Vec3::flat(10, 10);
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
@@ -144,7 +150,6 @@ fn main() {
             Arc::clone(&net),
             ServeConfig {
                 workers,
-                block,
                 ..ServeConfig::default()
             },
         );
@@ -180,11 +185,9 @@ fn main() {
         workers,
         queue_capacity: 8,
         // the tight watermark is what bounds admitted-request latency:
-        // at most 1 queued ahead, no batch-mates, no degraded
-        // (slower-per-volume) blocks in this phase
+        // at most 1 queued ahead, no batch-mates in this phase
         admission_watermark: 1,
         max_batch: 1,
-        block,
         ..ServeConfig::default()
     };
     let n = if smoke { 60 } else { 400 };
@@ -233,7 +236,6 @@ fn main() {
             queue_capacity: 8,
             admission_watermark: 6,
             degrade_watermark: Some(2),
-            block,
             ..ServeConfig::default()
         };
         let dn = if smoke { 40 } else { 150 };
@@ -257,9 +259,9 @@ fn main() {
     let _ = writeln!(json, "    \"ladder_engaged\": {ladder_engaged}");
     json.push_str("  },\n");
 
-    // pool baseline once every size class is warm: the uncontended and
-    // overload phases leased the full-block windows, the degradation
-    // phase the half-block ones; nothing after this may grow the pool
+    // pool baseline once every size class is warm: every phase so far
+    // served the same volume shape; nothing after this may grow the
+    // pool
     let resident_baseline = pools.resident_bytes();
 
     // --- fault mix under deadlines ----------------------------------
@@ -277,7 +279,6 @@ fn main() {
                 workers,
                 faults: Some(Arc::clone(&plan)),
                 slow_task: slow,
-                block,
                 ..ServeConfig::default()
             },
         );

@@ -4,17 +4,17 @@
 //! ```sh
 //! znn-serve [--spec net.znn] [--in Z,Y,X] [--requests N] [--rate R]
 //!           [--workers N] [--queue N] [--watermark N] [--batch N]
-//!           [--block Z,Y,X] [--degrade N] [--deadline-ms N]
-//!           [--pool-report]
+//!           [--degrade N] [--deadline-ms N] [--pool-report]
 //! ```
 //!
 //! Drives `--requests` synthetic volumes through an overload-safe
 //! server (`znn_serve::Server`): a bounded queue with an admission
 //! watermark, batch workers sharing one warmed kernel-spectrum cache,
-//! optional per-request deadlines (`--deadline-ms`), and an optional
+//! optional per-request deadlines (`--deadline-ms`, checked before
+//! every node step of the whole-volume evaluation), and an optional
 //! degradation ladder (`--degrade` queue depth at which workers halve
-//! their batch/block sizes before any load is shed). `--rate` paces
-//! arrivals per second (0 = as fast as possible).
+//! their batch size before any load is shed). `--rate` paces arrivals
+//! per second (0 = as fast as possible).
 //!
 //! At exit it prints p50/p99 service latency, the server's stats
 //! report (submitted/shed/deadline-missed counts and the queue-depth
@@ -23,7 +23,7 @@
 //!
 //! With no `--spec`, a built-in max-filter demo spec is used (dense
 //! serving requires the filtering form of the network; `maxpool`
-//! specs are rejected by the blocked evaluator).
+//! specs are rejected by the dense evaluator).
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -52,7 +52,6 @@ struct Args {
     queue: usize,
     watermark: usize,
     batch: usize,
-    block: Vec3,
     degrade: Option<usize>,
     deadline: Option<Duration>,
     pool_report: bool,
@@ -62,7 +61,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: znn-serve [--spec FILE] [--in Z,Y,X] [--requests N] [--rate R]\n\
          \t[--workers N] [--queue N] [--watermark N] [--batch N]\n\
-         \t[--block Z,Y,X] [--degrade N] [--deadline-ms N] [--pool-report]"
+         \t[--degrade N] [--deadline-ms N] [--pool-report]"
     );
     std::process::exit(2)
 }
@@ -92,7 +91,6 @@ fn parse_args() -> Args {
         queue: 8,
         watermark: 0,
         batch: 4,
-        block: Vec3::flat(12, 12),
         degrade: None,
         deadline: None,
         pool_report: false,
@@ -109,7 +107,6 @@ fn parse_args() -> Args {
             "--queue" => args.queue = val().parse().unwrap_or_else(|_| usage()),
             "--watermark" => args.watermark = val().parse().unwrap_or_else(|_| usage()),
             "--batch" => args.batch = val().parse().unwrap_or_else(|_| usage()),
-            "--block" => args.block = parse_shape(&val()),
             "--degrade" => args.degrade = Some(val().parse().unwrap_or_else(|_| usage())),
             "--deadline-ms" => {
                 args.deadline = Some(Duration::from_millis(
@@ -189,18 +186,16 @@ fn main() -> ExitCode {
             queue_capacity: args.queue,
             admission_watermark: args.watermark,
             max_batch: args.batch,
-            block: args.block,
             degrade_watermark: args.degrade,
             ..ServeConfig::default()
         },
     );
     println!(
-        "server: {} workers, queue {} (admission watermark {}), batch {}, block {}",
+        "server: {} workers, queue {} (admission watermark {}), batch {}",
         args.workers,
         args.queue,
         server.watermark(),
-        args.batch,
-        args.block
+        args.batch
     );
 
     let input = ops::random(args.input, 11);

@@ -17,11 +17,11 @@
 //!   one inverse transform when it is reached, not one per edge (§IV);
 //!   the evaluation is sequential, so each sum runs in a fixed edge
 //!   order and is deterministic;
-//! * **blocked evaluation with cooperative cancellation** —
-//!   [`DenseNet::forward_blocked`] tiles the output volume and calls a
-//!   checkpoint closure between blocks, so a server can abandon an
-//!   expired request mid-volume and every pooled lease is returned by
-//!   RAII on the early exit.
+//! * **cooperative cancellation** — [`DenseNet::forward_blocked`]
+//!   evaluates the whole volume once and calls a checkpoint closure
+//!   before each node step, so a server can abandon an expired request
+//!   mid-volume with nothing recomputed, and every pooled lease is
+//!   returned by RAII on the early exit.
 //!
 //! This is the library home of the `examples/sliding_window.rs` fast
 //! path: the paper's Fig. 2 equivalence (a max-pooling net slid over
@@ -46,7 +46,7 @@ use znn_ops::pool::max_pool;
 use znn_ops::{conv, ConvMethod};
 use znn_plan::Planner;
 use znn_sched::Accumulate;
-use znn_tensor::{ops, pad, Image, Spectrum, Vec3};
+use znn_tensor::{ops, Image, Spectrum, Vec3};
 
 /// Configuration for a [`DenseNet`].
 #[derive(Clone)]
@@ -120,14 +120,16 @@ impl From<shapes::ShapeError> for DenseError {
     }
 }
 
-/// A blocked evaluation stopped early because its checkpoint closure
-/// returned [`ControlFlow::Break`]. All pooled leases held for the
-/// cancelled evaluation have already been returned.
+/// A [`DenseNet::forward_blocked`] evaluation stopped early because
+/// its checkpoint closure returned [`ControlFlow::Break`]. All pooled
+/// leases held for the cancelled evaluation have already been
+/// returned. The counts are node steps (the fields keep their
+/// historical names).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cancelled {
-    /// Output blocks fully computed before the cancellation.
+    /// Node steps fully computed before the cancellation.
     pub blocks_done: usize,
-    /// Total output blocks the evaluation would have computed.
+    /// Total node steps the evaluation would have computed.
     pub blocks_total: usize,
 }
 
@@ -135,7 +137,7 @@ impl fmt::Display for Cancelled {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "dense evaluation cancelled after {}/{} blocks",
+            "dense evaluation cancelled after {}/{} node steps",
             self.blocks_done, self.blocks_total
         )
     }
@@ -144,17 +146,14 @@ impl fmt::Display for Cancelled {
 impl std::error::Error for Cancelled {}
 
 /// Progress report passed to the [`DenseNet::forward_blocked`]
-/// checkpoint before each output block is computed.
+/// checkpoint before each node step (one graph node, in topological
+/// order, over the whole volume).
 #[derive(Debug, Clone, Copy)]
 pub struct BlockEvent {
-    /// Zero-based index of the block about to be computed.
+    /// Zero-based index of the node step about to run.
     pub index: usize,
-    /// Total number of blocks in this evaluation.
+    /// Total node steps in this evaluation (the graph's node count).
     pub total: usize,
-    /// Origin of the block in output coordinates.
-    pub origin: Vec3,
-    /// Shape of the block (edge blocks may be smaller).
-    pub shape: Vec3,
 }
 
 /// A thread-safe forward-only evaluator producing dense outputs.
@@ -295,6 +294,62 @@ impl DenseNet {
     /// [`Graph::outputs`] order. Thread-safe: concurrent callers share
     /// the memoized kernel spectra and the FFT plan cache.
     pub fn forward_multi(&self, inputs: &[Image]) -> Vec<Image> {
+        self.forward_steps(inputs, &mut |_| ControlFlow::Continue(()))
+            .expect("a no-op checkpoint never cancels")
+    }
+
+    /// Dense forward pass with cooperative cancellation, for a
+    /// single-input, single-output **shift-invariant** graph (no
+    /// `MaxPool` edges — convert pooling nets to max-filtering nets
+    /// first; the two compute the same dense function, Fig. 2).
+    ///
+    /// The whole volume is evaluated once, node by node in topological
+    /// order; before each node step, `checkpoint` is called and may
+    /// return [`ControlFlow::Break`] to abandon the evaluation (a
+    /// server checks the request deadline here). The output is the
+    /// same computation as [`DenseNet::forward`], so the two agree
+    /// bitwise under every [`ConvPolicy`]. On cancellation every
+    /// pooled lease has already been returned by RAII and the partial
+    /// results are discarded.
+    ///
+    /// `_block` is unused: evaluation no longer tiles the output. The
+    /// argument stays only so existing callers keep compiling.
+    pub fn forward_blocked(
+        &self,
+        input: &Image,
+        _block: Vec3,
+        checkpoint: &mut dyn FnMut(&BlockEvent) -> ControlFlow<()>,
+    ) -> Result<Image, Cancelled> {
+        assert_eq!(self.graph.inputs().len(), 1, "forward_blocked wants a single-input graph");
+        assert_eq!(self.graph.outputs().len(), 1, "forward_blocked wants a single-output graph");
+        assert!(
+            !self
+                .graph
+                .edges()
+                .iter()
+                .any(|e| matches!(e.op, EdgeOp::MaxPool { .. })),
+            "forward_blocked requires a shift-invariant (max-filtering) graph; \
+             found a MaxPool edge — build the equivalent max-filter net instead"
+        );
+        assert!(
+            self.output_shape_for(input.shape()).is_some(),
+            "input {} smaller than field of view {}",
+            input.shape(),
+            self.fov
+        );
+        let mut outs = self.forward_steps(std::slice::from_ref(input), checkpoint)?;
+        Ok(outs.pop().expect("single output"))
+    }
+
+    /// The one evaluator behind every forward entry: each node in
+    /// topological order is one step, and `checkpoint` is called
+    /// before it. A `Break` drops every intermediate (returning its
+    /// pooled bytes) and reports the steps already done.
+    fn forward_steps(
+        &self,
+        inputs: &[Image],
+        checkpoint: &mut dyn FnMut(&BlockEvent) -> ControlFlow<()>,
+    ) -> Result<Vec<Image>, Cancelled> {
         let input_nodes = self.graph.inputs();
         assert_eq!(
             inputs.len(),
@@ -342,7 +397,14 @@ impl DenseNet {
         }
         let outputs = self.graph.outputs();
         let mut outs: HashMap<usize, Image> = HashMap::new();
-        for n in order {
+        let total = order.len();
+        for (index, n) in order.into_iter().enumerate() {
+            if let ControlFlow::Break(()) = checkpoint(&BlockEvent { index, total }) {
+                return Err(Cancelled {
+                    blocks_done: index,
+                    blocks_total: total,
+                });
+            }
             let img = match sums[n.0].take().expect("topological order fills sums") {
                 Contribution::Spatial(img) => img,
                 Contribution::Freq(spec) => {
@@ -372,97 +434,10 @@ impl DenseNet {
                 outs.insert(n.0, img);
             }
         }
-        outputs
+        Ok(outputs
             .iter()
             .map(|o| outs.remove(&o.0).expect("outputs filled by forward"))
-            .collect()
-    }
-
-    /// Blocked dense forward pass with cooperative cancellation, for a
-    /// single-input, single-output **shift-invariant** graph (no
-    /// `MaxPool` edges — convert pooling nets to max-filtering nets
-    /// first; the two compute the same dense function, Fig. 2).
-    ///
-    /// The output volume is tiled into blocks of at most `block`;
-    /// before each block, `checkpoint` is called with the block's
-    /// coordinates and may return [`ControlFlow::Break`] to abandon
-    /// the evaluation (a server checks the request deadline here).
-    /// On cancellation every pooled lease has already been returned
-    /// by RAII and the partial output is discarded.
-    pub fn forward_blocked(
-        &self,
-        input: &Image,
-        block: Vec3,
-        checkpoint: &mut dyn FnMut(&BlockEvent) -> ControlFlow<()>,
-    ) -> Result<Image, Cancelled> {
-        assert_eq!(self.graph.inputs().len(), 1, "forward_blocked wants a single-input graph");
-        assert_eq!(self.graph.outputs().len(), 1, "forward_blocked wants a single-output graph");
-        assert!(
-            !self
-                .graph
-                .edges()
-                .iter()
-                .any(|e| matches!(e.op, EdgeOp::MaxPool { .. })),
-            "forward_blocked requires a shift-invariant (max-filtering) graph; \
-             found a MaxPool edge — build the equivalent max-filter net instead"
-        );
-        assert!(Vec3::one().le(block), "block shape must be at least 1×1×1");
-        let out_shape = self
-            .output_shape_for(input.shape())
-            .unwrap_or_else(|| {
-                panic!(
-                    "input {} smaller than field of view {}",
-                    input.shape(),
-                    self.fov
-                )
-            });
-        let counts = Vec3([
-            out_shape.0[0].div_ceil(block.0[0]),
-            out_shape.0[1].div_ceil(block.0[1]),
-            out_shape.0[2].div_ceil(block.0[2]),
-        ]);
-        let total = counts.len();
-        let mut out = lease_image(self.cfg.pools.as_ref(), out_shape);
-        let mut done = 0usize;
-        let halo = self.fov - Vec3::one();
-        for bz in 0..counts.0[0] {
-            for by in 0..counts.0[1] {
-                for bx in 0..counts.0[2] {
-                    let origin = Vec3([
-                        bz * block.0[0],
-                        by * block.0[1],
-                        bx * block.0[2],
-                    ]);
-                    // NB: explicit call — `.min(..)` on a by-value Vec3
-                    // resolves to the derived lexicographic `Ord::min`,
-                    // not the elementwise inherent method
-                    let shape = Vec3::min(&(out_shape - origin), block);
-                    let ev = BlockEvent {
-                        index: done,
-                        total,
-                        origin,
-                        shape,
-                    };
-                    if let ControlFlow::Break(()) = checkpoint(&ev) {
-                        // `out` and all temporaries drop here: pooled
-                        // bytes are recycled before the caller sees Err
-                        return Err(Cancelled {
-                            blocks_done: done,
-                            blocks_total: total,
-                        });
-                    }
-                    // shift invariance: the block's input window is the
-                    // block plus the field-of-view halo
-                    let mut win = lease_image(self.cfg.pools.as_ref(), shape + halo);
-                    pad::crop_into(input, origin, &mut win);
-                    let block_out = self.forward(&win);
-                    debug_assert_eq!(block_out.shape(), shape);
-                    pad::pad_into(&block_out, &mut out, origin);
-                    done += 1;
-                }
-            }
-        }
-        Ok(out)
+            .collect())
     }
 
     /// Method and FFT pad for one convolution geometry.

@@ -3,19 +3,21 @@
 //! The ground truth is the sequential [`ReferenceNet`] sliding a
 //! max-pooling net over every output position (the Fig. 2 left-hand
 //! side); [`DenseNet`] over the equivalent max-filtering graph must
-//! compute the same dense output in one pass, whole or blocked, on
-//! either convolution backend, and must return every pooled lease when
-//! a blocked evaluation is cancelled.
+//! compute the same dense output in one pass, plain or through the
+//! cancellable `forward_blocked` entry, on either convolution backend,
+//! and must return every pooled lease when an evaluation is cancelled
+//! at any node step.
 
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use znn_alloc::PoolSet;
 use znn_baseline::ReferenceNet;
 use znn_core::{ConvPolicy, DenseConfig, DenseNet};
+use znn_graph::builder::scalability_net_3d;
 use znn_graph::{EdgeOp, Graph, NetBuilder};
 use znn_ops::{ConvMethod, Transfer};
 use znn_plan::{PlanConfig, Planner};
-use znn_tensor::{ops, pad, Tensor3, Vec3};
+use znn_tensor::{ops, pad, Image, Tensor3, Vec3};
 
 /// A tiny max-pooling recognition net: C3 T P2 C3 T, field of view 9².
 fn pooling_net() -> Graph {
@@ -134,10 +136,8 @@ fn blocked_matches_whole_bitwise_under_direct() {
                 ControlFlow::Continue(())
             })
             .unwrap();
-        assert_eq!(seen, {
-            let o = whole.shape();
-            o[0].div_ceil(block[0]) * o[1].div_ceil(block[1]) * o[2].div_ceil(block[2])
-        });
+        // one checkpoint per node step, whatever the block argument
+        assert_eq!(seen, dense.graph().node_count());
         assert_eq!(whole.shape(), blocked.shape());
         assert_eq!(
             whole.max_abs_diff(&blocked),
@@ -145,6 +145,107 @@ fn blocked_matches_whole_bitwise_under_direct() {
             "direct blocked evaluation must be bitwise identical (block {block})"
         );
     }
+}
+
+fn bits(img: &Image) -> Vec<u32> {
+    img.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Conv edges of `graph` (all FFT-convolved under `ForceFft`).
+fn conv_edges(graph: &Graph) -> usize {
+    graph
+        .edges()
+        .iter()
+        .filter(|e| matches!(e.op, EdgeOp::Conv { .. }))
+        .count()
+}
+
+/// A width-2 all-to-all 2D filtering net: under `ForceFft` the nodes
+/// after the second conv layer take frequency-domain sums.
+fn all_to_all_net() -> Graph {
+    NetBuilder::new("all-to-all", 1)
+        .conv(2, Vec3::flat(3, 3))
+        .transfer(Transfer::Tanh)
+        .max_filter(Vec3::flat(2, 2))
+        .conv(2, Vec3::flat(3, 3))
+        .transfer(Transfer::Tanh)
+        .conv(1, Vec3::flat(3, 3))
+        .transfer(Transfer::Tanh)
+        .build()
+        .unwrap()
+        .0
+}
+
+#[test]
+fn blocked_matches_whole_bitwise_under_every_policy() {
+    // the paper's 3D scalability net (fov 26³) takes frequency-domain
+    // sums in every all-to-all layer; blocked evaluation is the same
+    // computation as `forward`, so FFT holds bitwise too
+    let graph = scalability_net_3d(2).0;
+    let image = ops::random(Vec3([28, 27, 26]), 6);
+    for conv in [ConvPolicy::ForceDirect, ConvPolicy::ForceFft, ConvPolicy::Autotune] {
+        let dense = DenseNet::new(graph.clone(), 19, dense_cfg(conv)).unwrap();
+        let whole = dense.forward(&image);
+        let blocked = dense
+            .forward_blocked(&image, Vec3::one(), &mut |_| ControlFlow::Continue(()))
+            .unwrap();
+        assert_eq!(whole.shape(), Vec3([3, 2, 1]));
+        assert_eq!(bits(&whole), bits(&blocked), "blocked != whole under {conv:?}");
+    }
+}
+
+#[test]
+fn cancellation_at_every_step_returns_every_pooled_lease() {
+    let image = ops::random(Vec3::flat(22, 21), 3);
+    for conv in [ConvPolicy::ForceFft, ConvPolicy::ForceDirect] {
+        let pools = PoolSet::new();
+        let cfg = DenseConfig {
+            conv,
+            pools: Some(Arc::clone(&pools)),
+            ..DenseConfig::default()
+        };
+        let dense = DenseNet::new(all_to_all_net(), 5, cfg).unwrap();
+        // the memoized kernel spectra are pooled leases the net keeps
+        // on purpose; everything else must come home on every break
+        dense.warmup(image.shape());
+        let cached = pools.stats().bytes_in_use();
+        let steps = dense.graph().node_count();
+        for k in 0..steps {
+            let err = dense
+                .forward_blocked(&image, Vec3::one(), &mut |ev| {
+                    assert_eq!(ev.total, steps);
+                    if ev.index == k {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                })
+                .unwrap_err();
+            assert_eq!((err.blocks_done, err.blocks_total), (k, steps), "{conv:?}");
+            assert_eq!(
+                pools.stats().bytes_in_use(),
+                cached,
+                "break at step {k} under {conv:?} must return every pooled lease"
+            );
+        }
+        drop(dense);
+        assert_eq!(pools.stats().bytes_in_use(), 0, "{conv:?}");
+    }
+}
+
+#[test]
+fn one_blocked_evaluation_memoizes_one_spectrum_per_fft_edge() {
+    // 8³-style tiling of this volume would have met several window
+    // shapes (the edge blocks are smaller), each its own transform
+    // shape; the whole window has one
+    let graph = all_to_all_net();
+    let edges = conv_edges(&graph);
+    let dense = DenseNet::new(graph, 23, dense_cfg(ConvPolicy::ForceFft)).unwrap();
+    let image = ops::random(Vec3::flat(29, 34), 8);
+    dense
+        .forward_blocked(&image, Vec3::flat(8, 8), &mut |_| ControlFlow::Continue(()))
+        .unwrap();
+    assert_eq!(dense.memoized_spectra(), edges);
 }
 
 #[test]

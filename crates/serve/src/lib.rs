@@ -17,13 +17,14 @@
 //!    once the watermark is reached, *before* latency collapses. The
 //!    shed rate is a first-class stat ([`ServeStats::shed_rate`]).
 //! 2. **Graceful degradation** — past a second watermark, workers
-//!    halve their batch and output-block sizes (faster turnaround,
-//!    finer deadline checks) before any load is shed.
-//! 3. **Deadlines** — every request may carry a latency budget,
-//!    checked cooperatively at output-block boundaries; an expired
-//!    request cancels mid-volume ([`Rejected::DeadlineExceeded`]),
-//!    returns its pooled leases by RAII, and never blocks the batch
-//!    behind it.
+//!    halve their batch size (faster turnaround) before any load is
+//!    shed.
+//! 3. **Deadlines** — every request may carry a latency budget. Each
+//!    volume is evaluated once, whole, and the budget is checked
+//!    cooperatively before every node step; an expired request
+//!    cancels mid-volume ([`Rejected::DeadlineExceeded`]) with nothing
+//!    recomputed, returns its pooled leases by RAII, and never blocks
+//!    the batch behind it.
 //! 4. **Panic containment** — each request is evaluated under
 //!    `catch_unwind` with RAII-lease discipline: one malformed request
 //!    poisons only its own response ([`Rejected::Panicked`]), never

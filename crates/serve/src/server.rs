@@ -26,12 +26,13 @@ pub enum Rejected {
         /// The configured admission watermark.
         watermark: usize,
     },
-    /// The request's deadline expired; evaluation was cancelled at an
-    /// output-block boundary and every pooled lease was returned.
+    /// The request's deadline expired; evaluation was cancelled at a
+    /// node-step boundary (one graph node over the whole volume) and
+    /// every pooled lease was returned. The counts are node steps.
     DeadlineExceeded {
-        /// Output blocks completed before the deadline fired.
+        /// Node steps completed before the deadline fired.
         blocks_done: usize,
-        /// Total output blocks the volume needed.
+        /// Total node steps the volume needed.
         blocks_total: usize,
     },
     /// The input volume is smaller than the network's field of view.
@@ -65,7 +66,7 @@ impl std::fmt::Display for Rejected {
             Rejected::DeadlineExceeded {
                 blocks_done,
                 blocks_total,
-            } => write!(f, "deadline exceeded after {blocks_done}/{blocks_total} blocks"),
+            } => write!(f, "deadline exceeded after {blocks_done}/{blocks_total} node steps"),
             Rejected::Invalid { shape, fov } => {
                 write!(f, "invalid request: input {shape} smaller than field of view {fov}")
             }
@@ -96,21 +97,22 @@ pub struct ServeConfig {
     /// Requests a worker claims per batch (amortizes queue traffic;
     /// batched requests share the warm kernel-spectrum cache).
     pub max_batch: usize,
-    /// Output-block shape for evaluation — also the deadline-check
-    /// granularity: smaller blocks mean finer-grained cancellation.
+    /// Unused: each request is evaluated once over its whole volume,
+    /// with a deadline check before every node step. The field stays
+    /// only so existing callers keep compiling.
     pub block: Vec3,
     /// Degradation ladder: when the queue depth at batch-assembly time
-    /// reaches this value, workers halve their batch and block sizes
-    /// (finer deadline checks, faster first responses) *before* any
-    /// load is shed. `None` disables degradation.
+    /// reaches this value, workers halve their batch size (faster
+    /// turnaround per claimed batch) *before* any load is shed. `None`
+    /// disables degradation.
     pub degrade_watermark: Option<usize>,
     /// Deterministic fault injection on the request path, keyed by
     /// request id ([`FaultKind::SlowTask`], [`FaultKind::TaskPanic`],
     /// [`FaultKind::RejectLease`]).
     pub faults: Option<Arc<FaultPlan>>,
     /// Stall injected into a request hit by
-    /// [`FaultKind::SlowTask`] (applied once, after its first output
-    /// block).
+    /// [`FaultKind::SlowTask`] (applied once, after its first node
+    /// step).
     pub slow_task: Duration,
 }
 
@@ -214,8 +216,8 @@ struct Shared {
 ///    lock-free depth gauge and sheds with [`Rejected::Overloaded`]
 ///    at the watermark;
 /// 2. **graceful degradation** — past `degrade_watermark`, workers
-///    halve batch and block sizes before anything is shed;
-/// 3. **deadlines** — checked cooperatively between output blocks;
+///    halve their batch size before anything is shed;
+/// 3. **deadlines** — checked cooperatively between node steps;
 ///    expiry cancels mid-volume and returns every pooled lease;
 /// 4. **panic containment** — each request is evaluated under
 ///    `catch_unwind`; a panic poisons only that response.
@@ -402,14 +404,11 @@ impl Server {
             .cfg
             .degrade_watermark
             .is_some_and(|w| shared.queue.depth() >= w);
-        let (batch_cap, block) = if degraded {
+        let batch_cap = if degraded {
             shared.counters.degraded_batches.fetch_add(1, Ordering::Relaxed);
-            (
-                (shared.cfg.max_batch / 2).max(1),
-                Vec3::max(&Vec3::one(), half(shared.cfg.block)),
-            )
+            (shared.cfg.max_batch / 2).max(1)
         } else {
-            (shared.cfg.max_batch, shared.cfg.block)
+            shared.cfg.max_batch
         };
         let mut batch = vec![first];
         while batch.len() < batch_cap {
@@ -420,7 +419,7 @@ impl Server {
         }
         let n = batch.len();
         for job in batch {
-            Self::process(shared, job, block);
+            Self::process(shared, job);
         }
         n
     }
@@ -429,7 +428,7 @@ impl Server {
     /// containment. Every pooled lease taken for the request is
     /// scoped inside this frame, so both the cancellation and the
     /// unwinding paths return all bytes by RAII.
-    fn process(shared: &Arc<Shared>, job: Job, block: Vec3) {
+    fn process(shared: &Arc<Shared>, job: Job) {
         let slow = shared.cfg.faults.as_ref().and_then(|f| {
             f.take(FaultKind::SlowTask, job.id)
                 .then_some(shared.cfg.slow_task)
@@ -447,8 +446,8 @@ impl Server {
                 panic!("fault-injection: request {} panicked mid-batch", job.id);
             }
             let mut stalled = false;
-            net.forward_blocked(image, block, &mut |ev| {
-                // injected stall lands after the first block so an
+            net.forward_blocked(image, shared.cfg.block, &mut |ev| {
+                // injected stall lands after the first node step so an
                 // expiring deadline is observed mid-volume
                 if let Some(d) = slow {
                     if ev.index >= 1 && !stalled {
@@ -492,9 +491,4 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown_impl();
     }
-}
-
-/// Elementwise halving, used by the degradation ladder.
-fn half(v: Vec3) -> Vec3 {
-    Vec3([v.0[0] / 2, v.0[1] / 2, v.0[2] / 2])
 }

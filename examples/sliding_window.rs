@@ -101,21 +101,15 @@ fn main() {
     assert!(diff < 1e-4, "the Fig 2 equivalence must hold");
     println!("equivalence verified: max-filter + skip kernels == sliding window");
 
-    // --- blocked evaluation: the same dense output tiled into blocks,
-    // with a cancellation checkpoint between blocks — this is how a
-    // server abandons an expired request mid-volume.
+    // --- cancellable evaluation: the same whole-volume pass, with a
+    // checkpoint before every node step — this is how a server abandons
+    // an expired request mid-volume without recomputing anything.
     let blocked = dense
         .forward_blocked(&image, Vec3::flat(6, 6), &mut |ev| {
-            println!(
-                "  block {}/{} at {} ({})",
-                ev.index + 1,
-                ev.total,
-                ev.origin,
-                ev.shape
-            );
+            println!("  node step {}/{}", ev.index + 1, ev.total);
             ControlFlow::Continue(())
         })
         .unwrap();
-    assert!(blocked.max_abs_diff(&fast) < 1e-5, "blocked == whole");
-    println!("blocked evaluation matches the whole-volume pass");
+    assert_eq!(blocked, fast, "cancellable == whole, exactly");
+    println!("cancellable evaluation matches the whole-volume pass exactly");
 }
