@@ -11,8 +11,8 @@
 //! overhead).
 //!
 //! This crate reproduces that design as one type, [`PoolSet`]: a
-//! shared, lock-free chunk pool (power-of-two classes in crossbeam
-//! [`SegQueue`](crossbeam_queue::SegQueue)s) wearing two
+//! shared chunk pool (power-of-two classes, each a mutex-guarded FIFO
+//! queue) wearing two
 //! `znn_tensor::BufferSource` faces (real and complex), so every
 //! hot-path `Tensor3`/`Spectrum` buffer — padded images, half-spectra,
 //! product spectra, FFT scratch, cropped outputs, dropout masks — is

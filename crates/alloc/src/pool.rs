@@ -1,18 +1,21 @@
-//! Typed lock-free recycling pools for tensor buffers.
+//! Typed recycling pools for tensor buffers.
 //!
 //! A [`BufferPool<T>`] keeps 32 power-of-two *capacity* classes of
-//! `Vec<T>` buffers in crossbeam [`SegQueue`]s (the same Michael–Scott
-//! non-blocking queue family the paper cites). Getting a buffer pops
-//! from the class queue or allocates; returning a buffer pushes it
-//! back. Nothing is ever freed, so steady-state traffic does no
-//! allocation at all. The pool is private to
+//! `Vec<T>` buffers, one mutex-guarded FIFO queue per class (the paper
+//! cites a lock-free Michael–Scott queue here; a lease holds the lock
+//! only for one `VecDeque` push or pop, rare relative to the work the
+//! buffer amortizes). Getting a buffer pops from the class queue or
+//! allocates; returning a buffer pushes it back. Nothing is ever freed,
+//! so steady-state traffic does no allocation at all. The pool is
+//! private to
 //! [`PoolSet`](crate::PoolSet), which fronts one shared `f32` chunk
 //! pool for both real and complex tensor buffers and hands out RAII
 //! leases instead of requiring explicit `put` calls.
 
 use crate::class::{class_of, size_of_class, CLASS_COUNT};
 use crate::stats::PoolStats;
-use crossbeam_queue::SegQueue;
+use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One row of a per-size-class occupancy report
@@ -45,9 +48,9 @@ impl ClassReport {
     }
 }
 
-/// A lock-free pool of `Vec<T>` buffers in power-of-two capacity classes.
+/// A pool of `Vec<T>` buffers in power-of-two capacity classes.
 pub(crate) struct BufferPool<T> {
-    classes: Vec<SegQueue<Vec<T>>>,
+    classes: Vec<Mutex<VecDeque<Vec<T>>>>,
     stats: PoolStats,
     class_hits: Vec<AtomicUsize>,
     class_misses: Vec<AtomicUsize>,
@@ -57,7 +60,7 @@ impl<T: Copy + Default> BufferPool<T> {
     /// An empty pool.
     pub fn new() -> Self {
         BufferPool {
-            classes: (0..CLASS_COUNT).map(|_| SegQueue::new()).collect(),
+            classes: (0..CLASS_COUNT).map(|_| Mutex::new(VecDeque::new())).collect(),
             stats: PoolStats::new(),
             class_hits: (0..CLASS_COUNT).map(|_| AtomicUsize::new(0)).collect(),
             class_misses: (0..CLASS_COUNT).map(|_| AtomicUsize::new(0)).collect(),
@@ -69,7 +72,8 @@ impl<T: Copy + Default> BufferPool<T> {
     pub fn get(&self, len: usize) -> Vec<T> {
         let class = class_of(len);
         let bytes = size_of_class(class) * std::mem::size_of::<T>();
-        match self.classes[class].pop() {
+        let recycled = self.classes[class].lock().pop_front();
+        match recycled {
             Some(mut buf) => {
                 self.stats.record_hit(bytes);
                 self.class_hits[class].fetch_add(1, Ordering::Relaxed);
@@ -95,7 +99,8 @@ impl<T: Copy + Default> BufferPool<T> {
     pub fn get_empty(&self, len: usize) -> Vec<T> {
         let class = class_of(len);
         let bytes = size_of_class(class) * std::mem::size_of::<T>();
-        match self.classes[class].pop() {
+        let recycled = self.classes[class].lock().pop_front();
+        match recycled {
             Some(mut buf) => {
                 self.stats.record_hit(bytes);
                 self.class_hits[class].fetch_add(1, Ordering::Relaxed);
@@ -117,7 +122,7 @@ impl<T: Copy + Default> BufferPool<T> {
             .filter_map(|class| {
                 let hits = self.class_hits[class].load(Ordering::Relaxed);
                 let misses = self.class_misses[class].load(Ordering::Relaxed);
-                let parked = self.classes[class].len();
+                let parked = self.classes[class].lock().len();
                 if hits + misses + parked == 0 {
                     return None;
                 }
@@ -145,7 +150,7 @@ impl<T: Copy + Default> BufferPool<T> {
         let class = class.min(CLASS_COUNT - 1);
         self.stats
             .record_free(size_of_class(class) * std::mem::size_of::<T>());
-        self.classes[class].push(buf);
+        self.classes[class].lock().push_back(buf);
     }
 
     /// Allocation counters.

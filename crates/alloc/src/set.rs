@@ -1,7 +1,7 @@
 //! The process-wide pooled-allocator handle the training stack leases
 //! every hot-path buffer from.
 //!
-//! A [`PoolSet`] fronts **one** lock-free [`BufferPool`] of power-of-two
+//! A [`PoolSet`] fronts **one** [`BufferPool`] of power-of-two
 //! `f32` chunks with two [`BufferSource`] personalities:
 //!
 //! * a **real** home for `Tensor3<f32>` buffers (images, padded images,

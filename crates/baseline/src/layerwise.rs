@@ -2,21 +2,43 @@
 //!
 //! GPU ConvNet frameworks parallelize *within* a layer and synchronize
 //! *between* layers (paper §XI: "computation on one whole layer at a
-//! time"). This engine reproduces that execution model on the CPU with
-//! rayon: all edges whose source sits at the same depth run in
-//! parallel, then a barrier, then the next depth. The `par_iter`
-//! sweeps run on the same **persistent worker pool** as every other
-//! parallel path in the workspace (the vendored rayon shim's global
-//! pool, or whatever pool an enclosing `ThreadPool::install` makes
-//! current) — no threads are spawned per level. Convolution is always
+//! time"). This engine reproduces that execution model on the CPU: all
+//! edges whose source sits at the same depth run in parallel, then a
+//! barrier, then the next depth. Each level is one fork-join scope on
+//! `znn-sched`'s [global pool](znn_sched::global_pool), the persistent
+//! worker pool FFT line chunks also default to — no threads are
+//! spawned per level. Convolution is always
 //! direct — the property that drives the FFT-vs-direct crossover in
 //! Figs 8–9.
 
 use crate::reference::{ReferenceNet, Saved};
-use rayon::prelude::*;
 use znn_graph::{shapes, EdgeOp, Graph};
 use znn_ops::{conv, Loss};
+use znn_sched::{global_pool, ThreadPool};
 use znn_tensor::{ops, Image, Vec3};
+
+/// Evaluates `f` on every item on `pool`, one contiguous chunk per pool
+/// worker, and returns the results in input order — so the output
+/// equals the sequential `items.iter().map(f).collect()` exactly.
+pub(crate) fn chunked_map<T: Sync, R: Send>(
+    pool: &ThreadPool,
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let chunks = pool.workers().min(items.len());
+    if chunks <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let f = &f;
+    let chunks: Vec<&[T]> = items.chunks(items.len().div_ceil(chunks)).collect();
+    let mut parts: Vec<Vec<R>> = chunks.iter().map(|c| Vec::with_capacity(c.len())).collect();
+    pool.scope(|s| {
+        for (chunk, out) in chunks.iter().zip(parts.iter_mut()) {
+            s.spawn(move |_| out.extend(chunk.iter().map(f)));
+        }
+    });
+    parts.into_iter().flatten().collect()
+}
 
 /// Layer-parallel trainer with barriers between depths.
 pub struct LayerwiseNet {
@@ -80,17 +102,15 @@ impl LayerwiseNet {
                 }
             }
             // barrier-synchronized parallel sweep over the level's edges
-            let results: Vec<(usize, Image, Saved)> = level
-                .par_iter()
-                .map(|&eid| {
-                    let from = graph.edges()[eid].from;
-                    let img = self.inner.node_fwd[from.0]
-                        .as_ref()
-                        .expect("level order fills source images");
-                    let (out, saved) = self.inner.edge_forward(eid, img);
-                    (eid, out, saved)
-                })
-                .collect();
+            let inner = &self.inner;
+            let results: Vec<(usize, Image, Saved)> = chunked_map(global_pool(), level, |&eid| {
+                let from = graph.edges()[eid].from;
+                let img = inner.node_fwd[from.0]
+                    .as_ref()
+                    .expect("level order fills source images");
+                let (out, saved) = inner.edge_forward(eid, img);
+                (eid, out, saved)
+            });
             // deterministic sequential accumulation
             for (eid, out, saved) in results {
                 self.inner.saved[eid] = saved;
@@ -133,15 +153,15 @@ impl LayerwiseNet {
                 }
             }
             // parallel: backward transform + parameter gradients
-            let results: Vec<(usize, Image, Option<Image>, Option<f32>)> = level
-                .par_iter()
-                .map(|&eid| {
+            let inner = &self.inner;
+            let results: Vec<(usize, Image, Option<Image>, Option<f32>)> =
+                chunked_map(global_pool(), level, |&eid| {
                     let e = &graph.edges()[eid];
                     let g = node_bwd[e.to.0].as_ref().expect("level order");
-                    let back = self.inner.edge_backward(eid, g);
+                    let back = inner.edge_backward(eid, g);
                     let (dw, db) = match e.op {
                         EdgeOp::Conv { kernel, sparsity } => {
-                            let x = self.inner.node_fwd[e.from.0]
+                            let x = inner.node_fwd[e.from.0]
                                 .as_ref()
                                 .expect("forward retained");
                             (Some(conv::kernel_gradient(x, g, kernel, sparsity)), None)
@@ -150,8 +170,7 @@ impl LayerwiseNet {
                         _ => (None, None),
                     };
                     (eid, back, dw, db)
-                })
-                .collect();
+                });
             for (eid, back, dw, db) in results {
                 if let Some(dw) = dw {
                     kernel_grads.push((eid, dw));

@@ -18,29 +18,29 @@
 //! elementwise layer (`znn-simd` dispatched vs pinned-scalar twins).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rustfft::{num_complex::Complex, Fft, FftDirection, FftPlanner};
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Duration;
+use znn_fft::line::{Direction, LinePlan};
+use znn_tensor::Complex32;
 
-fn batch_for(n: usize) -> Vec<Complex<f32>> {
+fn batch_for(n: usize) -> Vec<Complex32> {
     let lines = (64 * 1024 / n).max(1);
     (0..lines * n)
         .map(|i| {
             let a = ((i * 37 + 11) % 101) as f32 / 101.0 - 0.5;
             let b = ((i * 53 + 29) % 97) as f32 / 97.0 - 0.5;
-            Complex::new(a, b)
+            Complex32::new(a, b)
         })
         .collect()
 }
 
-fn bench_plan(c: &mut Criterion, group: &str, name: String, plan: Arc<dyn Fft<f32>>, batch: &[Complex<f32>]) {
+fn bench_plan(c: &mut Criterion, group: &str, name: String, plan: LinePlan, batch: &[Complex32]) {
     let mut g = c.benchmark_group(group);
     g.sample_size(10)
         .warm_up_time(Duration::from_millis(100))
         .measurement_time(Duration::from_millis(500));
     let mut buf = batch.to_vec();
-    let mut scratch = vec![Complex::new(0.0, 0.0); plan.get_inplace_scratch_len()];
+    let mut scratch = vec![Complex32::new(0.0, 0.0); plan.scratch_len()];
     g.bench_function(name, |b| {
         b.iter(|| {
             buf.copy_from_slice(batch);
@@ -55,21 +55,20 @@ fn bench_plan(c: &mut Criterion, group: &str, name: String, plan: Arc<dyn Fft<f3
 /// inputs: power-of-two lengths 16–512 (the radix-4/2 stages) and
 /// 5-smooth non-power-of-two lengths 24–240 (the radix-3/5 stages).
 fn bench_kernels(c: &mut Criterion) {
-    let mut planner = FftPlanner::new();
     for n in [16usize, 32, 64, 128, 256, 512] {
         let batch = batch_for(n);
         bench_plan(
             c,
             "fft_kernels",
             format!("iterative_n{n}"),
-            planner.plan_fft(n, FftDirection::Forward),
+            LinePlan::new(n, Direction::Forward),
             &batch,
         );
         bench_plan(
             c,
             "fft_kernels",
             format!("recursive_n{n}"),
-            planner.plan_fft_recursive(n, FftDirection::Forward),
+            LinePlan::recursive(n, Direction::Forward),
             &batch,
         );
     }
@@ -82,14 +81,14 @@ fn bench_kernels(c: &mut Criterion) {
             c,
             "fft_kernels_smooth",
             format!("iterative_n{n}"),
-            planner.plan_fft(n, FftDirection::Forward),
+            LinePlan::new(n, Direction::Forward),
             &batch,
         );
         bench_plan(
             c,
             "fft_kernels_smooth",
             format!("recursive_n{n}"),
-            planner.plan_fft_recursive(n, FftDirection::Forward),
+            LinePlan::recursive(n, Direction::Forward),
             &batch,
         );
     }
@@ -99,7 +98,6 @@ fn bench_kernels(c: &mut Criterion) {
 /// family. On hosts without AVX2 both plans run the scalar kernels and
 /// the cases coincide — the group still runs, it just reports ~1×.
 fn bench_simd_kernels(c: &mut Criterion) {
-    let mut planner = FftPlanner::new();
     for (label, n) in [
         ("radix4_n64", 64usize),
         ("radix3_n27", 27),
@@ -111,14 +109,14 @@ fn bench_simd_kernels(c: &mut Criterion) {
             c,
             "fft_kernels_simd",
             format!("simd_{label}"),
-            planner.plan_fft(n, FftDirection::Forward),
+            LinePlan::new(n, Direction::Forward),
             &batch,
         );
         bench_plan(
             c,
             "fft_kernels_simd",
             format!("scalar_{label}"),
-            planner.plan_fft_scalar(n, FftDirection::Forward),
+            LinePlan::scalar(n, Direction::Forward),
             &batch,
         );
     }
@@ -131,8 +129,8 @@ fn bench_simd_kernels(c: &mut Criterion) {
 /// row the direct convolver and SGD updates lean on.
 fn bench_pointwise(c: &mut Criterion) {
     const N: usize = 64 * 1024;
-    let cx: Vec<Complex<f32>> = batch_for(N / 64); // 1024-long helper reuse
-    let cbase: Vec<Complex<f32>> = (0..N).map(|i| cx[i % cx.len()]).collect();
+    let cx: Vec<Complex32> = batch_for(N / 64); // 1024-long helper reuse
+    let cbase: Vec<Complex32> = (0..N).map(|i| cx[i % cx.len()]).collect();
     let fbase: Vec<f32> = cbase.iter().map(|z| z.re).collect();
 
     let mut g = c.benchmark_group("pointwise_simd");

@@ -281,11 +281,11 @@ fn main() {
     // forward delta. Always recorded so CI can assert the fields; the
     // per-kernel pins are this PR's acceptance numbers.
     {
-        use rustfft::{num_complex::Complex, Fft, FftDirection, FftPlanner};
+        use znn_fft::line::{Direction, LinePlan};
 
-        fn time_plan(plan: &Arc<dyn Fft<f32>>, base: &[Complex<f32>]) -> f64 {
+        fn time_plan(plan: &LinePlan, base: &[Complex32]) -> f64 {
             let mut buf = base.to_vec();
-            let mut scratch = vec![Complex::new(0.0f32, 0.0); plan.get_inplace_scratch_len()];
+            let mut scratch = vec![Complex32::new(0.0, 0.0); plan.scratch_len()];
             // best of 4 short rounds, same rationale as the pointwise
             // duel: the min is the only stable estimator on a
             // steal-prone single-vCPU host
@@ -345,7 +345,6 @@ fn main() {
 
         // one length per radix family, batched to ~64k elements per
         // call exactly like the 3D engine drives the line plans
-        let mut planner = FftPlanner::new();
         for (label, n) in [
             ("radix4_n64", 64usize),
             ("radix3_n27", 27),
@@ -353,16 +352,16 @@ fn main() {
             ("trailing2_n128", 128),
         ] {
             let lines = (64 * 1024 / n).max(8);
-            let base: Vec<Complex<f32>> = (0..lines * n)
+            let base: Vec<Complex32> = (0..lines * n)
                 .map(|i| {
-                    Complex::new(
+                    Complex32::new(
                         ops::splitmix_f32(8, i as u64),
                         ops::splitmix_f32(9, i as u64),
                     )
                 })
                 .collect();
-            let simd_plan = planner.plan_fft(n, FftDirection::Forward);
-            let scalar_plan = planner.plan_fft_scalar(n, FftDirection::Forward);
+            let simd_plan = LinePlan::new(n, Direction::Forward);
+            let scalar_plan = LinePlan::scalar(n, Direction::Forward);
             // the scalar butterflies are genuinely one-lane (their
             // dataflow defeats the auto-vectorizer), so the scalar and
             // autovec baselines coincide for the radix rows
@@ -382,15 +381,15 @@ fn main() {
         // accumulant grows only linearly in K.
         const PW_N: usize = 1024;
         const PW_K: usize = 256;
-        let unit: Vec<Complex<f32>> = (0..PW_N)
+        let unit: Vec<Complex32> = (0..PW_N)
             .map(|i| {
                 let theta = std::f32::consts::PI * ops::splitmix_f32(10, i as u64);
-                Complex::new(theta.cos(), theta.sin())
+                Complex32::new(theta.cos(), theta.sin())
             })
             .collect();
-        let seed_c: Vec<Complex<f32>> = (0..PW_N)
+        let seed_c: Vec<Complex32> = (0..PW_N)
             .map(|i| {
-                Complex::new(
+                Complex32::new(
                     ops::splitmix_f32(11, i as u64),
                     ops::splitmix_f32(12, i as u64),
                 )
@@ -409,7 +408,7 @@ fn main() {
         // vectorizer cannot fuse; the stride is a unit mod the
         // power-of-two length, so each pass still touches every
         // element exactly once in the same L1-resident working set.
-        fn strict_cmul(dst: &mut [Complex<f32>], src: &[Complex<f32>]) {
+        fn strict_cmul(dst: &mut [Complex32], src: &[Complex32]) {
             let mask = dst.len() - 1;
             let mut j = 0usize;
             for _ in 0..dst.len() {
@@ -417,7 +416,7 @@ fn main() {
                 j = (j + 17) & mask;
             }
         }
-        fn strict_conj_mul(dst: &mut [Complex<f32>], g: &[Complex<f32>]) {
+        fn strict_conj_mul(dst: &mut [Complex32], g: &[Complex32]) {
             let mask = dst.len() - 1;
             let mut j = 0usize;
             for _ in 0..dst.len() {

@@ -19,14 +19,6 @@ use znn_tensor::{ops, Vec3};
 
 fn main() {
     let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    // budget-matching: the layerwise baseline's par_iter sweeps run
-    // inside `pool.install`, so baseline and engine draw on the same
-    // number of threads in one process (no global-pool oversubscription
-    // while the ZNN engine's own workers exist)
-    let baseline_pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(workers)
-        .build()
-        .expect("baseline pool");
     let width = 4usize;
     let kernels = [4usize, 6, 8, 12];
     let outputs = [1usize, 2, 4, 8];
@@ -64,9 +56,7 @@ fn main() {
             let bx = ops::random(base.input_shape(), 3);
             let bt = ops::random(out_shape, 4).map(|v| 0.5 + 0.4 * v);
             let t_base = time_per_round(1, 3, || {
-                baseline_pool.install(|| {
-                    base.train_step(std::slice::from_ref(&bx), std::slice::from_ref(&bt), Loss::Mse, 0.01);
-                });
+                base.train_step(std::slice::from_ref(&bx), std::slice::from_ref(&bt), Loss::Mse, 0.01);
             });
 
             row(&[

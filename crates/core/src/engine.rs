@@ -79,8 +79,8 @@ pub struct RoundStats {
     /// any raw scheduler-level catches). Nonzero means at least one
     /// round was poisoned since construction.
     pub task_panics: u64,
-    /// Detached fork-join spawns that panicked (recorded by the rayon
-    /// shim instead of being silently discarded).
+    /// Detached fork-join spawns that panicked (recorded by the
+    /// fork-join pool instead of being silently discarded).
     pub detached_panics: u64,
     /// Wall time of the last completed training round, µs (0 before
     /// the first round). This is the measurement the `znn-plan`
@@ -259,7 +259,7 @@ impl Znn {
         // (which donate below) — never on extra OS threads. The cap
         // defaults to the scheduler's worker count; the plan's fan-out
         // applies within it.
-        let fft_pool = Arc::new(rayon::ThreadPool::donor_only());
+        let fft_pool = Arc::new(znn_sched::ThreadPool::donor_only());
         let fft_budget = fft_budget(&cfg);
         // one memory budget too: every engine-allocated buffer (spectra,
         // padded inputs, cropped outputs, scratch) leases from the

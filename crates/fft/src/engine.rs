@@ -1,23 +1,17 @@
 //! The 3D FFT engine and its plan cache.
 
+use crate::line::{Direction, LinePlan};
 use parking_lot::Mutex;
-use rustfft::{Fft, FftPlanner};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use znn_alloc::PoolSet;
+use znn_sched::{Scope, ThreadPool};
 use znn_tensor::{BufferSource, CImage, Complex32, Image, Spectrum, Vec3};
-
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum Dir {
-    Fwd,
-    Inv,
-}
 
 #[derive(Default)]
 struct ScratchBuffers {
-    /// `Fft::process_with_scratch` scratch.
+    /// `LinePlan::process_with_scratch` scratch.
     plan: Vec<Complex32>,
     /// Gathered strided line (x/y axes) or packed r2c/c2r line.
     line: Vec<Complex32>,
@@ -257,12 +251,12 @@ const PAR_MIN_ELEMS: usize = 16 * 1024;
 const LINE_BATCH: usize = 8;
 
 /// Plan cache: one planned 1D transform per (line length, direction).
-type PlanMap = HashMap<(usize, Dir), Arc<dyn Fft<f32>>>;
+type PlanMap = HashMap<(usize, Direction), Arc<LinePlan>>;
 /// r2c twiddle cache: one table per (packed-axis extent, direction).
-type TwiddleMap = HashMap<(usize, Dir), Arc<Vec<Complex32>>>;
+type TwiddleMap = HashMap<(usize, Direction), Arc<Vec<Complex32>>>;
 
-/// A 3D FFT for real-valued images, built from cached 1D `rustfft`
-/// plans.
+/// A 3D FFT for real-valued images, built from cached 1D
+/// [`LinePlan`]s.
 ///
 /// The engine is cheap to share (`Arc<FftEngine>`) and thread-safe: the
 /// plan cache is behind a mutex that is only touched on cache misses;
@@ -289,7 +283,7 @@ type TwiddleMap = HashMap<(usize, Dir), Arc<Vec<Complex32>>>;
 /// passes along the packed axis and the gather–transform–scatter passes
 /// along the other axes — splits its lines into contiguous index ranges
 /// across up to [`FftEngine::threads`] chunks, queued on a
-/// **persistent pool** (`rayon::scope`): the engine's own pool when
+/// **persistent pool** ([`znn_sched::ThreadPool`]): the engine's own pool when
 /// built with [`FftEngine::with_pool`], else the process-global one.
 /// No OS thread is spawned per transform; chunks run on pool workers,
 /// on the calling thread (which executes pending chunks while it
@@ -352,7 +346,6 @@ type TwiddleMap = HashMap<(usize, Dir), Arc<Vec<Complex32>>>;
 /// assert!(back.max_abs_diff(&img) < 1e-5);
 /// ```
 pub struct FftEngine {
-    planner: Mutex<FftPlanner<f32>>,
     plans: Mutex<PlanMap>,
     /// Memoized unpack/repack twiddles `e^{∓2πik/n}`, `k ∈ 0..⌊n/2⌋+1`,
     /// for the r2c/c2r packed stages, keyed by `(n, direction)`.
@@ -364,9 +357,9 @@ pub struct FftEngine {
     threads: AtomicUsize,
     /// The pool line chunks are queued on; `None` targets the
     /// process-global pool.
-    pool: Option<Arc<rayon::ThreadPool>>,
+    pool: Option<Arc<ThreadPool>>,
     /// When true, every 1D line plan comes from
-    /// `FftPlanner::plan_fft_scalar` — the Stockham kernels with the
+    /// [`LinePlan::scalar`] — the Stockham kernels with the
     /// batched SIMD lines pinned off (see
     /// [`FftEngine::with_scalar_kernels`]).
     scalar_kernels: bool,
@@ -395,7 +388,6 @@ impl FftEngine {
     pub fn with_threads(threads: usize) -> Self {
         let threads = threads.max(1);
         FftEngine {
-            planner: Mutex::new(FftPlanner::new()),
             plans: Mutex::new(HashMap::new()),
             rtwiddles: Mutex::new(HashMap::new()),
             threads: AtomicUsize::new(threads),
@@ -411,7 +403,7 @@ impl FftEngine {
     /// outer task scheduler whose workers donate to it. Results are
     /// bit-for-bit identical to every other configuration with any
     /// `threads` ≥ 2 fan-out, and to `with_threads(1)` serially.
-    pub fn with_pool(threads: usize, pool: Arc<rayon::ThreadPool>) -> Self {
+    pub fn with_pool(threads: usize, pool: Arc<ThreadPool>) -> Self {
         let mut engine = Self::with_threads(threads);
         engine.pool = Some(pool);
         engine
@@ -519,54 +511,41 @@ impl FftEngine {
 
     /// Runs `f` inside a fork-join scope on this engine's shared pool,
     /// or on the process-global pool.
-    fn in_scope<'scope, R>(&self, f: impl FnOnce(&rayon::Scope<'scope>) -> R) -> R {
+    fn in_scope<'scope, R>(&self, f: impl FnOnce(&Scope<'scope>) -> R) -> R {
         match &self.pool {
             Some(p) => p.scope(f),
-            None => rayon::scope(f),
+            None => znn_sched::scope(f),
         }
     }
 
-    fn plan(&self, len: usize, dir: Dir) -> Arc<dyn Fft<f32>> {
+    fn plan(&self, len: usize, dir: Direction) -> Arc<LinePlan> {
         // single lock pass: concurrent misses for the same key build the
         // plan once — the loser of the entry race never plans at all
         let mut plans = self.plans.lock();
-        match plans.entry((len, dir)) {
-            Entry::Occupied(e) => Arc::clone(e.get()),
-            Entry::Vacant(e) => {
-                let mut planner = self.planner.lock();
-                let fdir = match dir {
-                    Dir::Fwd => rustfft::FftDirection::Forward,
-                    Dir::Inv => rustfft::FftDirection::Inverse,
-                };
-                let plan = if self.scalar_kernels {
-                    planner.plan_fft_scalar(len, fdir)
-                } else {
-                    planner.plan_fft(len, fdir)
-                };
-                Arc::clone(e.insert(plan))
-            }
-        }
+        let plan = plans.entry((len, dir)).or_insert_with(|| {
+            Arc::new(if self.scalar_kernels {
+                LinePlan::scalar(len, dir)
+            } else {
+                LinePlan::new(len, dir)
+            })
+        });
+        Arc::clone(plan)
     }
 
     /// Half-spectrum twiddles `e^{sign·2πik/n}` for `k ∈ 0..⌊n/2⌋+1`.
-    fn rtwiddle(&self, n: usize, dir: Dir) -> Arc<Vec<Complex32>> {
+    fn rtwiddle(&self, n: usize, dir: Direction) -> Arc<Vec<Complex32>> {
         let mut cache = self.rtwiddles.lock();
-        match cache.entry((n, dir)) {
-            Entry::Occupied(e) => Arc::clone(e.get()),
-            Entry::Vacant(e) => {
-                let sign = match dir {
-                    Dir::Fwd => -1.0f64,
-                    Dir::Inv => 1.0f64,
-                };
-                let tw: Vec<Complex32> = (0..n / 2 + 1)
-                    .map(|k| {
-                        let ang = sign * 2.0 * std::f64::consts::PI * k as f64 / n as f64;
-                        Complex32::new(ang.cos() as f32, ang.sin() as f32)
-                    })
-                    .collect();
-                Arc::clone(e.insert(Arc::new(tw)))
-            }
-        }
+        let tw = cache.entry((n, dir)).or_insert_with(|| {
+            let sign = dir.sign();
+            let tw: Vec<Complex32> = (0..n / 2 + 1)
+                .map(|k| {
+                    let ang = sign * 2.0 * std::f64::consts::PI * k as f64 / n as f64;
+                    Complex32::new(ang.cos() as f32, ang.sin() as f32)
+                })
+                .collect();
+            Arc::new(tw)
+        });
+        Arc::clone(tw)
     }
 
     /// Number of distinct 1D plans currently cached.
@@ -577,7 +556,7 @@ impl FftEngine {
     /// Transforms, in place, `lines` of `t` (every line along their
     /// axis, or a pruned subset). `lines` must come from
     /// [`Lattice::lines`] for `t`'s shape, with a lattice that fits it.
-    fn transform_axis(&self, t: &mut CImage, dir: Dir, lines: Lines) {
+    fn transform_axis(&self, t: &mut CImage, dir: Direction, lines: Lines) {
         let shape = t.shape();
         let axis = lines.axis;
         let len = shape[axis];
@@ -591,7 +570,7 @@ impl FftEngine {
             let ptr = base.get();
             self.scratch.with(|s| {
                 let scratch =
-                    borrow_buf(&mut s.plan, plan.get_inplace_scratch_len(), s.home.as_ref());
+                    borrow_buf(&mut s.plan, plan.scratch_len(), s.home.as_ref());
                 let buf = borrow_buf(&mut s.line, LINE_BATCH * len, s.home.as_ref());
                 // gather lines in groups of LINE_BATCH so a full group runs
                 // the Stockham kernels' batched SIMD path in one call
@@ -721,15 +700,15 @@ impl FftEngine {
             |j: usize| unsafe { std::slice::from_raw_parts_mut(dst.get().add(lines.start(j)), h) };
         if n.is_multiple_of(2) {
             let hn = n / 2;
-            let plan = (hn > 1).then(|| self.plan(hn, Dir::Fwd));
-            let tw = self.rtwiddle(n, Dir::Fwd);
+            let plan = (hn > 1).then(|| self.plan(hn, Direction::Forward));
+            let tw = self.rtwiddle(n, Direction::Forward);
             self.par_lines(lines.len(), n, &|lo, hi| {
                 // pack LINE_BATCH lines per transform call so a full
                 // group runs the Stockham batched SIMD path
                 self.scratch.with(|s| {
                     let scratch = borrow_buf(
                         &mut s.plan,
-                        plan.as_ref().map_or(0, |p| p.get_inplace_scratch_len()),
+                        plan.as_ref().map_or(0, |p| p.scratch_len()),
                         s.home.as_ref(),
                     );
                     let buf = borrow_buf(&mut s.line, LINE_BATCH * hn, s.home.as_ref());
@@ -764,12 +743,12 @@ impl FftEngine {
                 });
             });
         } else {
-            let plan = (n > 1).then(|| self.plan(n, Dir::Fwd));
+            let plan = (n > 1).then(|| self.plan(n, Direction::Forward));
             self.par_lines(lines.len(), n, &|lo, hi| {
                 self.scratch.with(|s| {
                     let scratch = borrow_buf(
                         &mut s.plan,
-                        plan.as_ref().map_or(0, |p| p.get_inplace_scratch_len()),
+                        plan.as_ref().map_or(0, |p| p.scratch_len()),
                         s.home.as_ref(),
                     );
                     let buf = borrow_buf(&mut s.line, n, s.home.as_ref());
@@ -790,7 +769,7 @@ impl FftEngine {
         // the stage order exactly; an axis still untransformed (b < a)
         // is zero off the lattice
         for a in (0..3).rev().filter(|&a| a != pa) {
-            self.transform_axis(&mut half, Dir::Fwd, lat.lines(hs, a, |b| b < a && b != pa));
+            self.transform_axis(&mut half, Direction::Forward, lat.lines(hs, a, |b| b < a && b != pa));
         }
         Spectrum::new(half, m)
     }
@@ -835,7 +814,7 @@ impl FftEngine {
         let mut half = spec.into_half();
         let hs = half.shape();
         for a in (0..3).filter(|&a| a != pa) {
-            self.transform_axis(&mut half, Dir::Inv, lat.lines(hs, a, |b| b < a && b != pa));
+            self.transform_axis(&mut half, Direction::Inverse, lat.lines(hs, a, |b| b < a && b != pa));
         }
         // the non-packed inverse stages above are unnormalized, each
         // contributing its extent; the packed stage contributes n/2
@@ -934,15 +913,15 @@ impl FftEngine {
             |j: usize| unsafe { std::slice::from_raw_parts_mut(dst.get().add(j * row_len), count) };
         if n.is_multiple_of(2) {
             let hn = n / 2;
-            let plan = (hn > 1).then(|| self.plan(hn, Dir::Inv));
-            let tw = self.rtwiddle(n, Dir::Inv);
+            let plan = (hn > 1).then(|| self.plan(hn, Direction::Inverse));
+            let tw = self.rtwiddle(n, Direction::Inverse);
             self.par_lines(lines.len(), n, &|lo, hi| {
                 // repack LINE_BATCH slots per transform call so a full
                 // group runs the Stockham batched SIMD path
                 self.scratch.with(|s| {
                     let scratch = borrow_buf(
                         &mut s.plan,
-                        plan.as_ref().map_or(0, |p| p.get_inplace_scratch_len()),
+                        plan.as_ref().map_or(0, |p| p.scratch_len()),
                         s.home.as_ref(),
                     );
                     let buf = borrow_buf(&mut s.line, LINE_BATCH * hn, s.home.as_ref());
@@ -978,12 +957,12 @@ impl FftEngine {
                 });
             });
         } else {
-            let plan = (n > 1).then(|| self.plan(n, Dir::Inv));
+            let plan = (n > 1).then(|| self.plan(n, Direction::Inverse));
             self.par_lines(lines.len(), n, &|lo, hi| {
                 self.scratch.with(|s| {
                     let scratch = borrow_buf(
                         &mut s.plan,
-                        plan.as_ref().map_or(0, |p| p.get_inplace_scratch_len()),
+                        plan.as_ref().map_or(0, |p| p.scratch_len()),
                         s.home.as_ref(),
                     );
                     let buf = borrow_buf(&mut s.line, n, s.home.as_ref());

@@ -84,8 +84,8 @@
 //!
 //! # Kernels and threading
 //!
-//! The 1D line transforms come from the vendored `rustfft` shim, which
-//! routes **every 5-smooth length** (`2^a·3^b·5^c` — everything
+//! The 1D line transforms are the [`line`](mod@line) plans, which route
+//! **every 5-smooth length** (`2^a·3^b·5^c` — everything
 //! [`good_shape`] produces) through **iterative mixed-radix Stockham
 //! autosort kernels**: a stage planner factors the length into
 //! hardcoded radix-4/3/5 butterflies plus one trailing radix-2 stage
@@ -99,8 +99,8 @@
 //! On top of the kernels, [`FftEngine`] splits every batched line loop
 //! — the r2c pack / c2r unpack along the packed axis and the strided
 //! stages along the others — into up to [`FftEngine::threads`] chunks at
-//! line granularity, queued on a **persistent fork-join pool** (the
-//! vendored `rayon` shim): the engine's own shared pool
+//! line granularity, queued on a **persistent fork-join pool**
+//! (`znn_sched::ThreadPool`): the engine's own shared pool
 //! ([`FftEngine::with_pool`]) or the process-global one. No OS thread
 //! is spawned per transform. Chunks run on pool workers, on the
 //! calling thread (which executes pending chunks while waiting on the
@@ -128,9 +128,13 @@
 
 mod conv;
 mod engine;
+pub mod line;
 mod size;
 pub mod spectra;
 
 pub use conv::{fft_conv_full, fft_conv_valid};
 pub use engine::FftEngine;
 pub use size::{good_shape, good_size, good_size_even, pow2_shape, pow2_size};
+
+#[cfg(test)]
+mod tests;

@@ -2,19 +2,18 @@
 //! factors larger than 5.
 //!
 //! Composite lengths decompose into their prime factors; prime factors
-//! fall back to a naive O(p²) DFT. The workspace pads transforms to
+//! fall back to a naive O(p²) DFT. The engine pads transforms to
 //! 5-smooth sizes — which all take the iterative Stockham path — so
 //! this algorithm is only warm for lengths with prime factors > 5
 //! (which `good_shape` never produces). It is also exposed directly
-//! via [`crate::FftPlanner::plan_fft_recursive`] as the 1D reference
-//! the kernel tests and the `fft_kernels` bench compare the Stockham
-//! kernels against.
+//! via [`LinePlan::recursive`](super::LinePlan::recursive) as the 1D
+//! reference the kernel tests and the `fft_kernels` bench compare the
+//! Stockham kernels against.
 
-use crate::twiddles::full_table;
-use crate::{Fft, FftDirection};
-use num_complex::Complex;
+use super::Direction;
+use znn_tensor::Complex32;
 
-pub(crate) fn smallest_prime_factor(n: usize) -> usize {
+fn smallest_prime_factor(n: usize) -> usize {
     if n.is_multiple_of(2) {
         return 2;
     }
@@ -41,19 +40,28 @@ fn largest_prime_factor(mut n: usize) -> usize {
 }
 
 /// Recursive mixed-radix Cooley–Tukey FFT with a per-plan twiddle table.
-pub(crate) struct MixedRadix {
+pub(super) struct MixedRadix {
     len: usize,
-    /// `twiddles[t] = e^{sign·2πi·t/len}`, `sign` per direction.
-    twiddles: Vec<Complex<f32>>,
+    /// `twiddles[t] = e^{sign·2πi·t/len}`, `sign` per direction; the
+    /// recursion indexes it modulo `len` at every depth. `len == 0`
+    /// keeps the 1-entry table of the degenerate length-0/1 plan.
+    twiddles: Vec<Complex32>,
     /// Largest prime factor of `len` (size of the butterfly temp row).
     max_factor: usize,
 }
 
 impl MixedRadix {
-    pub(crate) fn new(len: usize, direction: FftDirection) -> Self {
+    pub(super) fn new(len: usize, direction: Direction) -> Self {
+        let sign = direction.sign();
+        let twiddles = (0..len.max(1))
+            .map(|t| {
+                let ang = sign * 2.0 * std::f64::consts::PI * t as f64 / len.max(1) as f64;
+                Complex32::new(ang.cos() as f32, ang.sin() as f32)
+            })
+            .collect();
         MixedRadix {
             len,
-            twiddles: full_table(len, direction.sign()),
+            twiddles,
             max_factor: largest_prime_factor(len.max(1)),
         }
     }
@@ -68,11 +76,11 @@ impl MixedRadix {
     /// `p`-element temp row makes it safe in place.
     fn compute(
         &self,
-        src: &[Complex<f32>],
-        dst: &mut [Complex<f32>],
+        src: &[Complex32],
+        dst: &mut [Complex32],
         stride: usize,
         tstep: usize,
-        tmp: &mut [Complex<f32>],
+        tmp: &mut [Complex32],
     ) {
         let n = self.len / tstep;
         if n == 1 {
@@ -85,7 +93,7 @@ impl MixedRadix {
             // prime length: naive DFT from the strided source (src and
             // dst never alias — src is the scratch copy)
             for (s, d) in dst.iter_mut().take(p).enumerate() {
-                let mut acc = Complex::new(0.0, 0.0);
+                let mut acc = Complex32::new(0.0, 0.0);
                 for q in 0..p {
                     let w = self.twiddles[(q * s * tstep) % self.len];
                     acc += src[q * stride] * w;
@@ -120,10 +128,10 @@ impl MixedRadix {
             }
         }
     }
-}
 
-impl Fft<f32> for MixedRadix {
-    fn process_with_scratch(&self, buffer: &mut [Complex<f32>], scratch: &mut [Complex<f32>]) {
+    /// Transforms every `len`-element chunk of `buffer`; `scratch` holds
+    /// at least [`MixedRadix::scratch_len`] elements.
+    pub(super) fn process(&self, buffer: &mut [Complex32], scratch: &mut [Complex32]) {
         let n = self.len;
         if n <= 1 {
             return;
@@ -133,12 +141,6 @@ impl Fft<f32> for MixedRadix {
             "buffer length {} is not a multiple of the FFT length {n}",
             buffer.len()
         );
-        assert!(
-            scratch.len() >= self.get_inplace_scratch_len(),
-            "scratch too small: {} < {}",
-            scratch.len(),
-            self.get_inplace_scratch_len()
-        );
         let (copy, tmp) = scratch.split_at_mut(n);
         for chunk in buffer.chunks_mut(n) {
             copy.copy_from_slice(chunk);
@@ -146,16 +148,7 @@ impl Fft<f32> for MixedRadix {
         }
     }
 
-    fn get_inplace_scratch_len(&self) -> usize {
+    pub(super) fn scratch_len(&self) -> usize {
         self.len + self.max_factor
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn process(&self, buffer: &mut [Complex<f32>]) {
-        let mut scratch = vec![Complex::new(0.0, 0.0); self.get_inplace_scratch_len()];
-        self.process_with_scratch(buffer, &mut scratch);
     }
 }

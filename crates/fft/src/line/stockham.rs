@@ -21,7 +21,7 @@
 //! with `w = e^{∓2πi/n_cur}` and `w_r = e^{∓2πi/r}` (sign per
 //! direction). The `w_r^{j·m}` factors are folded into hardcoded
 //! butterflies (radix 2/3/4/5 below); the `w^{j·p}` factors stream
-//! from a per-stage table in `p` order ([`crate::twiddles::stage_table`]).
+//! from a per-stage table in `p` order ([`stage_table`]).
 //!
 //! # Stage planning
 //!
@@ -32,12 +32,12 @@
 //! (`n_cur == 2` has the single digit `p = 0`, whose twiddle is 1), so
 //! the 2^k stage sequences and arithmetic are unchanged from the
 //! radix-4/2-only engine. Lengths with prime factors larger than 5
-//! stay on the recursive fallback ([`crate::recursive::MixedRadix`]).
+//! stay on the recursive fallback ([`super::recursive`]).
 //!
 //! # Batched SIMD lines
 //!
 //! When the process detects AVX2+FMA (via `znn-simd`) and the caller
-//! hands `process_with_scratch` a buffer of ≥ 8 independent lines,
+//! hands `process` a buffer of ≥ 8 independent lines,
 //! groups of 8 lines are transformed together: a gather shim
 //! transposes the interleaved lines into struct-of-arrays slabs (one
 //! 8-wide re vector + one im vector per element), the stage loop runs
@@ -47,13 +47,12 @@
 //! `x + y = y + x` inside the complex product), so batched output is
 //! bitwise identical to the scalar per-line path — asserted by the
 //! `simd_*` differential tests. Leftover lines (`count % 8`) and
-//! non-AVX2 hosts take the scalar path; `Stockham::new_scalar` (used
-//! by `FftPlanner::plan_fft_scalar`) pins a plan to scalar for
-//! benchmarking and differential testing.
+//! non-AVX2 hosts take the scalar path; `Stockham::new` with
+//! `allow_simd` false (behind [`LinePlan::scalar`](super::LinePlan::scalar))
+//! pins a plan to scalar for benchmarking and differential testing.
 
-use crate::twiddles::stage_table;
-use crate::{Fft, FftDirection};
-use num_complex::Complex;
+use super::Direction;
+use znn_tensor::Complex32;
 
 /// `sin(π/3)` — the radix-3 butterfly's rotation magnitude.
 const S3: f32 = 0.866_025_403_784_438_6_f64 as f32;
@@ -64,11 +63,33 @@ const C52: f32 = -0.809_016_994_374_947_5_f64 as f32;
 const S51: f32 = 0.951_056_516_295_153_5_f64 as f32;
 const S52: f32 = 0.587_785_252_292_473_1_f64 as f32;
 
+/// Per-stage twiddle table: the tuples
+/// `(w^p, w^{2p}, …, w^{(radix−1)·p})` for `p ∈ 0..n_cur/radix`, stored
+/// contiguously in inner-loop order with `w = e^{sign·2πi/n_cur}`.
+///
+/// The butterfly for output `j` of digit `p` multiplies by `w^{j·p}`,
+/// so a stage streams this table linearly — one `radix−1` tuple per
+/// `p` — instead of striding a shared full-length table. Entries are
+/// computed in `f64` and rounded once to `f32`, so every plan of the
+/// same length and direction carries bit-identical twiddles.
+fn stage_table(n_cur: usize, radix: usize, sign: f64) -> Vec<Complex32> {
+    let n1 = n_cur / radix;
+    let step = sign * 2.0 * std::f64::consts::PI / n_cur as f64;
+    let mut tw = Vec::with_capacity((radix - 1) * n1);
+    for p in 0..n1 {
+        for j in 1..radix {
+            let ang = step * (j * p) as f64;
+            tw.push(Complex32::new(ang.cos() as f32, ang.sin() as f32));
+        }
+    }
+    tw
+}
+
 /// One planned Stockham stage: its radix and its streamed twiddle
 /// table (`radix − 1` entries per digit `p`).
 struct Stage {
     radix: u8,
-    twiddles: Vec<Complex<f32>>,
+    twiddles: Vec<Complex32>,
 }
 
 /// Factors a 5-smooth `len` into the stage sequence described in the
@@ -109,11 +130,11 @@ fn plan_stages(len: usize, sign: f64) -> Vec<Stage> {
 
 /// Iterative mixed-radix Stockham autosort FFT for 5-smooth `n ≥ 2`.
 ///
-/// The hot path of the planner: every length of the form `2^a·3^b·5^c`
+/// The hot path of [`LinePlan`](super::LinePlan): every length of the form `2^a·3^b·5^c`
 /// — which is every length `znn-fft`'s `good_shape` produces — runs
 /// through these kernels; see the [module docs](self) for the stage
 /// structure.
-pub(crate) struct Stockham {
+pub(super) struct Stockham {
     len: usize,
     /// `-1.0` forward, `+1.0` inverse: the sign of `i` in the
     /// butterflies' rotation terms.
@@ -128,17 +149,10 @@ pub(crate) struct Stockham {
 }
 
 impl Stockham {
-    pub(crate) fn new(len: usize, direction: FftDirection) -> Self {
-        Self::with_simd(len, direction, true)
-    }
-
-    /// A plan pinned to the scalar per-line kernels regardless of
-    /// detected ISA — the differential-test and bench baseline.
-    pub(crate) fn new_scalar(len: usize, direction: FftDirection) -> Self {
-        Self::with_simd(len, direction, false)
-    }
-
-    fn with_simd(len: usize, direction: FftDirection, allow_simd: bool) -> Self {
+    /// Plans 5-smooth `len ≥ 2`. With `allow_simd` false the plan is
+    /// pinned to the scalar per-line kernels regardless of detected
+    /// ISA — the differential-test and bench baseline.
+    pub(super) fn new(len: usize, direction: Direction, allow_simd: bool) -> Self {
         assert!(len >= 2, "Stockham::new needs len >= 2, got {len}");
         let sign = direction.sign();
         Stockham {
@@ -154,7 +168,7 @@ impl Stockham {
     /// butterfly is a pure elementwise add/sub over the two halves —
     /// this function asserts that invariant rather than carrying a
     /// general twiddled digit loop no planned sequence can reach.
-    fn stage2(src: &[Complex<f32>], dst: &mut [Complex<f32>], s: usize) {
+    fn stage2(src: &[Complex32], dst: &mut [Complex32], s: usize) {
         debug_assert_eq!(
             src.len(),
             2 * s,
@@ -178,13 +192,7 @@ impl Stockham {
     /// ```
     ///
     /// (`±`: inverse/forward), folding `w₃ = −1/2 ± i·sin(π/3)`.
-    fn stage3(
-        src: &[Complex<f32>],
-        dst: &mut [Complex<f32>],
-        s: usize,
-        tw: &[Complex<f32>],
-        esign: f32,
-    ) {
+    fn stage3(src: &[Complex32], dst: &mut [Complex32], s: usize, tw: &[Complex32], esign: f32) {
         let n1 = src.len() / (3 * s);
         for p in 0..n1 {
             let w1 = tw[2 * p];
@@ -199,21 +207,17 @@ impl Stockham {
                 let b = x1[q];
                 let c = x2[q];
                 let t = b + c;
-                let m = Complex::new(a.re - 0.5 * t.re, a.im - 0.5 * t.im);
+                let m = Complex32::new(a.re - 0.5 * t.re, a.im - 0.5 * t.im);
                 let bmc = b - c;
                 // jt = esign·i·sin(π/3)·(b−c)
-                let jt = Complex::new(-esign * S3 * bmc.im, esign * S3 * bmc.re);
+                let jt = Complex32::new(-esign * S3 * bmc.im, esign * S3 * bmc.re);
                 d0[q] = a + t;
                 let y1 = m + jt;
                 let y2 = m - jt;
-                d1[q] = Complex::new(
-                    y1.re * w1.re - y1.im * w1.im,
-                    y1.re * w1.im + y1.im * w1.re,
-                );
-                d2[q] = Complex::new(
-                    y2.re * w2.re - y2.im * w2.im,
-                    y2.re * w2.im + y2.im * w2.re,
-                );
+                d1[q] =
+                    Complex32::new(y1.re * w1.re - y1.im * w1.im, y1.re * w1.im + y1.im * w1.re);
+                d2[q] =
+                    Complex32::new(y2.re * w2.re - y2.im * w2.im, y2.re * w2.im + y2.im * w2.re);
             }
         }
     }
@@ -227,13 +231,7 @@ impl Stockham {
     /// dst[4p+2] = w²p·((a+c) − (b+d))
     /// dst[4p+3] = w³p·((a−c) ± i(b−d))
     /// ```
-    fn stage4(
-        src: &[Complex<f32>],
-        dst: &mut [Complex<f32>],
-        s: usize,
-        tw: &[Complex<f32>],
-        esign: f32,
-    ) {
+    fn stage4(src: &[Complex32], dst: &mut [Complex32], s: usize, tw: &[Complex32], esign: f32) {
         let n1 = src.len() / (4 * s);
         for p in 0..n1 {
             let w1 = tw[3 * p];
@@ -257,23 +255,17 @@ impl Stockham {
                 let bpd = b + d;
                 let bmd = b - d;
                 // jt = esign·i·(b−d): −i(b−d) forward, +i(b−d) inverse
-                let jt = Complex::new(-esign * bmd.im, esign * bmd.re);
+                let jt = Complex32::new(-esign * bmd.im, esign * bmd.re);
                 d0[q] = apc + bpd;
                 let y1 = amc + jt;
                 let y3 = amc - jt;
-                d1[q] = Complex::new(
-                    y1.re * w1.re - y1.im * w1.im,
-                    y1.re * w1.im + y1.im * w1.re,
-                );
+                d1[q] =
+                    Complex32::new(y1.re * w1.re - y1.im * w1.im, y1.re * w1.im + y1.im * w1.re);
                 let y2 = apc - bpd;
-                d2[q] = Complex::new(
-                    y2.re * w2.re - y2.im * w2.im,
-                    y2.re * w2.im + y2.im * w2.re,
-                );
-                d3[q] = Complex::new(
-                    y3.re * w3.re - y3.im * w3.im,
-                    y3.re * w3.im + y3.im * w3.re,
-                );
+                d2[q] =
+                    Complex32::new(y2.re * w2.re - y2.im * w2.im, y2.re * w2.im + y2.im * w2.re);
+                d3[q] =
+                    Complex32::new(y3.re * w3.re - y3.im * w3.im, y3.re * w3.im + y3.im * w3.re);
             }
         }
     }
@@ -292,13 +284,7 @@ impl Stockham {
     /// ```
     ///
     /// (`±`: inverse/forward).
-    fn stage5(
-        src: &[Complex<f32>],
-        dst: &mut [Complex<f32>],
-        s: usize,
-        tw: &[Complex<f32>],
-        esign: f32,
-    ) {
+    fn stage5(src: &[Complex32], dst: &mut [Complex32], s: usize, tw: &[Complex32], esign: f32) {
         let n1 = src.len() / (5 * s);
         for p in 0..n1 {
             let w1 = tw[4 * p];
@@ -325,51 +311,43 @@ impl Stockham {
                 let t2 = c + d;
                 let t3 = b - e;
                 let t4 = c - d;
-                let m1 = Complex::new(
+                let m1 = Complex32::new(
                     a.re + C51 * t1.re + C52 * t2.re,
                     a.im + C51 * t1.im + C52 * t2.im,
                 );
-                let m2 = Complex::new(
+                let m2 = Complex32::new(
                     a.re + C52 * t1.re + C51 * t2.re,
                     a.im + C52 * t1.im + C51 * t2.im,
                 );
                 // u1 = s₁t3 + s₂t4, u2 = s₂t3 − s₁t4; j = esign·i·u
-                let u1 = Complex::new(S51 * t3.re + S52 * t4.re, S51 * t3.im + S52 * t4.im);
-                let u2 = Complex::new(S52 * t3.re - S51 * t4.re, S52 * t3.im - S51 * t4.im);
-                let j1 = Complex::new(-esign * u1.im, esign * u1.re);
-                let j2 = Complex::new(-esign * u2.im, esign * u2.re);
+                let u1 = Complex32::new(S51 * t3.re + S52 * t4.re, S51 * t3.im + S52 * t4.im);
+                let u2 = Complex32::new(S52 * t3.re - S51 * t4.re, S52 * t3.im - S51 * t4.im);
+                let j1 = Complex32::new(-esign * u1.im, esign * u1.re);
+                let j2 = Complex32::new(-esign * u2.im, esign * u2.re);
                 d0[q] = a + t1 + t2;
                 let y1 = m1 + j1;
                 let y2 = m2 + j2;
                 let y3 = m2 - j2;
                 let y4 = m1 - j1;
-                d1[q] = Complex::new(
-                    y1.re * w1.re - y1.im * w1.im,
-                    y1.re * w1.im + y1.im * w1.re,
-                );
-                d2[q] = Complex::new(
-                    y2.re * w2.re - y2.im * w2.im,
-                    y2.re * w2.im + y2.im * w2.re,
-                );
-                d3[q] = Complex::new(
-                    y3.re * w3.re - y3.im * w3.im,
-                    y3.re * w3.im + y3.im * w3.re,
-                );
-                d4[q] = Complex::new(
-                    y4.re * w4.re - y4.im * w4.im,
-                    y4.re * w4.im + y4.im * w4.re,
-                );
+                d1[q] =
+                    Complex32::new(y1.re * w1.re - y1.im * w1.im, y1.re * w1.im + y1.im * w1.re);
+                d2[q] =
+                    Complex32::new(y2.re * w2.re - y2.im * w2.im, y2.re * w2.im + y2.im * w2.re);
+                d3[q] =
+                    Complex32::new(y3.re * w3.re - y3.im * w3.im, y3.re * w3.im + y3.im * w3.re);
+                d4[q] =
+                    Complex32::new(y4.re * w4.re - y4.im * w4.im, y4.re * w4.im + y4.im * w4.re);
             }
         }
     }
 
     /// Transform one `len`-element chunk, using `work` (also `len`
     /// elements) as the ping-pong partner.
-    fn transform_chunk(&self, chunk: &mut [Complex<f32>], work: &mut [Complex<f32>]) {
+    fn transform_chunk(&self, chunk: &mut [Complex32], work: &mut [Complex32]) {
         let mut s = 1usize;
         let mut in_chunk = true;
         for stage in &self.stages {
-            let (src, dst): (&[Complex<f32>], &mut [Complex<f32>]) = if in_chunk {
+            let (src, dst): (&[Complex32], &mut [Complex32]) = if in_chunk {
                 (&*chunk, &mut *work)
             } else {
                 (&*work, &mut *chunk)
@@ -394,7 +372,7 @@ impl Stockham {
     /// per-line path. Output is bitwise identical either way, so the
     /// group boundary is unobservable.
     #[cfg(target_arch = "x86_64")]
-    fn process_batched(&self, buffer: &mut [Complex<f32>], scratch: &mut [Complex<f32>]) {
+    fn process_batched(&self, buffer: &mut [Complex32], scratch: &mut [Complex32]) {
         let n = self.len;
         let (work, slabs) = scratch.split_at_mut(n);
         let floats = znn_simd::complex_as_floats_mut(&mut slabs[..16 * n]);
@@ -403,7 +381,9 @@ impl Stockham {
         let grouped = (lines / batch::LANES) * batch::LANES;
         for group in buffer[..grouped * n].chunks_mut(batch::LANES * n) {
             // SAFETY: `use_simd` (checked by the caller) implies
-            // AVX2+FMA were detected at runtime.
+            // AVX2+FMA were detected at runtime; `group` is exactly
+            // `LANES` lines of `n`, and `ping`/`pong` are `16·n` floats
+            // each — the sizes `transform_batch` requires.
             unsafe { batch::transform_batch(self, group, ping, pong) };
         }
         for chunk in buffer[grouped * n..].chunks_mut(n) {
@@ -412,19 +392,15 @@ impl Stockham {
     }
 }
 
-impl Fft<f32> for Stockham {
-    fn process_with_scratch(&self, buffer: &mut [Complex<f32>], scratch: &mut [Complex<f32>]) {
+impl Stockham {
+    /// Transforms every `len`-element chunk of `buffer`; `scratch` holds
+    /// at least [`Stockham::scratch_len`] elements.
+    pub(super) fn process(&self, buffer: &mut [Complex32], scratch: &mut [Complex32]) {
         let n = self.len;
         assert!(
             buffer.len().is_multiple_of(n),
             "buffer length {} is not a multiple of the FFT length {n}",
             buffer.len()
-        );
-        assert!(
-            scratch.len() >= self.get_inplace_scratch_len(),
-            "scratch too small: {} < {}",
-            scratch.len(),
-            self.get_inplace_scratch_len()
         );
         #[cfg(target_arch = "x86_64")]
         {
@@ -439,7 +415,7 @@ impl Fft<f32> for Stockham {
         }
     }
 
-    fn get_inplace_scratch_len(&self) -> usize {
+    pub(super) fn scratch_len(&self) -> usize {
         // the SIMD path needs the scalar work line plus two 8-line
         // struct-of-arrays slabs (8 complexes = 16 floats per element,
         // ping + pong)
@@ -448,15 +424,6 @@ impl Fft<f32> for Stockham {
         } else {
             self.len
         }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn process(&self, buffer: &mut [Complex<f32>]) {
-        let mut scratch = vec![Complex::new(0.0, 0.0); self.get_inplace_scratch_len()];
-        self.process_with_scratch(buffer, &mut scratch);
     }
 }
 
@@ -468,37 +435,66 @@ impl Fft<f32> for Stockham {
 /// the scalar stage of the same radix operation-for-operation on
 /// [`CF32x8`] vectors, so every lane computes exactly what the scalar
 /// path computes for that line.
+///
+/// Every function here requires AVX2 and FMA, which the only entry
+/// point, [`transform_batch`], inherits from its caller (the `use_simd`
+/// plan flag is set only when both were detected at runtime). Slabs
+/// are `16·n` floats for a line length `n`, so a slab holds elements
+/// `t < n`; each stage only touches elements below `n`.
 #[cfg(target_arch = "x86_64")]
+#[deny(unsafe_op_in_unsafe_fn)]
 mod batch {
-    use super::{Stockham, C51, C52, S3, S51, S52};
-    use num_complex::Complex;
+    use super::{Complex32, Stockham, C51, C52, S3, S51, S52};
     use znn_simd::x8::{transpose8x8, CF32x8, F32x8};
 
     /// Lines per batch — the f32 lane count of one AVX2 vector.
     pub(super) const LANES: usize = 8;
 
     /// Loads the 8-lane complex vector for slab element `t`.
+    ///
+    /// # Safety
+    /// AVX2 must be available and `slab` valid for reads of floats
+    /// `[16t, 16t+16)`.
     #[inline(always)]
     unsafe fn cv_load(slab: *const f32, t: usize) -> CF32x8 {
-        CF32x8 {
-            re: F32x8::load(slab.add(16 * t)),
-            im: F32x8::load(slab.add(16 * t + 8)),
+        // SAFETY: the caller guarantees AVX2 and that both 8-float
+        // halves of element `t` are readable.
+        unsafe {
+            CF32x8 {
+                re: F32x8::load(slab.add(16 * t)),
+                im: F32x8::load(slab.add(16 * t + 8)),
+            }
         }
     }
 
     /// Stores the 8-lane complex vector for slab element `t`.
+    ///
+    /// # Safety
+    /// AVX2 must be available and `slab` valid for writes of floats
+    /// `[16t, 16t+16)`.
     #[inline(always)]
     unsafe fn cv_store(slab: *mut f32, t: usize, v: CF32x8) {
-        v.re.store(slab.add(16 * t));
-        v.im.store(slab.add(16 * t + 8));
+        // SAFETY: the caller guarantees AVX2 and that both 8-float
+        // halves of element `t` are writable.
+        unsafe {
+            v.re.store(slab.add(16 * t));
+            v.im.store(slab.add(16 * t + 8));
+        }
     }
 
     /// Broadcasts one twiddle to all 8 lanes.
+    ///
+    /// # Safety
+    /// AVX2 must be available.
     #[inline(always)]
-    unsafe fn cw(w: Complex<f32>) -> CF32x8 {
-        CF32x8 {
-            re: F32x8::splat(w.re),
-            im: F32x8::splat(w.im),
+    unsafe fn cw(w: Complex32) -> CF32x8 {
+        // SAFETY: the caller guarantees AVX2; a broadcast touches no
+        // memory.
+        unsafe {
+            CF32x8 {
+                re: F32x8::splat(w.re),
+                im: F32x8::splat(w.im),
+            }
         }
     }
 
@@ -506,8 +502,12 @@ mod batch {
     /// 4-element blocks go through the in-register 8×8 float
     /// transpose (each source row is 4 complexes = 8 floats), the
     /// `n % 4` tail element-by-element.
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available, `lines.len() == 8·n` and
+    /// `slab.len() == 16·n`.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn soa_gather(lines: &[Complex<f32>], slab: &mut [f32], n: usize) {
+    unsafe fn soa_gather(lines: &[Complex32], slab: &mut [f32], n: usize) {
         let lf = znn_simd::complex_as_floats(lines);
         debug_assert_eq!(lf.len(), LANES * 2 * n);
         debug_assert_eq!(slab.len(), 16 * n);
@@ -516,14 +516,20 @@ mod batch {
         let main = n - n % 4;
         let mut t = 0;
         while t < main {
-            let mut rows = [F32x8::zero(); 8];
-            for (l, r) in rows.iter_mut().enumerate() {
-                *r = F32x8::load(lp.add(l * 2 * n + 2 * t));
-            }
-            let cols = transpose8x8(rows);
-            for k in 0..4 {
-                cols[2 * k].store(sp.add(16 * (t + k)));
-                cols[2 * k + 1].store(sp.add(16 * (t + k) + 8));
+            // SAFETY: `t + 4 <= n`, so line `l < 8` holds the 8 floats
+            // from `l·2n + 2t` (4 complexes), and the slab holds
+            // elements `t..t+4` (16 floats each); AVX2 is the caller's
+            // guarantee.
+            unsafe {
+                let mut rows = [F32x8::zero(); 8];
+                for (l, r) in rows.iter_mut().enumerate() {
+                    *r = F32x8::load(lp.add(l * 2 * n + 2 * t));
+                }
+                let cols = transpose8x8(rows);
+                for k in 0..4 {
+                    cols[2 * k].store(sp.add(16 * (t + k)));
+                    cols[2 * k + 1].store(sp.add(16 * (t + k) + 8));
+                }
             }
             t += 4;
         }
@@ -536,8 +542,12 @@ mod batch {
     }
 
     /// Inverse of [`soa_gather`] (the 8×8 transpose is an involution).
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available, `slab.len() == 16·n` and
+    /// `lines.len() == 8·n`.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn soa_scatter(slab: &[f32], lines: &mut [Complex<f32>], n: usize) {
+    unsafe fn soa_scatter(slab: &[f32], lines: &mut [Complex32], n: usize) {
         let lf = znn_simd::complex_as_floats_mut(lines);
         debug_assert_eq!(lf.len(), LANES * 2 * n);
         debug_assert_eq!(slab.len(), 16 * n);
@@ -546,14 +556,18 @@ mod batch {
         let main = n - n % 4;
         let mut t = 0;
         while t < main {
-            let mut cols = [F32x8::zero(); 8];
-            for k in 0..4 {
-                cols[2 * k] = F32x8::load(sp.add(16 * (t + k)));
-                cols[2 * k + 1] = F32x8::load(sp.add(16 * (t + k) + 8));
-            }
-            let rows = transpose8x8(cols);
-            for (l, r) in rows.iter().enumerate() {
-                r.store(lp.add(l * 2 * n + 2 * t));
+            // SAFETY: the bounds of `soa_gather`, with reads and writes
+            // swapped.
+            unsafe {
+                let mut cols = [F32x8::zero(); 8];
+                for k in 0..4 {
+                    cols[2 * k] = F32x8::load(sp.add(16 * (t + k)));
+                    cols[2 * k + 1] = F32x8::load(sp.add(16 * (t + k) + 8));
+                }
+                let rows = transpose8x8(cols);
+                for (l, r) in rows.iter().enumerate() {
+                    r.store(lp.add(l * 2 * n + 2 * t));
+                }
             }
             t += 4;
         }
@@ -567,165 +581,203 @@ mod batch {
 
     /// Radix-2 batch stage — scheduled last, twiddle-free (see the
     /// scalar `stage2`).
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available; `src` and `dst` must be distinct
+    /// slabs of `2·s` elements.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn bstage2(src: *const f32, dst: *mut f32, s: usize) {
         for q in 0..s {
-            let a = cv_load(src, q);
-            let b = cv_load(src, s + q);
-            cv_store(dst, q, a.add(b));
-            cv_store(dst, s + q, a.sub(b));
+            // SAFETY: `q` and `s + q` are below `2·s`, the slab length
+            // in elements.
+            unsafe {
+                let a = cv_load(src, q);
+                let b = cv_load(src, s + q);
+                cv_store(dst, q, a.add(b));
+                cv_store(dst, s + q, a.sub(b));
+            }
         }
     }
 
     /// Radix-3 batch stage — the scalar `stage3`, 8 lines per op.
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available; `src` and `dst` must be distinct
+    /// slabs of `n` elements with `3·s` dividing `n`, and `tw` must hold
+    /// `2·n/(3·s)` twiddles.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn bstage3(
         src: *const f32,
         dst: *mut f32,
         n: usize,
         s: usize,
-        tw: &[Complex<f32>],
+        tw: &[Complex32],
         esign: f32,
     ) {
         let n1 = n / (3 * s);
-        let half = F32x8::splat(0.5);
-        let pk = F32x8::splat(esign * S3);
-        let nk = F32x8::splat(-esign * S3);
-        for p in 0..n1 {
-            let w1 = cw(tw[2 * p]);
-            let w2 = cw(tw[2 * p + 1]);
-            for q in 0..s {
-                let a = cv_load(src, s * p + q);
-                let b = cv_load(src, s * (p + n1) + q);
-                let c = cv_load(src, s * (p + 2 * n1) + q);
-                let t = b.add(c);
-                let m = CF32x8 {
-                    re: a.re.sub(half.mul(t.re)),
-                    im: a.im.sub(half.mul(t.im)),
-                };
-                let bmc = b.sub(c);
-                let jt = CF32x8 {
-                    re: nk.mul(bmc.im),
-                    im: pk.mul(bmc.re),
-                };
-                let base = 3 * s * p;
-                cv_store(dst, base + q, a.add(t));
-                let y1 = m.add(jt);
-                let y2 = m.sub(jt);
-                cv_store(dst, base + s + q, y1.mul(w1));
-                cv_store(dst, base + 2 * s + q, y2.mul(w2));
+        // SAFETY: with `p < n1` and `q < s`, every element index read
+        // (`s·(p + m·n1) + q`, `m < 3`) and written (`3·s·p + j·s + q`,
+        // `j < 3`) is below `3·s·n1 = n`.
+        unsafe {
+            let half = F32x8::splat(0.5);
+            let pk = F32x8::splat(esign * S3);
+            let nk = F32x8::splat(-esign * S3);
+            for p in 0..n1 {
+                let w1 = cw(tw[2 * p]);
+                let w2 = cw(tw[2 * p + 1]);
+                for q in 0..s {
+                    let a = cv_load(src, s * p + q);
+                    let b = cv_load(src, s * (p + n1) + q);
+                    let c = cv_load(src, s * (p + 2 * n1) + q);
+                    let t = b.add(c);
+                    let m = CF32x8 {
+                        re: a.re.sub(half.mul(t.re)),
+                        im: a.im.sub(half.mul(t.im)),
+                    };
+                    let bmc = b.sub(c);
+                    let jt = CF32x8 {
+                        re: nk.mul(bmc.im),
+                        im: pk.mul(bmc.re),
+                    };
+                    let base = 3 * s * p;
+                    cv_store(dst, base + q, a.add(t));
+                    let y1 = m.add(jt);
+                    let y2 = m.sub(jt);
+                    cv_store(dst, base + s + q, y1.mul(w1));
+                    cv_store(dst, base + 2 * s + q, y2.mul(w2));
+                }
             }
         }
     }
 
     /// Radix-4 batch stage — the scalar `stage4`, 8 lines per op.
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available; `src` and `dst` must be distinct
+    /// slabs of `n` elements with `4·s` dividing `n`, and `tw` must hold
+    /// `3·n/(4·s)` twiddles.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn bstage4(
         src: *const f32,
         dst: *mut f32,
         n: usize,
         s: usize,
-        tw: &[Complex<f32>],
+        tw: &[Complex32],
         esign: f32,
     ) {
         let n1 = n / (4 * s);
-        let pk = F32x8::splat(esign);
-        let nk = F32x8::splat(-esign);
-        for p in 0..n1 {
-            let w1 = cw(tw[3 * p]);
-            let w2 = cw(tw[3 * p + 1]);
-            let w3 = cw(tw[3 * p + 2]);
-            for q in 0..s {
-                let a = cv_load(src, s * p + q);
-                let b = cv_load(src, s * (p + n1) + q);
-                let c = cv_load(src, s * (p + 2 * n1) + q);
-                let d = cv_load(src, s * (p + 3 * n1) + q);
-                let apc = a.add(c);
-                let amc = a.sub(c);
-                let bpd = b.add(d);
-                let bmd = b.sub(d);
-                let jt = CF32x8 {
-                    re: nk.mul(bmd.im),
-                    im: pk.mul(bmd.re),
-                };
-                let base = 4 * s * p;
-                cv_store(dst, base + q, apc.add(bpd));
-                let y1 = amc.add(jt);
-                let y3 = amc.sub(jt);
-                cv_store(dst, base + s + q, y1.mul(w1));
-                let y2 = apc.sub(bpd);
-                cv_store(dst, base + 2 * s + q, y2.mul(w2));
-                cv_store(dst, base + 3 * s + q, y3.mul(w3));
+        // SAFETY: with `p < n1` and `q < s`, every element index read
+        // (`s·(p + m·n1) + q`, `m < 4`) and written (`4·s·p + j·s + q`,
+        // `j < 4`) is below `4·s·n1 = n`.
+        unsafe {
+            let pk = F32x8::splat(esign);
+            let nk = F32x8::splat(-esign);
+            for p in 0..n1 {
+                let w1 = cw(tw[3 * p]);
+                let w2 = cw(tw[3 * p + 1]);
+                let w3 = cw(tw[3 * p + 2]);
+                for q in 0..s {
+                    let a = cv_load(src, s * p + q);
+                    let b = cv_load(src, s * (p + n1) + q);
+                    let c = cv_load(src, s * (p + 2 * n1) + q);
+                    let d = cv_load(src, s * (p + 3 * n1) + q);
+                    let apc = a.add(c);
+                    let amc = a.sub(c);
+                    let bpd = b.add(d);
+                    let bmd = b.sub(d);
+                    let jt = CF32x8 {
+                        re: nk.mul(bmd.im),
+                        im: pk.mul(bmd.re),
+                    };
+                    let base = 4 * s * p;
+                    cv_store(dst, base + q, apc.add(bpd));
+                    let y1 = amc.add(jt);
+                    let y3 = amc.sub(jt);
+                    cv_store(dst, base + s + q, y1.mul(w1));
+                    let y2 = apc.sub(bpd);
+                    cv_store(dst, base + 2 * s + q, y2.mul(w2));
+                    cv_store(dst, base + 3 * s + q, y3.mul(w3));
+                }
             }
         }
     }
 
     /// Radix-5 batch stage — the scalar `stage5`, 8 lines per op.
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available; `src` and `dst` must be distinct
+    /// slabs of `n` elements with `5·s` dividing `n`, and `tw` must hold
+    /// `4·n/(5·s)` twiddles.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn bstage5(
         src: *const f32,
         dst: *mut f32,
         n: usize,
         s: usize,
-        tw: &[Complex<f32>],
+        tw: &[Complex32],
         esign: f32,
     ) {
         let n1 = n / (5 * s);
-        let c51 = F32x8::splat(C51);
-        let c52 = F32x8::splat(C52);
-        let s51 = F32x8::splat(S51);
-        let s52 = F32x8::splat(S52);
-        let pk = F32x8::splat(esign);
-        let nk = F32x8::splat(-esign);
-        for p in 0..n1 {
-            let w1 = cw(tw[4 * p]);
-            let w2 = cw(tw[4 * p + 1]);
-            let w3 = cw(tw[4 * p + 2]);
-            let w4 = cw(tw[4 * p + 3]);
-            for q in 0..s {
-                let a = cv_load(src, s * p + q);
-                let b = cv_load(src, s * (p + n1) + q);
-                let c = cv_load(src, s * (p + 2 * n1) + q);
-                let d = cv_load(src, s * (p + 3 * n1) + q);
-                let e = cv_load(src, s * (p + 4 * n1) + q);
-                let t1 = b.add(e);
-                let t2 = c.add(d);
-                let t3 = b.sub(e);
-                let t4 = c.sub(d);
-                let m1 = CF32x8 {
-                    re: a.re.add(c51.mul(t1.re)).add(c52.mul(t2.re)),
-                    im: a.im.add(c51.mul(t1.im)).add(c52.mul(t2.im)),
-                };
-                let m2 = CF32x8 {
-                    re: a.re.add(c52.mul(t1.re)).add(c51.mul(t2.re)),
-                    im: a.im.add(c52.mul(t1.im)).add(c51.mul(t2.im)),
-                };
-                let u1 = CF32x8 {
-                    re: s51.mul(t3.re).add(s52.mul(t4.re)),
-                    im: s51.mul(t3.im).add(s52.mul(t4.im)),
-                };
-                let u2 = CF32x8 {
-                    re: s52.mul(t3.re).sub(s51.mul(t4.re)),
-                    im: s52.mul(t3.im).sub(s51.mul(t4.im)),
-                };
-                let j1 = CF32x8 {
-                    re: nk.mul(u1.im),
-                    im: pk.mul(u1.re),
-                };
-                let j2 = CF32x8 {
-                    re: nk.mul(u2.im),
-                    im: pk.mul(u2.re),
-                };
-                let base = 5 * s * p;
-                cv_store(dst, base + q, a.add(t1).add(t2));
-                let y1 = m1.add(j1);
-                let y2 = m2.add(j2);
-                let y3 = m2.sub(j2);
-                let y4 = m1.sub(j1);
-                cv_store(dst, base + s + q, y1.mul(w1));
-                cv_store(dst, base + 2 * s + q, y2.mul(w2));
-                cv_store(dst, base + 3 * s + q, y3.mul(w3));
-                cv_store(dst, base + 4 * s + q, y4.mul(w4));
+        // SAFETY: with `p < n1` and `q < s`, every element index read
+        // (`s·(p + m·n1) + q`, `m < 5`) and written (`5·s·p + j·s + q`,
+        // `j < 5`) is below `5·s·n1 = n`.
+        unsafe {
+            let c51 = F32x8::splat(C51);
+            let c52 = F32x8::splat(C52);
+            let s51 = F32x8::splat(S51);
+            let s52 = F32x8::splat(S52);
+            let pk = F32x8::splat(esign);
+            let nk = F32x8::splat(-esign);
+            for p in 0..n1 {
+                let w1 = cw(tw[4 * p]);
+                let w2 = cw(tw[4 * p + 1]);
+                let w3 = cw(tw[4 * p + 2]);
+                let w4 = cw(tw[4 * p + 3]);
+                for q in 0..s {
+                    let a = cv_load(src, s * p + q);
+                    let b = cv_load(src, s * (p + n1) + q);
+                    let c = cv_load(src, s * (p + 2 * n1) + q);
+                    let d = cv_load(src, s * (p + 3 * n1) + q);
+                    let e = cv_load(src, s * (p + 4 * n1) + q);
+                    let t1 = b.add(e);
+                    let t2 = c.add(d);
+                    let t3 = b.sub(e);
+                    let t4 = c.sub(d);
+                    let m1 = CF32x8 {
+                        re: a.re.add(c51.mul(t1.re)).add(c52.mul(t2.re)),
+                        im: a.im.add(c51.mul(t1.im)).add(c52.mul(t2.im)),
+                    };
+                    let m2 = CF32x8 {
+                        re: a.re.add(c52.mul(t1.re)).add(c51.mul(t2.re)),
+                        im: a.im.add(c52.mul(t1.im)).add(c51.mul(t2.im)),
+                    };
+                    let u1 = CF32x8 {
+                        re: s51.mul(t3.re).add(s52.mul(t4.re)),
+                        im: s51.mul(t3.im).add(s52.mul(t4.im)),
+                    };
+                    let u2 = CF32x8 {
+                        re: s52.mul(t3.re).sub(s51.mul(t4.re)),
+                        im: s52.mul(t3.im).sub(s51.mul(t4.im)),
+                    };
+                    let j1 = CF32x8 {
+                        re: nk.mul(u1.im),
+                        im: pk.mul(u1.re),
+                    };
+                    let j2 = CF32x8 {
+                        re: nk.mul(u2.im),
+                        im: pk.mul(u2.re),
+                    };
+                    let base = 5 * s * p;
+                    cv_store(dst, base + q, a.add(t1).add(t2));
+                    let y1 = m1.add(j1);
+                    let y2 = m2.add(j2);
+                    let y3 = m2.sub(j2);
+                    let y4 = m1.sub(j1);
+                    cv_store(dst, base + s + q, y1.mul(w1));
+                    cv_store(dst, base + 2 * s + q, y2.mul(w2));
+                    cv_store(dst, base + 3 * s + q, y3.mul(w3));
+                    cv_store(dst, base + 4 * s + q, y4.mul(w4));
+                }
             }
         }
     }
@@ -736,36 +788,44 @@ mod batch {
     ///
     /// # Safety
     /// AVX2 and FMA must be available (the `use_simd` plan flag
-    /// guarantees it was detected at runtime).
+    /// guarantees it was detected at runtime), `lines.len() == 8·n` and
+    /// `ping.len() == pong.len() == 16·n` for the plan length `n`.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn transform_batch(
         fft: &Stockham,
-        lines: &mut [Complex<f32>],
+        lines: &mut [Complex32],
         ping: &mut [f32],
         pong: &mut [f32],
     ) {
         let n = fft.len;
         debug_assert_eq!(lines.len(), LANES * n);
-        soa_gather(lines, ping, n);
-        let mut s = 1usize;
-        let mut in_ping = true;
-        for stage in &fft.stages {
-            let (src, dst) = if in_ping {
-                (ping.as_ptr(), pong.as_mut_ptr())
-            } else {
-                (pong.as_ptr(), ping.as_mut_ptr())
-            };
-            match stage.radix {
-                2 => bstage2(src, dst, s),
-                3 => bstage3(src, dst, n, s, &stage.twiddles, fft.esign),
-                4 => bstage4(src, dst, n, s, &stage.twiddles, fft.esign),
-                5 => bstage5(src, dst, n, s, &stage.twiddles, fft.esign),
-                r => unreachable!("unplanned radix {r}"),
+        // SAFETY: the caller guarantees AVX2+FMA and the slice lengths.
+        // `ping` and `pong` are distinct `n`-element slabs, and the
+        // planned stages have radices whose running product `s·radix`
+        // divides `n` with `(radix−1)·n/(s·radix)` twiddles each (see
+        // `plan_stages`), which is what each `bstage*` requires.
+        unsafe {
+            soa_gather(lines, ping, n);
+            let mut s = 1usize;
+            let mut in_ping = true;
+            for stage in &fft.stages {
+                let (src, dst) = if in_ping {
+                    (ping.as_ptr(), pong.as_mut_ptr())
+                } else {
+                    (pong.as_ptr(), ping.as_mut_ptr())
+                };
+                match stage.radix {
+                    2 => bstage2(src, dst, s),
+                    3 => bstage3(src, dst, n, s, &stage.twiddles, fft.esign),
+                    4 => bstage4(src, dst, n, s, &stage.twiddles, fft.esign),
+                    5 => bstage5(src, dst, n, s, &stage.twiddles, fft.esign),
+                    r => unreachable!("unplanned radix {r}"),
+                }
+                in_ping = !in_ping;
+                s *= stage.radix as usize;
             }
-            in_ping = !in_ping;
-            s *= stage.radix as usize;
+            let result: &[f32] = if in_ping { ping } else { pong };
+            soa_scatter(result, lines, n);
         }
-        let result: &[f32] = if in_ping { ping } else { pong };
-        soa_scatter(result, lines, n);
     }
 }

@@ -1,12 +1,12 @@
 //! Transform-size selection.
 //!
-//! FFTs here are fastest on sizes whose prime factors are small: the
-//! vendored `rustfft` routes every 5-smooth length (factors 2, 3, 5)
+//! FFTs here are fastest on sizes whose prime factors are small:
+//! [`crate::line`] routes every 5-smooth length (factors 2, 3, 5)
 //! through the iterative mixed-radix Stockham kernels, so per-transform
 //! cost is monotone-ish in size across the whole 5-smooth lattice. ZNN
 //! therefore pads transforms up to the next 5-smooth size — the same
-//! policy fftw's `fftw_next_fast_size` uses minus the factor 7, which
-//! upstream `rustfft` does not special-case as heavily.
+//! policy fftw's `fftw_next_fast_size` uses minus the factor 7, for
+//! which the line kernels have no butterfly.
 //!
 //! # Why 5-smooth beats 2^k-only padding
 //!
@@ -103,9 +103,9 @@ pub fn pow2_shape(s: Vec3) -> Vec3 {
 /// so the packed axis of the padded shape matches the input's.
 ///
 /// Every extent this returns is 5-smooth, so every line transform of
-/// the padded shape takes the iterative Stockham path of the vendored
-/// `rustfft` — no shape reachable from `good_shape` ever hits the
-/// recursive fallback.
+/// the padded shape takes the iterative Stockham path of
+/// [`LinePlan`](crate::line::LinePlan) — no shape reachable from
+/// `good_shape` ever hits the recursive fallback.
 ///
 /// ```
 /// use znn_fft::{good_shape, pow2_shape};

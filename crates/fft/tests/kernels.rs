@@ -1,6 +1,6 @@
 //! Differential pins for the FFT kernels underneath the engine.
 //!
-//! The vendored `rustfft` shim routes every 5-smooth length through
+//! `znn_fft::line` routes every 5-smooth length through
 //! the iterative mixed-radix Stockham kernels (radix-4/3/5 stages plus
 //! a trailing radix-2) and lengths with prime factors > 5 through the
 //! recursive mixed-radix fallback. These tests pin both against the
@@ -11,8 +11,8 @@
 //! single-threaded one bit-for-bit.
 
 use proptest::prelude::*;
-use rustfft::num_complex::Complex;
-use rustfft::{FftDirection, FftPlanner};
+use num_complex::Complex;
+use znn_fft::line::{Direction, LinePlan};
 use znn_fft::FftEngine;
 use znn_tensor::{ops, Vec3};
 
@@ -44,11 +44,10 @@ fn signal(n: usize, seed: u64) -> Vec<Complex<f32>> {
 }
 
 fn check_both_directions(n: usize, seed: u64) {
-    let mut planner = FftPlanner::new();
     let x = signal(n, seed);
-    for (dir, sign) in [(FftDirection::Forward, -1.0), (FftDirection::Inverse, 1.0)] {
+    for (dir, sign) in [(Direction::Forward, -1.0), (Direction::Inverse, 1.0)] {
         let mut got = x.clone();
-        planner.plan_fft(n, dir).process(&mut got);
+        LinePlan::new(n, dir).process(&mut got);
         let want = naive_dft(&x, sign);
         // error grows ~ sqrt(n) for the fast kernels; the naive f32 DFT
         // baseline dominates, so scale the bound with n
@@ -129,13 +128,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let n = 2usize.pow(a) * 3usize.pow(b) * 5usize.pow(c);
-        let mut planner = FftPlanner::new();
-        let x = signal(n, seed);
-        for dir in [FftDirection::Forward, FftDirection::Inverse] {
+            let x = signal(n, seed);
+        for dir in [Direction::Forward, Direction::Inverse] {
             let mut iter = x.clone();
-            planner.plan_fft(n, dir).process(&mut iter);
+            LinePlan::new(n, dir).process(&mut iter);
             let mut rec = x.clone();
-            planner.plan_fft_recursive(n, dir).process(&mut rec);
+            LinePlan::recursive(n, dir).process(&mut rec);
             let tol = 1e-5 * (n as f32) + 1e-4;
             for (k, (u, v)) in iter.iter().zip(&rec).enumerate() {
                 prop_assert!(
@@ -157,11 +155,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let n = 2usize.pow(a) * 3usize.pow(b);
-        let mut planner = FftPlanner::new();
-        let x = signal(n, seed);
+            let x = signal(n, seed);
         let mut buf = x.clone();
-        planner.plan_fft_forward(n).process(&mut buf);
-        planner.plan_fft_inverse(n).process(&mut buf);
+        LinePlan::new(n, Direction::Forward).process(&mut buf);
+        LinePlan::new(n, Direction::Inverse).process(&mut buf);
         for (a, b) in buf.iter().zip(&x) {
             let scaled = Complex::new(a.re / n as f32, a.im / n as f32);
             prop_assert!((scaled - *b).norm() < 1e-4, "len {}", n);
@@ -212,7 +209,7 @@ proptest! {
 /// through the pool path (`FftEngine::with_pool`).
 #[test]
 fn shared_pool_transforms_are_deterministic_at_1_2_4_workers() {
-    let pool = std::sync::Arc::new(rayon::ThreadPool::with_workers(2));
+    let pool = std::sync::Arc::new(znn_sched::ThreadPool::with_workers(2));
     let serial = FftEngine::with_threads(1);
     // 48³, 24·30·40 and 120·90·1 are 5-smooth non-powers-of-two: their
     // lines run the new radix-3/5 Stockham stages, which must be as
@@ -253,7 +250,7 @@ fn shared_pool_transforms_are_deterministic_at_1_2_4_workers() {
 /// every result must still be bit-for-bit the serial one.
 #[test]
 fn two_engines_on_one_pool_do_not_corrupt_each_others_scratch() {
-    let pool = std::sync::Arc::new(rayon::ThreadPool::with_workers(2));
+    let pool = std::sync::Arc::new(znn_sched::ThreadPool::with_workers(2));
     let a = std::sync::Arc::new(FftEngine::with_pool(4, std::sync::Arc::clone(&pool)));
     let b = std::sync::Arc::new(FftEngine::with_pool(3, std::sync::Arc::clone(&pool)));
     let serial = FftEngine::with_threads(1);

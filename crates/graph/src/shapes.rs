@@ -115,7 +115,7 @@ pub fn required_input_shape(graph: &Graph, output_shape: Vec3) -> Result<Vec3, S
             let edge = graph.edge(eid);
             let in_need = edge.op.required_input_shape(out_need);
             need.entry(edge.from)
-                .and_modify(|v| *v = (*v).max(in_need))
+                .and_modify(|v| *v = Vec3::max(v, in_need))
                 .or_insert(in_need);
         }
     }
@@ -129,7 +129,7 @@ pub fn required_input_shape(graph: &Graph, output_shape: Vec3) -> Result<Vec3, S
     let shape = inputs
         .iter()
         .filter_map(|n| need.get(n).copied())
-        .reduce(|a, b| a.max(b))
+        .reduce(|a, b| Vec3::max(&a, b))
         .expect("at least one input is reachable from an output");
     Ok(shape)
 }
@@ -188,6 +188,33 @@ mod tests {
         assert_eq!(input, Vec3::cube(10));
         let shapes = infer_shapes(&g, input).unwrap();
         assert_eq!(shapes[&NodeId(3)], Vec3::cube(4));
+    }
+
+    #[test]
+    fn merging_paths_take_the_elementwise_maximum() {
+        // two paths needing 1x9x1 and 2x1x1 must get 2x9x1, not the
+        // lexicographic maximum 2x1x1 — whether the paths merge at one
+        // input node or at two separate inputs
+        let conv = |x, y, z| EdgeOp::Conv {
+            kernel: Vec3::new(x, y, z),
+            sparsity: Vec3::one(),
+        };
+        let mut one_input = Graph::new();
+        let i = one_input.add_node("in");
+        let a = one_input.add_node("a");
+        let b = one_input.add_node("b");
+        one_input.add_edge(i, a, conv(1, 9, 1));
+        one_input.add_edge(i, b, conv(2, 1, 1));
+        let mut two_inputs = Graph::new();
+        let i1 = two_inputs.add_node("in1");
+        let i2 = two_inputs.add_node("in2");
+        let out = two_inputs.add_node("out");
+        two_inputs.add_edge(i1, out, conv(1, 9, 1));
+        two_inputs.add_edge(i2, out, conv(2, 1, 1));
+        for g in [one_input, two_inputs] {
+            let need = required_input_shape(&g, Vec3::one()).unwrap();
+            assert_eq!(need, Vec3::new(2, 9, 1));
+        }
     }
 
     #[test]

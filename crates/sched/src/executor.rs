@@ -8,13 +8,14 @@
 //!
 //! Workers can additionally **donate** themselves to a fork-join pool
 //! ([`Executor::with_donation`]): whenever the task queue is empty, a
-//! worker executes pending `rayon` scope jobs instead of parking. A
+//! worker executes pending [`ThreadPool`] scope jobs instead of parking. A
 //! scheduler task that opens a parallel FFT scope therefore runs its
 //! line chunks on otherwise-idle sibling workers — one thread budget
 //! for task- and data-parallelism, no oversubscription. Scheduler
 //! tasks always take precedence: donation happens only when the queue
 //! has nothing runnable.
 
+use crate::pool::ThreadPool;
 use crate::queue::{QueuePolicy, TaskQueue};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -30,7 +31,7 @@ pub type Task = Box<dyn FnOnce() + Send + 'static>;
 /// Shared by both executor flavours so the lost-wakeup-sensitive
 /// pairing lives in one place.
 pub(crate) fn register_donor_waker<T, F>(
-    pool: &rayon::ThreadPool,
+    pool: &ThreadPool,
     target: &Arc<T>,
     wake: F,
 ) -> Arc<dyn Fn() + Send + Sync>
@@ -117,7 +118,7 @@ struct Shared {
     idle_lock: Mutex<()>,
     /// Fork-join pool idle workers donate to (scope jobs run when the
     /// task queue is empty).
-    donate: Option<Arc<rayon::ThreadPool>>,
+    donate: Option<Arc<ThreadPool>>,
 }
 
 /// The queue-based worker pool. Dropping the executor shuts the workers
@@ -138,9 +139,9 @@ impl Executor {
 
     /// Starts `workers >= 1` worker threads that **donate** to `pool`:
     /// whenever the task queue is empty, a worker executes pending
-    /// fork-join jobs (parallel FFT line chunks, baseline `par_iter`
-    /// chunks) from `pool` instead of parking. Pair with a
-    /// [`rayon::ThreadPool::donor_only`] pool so the executor's workers
+    /// fork-join jobs (parallel FFT line chunks) from `pool` instead
+    /// of parking. Pair with a
+    /// [`ThreadPool::donor_only`] pool so the executor's workers
     /// are the *only* threads in the budget.
     ///
     /// # Example
@@ -153,9 +154,9 @@ impl Executor {
     ///
     /// ```
     /// use std::sync::{mpsc, Arc};
-    /// use znn_sched::{Executor, QueuePolicy, Scheduler};
+    /// use znn_sched::{Executor, QueuePolicy, Scheduler, ThreadPool};
     ///
-    /// let pool = Arc::new(rayon::ThreadPool::donor_only());
+    /// let pool = Arc::new(ThreadPool::donor_only());
     /// let exec = Executor::with_donation(2, QueuePolicy::Priority, Arc::clone(&pool));
     /// let (tx, rx) = mpsc::channel();
     /// exec.submit(0, {
@@ -172,11 +173,11 @@ impl Executor {
     /// });
     /// assert_eq!(rx.recv().unwrap(), 3);
     /// ```
-    pub fn with_donation(workers: usize, policy: QueuePolicy, pool: Arc<rayon::ThreadPool>) -> Self {
+    pub fn with_donation(workers: usize, policy: QueuePolicy, pool: Arc<ThreadPool>) -> Self {
         Self::build(workers, policy, Some(pool))
     }
 
-    fn build(workers: usize, policy: QueuePolicy, donate: Option<Arc<rayon::ThreadPool>>) -> Self {
+    fn build(workers: usize, policy: QueuePolicy, donate: Option<Arc<ThreadPool>>) -> Self {
         assert!(workers >= 1, "an executor needs at least one worker");
         let shared = Arc::new(Shared {
             queue: Mutex::new(TaskQueue::new(policy)),

@@ -12,18 +12,21 @@
 //!   LIFO policies from §X are provided for the scheduling ablation.
 //! * [`executor`] — the worker pool: each worker repeatedly picks the
 //!   highest-priority ready task and runs it (§VI-B). Workers can
-//!   *donate* idle time to a `rayon` fork-join pool
+//!   *donate* idle time to a fork-join [`pool`]
 //!   ([`Executor::with_donation`]): when the task queue is empty they
 //!   execute pending scope jobs — parallel FFT line chunks spawned by
 //!   a sibling's convolution task — instead of parking. Paired with a
-//!   [`rayon::ThreadPool::donor_only`] pool this gives the paper's
+//!   [`ThreadPool::donor_only`] pool this gives the paper's
 //!   "predetermined number of workers" a single thread budget covering
 //!   both task- and data-parallelism: an FFT inside a task never
 //!   oversubscribes the machine, because its chunks only ever run on
 //!   the scheduler's own (idle) workers and on the task's own thread.
 //! * [`stealing`] — the work-stealing alternative scheduler mentioned in
-//!   §X, built on crossbeam deques; its workers donate the same way
+//!   §X, built on per-worker deques; its workers donate the same way
 //!   ([`StealingExecutor::with_donation`]).
+//! * [`pool`] — the persistent fork-join [`ThreadPool`] those scope
+//!   jobs run on, with [`ThreadPool::scope`] and the free [`scope`] on
+//!   the [`global_pool`].
 //! * [`update`] — the FORCE state machine of Algorithms 1–3: forward
 //!   tasks *force* their edge's pending update task — executing it
 //!   inline (Queued), delegating themselves to its executor (Executing),
@@ -40,8 +43,10 @@
 
 #![warn(missing_docs)]
 
+mod deque;
 pub mod executor;
 pub mod latch;
+pub mod pool;
 pub mod queue;
 pub mod stealing;
 pub mod sum;
@@ -49,6 +54,7 @@ pub mod update;
 
 pub use executor::{Executor, SchedStats, Scheduler, Task};
 pub use latch::Latch;
+pub use pool::{global_pool, scope, Scope, ThreadPool};
 pub use queue::QueuePolicy;
 pub use stealing::StealingExecutor;
 pub use sum::{Accumulate, ConcurrentSum};
@@ -57,3 +63,6 @@ pub use update::UpdateHandle;
 /// The priority of update tasks — lower than every other task (§VI-A:
 /// "the update tasks will have the lowest priority of all tasks").
 pub const UPDATE_PRIORITY: u64 = u64::MAX;
+
+#[cfg(test)]
+mod tests;

@@ -7,13 +7,15 @@
 //! most networks." — this module provides the work-stealing one so the
 //! §X ablation can measure that claim.
 //!
-//! Workers own Chase–Lev deques (crossbeam); external submissions go to
-//! a shared injector; a worker pops its own deque LIFO, refills from the
-//! injector, and steals FIFO from siblings. Priorities are ignored —
+//! Each worker owns a deque; external submissions go to a shared
+//! injector; a worker pops its own deque LIFO, refills from the
+//! injector, and steals FIFO from siblings — the same queues
+//! (`deque::WorkQueues`) the fork-join pool runs on. Priorities are ignored —
 //! that is precisely the property the ablation probes.
 
+use crate::deque::WorkQueues;
 use crate::executor::{SchedStats, Scheduler, Task};
-use crossbeam::deque::{Injector, Stealer, Worker};
+use crate::pool::ThreadPool;
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -28,9 +30,8 @@ thread_local! {
 }
 
 struct Pool {
-    injector: Injector<Task>,
-    stealers: Vec<Stealer<Task>>,
-    locals: Vec<Mutex<Worker<Task>>>,
+    /// The injector and one deque per worker.
+    tasks: WorkQueues<Task>,
     shutdown: AtomicBool,
     executed: AtomicU64,
     task_panics: AtomicU64,
@@ -40,7 +41,7 @@ struct Pool {
     id: u64,
     /// Fork-join pool idle workers donate to (scope jobs run when no
     /// task is runnable anywhere).
-    donate: Option<Arc<rayon::ThreadPool>>,
+    donate: Option<Arc<ThreadPool>>,
 }
 
 /// A work-stealing executor with the same [`Scheduler`] interface as the
@@ -75,18 +76,14 @@ impl StealingExecutor {
     /// `pool`: whenever no task is runnable (own deque, injector and
     /// siblings all empty), a worker executes pending fork-join jobs
     /// from `pool` instead of parking.
-    pub fn with_donation(workers: usize, pool: Arc<rayon::ThreadPool>) -> Self {
+    pub fn with_donation(workers: usize, pool: Arc<ThreadPool>) -> Self {
         Self::build(workers, Some(pool))
     }
 
-    fn build(workers: usize, donate: Option<Arc<rayon::ThreadPool>>) -> Self {
+    fn build(workers: usize, donate: Option<Arc<ThreadPool>>) -> Self {
         assert!(workers >= 1);
-        let locals: Vec<Worker<Task>> = (0..workers).map(|_| Worker::new_lifo()).collect();
-        let stealers = locals.iter().map(|w| w.stealer()).collect();
         let pool = Arc::new(Pool {
-            injector: Injector::new(),
-            stealers,
-            locals: locals.into_iter().map(Mutex::new).collect(),
+            tasks: WorkQueues::new(workers),
             shutdown: AtomicBool::new(false),
             executed: AtomicU64::new(0),
             task_panics: AtomicU64::new(0),
@@ -121,44 +118,10 @@ impl StealingExecutor {
     }
 }
 
-fn find_task(index: usize, pool: &Pool) -> Option<Task> {
-    // own deque first (LIFO: depth-first, cache-friendly)
-    if let Some(t) = pool.locals[index].lock().pop() {
-        return Some(t);
-    }
-    // then the shared injector, then steal from siblings
-    loop {
-        let steal = pool.injector.steal();
-        if steal.is_retry() {
-            continue;
-        }
-        if let Some(t) = steal.success() {
-            return Some(t);
-        }
-        break;
-    }
-    for (j, s) in pool.stealers.iter().enumerate() {
-        if j == index {
-            continue;
-        }
-        loop {
-            let steal = s.steal();
-            if steal.is_retry() {
-                continue;
-            }
-            if let Some(t) = steal.success() {
-                return Some(t);
-            }
-            break;
-        }
-    }
-    None
-}
-
 fn worker_loop(index: usize, pool: Arc<Pool>) {
     LOCAL.with(|l| *l.borrow_mut() = Some((index, Arc::clone(&pool))));
     loop {
-        match find_task(index, &pool) {
+        match pool.tasks.pop(Some(index)) {
             Some(task) => {
                 // same containment as the queue executor: a panicking
                 // task must not kill the worker, and `executed` must
@@ -199,19 +162,11 @@ impl Scheduler for StealingExecutor {
         self.pool.submitted.fetch_add(1, Ordering::Release);
         // a worker of *this* pool pushes to its own deque (the classic
         // work-first rule); everyone else goes through the injector
-        let mut task = Some(task);
-        LOCAL.with(|l| {
-            if let Some((i, pool)) = l.borrow().as_ref() {
-                if pool.id == self.pool.id {
-                    pool.locals[*i]
-                        .lock()
-                        .push(task.take().expect("task still present"));
-                }
-            }
+        let local = LOCAL.with(|l| match l.borrow().as_ref() {
+            Some((i, pool)) if pool.id == self.pool.id => Some(*i),
+            _ => None,
         });
-        if let Some(t) = task {
-            self.pool.injector.push(t);
-        }
+        self.pool.tasks.push(local, task);
         self.pool.wake.notify_all();
     }
 

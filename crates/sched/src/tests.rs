@@ -1,0 +1,161 @@
+//! Unit tests of the fork-join pool ([`crate::pool`]).
+
+use crate::pool::{scope, ThreadPool};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+#[test]
+fn scope_joins_all_spawned_tasks() {
+    let mut parts = vec![0u64; 8];
+    scope(|s| {
+        for (i, p) in parts.iter_mut().enumerate() {
+            s.spawn(move |_| *p = (i as u64 + 1) * 10);
+        }
+    });
+    assert_eq!(parts, (1..=8).map(|i| i * 10).collect::<Vec<_>>());
+}
+
+#[test]
+fn scope_supports_nested_spawns() {
+    let flags = std::sync::Mutex::new(Vec::new());
+    scope(|s| {
+        s.spawn(|s| {
+            flags.lock().unwrap().push("outer");
+            s.spawn(|_| flags.lock().unwrap().push("inner"));
+        });
+    });
+    let got = flags.into_inner().unwrap();
+    assert_eq!(got.len(), 2);
+    assert_eq!(got[0], "outer");
+}
+
+#[test]
+fn single_worker_pool_completes_nested_scopes() {
+    // the no-deadlock property: the scope owner executes pending
+    // jobs itself, so fan-out deeper than the worker count finishes
+    let pool = ThreadPool::with_workers(1);
+    let hits = AtomicUsize::new(0);
+    pool.scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|s| {
+                hits.fetch_add(1, Ordering::SeqCst);
+                s.spawn(|s| {
+                    hits.fetch_add(1, Ordering::SeqCst);
+                    s.spawn(|_| {
+                        hits.fetch_add(1, Ordering::SeqCst);
+                    });
+                });
+            });
+        }
+    });
+    assert_eq!(hits.load(Ordering::SeqCst), 12);
+}
+
+#[test]
+fn donor_only_pool_runs_on_the_scope_owner() {
+    let pool = ThreadPool::donor_only();
+    assert_eq!(pool.workers(), 0);
+    let owner = std::thread::current().id();
+    let mut parts = vec![0usize; 16];
+    pool.scope(|s| {
+        for (i, p) in parts.iter_mut().enumerate() {
+            s.spawn(move |_| {
+                // no donors are registered, so only the owner can run it
+                assert_eq!(std::thread::current().id(), owner);
+                *p = i + 1;
+            });
+        }
+    });
+    assert_eq!(parts, (1..=16).collect::<Vec<_>>());
+}
+
+#[test]
+fn donors_execute_queued_jobs() {
+    let pool = Arc::new(ThreadPool::donor_only());
+    let woken = Arc::new(AtomicUsize::new(0));
+    let waker: Arc<dyn Fn() + Send + Sync> = {
+        let woken = Arc::clone(&woken);
+        Arc::new(move || {
+            woken.fetch_add(1, Ordering::SeqCst);
+        })
+    };
+    pool.add_donor_waker(&waker);
+    let ran = Arc::new(AtomicUsize::new(0));
+    {
+        let ran = Arc::clone(&ran);
+        pool.spawn(move || {
+            ran.fetch_add(1, Ordering::SeqCst);
+        });
+    }
+    assert!(pool.has_pending_jobs());
+    assert!(woken.load(Ordering::SeqCst) >= 1);
+    assert!(pool.run_pending_job());
+    assert_eq!(ran.load(Ordering::SeqCst), 1);
+    assert!(!pool.run_pending_job());
+    // dropping the waker arc unregisters it
+    drop(waker);
+    pool.spawn(|| {});
+    assert!(pool.run_pending_job());
+    assert_eq!(woken.load(Ordering::SeqCst), 1);
+}
+
+#[test]
+fn detached_spawn_panics_are_counted_not_lost() {
+    let pool = ThreadPool::with_workers(2);
+    assert_eq!(pool.detached_panics(), 0);
+    let done = Arc::new(std::sync::Barrier::new(2));
+    let d = Arc::clone(&done);
+    pool.spawn(move || {
+        let _sync = DropBarrier(d); // waited even when the job unwinds
+        panic!("injected detached panic");
+    });
+    struct DropBarrier(Arc<std::sync::Barrier>);
+    impl Drop for DropBarrier {
+        fn drop(&mut self) {
+            self.0.wait();
+        }
+    }
+    done.wait();
+    // the counter bump happens after the unwind reaches the catch;
+    // poll briefly rather than racing it
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while pool.detached_panics() == 0 && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    assert_eq!(pool.detached_panics(), 1, "pool-level count");
+    // the worker that ran the panicking job survived
+    let ok = Arc::new(AtomicUsize::new(0));
+    let ok2 = Arc::clone(&ok);
+    pool.scope(|s| {
+        s.spawn(move |_| {
+            ok2.fetch_add(1, Ordering::SeqCst);
+        })
+    });
+    assert_eq!(ok.load(Ordering::SeqCst), 1);
+}
+
+#[test]
+fn scope_propagates_task_panics() {
+    let result = std::panic::catch_unwind(|| {
+        scope(|s| {
+            s.spawn(|_| panic!("task panic"));
+        });
+    });
+    assert!(result.is_err());
+}
+
+#[test]
+fn pool_drop_joins_workers() {
+    let pool = ThreadPool::with_workers(2);
+    let done = Arc::new(AtomicUsize::new(0));
+    pool.scope(|s| {
+        for _ in 0..8 {
+            let done = Arc::clone(&done);
+            s.spawn(move |_| {
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+    });
+    assert_eq!(done.load(Ordering::SeqCst), 8);
+    drop(pool); // must not hang
+}

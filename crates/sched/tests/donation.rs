@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use znn_sched::{Executor, Latch, QueuePolicy, Scheduler, StealingExecutor};
+use znn_sched::{Executor, Latch, QueuePolicy, Scheduler, StealingExecutor, ThreadPool};
 
 /// Runs `f` on a fresh thread and fails the test instead of hanging if
 /// it does not finish in time — a deadlock shows up as a clean panic.
@@ -26,7 +26,7 @@ fn must_finish(name: &str, f: impl FnOnce() + Send + 'static) {
 
 /// A scheduler task that opens a scope, whose jobs open nested scopes —
 /// the shape of a parallel FFT (multi-stage fan-out) run from a task.
-fn nested_scope_task(pool: &rayon::ThreadPool, hits: &AtomicUsize) {
+fn nested_scope_task(pool: &ThreadPool, hits: &AtomicUsize) {
     pool.scope(|s| {
         for _ in 0..4 {
             s.spawn(|s| {
@@ -53,7 +53,7 @@ fn nested_scope_task(pool: &rayon::ThreadPool, hits: &AtomicUsize) {
 /// Floods `ex` with more nested-scope tasks than it has workers and
 /// asserts every fork-join job ran. Generic over the scheduler so both
 /// executor flavours share one scenario.
-fn scenario(ex: Arc<dyn Scheduler>, pool: Arc<rayon::ThreadPool>, workers: usize) {
+fn scenario(ex: Arc<dyn Scheduler>, pool: Arc<ThreadPool>, workers: usize) {
     let hits = Arc::new(AtomicUsize::new(0));
     let tasks = 2 * workers + 1; // more tasks than workers
     let latch = Arc::new(Latch::new(tasks));
@@ -75,13 +75,13 @@ fn scenario(ex: Arc<dyn Scheduler>, pool: Arc<rayon::ThreadPool>, workers: usize
 }
 
 fn executor_scenario(workers: usize) {
-    let pool = Arc::new(rayon::ThreadPool::donor_only());
+    let pool = Arc::new(ThreadPool::donor_only());
     let ex = Executor::with_donation(workers, QueuePolicy::Priority, Arc::clone(&pool));
     scenario(Arc::new(ex), pool, workers);
 }
 
 fn stealing_scenario(workers: usize) {
-    let pool = Arc::new(rayon::ThreadPool::donor_only());
+    let pool = Arc::new(ThreadPool::donor_only());
     let ex = StealingExecutor::with_donation(workers, Arc::clone(&pool));
     scenario(Arc::new(ex), pool, workers);
 }
@@ -111,7 +111,7 @@ fn idle_workers_donate_to_external_scopes() {
     // a scope opened OUTSIDE the executor: its jobs must still run —
     // picked up by idle donating workers (or the owner), never lost
     must_finish("external scope", || {
-        let pool = Arc::new(rayon::ThreadPool::donor_only());
+        let pool = Arc::new(ThreadPool::donor_only());
         let _ex = Executor::with_donation(2, QueuePolicy::Priority, Arc::clone(&pool));
         let count = AtomicUsize::new(0);
         pool.scope(|s| {
@@ -131,7 +131,7 @@ fn donation_does_not_starve_scheduler_tasks() {
     // scheduler tasks: the tasks must still all run (donation only
     // happens when the queue is empty)
     must_finish("no starvation", || {
-        let pool = Arc::new(rayon::ThreadPool::donor_only());
+        let pool = Arc::new(ThreadPool::donor_only());
         let ex = Arc::new(Executor::with_donation(
             2,
             QueuePolicy::Priority,

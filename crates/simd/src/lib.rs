@@ -50,7 +50,7 @@
 //! guarantees (thread-count invariance, pooled-vs-raw parity,
 //! batched-vs-single line transforms) hold *per code path and across
 //! code paths*. The differential tests in this crate and in
-//! `znn-tensor`/`znn-fft`/`rustfft` assert the bitwise pin; callers
+//! `znn-tensor`/`znn-fft` assert the bitwise pin; callers
 //! that re-associate on their own (none today) must document an ulp
 //! bound instead.
 //!
@@ -61,7 +61,7 @@
 //! *before first use* forces the scalar twins process-wide — CI runs
 //! the whole test suite a second time this way so the fallback can
 //! never rot. Benchmarks that need both paths in one process use
-//! plan-level switches instead (`FftPlanner::plan_fft_scalar`,
+//! plan-level switches instead (`znn_fft::line::LinePlan::scalar`,
 //! `FftEngine::with_scalar_kernels`) plus the public [`scalar`]
 //! module, not the env override.
 //!

@@ -1,7 +1,7 @@
 //! Thin 8-lane f32 vector wrappers over AVX2 intrinsics.
 //!
-//! These exist so the batched Stockham butterflies (in the vendored
-//! rustfft) and the pointwise kernels in this crate share one audited
+//! These exist so the batched Stockham butterflies (in `znn-fft`'s
+//! line plans) and the pointwise kernels in this crate share one audited
 //! set of lane operations. Everything here is `unsafe` — the caller
 //! must have verified AVX2 (+FMA for [`F32x8::fmadd`]) at runtime —
 //! and `#[inline(always)]` so the ops fold into the caller's
