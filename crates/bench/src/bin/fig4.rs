@@ -4,8 +4,8 @@
 //! Reproduces the paper's parameters: P ∈ {8, 18, 40, 60, 120}, depths
 //! 4–40, kernels 5³. Each line of output is one curve.
 
-use znn_theory::brent::{achievable_speedup, NetworkModel};
-use znn_theory::flops::ConvAlgorithm;
+use znn_plan::brent::{achievable_speedup, NetworkModel};
+use znn_plan::flops::ConvAlgorithm;
 
 fn main() {
     let widths: Vec<f64> = (1..=24).map(|i| (i * 5) as f64).collect();

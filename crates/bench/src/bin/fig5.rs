@@ -5,15 +5,15 @@
 //! The four paper machines are reproduced by the discrete-event
 //! simulator executing the real task graph under the real priority
 //! policy: the curves' shape is a property of that graph and policy,
-//! not of the silicon (see the `znn-sim` crate docs). Pass
+//! not of the silicon (see `znn_plan::simulate`). Pass
 //! `--host` to also measure true wall-clock speedup on this machine's
 //! threads with the real engine (only meaningful on multi-core hosts).
 
 use znn_graph::builder::{scalability_net_2d, scalability_net_3d};
-use znn_sim::costs::task_costs;
-use znn_sim::{simulate, Machine, SimConfig};
+use znn_ops::ConvMethod;
+use znn_plan::cost::task_costs;
+use znn_plan::{simulate, Machine, NetPlan, SimConfig};
 use znn_tensor::Vec3;
-use znn_theory::flops::ConvAlgorithm;
 
 fn thread_grid(max: usize) -> Vec<usize> {
     let mut v = vec![1, 2, 4];
@@ -32,11 +32,11 @@ fn main() {
     // paper widths 5..120; trimmed grid keeps runtime sane
     let widths = [5usize, 10, 20, 40, 80, 120];
 
-    for (dim, algo, out_shape) in [
-        ("2D", ConvAlgorithm::Fft, Vec3::flat(48, 48)),
-        ("3D", ConvAlgorithm::Direct, Vec3::cube(12)),
+    for (dim, method, out_shape) in [
+        ("2D", ConvMethod::Fft, Vec3::flat(48, 48)),
+        ("3D", ConvMethod::Direct, Vec3::cube(12)),
     ] {
-        println!("# Fig 5 — {dim} networks ({algo:?} convolution)\n");
+        println!("# Fig 5 — {dim} networks ({method:?} convolution)\n");
         for machine in Machine::table_v() {
             println!("## {}", machine.name);
             for &w in &widths {
@@ -45,7 +45,8 @@ fn main() {
                 } else {
                     scalability_net_3d(w)
                 };
-                let (tg, costs) = task_costs(&g, out_shape, algo, true).unwrap();
+                let plan = NetPlan::force(&g, out_shape, method, 1, false).unwrap();
+                let (tg, costs) = task_costs(&g, out_shape, &plan, true).unwrap();
                 let series: Vec<String> = thread_grid(machine.hw_threads)
                     .into_iter()
                     .map(|workers| {

@@ -3,16 +3,16 @@
 //! line per machine, all hardware threads in use.
 
 use znn_graph::builder::{scalability_net_2d, scalability_net_3d};
-use znn_sim::costs::task_costs;
-use znn_sim::{simulate, Machine, SimConfig};
+use znn_ops::ConvMethod;
+use znn_plan::cost::task_costs;
+use znn_plan::{simulate, Machine, NetPlan, SimConfig};
 use znn_tensor::Vec3;
-use znn_theory::flops::ConvAlgorithm;
 
 fn main() {
     let widths = [5usize, 10, 15, 20, 25, 30, 40, 50, 60, 80, 100, 120];
-    for (fig, dim, algo, out_shape) in [
-        ("Fig 6", "2D", ConvAlgorithm::Fft, Vec3::flat(48, 48)),
-        ("Fig 7", "3D", ConvAlgorithm::Direct, Vec3::cube(12)),
+    for (fig, dim, method, out_shape) in [
+        ("Fig 6", "2D", ConvMethod::Fft, Vec3::flat(48, 48)),
+        ("Fig 7", "3D", ConvMethod::Direct, Vec3::cube(12)),
     ] {
         println!("# {fig} — achieved speedup vs width ({dim})\n");
         println!("width: {widths:?}");
@@ -25,7 +25,8 @@ fn main() {
                     } else {
                         scalability_net_3d(w)
                     };
-                    let (tg, costs) = task_costs(&g, out_shape, algo, true).unwrap();
+                    let plan = NetPlan::force(&g, out_shape, method, 1, false).unwrap();
+                    let (tg, costs) = task_costs(&g, out_shape, &plan, true).unwrap();
                     let r = simulate(
                         &tg,
                         &costs,

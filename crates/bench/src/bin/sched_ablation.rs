@@ -15,11 +15,11 @@ use std::fmt::Write as _;
 use znn_bench::{fmt, header, row, time_per_round};
 use znn_core::{ConvPolicy, TrainConfig, Znn};
 use znn_graph::builder::{scalability_net_2d, scalability_net_3d};
+use znn_ops::ConvMethod;
+use znn_plan::cost::task_costs;
+use znn_plan::{simulate, Machine, NetPlan, SimConfig};
 use znn_sched::QueuePolicy;
-use znn_sim::costs::task_costs;
-use znn_sim::{simulate, Machine, SimConfig};
 use znn_tensor::{ops, Vec3};
-use znn_theory::flops::ConvAlgorithm;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -37,11 +37,13 @@ fn main() {
     for (name, key, tgc) in [
         (format!("2D width {width}"), "net2d", {
             let (g, _) = scalability_net_2d(width);
-            task_costs(&g, Vec3::flat(48, 48), ConvAlgorithm::Fft, true).unwrap()
+            let plan = NetPlan::force(&g, Vec3::flat(48, 48), ConvMethod::Fft, 1, false).unwrap();
+            task_costs(&g, Vec3::flat(48, 48), &plan, true).unwrap()
         }),
         (format!("3D width {width}"), "net3d", {
             let (g, _) = scalability_net_3d(width);
-            task_costs(&g, Vec3::cube(12), ConvAlgorithm::Direct, false).unwrap()
+            let plan = NetPlan::force(&g, Vec3::cube(12), ConvMethod::Direct, 1, false).unwrap();
+            task_costs(&g, Vec3::cube(12), &plan, false).unwrap()
         }),
     ] {
         let (tg, costs) = tgc;

@@ -10,7 +10,7 @@ use znn_ops::filter::{max_filter, FilterImpl};
 use znn_ops::pool::max_pool;
 use znn_ops::Transfer;
 use znn_tensor::{ops, Vec3};
-use znn_theory::flops::{ConvAlgorithm, LayerModel};
+use znn_plan::flops::{ConvAlgorithm, LayerModel};
 
 fn main() {
     println!("# Table I — nonlinear layer costs (f nodes, n^3 images)\n");

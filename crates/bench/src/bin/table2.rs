@@ -13,7 +13,7 @@ use znn_bench::{fmt, header, row, time_per_round};
 use znn_core::{ConvPolicy, TrainConfig, Znn};
 use znn_graph::builder::NetBuilder;
 use znn_tensor::{ops, Vec3};
-use znn_theory::flops::{ConvAlgorithm, LayerModel};
+use znn_plan::flops::{ConvAlgorithm, LayerModel};
 
 /// Seconds per training round of an `f → fp` layer of `k³` kernels on
 /// an `n³` input, single worker.

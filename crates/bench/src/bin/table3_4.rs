@@ -1,9 +1,9 @@
 //! Tables III–IV — per-layer T∞ (latency with unbounded processors).
 
 use znn_bench::{fmt, header, row};
-use znn_theory::flops::{ConvAlgorithm, LayerModel};
-use znn_theory::tinf::t_inf;
-use znn_theory::DEFAULT_C;
+use znn_plan::flops::{ConvAlgorithm, LayerModel};
+use znn_plan::tinf::t_inf;
+use znn_plan::DEFAULT_C;
 
 fn main() {
     println!("# Table III — conv layer T∞ (n=24, k=5)\n");

@@ -1,7 +1,7 @@
 //! Table V — the experiment machines, as modelled by the simulator.
 
 use znn_bench::{header, row};
-use znn_sim::Machine;
+use znn_plan::Machine;
 
 fn main() {
     println!("# Table V — machines (simulated models of the paper's hardware)\n");

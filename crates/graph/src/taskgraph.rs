@@ -9,7 +9,7 @@
 //! then updates, then the data provider and the forward tasks, with
 //! each forward task of a trainable edge additionally depending on that
 //! edge's update task. This composite round is what the discrete-event
-//! simulator (`znn-sim`) schedules to predict speedup.
+//! simulator (`znn_plan::simulate`) schedules to predict speedup.
 
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::priority;

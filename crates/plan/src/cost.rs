@@ -1,24 +1,22 @@
-//! The planner's per-edge cost model: the paper's FLOP counts
-//! (Tables I–II), made pad- and radix-aware.
-//!
-//! `crates/sim` prices tasks with the generic `C·N·log₂N` transform
-//! cost at the *unpadded* image size. The planner refines that in two
-//! ways so it can rank concrete execution strategies:
-//!
-//! * transforms are priced at the **padded** shape the engine would
-//!   actually plan (`good_shape` vs `pow2_shape`), and
-//! * each 1D line length is decomposed into its 2^a·3^b·5^c radix
-//!   stages, weighted per radix — radix-4 passes are cheaper per
-//!   log₂ unit than radix-3/5 passes, which is exactly why 5-smooth
-//!   padding usually beats power-of-two padding despite more voxels.
-//!
-//! Shared work is amortized the same way the engine shares it (and the
-//! same way [`znn_sim::costs`] models it): a node's image transform is
-//! split across its out-edges, the inverse of a node sum across its
-//! in-edges.
+//! The one cost model: what each edge of a network costs in each pass,
+//! from the paper's FLOP counts (Tables I–II) made pad- and
+//! radix-aware. [`pass_work`] is the only place the work of a pass is
+//! stated, split into four classes: **transform** (3D r2c/c2r at the
+//! **padded** shape the engine plans, each line length decomposed into
+//! its 2^a·3^b·5^c radix stages and weighted per radix, which is why
+//! 5-smooth pads usually beat power-of-two pads despite more voxels),
+//! **pointwise** (half-spectrum products, sums, flips), **direct**
+//! (time-domain multiply-adds) and **sweep** (transfer, pooling,
+//! filtering). The planner prices the round of [`round_work`]; the
+//! simulator prices each task of [`task_costs`]. Shared work is
+//! amortized the way the engine shares it: a node's image transform
+//! across its out-edges, the inverse of a node sum across its in-edges.
 
+use crate::{EdgePlan, NetPlan, DEFAULT_C};
+use std::collections::HashMap;
+use znn_graph::{shapes, EdgeOp, Graph, NodeId, TaskGraph, TaskKind};
+use znn_ops::ConvMethod;
 use znn_tensor::Vec3;
-use znn_theory::DEFAULT_C;
 
 /// Relative cost per log₂ unit of a radix-4 stage (the workhorse of
 /// the iterative Stockham path; two log₂ units per stage).
@@ -93,67 +91,226 @@ pub fn pointwise_flops(m: Vec3) -> f64 {
 /// relative to the machine's dense-kernel throughput.
 pub const PW_EFF: f64 = 0.25;
 
-/// Total FLOPs of one training round of a direct-convolution edge
-/// (forward valid conv + backward full conv + kernel update; 2 FLOPs
-/// per multiply-accumulate, Table I). Skip kernels touch the same
-/// number of taps, so sparsity does not change the count.
-pub fn direct_round_flops(n: Vec3, k: Vec3, sparsity: Vec3) -> f64 {
-    let kd = k.dilated(sparsity);
-    let out = match n.valid_conv(kd) {
-        Some(o) => o.len() as f64,
-        None => return f64::INFINITY,
-    };
-    let taps = k.len() as f64;
-    // forward: |out|·|k| MACs; backward: full conv back to |n|;
-    // update: |out|·|k| MACs again
-    2.0 * taps * (out + n.len() as f64 + out)
+/// One pass of an edge: the three passes of a training round, or the
+/// forward pass of serving.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pass {
+    /// Training forward pass.
+    Forward,
+    /// Training backward pass (the input gradient).
+    Backward,
+    /// Training update pass (the kernel or bias gradient).
+    Update,
+    /// Serving forward pass: kernel spectra are kept across requests.
+    Serve,
 }
 
-/// Per-round FLOPs of an FFT-convolution edge at pad `m`, split into
-/// `(transform_flops, pointwise_flops)` so the caller can apply the
-/// `fft_threads` fan-out speedup to the transform part only.
+/// The work of one edge in one pass (or a round), by class, in FLOPs.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Work {
+    /// Transforms the pass always runs, one term each in run order (0
+    /// when unused); a transform shared by `d` edges enters at `1/d`.
+    pub transforms: [f64; 3],
+    /// Transforms memoization saves (Table II), added last.
+    pub retransforms: f64,
+    /// Half-spectrum pointwise sweeps (bandwidth-bound: [`PW_EFF`]).
+    pub pointwise: f64,
+    /// Direct convolution, 2 per multiply-accumulate.
+    pub direct: f64,
+    /// Transfer, max-pool and max-filter sweeps (bandwidth-bound).
+    pub sweep: f64,
+}
+
+impl Work {
+    /// All transform FLOPs, re-transforms last.
+    pub fn transform(&self) -> f64 {
+        self.transforms.iter().sum::<f64>() + self.retransforms
+    }
+
+    /// FLOP-equivalents: the bandwidth-bound classes (pointwise, sweep)
+    /// divided by [`PW_EFF`], plus the rest — the unit the planner
+    /// compares methods in and the simulator schedules in.
+    pub fn flop_eq(&self) -> f64 {
+        self.transform() + self.direct + (self.pointwise + self.sweep) / PW_EFF
+    }
+}
+
+/// One edge as the cost model sees it.
+#[derive(Clone, Copy, Debug)]
+pub struct EdgeSite {
+    /// The edge's operation.
+    pub op: EdgeOp,
+    /// Image shape at the from-node.
+    pub from: Vec3,
+    /// Image shape at the to-node.
+    pub to: Vec3,
+    /// Edges sharing the from-node's image transform (its out-degree).
+    pub d_out: usize,
+    /// Edges sharing the inverse of the to-node's sum (its in-degree).
+    pub d_in: usize,
+    /// Method and pad of a convolution edge; `None` for other ops.
+    pub conv: Option<(ConvMethod, Vec3)>,
+}
+
+/// The site of every edge of `graph` (image shapes `shape_of`), indexed
+/// like `graph.edges()`, each convolution run as its entry of `plan`.
+pub fn edge_sites(
+    graph: &Graph,
+    shape_of: &HashMap<NodeId, Vec3>,
+    plan: &[Option<EdgePlan>],
+) -> Vec<EdgeSite> {
+    let sites = graph.edges().iter().zip(plan).map(|(e, ep)| EdgeSite {
+        op: e.op,
+        from: shape_of[&e.from],
+        to: shape_of[&e.to],
+        d_out: graph.node(e.from).out_edges.len().max(1),
+        d_in: graph.node(e.to).in_edges.len().max(1),
+        conv: ep.map(|ep| (ep.method, ep.pad)),
+    });
+    sites.collect()
+}
+
+/// The work of one edge in one pass. Without `memoize` (Table II) the
+/// backward pass re-transforms the kernel, the update its two operands.
 ///
-/// Transform sharing follows the engine (and [`znn_sim::costs`]): the
-/// image FFT is amortized over the from-node's `d_out` edges, the
-/// inverse of the node sum over the to-node's `d_in` contributions.
-/// With memoization (Table II) the backward pass derives the flipped
-/// kernel spectrum pointwise and the update reuses the forward
-/// transforms; without it the kernel is retransformed and the update
-/// pays two extra forward FFTs.
-pub fn fft_round_split(m: Vec3, d_out: usize, d_in: usize, memoize: bool) -> (f64, f64) {
-    let t3 = fft3_flops(m);
-    let d_out = d_out.max(1) as f64;
-    let d_in = d_in.max(1) as f64;
-    // forward: shared image FFT + kernel FFT + shared inverse;
-    // backward: shared gradient FFT + shared inverse;
-    // update: one inverse for the kernel gradient
-    let mut transforms = t3 / d_out + t3 + t3 / d_in // forward
-        + t3 / d_in + t3 / d_out                      // backward
-        + t3; // update inverse
-    if !memoize {
-        transforms += 3.0 * t3; // kernel retransform + two update FFTs
+/// # Panics
+///
+/// If the site is a convolution without a method and pad.
+pub fn pass_work(site: &EdgeSite, pass: Pass, memoize: bool) -> Work {
+    let nu = site.from.len() as f64;
+    let nv = site.to.len() as f64;
+    let mut w = Work::default();
+    match site.op {
+        EdgeOp::Conv { kernel, sparsity } => {
+            let (method, pad) = site.conv.expect("conv edge must be planned");
+            match method {
+                ConvMethod::Direct => {
+                    // |out|·|k| MACs, the backward |n|·|k|; skip kernels
+                    // touch as many taps, sparsity only moves `out`
+                    let taps = kernel.len() as f64;
+                    w.direct = match site.from.valid_conv(kernel.dilated(sparsity)) {
+                        Some(_) if pass == Pass::Backward => 2.0 * taps * nu,
+                        Some(out) => 2.0 * taps * out.len() as f64,
+                        None => f64::INFINITY,
+                    };
+                }
+                ConvMethod::Fft => {
+                    let t3 = fft3_flops(pad);
+                    let (d_out, d_in) = (site.d_out as f64, site.d_in as f64);
+                    // per pass: transforms in the order they run, the
+                    // memoizable re-transforms (in units of t3) and the
+                    // pointwise sweeps. Forward: shared image transform,
+                    // kernel transform, shared inverse; product and
+                    // frequency-domain sum. Backward: shared gradient
+                    // transform, shared inverse, kernel re-transform;
+                    // product and spectrum flip. Update: the kernel-
+                    // gradient inverse, two forward re-transforms; the
+                    // correlation product. Serve: shared image transform
+                    // and inverse; product.
+                    let (transforms, retransforms, sweeps) = match pass {
+                        Pass::Forward => ([t3 / d_out, t3, t3 / d_in], 0.0, 2.0),
+                        Pass::Backward => ([t3 / d_in, t3 / d_out, 0.0], 1.0, 2.0),
+                        Pass::Update => ([t3, 0.0, 0.0], 2.0, 1.0),
+                        Pass::Serve => ([t3 / d_out, t3 / d_in, 0.0], 0.0, 1.0),
+                    };
+                    w.transforms = transforms;
+                    w.retransforms = if memoize { 0.0 } else { retransforms * t3 };
+                    w.pointwise = sweeps * pointwise_flops(pad);
+                }
+            }
+        }
+        // the update is the bias gradient
+        EdgeOp::Transfer { .. } => {
+            w.sweep = if pass == Pass::Update {
+                nv + 1.0
+            } else {
+                2.0 * nv
+            }
+        }
+        // forward scan, backward scatter
+        EdgeOp::MaxPool { window } | EdgeOp::MaxFilter { window, .. } => {
+            w.sweep = match pass {
+                Pass::Forward | Pass::Serve => {
+                    6.0 * nu * (window.len() as f64).log2().max(1.0) + nv
+                }
+                Pass::Backward => nv + nu,
+                Pass::Update => 0.0,
+            }
+        }
     }
-    // pointwise products in all three passes, plus the frequency-domain
-    // sum and the spectrum flip
-    let pw = 5.0 * pointwise_flops(m);
-    (transforms, pw)
+    w
 }
 
-/// Per-round FLOPs of a non-convolution edge (transfer, max-pool,
-/// max-filter), all passes, priced like [`znn_sim::costs`]. These are
-/// bandwidth-bound sweeps; price them at [`PW_EFF`].
-pub fn other_round_flops(nu: f64, nv: f64, window: Option<Vec3>) -> f64 {
-    match window {
-        // max-filter/pool: forward scan + backward scatter
-        Some(w) => 6.0 * nu * (w.len() as f64).log2().max(1.0) + nv + (nv + nu),
-        // transfer: forward + backward + bias update
-        None => 2.0 * nv + 2.0 * nv + (nv + 1.0),
+/// The work of one edge over a training round, summed class by class;
+/// transforms in the order the passes run them, re-transforms last.
+pub fn round_work(site: &EdgeSite, memoize: bool) -> Work {
+    let passes = [Pass::Forward, Pass::Backward, Pass::Update].map(|p| pass_work(site, p, memoize));
+    let total = |class: fn(&Work) -> f64| passes.iter().map(class).sum::<f64>();
+    Work {
+        transforms: [passes.iter().flat_map(|p| p.transforms).sum(), 0.0, 0.0],
+        retransforms: total(|w| w.retransforms),
+        pointwise: total(|w| w.pointwise),
+        direct: total(|w| w.direct),
+        sweep: total(|w| w.sweep),
     }
+}
+
+/// The task graph of `graph` trained at `output_shape` under `plan`,
+/// each task priced in FLOP-equivalents — what [`crate::simulate`]
+/// schedules. An edge task costs its pass of [`pass_work`]; data and
+/// loss-gradient tasks cost nothing, as the planner's round has none.
+pub fn task_costs(
+    graph: &Graph,
+    output_shape: Vec3,
+    plan: &NetPlan,
+    memoize: bool,
+) -> Result<(TaskGraph, Vec<f64>), shapes::ShapeError> {
+    let input_shape = shapes::required_input_shape(graph, output_shape)?;
+    let shape_of = shapes::infer_shapes(graph, input_shape)?;
+    let tg = TaskGraph::build(graph);
+    let sites = edge_sites(graph, &shape_of, &plan.edges);
+    let costs = tg
+        .tasks
+        .iter()
+        .map(|t| match t.kind {
+            TaskKind::Forward(e) => pass_work(&sites[e.0], Pass::Forward, memoize).flop_eq(),
+            TaskKind::Backward(e) => pass_work(&sites[e.0], Pass::Backward, memoize).flop_eq(),
+            TaskKind::Update(e) => pass_work(&sites[e.0], Pass::Update, memoize).flop_eq(),
+            TaskKind::DataProvider(_) | TaskKind::LossGradient(_) => 0.0,
+        })
+        .collect();
+    Ok((tg, costs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use znn_graph::builder::scalability_net_3d;
+    use znn_graph::NetBuilder;
+
+    /// A convolution of an `n` image by a `k` kernel at pad `n`.
+    fn conv_site(n: Vec3, k: Vec3, method: ConvMethod, d_out: usize, d_in: usize) -> EdgeSite {
+        let op = EdgeOp::Conv {
+            kernel: k,
+            sparsity: Vec3::one(),
+        };
+        EdgeSite {
+            op,
+            from: n,
+            to: n,
+            d_out,
+            d_in,
+            conv: Some((method, n)),
+        }
+    }
+
+    fn forced_costs(g: &Graph, out: Vec3, m: ConvMethod, memo: bool) -> (TaskGraph, Vec<f64>) {
+        task_costs(g, out, &NetPlan::force(g, out, m, 1, false).unwrap(), memo).unwrap()
+    }
+
+    fn total(costs: &[f64]) -> f64 {
+        costs.iter().sum()
+    }
 
     #[test]
     fn smooth_pads_beat_pow2_pads() {
@@ -164,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn pure_pow2_mix_is_below_textbook(){
+    fn pure_pow2_mix_is_below_textbook() {
         // radix-4 stages price a 64-point line below C·N·log₂N
         let l = 64usize;
         assert!(stage_units(l) < (l as f64).log2());
@@ -173,10 +330,12 @@ mod tests {
     #[test]
     fn direct_cost_grows_with_kernel_fft_does_not() {
         let n = Vec3::cube(24);
-        let d3 = direct_round_flops(n, Vec3::cube(3), Vec3::one());
-        let d7 = direct_round_flops(n, Vec3::cube(7), Vec3::one());
+        let direct = |k| round_work(&conv_site(n, Vec3::cube(k), ConvMethod::Direct, 1, 1), true);
+        let d3 = direct(3).direct;
+        let d7 = direct(7).direct;
         assert!(d7 > 5.0 * d3);
-        let (t3, p3) = fft_round_split(n, 1, 1, true);
+        let fft = round_work(&conv_site(n, Vec3::cube(3), ConvMethod::Fft, 1, 1), true);
+        let (t3, p3) = (fft.transform(), fft.pointwise);
         assert!(t3 > 0.0 && p3 > 0.0);
         // the paper's crossover: at 3³ direct wins, at 7³ FFT wins
         assert!(d3 < t3 + p3 / PW_EFF);
@@ -185,9 +344,9 @@ mod tests {
 
     #[test]
     fn memoization_only_cheapens() {
-        let m = Vec3::cube(32);
-        let (plain, _) = fft_round_split(m, 2, 3, false);
-        let (memo, _) = fft_round_split(m, 2, 3, true);
+        let site = conv_site(Vec3::cube(32), Vec3::cube(3), ConvMethod::Fft, 2, 3);
+        let plain = round_work(&site, false).transform();
+        let memo = round_work(&site, true).transform();
         assert!(memo < plain);
     }
 
@@ -195,6 +354,84 @@ mod tests {
     fn degenerate_shapes_are_finite() {
         assert_eq!(fft3_flops(Vec3::one()), 0.0);
         assert_eq!(stage_units(1), 0.0);
-        assert!(direct_round_flops(Vec3::cube(4), Vec3::cube(8), Vec3::one()).is_infinite());
+        let site = conv_site(Vec3::cube(4), Vec3::cube(8), ConvMethod::Direct, 1, 1);
+        assert!(round_work(&site, true).direct.is_infinite());
+    }
+
+    #[test]
+    fn fft_layer_transform_counts_match_table_ii() {
+        // one fully connected conv layer f -> f' with memoization: its
+        // per-pass transforms, summed over the layer, are Table II's
+        // right column — f + f' + ff' forward, f + f' backward, ff' update
+        let (f, fp) = (3.0, 4.0);
+        let (g, _) = NetBuilder::new("layer", 3)
+            .conv(4, Vec3::cube(3))
+            .build()
+            .unwrap();
+        let out = Vec3::cube(6);
+        let plan = NetPlan::force(&g, out, ConvMethod::Fft, 1, false).unwrap();
+        let shape_of = shapes::infer_shapes(&g, Vec3::cube(8)).unwrap();
+        let t3 = fft3_flops(plan.edges[0].unwrap().pad);
+        let sites = edge_sites(&g, &shape_of, &plan.edges);
+        for (pass, table) in [
+            (Pass::Forward, f + fp + f * fp),
+            (Pass::Backward, f + fp),
+            (Pass::Update, f * fp),
+        ] {
+            let count: f64 = sites
+                .iter()
+                .map(|s| pass_work(s, pass, true).transform() / t3)
+                .sum();
+            assert!(
+                (count - table).abs() < 1e-12 * table,
+                "{pass:?}: {count} vs {table}"
+            );
+        }
+    }
+
+    #[test]
+    fn totals_scale_quadratically_with_width() {
+        let out = Vec3::cube(12);
+        let t = |w: usize| {
+            let (g, _) = scalability_net_3d(w);
+            let (_, c) = forced_costs(&g, out, ConvMethod::Direct, false);
+            total(&c)
+        };
+        let ratio = t(16) / t(8);
+        assert!((3.0..4.5).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn memoization_cheapens_backward_and_update_only() {
+        let out = Vec3::cube(12);
+        let (g, _) = scalability_net_3d(4);
+        let (tg, plain) = forced_costs(&g, out, ConvMethod::Fft, false);
+        let (_, memo) = forced_costs(&g, out, ConvMethod::Fft, true);
+        for (i, t) in tg.tasks.iter().enumerate() {
+            match t.kind {
+                TaskKind::Forward(_) | TaskKind::DataProvider(_) | TaskKind::LossGradient(_) => {
+                    assert_eq!(plain[i], memo[i], "forward costs must not change");
+                }
+                TaskKind::Backward(e) | TaskKind::Update(e) => {
+                    if matches!(g.edge(e).op, EdgeOp::Conv { .. }) {
+                        assert!(memo[i] <= plain[i], "memoized task {i} costs more");
+                    }
+                }
+            }
+        }
+        assert!(total(&memo) < total(&plain));
+    }
+
+    #[test]
+    fn every_task_has_a_finite_nonnegative_cost() {
+        let (g, _) = scalability_net_3d(3);
+        for (method, memo) in [
+            (ConvMethod::Direct, false),
+            (ConvMethod::Fft, false),
+            (ConvMethod::Fft, true),
+        ] {
+            let (_, costs) = forced_costs(&g, Vec3::cube(12), method, memo);
+            assert!(costs.iter().all(|c| c.is_finite() && *c >= 0.0));
+        }
     }
 }

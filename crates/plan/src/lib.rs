@@ -1,6 +1,6 @@
-//! `znn-plan` — the cost-model-driven execution planner that closes
-//! the loop between `znn-theory` (FLOP counts, Brent bounds),
-//! `znn-sim` (machine models) and the running engine.
+//! `znn-plan` — the one cost model: it prices the work of every edge,
+//! turns prices into the engine's execution plan, and schedules the
+//! same prices on the paper's machines.
 //!
 //! The paper's §IV observation is that the direct-vs-FFT crossover is
 //! input-size *and* machine dependent, so any static choice is wrong
@@ -10,14 +10,14 @@
 //! at that moment. This crate instead *prices* every candidate
 //! strategy, and is the engine's only chooser:
 //!
-//! 1. [`cost`] counts per-edge FLOPs from the paper's Tables I–II,
-//!    refined to be pad- and radix-aware (a 5-smooth pad's mixed-radix
-//!    stages price differently from a power-of-two pad's radix-4
-//!    ladder);
-//! 2. a [`znn_sim::Machine`] — a Table V model or the microprobed
-//!    host from [`Machine::detect`] — turns FLOPs into µs, and the
-//!    Brent bound `T₁/P + T∞` turns edge costs into a round-time
-//!    prediction per candidate fan-out;
+//! 1. [`cost`] is the only place work is priced: each edge's forward,
+//!    backward and update work by class, from the paper's Tables I–II
+//!    made pad- and radix-aware (the closed forms, as the paper states
+//!    them, are [`flops`], [`tinf`] and [`brent`]: Tables I–IV, Eq. 1–2);
+//! 2. a [`Machine`] — a Table V model or the microprobed host from
+//!    [`Machine::detect`] — turns FLOPs into µs, and the Brent bound
+//!    `T₁/P + T∞` turns edge costs into a round-time prediction per
+//!    candidate fan-out;
 //! 3. the [`Planner`] picks the argmin: per-edge method, per-node pad,
 //!    one global `fft_threads`;
 //! 4. measured round times stream back through [`Planner::observe`],
@@ -25,7 +25,10 @@
 //!    measured/predicted ratio) and re-plans the fan-out when the
 //!    prediction drifts — safely, because transforms are pinned
 //!    bit-identical across every `fft_threads` value, while method and
-//!    pad (which do change low-order bits) stay frozen at plan time.
+//!    pad (which do change low-order bits) stay frozen at plan time;
+//! 5. [`simulate`] list-schedules a [`NetPlan`]'s task graph, priced
+//!    by [`cost::task_costs`], on a [`Machine`] (§VIII, Figs 5–7).
+
 //!
 //! There is one path from policy to execution in `znn-core`: every
 //! `ConvPolicy` resolves to one [`NetPlan`] at `Znn::new` — the forced
@@ -39,8 +42,7 @@
 //! fan-out, which cannot change a bit, depends on the machine model.
 //!
 //! ```
-//! use znn_plan::{PlanConfig, Planner};
-//! use znn_sim::Machine;
+//! use znn_plan::{Machine, PlanConfig, Planner};
 //! use znn_graph::builder::scalability_net_3d;
 //! use znn_tensor::Vec3;
 //!
@@ -53,8 +55,17 @@
 
 #![warn(missing_docs)]
 
+pub mod brent;
 pub mod cost;
+pub mod flops;
+pub mod machine;
 mod planner;
+mod sim;
+pub mod tinf;
 
+pub use machine::Machine;
 pub use planner::{CalibrationReport, EdgePlan, NetPlan, PlanConfig, Planner, RoundObs};
-pub use znn_sim::Machine;
+pub use sim::{simulate, SimConfig, SimResult};
+
+/// The paper's FFT constant (footnote 4): an `n³` transform costs `C·n³·log₂ n³`.
+pub const DEFAULT_C: f64 = 5.0;

@@ -2,14 +2,14 @@
 //! per-edge execution plan plus an `fft_threads` fan-out, and
 //! calibrates the machine model online from measured round times.
 
-use crate::cost;
+use crate::cost::{self, EdgeSite, Pass};
+use crate::Machine;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use znn_fft::{good_shape, pow2_shape};
 use znn_graph::{shapes, EdgeOp, Graph, NodeId};
 use znn_ops::ConvMethod;
-use znn_sim::Machine;
 use znn_tensor::{Spectrum, Vec3};
 
 /// Fan-out below this many padded voxels never splits a transform
@@ -290,18 +290,22 @@ impl Planner {
         // model, compared in FLOP-equivalents — the machine's speed
         // would divide both sides, so it is left out and the choice is
         // exactly the same on every host
-        let d_out = |n: NodeId| graph.node(n).out_edges.len().max(1);
-        let d_in = |n: NodeId| graph.node(n).in_edges.len().max(1);
+        let unplanned = vec![None; graph.edge_count()];
+        let sites = cost::edge_sites(graph, &shape_of, &unplanned);
         let mut edges: Vec<Option<EdgePlan>> = Vec::with_capacity(graph.edge_count());
-        for e in graph.edges() {
-            let nu = shape_of[&e.from];
+        for (e, site) in graph.edges().iter().zip(sites) {
             match e.op {
-                EdgeOp::Conv { kernel, sparsity } => {
+                EdgeOp::Conv { .. } => {
                     let pad = node_pad[&e.from];
-                    let direct = cost::direct_round_flops(nu, kernel, sparsity);
-                    let (tf, pw) =
-                        cost::fft_round_split(pad, d_out(e.from), d_in(e.to), self.cfg.memoize_fft);
-                    let fft = tf + pw / cost::PW_EFF;
+                    let price = |method| {
+                        let site = EdgeSite {
+                            conv: Some((method, pad)),
+                            ..site
+                        };
+                        cost::round_work(&site, self.cfg.memoize_fft).flop_eq()
+                    };
+                    let direct = price(ConvMethod::Direct);
+                    let fft = price(ConvMethod::Fft);
                     let (method, flops) = if direct <= fft {
                         (ConvMethod::Direct, direct)
                     } else {
@@ -378,52 +382,19 @@ impl Planner {
         shape_of: &HashMap<NodeId, Vec3>,
         edges: &[Option<EdgePlan>],
     ) -> PricedNet {
-        let d_out = |n: NodeId| graph.node(n).out_edges.len().max(1);
-        let d_in = |n: NodeId| graph.node(n).in_edges.len().max(1);
         let mut edge_split: Vec<(f64, f64)> = Vec::with_capacity(graph.edge_count());
         let mut n_big_transforms = 0.0;
-        for (i, e) in graph.edges().iter().enumerate() {
-            let nu = shape_of[&e.from];
-            let nv = shape_of[&e.to];
-            match e.op {
-                EdgeOp::Conv { kernel, sparsity } => {
-                    let ep = edges[i].expect("conv edge must be planned");
-                    match ep.method {
-                        ConvMethod::Direct => edge_split.push((
-                            0.0,
-                            self.us(cost::direct_round_flops(nu, kernel, sparsity)),
-                        )),
-                        ConvMethod::Fft => {
-                            let (tf, pw) = cost::fft_round_split(
-                                ep.pad,
-                                d_out(e.from),
-                                d_in(e.to),
-                                self.cfg.memoize_fft,
-                            );
-                            edge_split.push((self.us(tf), self.us_pw(pw)));
-                            if ep.pad.len() >= FANOUT_MIN_ELEMS {
-                                // ≈ transforms per FFT edge per round
-                                n_big_transforms += 6.0;
-                            }
-                        }
-                    }
+        for site in cost::edge_sites(graph, shape_of, edges) {
+            let w = cost::round_work(&site, self.cfg.memoize_fft);
+            edge_split.push((
+                self.us(w.transform()),
+                self.us(w.direct) + self.us_pw(w.pointwise + w.sweep),
+            ));
+            if let Some((ConvMethod::Fft, pad)) = site.conv {
+                if pad.len() >= FANOUT_MIN_ELEMS {
+                    // ≈ transforms per FFT edge per round
+                    n_big_transforms += 6.0;
                 }
-                EdgeOp::Transfer { .. } => edge_split.push((
-                    0.0,
-                    self.us_pw(cost::other_round_flops(
-                        nu.len() as f64,
-                        nv.len() as f64,
-                        None,
-                    )),
-                )),
-                EdgeOp::MaxPool { window } | EdgeOp::MaxFilter { window, .. } => edge_split.push((
-                    0.0,
-                    self.us_pw(cost::other_round_flops(
-                        nu.len() as f64,
-                        nv.len() as f64,
-                        Some(window),
-                    )),
-                )),
             }
         }
         let crit = critical_path(graph, &edge_split);
@@ -462,17 +433,23 @@ impl Planner {
     /// is a pure function of the geometry.
     pub fn choose_forward(&self, n: Vec3, k: Vec3, sparsity: Vec3) -> (ConvMethod, Vec3) {
         let pad = self.pad_for(n);
-        let kd = k.dilated(sparsity);
-        let direct = match n.valid_conv(kd) {
-            Some(out) => 2.0 * out.len() as f64 * k.len() as f64,
-            None => f64::INFINITY,
+        // forward only: the shared image transform amortizes across a
+        // dense layer's edges (assume it is shared at least once), kernel
+        // spectra are kept across requests (free in steady state), plus
+        // the pointwise product and the per-edge inverse
+        let price = |method| {
+            let site = EdgeSite {
+                op: EdgeOp::Conv { kernel: k, sparsity },
+                from: n,
+                to: n,
+                d_out: 2,
+                d_in: 1,
+                conv: Some((method, pad)),
+            };
+            cost::pass_work(&site, Pass::Serve, true).flop_eq()
         };
-        // forward only: shared image FFT amortizes across a dense
-        // layer's edges (assume it is shared at least once), kernel
-        // spectra are memoized across requests (free in steady state),
-        // plus the pointwise product and the per-edge inverse
-        let t3 = cost::fft3_flops(pad);
-        let fft = t3 / 2.0 + cost::pointwise_flops(pad) / cost::PW_EFF + t3;
+        let direct = price(ConvMethod::Direct);
+        let fft = price(ConvMethod::Fft);
         if direct <= fft {
             (ConvMethod::Direct, pad)
         } else {

@@ -3,12 +3,18 @@
 
 use proptest::prelude::*;
 use znn_graph::builder::scalability_net_3d;
-use znn_graph::TaskGraph;
+use znn_graph::{Graph, TaskGraph};
+use znn_ops::ConvMethod;
+use znn_plan::cost::task_costs;
+use znn_plan::{simulate, Machine, NetPlan, SimConfig};
 use znn_sched::QueuePolicy;
-use znn_sim::costs::task_costs;
-use znn_sim::{simulate, Machine, SimConfig};
 use znn_tensor::Vec3;
-use znn_theory::flops::ConvAlgorithm;
+
+/// Per-task costs of `g` at output 8³ under the forced single-method plan.
+fn forced_costs(g: &Graph, m: ConvMethod, memo: bool) -> (TaskGraph, Vec<f64>) {
+    let out = Vec3::cube(8);
+    task_costs(g, out, &NetPlan::force(g, out, m, 1, false).unwrap(), memo).unwrap()
+}
 
 fn machine() -> impl Strategy<Value = Machine> {
     prop_oneof![
@@ -51,11 +57,15 @@ proptest! {
         workers in 1usize..40,
         m in machine(),
         p in policy(),
+        overhead in prop_oneof![Just(0u64), 1u64..100_000],
     ) {
+        let overhead = overhead as f64;
         let (g, _) = scalability_net_3d(width);
-        let (tg, costs) = task_costs(&g, Vec3::cube(8), ConvAlgorithm::Direct, false).unwrap();
-        let cfg = SimConfig { workers, policy: p, ..Default::default() };
+        let (tg, costs) = forced_costs(&g, ConvMethod::Direct, false);
+        let cfg = SimConfig { workers, policy: p, overhead, ..Default::default() };
         let r = simulate(&tg, &costs, &m, &cfg);
+        // a task occupies its worker for its cost plus the overhead
+        let costs: Vec<f64> = costs.iter().map(|c| c + overhead).collect();
 
         let speed = m.worker_speed(workers.min(m.hw_threads));
         let total: f64 = costs.iter().sum();
@@ -81,7 +91,7 @@ proptest! {
         m in machine(),
     ) {
         let (g, _) = scalability_net_3d(width);
-        let (tg, costs) = task_costs(&g, Vec3::cube(8), ConvAlgorithm::Fft, true).unwrap();
+        let (tg, costs) = forced_costs(&g, ConvMethod::Fft, true);
         let workers = m.hw_threads;
         let r = simulate(&tg, &costs, &m, &SimConfig { workers, ..Default::default() });
         prop_assert!(
@@ -101,7 +111,7 @@ proptest! {
     ) {
         // busy area (work) is invariant under worker count
         let (g, _) = scalability_net_3d(width);
-        let (tg, costs) = task_costs(&g, Vec3::cube(8), ConvAlgorithm::Direct, false).unwrap();
+        let (tg, costs) = forced_costs(&g, ConvMethod::Direct, false);
         let m = Machine::xeon_e5_18core();
         let r1 = simulate(&tg, &costs, &m, &SimConfig { workers: w1, ..Default::default() });
         let r2 = simulate(&tg, &costs, &m, &SimConfig { workers: w2, ..Default::default() });

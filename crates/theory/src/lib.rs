@@ -1,27 +1,8 @@
-//! The analytic complexity model of the ZNN paper (§II Table I, §IV
-//! Table II, §V-A Tables III–IV and Fig 4).
-//!
-//! Costs are measured in floating-point operations, exactly as the
-//! paper measures them. The model has three levels:
-//!
-//! * [`flops`] — serial FLOP counts per layer and pass (Tables I–II),
-//! * [`tinf`] — per-layer latency with unboundedly many processors
-//!   (Tables III–IV),
-//! * [`brent`] — network-level `T₁`, `T∞`, `S∞ = T₁/T∞` and the
-//!   theoretically achievable speedup bound
-//!   `S_P ≥ S∞ / (1 + (S∞−1)/P)` from Brent's theorem (Eq. 1–2, Fig 4).
-//!
-//! The FFT constant `C` defaults to [`DEFAULT_C`] `= 5`, the value the
-//! paper assumes for Fig 4 (footnote 4).
+//! Compatibility stub: the paper's closed forms live in `znn-plan`
+//! (`znn_plan::flops`, `znn_plan::tinf`, `znn_plan::brent`). This crate
+//! only re-exports what the out-of-workspace `znn_benchmark` crate
+//! imports from it; the next change to the benchmark deletes it.
 
-#![warn(missing_docs)]
-
-pub mod brent;
-pub mod flops;
-pub mod tinf;
-
-pub use brent::{achievable_speedup, NetworkModel};
-pub use flops::{ConvAlgorithm, LayerModel, PassCost};
-
-/// The paper's FFT constant: an `n×n×n` transform costs `C·n³·log₂ n³`.
-pub const DEFAULT_C: f64 = 5.0;
+pub use znn_plan::brent::{achievable_speedup, NetworkModel};
+pub use znn_plan::flops::{ConvAlgorithm, LayerModel};
+pub use znn_plan::DEFAULT_C;

@@ -17,12 +17,11 @@
 //! * [`graph`] — the computation graph and task priorities (`znn-graph`,
 //!   §II, §V–VI),
 //! * [`core`] — the training engine (`znn-core`),
-//! * [`theory`] — the analytic complexity model and Brent's-theorem
-//!   speedup bounds (`znn-theory`, §V-A),
-//! * [`sim`] — the discrete-event machine simulator used for the
-//!   scalability experiments (`znn-sim`, §VIII),
-//! * [`plan`] — the cost-model-driven execution planner with online
-//!   calibration (`znn-plan`, §IV closed-loop),
+//! * [`plan`] — the one cost model (`znn-plan`): per-edge pricing, the
+//!   paper's closed forms and Brent's-theorem bounds (§V-A), the
+//!   execution planner with online calibration (§IV closed-loop), and
+//!   the discrete-event machine simulator of the scalability
+//!   experiments (§VIII),
 //! * [`baseline`] — the layer-at-a-time data-parallel comparator
 //!   (`znn-baseline`, §IX).
 //!
@@ -37,6 +36,4 @@ pub use znn_ops as ops;
 pub use znn_plan as plan;
 pub use znn_sched as sched;
 pub use znn_serve as serve;
-pub use znn_sim as sim;
 pub use znn_tensor as tensor;
-pub use znn_theory as theory;

@@ -5,12 +5,12 @@ use znn::baseline::{LayerwiseNet, ReferenceNet};
 use znn::core::{ConvPolicy, TrainConfig, Znn};
 use znn::graph::builder::{comparison_net, scalability_net_2d, scalability_net_3d};
 use znn::graph::{shapes, TaskGraph};
-use znn::ops::{Loss, Transfer};
-use znn::sim::costs::task_costs;
-use znn::sim::{simulate, Machine, SimConfig};
+use znn::ops::{ConvMethod, Loss, Transfer};
+use znn::plan::brent::{achievable_speedup, NetworkModel};
+use znn::plan::cost::task_costs;
+use znn::plan::flops::ConvAlgorithm;
+use znn::plan::{simulate, Machine, NetPlan, SimConfig};
 use znn::tensor::{ops, pad, Tensor3, Vec3};
-use znn::theory::brent::{achievable_speedup, NetworkModel};
-use znn::theory::flops::ConvAlgorithm;
 
 /// All three engines (task-parallel, sequential reference, layerwise
 /// baseline) agree on the paper's 3D benchmark architecture.
@@ -65,7 +65,8 @@ fn sliding_window_equivalence_through_the_engine() {
 fn simulated_speedup_respects_the_brent_bound() {
     for width in [4usize, 16] {
         let (g, _) = scalability_net_3d(width);
-        let (tg, costs) = task_costs(&g, Vec3::cube(12), ConvAlgorithm::Direct, false).unwrap();
+        let plan = NetPlan::force(&g, Vec3::cube(12), ConvMethod::Direct, 1, false).unwrap();
+        let (tg, costs) = task_costs(&g, Vec3::cube(12), &plan, false).unwrap();
         let machine = Machine::xeon_e7_40core();
         let sim = simulate(
             &tg,
