@@ -2,15 +2,13 @@
 //! fixed strategies it replaces, on the paper's benchmark geometries.
 //!
 //! For each net the `Autotune` plan is resolved against the detected
-//! machine prior, trained long enough for online calibration to engage,
-//! and timed; every fixed strategy (direct / FFT × smooth / pow2 pads ×
+//! machine model and timed; every fixed strategy (direct / FFT × smooth / pow2 pads ×
 //! fan-out) is a `NetPlan::force` plan run via `Znn::with_plan`, priced through the
 //! *same* model, and timed identically. The headline number per net is
 //! the gap `auto_measured / best_fixed_measured`.
 //!
 //! Emits `BENCH_plan.json`: machine prior, per-edge chosen plan,
-//! predicted vs measured round times before and after calibration, the
-//! calibration trajectory, and a per-net verdict. The verdict is the
+//! predicted vs measured round times, and a per-net verdict. The verdict is the
 //! ISSUE's acceptance bound — `Auto` within 15% of the best fixed
 //! strategy (an absolute sub-3ms slack absorbs scheduler noise on tiny
 //! rounds; on a shared single-core host that noise rivals whole
@@ -129,13 +127,12 @@ fn main() {
     );
     json.push_str("  \"nets\": [\n");
 
+    // the Auto engines plan through the planner that prices the grid
+    let planner = Arc::new(Planner::new(PlanConfig::for_machine(machine.clone())));
     let mut all_pass = true;
     let mut net_records = Vec::new();
     for case in nets(smoke) {
         println!("## {}", case.name);
-        // one planner per net: its calibration history belongs to this
-        // net's trajectory
-        let planner = Arc::new(Planner::new(PlanConfig::for_machine(machine.clone())));
         let znn = Znn::new(
             case.graph.clone(),
             case.out,
@@ -147,9 +144,8 @@ fn main() {
 
         // the fixed grid: direct once (pads/fan-out are FFT knobs), FFT
         // across pad shape × deduped fan-outs. Priced and measured
-        // *before* the Auto run so every predicted column uses the
-        // pristine prior scale — comparable to `prior_us`, and the
-        // argmin property is visible in the JSON.
+        // through the same model as `prior_us`, so the argmin property
+        // is visible in the JSON.
         let mut fans = vec![1usize, workers.div_ceil(2), workers];
         fans.dedup();
         let mut grid: Vec<(ConvMethod, usize, bool)> = vec![(ConvMethod::Direct, 1, false)];
@@ -186,15 +182,8 @@ fn main() {
                 measured_us,
             });
         }
-        // enough rounds that calibration (default: after 3) engages
-        let auto_rounds = rounds.max(planner.config().calibrate_after as usize + rounds);
-        let auto_us = median_round_us(&znn, case.out, warmup, auto_rounds, 11);
-        let cal = planner.calibration();
-        let calibrated_us = cal
-            .rounds
-            .last()
-            .map(|r| r.predicted_us)
-            .unwrap_or(prior_us);
+        // three more measured rounds than each fixed strategy gets
+        let auto_us = median_round_us(&znn, case.out, warmup, 3 + rounds, 11);
 
         let best = fixed
             .iter()
@@ -203,10 +192,7 @@ fn main() {
         let gap = auto_us / best;
         let pass = gap <= GAP_BOUND || auto_us - best <= ABS_SLACK_US;
         all_pass &= pass;
-        println!(
-            "  auto: predicted {prior_us:.0}µs prior / {calibrated_us:.0}µs calibrated, \
-             measured {auto_us:.0}µs"
-        );
+        println!("  auto: predicted {prior_us:.0}µs, measured {auto_us:.0}µs");
         println!(
             "  gap vs best fixed ({best:.0}µs): {gap:.3} -> {}\n",
             if pass { "pass" } else { "FAIL" }
@@ -234,28 +220,7 @@ fn main() {
         }
         let _ = writeln!(rec, "     \"layers\": [\n{}\n     ],", layers.join(",\n"));
         let _ = writeln!(rec, "     \"predicted_round_us_prior\": {prior_us:.1},");
-        let _ = writeln!(
-            rec,
-            "     \"predicted_round_us_calibrated\": {calibrated_us:.1},"
-        );
         let _ = writeln!(rec, "     \"auto_measured_us\": {auto_us:.1},");
-        let cal_rows: Vec<String> = cal
-            .rounds
-            .iter()
-            .map(|r| {
-                format!(
-                    "       {{\"round\": {}, \"predicted_us\": {:.1}, \"measured_us\": {:.1}, \
-                     \"scale\": {:.4}}}",
-                    r.round, r.predicted_us, r.measured_us, r.scale
-                )
-            })
-            .collect();
-        let _ = writeln!(
-            rec,
-            "     \"calibration\": [\n{}\n     ],",
-            cal_rows.join(",\n")
-        );
-        let _ = writeln!(rec, "     \"replans\": {},", cal.replans);
         let fixed_rows: Vec<String> = fixed
             .iter()
             .map(|f| {

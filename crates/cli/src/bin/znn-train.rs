@@ -14,11 +14,10 @@
 //!
 //! By default the `znn-plan` cost model picks, per conv edge, direct
 //! vs FFT and the pad shape, plus one FFT fan-out, by pricing the
-//! theory FLOP model through a detected machine model; it then
-//! calibrates that model online from measured round times (re-plans
-//! move only the bit-safe fan-out). `--fft` / `--direct` force one
-//! method everywhere instead. Either way the engine runs exactly the
-//! plan that is printed; the calibration summary follows the run.
+//! theory FLOP model through a detected machine model, once, when the
+//! engine is built. `--fft` / `--direct` force one method everywhere
+//! instead. Either way the engine runs exactly the plan that is
+//! printed.
 //! Methods and pads depend only on the network, `--out` and
 //! `--no-memoize`, so a `--resume` on another host replays the same
 //! plan.
@@ -169,26 +168,20 @@ fn main() -> ExitCode {
         }
         cc
     });
-    // the planner is ours (not the engine's own) only so its
-    // calibration trajectory can be printed after the run
-    let planner = (args.conv == ConvPolicy::Autotune).then(|| {
-        let p = std::sync::Arc::new(znn_plan::Planner::new(znn_plan::PlanConfig {
-            memoize_fft: args.memoize,
-            ..znn_plan::PlanConfig::host()
-        }));
-        let m = &p.config().machine;
+    let autotune = args.conv == ConvPolicy::Autotune;
+    if autotune {
+        // the model the engine's own planner prices through
+        let m = znn_plan::Machine::host();
         println!(
             "planner: machine prior {} ({} cores, {:.1} GFLOP/s, {:.1} GB/s)",
             m.name, m.cores, m.gflops, m.bandwidth_gbs
         );
-        p
-    });
+    }
     let cfg = TrainConfig {
         workers: args.workers.unwrap_or_else(|| {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         }),
         fft_threads: args.fft_threads,
-        planner: planner.clone(),
         learning_rate: args.lr,
         conv: args.conv,
         memoize_fft: args.memoize,
@@ -218,7 +211,7 @@ fn main() -> ExitCode {
         "plan: {direct} direct / {fft} FFT conv edges, fft_threads {}",
         plan.fft_threads
     );
-    if planner.is_some() {
+    if autotune {
         print!(", predicted round {:.0}µs", plan.predicted_round_us);
     }
     println!();
@@ -279,20 +272,6 @@ fn main() -> ExitCode {
             stats.alloc_resident_bytes,
             stats.alloc_leased_bytes
         );
-    }
-    if let Some(planner) = &planner {
-        let cal = planner.calibration();
-        if let Some(last) = cal.rounds.last() {
-            println!(
-                "planner calibration: scale {:.2} after {} rounds ({} re-plans), \
-                 last round predicted {:.0}µs / measured {:.0}µs",
-                cal.scale,
-                cal.rounds.len(),
-                cal.replans,
-                last.predicted_us,
-                last.measured_us
-            );
-        }
     }
     if args.pool_report {
         if args.pool {

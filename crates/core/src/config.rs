@@ -144,8 +144,10 @@ pub struct TrainConfig {
     /// The planner [`ConvPolicy::Autotune`] prices through (unused by
     /// the forced policies). `None` (the default): the engine builds
     /// its own over the once-per-process host machine model. `Some`:
-    /// share one, to read its calibration trajectory; its
-    /// `PlanConfig::memoize_fft` must equal [`TrainConfig::memoize_fft`].
+    /// price through a given machine model (a Table V machine, say); a
+    /// planner holds no state, so one may be shared by any number of
+    /// engines. Its `PlanConfig::memoize_fft` must equal
+    /// [`TrainConfig::memoize_fft`].
     pub planner: Option<Arc<Planner>>,
     /// Memoize FFTs of images and kernels across passes (Table II).
     pub memoize_fft: bool,

@@ -72,7 +72,8 @@ pub struct DenseConfig {
     /// The planner `ConvPolicy::Autotune` prices through (unused by
     /// the forced policies). `None` (the default) lets the net build
     /// its own over the once-per-process host machine model; `Some`
-    /// shares one with other engines.
+    /// prices through a given machine model. A planner holds no state,
+    /// so sharing one with other engines changes no answer.
     pub planner: Option<Arc<Planner>>,
 }
 

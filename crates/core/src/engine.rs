@@ -14,7 +14,7 @@ use znn_graph::{priority, shapes, EdgeId, EdgeOp, Graph, NodeId};
 use znn_ops::filter::{max_filter, max_filter_backward, max_filter_output, FilterImpl};
 use znn_ops::pool::{max_pool, max_pool_backward};
 use znn_ops::{conv, ConvMethod};
-use znn_plan::{NetPlan, Planner};
+use znn_plan::NetPlan;
 use znn_sched::{Executor, Latch, Scheduler, StealingExecutor, UPDATE_PRIORITY};
 use znn_tensor::{ops, Image, Spectrum, Tensor3, Vec3};
 
@@ -83,8 +83,7 @@ pub struct RoundStats {
     /// fork-join pool instead of being silently discarded).
     pub detached_panics: u64,
     /// Wall time of the last completed training round, µs (0 before
-    /// the first round). This is the measurement the `znn-plan`
-    /// calibrator consumes under [`crate::ConvPolicy::Autotune`].
+    /// the first round).
     pub round_us: u64,
 }
 
@@ -128,11 +127,6 @@ struct Inner {
     task_panics: AtomicU64,
     /// The one execution plan this engine runs.
     net_plan: Arc<NetPlan>,
-    /// The live planner behind `ConvPolicy::Autotune` — fed each
-    /// round's measured wall time; its re-plans move the FFT fan-out.
-    planner: Option<Arc<Planner>>,
-    /// Construction-time fan-out cap; re-plans never exceed it.
-    fft_budget: usize,
     /// Wall time of the last completed round, µs.
     last_round_us: AtomicU64,
 }
@@ -188,8 +182,8 @@ impl Znn {
     /// Builds an engine for `graph`, sized so output nodes produce
     /// `output_shape` patches. [`TrainConfig::conv`] is resolved to one
     /// [`NetPlan`] here — forced policies through [`NetPlan::force`],
-    /// `Autotune` through [`Planner::plan`] — and the engine executes
-    /// only that plan.
+    /// `Autotune` through [`znn_plan::Planner::plan`] — and the engine
+    /// executes only that plan.
     pub fn new(
         graph: Graph,
         output_shape: Vec3,
@@ -197,11 +191,8 @@ impl Znn {
     ) -> Result<Self, shapes::ShapeError> {
         graph.validate().map_err(shapes::ShapeError::Graph)?;
         let budget = fft_budget(&cfg);
-        let (plan, planner) = match cfg.conv.chooser(cfg.planner.as_ref(), cfg.memoize_fft) {
-            Chooser::Forced(method) => (
-                NetPlan::force(&graph, output_shape, method, budget, false)?,
-                None,
-            ),
+        let plan = match cfg.conv.chooser(cfg.planner.as_ref(), cfg.memoize_fft) {
+            Chooser::Forced(method) => NetPlan::force(&graph, output_shape, method, budget, false)?,
             Chooser::Priced(p) => {
                 // a shared planner prices FFT edges with its own flag;
                 // a mismatch would misprice every one of them
@@ -210,16 +201,15 @@ impl Znn {
                     cfg.memoize_fft,
                     "TrainConfig::planner prices a different memoize_fft than the engine runs"
                 );
-                (p.plan(&graph, output_shape, cfg.workers, budget)?, Some(p))
+                p.plan(&graph, output_shape, cfg.workers, budget)?
             }
         };
-        Self::build(graph, output_shape, cfg, Arc::new(plan), planner)
+        Self::build(graph, output_shape, cfg, Arc::new(plan))
     }
 
     /// Builds an engine that executes a caller-supplied plan — replaying
     /// a previously reported plan, or pinning one strategy for A/B
-    /// comparison. [`TrainConfig::conv`] is not consulted; there is no
-    /// calibration and no re-planning.
+    /// comparison. [`TrainConfig::conv`] is not consulted.
     ///
     /// Panics if the plan does not fit the graph: one entry per edge,
     /// every conv pad at least the from-node shape with an even (or
@@ -232,7 +222,7 @@ impl Znn {
         plan: Arc<NetPlan>,
     ) -> Result<Self, shapes::ShapeError> {
         graph.validate().map_err(shapes::ShapeError::Graph)?;
-        Self::build(graph, output_shape, cfg, plan, None)
+        Self::build(graph, output_shape, cfg, plan)
     }
 
     fn build(
@@ -240,7 +230,6 @@ impl Znn {
         output_shape: Vec3,
         cfg: TrainConfig,
         net_plan: Arc<NetPlan>,
-        planner: Option<Arc<Planner>>,
     ) -> Result<Self, shapes::ShapeError> {
         let input_shape = shapes::required_input_shape(&graph, output_shape)?;
         let shape_map = shapes::infer_shapes(&graph, input_shape)?;
@@ -265,14 +254,15 @@ impl Znn {
         // padded inputs, cropped outputs, scratch) leases from the
         // configured PoolSet, so steady-state rounds never touch the
         // system allocator (§VII-C)
-        let mut fft = FftEngine::with_pool(fft_budget, Arc::clone(&fft_pool));
+        // scratch is slotted for the whole budget (W + 1: every worker
+        // may run a transform at once); the plan's fan-out applies
+        // within it
+        let mut fft = FftEngine::with_pool(fft_budget, Arc::clone(&fft_pool))
+            .with_fanout(net_plan.fft_threads.min(fft_budget));
         if let Some(pools) = &cfg.pools {
             fft = fft.with_buffer_pools(Arc::clone(pools));
         }
         let fft = Arc::new(fft);
-        // scratch is slotted for the whole budget; the plan's fan-out
-        // (and any later re-plan) moves within it
-        fft.set_threads(net_plan.fft_threads.min(fft_budget));
 
         let sched: Box<dyn Scheduler> = if cfg.work_stealing {
             Box::new(StealingExecutor::with_donation(
@@ -410,8 +400,6 @@ impl Znn {
             panic_note: Mutex::new(None),
             task_panics: AtomicU64::new(0),
             net_plan,
-            planner,
-            fft_budget,
             last_round_us: AtomicU64::new(0),
         });
         // latches start "open" until a round arms them
@@ -541,29 +529,20 @@ impl Znn {
         if self.inner.round_failed.load(Ordering::Acquire) {
             return Err(self.fail_round(round));
         }
-        // feed the measured round back into the planner's calibration
-        // loop; a returned fan-out is applied live — bit-safe, because
-        // transforms are pinned identical across every fft_threads
-        let us = round_start.elapsed().as_micros() as u64;
-        self.inner.last_round_us.store(us, Ordering::Relaxed);
-        if let Some(planner) = &self.inner.planner {
-            if let Some(fan) = planner.observe(us as f64) {
-                self.inner.fft.set_threads(fan.min(self.inner.fft_budget));
-            }
-        }
+        self.inner
+            .last_round_us
+            .store(round_start.elapsed().as_micros() as u64, Ordering::Relaxed);
         Ok(loss_total)
     }
 
     /// The execution plan this engine runs: method and pad per conv
-    /// edge, frozen at construction. Only the FFT fan-out moves
-    /// afterwards, when the `Autotune` calibrator re-plans
-    /// ([`Znn::fft_threads`]).
+    /// edge and the FFT fan-out, all fixed at construction.
     pub fn net_plan(&self) -> &Arc<NetPlan> {
         &self.inner.net_plan
     }
 
-    /// The live fan-out cap of the engine's FFT engine (moves when the
-    /// `Autotune` planner re-plans; otherwise the plan's fan-out).
+    /// The fan-out cap of the engine's FFT engine: the plan's fan-out,
+    /// capped by the construction-time budget.
     pub fn fft_threads(&self) -> usize {
         self.inner.fft.threads()
     }

@@ -2,7 +2,8 @@
 //! that the engine executes and exposes, the resolution is
 //! deterministic under load, a caller's plan enters through
 //! `Znn::with_plan` only, `Autotune` stays competitive with every
-//! fixed strategy, and calibration feeds back into the live engine.
+//! fixed strategy, and a planner's answers do not depend on what it
+//! has planned or trained before.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -260,9 +261,9 @@ fn dense_autotune_equals_the_forced_net_of_the_priced_method() {
 
 #[test]
 fn auto_matches_its_own_frozen_plan_bitwise() {
-    // Autotune's only live degree of freedom is the fan-out, which is
-    // pinned bit-identical — so it must reproduce the run of its own
-    // plan executed through with_plan
+    // Autotune executes exactly the plan it resolved at construction,
+    // so it must reproduce the run of that plan executed through
+    // with_plan
     let (g, out) = small_graph();
     let planner = planner_for(Machine::xeon_e5_8core());
     let frozen = Arc::new(planner.plan(&g, out, 1, 1).unwrap());
@@ -272,14 +273,45 @@ fn auto_matches_its_own_frozen_plan_bitwise() {
     };
     let auto = Znn::new(g.clone(), out, config).unwrap();
     assert_eq!(**auto.net_plan(), *frozen);
-    let replay = Znn::with_plan(g, out, cfg(1, ConvPolicy::Autotune), frozen).unwrap();
+    let replay = Znn::with_plan(g, out, cfg(1, ConvPolicy::Autotune), Arc::clone(&frozen)).unwrap();
     assert_eq!(
         losses(&auto, out, 6),
         losses(&replay, out, 6),
         "live calibration must never change a computed bit"
     );
-    // and the calibrator really saw the rounds
-    assert_eq!(planner.calibration().rounds.len(), 6);
+    // and the fan-out is still the plan's
+    assert_eq!(auto.fft_threads(), frozen.fft_threads);
+}
+
+#[test]
+fn a_planner_has_no_history() {
+    // an engine training on a shared planner leaves it answering
+    // exactly as a fresh one does, for any other net: plan and price
+    // are functions of the configuration and their arguments alone
+    let machine = Machine::xeon_e5_8core();
+    let shared = planner_for(machine.clone());
+    let (g, out) = small_graph();
+    let config = TrainConfig {
+        planner: Some(Arc::clone(&shared)),
+        ..cfg(1, ConvPolicy::Autotune)
+    };
+    let znn = Znn::new(g, out, config).unwrap();
+    losses(&znn, out, 6);
+    let fresh = planner_for(machine);
+    let (g2, _) = scalability_net_3d(2);
+    let out2 = Vec3::cube(4);
+    for (workers, budget) in [(1, 1), (4, 4)] {
+        let plan = shared.plan(&g2, out2, workers, budget).unwrap();
+        assert_eq!(plan, fresh.plan(&g2, out2, workers, budget).unwrap());
+        for method in [ConvMethod::Direct, ConvMethod::Fft] {
+            let forced = NetPlan::force(&g2, out2, method, budget, false).unwrap();
+            assert_eq!(
+                shared.price(&g2, out2, workers, &forced).unwrap(),
+                fresh.price(&g2, out2, workers, &forced).unwrap(),
+                "{method:?} at W={workers}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -3,7 +3,6 @@
 use crate::line::{Direction, LinePlan};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use znn_alloc::PoolSet;
 use znn_sched::{Scope, ThreadPool};
@@ -350,11 +349,9 @@ pub struct FftEngine {
     /// Memoized unpack/repack twiddles `e^{∓2πik/n}`, `k ∈ 0..⌊n/2⌋+1`,
     /// for the r2c/c2r packed stages, keyed by `(n, direction)`.
     rtwiddles: Mutex<TwiddleMap>,
-    /// Worker cap for batched line transforms (≥ 1). Atomic so a
-    /// planner can re-tune the fan-out of a live engine
-    /// ([`FftEngine::set_threads`]); every value computes bit-identical
-    /// transforms, so a concurrent change is always safe.
-    threads: AtomicUsize,
+    /// Worker cap for batched line transforms (≥ 1), fixed when the
+    /// engine is built; every value computes bit-identical transforms.
+    threads: usize,
     /// The pool line chunks are queued on; `None` targets the
     /// process-global pool.
     pool: Option<Arc<ThreadPool>>,
@@ -390,7 +387,7 @@ impl FftEngine {
         FftEngine {
             plans: Mutex::new(HashMap::new()),
             rtwiddles: Mutex::new(HashMap::new()),
-            threads: AtomicUsize::new(threads),
+            threads,
             pool: None,
             scalar_kernels: false,
             scratch: ScratchPool::new(threads),
@@ -478,34 +475,28 @@ impl FftEngine {
 
     /// The worker cap for batched line transforms.
     pub fn threads(&self) -> usize {
-        self.threads.load(Ordering::Relaxed)
+        self.threads
     }
 
-    /// Re-tunes the worker cap of a live engine (clamped to ≥ 1).
-    ///
-    /// Safe at any time, including while transforms are in flight:
-    /// the fan-out only partitions line batches, and every partition
-    /// computes bit-identical results (each line is transformed by
-    /// the same serial kernel regardless of which chunk owns it).
-    /// Scratch is slotted per concurrent borrower with a graceful
-    /// fallback, so raising the cap above the construction-time value
+    /// Caps the fan-out at `threads` (clamped to ≥ 1) while keeping the
+    /// scratch slotted for the count the engine was built with — for
+    /// an engine whose slots serve several concurrent callers, each
+    /// transform fanning out less than the whole budget. Every cap
+    /// computes bit-identical transforms; a cap above the slot count
     /// costs at most a fresh scratch allocation per extra chunk.
-    ///
-    /// This is the knob the `znn-plan` calibrator turns when measured
-    /// round times drift from the model's predictions.
-    pub fn set_threads(&self, threads: usize) {
-        self.threads.store(threads.max(1), Ordering::Relaxed);
+    pub fn with_fanout(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
     }
 
     /// Workers to split a batch of `lines` lines of `line_len` complex
     /// elements across: 1 for small batches (fork overhead dominates),
     /// never more than the line count.
     fn workers_for(&self, lines: usize, line_len: usize) -> usize {
-        let threads = self.threads.load(Ordering::Relaxed);
-        if threads <= 1 || lines * line_len < PAR_MIN_ELEMS {
+        if self.threads <= 1 || lines * line_len < PAR_MIN_ELEMS {
             1
         } else {
-            threads.min(lines)
+            self.threads.min(lines)
         }
     }
 
@@ -1299,21 +1290,6 @@ mod tests {
             let want = pad::flip(&pad::gather_strided(&img, Vec3::zero(), s, k));
             assert!(back.max_abs_diff(&want) < 1e-4, "lattice k={k} s={s} m={m}");
         }
-    }
-
-    #[test]
-    fn set_threads_retunes_live_engine_bitwise_safely() {
-        // a planner re-tuning the fan-out mid-run must never change a
-        // computed bit — transform at 1, re-tune to 4, transform again
-        let engine = FftEngine::with_threads(1);
-        let img = ops::random(Vec3::cube(24), 9);
-        let before = engine.rfft3(&img);
-        engine.set_threads(4);
-        assert_eq!(engine.threads(), 4);
-        let after = engine.rfft3(&img);
-        assert!(max_cdiff(before.half(), after.half()) == 0.0);
-        engine.set_threads(0); // clamps to 1
-        assert_eq!(engine.threads(), 1);
     }
 
     #[test]

@@ -20,12 +20,11 @@
 //!    candidate fan-out;
 //! 3. the [`Planner`] picks the argmin: per-edge method, per-node pad,
 //!    one global `fft_threads`;
-//! 4. measured round times stream back through [`Planner::observe`],
-//!    which calibrates the machine model online (EWMA on the
-//!    measured/predicted ratio) and re-plans the fan-out when the
-//!    prediction drifts — safely, because transforms are pinned
-//!    bit-identical across every `fft_threads` value, while method and
-//!    pad (which do change low-order bits) stay frozen at plan time;
+//! 4. the plan is fixed for the engine's life: the planner holds no
+//!    state, so its answers are a pure function of (config, graph,
+//!    output shape, workers, budget) and never drift with measured
+//!    round times — the Brent bound is a property of the task graph
+//!    and the machine, not of any one run;
 //! 5. [`simulate`] list-schedules a [`NetPlan`]'s task graph, priced
 //!    by [`cost::task_costs`], on a [`Machine`] (§VIII, Figs 5–7).
 
@@ -64,7 +63,7 @@ mod sim;
 pub mod tinf;
 
 pub use machine::Machine;
-pub use planner::{CalibrationReport, EdgePlan, NetPlan, PlanConfig, Planner, RoundObs};
+pub use planner::{EdgePlan, NetPlan, PlanConfig, Planner};
 pub use sim::{simulate, SimConfig, SimResult};
 
 /// The paper's FFT constant (footnote 4): an `n³` transform costs `C·n³·log₂ n³`.

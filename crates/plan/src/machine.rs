@@ -29,11 +29,12 @@ pub struct Machine {
     /// Sustained single-thread f32 throughput in GFLOP/s — the
     /// absolute price of one FLOP for planners that turn FLOP counts
     /// into wall time. Nominal for the Table V machines, measured by a
-    /// microprobe for [`Machine::detect`]; either way it is only a
-    /// *prior* the planner calibrates online.
+    /// microprobe for [`Machine::detect`]. Method choices never depend
+    /// on it (it divides both prices); the fan-out and the predicted
+    /// times do.
     pub gflops: f64,
     /// Sustained single-thread memory bandwidth in GB/s (prices
-    /// bandwidth-bound sweeps; same prior status as `gflops`).
+    /// bandwidth-bound sweeps; nominal or probed like `gflops`).
     pub bandwidth_gbs: f64,
 }
 
@@ -96,12 +97,11 @@ impl Machine {
     /// OS, single-thread FLOP and bandwidth rates from one-shot
     /// microprobes (a vectorisable multiply-add sweep and a large
     /// `memcpy`, each bounded by time, ~5 ms, not by iteration
-    /// count). The probes are deliberately rough — the model is a
-    /// planner *prior*, refined online from measured round times —
-    /// but they anchor absolute predictions to the right order of
-    /// magnitude on unknown hardware, where a hardcoded Table V model
-    /// could be off by 10×. Every call probes afresh; engines share
-    /// [`Machine::host`].
+    /// count). The probes are deliberately rough, and nothing refines
+    /// the model afterwards, but they anchor absolute predictions to
+    /// the right order of magnitude on unknown hardware, where a
+    /// hardcoded Table V model could be off by 10×. Every call probes
+    /// afresh; engines share [`Machine::host`].
     ///
     /// SMT topology is not probed: the model treats every hardware
     /// thread as a core with a flat throughput curve, which makes

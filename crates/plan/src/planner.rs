@@ -1,12 +1,10 @@
-//! The planner: prices the cost model through a [`Machine`], picks a
-//! per-edge execution plan plus an `fft_threads` fan-out, and
-//! calibrates the machine model online from measured round times.
+//! The planner: prices the cost model through a [`Machine`] and picks
+//! a per-edge execution plan plus an `fft_threads` fan-out — a pure
+//! function of its configuration and the net it is asked about.
 
 use crate::cost::{self, EdgeSite, Pass};
 use crate::Machine;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::fmt;
 use znn_fft::{good_shape, pow2_shape};
 use znn_graph::{shapes, EdgeOp, Graph, NodeId};
 use znn_ops::ConvMethod;
@@ -18,37 +16,26 @@ use znn_tensor::{Spectrum, Vec3};
 const FANOUT_MIN_ELEMS: usize = 1 << 15;
 
 /// Rough wall-clock cost of scheduling one engine task (enqueue +
-/// dequeue + latch traffic). Not scaled by calibration: it is queueing
-/// overhead, not FLOPs.
+/// dequeue + latch traffic).
 const SCHED_OVERHEAD_US: f64 = 2.0;
+
+/// Wall-clock cost of spawning one extra fork-join chunk when a
+/// transform fans out.
+const SPAWN_OVERHEAD_US: f64 = 15.0;
 
 /// Backward + update work relative to the forward pass along the
 /// critical path (the backward sweep mirrors the forward one and the
 /// update adds roughly half again).
 const ROUND_CRIT_FACTOR: f64 = 2.5;
 
-/// Planner configuration: the machine prior plus calibration knobs.
+/// Planner configuration: the machine model and the memoization flag
+/// FFT edges are priced with.
 #[derive(Clone, Debug)]
 pub struct PlanConfig {
-    /// The machine model costs are priced through — the *uncalibrated
-    /// prior*. Use [`Machine::detect`] for the current host or a
-    /// Table V model for simulation studies.
+    /// The machine model costs are priced through. Use
+    /// [`Machine::detect`] for the current host or a Table V model for
+    /// simulation studies.
     pub machine: Machine,
-    /// Measured rounds observed before online calibration starts
-    /// updating the scale (the first rounds pay warmup: plan caches,
-    /// pool growth).
-    pub calibrate_after: u64,
-    /// Relative predicted-vs-measured drift that triggers a re-plan of
-    /// the fan-out (`0.25` = 25%). Re-plans are bit-safe: they only
-    /// change `fft_threads`, which is pinned bitwise-identical across
-    /// all values.
-    pub drift_threshold: f64,
-    /// EWMA weight of the newest calibration observation.
-    pub ewma: f64,
-    /// Wall-clock cost of spawning one extra fork-join chunk when a
-    /// transform fans out. Not scaled by calibration, which is what
-    /// makes the fan-out argmin move as the scale converges.
-    pub spawn_overhead_us: f64,
     /// Whether the engine memoizes FFTs across passes (Table II). An
     /// engine that builds its own planner copies its
     /// `TrainConfig::memoize_fft` here; it rejects a supplied planner
@@ -57,15 +44,11 @@ pub struct PlanConfig {
 }
 
 impl PlanConfig {
-    /// A config priced through the given machine model, default
-    /// calibration knobs.
+    /// A config priced through the given machine model, with
+    /// memoization on.
     pub fn for_machine(machine: Machine) -> Self {
         PlanConfig {
             machine,
-            calibrate_after: 3,
-            drift_threshold: 0.25,
-            ewma: 0.4,
-            spawn_overhead_us: 15.0,
             memoize_fft: true,
         }
     }
@@ -105,11 +88,8 @@ pub struct NetPlan {
     /// The chosen intra-transform fan-out (≤ the budget given to
     /// [`Planner::plan`]).
     pub fft_threads: usize,
-    /// Predicted round time at plan time (calibrated scale), µs.
+    /// Predicted round time, µs.
     pub predicted_round_us: f64,
-    /// Predicted round time at calibration scale 1.0, µs — the
-    /// reference the online calibrator compares measurements against.
-    pub raw_round_us: f64,
 }
 
 impl NetPlan {
@@ -147,64 +127,8 @@ impl NetPlan {
             edges,
             fft_threads: fft_threads.max(1),
             predicted_round_us: 0.0,
-            raw_round_us: 0.0,
         })
     }
-}
-
-/// One calibration observation: a measured round against its
-/// prediction, and the scale after folding it in.
-#[derive(Clone, Copy, Debug)]
-pub struct RoundObs {
-    /// 1-based observed round number (in observation order).
-    pub round: u64,
-    /// Predicted round time when the round ran (current scale), µs.
-    pub predicted_us: f64,
-    /// Measured round time, µs.
-    pub measured_us: f64,
-    /// Calibration scale after this observation.
-    pub scale: f64,
-}
-
-/// Snapshot of the calibration state for reporting.
-#[derive(Clone, Debug)]
-pub struct CalibrationReport {
-    /// Current machine-speed scale (measured speed / prior speed).
-    pub scale: f64,
-    /// Currently chosen fan-out.
-    pub fft_threads: usize,
-    /// Fan-out re-plans triggered by drift.
-    pub replans: u64,
-    /// All observations, in order.
-    pub rounds: Vec<RoundObs>,
-}
-
-/// One point of the fan-out cost curve: predicted round time at a
-/// candidate `fft_threads`, split into a FLOP-derived part (divided by
-/// the calibration scale) and a wall-clock overhead part (not).
-#[derive(Clone, Copy, Debug)]
-struct FanPoint {
-    threads: usize,
-    raw_us: f64,
-    overhead_us: f64,
-}
-
-impl FanPoint {
-    fn predicted(&self, scale: f64) -> f64 {
-        self.raw_us / scale + self.overhead_us
-    }
-}
-
-#[derive(Debug, Default)]
-struct CalState {
-    /// Multiplier on the machine prior's speed; 1.0 = prior is exact,
-    /// >1 = host is faster than the prior.
-    scale: f64,
-    rounds: u64,
-    replans: u64,
-    fft_threads: usize,
-    curve: Vec<FanPoint>,
-    history: Vec<RoundObs>,
 }
 
 /// The execution planner.
@@ -217,42 +141,18 @@ struct CalState {
 /// path — with transform terms on the critical path sped up by the
 /// candidate fan-out and charged its spawn overhead.
 ///
-/// [`Planner::observe`] feeds measured round times back: after a
-/// warmup of `calibrate_after` rounds the machine-speed scale is
-/// EWMA-updated, and when the prediction drifts past
-/// `drift_threshold` the fan-out is re-chosen under the new scale.
-/// Re-plans only ever change the fan-out — transforms are pinned
-/// bit-identical across `fft_threads`, so a live re-plan cannot change
-/// a computed bit — while methods and pads stay frozen at plan time
-/// (direct and FFT results differ in low-order bits).
+/// A planner holds nothing but its [`PlanConfig`]: every answer is a
+/// function of the configuration and the arguments, so one planner may
+/// be shared by any number of engines and nets.
+#[derive(Debug)]
 pub struct Planner {
     cfg: PlanConfig,
-    state: Mutex<CalState>,
-}
-
-impl fmt::Debug for Planner {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.state.lock();
-        f.debug_struct("Planner")
-            .field("machine", &self.cfg.machine.name)
-            .field("scale", &s.scale)
-            .field("fft_threads", &s.fft_threads)
-            .field("replans", &s.replans)
-            .finish()
-    }
 }
 
 impl Planner {
-    /// A planner with the given configuration and no observations.
+    /// A planner with the given configuration.
     pub fn new(cfg: PlanConfig) -> Self {
-        Planner {
-            cfg,
-            state: Mutex::new(CalState {
-                scale: 1.0,
-                fft_threads: 1,
-                ..Default::default()
-            }),
-        }
+        Planner { cfg }
     }
 
     /// The configuration the planner was built with.
@@ -262,8 +162,8 @@ impl Planner {
 
     /// Computes a plan for `graph` trained at `output_shape` with
     /// `workers` scheduler threads and at most `budget` intra-transform
-    /// fan-out. Deterministic: the same inputs, machine model and
-    /// calibration scale always produce the identical plan.
+    /// fan-out. Deterministic: the same inputs and configuration always
+    /// produce the identical plan.
     pub fn plan(
         &self,
         graph: &Graph,
@@ -275,7 +175,6 @@ impl Planner {
         let shape_of = shapes::infer_shapes(graph, input_shape)?;
         let workers = workers.max(1);
         let budget = budget.max(1);
-        let scale = self.state.lock().scale;
 
         // pads are keyed per *node*: every out-edge of a node transforms
         // the same image, and the engine's frequency-domain summation
@@ -314,7 +213,7 @@ impl Planner {
                     edges.push(Some(EdgePlan {
                         method,
                         pad,
-                        predicted_us: self.us(flops) / scale,
+                        predicted_us: self.us(flops),
                     }));
                 }
                 _ => edges.push(None),
@@ -324,39 +223,31 @@ impl Planner {
         // fan-out sweep: Brent bound T₁/P + T∞ at every power-of-two
         // candidate up to the budget
         let priced = self.price_edges(graph, &shape_of, &edges);
-        let mut curve: Vec<FanPoint> = Vec::new();
+        let mut curve: Vec<(usize, f64)> = Vec::new();
         let mut t = 1usize;
         loop {
-            curve.push(self.fan_point(&priced, workers, t));
+            curve.push((t, self.round_us(&priced, workers, t)));
             if t >= budget {
                 break;
             }
             t = (t * 2).min(budget);
         }
-        let best = curve
-            .iter()
-            .copied()
-            .min_by(|a, b| a.predicted(scale).total_cmp(&b.predicted(scale)))
+        let (fft_threads, predicted_round_us) = curve
+            .into_iter()
+            .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("curve is never empty");
-
-        let mut st = self.state.lock();
-        st.fft_threads = best.threads;
-        st.curve = curve;
-        drop(st);
 
         Ok(NetPlan {
             edges,
-            fft_threads: best.threads,
-            predicted_round_us: best.predicted(scale),
-            raw_round_us: best.raw_us + best.overhead_us,
+            fft_threads,
+            predicted_round_us,
         })
     }
 
     /// Prices an arbitrary plan (typically a [`NetPlan::force`] fixed
-    /// strategy) through this planner's model at the current
-    /// calibration scale: the predicted round time in µs. This is the
-    /// "what would that strategy cost" query behind the
-    /// planner-vs-best-fixed gap report, and it satisfies the argmin
+    /// strategy) through this planner's model: the predicted round time
+    /// in µs. This is the "what would that strategy cost" query behind
+    /// the planner-vs-best-fixed gap report, and it satisfies the argmin
     /// property by construction — no plan prices below the one
     /// [`Planner::plan`] picks.
     pub fn price(
@@ -369,8 +260,7 @@ impl Planner {
         let input_shape = shapes::required_input_shape(graph, output_shape)?;
         let shape_of = shapes::infer_shapes(graph, input_shape)?;
         let priced = self.price_edges(graph, &shape_of, &plan.edges);
-        let fp = self.fan_point(&priced, workers.max(1), plan.fft_threads.max(1));
-        Ok(fp.predicted(self.state.lock().scale))
+        Ok(self.round_us(&priced, workers.max(1), plan.fft_threads.max(1)))
     }
 
     /// Work totals of a concrete per-edge plan: (transform, other)
@@ -406,24 +296,19 @@ impl Planner {
         }
     }
 
-    /// One fan-out candidate priced with the Brent bound `T₁/P + T∞`:
-    /// total work spread over the machine's `workers`-thread
-    /// throughput, the critical path with its transform terms sped up
-    /// by the candidate fan-out, and wall-clock overhead (task
-    /// scheduling + chunk spawns) that calibration deliberately does
-    /// not scale.
-    fn fan_point(&self, priced: &PricedNet, workers: usize, t: usize) -> FanPoint {
+    /// The predicted round time, µs, at fan-out `t`: the Brent bound
+    /// `T₁/P + T∞` — total work spread over the machine's
+    /// `workers`-thread throughput, the critical path with its
+    /// transform terms sped up by the fan-out — plus wall-clock
+    /// overhead (task scheduling + chunk spawns).
+    fn round_us(&self, priced: &PricedNet, workers: usize, t: usize) -> f64 {
         let throughput = self.cfg.machine.total_throughput(workers).max(1e-9);
         let fan_speed = self.cfg.machine.total_throughput(t).max(1.0);
-        let raw_us = priced.work_us / throughput
+        let work_us = priced.work_us / throughput
             + ROUND_CRIT_FACTOR * (priced.crit.transform_us / fan_speed + priced.crit.other_us);
         let overhead_us = SCHED_OVERHEAD_US * priced.n_tasks
-            + self.cfg.spawn_overhead_us * (t - 1) as f64 * priced.n_big_transforms;
-        FanPoint {
-            threads: t,
-            raw_us,
-            overhead_us,
-        }
+            + SPAWN_OVERHEAD_US * (t - 1) as f64 * priced.n_big_transforms;
+        work_us + overhead_us
     }
 
     /// Direct/FFT choice for a single *serving* (forward-only)
@@ -473,71 +358,7 @@ impl Planner {
         pad
     }
 
-    /// Feeds one measured round time back. Returns `Some(fft_threads)`
-    /// when drift triggered a re-plan and the engine should move to a
-    /// new fan-out (bit-safe); `None` otherwise.
-    pub fn observe(&self, measured_us: f64) -> Option<usize> {
-        if !measured_us.is_finite() || measured_us <= 0.0 {
-            return None;
-        }
-        let mut st = self.state.lock();
-        st.rounds += 1;
-        let round = st.rounds;
-        let current = st
-            .curve
-            .iter()
-            .find(|p| p.threads == st.fft_threads)
-            .copied();
-        let predicted = current.map(|p| p.predicted(st.scale)).unwrap_or(0.0);
-        if round > self.cfg.calibrate_after {
-            if let Some(p) = current {
-                // instantaneous scale that would make the FLOP-derived
-                // part of the prediction match this measurement
-                let flop_measured = (measured_us - p.overhead_us).max(measured_us * 0.1);
-                let inst = p.raw_us / flop_measured;
-                st.scale = st.scale * (1.0 - self.cfg.ewma) + inst * self.cfg.ewma;
-            }
-        }
-        let scale = st.scale;
-        st.history.push(RoundObs {
-            round,
-            predicted_us: predicted,
-            measured_us,
-            scale,
-        });
-        // drift check: re-pick the fan-out under the calibrated scale
-        if round > self.cfg.calibrate_after && predicted > 0.0 {
-            let drift = (predicted / measured_us - 1.0).abs();
-            if drift > self.cfg.drift_threshold {
-                let best = st
-                    .curve
-                    .iter()
-                    .copied()
-                    .min_by(|a, b| a.predicted(scale).total_cmp(&b.predicted(scale)));
-                if let Some(b) = best {
-                    if b.threads != st.fft_threads {
-                        st.fft_threads = b.threads;
-                        st.replans += 1;
-                        return Some(b.threads);
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Snapshot of the calibration trajectory.
-    pub fn calibration(&self) -> CalibrationReport {
-        let st = self.state.lock();
-        CalibrationReport {
-            scale: st.scale,
-            fft_threads: st.fft_threads,
-            replans: st.replans,
-            rounds: st.history.clone(),
-        }
-    }
-
-    /// µs of `flops` on one worker of the prior machine at scale 1.
+    /// µs of `flops` on one worker of the machine.
     fn us(&self, flops: f64) -> f64 {
         flops / (self.cfg.machine.gflops * 1e3)
     }
@@ -556,7 +377,7 @@ struct CritPath {
 
 /// Priced work totals of a concrete plan, ready for the fan-out sweep.
 struct PricedNet {
-    /// Total per-round work across all edges, µs at one prior thread.
+    /// Total per-round work across all edges, µs at one thread.
     work_us: f64,
     /// The T∞ term, transform and other parts kept separate.
     crit: CritPath,

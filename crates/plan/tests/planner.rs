@@ -1,5 +1,5 @@
-//! Planner contract tests: determinism, cost-model sanity, the
-//! fan-out argmin, and online calibration convergence.
+//! Planner contract tests: determinism, cost-model sanity and the
+//! fan-out argmin.
 
 use znn_graph::builder::{comparison_net, scalability_net_2d, scalability_net_3d};
 use znn_ops::ConvMethod;
@@ -167,37 +167,6 @@ fn force_builds_single_method_plans() {
 }
 
 #[test]
-fn calibration_tightens_predictions() {
-    // feed the planner rounds measured at a constant 3× slower than
-    // its prior predicts; after calibration the predicted/measured
-    // ratio must converge toward 1
-    let (g, _) = scalability_net_3d(3);
-    let p = planner(Machine::xeon_e5_18core());
-    let plan = p.plan(&g, Vec3::cube(8), 18, 18).unwrap();
-    let truth_us = plan.predicted_round_us * 3.0;
-    for _ in 0..12 {
-        let _ = p.observe(truth_us);
-    }
-    let cal = p.calibration();
-    assert_eq!(cal.rounds.len(), 12);
-    let first_err = (cal.rounds[0].predicted_us / truth_us - 1.0).abs();
-    let last = cal.rounds.last().unwrap();
-    // predicted_us recorded per round uses the *current* scale, so the
-    // trajectory must tighten monotonically toward the measurement
-    let last_pred = {
-        // one more observation reports the post-convergence prediction
-        let _ = p.observe(truth_us);
-        p.calibration().rounds.last().unwrap().predicted_us
-    };
-    let last_err = (last_pred / truth_us - 1.0).abs();
-    assert!(
-        last_err < first_err * 0.5,
-        "calibration did not tighten: first {first_err:.3}, last {last_err:.3}"
-    );
-    assert!(last.scale > 0.0 && last.scale.is_finite());
-}
-
-#[test]
 fn choose_forward_prices_serving_geometries() {
     let p = planner(Machine::xeon_e5_18core());
     // large kernel on a healthy image → FFT; tiny kernel → direct
@@ -206,15 +175,6 @@ fn choose_forward_prices_serving_geometries() {
     assert!(Vec3::cube(32).le(pad));
     let (m_small, _) = p.choose_forward(Vec3::cube(12), Vec3::cube(2), Vec3::one());
     assert_eq!(m_small, ConvMethod::Direct);
-}
-
-#[test]
-fn observe_ignores_garbage_measurements() {
-    let p = planner(Machine::xeon_e5_8core());
-    assert!(p.observe(f64::NAN).is_none());
-    assert!(p.observe(-1.0).is_none());
-    assert!(p.observe(0.0).is_none());
-    assert_eq!(p.calibration().rounds.len(), 0);
 }
 
 /// A 1-core stand-in with detect()'s shape but deterministic rates

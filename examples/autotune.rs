@@ -7,11 +7,10 @@
 //! cargo run --release --example autotune
 //! ```
 
-use std::sync::Arc;
 use znn::core::{ConvPolicy, TrainConfig, Znn};
 use znn::graph::NetBuilder;
 use znn::ops::Transfer;
-use znn::plan::{PlanConfig, Planner};
+use znn::plan::Machine;
 use znn::tensor::{ops, Vec3};
 
 fn main() {
@@ -28,25 +27,13 @@ fn main() {
 
     let out_shape = Vec3::cube(3);
     // the default policy (`ConvPolicy::Autotune`) prices the theory
-    // FLOP model through a detected machine model; the planner is
-    // shared here only to print its machine prior
-    let planner = Arc::new(Planner::new(PlanConfig::host()));
+    // FLOP model through the detected model of this host
+    let machine = Machine::host();
     println!(
         "machine prior: {} ({} cores, {:.1} GFLOP/s, {:.1} GB/s)",
-        planner.config().machine.name,
-        planner.config().machine.cores,
-        planner.config().machine.gflops,
-        planner.config().machine.bandwidth_gbs,
+        machine.name, machine.cores, machine.gflops, machine.bandwidth_gbs,
     );
-    let planned = Znn::new(
-        graph.clone(),
-        out_shape,
-        TrainConfig {
-            planner: Some(Arc::clone(&planner)),
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let planned = Znn::new(graph.clone(), out_shape, TrainConfig::default()).unwrap();
 
     let plan = planned.net_plan();
     println!(

@@ -19,8 +19,8 @@
 //! * [`core`] — the training engine (`znn-core`),
 //! * [`plan`] — the one cost model (`znn-plan`): per-edge pricing, the
 //!   paper's closed forms and Brent's-theorem bounds (§V-A), the
-//!   execution planner with online calibration (§IV closed-loop), and
-//!   the discrete-event machine simulator of the scalability
+//!   execution planner (§IV's crossover, priced per edge), and the
+//!   discrete-event machine simulator of the scalability
 //!   experiments (§VIII),
 //! * [`baseline`] — the layer-at-a-time data-parallel comparator
 //!   (`znn-baseline`, §IX).
