@@ -89,12 +89,11 @@ fn median_round_us(znn: &Znn, out: Vec3, warmup: usize, rounds: usize, seed: u64
     samples[samples.len() / 2]
 }
 
-/// `Autotune` (the default policy) at `workers`, priced by `planner`
-/// when given; `with_plan` runs ignore the policy.
-fn config(workers: usize, planner: Option<Arc<Planner>>) -> TrainConfig {
+/// The default config at `workers`; every run enters through
+/// `with_plan`, so its conv policy is never consulted.
+fn config(workers: usize) -> TrainConfig {
     TrainConfig {
         workers,
-        planner,
         ..Default::default()
     }
 }
@@ -127,19 +126,20 @@ fn main() {
     );
     json.push_str("  \"nets\": [\n");
 
-    // the Auto engines plan through the planner that prices the grid
-    let planner = Arc::new(Planner::new(PlanConfig::for_machine(machine.clone())));
+    // the Auto engines run the plans of the planner that prices the grid
+    let planner = Planner::new(PlanConfig::for_machine(machine.clone()));
     let mut all_pass = true;
     let mut net_records = Vec::new();
     for case in nets(smoke) {
         println!("## {}", case.name);
-        let znn = Znn::new(
-            case.graph.clone(),
-            case.out,
-            config(workers, Some(Arc::clone(&planner))),
-        )
-        .expect("net sizes");
-        let plan = Arc::clone(znn.net_plan());
+        // the fan-out budget the engine itself would use: its workers
+        let plan = Arc::new(
+            planner
+                .plan(&case.graph, case.out, workers, workers)
+                .expect("net sizes"),
+        );
+        let znn = Znn::with_plan(case.graph.clone(), case.out, config(workers), Arc::clone(&plan))
+            .expect("net sizes");
         let prior_us = plan.predicted_round_us;
 
         // the fixed grid: direct once (pads/fan-out are FFT knobs), FFT
@@ -160,7 +160,7 @@ fn main() {
             let predicted_us = planner
                 .price(&case.graph, case.out, workers, &forced)
                 .unwrap();
-            let fz = Znn::with_plan(case.graph.clone(), case.out, config(workers, None), forced)
+            let fz = Znn::with_plan(case.graph.clone(), case.out, config(workers), forced)
                 .expect("net sizes");
             let measured_us = median_round_us(&fz, case.out, warmup, rounds, 11);
             let label = format!(

@@ -97,8 +97,9 @@ pub(crate) enum Chooser {
 impl ConvPolicy {
     /// Resolves the policy — the only place a `ConvPolicy` is matched
     /// to methods. Under `Autotune`, `planner` is the caller's shared
-    /// planner, or `None` for a private one over the once-per-process
-    /// host machine model, pricing FFT edges with `memoize_fft`.
+    /// planner (`DenseConfig::planner`), or `None` for a private one
+    /// over the once-per-process host machine model, pricing FFT edges
+    /// with `memoize_fft`.
     pub(crate) fn chooser(self, planner: Option<&Arc<Planner>>, memoize_fft: bool) -> Chooser {
         match self {
             ConvPolicy::ForceDirect => Chooser::Forced(ConvMethod::Direct),
@@ -141,14 +142,6 @@ pub struct TrainConfig {
     pub weight_decay: f32,
     /// Convolution method selection.
     pub conv: ConvPolicy,
-    /// The planner [`ConvPolicy::Autotune`] prices through (unused by
-    /// the forced policies). `None` (the default): the engine builds
-    /// its own over the once-per-process host machine model. `Some`:
-    /// price through a given machine model (a Table V machine, say); a
-    /// planner holds no state, so one may be shared by any number of
-    /// engines. Its `PlanConfig::memoize_fft` must equal
-    /// [`TrainConfig::memoize_fft`].
-    pub planner: Option<Arc<Planner>>,
     /// Memoize FFTs of images and kernels across passes (Table II).
     pub memoize_fft: bool,
     /// Loss function.
@@ -192,7 +185,6 @@ impl Default for TrainConfig {
             momentum: 0.0,
             weight_decay: 0.0,
             conv: ConvPolicy::Autotune,
-            planner: None,
             memoize_fft: true,
             loss: Loss::Mse,
             dropout: None,
@@ -227,7 +219,6 @@ mod tests {
         let c = TrainConfig::default();
         assert!(c.workers >= 1);
         assert_eq!(c.conv, ConvPolicy::Autotune);
-        assert!(c.planner.is_none(), "the engine builds its own planner");
         assert!(c.memoize_fft);
         assert!(c.dropout.is_none());
         // FFT line parallelism shares the scheduler's budget by default

@@ -13,7 +13,7 @@ use znn_graph::init::{bias_init, kernel_init, ParamSet};
 use znn_graph::{priority, shapes, EdgeId, EdgeOp, Graph, NodeId};
 use znn_ops::filter::{max_filter, max_filter_backward, max_filter_output, FilterImpl};
 use znn_ops::pool::{max_pool, max_pool_backward};
-use znn_ops::{conv, ConvMethod};
+use znn_ops::{conv, ConvMethod, Transfer};
 use znn_plan::NetPlan;
 use znn_sched::{Executor, Latch, Scheduler, StealingExecutor, UPDATE_PRIORITY};
 use znn_tensor::{ops, Image, Spectrum, Tensor3, Vec3};
@@ -46,8 +46,6 @@ fn fft_budget(cfg: &TrainConfig) -> usize {
 /// Statistics of one training round.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RoundStats {
-    /// Loss value of the round.
-    pub loss: f64,
     /// Total tasks executed so far by the scheduler.
     pub tasks_executed: u64,
     /// FORCE outcomes so far: updates found complete.
@@ -58,9 +56,6 @@ pub struct RoundStats {
     pub force_delegated: u64,
     /// Peak number of distinct priorities in the queue (heap-of-lists K).
     pub peak_distinct_priorities: u64,
-    /// Task-queue depth at snapshot time (backpressure signal; 0 when
-    /// quiescent).
-    pub queue_depth: u64,
     /// Pool leases served by recycling so far (§VII-C allocator). Zero
     /// when pooling is disabled.
     pub alloc_hits: u64,
@@ -79,9 +74,6 @@ pub struct RoundStats {
     /// any raw scheduler-level catches). Nonzero means at least one
     /// round was poisoned since construction.
     pub task_panics: u64,
-    /// Detached fork-join spawns that panicked (recorded by the
-    /// fork-join pool instead of being silently discarded).
-    pub detached_panics: u64,
     /// Wall time of the last completed training round, µs (0 before
     /// the first round).
     pub round_us: u64,
@@ -191,18 +183,9 @@ impl Znn {
     ) -> Result<Self, shapes::ShapeError> {
         graph.validate().map_err(shapes::ShapeError::Graph)?;
         let budget = fft_budget(&cfg);
-        let plan = match cfg.conv.chooser(cfg.planner.as_ref(), cfg.memoize_fft) {
+        let plan = match cfg.conv.chooser(None, cfg.memoize_fft) {
             Chooser::Forced(method) => NetPlan::force(&graph, output_shape, method, budget, false)?,
-            Chooser::Priced(p) => {
-                // a shared planner prices FFT edges with its own flag;
-                // a mismatch would misprice every one of them
-                assert_eq!(
-                    p.config().memoize_fft,
-                    cfg.memoize_fft,
-                    "TrainConfig::planner prices a different memoize_fft than the engine runs"
-                );
-                p.plan(&graph, output_shape, cfg.workers, budget)?
-            }
+            Chooser::Priced(p) => p.plan(&graph, output_shape, cfg.workers, budget)?,
         };
         Self::build(graph, output_shape, cfg, Arc::new(plan))
     }
@@ -433,7 +416,11 @@ impl Znn {
     /// Inference: one forward pass, no dropout, no learning. Pending
     /// updates from a previous training round are forced first (by the
     /// forward tasks themselves, per Algorithm 1).
+    ///
+    /// Panics, before any state changes, unless `inputs` match the
+    /// input nodes in count and shape.
     pub fn forward(&self, inputs: &[Image]) -> Vec<Image> {
+        self.check_inputs(inputs);
         self.inner.training.store(false, Ordering::Release);
         self.run_forward(inputs);
         if self.inner.round_failed.load(Ordering::Acquire) {
@@ -476,7 +463,16 @@ impl Znn {
     /// caches discarded, round counter rewound so a retry replays the
     /// same dropout/sampling streams — and the contained panic comes
     /// back as [`RoundError`].
+    ///
+    /// Panics, before any state changes, unless `inputs` match the
+    /// input nodes and `targets` the output nodes in count and shape.
     pub fn try_train_step(&self, inputs: &[Image], targets: &[Image]) -> Result<f64, RoundError> {
+        self.check_inputs(inputs);
+        let outputs = self.inner.graph.outputs();
+        assert_eq!(targets.len(), outputs.len(), "one target per output");
+        for (o, t) in outputs.iter().zip(targets) {
+            assert_eq!(t.shape(), self.inner.node_shape[o.0], "target shape mismatch");
+        }
         self.inner.training.store(true, Ordering::Release);
         let round_start = Instant::now();
         let round = self.inner.round.fetch_add(1, Ordering::Relaxed) + 1;
@@ -485,8 +481,6 @@ impl Znn {
             return Err(self.fail_round(round));
         }
 
-        let outputs = self.inner.graph.outputs();
-        assert_eq!(targets.len(), outputs.len(), "one target per output");
         let mut loss_total = 0.0;
         let mut grads: Vec<(NodeId, Image)> = outputs
             .iter()
@@ -723,15 +717,12 @@ impl Znn {
     pub fn stats(&self) -> RoundStats {
         let s = self.inner.sched.stats();
         let mut f = RoundStats {
-            loss: 0.0,
             tasks_executed: s.executed,
             peak_distinct_priorities: s.peak_distinct_priorities,
-            queue_depth: s.queue_depth,
             // engine containment catches panics before the scheduler's
             // worker-level catch sees them, so the two counts are
             // disjoint populations and sum cleanly
             task_panics: self.inner.task_panics.load(Ordering::Relaxed) + s.task_panics,
-            detached_panics: s.detached_panics,
             round_us: self.inner.last_round_us.load(Ordering::Relaxed),
             ..Default::default()
         };
@@ -749,12 +740,6 @@ impl Znn {
             }
         }
         f
-    }
-
-    /// The recycling pools this engine leases hot-path buffers from,
-    /// if pooling is enabled ([`TrainConfig::pools`]).
-    pub fn buffer_pools(&self) -> Option<&Arc<znn_alloc::PoolSet>> {
-        self.inner.cfg.pools.as_ref()
     }
 
     /// Count of spectra currently memoized (for §IX-B accounting).
@@ -777,19 +762,24 @@ impl Znn {
             .sum()
     }
 
+    /// Panics unless `inputs` match the input nodes in count and shape.
+    /// Called before a round changes any state, so a rejected call
+    /// leaves the engine as it was.
+    fn check_inputs(&self, inputs: &[Image]) {
+        let n = self.inner.graph.inputs().len();
+        assert_eq!(inputs.len(), n, "expected {n} inputs");
+        for img in inputs {
+            assert_eq!(img.shape(), self.inner.input_shape, "input shape mismatch");
+        }
+    }
+
+    /// Queues the forward pass of checked `inputs` and waits for it.
     fn run_forward(&self, inputs: &[Image]) {
         let input_nodes = self.inner.graph.inputs();
-        assert_eq!(
-            inputs.len(),
-            input_nodes.len(),
-            "expected {} inputs",
-            input_nodes.len()
-        );
         self.inner
             .fwd_latch
             .reset(self.inner.graph.outputs().len());
         for (&n, img) in input_nodes.iter().zip(inputs) {
-            assert_eq!(img.shape(), self.inner.input_shape, "input shape mismatch");
             let node = &self.inner.nodes[n.0];
             node.fwd_spectra.clear();
             let img = Arc::new(img.clone());
@@ -1049,7 +1039,7 @@ impl Inner {
                     let s = t.saved_output.lock();
                     Arc::clone(s.as_ref().expect("forward before backward"))
                 };
-                let mut back = {
+                let back = {
                     // dropout: the mask multiplies the chain in both
                     // directions
                     if let Some(mask) = t.dropout_mask.lock().take() {
@@ -1061,10 +1051,9 @@ impl Inner {
                     }
                 };
                 // §III-B: bias gradient is the sum of the backward image
-                let db = back.sum();
-                Inner::arm_bias_update(inner, e, db);
+                let db = Transfer::bias_gradient(&back);
                 // weight decay does not apply to biases
-                let _ = &mut back;
+                Inner::arm_bias_update(inner, e, db);
                 if read {
                     Contribution::Spatial(back)
                 } else {

@@ -3,7 +3,7 @@
 //! deterministic under load, a caller's plan enters through
 //! `Znn::with_plan` only, `Autotune` stays competitive with every
 //! fixed strategy, and a planner's answers do not depend on what it
-//! has planned or trained before.
+//! has planned before.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -173,14 +173,10 @@ fn two_autotune_engines_resolve_the_same_plan_under_load() {
     // a planner over a very different machine still picks the same
     // methods and pads: the machine's speed divides both prices
     for machine in [Machine::xeon_phi(), Machine::xeon_e5_18core()] {
-        let config = TrainConfig {
-            planner: Some(planner_for(machine)),
-            ..cfg(2, ConvPolicy::Autotune)
-        };
-        let other = Znn::new(g.clone(), out, config).unwrap();
+        let other = planner_for(machine).plan(&g, out, 2, 2).unwrap();
         assert_eq!(
             methods_and_pads(quiet.net_plan()),
-            methods_and_pads(other.net_plan())
+            methods_and_pads(&other)
         );
     }
 }
@@ -261,23 +257,19 @@ fn dense_autotune_equals_the_forced_net_of_the_priced_method() {
 
 #[test]
 fn auto_matches_its_own_frozen_plan_bitwise() {
-    // Autotune executes exactly the plan it resolved at construction,
-    // so it must reproduce the run of that plan executed through
-    // with_plan
+    // Autotune executes exactly the plan the host planner resolves at
+    // construction, so it must reproduce the run of that plan executed
+    // through with_plan
     let (g, out) = small_graph();
-    let planner = planner_for(Machine::xeon_e5_8core());
+    let planner = Planner::new(PlanConfig::host());
     let frozen = Arc::new(planner.plan(&g, out, 1, 1).unwrap());
-    let config = TrainConfig {
-        planner: Some(Arc::clone(&planner)),
-        ..cfg(1, ConvPolicy::Autotune)
-    };
-    let auto = Znn::new(g.clone(), out, config).unwrap();
+    let auto = Znn::new(g.clone(), out, cfg(1, ConvPolicy::Autotune)).unwrap();
     assert_eq!(**auto.net_plan(), *frozen);
     let replay = Znn::with_plan(g, out, cfg(1, ConvPolicy::Autotune), Arc::clone(&frozen)).unwrap();
     assert_eq!(
         losses(&auto, out, 6),
         losses(&replay, out, 6),
-        "live calibration must never change a computed bit"
+        "Autotune must run exactly the plan it resolved"
     );
     // and the fan-out is still the plan's
     assert_eq!(auto.fft_threads(), frozen.fft_threads);
@@ -285,18 +277,13 @@ fn auto_matches_its_own_frozen_plan_bitwise() {
 
 #[test]
 fn a_planner_has_no_history() {
-    // an engine training on a shared planner leaves it answering
-    // exactly as a fresh one does, for any other net: plan and price
-    // are functions of the configuration and their arguments alone
+    // a planner that has planned one net answers exactly as a fresh
+    // one does, for any other net: plan and price are functions of the
+    // configuration and their arguments alone
     let machine = Machine::xeon_e5_8core();
     let shared = planner_for(machine.clone());
     let (g, out) = small_graph();
-    let config = TrainConfig {
-        planner: Some(Arc::clone(&shared)),
-        ..cfg(1, ConvPolicy::Autotune)
-    };
-    let znn = Znn::new(g, out, config).unwrap();
-    losses(&znn, out, 6);
+    shared.plan(&g, out, 1, 1).unwrap();
     let fresh = planner_for(machine);
     let (g2, _) = scalability_net_3d(2);
     let out2 = Vec3::cube(4);
@@ -318,12 +305,12 @@ fn a_planner_has_no_history() {
 fn engine_exposes_plan_and_applies_fan_out() {
     let (g, _) = scalability_net_3d(2);
     let out = Vec3::cube(4);
-    let config = TrainConfig {
-        planner: Some(planner_for(Machine::xeon_e5_18core())),
-        ..cfg(2, ConvPolicy::Autotune)
-    };
-    let znn = Znn::new(g, out, config).unwrap();
-    let plan = znn.net_plan().clone();
+    let plan = Arc::new(
+        planner_for(Machine::xeon_e5_18core())
+            .plan(&g, out, 2, 2)
+            .unwrap(),
+    );
+    let znn = Znn::with_plan(g, out, cfg(2, ConvPolicy::Autotune), Arc::clone(&plan)).unwrap();
     assert_eq!(znn.fft_threads(), plan.fft_threads.min(2));
     let x = ops::random(znn.input_shape(), 7);
     let t = ops::random(out, 8).map(|v| 0.3 * v);
@@ -375,18 +362,6 @@ fn with_plan_rejects_an_odd_packed_axis() {
     let mut plan = NetPlan::force(&g, out, ConvMethod::Fft, 1, false).unwrap();
     plan.edges[0].as_mut().unwrap().pad = Vec3::cube(9);
     let _ = Znn::with_plan(g, out, cfg(1, ConvPolicy::Autotune), Arc::new(plan));
-}
-
-#[test]
-#[should_panic(expected = "prices a different memoize_fft than the engine runs")]
-fn a_planner_pricing_the_wrong_memoization_is_rejected() {
-    let (g, out) = small_graph();
-    let config = TrainConfig {
-        memoize_fft: false,
-        planner: Some(planner_for(Machine::xeon_e5_8core())),
-        ..cfg(1, ConvPolicy::Autotune)
-    };
-    let _ = Znn::new(g, out, config);
 }
 
 #[test]

@@ -149,14 +149,6 @@ fn stats_expose_queue_depth_and_alloc_fields() {
     let (znn, x, t) = net();
     znn.train_step(std::slice::from_ref(&x), std::slice::from_ref(&t));
     let s = znn.stats();
-    // between rounds the queue holds at most the deferred
-    // lowest-priority update tasks (one per trainable edge) — the
-    // depth field sees exactly that backlog
-    assert!(
-        (s.queue_depth as usize) <= znn.graph().edge_count(),
-        "unexpected backlog: {}",
-        s.queue_depth
-    );
     assert!(s.alloc_leased_bytes > 0, "no churn recorded");
     assert!(s.alloc_resident_bytes > 0, "no footprint recorded");
     // resident never exceeds what was leased

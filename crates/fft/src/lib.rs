@@ -125,6 +125,7 @@
 //! constant.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod conv;
 mod engine;

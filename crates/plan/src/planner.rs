@@ -38,8 +38,7 @@ pub struct PlanConfig {
     pub machine: Machine,
     /// Whether the engine memoizes FFTs across passes (Table II). An
     /// engine that builds its own planner copies its
-    /// `TrainConfig::memoize_fft` here; it rejects a supplied planner
-    /// whose value disagrees.
+    /// `TrainConfig::memoize_fft` here.
     pub memoize_fft: bool,
 }
 
@@ -153,11 +152,6 @@ impl Planner {
     /// A planner with the given configuration.
     pub fn new(cfg: PlanConfig) -> Self {
         Planner { cfg }
-    }
-
-    /// The configuration the planner was built with.
-    pub fn config(&self) -> &PlanConfig {
-        &self.cfg
     }
 
     /// Computes a plan for `graph` trained at `output_shape` with

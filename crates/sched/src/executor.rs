@@ -56,14 +56,6 @@ pub trait Scheduler: Send + Sync {
     fn submit(&self, priority: u64, task: Task);
     /// Scheduler statistics snapshot.
     fn stats(&self) -> SchedStats;
-    /// Tasks waiting right now — the lock-free backpressure gauge an
-    /// admission controller polls per request ([`SchedStats::queue_depth`]
-    /// carries the same number in snapshots). Both executors override
-    /// this with an atomic read; the default goes through [`Scheduler::stats`].
-    fn queue_depth(&self) -> u64 {
-        self.stats().queue_depth
-    }
-
     /// Blocks until every submitted task has finished. Only meaningful
     /// when no external thread keeps submitting.
     fn wait_quiescent(&self);
@@ -74,17 +66,9 @@ pub trait Scheduler: Send + Sync {
 pub struct SchedStats {
     /// Tasks executed by workers.
     pub executed: u64,
-    /// Maximum queue length observed at submit time.
-    pub peak_queue_len: u64,
     /// Maximum number of distinct priorities observed at submit time
     /// (the K of the heap-of-lists bound; 0 for non-priority policies).
     pub peak_distinct_priorities: u64,
-    /// Tasks waiting in the queue at the moment of the snapshot — the
-    /// backpressure signal a caller polls to throttle submission. Zero
-    /// when the scheduler is quiescent. (For the work-stealing
-    /// executor this counts submitted-but-unfinished tasks, which also
-    /// includes tasks currently executing.)
-    pub queue_depth: u64,
     /// Tasks that panicked while executing. Workers catch the unwind,
     /// count it here, and keep serving — a panicking task must never
     /// take a worker thread (and with it the whole round protocol)
@@ -92,25 +76,14 @@ pub struct SchedStats {
     /// additionally wrap their task bodies; panics caught there do not
     /// reach this counter.
     pub task_panics: u64,
-    /// Panics of *detached* fork-join spawns recorded by the donation
-    /// pool this executor's workers serve ([`Executor::with_donation`]).
-    /// Zero for executors without a donation pool. Surfaced here so a
-    /// silently-discarded spawn panic is visible to round statistics
-    /// and CI assertions.
-    pub detached_panics: u64,
 }
 
 struct Shared {
     queue: Mutex<TaskQueue<Task>>,
     available: Condvar,
     shutdown: AtomicBool,
-    /// Lock-free mirror of the queue length (incremented on submit,
-    /// decremented when a worker takes a task) so backpressure polls
-    /// never contend on the queue mutex.
-    depth: AtomicU64,
     executed: AtomicU64,
     task_panics: AtomicU64,
-    peak_len: AtomicU64,
     peak_k: AtomicU64,
     idle_workers: AtomicUsize,
     workers: usize,
@@ -183,10 +156,8 @@ impl Executor {
             queue: Mutex::new(TaskQueue::new(policy)),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            depth: AtomicU64::new(0),
             executed: AtomicU64::new(0),
             task_panics: AtomicU64::new(0),
-            peak_len: AtomicU64::new(0),
             peak_k: AtomicU64::new(0),
             idle_workers: AtomicUsize::new(0),
             workers,
@@ -228,24 +199,15 @@ impl Executor {
         self.shared.workers
     }
 
-    /// Tasks waiting in the queue right now, from the atomic gauge —
-    /// safe to poll per request without touching the queue lock.
-    pub fn queue_depth(&self) -> u64 {
-        self.shared.depth.load(Ordering::Acquire)
-    }
 }
 
 impl Scheduler for Executor {
     fn submit(&self, priority: u64, task: Task) {
-        let (len, k) = {
+        let k = {
             let mut q = self.shared.queue.lock();
             q.push(priority, task);
-            // gauge update under the queue lock so it never drifts from
-            // the queue it mirrors (pop decrements under the same lock)
-            self.shared.depth.fetch_add(1, Ordering::Release);
-            (q.len() as u64, q.distinct_priorities() as u64)
+            q.distinct_priorities() as u64
         };
-        self.shared.peak_len.fetch_max(len, Ordering::Relaxed);
         self.shared.peak_k.fetch_max(k, Ordering::Relaxed);
         self.shared.available.notify_one();
     }
@@ -253,16 +215,8 @@ impl Scheduler for Executor {
     fn stats(&self) -> SchedStats {
         SchedStats {
             executed: self.shared.executed.load(Ordering::Relaxed),
-            peak_queue_len: self.shared.peak_len.load(Ordering::Relaxed),
             peak_distinct_priorities: self.shared.peak_k.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth(),
             task_panics: self.shared.task_panics.load(Ordering::Relaxed),
-            detached_panics: self
-                .shared
-                .donate
-                .as_ref()
-                .map(|p| p.detached_panics())
-                .unwrap_or(0),
         }
     }
 
@@ -286,14 +240,7 @@ impl Scheduler for Executor {
 fn worker_loop(shared: Arc<Shared>) {
     loop {
         // 1) scheduler tasks first — they carry the priorities
-        let task = {
-            let mut q = shared.queue.lock();
-            let t = q.pop();
-            if t.is_some() {
-                shared.depth.fetch_sub(1, Ordering::Release);
-            }
-            t
-        };
+        let task = shared.queue.lock().pop();
         if let Some(task) = task {
             // contain panics at the worker: a panicking task must fail
             // *itself*, not kill this thread — a dead worker would
@@ -448,27 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_depth_tracks_backpressure() {
-        let ex = Executor::new(1, QueuePolicy::Priority);
-        let gate = Arc::new(Latch::new(1));
-        let done = Arc::new(Latch::new(4));
-        {
-            let gate = Arc::clone(&gate);
-            ex.submit(0, Box::new(move || gate.wait()));
-        }
-        for _ in 0..4 {
-            let done = Arc::clone(&done);
-            ex.submit(1, Box::new(move || done.count_down()));
-        }
-        // the worker holds the gate task; four tasks queue behind it
-        assert!(ex.stats().queue_depth >= 4);
-        gate.count_down();
-        done.wait();
-        ex.wait_quiescent();
-        assert_eq!(ex.stats().queue_depth, 0, "depth must drain to zero");
-    }
-
-    #[test]
     fn panicking_task_is_counted_and_workers_survive() {
         let ex = Executor::new(2, QueuePolicy::Priority);
         let done = Arc::new(Latch::new(20));
@@ -510,7 +436,6 @@ mod tests {
             ex.submit(i % 3, Box::new(move || done.count_down()));
         }
         let stats = ex.stats();
-        assert!(stats.peak_queue_len >= 6);
         assert!(stats.peak_distinct_priorities >= 3);
         gate.count_down();
         done.wait();

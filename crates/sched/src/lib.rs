@@ -42,6 +42,7 @@
 //! use [`UPDATE_PRIORITY`] (the lowest of all, §VI-A).
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod deque;
 pub mod executor;

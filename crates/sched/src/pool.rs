@@ -70,11 +70,6 @@ struct PoolState {
     sleep_cvar: Condvar,
     /// Wakers of donor threads; pruned when their owners drop them.
     wakers: Mutex<Vec<Weak<dyn Fn() + Send + Sync>>>,
-    /// Detached (`spawn`) jobs of this pool that panicked. Detached
-    /// panics must not unwind (they would kill whatever thread ran
-    /// them) but silently discarding them hides real bugs — so they
-    /// are counted here and surfaced via [`ThreadPool::detached_panics`].
-    detached_panics: AtomicU64,
 }
 
 impl PoolState {
@@ -124,31 +119,6 @@ impl PoolState {
         }
         job
     }
-}
-
-/// Boxes a fire-and-forget task. Unlike scope tasks (whose panics are
-/// stored and re-raised at the scope), a detached task has nowhere to
-/// propagate to — and letting it unwind would kill the executing
-/// thread: a pool worker silently, or worse, a waiting scope owner
-/// (unwinding through `Scope::complete` would free a `Scope` whose
-/// queued jobs still point at it) or a donated scheduler worker. So
-/// the panic is caught — and **recorded**, never discarded: it bumps
-/// the owning pool's counter (held weakly; the pool may be gone by the
-/// time a stolen job runs), so health monitors can fail a round that
-/// lost a spawn instead of training on silently.
-fn detached_job<F>(state: &Arc<PoolState>, f: F) -> Job
-where
-    F: FnOnce() + Send + 'static,
-{
-    let state = Arc::downgrade(state);
-    Box::new(move || {
-        if catch_unwind(AssertUnwindSafe(f)).is_err() {
-            if let Some(state) = state.upgrade() {
-                state.detached_panics.fetch_add(1, Ordering::Relaxed);
-            }
-            eprintln!("znn-sched: detached spawn task panicked; panic recorded");
-        }
-    })
 }
 
 fn worker_loop(state: Arc<PoolState>, index: usize) {
@@ -207,7 +177,6 @@ impl ThreadPool {
             sleep_lock: Mutex::new(()),
             sleep_cvar: Condvar::new(),
             wakers: Mutex::new(Vec::new()),
-            detached_panics: AtomicU64::new(0),
         })
     }
 
@@ -288,24 +257,6 @@ impl ThreadPool {
             }
             Err(p) => resume_unwind(p),
         }
-    }
-
-    /// Queues a fire-and-forget task on this pool. A panic in `f` is
-    /// caught — it has no scope to propagate to and must not kill
-    /// whichever thread happens to execute it — and counted, readable
-    /// via [`ThreadPool::detached_panics`].
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        self.state.push_job(detached_job(&self.state, f));
-    }
-
-    /// Detached (`spawn`) jobs of this pool that panicked. Monotonic
-    /// over the pool's lifetime; a nonzero delta across a region means
-    /// fire-and-forget work was lost in it.
-    pub fn detached_panics(&self) -> u64 {
-        self.state.detached_panics.load(Ordering::Relaxed)
     }
 
     /// Pops and runs one queued job on the calling thread. Returns

@@ -57,16 +57,6 @@ pub struct StealingExecutor {
 static POOL_IDS: AtomicU64 = AtomicU64::new(0);
 
 impl StealingExecutor {
-    /// Submitted-but-unfinished tasks right now (includes tasks
-    /// currently executing — there is no central queue to measure) —
-    /// the lock-free backpressure gauge, matching
-    /// [`crate::SchedStats::queue_depth`].
-    pub fn queue_depth(&self) -> u64 {
-        let executed = self.pool.executed.load(Ordering::Acquire);
-        let submitted = self.pool.submitted.load(Ordering::Acquire);
-        submitted.saturating_sub(executed)
-    }
-
     /// Starts `workers >= 1` stealing workers.
     pub fn new(workers: usize) -> Self {
         Self::build(workers, None)
@@ -156,9 +146,9 @@ fn worker_loop(index: usize, pool: Arc<Pool>) {
 impl Scheduler for StealingExecutor {
     fn submit(&self, _priority: u64, task: Task) {
         // count the submission BEFORE the task becomes runnable: a
-        // worker may pop and finish it instantly, and `executed` must
-        // never be observed above `submitted` (stats() relies on the
-        // subtraction being conservative for the queue-depth signal)
+        // worker may pop and finish it instantly, and `wait_quiescent`
+        // must not see `executed` catch up with a `submitted` that
+        // does not count it yet
         self.pool.submitted.fetch_add(1, Ordering::Release);
         // a worker of *this* pool pushes to its own deque (the classic
         // work-first rule); everyone else goes through the injector
@@ -170,29 +160,11 @@ impl Scheduler for StealingExecutor {
         self.pool.wake.notify_all();
     }
 
-    fn queue_depth(&self) -> u64 {
-        self.queue_depth()
-    }
-
     fn stats(&self) -> SchedStats {
-        // no central queue to measure: depth is submitted-but-unfinished
-        // (submit counts before the push and the load order — executed
-        // before submitted — keeps the subtraction conservative under
-        // concurrent submits)
-        let executed = self.pool.executed.load(Ordering::Acquire);
-        let submitted = self.pool.submitted.load(Ordering::Acquire);
         SchedStats {
-            executed,
-            peak_queue_len: 0,
+            executed: self.pool.executed.load(Ordering::Acquire),
             peak_distinct_priorities: 0,
-            queue_depth: submitted.saturating_sub(executed),
             task_panics: self.pool.task_panics.load(Ordering::Relaxed),
-            detached_panics: self
-                .pool
-                .donate
-                .as_ref()
-                .map(|p| p.detached_panics())
-                .unwrap_or(0),
         }
     }
 
@@ -291,7 +263,6 @@ mod tests {
         let stats = ex.stats();
         assert_eq!(stats.executed, 10);
         assert_eq!(stats.task_panics, 4);
-        assert_eq!(stats.queue_depth, 0, "panicked tasks still count as done");
     }
 
     #[test]

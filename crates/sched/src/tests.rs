@@ -80,58 +80,24 @@ fn donors_execute_queued_jobs() {
         })
     };
     pool.add_donor_waker(&waker);
-    let ran = Arc::new(AtomicUsize::new(0));
-    {
-        let ran = Arc::clone(&ran);
-        pool.spawn(move || {
+    let ran = AtomicUsize::new(0);
+    // queue the jobs inside a scope: until its closure returns, only a
+    // donor (here the test thread) can run them
+    pool.scope(|s| {
+        s.spawn(|_| {
             ran.fetch_add(1, Ordering::SeqCst);
         });
-    }
-    assert!(pool.has_pending_jobs());
-    assert!(woken.load(Ordering::SeqCst) >= 1);
-    assert!(pool.run_pending_job());
-    assert_eq!(ran.load(Ordering::SeqCst), 1);
-    assert!(!pool.run_pending_job());
-    // dropping the waker arc unregisters it
-    drop(waker);
-    pool.spawn(|| {});
-    assert!(pool.run_pending_job());
-    assert_eq!(woken.load(Ordering::SeqCst), 1);
-}
-
-#[test]
-fn detached_spawn_panics_are_counted_not_lost() {
-    let pool = ThreadPool::with_workers(2);
-    assert_eq!(pool.detached_panics(), 0);
-    let done = Arc::new(std::sync::Barrier::new(2));
-    let d = Arc::clone(&done);
-    pool.spawn(move || {
-        let _sync = DropBarrier(d); // waited even when the job unwinds
-        panic!("injected detached panic");
+        assert!(pool.has_pending_jobs());
+        assert!(woken.load(Ordering::SeqCst) >= 1);
+        assert!(pool.run_pending_job());
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        assert!(!pool.run_pending_job());
+        // dropping the waker arc unregisters it
+        drop(waker);
+        s.spawn(|_| {});
+        assert!(pool.run_pending_job());
+        assert_eq!(woken.load(Ordering::SeqCst), 1);
     });
-    struct DropBarrier(Arc<std::sync::Barrier>);
-    impl Drop for DropBarrier {
-        fn drop(&mut self) {
-            self.0.wait();
-        }
-    }
-    done.wait();
-    // the counter bump happens after the unwind reaches the catch;
-    // poll briefly rather than racing it
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while pool.detached_panics() == 0 && std::time::Instant::now() < deadline {
-        std::thread::yield_now();
-    }
-    assert_eq!(pool.detached_panics(), 1, "pool-level count");
-    // the worker that ran the panicking job survived
-    let ok = Arc::new(AtomicUsize::new(0));
-    let ok2 = Arc::clone(&ok);
-    pool.scope(|s| {
-        s.spawn(move |_| {
-            ok2.fetch_add(1, Ordering::SeqCst);
-        })
-    });
-    assert_eq!(ok.load(Ordering::SeqCst), 1);
 }
 
 #[test]

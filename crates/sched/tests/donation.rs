@@ -138,15 +138,16 @@ fn donation_does_not_starve_scheduler_tasks() {
             Arc::clone(&pool),
         ));
         let done = Arc::new(Latch::new(50));
-        for _ in 0..200 {
-            pool.spawn(std::thread::yield_now);
-        }
-        for _ in 0..50 {
-            let done = Arc::clone(&done);
-            ex.submit(1, Box::new(move || done.count_down()));
-        }
-        done.wait();
-        // drain the fire-and-forget jobs so none outlive the pool
-        while pool.run_pending_job() {}
+        // the scope joins the pool jobs, so none outlive the pool
+        pool.scope(|s| {
+            for _ in 0..200 {
+                s.spawn(|_| std::thread::yield_now());
+            }
+            for _ in 0..50 {
+                let done = Arc::clone(&done);
+                ex.submit(1, Box::new(move || done.count_down()));
+            }
+            done.wait();
+        });
     });
 }

@@ -4,8 +4,7 @@
 //! a condvar for blocking consumers. What makes it a serving queue is
 //! the contract around it — a hard capacity so memory is bounded, a
 //! [`BoundedQueue::depth`] gauge readable without the lock (the
-//! admission-control signal, mirroring `SchedStats::queue_depth` in
-//! the training schedulers), and non-blocking producers: `try_push`
+//! admission-control signal), and non-blocking producers: `try_push`
 //! never waits, because a server that blocks its admission path has
 //! already lost the overload fight.
 

@@ -112,25 +112,6 @@ pub fn gather_strided<T: Copy + Default>(
     Tensor3::from_fn(shape, |o| t.at(at + o * s))
 }
 
-/// Strided scatter-add: adds `src` into `dst` on the lattice with origin
-/// `at` and stride `s`. Used to assemble dense outputs from sparse
-/// sub-problems and by the max-pooling Jacobian.
-pub fn scatter_strided_add(dst: &mut Tensor3<f32>, src: &Tensor3<f32>, at: Vec3, s: Vec3) {
-    let d = dst.shape();
-    let shape = src.shape();
-    if !shape.is_empty() {
-        let last = at + (shape - Vec3::one()) * s;
-        assert!(
-            last.fits_in(d),
-            "strided scatter reaches {last} outside {d}"
-        );
-    }
-    for o in shape.iter() {
-        let v = src.at(o);
-        dst[at + o * s] += v;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,15 +182,5 @@ mod tests {
         let d = dilate(&t, Vec3::cube(2));
         let g = gather_strided(&d, Vec3::zero(), Vec3::cube(2), t.shape());
         assert_eq!(g, t);
-    }
-
-    #[test]
-    fn scatter_add_accumulates() {
-        let mut dst = Tensor3::filled(Vec3::cube(5), 1.0f32);
-        let src = Tensor3::filled(Vec3::cube(2), 2.0f32);
-        scatter_strided_add(&mut dst, &src, Vec3::one(), Vec3::cube(2));
-        assert_eq!(dst.at((1, 1, 1)), 3.0);
-        assert_eq!(dst.at((3, 3, 3)), 3.0);
-        assert_eq!(dst.at((2, 2, 2)), 1.0);
     }
 }

@@ -175,23 +175,6 @@ impl<T: Copy> Tensor3<T> {
         &mut self.data.as_mut_slice()[start..start + len]
     }
 
-    /// Reinterprets the buffer under a new shape with the same voxel
-    /// count (e.g. collapsing a unit axis). A pooled buffer keeps its
-    /// lease.
-    pub fn reshaped(self, shape: impl Into<Vec3>) -> Self {
-        let shape = shape.into();
-        assert_eq!(
-            shape.len(),
-            self.data.len(),
-            "cannot reshape {} voxels to {shape}",
-            self.data.len()
-        );
-        Tensor3 {
-            shape,
-            data: self.data,
-        }
-    }
-
     /// Applies `f` to every voxel, producing a new tensor of the same
     /// shape.
     pub fn map<U: Copy>(&self, f: impl FnMut(T) -> U) -> Tensor3<U> {
@@ -310,13 +293,6 @@ mod tests {
     #[should_panic(expected = "cannot have shape")]
     fn from_vec_rejects_wrong_length() {
         let _ = Tensor3::from_vec(Vec3::cube(2), vec![0.0f32; 7]);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor3::from_vec(Vec3::new(1, 2, 3), vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let u = t.reshaped(Vec3::new(2, 3, 1));
-        assert_eq!(u.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]
