@@ -28,6 +28,7 @@
 //! working-set size and allocation traffic.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod class;
 mod pool;

@@ -96,7 +96,7 @@ impl<T: Copy + Default> BufferPool<T> {
     /// the full length anyway — pooled tensor clones — skipping the
     /// zero-fill halves the memory traffic. Accounted exactly like
     /// [`BufferPool::get`].
-    pub fn get_empty(&self, len: usize) -> Vec<T> {
+    pub(crate) fn get_empty(&self, len: usize) -> Vec<T> {
         let class = class_of(len);
         let bytes = size_of_class(class) * std::mem::size_of::<T>();
         let recycled = self.classes[class].lock().pop_front();

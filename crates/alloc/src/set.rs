@@ -127,6 +127,12 @@ unsafe fn reinterpret_vec<A, B>(v: Vec<A>) -> Vec<B> {
     let (ptr, len, cap) = (v.as_mut_ptr(), v.len(), v.capacity());
     debug_assert_eq!((len * a) % b, 0);
     debug_assert_eq!((cap * a) % b, 0);
+    // SAFETY: `ptr` and `cap` come from a live `Vec<A>` that is never
+    // dropped (`ManuallyDrop`), so the allocation is handed over
+    // exactly once. By the caller's contract the converted capacity
+    // describes the same layout (equal alignment, `cap·a` bytes), and
+    // the converted length covers only initialized bytes that are
+    // valid at `B`.
     unsafe { Vec::from_raw_parts(ptr.cast::<B>(), len * a / b, cap * a / b) }
 }
 
@@ -200,7 +206,7 @@ impl PoolSet {
     }
 
     /// A zero-filled leased complex tensor.
-    pub fn cimage(&self, shape: impl Into<Vec3>) -> Tensor3<Complex32> {
+    pub(crate) fn cimage(&self, shape: impl Into<Vec3>) -> Tensor3<Complex32> {
         Tensor3::leased(shape, Arc::clone(&self.complex))
     }
 

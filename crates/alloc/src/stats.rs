@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub struct PoolStats {
     bytes_from_system: AtomicUsize,
     bytes_in_use: AtomicUsize,
-    peak_bytes_in_use: AtomicUsize,
     bytes_leased: AtomicUsize,
     hits: AtomicUsize,
     misses: AtomicUsize,
@@ -24,7 +23,6 @@ impl PoolStats {
         PoolStats {
             bytes_from_system: AtomicUsize::new(0),
             bytes_in_use: AtomicUsize::new(0),
-            peak_bytes_in_use: AtomicUsize::new(0),
             bytes_leased: AtomicUsize::new(0),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
@@ -32,26 +30,26 @@ impl PoolStats {
     }
 
     /// Records a pool hit (chunk recycled) of `bytes`.
-    pub fn record_hit(&self, bytes: usize) {
+    pub(crate) fn record_hit(&self, bytes: usize) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.grow_in_use(bytes);
     }
 
     /// Records a pool miss (chunk fetched from the system) of `bytes`.
-    pub fn record_miss(&self, bytes: usize) {
+    pub(crate) fn record_miss(&self, bytes: usize) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.bytes_from_system.fetch_add(bytes, Ordering::Relaxed);
         self.grow_in_use(bytes);
     }
 
     /// Records a chunk of `bytes` going back on the pool. Saturates at
-    /// zero, so a donated (never-leased) buffer cannot drive the
+    /// zero, so a foreign (never-leased) buffer cannot drive the
     /// counter negative — but while other leases are live it *does*
-    /// make `bytes_in_use` under-count by the donated class size, so
+    /// make `bytes_in_use` under-count by the foreign class size, so
     /// accounting-exact callers must only return buffers whose lease
     /// was recorded here (the engine's `irfft3` re-adoption checks
     /// pool identity for exactly this reason).
-    pub fn record_free(&self, bytes: usize) {
+    pub(crate) fn record_free(&self, bytes: usize) {
         let _ = self
             .bytes_in_use
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
@@ -61,8 +59,7 @@ impl PoolStats {
 
     fn grow_in_use(&self, bytes: usize) {
         self.bytes_leased.fetch_add(bytes, Ordering::Relaxed);
-        let now = self.bytes_in_use.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak_bytes_in_use.fetch_max(now, Ordering::Relaxed);
+        self.bytes_in_use.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Total bytes ever obtained from the system allocator (== footprint,
@@ -74,11 +71,6 @@ impl PoolStats {
     /// Bytes currently handed out to callers.
     pub fn bytes_in_use(&self) -> usize {
         self.bytes_in_use.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of [`PoolStats::bytes_in_use`].
-    pub fn peak_bytes_in_use(&self) -> usize {
-        self.peak_bytes_in_use.load(Ordering::Relaxed)
     }
 
     /// Cumulative bytes handed out over the pool's lifetime (hits and
@@ -118,7 +110,6 @@ mod tests {
         assert_eq!(s.misses(), 1);
         // footprint did not grow on the hit
         assert_eq!(s.bytes_from_system(), 64);
-        assert_eq!(s.peak_bytes_in_use(), 64);
     }
 
     #[test]
@@ -127,8 +118,7 @@ mod tests {
         s.record_miss(10);
         s.record_miss(30); // high water: 40
         s.record_free(30);
-        s.record_hit(10); // back to 20, peak unchanged
-        assert_eq!(s.peak_bytes_in_use(), 40);
+        s.record_hit(10); // back to 20 after the high water
         assert_eq!(s.bytes_in_use(), 20);
     }
 

@@ -5,9 +5,8 @@
 //! time"). This engine reproduces that execution model on the CPU: all
 //! edges whose source sits at the same depth run in parallel, then a
 //! barrier, then the next depth. Each level is one fork-join scope on
-//! `znn-sched`'s [global pool](znn_sched::global_pool), the persistent
-//! worker pool FFT line chunks also default to — no threads are
-//! spawned per level. Convolution is always
+//! `znn-sched`'s [global pool](znn_sched::global_pool), a persistent
+//! worker pool — no threads are spawned per level. Convolution is always
 //! direct — the property that drives the FFT-vs-direct crossover in
 //! Figs 8–9.
 

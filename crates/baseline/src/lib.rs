@@ -21,6 +21,7 @@
 //!   the device, so the comparator keeps the schedule on the CPU.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod layerwise;
 mod reference;

@@ -60,7 +60,7 @@ fn bench_fft(c: &mut Criterion) {
 /// thread: kernel spectra, the forward-node crop and the kernel-gradient
 /// lattice.
 fn bench_pruned(c: &mut Criterion) {
-    let engine = FftEngine::with_threads(1);
+    let engine = FftEngine::new();
     let mut group = c.benchmark_group("pruned");
     group
         .sample_size(10)

@@ -1,13 +1,11 @@
-//! Transform traffic — time and bytes per 3D r2c transform, and the
-//! parallel line-transform scaling at 1 / half / all worker threads.
+//! Transform traffic — time and bytes per 3D r2c transform and its
+//! inverse, each on one thread.
 //!
 //! The r2c path stores `⌊m/2⌋+1` of `m` packed-axis bins, so the bytes
 //! per spectrum approach half those of a full complex spectrum as
 //! shapes grow. The "spectrum bytes" column is what every *memoized*
 //! spectrum costs for the lifetime of a training round — the paper's
-//! main RAM consumer (§IV). The threads table exercises the chunked
-//! per-line parallelism of `znn-fft` (the per-axis line loops are
-//! embarrassingly parallel across lines).
+//! main RAM consumer (§IV).
 //!
 //! Emits `BENCH_fft.json` with every number so the perf trajectory is
 //! tracked across PRs. `--smoke` runs one small size (CI keeps the
@@ -39,12 +37,6 @@ use znn_bench::{fmt, header, row, time_per_round};
 use znn_fft::{good_shape, pow2_shape, spectra, FftEngine};
 use znn_tensor::{ops, Complex32, Spectrum, Vec3};
 
-struct ThreadPoint {
-    threads: usize,
-    fwd_s: f64,
-    inv_s: f64,
-}
-
 /// The shared `(warmup, reps)` budget per cube size — one protocol for
 /// every section of `BENCH_fft.json`, so committed numbers from
 /// different sections of the same run are comparable. Mid-range sizes
@@ -71,12 +63,10 @@ fn main() {
     let host = std::thread::available_parallelism()
         .map(|v| v.get())
         .unwrap_or(1);
-    let mut thread_counts = vec![1usize, host.div_ceil(2), host];
-    thread_counts.dedup();
 
-    println!("# transform traffic — r2c half-spectrum bytes, time and thread scaling\n");
-    let engine = FftEngine::with_threads(1);
-    header(&["shape", "spectrum bytes", "bytes vs full spectrum", "fwd s"]);
+    println!("# transform traffic — r2c half-spectrum bytes and time\n");
+    let engine = FftEngine::new();
+    header(&["shape", "spectrum bytes", "bytes vs full spectrum", "fwd s", "inv s"]);
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"host_threads\": {host},");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
@@ -92,70 +82,28 @@ fn main() {
         let t_r2c = time_per_round(warm, reps, || {
             std::hint::black_box(engine.rfft3(&img));
         });
+        // irfft3 consumes its spectrum, so the clone has to sit in the
+        // timed loop — measure it separately and subtract, or the
+        // inverse cost would include an allocation+memcpy the in-place
+        // c2r path specifically avoids
+        let t_clone = time_per_round(warm, reps, || {
+            std::hint::black_box(spec.clone());
+        });
+        let t_inv = (time_per_round(warm, reps, || {
+            std::hint::black_box(engine.irfft3(spec.clone()));
+        }) - t_clone)
+            .max(f64::EPSILON);
         row(&[
             format!("{n}³"),
             r2c_bytes.to_string(),
             format!("{:.3}", r2c_bytes as f64 / complex_bytes as f64),
             fmt(t_r2c),
+            fmt(t_inv),
         ]);
-        // threads sweep on the r2c pipeline (forward + inverse)
-        let mut points = Vec::new();
-        for &threads in &thread_counts {
-            let te = FftEngine::with_threads(threads);
-            let fwd_s = time_per_round(warm, reps, || {
-                std::hint::black_box(te.rfft3(&img));
-            });
-            // irfft3 consumes its spectrum, so the clone has to sit in
-            // the timed loop — measure it separately and subtract, or
-            // the inverse cost would include an allocation+memcpy the
-            // in-place c2r path specifically avoids
-            let base = te.rfft3(&img);
-            let t_clone = time_per_round(warm, reps, || {
-                std::hint::black_box(base.clone());
-            });
-            let inv_s = (time_per_round(warm, reps, || {
-                std::hint::black_box(te.irfft3(base.clone()));
-            }) - t_clone)
-                .max(f64::EPSILON);
-            points.push(ThreadPoint {
-                threads,
-                fwd_s,
-                inv_s,
-            });
-        }
-        let mut rec = String::new();
-        let _ = write!(
-            rec,
-            "    {{\"n\": {n}, \"r2c_bytes\": {r2c_bytes}, \"r2c_fwd_s\": {t_r2c:.6e}, \"threads\": ["
-        );
-        for (i, p) in points.iter().enumerate() {
-            let _ = write!(
-                rec,
-                "{}{{\"threads\": {}, \"fwd_s\": {:.6e}, \"fwd_tps\": {:.2}, \
-                 \"inv_s\": {:.6e}, \"inv_tps\": {:.2}}}",
-                if i > 0 { ", " } else { "" },
-                p.threads,
-                p.fwd_s,
-                1.0 / p.fwd_s,
-                p.inv_s,
-                1.0 / p.inv_s,
-            );
-        }
-        rec.push_str("]}");
-        records.push(rec);
-
-        println!("\n  {n}³ r2c transforms/sec by worker threads:");
-        header(&["threads", "fwd s", "fwd tps", "inv s", "inv tps"]);
-        for p in &points {
-            row(&[
-                p.threads.to_string(),
-                fmt(p.fwd_s),
-                format!("{:.2}", 1.0 / p.fwd_s),
-                fmt(p.inv_s),
-                format!("{:.2}", 1.0 / p.inv_s),
-            ]);
-        }
-        println!();
+        records.push(format!(
+            "    {{\"n\": {n}, \"r2c_bytes\": {r2c_bytes}, \"r2c_fwd_s\": {t_r2c:.6e}, \
+             \"r2c_inv_s\": {t_inv:.6e}}}"
+        ));
     }
     json.push_str(&records.join(",\n"));
     json.push_str("\n  ]");
@@ -206,7 +154,7 @@ fn main() {
         let n = if smoke { 16 } else { 48 };
         let alloc_rounds = 6usize;
         let pools = PoolSet::new();
-        let engine = FftEngine::with_threads(1).with_buffer_pools(Arc::clone(&pools));
+        let engine = FftEngine::new().with_buffer_pools(Arc::clone(&pools));
         let vol = Vec3::cube(n);
         let k = Vec3::cube(3);
         let m = good_shape(vol);
@@ -503,7 +451,7 @@ fn main() {
         // end to end: the whole 64³ r2c forward pipeline, default
         // engine vs pinned-scalar kernels on one thread
         let img = ops::random(Vec3::cube(64), 12);
-        let simd_engine = FftEngine::with_threads(1);
+        let simd_engine = FftEngine::new();
         let scalar_engine = FftEngine::with_scalar_kernels();
         let (warm, reps) = reps_for(64);
         let simd_fwd = time_per_round(warm, reps, || {
@@ -533,8 +481,7 @@ fn main() {
     json.push_str("\n}\n");
 
     println!("shape check: bytes ratio tends to 1/2 (exactly (⌊n/2⌋+1)/n");
-    println!("per packed line); with >1 host cores the threaded rows scale");
-    println!("transforms/sec with the worker count.");
+    println!("per packed line).");
     // the same half-spectrum bound, stated for one memoized volume
     let m = Vec3::cube(64);
     let half = Spectrum::half_shape(m);

@@ -2,9 +2,10 @@
 //! fixed strategies it replaces, on the paper's benchmark geometries.
 //!
 //! For each net the `Autotune` plan is resolved against the detected
-//! machine model and timed; every fixed strategy (direct / FFT × smooth / pow2 pads ×
-//! fan-out) is a `NetPlan::force` plan run via `Znn::with_plan`, priced through the
-//! *same* model, and timed identically. The headline number per net is
+//! machine model and timed; every fixed strategy (direct, FFT with
+//! smooth pads, FFT with pow2 pads) is a `NetPlan::force` plan run via
+//! `Znn::with_plan`, priced through the *same* model, and timed
+//! identically. The headline number per net is
 //! the gap `auto_measured / best_fixed_measured`.
 //!
 //! Emits `BENCH_plan.json`: machine prior, per-edge chosen plan,
@@ -41,7 +42,6 @@ struct NetCase {
 struct FixedResult {
     label: String,
     method: ConvMethod,
-    fft_threads: usize,
     pow2: bool,
     predicted_us: f64,
     measured_us: f64,
@@ -132,7 +132,6 @@ fn main() {
     let mut net_records = Vec::new();
     for case in nets(smoke) {
         println!("## {}", case.name);
-        // the fan-out budget the engine itself would use: its workers
         let plan = Arc::new(
             planner
                 .plan(&case.graph, case.out, workers, workers)
@@ -142,41 +141,32 @@ fn main() {
             .expect("net sizes");
         let prior_us = plan.predicted_round_us;
 
-        // the fixed grid: direct once (pads/fan-out are FFT knobs), FFT
-        // across pad shape × deduped fan-outs. Priced and measured
-        // through the same model as `prior_us`, so the argmin property
-        // is visible in the JSON.
-        let mut fans = vec![1usize, workers.div_ceil(2), workers];
-        fans.dedup();
-        let mut grid: Vec<(ConvMethod, usize, bool)> = vec![(ConvMethod::Direct, 1, false)];
-        for &fan in &fans {
-            grid.push((ConvMethod::Fft, fan, false));
-            grid.push((ConvMethod::Fft, fan, true));
-        }
+        // the fixed grid: direct once (pads are an FFT knob), FFT at
+        // both pad shapes. Priced and measured through the same model
+        // as `prior_us`, so the argmin property is visible in the JSON.
+        let grid = [
+            (ConvMethod::Direct, false),
+            (ConvMethod::Fft, false),
+            (ConvMethod::Fft, true),
+        ];
         let mut fixed = Vec::new();
-        for (method, fan, pow2) in grid {
-            let forced =
-                Arc::new(NetPlan::force(&case.graph, case.out, method, fan, pow2).unwrap());
+        for (method, pow2) in grid {
+            let forced = Arc::new(NetPlan::force(&case.graph, case.out, method, 1, pow2).unwrap());
             let predicted_us = planner
                 .price(&case.graph, case.out, workers, &forced)
                 .unwrap();
             let fz = Znn::with_plan(case.graph.clone(), case.out, config(workers), forced)
                 .expect("net sizes");
             let measured_us = median_round_us(&fz, case.out, warmup, rounds, 11);
-            let label = format!(
-                "{}_t{}{}",
-                match method {
-                    ConvMethod::Direct => "direct",
-                    ConvMethod::Fft => "fft",
-                },
-                fan,
-                if pow2 { "_pow2" } else { "" }
-            );
+            let label = match (method, pow2) {
+                (ConvMethod::Direct, _) => "direct",
+                (ConvMethod::Fft, false) => "fft",
+                (ConvMethod::Fft, true) => "fft_pow2",
+            };
             println!("  fixed {label:>14}: predicted {predicted_us:>8.0}µs, measured {measured_us:>8.0}µs");
             fixed.push(FixedResult {
-                label,
+                label: label.to_string(),
                 method,
-                fft_threads: fan,
                 pow2,
                 predicted_us,
                 measured_us,
@@ -200,7 +190,6 @@ fn main() {
 
         let mut rec = String::new();
         let _ = writeln!(rec, "    {{\"net\": \"{}\",", case.name);
-        let _ = writeln!(rec, "     \"fft_threads\": {},", plan.fft_threads);
         // the per-edge chosen plan, deduped by conv geometry
         let mut seen: Vec<String> = Vec::new();
         let mut layers = Vec::new();
@@ -225,9 +214,9 @@ fn main() {
             .iter()
             .map(|f| {
                 format!(
-                    "       {{\"strategy\": \"{}\", \"method\": \"{:?}\", \"fft_threads\": {}, \
+                    "       {{\"strategy\": \"{}\", \"method\": \"{:?}\", \
                      \"pow2\": {}, \"predicted_us\": {:.1}, \"measured_us\": {:.1}}}",
-                    f.label, f.method, f.fft_threads, f.pow2, f.predicted_us, f.measured_us
+                    f.label, f.method, f.pow2, f.predicted_us, f.measured_us
                 )
             })
             .collect();

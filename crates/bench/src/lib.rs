@@ -43,6 +43,16 @@ pub fn fmt(v: f64) -> String {
     }
 }
 
+/// The listed rows joined by commas, or "none" — for summary lines
+/// that state only what the printed rows show.
+pub fn wins_or_none(rows: &[String]) -> String {
+    if rows.is_empty() {
+        "none".into()
+    } else {
+        rows.join(", ")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

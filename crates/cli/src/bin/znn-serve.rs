@@ -103,10 +103,10 @@ fn parse_args() -> Args {
             "--in" => args.input = parse_shape(&val()),
             "--requests" => args.requests = val().parse().unwrap_or_else(|_| usage()),
             "--rate" => args.rate = val().parse().unwrap_or_else(|_| usage()),
-            "--workers" => args.workers = val().parse().unwrap_or_else(|_| usage()),
-            "--queue" => args.queue = val().parse().unwrap_or_else(|_| usage()),
+            "--workers" => args.workers = positive(&val()),
+            "--queue" => args.queue = positive(&val()),
             "--watermark" => args.watermark = val().parse().unwrap_or_else(|_| usage()),
-            "--batch" => args.batch = val().parse().unwrap_or_else(|_| usage()),
+            "--batch" => args.batch = positive(&val()),
             "--degrade" => args.degrade = Some(val().parse().unwrap_or_else(|_| usage())),
             "--deadline-ms" => {
                 args.deadline = Some(Duration::from_millis(
@@ -119,6 +119,12 @@ fn parse_args() -> Args {
         }
     }
     args
+}
+
+/// A count that must be at least 1: zero workers would serve nothing,
+/// and a zero batch or queue admits nothing, so each is malformed.
+fn positive(s: &str) -> usize {
+    s.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| usage())
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {

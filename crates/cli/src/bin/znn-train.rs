@@ -3,17 +3,16 @@
 //!
 //! ```sh
 //! znn-train --spec net.znn --out 8 --rounds 50 --lr 0.01 \
-//!           [--workers N] [--fft-threads N] [--fft|--direct] \
+//!           [--workers N] [--fft|--direct] \
 //!           [--no-memoize] [--no-pool] [--stealing] [--pool-report] \
 //!           [--checkpoint-dir D] [--checkpoint-every N] [--resume]
 //! ```
 //!
-//! `--fft-threads` caps intra-transform FFT parallelism; by default
-//! transforms share the scheduler's worker budget (idle workers donate
-//! themselves to FFT line chunks).
+//! `--workers` sets the scheduler's worker count, which is the whole
+//! thread budget: every FFT runs on the worker whose task needs it.
 //!
 //! By default the `znn-plan` cost model picks, per conv edge, direct
-//! vs FFT and the pad shape, plus one FFT fan-out, by pricing the
+//! vs FFT and the pad shape by pricing the
 //! theory FLOP model through a detected machine model, once, when the
 //! engine is built. `--fft` / `--direct` force one method everywhere
 //! instead. Either way the engine runs exactly the plan that is
@@ -63,7 +62,6 @@ struct Args {
     rounds: u64,
     lr: f32,
     workers: Option<usize>,
-    fft_threads: Option<usize>,
     conv: ConvPolicy,
     memoize: bool,
     stealing: bool,
@@ -77,7 +75,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: znn-train [--spec FILE] [--out N] [--rounds N] [--lr F]\n\
-         \t[--workers N] [--fft-threads N] [--fft|--direct]\n\
+         \t[--workers N] [--fft|--direct]\n\
          \t[--no-memoize] [--no-pool] [--stealing] [--pool-report]\n\
          \t[--checkpoint-dir D] [--checkpoint-every N] [--resume]"
     );
@@ -91,7 +89,6 @@ fn parse_args() -> Args {
         rounds: 30,
         lr: 0.01,
         workers: None,
-        fft_threads: None,
         conv: ConvPolicy::Autotune,
         memoize: true,
         stealing: false,
@@ -109,9 +106,10 @@ fn parse_args() -> Args {
             "--out" => args.out = val().parse().unwrap_or_else(|_| usage()),
             "--rounds" => args.rounds = val().parse().unwrap_or_else(|_| usage()),
             "--lr" => args.lr = val().parse().unwrap_or_else(|_| usage()),
-            "--workers" => args.workers = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--fft-threads" => {
-                args.fft_threads = Some(val().parse().unwrap_or_else(|_| usage()))
+            // an executor needs at least one worker
+            "--workers" => {
+                let n = val().parse().ok().filter(|&n: &usize| n > 0);
+                args.workers = Some(n.unwrap_or_else(|| usage()))
             }
             "--fft" => args.conv = ConvPolicy::ForceFft,
             "--direct" => args.conv = ConvPolicy::ForceDirect,
@@ -181,7 +179,6 @@ fn main() -> ExitCode {
         workers: args.workers.unwrap_or_else(|| {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         }),
-        fft_threads: args.fft_threads,
         learning_rate: args.lr,
         conv: args.conv,
         memoize_fft: args.memoize,
@@ -207,10 +204,7 @@ fn main() -> ExitCode {
             znn_ops::ConvMethod::Fft => (d, f + 1),
         }
     });
-    print!(
-        "plan: {direct} direct / {fft} FFT conv edges, fft_threads {}",
-        plan.fft_threads
-    );
+    print!("plan: {direct} direct / {fft} FFT conv edges");
     if autotune {
         print!(", predicted round {:.0}µs", plan.predicted_round_us);
     }

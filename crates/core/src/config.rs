@@ -75,7 +75,7 @@ pub enum ConvPolicy {
     /// model and keep the cheaper — the paper's layerwise choice, made
     /// without timing anything. Methods and pads are a pure function of
     /// (graph, output shape, `memoize_fft`), the same on every host and
-    /// under any load; only the bit-safe fan-out is host-dependent.
+    /// under any load; only the predicted times are host-dependent.
     #[default]
     Autotune,
     /// Always direct convolution.
@@ -125,15 +125,6 @@ pub struct TrainConfig {
     /// Use the §X work-stealing scheduler instead of the global
     /// priority queue (priorities are then ignored).
     pub work_stealing: bool,
-    /// Worker cap for intra-transform FFT line parallelism. `None`
-    /// (the default) shares the scheduler's thread budget: transforms
-    /// may fan out across up to [`TrainConfig::workers`] chunks, which
-    /// run on the task's own thread and on idle scheduler workers
-    /// donating to the engine's fork-join pool — never on extra OS
-    /// threads. `Some(1)` forces transforms serial; `Some(n)` caps the
-    /// fan-out at `n` chunks. Transforms are bit-for-bit identical for
-    /// every value.
-    pub fft_threads: Option<usize>,
     /// SGD learning rate η.
     pub learning_rate: f32,
     /// Momentum coefficient (0 disables; classic heavy-ball).
@@ -180,7 +171,6 @@ impl Default for TrainConfig {
                 .unwrap_or(1),
             queue: QueuePolicy::Priority,
             work_stealing: false,
-            fft_threads: None,
             learning_rate: 0.01,
             momentum: 0.0,
             weight_decay: 0.0,
@@ -221,8 +211,6 @@ mod tests {
         assert_eq!(c.conv, ConvPolicy::Autotune);
         assert!(c.memoize_fft);
         assert!(c.dropout.is_none());
-        // FFT line parallelism shares the scheduler's budget by default
-        assert!(c.fft_threads.is_none());
         // fault tolerance machinery is fully off by default
         assert!(c.checkpoint.is_none());
         assert!(c.faults.is_none());

@@ -61,9 +61,8 @@ pub struct DenseConfig {
     /// Pooled allocator for outputs, windows and FFT scratch; `None`
     /// falls back to plain allocation.
     pub pools: Option<Arc<PoolSet>>,
-    /// Fan-out cap for intra-transform FFT line parallelism; `1`
-    /// keeps every transform on the calling thread (the right choice
-    /// when many server workers evaluate concurrently).
+    /// Ignored: every transform runs on the calling thread. Kept for
+    /// callers that still set it.
     pub fft_threads: usize,
     /// Memoize kernel half-spectra per (edge, transform shape). On by
     /// default — this is the read-only-after-warmup cache servers
@@ -192,7 +191,7 @@ impl DenseNet {
         // the minimal input establishes that the graph admits *some*
         // dense evaluation; concrete shapes are re-derived per call
         let fov = shapes::required_input_shape(&graph, Vec3::one())?;
-        let mut fft = FftEngine::with_threads(cfg.fft_threads.max(1));
+        let mut fft = FftEngine::new();
         if let Some(p) = &cfg.pools {
             fft = fft.with_buffer_pools(Arc::clone(p));
         }
@@ -294,7 +293,7 @@ impl DenseNet {
     /// Dense forward pass; returns the output node images in
     /// [`Graph::outputs`] order. Thread-safe: concurrent callers share
     /// the memoized kernel spectra and the FFT plan cache.
-    pub fn forward_multi(&self, inputs: &[Image]) -> Vec<Image> {
+    pub(crate) fn forward_multi(&self, inputs: &[Image]) -> Vec<Image> {
         self.forward_steps(inputs, &mut |_| ControlFlow::Continue(()))
             .expect("a no-op checkpoint never cancels")
     }

@@ -37,12 +37,6 @@ pub(crate) fn transform_shape(n: Vec3) -> Vec3 {
     m
 }
 
-/// The construction-time cap on intra-transform fan-out: the configured
-/// `fft_threads`, else the scheduler's worker count.
-fn fft_budget(cfg: &TrainConfig) -> usize {
-    cfg.fft_threads.unwrap_or(cfg.workers).max(1)
-}
-
 /// Statistics of one training round.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RoundStats {
@@ -182,10 +176,9 @@ impl Znn {
         cfg: TrainConfig,
     ) -> Result<Self, shapes::ShapeError> {
         graph.validate().map_err(shapes::ShapeError::Graph)?;
-        let budget = fft_budget(&cfg);
         let plan = match cfg.conv.chooser(None, cfg.memoize_fft) {
-            Chooser::Forced(method) => NetPlan::force(&graph, output_shape, method, budget, false)?,
-            Chooser::Priced(p) => p.plan(&graph, output_shape, cfg.workers, budget)?,
+            Chooser::Forced(method) => NetPlan::force(&graph, output_shape, method, 1, false)?,
+            Chooser::Priced(p) => p.plan(&graph, output_shape, cfg.workers, 1)?,
         };
         Self::build(graph, output_shape, cfg, Arc::new(plan))
     }
@@ -225,39 +218,21 @@ impl Znn {
             "plan must have one entry per graph edge"
         );
 
-        // one thread budget for task- and data-parallelism: transforms
-        // fan out over a donor-only fork-join pool whose jobs run on
-        // the calling task's thread and on idle scheduler workers
-        // (which donate below) — never on extra OS threads. The cap
-        // defaults to the scheduler's worker count; the plan's fan-out
-        // applies within it.
-        let fft_pool = Arc::new(znn_sched::ThreadPool::donor_only());
-        let fft_budget = fft_budget(&cfg);
-        // one memory budget too: every engine-allocated buffer (spectra,
-        // padded inputs, cropped outputs, scratch) leases from the
-        // configured PoolSet, so steady-state rounds never touch the
-        // system allocator (§VII-C)
-        // scratch is slotted for the whole budget (W + 1: every worker
-        // may run a transform at once); the plan's fan-out applies
-        // within it
-        let mut fft = FftEngine::with_pool(fft_budget, Arc::clone(&fft_pool))
-            .with_fanout(net_plan.fft_threads.min(fft_budget));
+        // every transform runs on the thread of the task that needs it,
+        // so the scheduler's workers are the whole thread budget. Every
+        // engine-allocated buffer (spectra, cropped outputs, scratch)
+        // leases from the configured PoolSet, so steady-state rounds
+        // never touch the system allocator (§VII-C)
+        let mut fft = FftEngine::new();
         if let Some(pools) = &cfg.pools {
             fft = fft.with_buffer_pools(Arc::clone(pools));
         }
         let fft = Arc::new(fft);
 
         let sched: Box<dyn Scheduler> = if cfg.work_stealing {
-            Box::new(StealingExecutor::with_donation(
-                cfg.workers,
-                Arc::clone(&fft_pool),
-            ))
+            Box::new(StealingExecutor::new(cfg.workers))
         } else {
-            Box::new(Executor::with_donation(
-                cfg.workers,
-                cfg.queue,
-                Arc::clone(&fft_pool),
-            ))
+            Box::new(Executor::new(cfg.workers, cfg.queue))
         };
 
         // method and pad of every conv edge come from the plan
@@ -530,15 +505,9 @@ impl Znn {
     }
 
     /// The execution plan this engine runs: method and pad per conv
-    /// edge and the FFT fan-out, all fixed at construction.
+    /// edge, fixed at construction.
     pub fn net_plan(&self) -> &Arc<NetPlan> {
         &self.inner.net_plan
-    }
-
-    /// The fan-out cap of the engine's FFT engine: the plan's fan-out,
-    /// capped by the construction-time budget.
-    pub fn fft_threads(&self) -> usize {
-        self.inner.fft.threads()
     }
 
     /// Recovery + bookkeeping for a poisoned round: restores engine
@@ -591,7 +560,7 @@ impl Znn {
             .unwrap_or_else(|| "task panic (payload lost)".to_string())
     }
 
-    /// Rounds completed since construction (or since [`Znn::set_round`]).
+    /// Rounds completed since construction (or since a resume or rollback restored the count).
     pub fn round(&self) -> u64 {
         self.inner.round.load(Ordering::Relaxed)
     }
@@ -600,7 +569,7 @@ impl Znn {
     /// restore this alongside the parameters: the counter seeds the
     /// per-round dropout masks, so a resumed run only reproduces an
     /// uninterrupted one bit-for-bit if the streams line up.
-    pub fn set_round(&self, round: u64) {
+    pub(crate) fn set_round(&self, round: u64) {
         self.inner.round.store(round, Ordering::Relaxed);
     }
 
@@ -625,7 +594,7 @@ impl Znn {
     }
 
     /// Restores optimizer state captured by [`Znn::optimizer_state`].
-    pub fn set_optimizer_state(&self, velocities: &[Option<Image>]) {
+    pub(crate) fn set_optimizer_state(&self, velocities: &[Option<Image>]) {
         self.flush_updates();
         assert_eq!(
             velocities.len(),

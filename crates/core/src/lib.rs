@@ -39,6 +39,7 @@
 //! [`TrainConfig::faults`] to test all of it.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 mod config;

@@ -49,7 +49,7 @@ impl FreqPlan {
     /// Each item is one contributing edge's `(method, pad, crop)`, or
     /// `None` for an edge that is not a convolution. Training and
     /// serving both decide through here.
-    pub fn for_sum(
+    pub(crate) fn for_sum(
         edges: impl IntoIterator<Item = Option<(ConvMethod, Vec3, Vec3)>>,
         out_shape: Vec3,
     ) -> Option<FreqPlan> {
@@ -87,7 +87,7 @@ impl SpectrumCache {
     /// Returns the cached spectrum at `m`, computing it with `f` if
     /// absent. Concurrent callers for the same shape block only on the
     /// single computation (the paper counts one FFT per image per pass).
-    pub fn get_or_compute(&self, m: Vec3, f: impl FnOnce() -> Spectrum) -> Arc<Spectrum> {
+    pub(crate) fn get_or_compute(&self, m: Vec3, f: impl FnOnce() -> Spectrum) -> Arc<Spectrum> {
         let cell = {
             let mut map = self.map.lock();
             Arc::clone(map.entry(m).or_default())
@@ -201,7 +201,7 @@ pub(crate) enum EdgeState {
 
 impl EdgeState {
     /// The FORCE handle of a trainable edge.
-    pub fn update_handle(&self) -> Option<&UpdateHandle> {
+    pub(crate) fn update_handle(&self) -> Option<&UpdateHandle> {
         match self {
             EdgeState::Conv(c) => Some(&c.update),
             EdgeState::Transfer(t) => Some(&t.update),

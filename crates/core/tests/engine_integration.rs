@@ -254,33 +254,3 @@ fn work_stealing_scheduler_trains_identically() {
     }
     assert!(queue.params().max_abs_diff(&steal.params()) < 1e-3);
 }
-
-#[test]
-fn fft_thread_budget_routes_from_config_without_changing_results() {
-    // the fft_threads knob must only change *where* line chunks run,
-    // never a bit of the result: with a single scheduler worker the
-    // task order is fixed, so losses must match exactly across budgets
-    let out = Vec3::cube(6);
-    let run = |fft_threads: Option<usize>| -> Vec<f64> {
-        let cfg = TrainConfig {
-            workers: 1,
-            conv: ConvPolicy::ForceFft,
-            memoize_fft: true,
-            fft_threads,
-            learning_rate: 0.05,
-            ..Default::default()
-        };
-        let znn = Znn::new(boundary_net(), out, cfg).unwrap();
-        let x = ops::random(znn.input_shape(), 17);
-        let t = Tensor3::<f32>::zeros(out);
-        (0..4)
-            .map(|_| znn.train_step(std::slice::from_ref(&x), std::slice::from_ref(&t)))
-            .collect()
-    };
-    let serial = run(Some(1));
-    let shared = run(None); // share the scheduler's (single) worker
-    let wide = run(Some(4));
-    assert_eq!(serial, shared, "shared-budget drifted from serial");
-    assert_eq!(serial, wide, "4-way fan-out drifted from serial");
-    assert!(serial[0].is_finite());
-}

@@ -49,6 +49,7 @@
 //!   panic: the server must shed the request, not die).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -176,7 +177,7 @@ impl FaultPlan {
     }
 
     /// Arms a fault of `kind` under an arbitrary [`Schedule`].
-    pub fn arm_schedule(mut self, kind: FaultKind, schedule: Schedule) -> Self {
+    pub(crate) fn arm_schedule(mut self, kind: FaultKind, schedule: Schedule) -> Self {
         self.arms.push(Arm {
             kind,
             schedule,
@@ -219,7 +220,8 @@ impl FaultPlan {
     }
 
     /// Arms a [`FaultKind::NanPoke`] at `round`.
-    pub fn nan_poke_at(self, round: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn nan_poke_at(self, round: u64) -> Self {
         self.arm(FaultKind::NanPoke, round)
     }
 
@@ -323,7 +325,8 @@ impl FaultPlan {
     /// The ticks in `1..=ticks` at which an arm of `kind` would fire,
     /// ignoring claims — the deterministic firing set a soak bench can
     /// size its assertions against.
-    pub fn firing_ticks(&self, kind: FaultKind, ticks: u64) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn firing_ticks(&self, kind: FaultKind, ticks: u64) -> Vec<u64> {
         (1..=ticks)
             .filter(|&t| {
                 self.arms

@@ -5,20 +5,17 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use znn_alloc::PoolSet;
-use znn_sched::{Scope, ThreadPool};
 use znn_tensor::{BufferSource, CImage, Complex32, Image, Spectrum, Vec3};
 
-#[derive(Default)]
+/// The scratch one transform works in.
 struct ScratchBuffers {
     /// `LinePlan::process_with_scratch` scratch.
     plan: Vec<Complex32>,
-    /// Gathered strided line (x/y axes) or packed r2c/c2r line.
+    /// Gathered strided lines (x/y axes) or packed r2c/c2r lines.
     line: Vec<Complex32>,
     /// Recycling pool the buffers are leased from on growth and return
     /// to on drop ([`FftEngine::with_buffer_pools`]); `None` grows and
-    /// frees plainly. Fallback scratch (more concurrent borrowers than
-    /// slots) is always `None`, so transient buffers never strand pool
-    /// accounting.
+    /// frees plainly.
     home: Option<Arc<dyn BufferSource<Complex32>>>,
 }
 
@@ -34,44 +31,40 @@ impl Drop for ScratchBuffers {
     }
 }
 
-/// Engine-owned scratch, one slot per potential concurrent line
-/// worker: FFT in-place scratch, a line gather buffer, and the packed
-/// line buffer of the r2c/c2r stages. Transforms are hot (one per
-/// image per pass) — allocating these per call was measurable.
+/// Engine-owned scratch, one set per concurrent caller: FFT in-place
+/// scratch, a line gather buffer, and the packed line buffer of the
+/// r2c/c2r stages. Transforms are hot (one per image per pass) —
+/// allocating these per call was measurable.
 ///
-/// Slots rather than thread-local scratch: with a shared persistent
-/// pool, any worker (pool thread, scope owner, or
-/// donated scheduler thread) may execute any engine's line chunk, so
-/// scratch must belong to the *engine*, not the thread. A worker
-/// `try_lock`s the first free slot for the duration of one chunk;
-/// slots are never shared concurrently, two engines on one pool never
-/// touch each other's buffers, and — because every buffer is fully
-/// overwritten before it is read — slot assignment cannot affect a
-/// single output bit.
+/// A transform takes one set off the free list for its whole run and
+/// puts it back when done, so the list grows to the peak number of
+/// threads transforming on this engine at once. Every buffer is fully
+/// overwritten before it is read, so which set a transform takes
+/// cannot affect a single output bit.
 struct ScratchPool {
-    slots: Vec<Mutex<ScratchBuffers>>,
+    free: Mutex<Vec<ScratchBuffers>>,
+    /// The home of every set this pool creates.
+    home: Option<Arc<dyn BufferSource<Complex32>>>,
 }
 
 impl ScratchPool {
-    /// One slot per worker the engine may fan out to, plus one for the
-    /// calling thread.
-    fn new(workers: usize) -> Self {
+    fn new(home: Option<Arc<dyn BufferSource<Complex32>>>) -> Self {
         ScratchPool {
-            slots: (0..workers + 1)
-                .map(|_| Mutex::new(ScratchBuffers::default()))
-                .collect(),
+            free: Mutex::new(Vec::new()),
+            home,
         }
     }
 
     fn with<R>(&self, f: impl FnOnce(&mut ScratchBuffers) -> R) -> R {
-        for s in &self.slots {
-            if let Some(mut g) = s.try_lock() {
-                return f(&mut g);
-            }
-        }
-        // more concurrent borrowers than slots (many external threads
-        // sharing one engine): fall back to a fresh buffer
-        f(&mut ScratchBuffers::default())
+        let taken = self.free.lock().pop();
+        let mut s = taken.unwrap_or_else(|| ScratchBuffers {
+            plan: Vec::new(),
+            line: Vec::new(),
+            home: self.home.clone(),
+        });
+        let r = f(&mut s);
+        self.free.lock().push(s);
+        r
     }
 }
 
@@ -97,35 +90,6 @@ fn borrow_buf<'a>(
         }
     }
     &mut buf[..n]
-}
-
-/// A raw tensor base pointer that may cross thread boundaries.
-///
-/// Used by every parallel line loop: the lines along a strided axis
-/// interleave in memory, and a pruned stage's lines are scattered, so
-/// the buffer cannot be split into contiguous `&mut` chunks per worker.
-/// Soundness rests on the line decomposition instead: line `i` touches
-/// exactly the elements `start(i) + k·stride` (or its own output row),
-/// sets that are pairwise disjoint across lines, and each worker is
-/// handed a disjoint range of line indices.
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-// SAFETY: the one field is a base pointer into a buffer the spawning
-// call borrows mutably for the whole fork-join scope; workers only
-// dereference it at the disjoint offsets described above, and only
-// `f32` / `Complex32` (plain `Copy` data) sit behind it.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: as for `Send` — shared copies of the pointer are only ever
-// dereferenced at line offsets no other worker touches.
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// The wrapped pointer. A method (rather than field access) so
-    /// closures capture the `Send` wrapper, not the bare pointer —
-    /// edition-2021 closures capture individual fields otherwise.
-    fn get(self) -> *mut T {
-        self.0
-    }
 }
 
 /// The voxels a pruned transform reads (forward) or writes (inverse):
@@ -237,16 +201,11 @@ impl Lines {
     }
 }
 
-/// Minimum complex elements in a batched line transform before it is
-/// split across pool workers. Below this, fork-join queueing overhead
-/// outweighs the work; a 24³ stage stays serial, a 32³ stage splits.
-const PAR_MIN_ELEMS: usize = 16 * 1024;
-
 /// Lines gathered per `process_with_scratch` call in the strided-axis
 /// and r2c/c2r line loops. Matches the 8-line struct-of-arrays batch
 /// the Stockham SIMD kernels consume, so a full group takes the
 /// vectorized path; per-line results are bitwise identical either way,
-/// making group boundaries (and worker-chunk interaction) unobservable.
+/// making group boundaries unobservable.
 const LINE_BATCH: usize = 8;
 
 /// Plan cache: one planned 1D transform per (line length, direction).
@@ -260,7 +219,7 @@ type TwiddleMap = HashMap<(usize, Direction), Arc<Vec<Complex32>>>;
 /// The engine is cheap to share (`Arc<FftEngine>`) and thread-safe: the
 /// plan cache is behind a mutex that is only touched on cache misses;
 /// the transforms themselves run lock-free on caller-owned buffers plus
-/// per-worker scratch slots.
+/// one scratch set per concurrent caller.
 ///
 /// Every transform is **r2c / c2r** ([`FftEngine::rfft3`],
 /// [`FftEngine::irfft3`] and the staged [`FftEngine::forward_padded`] /
@@ -277,44 +236,24 @@ type TwiddleMap = HashMap<(usize, Direction), Arc<Vec<Complex32>>>;
 ///
 /// # Threading model
 ///
+/// A transform runs from start to finish on the thread that calls it,
+/// as one task of the paper's task graph does; parallelism comes from
+/// running many transforms at once, never from splitting one. Any
+/// number of threads may transform on one engine concurrently.
+///
 /// Transforms are decomposed per axis into batches of independent 1D
-/// lines, and every batched line loop — the r2c pack / c2r unpack
-/// passes along the packed axis and the gather–transform–scatter passes
-/// along the other axes — splits its lines into contiguous index ranges
-/// across up to [`FftEngine::threads`] chunks, queued on a
-/// **persistent pool** ([`znn_sched::ThreadPool`]): the engine's own pool when
-/// built with [`FftEngine::with_pool`], else the process-global one.
-/// No OS thread is spawned per transform; chunks run on pool workers,
-/// on the calling thread (which executes pending chunks while it
-/// waits), and on any threads *donated* to the pool by an outer task
-/// scheduler.
-///
-/// Within each worker's range, lines are gathered in groups of 8 and
-/// handed to the planned kernel in one call, which lets the Stockham
-/// engine run its batched AVX2 lines (struct-of-arrays across the
-/// group — see `znn-simd` and `docs/ARCHITECTURE.md` §7); batched and
-/// per-line results are bitwise identical, so the grouping is purely a
-/// speed lever.
-///
-/// The split is at line granularity, chunk boundaries are a pure
-/// function of the worker count, scratch is slotted per concurrent
-/// worker (`ScratchPool`) and fully overwritten before use, and each
-/// line's arithmetic is identical regardless of which thread runs it —
-/// so transforms are **bit-for-bit deterministic** and equal to the
-/// single-threaded result for every worker count and pool. Batches
-/// smaller than ~16k complex elements stay serial —
-/// `FftEngine::with_threads(1)` forces everything serial.
-///
-/// [`FftEngine::new`] sizes the fan-out to `available_parallelism`;
-/// pass an explicit count with [`FftEngine::with_threads`], or a count
-/// plus a shared pool with [`FftEngine::with_pool`] when composing
-/// with an outer task-parallel scheduler so both draw on one thread
-/// budget.
+/// lines, gathered in groups of 8 and handed to the planned kernel in
+/// one call, which lets the Stockham engine run its batched AVX2 lines
+/// (struct-of-arrays across the group — see `znn-simd` and
+/// `docs/ARCHITECTURE.md` §7); batched and per-line results are bitwise
+/// identical, so the grouping is purely a speed lever. Scratch is fully
+/// overwritten before use, so transforms are **bit-for-bit
+/// deterministic**, whichever thread runs them.
 ///
 /// # Memory model
 ///
 /// With [`FftEngine::with_buffer_pools`] every buffer the engine
-/// allocates — half-spectra, cropped outputs, per-slot scratch — is
+/// allocates — half-spectra, cropped outputs, scratch — is
 /// leased from a `znn_alloc::PoolSet` and recycled when the produced
 /// tensor drops. A forward transform leases only its half-spectrum:
 /// [`FftEngine::forward_padded`] reads the unpadded image directly, so
@@ -333,7 +272,7 @@ type TwiddleMap = HashMap<(usize, Direction), Arc<Vec<Complex32>>>;
 /// use znn_fft::FftEngine;
 /// use znn_tensor::{ops, Vec3};
 ///
-/// let engine = FftEngine::with_threads(1);
+/// let engine = FftEngine::new();
 /// // 48 = 2^4·3 is 5-smooth: every line transform takes the
 /// // iterative Stockham path
 /// let img = ops::random(Vec3::cube(48), 7);
@@ -349,64 +288,39 @@ pub struct FftEngine {
     /// Memoized unpack/repack twiddles `e^{∓2πik/n}`, `k ∈ 0..⌊n/2⌋+1`,
     /// for the r2c/c2r packed stages, keyed by `(n, direction)`.
     rtwiddles: Mutex<TwiddleMap>,
-    /// Worker cap for batched line transforms (≥ 1), fixed when the
-    /// engine is built; every value computes bit-identical transforms.
-    threads: usize,
-    /// The pool line chunks are queued on; `None` targets the
-    /// process-global pool.
-    pool: Option<Arc<ThreadPool>>,
     /// When true, every 1D line plan comes from
     /// [`LinePlan::scalar`] — the Stockham kernels with the
     /// batched SIMD lines pinned off (see
     /// [`FftEngine::with_scalar_kernels`]).
     scalar_kernels: bool,
-    /// Slotted per-worker scratch (see [`ScratchPool`]).
+    /// Scratch, one set per concurrent caller (see [`ScratchPool`]).
     scratch: ScratchPool,
     /// Recycling pools every transform buffer is leased from when set
-    /// ([`FftEngine::with_buffer_pools`]): half-spectra, padded inputs,
-    /// cropped outputs, per-slot scratch. `None` allocates plainly.
+    /// ([`FftEngine::with_buffer_pools`]): half-spectra, cropped
+    /// outputs, scratch. `None` allocates plainly.
     pools: Option<Arc<PoolSet>>,
 }
 
 impl FftEngine {
-    /// A new engine with an empty plan cache, parallelizing line
-    /// transforms over up to `available_parallelism` workers.
+    /// A new engine with an empty plan cache.
     pub fn new() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|v| v.get())
-            .unwrap_or(1);
-        Self::with_threads(threads)
-    }
-
-    /// A new engine that splits batched line transforms over at most
-    /// `threads` workers of the process-global pool.
-    /// `with_threads(1)` disables intra-transform parallelism
-    /// entirely.
-    pub fn with_threads(threads: usize) -> Self {
-        let threads = threads.max(1);
         FftEngine {
             plans: Mutex::new(HashMap::new()),
             rtwiddles: Mutex::new(HashMap::new()),
-            threads,
-            pool: None,
             scalar_kernels: false,
-            scratch: ScratchPool::new(threads),
+            scratch: ScratchPool::new(None),
             pools: None,
         }
     }
 
-    /// A new engine whose line chunks are queued on `pool` — share one
-    /// pool (and so one thread budget) between several engines and an
-    /// outer task scheduler whose workers donate to it. Results are
-    /// bit-for-bit identical to every other configuration with any
-    /// `threads` ≥ 2 fan-out, and to `with_threads(1)` serially.
-    pub fn with_pool(threads: usize, pool: Arc<ThreadPool>) -> Self {
-        let mut engine = Self::with_threads(threads);
-        engine.pool = Some(pool);
-        engine
+    /// The same engine as [`FftEngine::new`]: `_threads` is ignored,
+    /// since every transform runs on its caller's thread. Kept for
+    /// callers that still pass a thread count.
+    pub fn with_threads(_threads: usize) -> Self {
+        Self::new()
     }
 
-    /// A new single-threaded engine whose 1D line plans pin the
+    /// A new engine whose 1D line plans pin the
     /// Stockham kernels to their scalar per-line path, bypassing the
     /// batched SIMD lines. Results are bitwise identical to the default
     /// engine — the vector butterflies perform the same IEEE ops in the
@@ -417,19 +331,19 @@ impl FftEngine {
     /// compare the default engine against it, and `fft_traffic`'s
     /// `e2e_64` row times the same pair within one process.
     pub fn with_scalar_kernels() -> Self {
-        let mut engine = Self::with_threads(1);
+        let mut engine = Self::new();
         engine.scalar_kernels = true;
         engine
     }
 
-    /// Routes every buffer this engine allocates — half-spectra, padded
-    /// transform inputs, cropped outputs, per-slot scratch — through
+    /// Routes every buffer this engine allocates — half-spectra,
+    /// cropped outputs, scratch — through
     /// `pools` (the paper's §VII-C recycling allocator). Leased buffers
     /// return to the pool when the produced tensors drop, so a
     /// steady-state transform loop performs **zero** allocation after
     /// its first pass, and transforms stay **bit-for-bit identical** to
     /// the unpooled engine (pool leases are zero-filled exactly like
-    /// fresh buffers, and slot/chunk assignment never affects values).
+    /// fresh buffers, and scratch contents never reach an output).
     ///
     /// Use **one `PoolSet` per pipeline**: a spectrum leased from a
     /// *different* pool and consumed by this engine's [`FftEngine::irfft3`]
@@ -446,7 +360,7 @@ impl FftEngine {
     /// use znn_tensor::{ops, Vec3};
     ///
     /// let pools = PoolSet::new();
-    /// let engine = FftEngine::with_threads(1).with_buffer_pools(pools.clone());
+    /// let engine = FftEngine::new().with_buffer_pools(pools.clone());
     /// let img = ops::random(Vec3::cube(8), 1);
     /// let warm = engine.irfft3(engine.rfft3(&img)); // first pass allocates
     /// drop(warm);
@@ -456,9 +370,7 @@ impl FftEngine {
     /// assert!(again.max_abs_diff(&img) < 1e-5);
     /// ```
     pub fn with_buffer_pools(mut self, pools: Arc<PoolSet>) -> Self {
-        for slot in &self.scratch.slots {
-            slot.lock().home = Some(Arc::clone(pools.complex_home()));
-        }
+        self.scratch = ScratchPool::new(Some(Arc::clone(pools.complex_home())));
         self.pools = Some(pools);
         self
     }
@@ -471,42 +383,6 @@ impl FftEngine {
     /// A zero-filled real tensor, leased when pools are attached.
     fn lease_image(&self, shape: Vec3) -> Image {
         znn_alloc::lease_image(self.pools.as_ref(), shape)
-    }
-
-    /// The worker cap for batched line transforms.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Caps the fan-out at `threads` (clamped to ≥ 1) while keeping the
-    /// scratch slotted for the count the engine was built with — for
-    /// an engine whose slots serve several concurrent callers, each
-    /// transform fanning out less than the whole budget. Every cap
-    /// computes bit-identical transforms; a cap above the slot count
-    /// costs at most a fresh scratch allocation per extra chunk.
-    pub fn with_fanout(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Workers to split a batch of `lines` lines of `line_len` complex
-    /// elements across: 1 for small batches (fork overhead dominates),
-    /// never more than the line count.
-    fn workers_for(&self, lines: usize, line_len: usize) -> usize {
-        if self.threads <= 1 || lines * line_len < PAR_MIN_ELEMS {
-            1
-        } else {
-            self.threads.min(lines)
-        }
-    }
-
-    /// Runs `f` inside a fork-join scope on this engine's shared pool,
-    /// or on the process-global pool.
-    fn in_scope<'scope, R>(&self, f: impl FnOnce(&Scope<'scope>) -> R) -> R {
-        match &self.pool {
-            Some(p) => p.scope(f),
-            None => znn_sched::scope(f),
-        }
     }
 
     fn plan(&self, len: usize, dir: Direction) -> Arc<LinePlan> {
@@ -547,7 +423,7 @@ impl FftEngine {
     /// Transforms, in place, `lines` of `t` (every line along their
     /// axis, or a pruned subset). `lines` must come from
     /// [`Lattice::lines`] for `t`'s shape, with a lattice that fits it.
-    fn transform_axis(&self, t: &mut CImage, dir: Direction, lines: Lines) {
+    fn transform_axis(&self, s: &mut ScratchBuffers, t: &mut CImage, dir: Direction, lines: Lines) {
         let shape = t.shape();
         let axis = lines.axis;
         let len = shape[axis];
@@ -556,41 +432,29 @@ impl FftEngine {
         }
         let stride = [shape[1] * shape[2], shape[2], 1][axis];
         let plan = self.plan(len, dir);
-        let base = SendPtr(t.as_mut_slice().as_mut_ptr());
-        self.par_lines(lines.len(), len, &|lo, hi| {
-            let ptr = base.get();
-            self.scratch.with(|s| {
-                let scratch =
-                    borrow_buf(&mut s.plan, plan.scratch_len(), s.home.as_ref());
-                let buf = borrow_buf(&mut s.line, LINE_BATCH * len, s.home.as_ref());
-                // gather lines in groups of LINE_BATCH so a full group runs
-                // the Stockham kernels' batched SIMD path in one call
-                for g0 in (lo..hi).step_by(LINE_BATCH) {
-                    let group = &mut buf[..LINE_BATCH.min(hi - g0) * len];
-                    // SAFETY: line j touches exactly the elements
-                    // lines.start(j) + k·stride, k < len — pairwise
-                    // disjoint across lines, and this worker's line range
-                    // [lo, hi) is disjoint from every other worker's.
-                    // Every start is a line origin of `shape`, so all
-                    // offsets are in bounds.
-                    for (j, line) in (g0..).zip(group.chunks_exact_mut(len)) {
-                        let start = lines.start(j);
-                        for (k, b) in line.iter_mut().enumerate() {
-                            // SAFETY: in bounds and unshared, as above
-                            *b = unsafe { *ptr.add(start + k * stride) };
-                        }
-                    }
-                    plan.process_with_scratch(group, scratch);
-                    for (j, line) in (g0..).zip(group.chunks_exact(len)) {
-                        let start = lines.start(j);
-                        for (k, b) in line.iter().enumerate() {
-                            // SAFETY: in bounds and unshared, as above
-                            unsafe { *ptr.add(start + k * stride) = *b };
-                        }
-                    }
+        let data = t.as_mut_slice();
+        let scratch = borrow_buf(&mut s.plan, plan.scratch_len(), s.home.as_ref());
+        let buf = borrow_buf(&mut s.line, LINE_BATCH * len, s.home.as_ref());
+        // gather lines in groups of LINE_BATCH so a full group runs the
+        // Stockham kernels' batched SIMD path in one call; line j is the
+        // elements lines.start(j) + k·stride, k < len
+        let n_lines = lines.len();
+        for g0 in (0..n_lines).step_by(LINE_BATCH) {
+            let group = &mut buf[..LINE_BATCH.min(n_lines - g0) * len];
+            for (j, line) in (g0..).zip(group.chunks_exact_mut(len)) {
+                let start = lines.start(j);
+                for (k, b) in line.iter_mut().enumerate() {
+                    *b = data[start + k * stride];
                 }
-            });
-        });
+            }
+            plan.process_with_scratch(group, scratch);
+            for (j, line) in (g0..).zip(group.chunks_exact(len)) {
+                let start = lines.start(j);
+                for (k, b) in line.iter().enumerate() {
+                    data[start + k * stride] = *b;
+                }
+            }
+        }
     }
 
     /// Forward real-to-complex 3D FFT of `img` (unnormalized): the
@@ -607,7 +471,7 @@ impl FftEngine {
     /// keeps the packed axis even, so this path is cold). The remaining
     /// axes are c2c transforms over the (already halved) packed tensor.
     ///
-    /// Lines are split across the engine's workers; see the
+    /// The transform runs on the calling thread; see the
     /// [threading model](FftEngine#threading-model).
     pub fn rfft3(&self, img: &Image) -> Spectrum {
         self.forward_lattice(img, Vec3::one(), img.shape())
@@ -679,89 +543,81 @@ impl FftEngine {
         let hs = Spectrum::half_shape(m);
         let mut half = self.lease_cimage(hs);
         // packed stage: source row j (contiguous, since every axis after
-        // the packed one is unit) fills the line at lines.start(j)
+        // the packed one is unit) fills the h-bin row at lines.start(j);
+        // the lattice fits `m`, so every such row lies inside `half`
         let lines = lat.lines(hs, pa, |_| true);
         let (e, sp) = (src.shape()[pa], step[pa]);
         let src = src.as_slice();
-        let dst = SendPtr(half.as_mut_slice().as_mut_ptr());
-        // SAFETY: the lattice fits `m`, so every start is the origin of
-        // an h-bin row inside `half`; the rows are distinct, and each
-        // worker owns a disjoint range of line indices.
-        let row =
-            |j: usize| unsafe { std::slice::from_raw_parts_mut(dst.get().add(lines.start(j)), h) };
-        if n.is_multiple_of(2) {
-            let hn = n / 2;
-            let plan = (hn > 1).then(|| self.plan(hn, Direction::Forward));
-            let tw = self.rtwiddle(n, Direction::Forward);
-            self.par_lines(lines.len(), n, &|lo, hi| {
+        self.scratch.with(|s| {
+            let dst = half.as_mut_slice();
+            if n.is_multiple_of(2) {
+                let hn = n / 2;
+                let plan = (hn > 1).then(|| self.plan(hn, Direction::Forward));
+                let tw = self.rtwiddle(n, Direction::Forward);
+                let scratch = borrow_buf(
+                    &mut s.plan,
+                    plan.as_ref().map_or(0, |p| p.scratch_len()),
+                    s.home.as_ref(),
+                );
+                let buf = borrow_buf(&mut s.line, LINE_BATCH * hn, s.home.as_ref());
                 // pack LINE_BATCH lines per transform call so a full
                 // group runs the Stockham batched SIMD path
-                self.scratch.with(|s| {
-                    let scratch = borrow_buf(
-                        &mut s.plan,
-                        plan.as_ref().map_or(0, |p| p.scratch_len()),
-                        s.home.as_ref(),
-                    );
-                    let buf = borrow_buf(&mut s.line, LINE_BATCH * hn, s.home.as_ref());
-                    for g0 in (lo..hi).step_by(LINE_BATCH) {
-                        let g = LINE_BATCH.min(hi - g0);
-                        let group = &mut buf[..g * hn];
-                        // z[t] = x[2t] + i·x[2t+1] over the zero-padded row
-                        for (j, line) in (g0..).zip(group.chunks_exact_mut(hn)) {
-                            line.fill(Complex32::default());
-                            for (i, &v) in src[j * e..(j + 1) * e].iter().enumerate() {
-                                let p = i * sp;
-                                if p.is_multiple_of(2) {
-                                    line[p / 2].re = v;
-                                } else {
-                                    line[p / 2].im = v;
-                                }
-                            }
-                        }
-                        if let Some(p) = &plan {
-                            p.process_with_scratch(group, scratch);
-                        }
-                        for (j, line) in (g0..).zip(group.chunks_exact(hn)) {
-                            for (k, d) in row(j).iter_mut().enumerate() {
-                                let zk = line[k % hn];
-                                let zc = line[(hn - k) % hn].conj();
-                                let ze = (zk + zc) * 0.5;
-                                let zo = (zk - zc) * Complex32::new(0.0, -0.5);
-                                *d = ze + tw[k] * zo;
-                            }
-                        }
-                    }
-                });
-            });
-        } else {
-            let plan = (n > 1).then(|| self.plan(n, Direction::Forward));
-            self.par_lines(lines.len(), n, &|lo, hi| {
-                self.scratch.with(|s| {
-                    let scratch = borrow_buf(
-                        &mut s.plan,
-                        plan.as_ref().map_or(0, |p| p.scratch_len()),
-                        s.home.as_ref(),
-                    );
-                    let buf = borrow_buf(&mut s.line, n, s.home.as_ref());
-                    for j in lo..hi {
-                        buf.fill(Complex32::default());
+                for g0 in (0..lines.len()).step_by(LINE_BATCH) {
+                    let g = LINE_BATCH.min(lines.len() - g0);
+                    let group = &mut buf[..g * hn];
+                    // z[t] = x[2t] + i·x[2t+1] over the zero-padded row
+                    for (j, line) in (g0..).zip(group.chunks_exact_mut(hn)) {
+                        line.fill(Complex32::default());
                         for (i, &v) in src[j * e..(j + 1) * e].iter().enumerate() {
-                            buf[i * sp] = Complex32::new(v, 0.0);
+                            let p = i * sp;
+                            if p.is_multiple_of(2) {
+                                line[p / 2].re = v;
+                            } else {
+                                line[p / 2].im = v;
+                            }
                         }
-                        if let Some(p) = &plan {
-                            p.process_with_scratch(buf, scratch);
-                        }
-                        row(j).copy_from_slice(&buf[..h]);
                     }
-                });
-            });
-        }
-        // the remaining axes, in Z..X order so the inverse can mirror
-        // the stage order exactly; an axis still untransformed (b < a)
-        // is zero off the lattice
-        for a in (0..3).rev().filter(|&a| a != pa) {
-            self.transform_axis(&mut half, Direction::Forward, lat.lines(hs, a, |b| b < a && b != pa));
-        }
+                    if let Some(p) = &plan {
+                        p.process_with_scratch(group, scratch);
+                    }
+                    for (j, line) in (g0..).zip(group.chunks_exact(hn)) {
+                        let row = &mut dst[lines.start(j)..][..h];
+                        for (k, d) in row.iter_mut().enumerate() {
+                            let zk = line[k % hn];
+                            let zc = line[(hn - k) % hn].conj();
+                            let ze = (zk + zc) * 0.5;
+                            let zo = (zk - zc) * Complex32::new(0.0, -0.5);
+                            *d = ze + tw[k] * zo;
+                        }
+                    }
+                }
+            } else {
+                let plan = (n > 1).then(|| self.plan(n, Direction::Forward));
+                let scratch = borrow_buf(
+                    &mut s.plan,
+                    plan.as_ref().map_or(0, |p| p.scratch_len()),
+                    s.home.as_ref(),
+                );
+                let buf = borrow_buf(&mut s.line, n, s.home.as_ref());
+                for j in 0..lines.len() {
+                    buf.fill(Complex32::default());
+                    for (i, &v) in src[j * e..(j + 1) * e].iter().enumerate() {
+                        buf[i * sp] = Complex32::new(v, 0.0);
+                    }
+                    if let Some(p) = &plan {
+                        p.process_with_scratch(buf, scratch);
+                    }
+                    dst[lines.start(j)..][..h].copy_from_slice(&buf[..h]);
+                }
+            }
+            // the remaining axes, in Z..X order so the inverse can mirror
+            // the stage order exactly; an axis still untransformed (b < a)
+            // is zero off the lattice
+            for a in (0..3).rev().filter(|&a| a != pa) {
+                let lines = lat.lines(hs, a, |b| b < a && b != pa);
+                self.transform_axis(s, &mut half, Direction::Forward, lines);
+            }
+        });
         Spectrum::new(half, m)
     }
 
@@ -804,10 +660,7 @@ impl FftEngine {
         };
         let mut half = spec.into_half();
         let hs = half.shape();
-        for a in (0..3).filter(|&a| a != pa) {
-            self.transform_axis(&mut half, Direction::Inverse, lat.lines(hs, a, |b| b < a && b != pa));
-        }
-        // the non-packed inverse stages above are unnormalized, each
+        // the non-packed inverse stages are unnormalized, each
         // contributing its extent; the packed stage contributes n/2
         // (even), n (odd) or 1 (unit)
         let zfac = if n == 1 {
@@ -821,46 +674,51 @@ impl FftEngine {
         // c2r stage: line j's h bins occupy the 2h-float slot at
         // 2·lines.start(j); its lattice samples become output row j
         let lines = lat.lines(hs, pa, |_| true);
-        if in_place {
-            // In-place c2r: view the half buffer as interleaved f32
-            // storage. Line j's n real outputs (n ≤ 2h-1) are written
-            // back into its own slot's prefix after the bins are
-            // consumed into scratch, so parallel workers stay inside
-            // their own slots and nothing allocates.
-            let mut data = complex_vec_into_reals(half.into_vec());
-            let p = SendPtr(data.as_mut_ptr());
-            // SAFETY: the full box enumerates every line in memory
-            // order, so lines.start(j) = j·h: row j (n floats at 2·j·h) is
-            // the prefix of slot j (2h floats at 2·j·h), all inside
-            // `data`'s 2·len(half) floats.
-            unsafe { self.c2r_lines(p, p, 2 * h, &lines, n, scale) };
-            // compact the per-slot real lines into a dense image: line i
-            // moves left from 2·i·h to i·n, so a forward pass never
-            // overwrites an unmoved line
-            for i in 1..lines.len() {
-                data.copy_within(2 * i * h..2 * i * h + n, i * n);
+        self.scratch.with(|s| {
+            for a in (0..3).filter(|&a| a != pa) {
+                let lines = lat.lines(hs, a, |b| b < a && b != pa);
+                self.transform_axis(s, &mut half, Direction::Inverse, lines);
             }
-            data.truncate(m.len());
-            let out = Image::from_vec(m, data);
-            // The storage began life as the spectrum's complex lease and
-            // was detached by the reinterpretation; re-adopt it (as so
-            // many f32 units) so it rejoins the same chunk pool when the
-            // image drops.
-            match adopt_home {
-                Some(home) => out.with_home(home),
-                None => out,
+            if in_place {
+                // In-place c2r: view the half buffer as interleaved f32
+                // storage. Line j's n real outputs (n ≤ 2h-1) are written
+                // back into its own slot's prefix after the bins are
+                // consumed into scratch, so nothing allocates.
+                let mut data = complex_vec_into_reals(half.into_vec());
+                let p = data.as_mut_ptr();
+                // SAFETY: the full box enumerates every line in memory
+                // order, so lines.start(j) = j·h: row j (n floats at
+                // 2·j·h) is the prefix of slot j (2h floats at 2·j·h),
+                // all inside `data`'s 2·len(half) floats.
+                unsafe { self.c2r_lines(s, p, p, 2 * h, &lines, n, scale) };
+                // compact the per-slot real lines into a dense image: line
+                // i moves left from 2·i·h to i·n, so a forward pass never
+                // overwrites an unmoved line
+                for i in 1..lines.len() {
+                    data.copy_within(2 * i * h..2 * i * h + n, i * n);
+                }
+                data.truncate(m.len());
+                let out = Image::from_vec(m, data);
+                // The storage began life as the spectrum's complex lease
+                // and was detached by the reinterpretation; re-adopt it
+                // (as so many f32 units) so it rejoins the same chunk pool
+                // when the image drops.
+                match adopt_home {
+                    Some(home) => out.with_home(home),
+                    None => out,
+                }
+            } else {
+                let mut out = self.lease_image(lat.count);
+                let src = half.as_mut_slice().as_mut_ptr().cast::<f32>();
+                let dst = out.as_mut_slice().as_mut_ptr();
+                // SAFETY: the lattice fits `m`, so each start is a packed
+                // line origin of `half` (Complex32 is two f32s, so slot j
+                // is the line's 2h floats); `out` holds one lat.count[pa]
+                // row per start, and the two buffers are distinct.
+                unsafe { self.c2r_lines(s, src, dst, lat.count[pa], &lines, n, scale) };
+                out
             }
-        } else {
-            let mut out = self.lease_image(lat.count);
-            let src = SendPtr(half.as_mut_slice().as_mut_ptr().cast::<f32>());
-            let dst = SendPtr(out.as_mut_slice().as_mut_ptr());
-            // SAFETY: the lattice fits `m`, so each start is a packed
-            // line origin of `half` (Complex32 is two f32s, so slot j
-            // is the line's 2h floats); `out` holds one lat.count[pa]
-            // row per start, and the two buffers are distinct.
-            unsafe { self.c2r_lines(src, dst, lat.count[pa], &lines, n, scale) };
-            out
-        }
+        })
     }
 
     /// The c2r stage of [`FftEngine::inverse_lattice`]: for each line
@@ -881,10 +739,12 @@ impl FftEngine {
     /// floats at `dst + j·row_len` writable for the whole call. Rows
     /// must be pairwise disjoint, and a row may overlap only its own
     /// line's slot.
+    #[allow(clippy::too_many_arguments)]
     unsafe fn c2r_lines(
         &self,
-        src: SendPtr<f32>,
-        dst: SendPtr<f32>,
+        s: &mut ScratchBuffers,
+        src: *const f32,
+        dst: *mut f32,
         row_len: usize,
         lines: &Lines,
         n: usize,
@@ -893,111 +753,77 @@ impl FftEngine {
         let h = n / 2 + 1;
         let (lat, pa) = (&lines.lat, lines.axis);
         let count = lat.count[pa];
-        // SAFETY: valid by the caller's contract; each worker owns a
-        // disjoint range of line indices, so no slot or row is touched
-        // by two workers.
-        let slot = |j: usize| unsafe {
-            std::slice::from_raw_parts(src.get().add(2 * lines.start(j)), 2 * h)
-        };
+        // SAFETY: valid by the caller's contract; a slot is only read
+        // before its own row is written, and no two rows overlap.
+        let slot =
+            |j: usize| unsafe { std::slice::from_raw_parts(src.add(2 * lines.start(j)), 2 * h) };
         // SAFETY: as for `slot`
-        let row =
-            |j: usize| unsafe { std::slice::from_raw_parts_mut(dst.get().add(j * row_len), count) };
+        let row = |j: usize| unsafe { std::slice::from_raw_parts_mut(dst.add(j * row_len), count) };
         if n.is_multiple_of(2) {
             let hn = n / 2;
             let plan = (hn > 1).then(|| self.plan(hn, Direction::Inverse));
             let tw = self.rtwiddle(n, Direction::Inverse);
-            self.par_lines(lines.len(), n, &|lo, hi| {
-                // repack LINE_BATCH slots per transform call so a full
-                // group runs the Stockham batched SIMD path
-                self.scratch.with(|s| {
-                    let scratch = borrow_buf(
-                        &mut s.plan,
-                        plan.as_ref().map_or(0, |p| p.scratch_len()),
-                        s.home.as_ref(),
-                    );
-                    let buf = borrow_buf(&mut s.line, LINE_BATCH * hn, s.home.as_ref());
-                    for g0 in (lo..hi).step_by(LINE_BATCH) {
-                        let g = LINE_BATCH.min(hi - g0);
-                        let group = &mut buf[..g * hn];
-                        for (j, line) in (g0..).zip(group.chunks_exact_mut(hn)) {
-                            let slot = slot(j);
-                            for (k, b) in line.iter_mut().enumerate() {
-                                let xk = Complex32::new(slot[2 * k], slot[2 * k + 1]);
-                                let xc =
-                                    Complex32::new(slot[2 * (hn - k)], -slot[2 * (hn - k) + 1]);
-                                let ze = (xk + xc) * 0.5;
-                                let zo = (xk - xc) * 0.5 * tw[k];
-                                // z[k] = ze + i·zo repacks even/odd interleaving
-                                *b = Complex32::new(ze.re - zo.im, ze.im + zo.re);
-                            }
-                        }
-                        if let Some(p) = &plan {
-                            p.process_with_scratch(group, scratch);
-                        }
-                        // sample t of the real line is z[t/2].re (even t)
-                        // or z[t/2].im (odd t)
-                        for (j, line) in (g0..).zip(group.chunks_exact(hn)) {
-                            for (i, d) in row(j).iter_mut().enumerate() {
-                                let t = lat.coord(pa, i);
-                                let z = line[t / 2];
-                                let v = if t.is_multiple_of(2) { z.re } else { z.im };
-                                *d = v * scale;
-                            }
-                        }
+            let scratch = borrow_buf(
+                &mut s.plan,
+                plan.as_ref().map_or(0, |p| p.scratch_len()),
+                s.home.as_ref(),
+            );
+            let buf = borrow_buf(&mut s.line, LINE_BATCH * hn, s.home.as_ref());
+            // repack LINE_BATCH slots per transform call so a full group
+            // runs the Stockham batched SIMD path
+            for g0 in (0..lines.len()).step_by(LINE_BATCH) {
+                let g = LINE_BATCH.min(lines.len() - g0);
+                let group = &mut buf[..g * hn];
+                for (j, line) in (g0..).zip(group.chunks_exact_mut(hn)) {
+                    let slot = slot(j);
+                    for (k, b) in line.iter_mut().enumerate() {
+                        let xk = Complex32::new(slot[2 * k], slot[2 * k + 1]);
+                        let xc = Complex32::new(slot[2 * (hn - k)], -slot[2 * (hn - k) + 1]);
+                        let ze = (xk + xc) * 0.5;
+                        let zo = (xk - xc) * 0.5 * tw[k];
+                        // z[k] = ze + i·zo repacks even/odd interleaving
+                        *b = Complex32::new(ze.re - zo.im, ze.im + zo.re);
                     }
-                });
-            });
+                }
+                if let Some(p) = &plan {
+                    p.process_with_scratch(group, scratch);
+                }
+                // sample t of the real line is z[t/2].re (even t) or
+                // z[t/2].im (odd t)
+                for (j, line) in (g0..).zip(group.chunks_exact(hn)) {
+                    for (i, d) in row(j).iter_mut().enumerate() {
+                        let t = lat.coord(pa, i);
+                        let z = line[t / 2];
+                        let v = if t.is_multiple_of(2) { z.re } else { z.im };
+                        *d = v * scale;
+                    }
+                }
+            }
         } else {
             let plan = (n > 1).then(|| self.plan(n, Direction::Inverse));
-            self.par_lines(lines.len(), n, &|lo, hi| {
-                self.scratch.with(|s| {
-                    let scratch = borrow_buf(
-                        &mut s.plan,
-                        plan.as_ref().map_or(0, |p| p.scratch_len()),
-                        s.home.as_ref(),
-                    );
-                    let buf = borrow_buf(&mut s.line, n, s.home.as_ref());
-                    for j in lo..hi {
-                        let slot = slot(j);
-                        for (k, b) in buf[..h].iter_mut().enumerate() {
-                            *b = Complex32::new(slot[2 * k], slot[2 * k + 1]);
-                        }
-                        // Hermitian reconstruction of the dropped bins
-                        for k in 1..h {
-                            buf[n - k] = Complex32::new(slot[2 * k], -slot[2 * k + 1]);
-                        }
-                        if let Some(p) = &plan {
-                            p.process_with_scratch(buf, scratch);
-                        }
-                        for (i, d) in row(j).iter_mut().enumerate() {
-                            *d = buf[lat.coord(pa, i)].re * scale;
-                        }
-                    }
-                });
-            });
-        }
-    }
-}
-
-impl FftEngine {
-    /// Runs `work(lo, hi)` over line-index ranges that cover
-    /// `0..lines`: one range on the calling thread for a small batch of
-    /// `line_len`-element lines, else one contiguous range per worker
-    /// on the engine's pool. The ranges depend only on the worker count
-    /// and `lines`, and each line's arithmetic is independent of its
-    /// range, so the result is identical for every worker count.
-    fn par_lines(&self, lines: usize, line_len: usize, work: &(impl Fn(usize, usize) + Sync)) {
-        let workers = self.workers_for(lines, line_len);
-        if workers <= 1 {
-            work(0, lines);
-            return;
-        }
-        let per = lines.div_ceil(workers);
-        self.in_scope(|sc| {
-            for lo in (0..lines).step_by(per) {
-                sc.spawn(move |_| work(lo, (lo + per).min(lines)));
+            let scratch = borrow_buf(
+                &mut s.plan,
+                plan.as_ref().map_or(0, |p| p.scratch_len()),
+                s.home.as_ref(),
+            );
+            let buf = borrow_buf(&mut s.line, n, s.home.as_ref());
+            for j in 0..lines.len() {
+                let slot = slot(j);
+                for (k, b) in buf[..h].iter_mut().enumerate() {
+                    *b = Complex32::new(slot[2 * k], slot[2 * k + 1]);
+                }
+                // Hermitian reconstruction of the dropped bins
+                for k in 1..h {
+                    buf[n - k] = Complex32::new(slot[2 * k], -slot[2 * k + 1]);
+                }
+                if let Some(p) = &plan {
+                    p.process_with_scratch(buf, scratch);
+                }
+                for (i, d) in row(j).iter_mut().enumerate() {
+                    *d = buf[lat.coord(pa, i)].re * scale;
+                }
             }
-        });
+        }
     }
 }
 
@@ -1254,7 +1080,7 @@ mod tests {
         // the pruned paths against the O(n²) DFT rather than the
         // engine's own full-box transform: a dilated source on a
         // volume (odd packed extent), a flat image and a 1D row
-        let engine = FftEngine::with_threads(1);
+        let engine = FftEngine::new();
         for (k, s, m) in [
             (Vec3::new(2, 3, 2), Vec3::new(2, 1, 3), Vec3::new(6, 5, 5)),
             (Vec3::new(2, 3, 2), Vec3::new(3, 2, 2), Vec3::new(4, 6, 8)),
@@ -1294,29 +1120,34 @@ mod tests {
 
     #[test]
     fn multi_threaded_transforms_match_single_threaded_bitwise() {
-        // the tentpole determinism contract: line chunking across
-        // workers must not change a single bit of any transform — 32³ is
-        // above the parallel threshold, so the 4-thread engine really
-        // splits (scoped workers run even on a 1-core host)
-        let serial = FftEngine::with_threads(1);
-        let parallel = FftEngine::with_threads(4);
-        assert_eq!(serial.threads(), 1);
-        assert_eq!(parallel.threads(), 4);
-        for shape in [Vec3::cube(32), Vec3::new(16, 32, 64), Vec3::new(128, 130, 1)] {
-            let img = ops::random(shape, 91);
-            let s_spec = serial.rfft3(&img);
-            let p_spec = parallel.rfft3(&img);
-            assert!(
-                max_cdiff(s_spec.half(), p_spec.half()) == 0.0,
-                "forward drift on {shape}"
-            );
-            let s_back = serial.irfft3(s_spec);
-            let p_back = parallel.irfft3(p_spec);
-            assert!(
-                s_back.max_abs_diff(&p_back) == 0.0,
-                "inverse drift on {shape}"
-            );
-        }
+        // transforms running at once on one engine take separate
+        // scratch sets, so each must equal a serial engine's result
+        // bit for bit; the shapes differ, so the sets grow apart
+        let serial = FftEngine::new();
+        let shared = FftEngine::new();
+        let shapes = [Vec3::cube(32), Vec3::new(16, 32, 64), Vec3::new(128, 130, 1)];
+        let imgs: Vec<Image> = shapes.iter().map(|&s| ops::random(s, 91)).collect();
+        std::thread::scope(|sc| {
+            for (img, shape) in imgs.iter().zip(shapes) {
+                let (serial, shared) = (&serial, &shared);
+                sc.spawn(move || {
+                    for _ in 0..3 {
+                        let s_spec = serial.rfft3(img);
+                        let p_spec = shared.rfft3(img);
+                        assert!(
+                            max_cdiff(s_spec.half(), p_spec.half()) == 0.0,
+                            "forward drift on {shape}"
+                        );
+                        let s_back = serial.irfft3(s_spec);
+                        let p_back = shared.irfft3(p_spec);
+                        assert!(
+                            s_back.max_abs_diff(&p_back) == 0.0,
+                            "inverse drift on {shape}"
+                        );
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!   occupied and compacts, so no output buffer is allocated per call.
 //! * **Padding discipline.** Transform shapes come from
 //!   [`good_shape`]: 5-smooth per axis, and *even* on the packed axis
-//!   ([`good_size_even`]) so the packed stage always applies and the
+//!   so the packed stage always applies and the
 //!   half-spectrum is tight. Odd packed extents still work (a
 //!   full-length fallback per line, truncated to the stored bins) —
 //!   they are just slower, and `good_shape` avoids them. Unit axes are
@@ -96,22 +96,13 @@
 //! transform (48 = 2⁴·3) and a 64³ transform are therefore both all
 //! Stockham.
 //!
-//! On top of the kernels, [`FftEngine`] splits every batched line loop
-//! — the r2c pack / c2r unpack along the packed axis and the strided
-//! stages along the others — into up to [`FftEngine::threads`] chunks at
-//! line granularity, queued on a **persistent fork-join pool**
-//! (`znn_sched::ThreadPool`): the engine's own shared pool
-//! ([`FftEngine::with_pool`]) or the process-global one. No OS thread
-//! is spawned per transform. Chunks run on pool workers, on the
-//! calling thread (which executes pending chunks while waiting on the
-//! scope), and on threads *donated* by an outer task scheduler —
-//! `znn-core` pairs a donor-only pool with its `znn-sched` executor so
-//! task- and line-parallelism share one thread budget. Scratch lives
-//! in per-engine slots sized to the fan-out, chunk boundaries are a
-//! pure function of the worker count, and each line's arithmetic is
-//! chunk-independent, so threaded transforms are bit-for-bit equal to
-//! single-threaded ones for every pool and worker count; see the
-//! [threading model](FftEngine#threading-model) for ownership details.
+//! On top of the kernels, [`FftEngine`] runs every transform from
+//! start to finish on the thread that calls it. Parallelism lives one
+//! level up, in the paper's task graph: each transform is part of one
+//! task, and many tasks run at once. Any number of threads may share
+//! one engine; each transform takes its own scratch set, so concurrent
+//! transforms are bit-for-bit equal to serial ones; see the
+//! [threading model](FftEngine#threading-model).
 //!
 //! The staged API (`forward_padded` → pointwise products in
 //! `znn_tensor::ops` (`mul_s`, summed with `add_assign_s`) →
@@ -135,7 +126,7 @@ pub mod spectra;
 
 pub use conv::{fft_conv_full, fft_conv_valid};
 pub use engine::FftEngine;
-pub use size::{good_shape, good_size, good_size_even, pow2_shape, pow2_size};
+pub use size::{good_shape, good_size, pow2_shape};
 
 #[cfg(test)]
 mod tests;

@@ -11,7 +11,7 @@
 //! # Why 5-smooth beats 2^k-only padding
 //!
 //! When only power-of-two lengths hit the fast kernels, the tempting
-//! policy is to round every axis up to `2^k` ([`pow2_size`], kept as
+//! policy is to round every axis up to `2^k` (`pow2_size`, kept as
 //! the baseline). 5-smooth candidates are much denser — between 64 and
 //! 128 alone sit 72, 75, 80, 81, 90, 96, 100, 108, 120, 125 — so
 //! [`good_size`] pads strictly less for most extents and never more.
@@ -60,13 +60,18 @@ pub fn good_size(n: usize) -> usize {
 /// real line into a half-length complex transform, so even extents get
 /// the full 2× FLOP saving and the tight `m/2 + 1`-bin spectrum.
 ///
+/// [`good_shape`] pads the packed axis with it:
+///
 /// ```
-/// use znn_fft::good_size_even;
-/// assert_eq!(good_size_even(25), 30); // 25 is 5-smooth but odd
-/// assert_eq!(good_size_even(48), 48);
-/// assert_eq!(good_size_even(1), 1);   // unit axes are never inflated
+/// use znn_fft::good_shape;
+/// use znn_tensor::Vec3;
+/// // 25 is 5-smooth but odd, so only the packed z axis grows
+/// assert_eq!(good_shape(Vec3::cube(25)), Vec3::new(25, 25, 30));
+/// assert_eq!(good_shape(Vec3::cube(48)), Vec3::cube(48));
+/// // unit axes are never inflated: a flat image packs along y
+/// assert_eq!(good_shape(Vec3::new(25, 25, 1)), Vec3::new(25, 30, 1));
 /// ```
-pub fn good_size_even(n: usize) -> usize {
+pub(crate) fn good_size_even(n: usize) -> usize {
     if n <= 1 {
         return 1;
     }
@@ -82,14 +87,14 @@ pub fn good_size_even(n: usize) -> usize {
 /// 5-smooth, so [`good_size`] never pads more than this, and usually
 /// pads much less; `pow2_size` exists so benches and regression tests
 /// can quote the padded-voxel savings of the 5-smooth policy.
-pub fn pow2_size(n: usize) -> usize {
+pub(crate) fn pow2_size(n: usize) -> usize {
     if n <= 1 {
         return 1;
     }
     n.next_power_of_two()
 }
 
-/// Applies [`pow2_size`] per axis — the 2^k-only analogue of
+/// Applies `pow2_size` per axis — the 2^k-only analogue of
 /// [`good_shape`], kept as the padding-waste baseline. (A power of two
 /// `>= 2` is always even, so no separate packed-axis rule is needed.)
 pub fn pow2_shape(s: Vec3) -> Vec3 {
@@ -98,7 +103,7 @@ pub fn pow2_shape(s: Vec3) -> Vec3 {
 
 /// Applies [`good_size`] per axis, except the packed axis
 /// ([`Spectrum::packed_axis`] — `z` for volumes, `y` for flat `m_z == 1`
-/// shapes) which gets [`good_size_even`], keeping the r2c half-spectrum
+/// shapes) which gets `good_size_even`, keeping the r2c half-spectrum
 /// packing tight on every workload. Padding never inflates a unit axis,
 /// so the packed axis of the padded shape matches the input's.
 ///

@@ -15,7 +15,7 @@ fn forced_scalar_engine_round_trips_and_matches_scalar_plans() {
     assert!(znn_simd::forced_scalar());
     assert_eq!(znn_simd::isa(), znn_simd::Isa::Scalar);
 
-    let engine = FftEngine::with_threads(2);
+    let engine = FftEngine::new();
     let pinned = FftEngine::with_scalar_kernels();
     for shape in [Vec3::cube(32), Vec3::new(24, 30, 20)] {
         let img = ops::random(shape, 2024);

@@ -7,8 +7,8 @@
 //! O(n²) naive DFT across the lengths the engine actually plans
 //! (5-smooth, with primes exercising the fallback's naive base case),
 //! pin the two kernel families against each other on the lengths both
-//! can plan, and pin the multi-threaded engine against the
-//! single-threaded one bit-for-bit.
+//! can plan, and pin concurrent callers of one engine against a
+//! serial engine bit-for-bit.
 
 use proptest::prelude::*;
 use num_complex::Complex;
@@ -165,139 +165,50 @@ proptest! {
         }
     }
 
-    /// The multi-threaded engine must match the single-threaded one
-    /// bit-for-bit on every shape — the determinism contract of the
-    /// parallel line transforms (scoped workers run even on one core).
+    /// Concurrent callers on one shared engine must each get the bits
+    /// of a serial engine: a transform runs on its caller's thread in
+    /// its own scratch set, so no caller can see another's buffers.
+    /// Each caller's image has a different extent, so the scratch sets
+    /// grow to different sizes.
     #[test]
     fn threaded_transforms_are_deterministic(
-        shape in (3usize..34, 3usize..34, 1usize..34).prop_filter(
-            "past the parallel threshold on at least one stage",
-            |&(x, y, z)| x * y * z >= 12_000,
-        ),
+        shape in (3usize..34, 3usize..34, 1usize..34),
         threads in 2usize..7,
         seed in any::<u64>(),
     ) {
-        let m = Vec3::new(shape.0, shape.1, shape.2);
-        let serial = FftEngine::with_threads(1);
-        let parallel = FftEngine::with_threads(threads);
-        let img = ops::random(m, seed);
-        let s_spec = serial.rfft3(&img);
-        let p_spec = parallel.rfft3(&img);
-        let fwd_drift = s_spec
-            .half()
-            .as_slice()
+        let serial = FftEngine::new();
+        let shared = FftEngine::new();
+        let imgs: Vec<_> = (0..threads)
+            .map(|i| ops::random(Vec3::new(shape.0 + i, shape.1, shape.2), seed ^ i as u64))
+            .collect();
+        let want: Vec<_> = imgs
             .iter()
-            .zip(p_spec.half().as_slice())
-            .map(|(a, b)| (a - b).norm())
-            .fold(0.0f32, f32::max);
-        prop_assert!(fwd_drift == 0.0, "forward drift {} on {}", fwd_drift, m);
-        let s_back = serial.irfft3(s_spec);
-        let p_back = parallel.irfft3(p_spec);
-        prop_assert!(
-            s_back.max_abs_diff(&p_back) == 0.0,
-            "inverse drift on {}",
-            m
-        );
-        // and the round trip still lands on the input
-        prop_assert!(p_back.max_abs_diff(&img) < 1e-4);
-    }
-}
-
-/// Shared-pool determinism: engines fanning out over one persistent
-/// pool at 1/2/4 workers must agree bit-for-bit with the serial
-/// engine — the same contract the scoped-thread era pinned, re-run
-/// through the pool path (`FftEngine::with_pool`).
-#[test]
-fn shared_pool_transforms_are_deterministic_at_1_2_4_workers() {
-    let pool = std::sync::Arc::new(znn_sched::ThreadPool::with_workers(2));
-    let serial = FftEngine::with_threads(1);
-    // 48³, 24·30·40 and 120·90·1 are 5-smooth non-powers-of-two: their
-    // lines run the new radix-3/5 Stockham stages, which must be as
-    // chunk-independent as the radix-4/2 ones
-    for shape in [
-        Vec3::cube(32),
-        Vec3::new(16, 32, 64),
-        Vec3::new(128, 130, 1),
-        Vec3::cube(48),
-        Vec3::new(24, 30, 40),
-        Vec3::new(120, 90, 1),
-    ] {
-        let img = ops::random(shape, 0xB00);
-        let want_spec = serial.rfft3(&img);
-        let want_back = serial.irfft3(serial.rfft3(&img));
-        for workers in [1usize, 2, 4] {
-            let engine = FftEngine::with_pool(workers, std::sync::Arc::clone(&pool));
-            let spec = engine.rfft3(&img);
-            let drift = spec
-                .half()
-                .as_slice()
+            .map(|img| {
+                let spec = serial.rfft3(img);
+                let half = spec.half().as_slice().to_vec();
+                (half, serial.irfft3(spec))
+            })
+            .collect();
+        let got: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = imgs
                 .iter()
-                .zip(want_spec.half().as_slice())
-                .map(|(a, b)| (a - b).norm())
-                .fold(0.0f32, f32::max);
-            assert!(drift == 0.0, "forward drift at {workers} workers on {shape}");
-            let back = engine.irfft3(spec);
-            assert!(
-                back.max_abs_diff(&want_back) == 0.0,
-                "inverse drift at {workers} workers on {shape}"
-            );
+                .map(|img| {
+                    let shared = &shared;
+                    s.spawn(move || {
+                        let spec = shared.rfft3(img);
+                        let half = spec.half().as_slice().to_vec();
+                        (half, shared.irfft3(spec))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (i, ((g_half, g_back), (w_half, w_back))) in got.iter().zip(&want).enumerate() {
+            prop_assert!(g_half == w_half, "forward drift for caller {}", i);
+            prop_assert!(g_back.max_abs_diff(w_back) == 0.0, "inverse drift for caller {}", i);
+            // and the round trip still lands on the input
+            prop_assert!(g_back.max_abs_diff(&imgs[i]) < 1e-4);
         }
     }
 }
 
-/// Pool reuse: two engines sharing one pool run interleaved transforms
-/// from concurrent threads without corrupting each other's scratch —
-/// every result must still be bit-for-bit the serial one.
-#[test]
-fn two_engines_on_one_pool_do_not_corrupt_each_others_scratch() {
-    let pool = std::sync::Arc::new(znn_sched::ThreadPool::with_workers(2));
-    let a = std::sync::Arc::new(FftEngine::with_pool(4, std::sync::Arc::clone(&pool)));
-    let b = std::sync::Arc::new(FftEngine::with_pool(3, std::sync::Arc::clone(&pool)));
-    let serial = FftEngine::with_threads(1);
-    // distinct shapes per engine so scratch sizes differ (a stale or
-    // shared buffer would corrupt the longer lines)
-    let shape_a = Vec3::cube(32);
-    let shape_b = Vec3::new(16, 40, 48);
-    let img_a = ops::random(shape_a, 0xA);
-    let img_b = ops::random(shape_b, 0xB);
-    let want_a = serial.rfft3(&img_a);
-    let want_b = serial.rfft3(&img_b);
-    let drift = |got: &znn_tensor::Spectrum, want: &znn_tensor::Spectrum| {
-        got.half()
-            .as_slice()
-            .iter()
-            .zip(want.half().as_slice())
-            .map(|(x, y)| (x - y).norm())
-            .fold(0.0f32, f32::max)
-    };
-    let handles: Vec<_> = (0..4)
-        .map(|i| {
-            let (engine, img, want) = if i % 2 == 0 {
-                (std::sync::Arc::clone(&a), img_a.clone(), want_a.clone())
-            } else {
-                (std::sync::Arc::clone(&b), img_b.clone(), want_b.clone())
-            };
-            std::thread::spawn(move || {
-                for _ in 0..8 {
-                    let got = engine.rfft3(&img);
-                    assert!(
-                        got.half()
-                            .as_slice()
-                            .iter()
-                            .zip(want.half().as_slice())
-                            .all(|(x, y)| x == y),
-                        "interleaved transform drifted"
-                    );
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    // and sequentially interleaved use stays exact too
-    for _ in 0..4 {
-        assert!(drift(&a.rfft3(&img_a), &want_a) == 0.0);
-        assert!(drift(&b.rfft3(&img_b), &want_b) == 0.0);
-    }
-}

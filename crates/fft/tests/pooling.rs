@@ -56,8 +56,8 @@ const SHAPES: &[Vec3] = &[
 
 #[test]
 fn pooled_transforms_are_bitwise_identical_to_raw() {
-    let raw = FftEngine::with_threads(1);
-    let pooled = FftEngine::with_threads(1).with_buffer_pools(PoolSet::new());
+    let raw = FftEngine::new();
+    let pooled = FftEngine::new().with_buffer_pools(PoolSet::new());
     for &shape in SHAPES {
         let img = ops::random(shape, 11);
         let a = raw.rfft3(&img);
@@ -73,8 +73,8 @@ fn pooled_transforms_are_bitwise_identical_to_raw() {
 fn pooled_staged_convolution_path_is_bitwise_identical() {
     // forward_padded (pooled spectrum) + flip/corr identities (pooled
     // clones) + inverse_real (pooled output) against the raw engine
-    let raw = FftEngine::with_threads(1);
-    let pooled = FftEngine::with_threads(1).with_buffer_pools(PoolSet::new());
+    let raw = FftEngine::new();
+    let pooled = FftEngine::new().with_buffer_pools(PoolSet::new());
     let n = Vec3::cube(7);
     let k = Vec3::cube(3);
     let m = good_shape(n);
@@ -104,7 +104,7 @@ fn steady_state_rounds_allocate_nothing() {
     // round the pool must serve every lease by recycling: no new bytes
     // from the system, no misses, hit rate -> 1.
     let pools = PoolSet::new();
-    let engine = FftEngine::with_threads(1).with_buffer_pools(Arc::clone(&pools));
+    let engine = FftEngine::new().with_buffer_pools(Arc::clone(&pools));
     let n = Vec3::cube(9);
     let k = Vec3::cube(3);
     let m = good_shape(n);
@@ -152,7 +152,7 @@ fn pruned_transforms_lease_only_their_outputs() {
     // — and never an m³ real buffer: no padded copy of the input, no
     // full-size inverse to crop from
     let pools = PoolSet::new();
-    let engine = FftEngine::with_threads(1).with_buffer_pools(Arc::clone(&pools));
+    let engine = FftEngine::new().with_buffer_pools(Arc::clone(&pools));
     let m = Vec3::cube(60);
     let x = ops::random(Vec3::cube(5), 61);
     let w = ops::random(Vec3::cube(5), 62);
@@ -207,7 +207,7 @@ fn pruned_transforms_lease_only_their_outputs() {
 #[test]
 fn all_leases_return_to_the_pool() {
     let pools = PoolSet::new();
-    let engine = FftEngine::with_threads(1).with_buffer_pools(Arc::clone(&pools));
+    let engine = FftEngine::new().with_buffer_pools(Arc::clone(&pools));
     for &shape in SHAPES {
         let img = ops::random(shape, 41);
         let spec = engine.rfft3(&img);
@@ -229,7 +229,7 @@ fn pooled_engine_shares_plans_and_pools_across_threads() {
     // the recycle race at engine level: several threads hammer one
     // pooled engine; values must stay correct and accounting conserved
     let pools = PoolSet::new();
-    let engine = Arc::new(FftEngine::with_threads(1).with_buffer_pools(Arc::clone(&pools)));
+    let engine = Arc::new(FftEngine::new().with_buffer_pools(Arc::clone(&pools)));
     let handles: Vec<_> = (0..4)
         .map(|seed| {
             let engine = Arc::clone(&engine);
@@ -256,12 +256,12 @@ fn foreign_spectra_are_not_adopted_into_the_pool() {
     // path — recycling never-leased bytes would corrupt the pool's
     // bytes_in_use accounting and under-report the real footprint
     let pools = PoolSet::new();
-    let engine = FftEngine::with_threads(1).with_buffer_pools(Arc::clone(&pools));
+    let engine = FftEngine::new().with_buffer_pools(Arc::clone(&pools));
     let img = ops::random(Vec3::cube(6), 51);
     // warm up so the scratch-slot leases are already counted
     drop(engine.irfft3(engine.rfft3(&img)));
     let in_use = pools.stats().bytes_in_use();
-    let foreign = FftEngine::with_threads(1).rfft3(&img);
+    let foreign = FftEngine::new().rfft3(&img);
     let back = engine.irfft3(foreign);
     assert!(back.home().is_none(), "foreign buffer was adopted");
     drop(back);
@@ -289,9 +289,9 @@ proptest! {
     ) {
         let shape = Vec3::new(x, y, z);
         let img = ops::random(shape, seed);
-        let raw = FftEngine::with_threads(1);
+        let raw = FftEngine::new();
         let pools = PoolSet::new();
-        let pooled = FftEngine::with_threads(1).with_buffer_pools(Arc::clone(&pools));
+        let pooled = FftEngine::new().with_buffer_pools(Arc::clone(&pools));
         let a = raw.rfft3(&img);
         let b = pooled.rfft3(&img);
         prop_assert!(max_cdiff_bits(&a, &b), "forward drift on {shape}");

@@ -11,9 +11,9 @@
 //!
 //! The geometries are random 5-smooth pads — volumes, flat images
 //! (packed along y), 1D rows (packed along x), odd packed extents —
-//! with sparsity 1–4 and arbitrary crop boxes, on a serial engine, a
-//! four-way engine and the scalar-kernel engine. The large fixed cases
-//! cross the parallel threshold so the four-way engine really splits.
+//! with sparsity 1–4 and arbitrary crop boxes, on the default engine
+//! and the scalar-kernel engine, plus large fixed cases at the
+//! workload geometries.
 
 use proptest::prelude::*;
 use znn_fft::{spectra, FftEngine};
@@ -22,12 +22,8 @@ use znn_tensor::{ops, pad, Image, Spectrum, Vec3};
 /// 5-smooth extents, odd and even.
 const SMOOTH: &[usize] = &[2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16];
 
-fn engines() -> [FftEngine; 3] {
-    [
-        FftEngine::with_threads(1),
-        FftEngine::with_threads(4),
-        FftEngine::with_scalar_kernels(),
-    ]
+fn engines() -> [FftEngine; 2] {
+    [FftEngine::new(), FftEngine::with_scalar_kernels()]
 }
 
 fn spectra_equal(a: &Spectrum, b: &Spectrum) -> bool {
@@ -151,8 +147,8 @@ proptest! {
 #[test]
 fn pruned_transforms_equal_the_unpruned_pipeline_across_the_parallel_threshold() {
     // the train3d_fft geometries — a 5³ kernel into 60³ with the 51³
-    // valid crop of a 55³ image, an s4 kernel into 40³ — and a flat
-    // image large enough that its packed stage splits
+    // valid crop of a 55³ image, an s4 kernel into 40³ — and a large
+    // flat image
     let cases = [
         Case {
             m: Vec3::cube(60),

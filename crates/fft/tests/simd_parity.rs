@@ -19,7 +19,7 @@ fn max_cdiff(a: &znn_tensor::CImage, b: &znn_tensor::CImage) -> f32 {
 
 #[test]
 fn default_engine_matches_scalar_kernels_bitwise() {
-    let simd = FftEngine::with_threads(1);
+    let simd = FftEngine::new();
     let scalar = FftEngine::with_scalar_kernels();
     for shape in [
         Vec3::cube(32),          // 2^k: radix-4 + trailing-2 stages
@@ -56,7 +56,7 @@ proptest! {
     fn corr_spectrum_is_bitwise_exact_per_bin(
         x in 1usize..6, y in 1usize..6, z in 1usize..9, seed in 0u64..1000,
     ) {
-        let engine = FftEngine::with_threads(1);
+        let engine = FftEngine::new();
         let shape = Vec3::new(x, y, z);
         let xs = engine.rfft3(&ops::random(shape, seed));
         let gs = engine.rfft3(&ops::random(shape, seed ^ 0xACE));
@@ -77,23 +77,29 @@ proptest! {
 
 #[test]
 fn threaded_simd_engine_matches_scalar_kernels_bitwise() {
-    // worker chunking interacts with the 8-line grouping (a worker's
-    // range may end mid-group); neither may change a bit
-    let simd = FftEngine::with_threads(4);
+    // the SIMD engine shared by concurrent callers: each transform's
+    // 8-line groups run in its caller's own scratch, and neither the
+    // sharing nor the grouping may change a bit
+    let simd = FftEngine::new();
     let scalar = FftEngine::with_scalar_kernels();
-    for shape in [Vec3::cube(32), Vec3::new(16, 32, 64)] {
-        let img = ops::random(shape, 77);
-        let a = simd.rfft3(&img);
-        let b = scalar.rfft3(&img);
-        assert!(
-            max_cdiff(a.half(), b.half()) == 0.0,
-            "threaded forward drift on {shape}"
-        );
-        let back_a = simd.irfft3(a);
-        let back_b = scalar.irfft3(b);
-        assert!(
-            back_a.max_abs_diff(&back_b) == 0.0,
-            "threaded inverse drift on {shape}"
-        );
-    }
+    std::thread::scope(|s| {
+        for shape in [Vec3::cube(32), Vec3::new(16, 32, 64)] {
+            let (simd, scalar) = (&simd, &scalar);
+            s.spawn(move || {
+                let img = ops::random(shape, 77);
+                let a = simd.rfft3(&img);
+                let b = scalar.rfft3(&img);
+                assert!(
+                    max_cdiff(a.half(), b.half()) == 0.0,
+                    "threaded forward drift on {shape}"
+                );
+                let back_a = simd.irfft3(a);
+                let back_b = scalar.irfft3(b);
+                assert!(
+                    back_a.max_abs_diff(&back_b) == 0.0,
+                    "threaded inverse drift on {shape}"
+                );
+            });
+        }
+    });
 }

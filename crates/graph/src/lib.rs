@@ -12,6 +12,7 @@
 //! convenience on top.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod init;

@@ -33,6 +33,7 @@
 //! Loss functions ([`loss`]) close the training loop (§III, step 3).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod conv;
 pub mod filter;

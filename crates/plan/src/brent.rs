@@ -73,7 +73,7 @@ impl NetworkModel {
     }
 
     /// `S∞ = T₁ / T∞`.
-    pub fn s_inf(&self, algo: ConvAlgorithm, c: f64) -> f64 {
+    pub(crate) fn s_inf(&self, algo: ConvAlgorithm, c: f64) -> f64 {
         self.t1(algo, c) / self.t_inf(algo, c)
     }
 }

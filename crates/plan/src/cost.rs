@@ -1,13 +1,13 @@
 //! The one cost model: what each edge of a network costs in each pass,
 //! from the paper's FLOP counts (Tables I–II) made pad- and
-//! radix-aware. [`pass_work`] is the only place the work of a pass is
+//! radix-aware. `pass_work` is the only place the work of a pass is
 //! stated, split into four classes: **transform** (3D r2c/c2r at the
 //! **padded** shape the engine plans, each line length decomposed into
 //! its 2^a·3^b·5^c radix stages and weighted per radix, which is why
 //! 5-smooth pads usually beat power-of-two pads despite more voxels),
 //! **pointwise** (half-spectrum products, sums, flips), **direct**
 //! (time-domain multiply-adds) and **sweep** (transfer, pooling,
-//! filtering). The planner prices the round of [`round_work`]; the
+//! filtering). The planner prices the round of `round_work`; the
 //! simulator prices each task of [`task_costs`]. Shared work is
 //! amortized the way the engine shares it: a node's image transform
 //! across its out-edges, the inverse of a node sum across its in-edges.
@@ -34,7 +34,7 @@ const W_RADIX5: f64 = 1.25;
 /// radix-2 log₂ units. `stage_units(l) / log2(l)` is the mix factor
 /// relative to the textbook `N·log₂N`; a pure power of two running
 /// radix-4 stages comes out *below* 1.0.
-pub fn stage_units(len: usize) -> f64 {
+pub(crate) fn stage_units(len: usize) -> f64 {
     if len <= 1 {
         return 0.0;
     }
@@ -83,7 +83,7 @@ pub fn fft3_flops(m: Vec3) -> f64 {
 /// (complex multiply ≈ 6 real FLOPs per bin, ≈ `m.len()/2` bins —
 /// folded to `3·|m|` and priced at [`PW_EFF`] because these sweeps are
 /// bandwidth-bound, not FLOP-bound).
-pub fn pointwise_flops(m: Vec3) -> f64 {
+pub(crate) fn pointwise_flops(m: Vec3) -> f64 {
     3.0 * m.len() as f64
 }
 
@@ -130,7 +130,7 @@ impl Work {
     /// FLOP-equivalents: the bandwidth-bound classes (pointwise, sweep)
     /// divided by [`PW_EFF`], plus the rest — the unit the planner
     /// compares methods in and the simulator schedules in.
-    pub fn flop_eq(&self) -> f64 {
+    pub(crate) fn flop_eq(&self) -> f64 {
         self.transform() + self.direct + (self.pointwise + self.sweep) / PW_EFF
     }
 }
@@ -154,7 +154,7 @@ pub struct EdgeSite {
 
 /// The site of every edge of `graph` (image shapes `shape_of`), indexed
 /// like `graph.edges()`, each convolution run as its entry of `plan`.
-pub fn edge_sites(
+pub(crate) fn edge_sites(
     graph: &Graph,
     shape_of: &HashMap<NodeId, Vec3>,
     plan: &[Option<EdgePlan>],
@@ -176,7 +176,7 @@ pub fn edge_sites(
 /// # Panics
 ///
 /// If the site is a convolution without a method and pad.
-pub fn pass_work(site: &EdgeSite, pass: Pass, memoize: bool) -> Work {
+pub(crate) fn pass_work(site: &EdgeSite, pass: Pass, memoize: bool) -> Work {
     let nu = site.from.len() as f64;
     let nv = site.to.len() as f64;
     let mut w = Work::default();
@@ -243,7 +243,7 @@ pub fn pass_work(site: &EdgeSite, pass: Pass, memoize: bool) -> Work {
 
 /// The work of one edge over a training round, summed class by class;
 /// transforms in the order the passes run them, re-transforms last.
-pub fn round_work(site: &EdgeSite, memoize: bool) -> Work {
+pub(crate) fn round_work(site: &EdgeSite, memoize: bool) -> Work {
     let passes = [Pass::Forward, Pass::Backward, Pass::Update].map(|p| pass_work(site, p, memoize));
     let total = |class: fn(&Work) -> f64| passes.iter().map(class).sum::<f64>();
     Work {
@@ -257,7 +257,7 @@ pub fn round_work(site: &EdgeSite, memoize: bool) -> Work {
 
 /// The task graph of `graph` trained at `output_shape` under `plan`,
 /// each task priced in FLOP-equivalents — what [`crate::simulate`]
-/// schedules. An edge task costs its pass of [`pass_work`]; data and
+/// schedules. An edge task costs its pass of `pass_work`; data and
 /// loss-gradient tasks cost nothing, as the planner's round has none.
 pub fn task_costs(
     graph: &Graph,

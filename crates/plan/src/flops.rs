@@ -32,7 +32,7 @@ impl PassCost {
 }
 
 /// Cost of transforming one `n×n×n` image: `C·n³·log₂(n³) = 3C·n³·log₂ n`.
-pub fn fft_image_cost(n: f64, c: f64) -> f64 {
+pub(crate) fn fft_image_cost(n: f64, c: f64) -> f64 {
     if n <= 1.0 {
         return 0.0;
     }

@@ -5,9 +5,8 @@
 //! The paper's §IV observation is that the direct-vs-FFT crossover is
 //! input-size *and* machine dependent, so any static choice is wrong
 //! somewhere. Timing both paths at construction answers the method
-//! question, but it cannot see pad shapes or the `fft_threads`
-//! fan-out, and its answer moves with whatever else the host is doing
-//! at that moment. This crate instead *prices* every candidate
+//! question, but it cannot see pad shapes, and its answer moves with
+//! whatever else the host is doing at that moment. This crate instead *prices* every candidate
 //! strategy, and is the engine's only chooser:
 //!
 //! 1. [`cost`] is the only place work is priced: each edge's forward,
@@ -16,13 +15,12 @@
 //!    them, are [`flops`], [`tinf`] and [`brent`]: Tables I–IV, Eq. 1–2);
 //! 2. a [`Machine`] — a Table V model or the microprobed host from
 //!    [`Machine::detect`] — turns FLOPs into µs, and the Brent bound
-//!    `T₁/P + T∞` turns edge costs into a round-time prediction per
-//!    candidate fan-out;
-//! 3. the [`Planner`] picks the argmin: per-edge method, per-node pad,
-//!    one global `fft_threads`;
+//!    `T₁/P + T∞` turns edge costs into a round-time prediction;
+//! 3. the [`Planner`] picks the argmin: per-edge method and per-node
+//!    pad;
 //! 4. the plan is fixed for the engine's life: the planner holds no
 //!    state, so its answers are a pure function of (config, graph,
-//!    output shape, workers, budget) and never drift with measured
+//!    output shape, workers) and never drift with measured
 //!    round times — the Brent bound is a property of the task graph
 //!    and the machine, not of any one run;
 //! 5. [`simulate`] list-schedules a [`NetPlan`]'s task graph, priced
@@ -38,7 +36,7 @@
 //! speed would divide both prices — so methods and pads are a pure
 //! function of (graph, output shape, `memoize_fft`): a resumed
 //! `Autotune` run replays the same plan on any host. Only the
-//! fan-out, which cannot change a bit, depends on the machine model.
+//! predicted times depend on the machine model.
 //!
 //! ```
 //! use znn_plan::{Machine, PlanConfig, Planner};
@@ -49,10 +47,11 @@
 //! let planner = Planner::new(PlanConfig::for_machine(Machine::xeon_e5_18core()));
 //! let plan = planner.plan(&graph, Vec3::cube(8), 18, 18).unwrap();
 //! assert_eq!(plan.edges.len(), graph.edge_count());
-//! assert!(plan.fft_threads >= 1);
+//! assert!(plan.predicted_round_us > 0.0);
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod brent;
 pub mod cost;

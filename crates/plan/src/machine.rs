@@ -30,8 +30,7 @@ pub struct Machine {
     /// absolute price of one FLOP for planners that turn FLOP counts
     /// into wall time. Nominal for the Table V machines, measured by a
     /// microprobe for [`Machine::detect`]. Method choices never depend
-    /// on it (it divides both prices); the fan-out and the predicted
-    /// times do.
+    /// on it (it divides both prices); the predicted times do.
     pub gflops: f64,
     /// Sustained single-thread memory bandwidth in GB/s (prices
     /// bandwidth-bound sweeps; nominal or probed like `gflops`).
@@ -125,7 +124,7 @@ impl Machine {
     /// The current host's model, probed by [`Machine::detect`] on first
     /// use and cached for the life of the process — what every engine
     /// that builds its own planner prices through, so N engines probe
-    /// once and agree on the fan-out sweep.
+    /// once and agree on their predicted times.
     pub fn host() -> &'static Machine {
         static HOST: OnceLock<Machine> = OnceLock::new();
         HOST.get_or_init(Machine::detect)

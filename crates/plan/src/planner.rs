@@ -1,6 +1,6 @@
 //! The planner: prices the cost model through a [`Machine`] and picks
-//! a per-edge execution plan plus an `fft_threads` fan-out — a pure
-//! function of its configuration and the net it is asked about.
+//! a per-edge execution plan — a pure function of its configuration
+//! and the net it is asked about.
 
 use crate::cost::{self, EdgeSite, Pass};
 use crate::Machine;
@@ -10,18 +10,9 @@ use znn_graph::{shapes, EdgeOp, Graph, NodeId};
 use znn_ops::ConvMethod;
 use znn_tensor::{Spectrum, Vec3};
 
-/// Fan-out below this many padded voxels never splits a transform
-/// (mirrors the FFT engine's parallelism threshold), so the planner
-/// charges no spawn overhead for it.
-const FANOUT_MIN_ELEMS: usize = 1 << 15;
-
 /// Rough wall-clock cost of scheduling one engine task (enqueue +
 /// dequeue + latch traffic).
 const SCHED_OVERHEAD_US: f64 = 2.0;
-
-/// Wall-clock cost of spawning one extra fork-join chunk when a
-/// transform fans out.
-const SPAWN_OVERHEAD_US: f64 = 15.0;
 
 /// Backward + update work relative to the forward pass along the
 /// critical path (the backward sweep mirrors the forward one and the
@@ -84,24 +75,23 @@ pub struct NetPlan {
     /// Per-edge plans, indexed like `graph.edges()`; `None` for
     /// non-convolution edges.
     pub edges: Vec<Option<EdgePlan>>,
-    /// The chosen intra-transform fan-out (≤ the budget given to
-    /// [`Planner::plan`]).
-    pub fft_threads: usize,
     /// Predicted round time, µs.
     pub predicted_round_us: f64,
 }
 
 impl NetPlan {
-    /// A fixed single-method plan: every conv edge uses `method`, pads
-    /// are `good_shape` (or `pow2_shape` with `pow2`), and the fan-out
-    /// is pinned to `fft_threads`. This is what the engine's forced
-    /// conv policies resolve to, and the "best fixed strategy" grid
-    /// the planner is benchmarked against.
+    /// A fixed single-method plan: every conv edge uses `method`, and
+    /// pads are `good_shape` (or `pow2_shape` with `pow2`). This is
+    /// what the engine's forced conv policies resolve to, and the
+    /// "best fixed strategy" grid the planner is benchmarked against.
+    /// `_fft_threads` is ignored: every transform runs on the thread of
+    /// the task that needs it. It is kept for callers that still pass
+    /// a fan-out.
     pub fn force(
         graph: &Graph,
         output_shape: Vec3,
         method: ConvMethod,
-        fft_threads: usize,
+        _fft_threads: usize,
         pow2: bool,
     ) -> Result<NetPlan, shapes::ShapeError> {
         let input_shape = shapes::required_input_shape(graph, output_shape)?;
@@ -124,7 +114,6 @@ impl NetPlan {
             .collect();
         Ok(NetPlan {
             edges,
-            fft_threads: fft_threads.max(1),
             predicted_round_us: 0.0,
         })
     }
@@ -133,12 +122,10 @@ impl NetPlan {
 /// The execution planner.
 ///
 /// [`Planner::plan`] chooses, per conv edge, direct vs FFT convolution
-/// and the padded transform shape, plus one global `fft_threads`
-/// fan-out, by pricing the [`cost`] FLOP model through the configured
-/// [`Machine`]. The round-time prediction is the Brent bound
-/// `T₁/P + T∞` — total work spread over the workers plus the critical
-/// path — with transform terms on the critical path sped up by the
-/// candidate fan-out and charged its spawn overhead.
+/// and the padded transform shape, by pricing the [`cost`] FLOP model
+/// through the configured [`Machine`]. The round-time prediction is
+/// the Brent bound `T₁/P + T∞` — total work spread over the workers
+/// plus the critical path — and scheduling overhead.
 ///
 /// A planner holds nothing but its [`PlanConfig`]: every answer is a
 /// function of the configuration and the arguments, so one planner may
@@ -155,20 +142,20 @@ impl Planner {
     }
 
     /// Computes a plan for `graph` trained at `output_shape` with
-    /// `workers` scheduler threads and at most `budget` intra-transform
-    /// fan-out. Deterministic: the same inputs and configuration always
-    /// produce the identical plan.
+    /// `workers` scheduler threads. Deterministic: the same inputs and
+    /// configuration always produce the identical plan. `_budget` is
+    /// ignored: no transform fans out, so there is no fan-out to
+    /// choose. It is kept for callers that still pass one.
     pub fn plan(
         &self,
         graph: &Graph,
         output_shape: Vec3,
         workers: usize,
-        budget: usize,
+        _budget: usize,
     ) -> Result<NetPlan, shapes::ShapeError> {
         let input_shape = shapes::required_input_shape(graph, output_shape)?;
         let shape_of = shapes::infer_shapes(graph, input_shape)?;
         let workers = workers.max(1);
-        let budget = budget.max(1);
 
         // pads are keyed per *node*: every out-edge of a node transforms
         // the same image, and the engine's frequency-domain summation
@@ -214,27 +201,10 @@ impl Planner {
             }
         }
 
-        // fan-out sweep: Brent bound T₁/P + T∞ at every power-of-two
-        // candidate up to the budget
         let priced = self.price_edges(graph, &shape_of, &edges);
-        let mut curve: Vec<(usize, f64)> = Vec::new();
-        let mut t = 1usize;
-        loop {
-            curve.push((t, self.round_us(&priced, workers, t)));
-            if t >= budget {
-                break;
-            }
-            t = (t * 2).min(budget);
-        }
-        let (fft_threads, predicted_round_us) = curve
-            .into_iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("curve is never empty");
-
         Ok(NetPlan {
             edges,
-            fft_threads,
-            predicted_round_us,
+            predicted_round_us: self.round_us(&priced, workers),
         })
     }
 
@@ -254,55 +224,40 @@ impl Planner {
         let input_shape = shapes::required_input_shape(graph, output_shape)?;
         let shape_of = shapes::infer_shapes(graph, input_shape)?;
         let priced = self.price_edges(graph, &shape_of, &plan.edges);
-        Ok(self.round_us(&priced, workers.max(1), plan.fft_threads.max(1)))
+        Ok(self.round_us(&priced, workers.max(1)))
     }
 
-    /// Work totals of a concrete per-edge plan: (transform, other)
-    /// split per edge so fan-out candidates can speed up transform
-    /// terms only, plus the critical path and overhead populations.
+    /// Work totals of a concrete per-edge plan: the round cost of each
+    /// edge, the critical path and the task population.
     fn price_edges(
         &self,
         graph: &Graph,
         shape_of: &HashMap<NodeId, Vec3>,
         edges: &[Option<EdgePlan>],
     ) -> PricedNet {
-        let mut edge_split: Vec<(f64, f64)> = Vec::with_capacity(graph.edge_count());
-        let mut n_big_transforms = 0.0;
-        for site in cost::edge_sites(graph, shape_of, edges) {
-            let w = cost::round_work(&site, self.cfg.memoize_fft);
-            edge_split.push((
-                self.us(w.transform()),
-                self.us(w.direct) + self.us_pw(w.pointwise + w.sweep),
-            ));
-            if let Some((ConvMethod::Fft, pad)) = site.conv {
-                if pad.len() >= FANOUT_MIN_ELEMS {
-                    // ≈ transforms per FFT edge per round
-                    n_big_transforms += 6.0;
-                }
-            }
-        }
-        let crit = critical_path(graph, &edge_split);
+        let edge_us: Vec<f64> = cost::edge_sites(graph, shape_of, edges)
+            .iter()
+            .map(|site| {
+                let w = cost::round_work(site, self.cfg.memoize_fft);
+                self.us(w.transform()) + (self.us(w.direct) + self.us_pw(w.pointwise + w.sweep))
+            })
+            .collect();
         PricedNet {
-            work_us: edge_split.iter().map(|(t, o)| t + o).sum(),
-            crit,
-            n_big_transforms,
+            work_us: edge_us.iter().sum(),
+            crit_us: critical_path(graph, &edge_us),
             n_tasks: (3 * graph.edge_count()) as f64,
         }
     }
 
-    /// The predicted round time, µs, at fan-out `t`: the Brent bound
-    /// `T₁/P + T∞` — total work spread over the machine's
-    /// `workers`-thread throughput, the critical path with its
-    /// transform terms sped up by the fan-out — plus wall-clock
-    /// overhead (task scheduling + chunk spawns).
-    fn round_us(&self, priced: &PricedNet, workers: usize, t: usize) -> f64 {
+    /// The predicted round time, µs: the Brent bound `T₁/P + T∞` —
+    /// total work spread over the machine's `workers`-thread
+    /// throughput plus the critical path — plus task-scheduling
+    /// overhead.
+    fn round_us(&self, priced: &PricedNet, workers: usize) -> f64 {
         let throughput = self.cfg.machine.total_throughput(workers).max(1e-9);
-        let fan_speed = self.cfg.machine.total_throughput(t).max(1.0);
-        let work_us = priced.work_us / throughput
-            + ROUND_CRIT_FACTOR * (priced.crit.transform_us / fan_speed + priced.crit.other_us);
-        let overhead_us = SCHED_OVERHEAD_US * priced.n_tasks
-            + SPAWN_OVERHEAD_US * (t - 1) as f64 * priced.n_big_transforms;
-        work_us + overhead_us
+        priced.work_us / throughput
+            + ROUND_CRIT_FACTOR * priced.crit_us
+            + SCHED_OVERHEAD_US * priced.n_tasks
     }
 
     /// Direct/FFT choice for a single *serving* (forward-only)
@@ -363,56 +318,35 @@ impl Planner {
     }
 }
 
-/// Per-edge forward cost split along the critical path.
-struct CritPath {
-    transform_us: f64,
-    other_us: f64,
-}
-
-/// Priced work totals of a concrete plan, ready for the fan-out sweep.
+/// Priced work totals of a concrete plan.
 struct PricedNet {
     /// Total per-round work across all edges, µs at one thread.
     work_us: f64,
-    /// The T∞ term, transform and other parts kept separate.
-    crit: CritPath,
-    /// Transforms per round large enough to fan out (spawn-overhead
-    /// population).
-    n_big_transforms: f64,
+    /// The T∞ term: the forward pass along the critical path, µs.
+    crit_us: f64,
     /// Scheduled tasks per round (scheduling-overhead population).
     n_tasks: f64,
 }
 
 /// Longest path through the DAG, accumulating per-edge forward-pass
-/// costs (one third of the round split, since `edge_split` holds full
-/// rounds) — Kahn topological order, O(V+E).
-fn critical_path(graph: &Graph, edge_split: &[(f64, f64)]) -> CritPath {
+/// costs (one third of `edge_us`, which holds full rounds) — Kahn
+/// topological order, O(V+E).
+fn critical_path(graph: &Graph, edge_us: &[f64]) -> f64 {
     let n = graph.node_count();
     let mut indeg: Vec<usize> = (0..n).map(|i| graph.node(NodeId(i)).in_edges.len()).collect();
     let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    // (transform_us, other_us) of the heaviest chain ending at node i
-    let mut best: Vec<(f64, f64)> = vec![(0.0, 0.0); n];
+    // cost of the heaviest chain ending at node i
+    let mut best = vec![0.0f64; n];
     while let Some(i) = ready.pop() {
         for &e in &graph.node(NodeId(i)).out_edges {
             let to = graph.edge(e).to.0;
-            let (tf, ot) = edge_split[e.0];
             // forward share of the full-round edge cost
-            let cand = (best[i].0 + tf / 3.0, best[i].1 + ot / 3.0);
-            if cand.0 + cand.1 > best[to].0 + best[to].1 {
-                best[to] = cand;
-            }
+            best[to] = best[to].max(best[i] + edge_us[e.0] / 3.0);
             indeg[to] -= 1;
             if indeg[to] == 0 {
                 ready.push(to);
             }
         }
     }
-    let (transform_us, other_us) = best
-        .iter()
-        .copied()
-        .max_by(|a, b| (a.0 + a.1).total_cmp(&(b.0 + b.1)))
-        .unwrap_or((0.0, 0.0));
-    CritPath {
-        transform_us,
-        other_us,
-    }
+    best.into_iter().fold(0.0, f64::max)
 }

@@ -1,5 +1,5 @@
 //! Planner contract tests: determinism, cost-model sanity and the
-//! fan-out argmin.
+//! per-edge argmin.
 
 use znn_graph::builder::{comparison_net, scalability_net_2d, scalability_net_3d};
 use znn_ops::ConvMethod;
@@ -40,7 +40,6 @@ fn plan_covers_exactly_the_conv_edges() {
         }
     }
     assert!(plan.predicted_round_us > 0.0);
-    assert!(plan.fft_threads >= 1 && plan.fft_threads <= 8);
 }
 
 #[test]
@@ -92,20 +91,6 @@ fn pads_are_keyed_per_node() {
 }
 
 #[test]
-fn fan_out_shrinks_on_small_machines_and_nets() {
-    let (g, _) = scalability_net_3d(2);
-    let out = Vec3::cube(4);
-    // a tiny net on one core: fanning out can only add overhead
-    let p1 = planner(Machine::detect_like_single_core());
-    let plan1 = p1.plan(&g, out, 1, 1).unwrap();
-    assert_eq!(plan1.fft_threads, 1);
-    // the budget is always respected
-    let p4 = planner(Machine::xeon_e5_18core());
-    let plan4 = p4.plan(&g, out, 18, 4).unwrap();
-    assert!(plan4.fft_threads <= 4);
-}
-
-#[test]
 fn auto_prediction_is_argmin_over_forced_strategies() {
     // the planner's own cost model must never prefer a forced strategy
     // to its chosen plan — Auto is the per-edge argmin by construction,
@@ -128,15 +113,12 @@ fn auto_prediction_is_argmin_over_forced_strategies() {
         );
         for method in [ConvMethod::Direct, ConvMethod::Fft] {
             for pow2 in [false, true] {
-                for t in [1usize, 4, 18] {
-                    let forced = NetPlan::force(g, out, method, t, pow2).unwrap();
-                    let forced_us = p.price(g, out, 18, &forced).unwrap();
-                    assert!(
-                        auto_us <= forced_us * (1.0 + 1e-9),
-                        "auto {auto_us:.1}µs beaten by {method:?} pow2={pow2} \
-                         t={t}: {forced_us:.1}µs"
-                    );
-                }
+                let forced = NetPlan::force(g, out, method, 1, pow2).unwrap();
+                let forced_us = p.price(g, out, 18, &forced).unwrap();
+                assert!(
+                    auto_us <= forced_us * (1.0 + 1e-9),
+                    "auto {auto_us:.1}µs beaten by {method:?} pow2={pow2}: {forced_us:.1}µs"
+                );
             }
         }
     }
@@ -151,9 +133,8 @@ fn force_builds_single_method_plans() {
         (ConvMethod::Fft, false),
         (ConvMethod::Fft, true),
     ] {
-        let plan = NetPlan::force(&g, out, method, 2, pow2).unwrap();
+        let plan = NetPlan::force(&g, out, method, 1, pow2).unwrap();
         assert_eq!(plan.edges.len(), g.edge_count());
-        assert_eq!(plan.fft_threads, 2);
         for (i, e) in g.edges().iter().enumerate() {
             if matches!(e.op, znn_graph::EdgeOp::Conv { .. }) {
                 let ep = plan.edges[i].unwrap();
@@ -175,24 +156,4 @@ fn choose_forward_prices_serving_geometries() {
     assert!(Vec3::cube(32).le(pad));
     let (m_small, _) = p.choose_forward(Vec3::cube(12), Vec3::cube(2), Vec3::one());
     assert_eq!(m_small, ConvMethod::Direct);
-}
-
-/// A 1-core stand-in with detect()'s shape but deterministic rates
-/// (tests must not depend on the host microprobe).
-trait SingleCore {
-    fn detect_like_single_core() -> Machine;
-}
-
-impl SingleCore for Machine {
-    fn detect_like_single_core() -> Machine {
-        Machine {
-            name: "single-core test host",
-            cores: 1,
-            hw_threads: 1,
-            ghz: 0.0,
-            smt_throughput: vec![1.0],
-            gflops: 5.0,
-            bandwidth_gbs: 10.0,
-        }
-    }
 }

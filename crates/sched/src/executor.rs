@@ -5,17 +5,7 @@
 //! plain `FnOnce` closures; they may submit further tasks (that is how
 //! the dependency graph unfolds at runtime — the task that completes a
 //! node's sum enqueues the node's dependent tasks).
-//!
-//! Workers can additionally **donate** themselves to a fork-join pool
-//! ([`Executor::with_donation`]): whenever the task queue is empty, a
-//! worker executes pending [`ThreadPool`] scope jobs instead of parking. A
-//! scheduler task that opens a parallel FFT scope therefore runs its
-//! line chunks on otherwise-idle sibling workers — one thread budget
-//! for task- and data-parallelism, no oversubscription. Scheduler
-//! tasks always take precedence: donation happens only when the queue
-//! has nothing runnable.
 
-use crate::pool::ThreadPool;
 use crate::queue::{QueuePolicy, TaskQueue};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -24,30 +14,6 @@ use std::thread::JoinHandle;
 
 /// A unit of work.
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// Registers a donor waker on `pool` that calls `wake(&target)` for
-/// every queued fork-join job, holding `target` weakly. Returns the
-/// `Arc` that keeps the registration alive — drop it to unregister.
-/// Shared by both executor flavours so the lost-wakeup-sensitive
-/// pairing lives in one place.
-pub(crate) fn register_donor_waker<T, F>(
-    pool: &ThreadPool,
-    target: &Arc<T>,
-    wake: F,
-) -> Arc<dyn Fn() + Send + Sync>
-where
-    T: Send + Sync + 'static,
-    F: Fn(&T) + Send + Sync + 'static,
-{
-    let weak = Arc::downgrade(target);
-    let waker: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
-        if let Some(t) = weak.upgrade() {
-            wake(&t);
-        }
-    });
-    pool.add_donor_waker(&waker);
-    waker
-}
 
 /// Anything that can run tasks at a priority — implemented by the
 /// queue-based [`Executor`] and the work-stealing alternative.
@@ -89,9 +55,6 @@ struct Shared {
     workers: usize,
     idle_cond: Condvar,
     idle_lock: Mutex<()>,
-    /// Fork-join pool idle workers donate to (scope jobs run when the
-    /// task queue is empty).
-    donate: Option<Arc<ThreadPool>>,
 }
 
 /// The queue-based worker pool. Dropping the executor shuts the workers
@@ -99,58 +62,11 @@ struct Shared {
 pub struct Executor {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
-    /// Keeps the donor waker registered with the fork-join pool alive;
-    /// dropping the executor unregisters it.
-    _waker: Option<Arc<dyn Fn() + Send + Sync>>,
 }
 
 impl Executor {
     /// Starts `workers >= 1` worker threads with the given queue policy.
     pub fn new(workers: usize, policy: QueuePolicy) -> Self {
-        Self::build(workers, policy, None)
-    }
-
-    /// Starts `workers >= 1` worker threads that **donate** to `pool`:
-    /// whenever the task queue is empty, a worker executes pending
-    /// fork-join jobs (parallel FFT line chunks) from `pool` instead
-    /// of parking. Pair with a
-    /// [`ThreadPool::donor_only`] pool so the executor's workers
-    /// are the *only* threads in the budget.
-    ///
-    /// # Example
-    ///
-    /// One thread budget, two kinds of parallelism: a scheduler task
-    /// opens a fork-join scope on the shared donor-only pool, and its
-    /// chunks run on the task's own thread plus idle sibling workers —
-    /// never on new OS threads. (This is exactly how `znn-core` wires
-    /// `FftEngine::with_pool` to its executor.)
-    ///
-    /// ```
-    /// use std::sync::{mpsc, Arc};
-    /// use znn_sched::{Executor, QueuePolicy, Scheduler, ThreadPool};
-    ///
-    /// let pool = Arc::new(ThreadPool::donor_only());
-    /// let exec = Executor::with_donation(2, QueuePolicy::Priority, Arc::clone(&pool));
-    /// let (tx, rx) = mpsc::channel();
-    /// exec.submit(0, {
-    ///     let pool = Arc::clone(&pool);
-    ///     Box::new(move || {
-    ///         let mut halves = [0u32; 2];
-    ///         pool.scope(|s| {
-    ///             for (i, h) in halves.iter_mut().enumerate() {
-    ///                 s.spawn(move |_| *h = i as u32 + 1);
-    ///             }
-    ///         });
-    ///         tx.send(halves[0] + halves[1]).unwrap();
-    ///     })
-    /// });
-    /// assert_eq!(rx.recv().unwrap(), 3);
-    /// ```
-    pub fn with_donation(workers: usize, policy: QueuePolicy, pool: Arc<ThreadPool>) -> Self {
-        Self::build(workers, policy, Some(pool))
-    }
-
-    fn build(workers: usize, policy: QueuePolicy, donate: Option<Arc<ThreadPool>>) -> Self {
         assert!(workers >= 1, "an executor needs at least one worker");
         let shared = Arc::new(Shared {
             queue: Mutex::new(TaskQueue::new(policy)),
@@ -163,20 +79,6 @@ impl Executor {
             workers,
             idle_cond: Condvar::new(),
             idle_lock: Mutex::new(()),
-            donate,
-        });
-        // wake a parked worker when a fork-join job is queued. Taking
-        // the queue lock before notifying pairs with the worker's
-        // has-pending re-check under that same lock, so workers can
-        // park on an untimed wait without ever missing a donated job.
-        // notify_one: every `available` waiter re-checks queue + pool
-        // identically, so one wakeup per job is enough and a burst of
-        // W chunk pushes wakes at most W workers.
-        let waker = shared.donate.as_ref().map(|pool| {
-            register_donor_waker(pool, &shared, |s: &Shared| {
-                drop(s.queue.lock());
-                s.available.notify_one();
-            })
         });
         let handles = (0..workers)
             .map(|i| {
@@ -187,18 +89,13 @@ impl Executor {
                     .expect("failed to spawn worker")
             })
             .collect();
-        Executor {
-            shared,
-            handles,
-            _waker: waker,
-        }
+        Executor { shared, handles }
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.shared.workers
     }
-
 }
 
 impl Scheduler for Executor {
@@ -239,7 +136,6 @@ impl Scheduler for Executor {
 
 fn worker_loop(shared: Arc<Shared>) {
     loop {
-        // 1) scheduler tasks first — they carry the priorities
         let task = shared.queue.lock().pop();
         if let Some(task) = task {
             // contain panics at the worker: a panicking task must fail
@@ -257,30 +153,16 @@ fn worker_loop(shared: Arc<Shared>) {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        // 2) queue empty: donate this thread to pending fork-join jobs
-        if let Some(pool) = &shared.donate {
-            if pool.run_pending_job() {
-                continue;
-            }
-        }
-        // 3) nothing anywhere: park until a submit or a fork-join
-        //    waker arrives. Every wake source flips its state and
-        //    notifies while holding the queue lock (submit pushes
-        //    under it, the donor waker acquires it, drop takes it),
-        //    and all three conditions are re-checked under that lock
-        //    here — so the untimed wait cannot miss a wakeup and idle
-        //    workers never poll.
+        // queue empty: park until a submit arrives. Submit pushes
+        // under the queue lock and drop takes it before notifying, and
+        // both conditions are re-checked under that lock here — so the
+        // untimed wait cannot miss a wakeup and idle workers never poll.
         let mut q = shared.queue.lock();
         if !q.is_empty() {
             continue;
         }
         if shared.shutdown.load(Ordering::Acquire) {
             return;
-        }
-        if let Some(pool) = &shared.donate {
-            if pool.has_pending_jobs() {
-                continue; // a job slipped in between step 2 and here
-            }
         }
         shared.idle_workers.fetch_add(1, Ordering::SeqCst);
         shared.idle_cond.notify_all();

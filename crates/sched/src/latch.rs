@@ -7,7 +7,6 @@
 //! "rounds".
 
 use parking_lot::{Condvar, Mutex};
-use std::time::Duration;
 
 /// A reusable countdown latch.
 pub struct Latch {
@@ -62,7 +61,8 @@ impl Latch {
 
     /// Blocks until the count reaches zero or `timeout` elapses; returns
     /// `true` if the latch opened.
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
+    #[cfg(test)]
+    pub(crate) fn wait_timeout(&self, timeout: std::time::Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         let mut c = self.count.lock();
         while *c > 0 {
@@ -89,6 +89,7 @@ impl Latch {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn opens_after_exact_count() {

@@ -11,22 +11,16 @@
 //!   K rather than O(log N) in the number of tasks (§VII-A). FIFO and
 //!   LIFO policies from §X are provided for the scheduling ablation.
 //! * [`executor`] — the worker pool: each worker repeatedly picks the
-//!   highest-priority ready task and runs it (§VI-B). Workers can
-//!   *donate* idle time to a fork-join [`pool`]
-//!   ([`Executor::with_donation`]): when the task queue is empty they
-//!   execute pending scope jobs — parallel FFT line chunks spawned by
-//!   a sibling's convolution task — instead of parking. Paired with a
-//!   [`ThreadPool::donor_only`] pool this gives the paper's
-//!   "predetermined number of workers" a single thread budget covering
-//!   both task- and data-parallelism: an FFT inside a task never
-//!   oversubscribes the machine, because its chunks only ever run on
-//!   the scheduler's own (idle) workers and on the task's own thread.
+//!   highest-priority ready task and runs it (§VI-B). A task runs start
+//!   to finish on the worker that picked it — an FFT inside a
+//!   convolution task included — so the worker count is the whole
+//!   thread budget.
 //! * [`stealing`] — the work-stealing alternative scheduler mentioned in
-//!   §X, built on per-worker deques; its workers donate the same way
-//!   ([`StealingExecutor::with_donation`]).
-//! * [`pool`] — the persistent fork-join [`ThreadPool`] those scope
-//!   jobs run on, with [`ThreadPool::scope`] and the free [`scope`] on
-//!   the [`global_pool`].
+//!   §X, built on per-worker deques.
+//! * [`pool`] — a persistent fork-join [`ThreadPool`], with
+//!   [`ThreadPool::scope`] and the free [`scope`] on the
+//!   [`global_pool`]; the layer-at-a-time baseline splits each layer
+//!   over it.
 //! * [`update`] — the FORCE state machine of Algorithms 1–3: forward
 //!   tasks *force* their edge's pending update task — executing it
 //!   inline (Queued), delegating themselves to its executor (Executing),

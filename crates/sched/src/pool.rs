@@ -1,15 +1,14 @@
-//! The persistent fork-join pool every intra-task parallel loop runs on.
+//! The persistent fork-join pool the layer-at-a-time baseline runs on.
 //!
 //! [`ThreadPool`] is a pool of long-lived workers fed by the same
 //! work-stealing queues as the `StealingExecutor`: a shared injector
 //! plus one deque per worker. Workers pop their own deque LIFO, refill
 //! from the injector and steal FIFO from siblings.
 //! [`ThreadPool::scope`] (and the free [`scope`] on the [global
-//! pool](global_pool)) is the structured fork-join primitive `znn-fft`
-//! uses to split batched line transforms across workers: it returns
-//! only after every spawned task has finished, and tasks may borrow
-//! from the enclosing stack frame. No OS thread is ever spawned per
-//! `scope` call.
+//! pool](global_pool)) is the structured fork-join primitive: it
+//! returns only after every spawned task has finished, and tasks may
+//! borrow from the enclosing stack frame. No OS thread is ever spawned
+//! per `scope` call.
 //!
 //! # Joining without deadlock
 //!
@@ -17,20 +16,7 @@
 //! while its scope has unfinished tasks it **executes pending pool
 //! jobs itself** (its own deque first if it is a pool worker, then the
 //! injector, then siblings). Nested scopes therefore complete even on
-//! a pool with a single worker — or with none: a pool built by
-//! [`ThreadPool::donor_only`] owns no threads at all, and its jobs run
-//! on scope callers and *donor* threads (see below).
-//!
-//! # Donors
-//!
-//! The task executors of this crate can *donate* otherwise-idle
-//! threads: [`ThreadPool::run_pending_job`] pops and runs one queued
-//! job, and [`ThreadPool::add_donor_waker`] registers a callback
-//! invoked whenever a job is queued so donors can wake promptly. This
-//! is how one thread budget serves both the task scheduler and
-//! intra-transform FFT parallelism: the engine's pool is donor-only,
-//! and the scheduler's workers run its jobs whenever their own queue is
-//! empty.
+//! a pool with a single worker.
 
 use crate::deque::WorkQueues;
 use parking_lot::{Condvar, Mutex};
@@ -39,7 +25,7 @@ use std::cell::Cell;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 
 /// A queued unit of work with its scope lifetime erased (sound because
 /// a scope never returns before its last job finishes).
@@ -58,7 +44,7 @@ struct PoolState {
     /// The injector and one deque per dedicated worker.
     jobs: WorkQueues<Job>,
     /// Jobs queued and not yet claimed — a cheap emptiness probe for
-    /// donors and parked workers.
+    /// parked workers and scope owners.
     queued: AtomicUsize,
     shutdown: AtomicBool,
     /// Guards every sleep/wake transition: `queued` is bumped and jobs
@@ -68,8 +54,6 @@ struct PoolState {
     /// never poll.
     sleep_lock: Mutex<()>,
     sleep_cvar: Condvar,
-    /// Wakers of donor threads; pruned when their owners drop them.
-    wakers: Mutex<Vec<Weak<dyn Fn() + Send + Sync>>>,
 }
 
 impl PoolState {
@@ -100,14 +84,6 @@ impl PoolState {
             // no-op.
             self.sleep_cvar.notify_all();
         }
-        let mut wakers = self.wakers.lock();
-        wakers.retain(|w| match w.upgrade() {
-            Some(f) => {
-                f();
-                true
-            }
-            None => false,
-        });
     }
 
     /// Claims one queued job: own deque (LIFO), injector, then steal
@@ -168,21 +144,16 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    fn build_state(width: usize) -> Arc<PoolState> {
-        Arc::new(PoolState {
+    /// A pool with `width >= 1` dedicated worker threads.
+    pub fn with_workers(width: usize) -> Self {
+        let state = Arc::new(PoolState {
             id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
-            jobs: WorkQueues::new(width),
+            jobs: WorkQueues::new(width.max(1)),
             queued: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             sleep_lock: Mutex::new(()),
             sleep_cvar: Condvar::new(),
-            wakers: Mutex::new(Vec::new()),
-        })
-    }
-
-    /// A pool with `width >= 1` dedicated worker threads.
-    pub fn with_workers(width: usize) -> Self {
-        let state = Self::build_state(width.max(1));
+        });
         let handles = (0..state.jobs.workers())
             .map(|i| {
                 let state = Arc::clone(&state);
@@ -195,37 +166,7 @@ impl ThreadPool {
         ThreadPool { state, handles }
     }
 
-    /// A pool that owns **no threads**: its jobs run on the threads
-    /// that wait on its scopes and on registered donors. This is how a
-    /// task scheduler shares its thread budget with fork-join work
-    /// instead of oversubscribing the machine.
-    ///
-    /// # Example — donation semantics
-    ///
-    /// ```
-    /// use znn_sched::ThreadPool;
-    ///
-    /// // no worker threads at all: scope tasks run on the thread
-    /// // waiting on the scope (and on any donor that calls
-    /// // `run_pending_job` meanwhile)
-    /// let pool = ThreadPool::donor_only();
-    /// assert!(!pool.has_pending_jobs());
-    /// let mut hits = [false; 3];
-    /// pool.scope(|s| {
-    ///     for h in hits.iter_mut() {
-    ///         s.spawn(move |_| *h = true);
-    ///     }
-    /// });
-    /// assert!(hits.iter().all(|&h| h));
-    /// ```
-    pub fn donor_only() -> Self {
-        ThreadPool {
-            state: Self::build_state(0),
-            handles: Vec::new(),
-        }
-    }
-
-    /// Number of dedicated worker threads (0 for a donor-only pool).
+    /// Number of dedicated worker threads.
     pub fn workers(&self) -> usize {
         self.state.jobs.workers()
     }
@@ -257,31 +198,6 @@ impl ThreadPool {
             }
             Err(p) => resume_unwind(p),
         }
-    }
-
-    /// Pops and runs one queued job on the calling thread. Returns
-    /// `false` when nothing was queued. This is the *donation* entry
-    /// point for the task executors.
-    pub fn run_pending_job(&self) -> bool {
-        match self.state.find_job() {
-            Some(job) => {
-                job();
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// True when jobs are queued and unclaimed (cheap probe for
-    /// donors).
-    pub fn has_pending_jobs(&self) -> bool {
-        self.state.queued.load(Ordering::SeqCst) > 0
-    }
-
-    /// Registers a donor waker, held weakly: it is invoked on every
-    /// job push until the caller drops its `Arc`.
-    pub fn add_donor_waker(&self, waker: &Arc<dyn Fn() + Send + Sync>) {
-        self.state.wakers.lock().push(Arc::downgrade(waker));
     }
 }
 
@@ -366,9 +282,9 @@ impl ScopePtr {
 }
 
 impl<'scope> Scope<'scope> {
-    /// Runs `body` on a pool worker (or the waiting scope owner, or a
-    /// donor thread). The closure receives the scope again so it can
-    /// spawn nested tasks (`s.spawn(|s| ...)`).
+    /// Runs `body` on a pool worker (or the waiting scope owner). The
+    /// closure receives the scope again so it can spawn nested tasks
+    /// (`s.spawn(|s| ...)`).
     pub fn spawn<F>(&self, body: F)
     where
         F: FnOnce(&Scope<'scope>) + Send + 'scope,

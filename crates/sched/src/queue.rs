@@ -54,7 +54,7 @@ impl<T> TaskQueue<T> {
     /// Number of distinct priority values currently present — the K of
     /// the heap-of-lists complexity bound (meaningful for
     /// [`QueuePolicy::Priority`]).
-    pub fn distinct_priorities(&self) -> usize {
+    pub(crate) fn distinct_priorities(&self) -> usize {
         self.lists.len()
     }
 

@@ -15,7 +15,6 @@
 
 use crate::deque::WorkQueues;
 use crate::executor::{SchedStats, Scheduler, Task};
-use crate::pool::ThreadPool;
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -39,19 +38,13 @@ struct Pool {
     parked: Mutex<usize>,
     wake: Condvar,
     id: u64,
-    /// Fork-join pool idle workers donate to (scope jobs run when no
-    /// task is runnable anywhere).
-    donate: Option<Arc<ThreadPool>>,
 }
 
 /// A work-stealing executor with the same [`Scheduler`] interface as the
-/// priority [`crate::Executor`]. Like it, workers can donate idle time
-/// to a fork-join pool ([`StealingExecutor::with_donation`]).
+/// priority [`crate::Executor`].
 pub struct StealingExecutor {
     pool: Arc<Pool>,
     handles: Vec<JoinHandle<()>>,
-    /// Keeps the donor waker registered with the fork-join pool alive.
-    _waker: Option<Arc<dyn Fn() + Send + Sync>>,
 }
 
 static POOL_IDS: AtomicU64 = AtomicU64::new(0);
@@ -59,18 +52,6 @@ static POOL_IDS: AtomicU64 = AtomicU64::new(0);
 impl StealingExecutor {
     /// Starts `workers >= 1` stealing workers.
     pub fn new(workers: usize) -> Self {
-        Self::build(workers, None)
-    }
-
-    /// Starts `workers >= 1` stealing workers that donate idle time to
-    /// `pool`: whenever no task is runnable (own deque, injector and
-    /// siblings all empty), a worker executes pending fork-join jobs
-    /// from `pool` instead of parking.
-    pub fn with_donation(workers: usize, pool: Arc<ThreadPool>) -> Self {
-        Self::build(workers, Some(pool))
-    }
-
-    fn build(workers: usize, donate: Option<Arc<ThreadPool>>) -> Self {
         assert!(workers >= 1);
         let pool = Arc::new(Pool {
             tasks: WorkQueues::new(workers),
@@ -81,15 +62,6 @@ impl StealingExecutor {
             parked: Mutex::new(0),
             wake: Condvar::new(),
             id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
-            donate,
-        });
-        // notify_one per queued job (all parked stealers react to a
-        // wake identically); the 1ms timed park below is the backstop
-        // for the push-vs-park race, as for the pool's own submits
-        let waker = pool.donate.as_ref().map(|fj| {
-            crate::executor::register_donor_waker(fj, &pool, |p: &Pool| {
-                p.wake.notify_one();
-            })
         });
         let handles = (0..workers)
             .map(|i| {
@@ -100,11 +72,7 @@ impl StealingExecutor {
                     .expect("failed to spawn stealing worker")
             })
             .collect();
-        StealingExecutor {
-            pool,
-            handles,
-            _waker: waker,
-        }
+        StealingExecutor { pool, handles }
     }
 }
 
@@ -125,12 +93,6 @@ fn worker_loop(index: usize, pool: Arc<Pool>) {
             None => {
                 if pool.shutdown.load(Ordering::Acquire) {
                     break;
-                }
-                // no runnable task anywhere: donate to fork-join work
-                if let Some(fj) = &pool.donate {
-                    if fj.run_pending_job() {
-                        continue;
-                    }
                 }
                 let mut parked = pool.parked.lock();
                 *parked += 1;

@@ -32,7 +32,7 @@ fn scope_supports_nested_spawns() {
 #[test]
 fn single_worker_pool_completes_nested_scopes() {
     // the no-deadlock property: the scope owner executes pending
-    // jobs itself, so fan-out deeper than the worker count finishes
+    // jobs itself, so nesting deeper than the worker count finishes
     let pool = ThreadPool::with_workers(1);
     let hits = AtomicUsize::new(0);
     pool.scope(|s| {
@@ -49,55 +49,6 @@ fn single_worker_pool_completes_nested_scopes() {
         }
     });
     assert_eq!(hits.load(Ordering::SeqCst), 12);
-}
-
-#[test]
-fn donor_only_pool_runs_on_the_scope_owner() {
-    let pool = ThreadPool::donor_only();
-    assert_eq!(pool.workers(), 0);
-    let owner = std::thread::current().id();
-    let mut parts = vec![0usize; 16];
-    pool.scope(|s| {
-        for (i, p) in parts.iter_mut().enumerate() {
-            s.spawn(move |_| {
-                // no donors are registered, so only the owner can run it
-                assert_eq!(std::thread::current().id(), owner);
-                *p = i + 1;
-            });
-        }
-    });
-    assert_eq!(parts, (1..=16).collect::<Vec<_>>());
-}
-
-#[test]
-fn donors_execute_queued_jobs() {
-    let pool = Arc::new(ThreadPool::donor_only());
-    let woken = Arc::new(AtomicUsize::new(0));
-    let waker: Arc<dyn Fn() + Send + Sync> = {
-        let woken = Arc::clone(&woken);
-        Arc::new(move || {
-            woken.fetch_add(1, Ordering::SeqCst);
-        })
-    };
-    pool.add_donor_waker(&waker);
-    let ran = AtomicUsize::new(0);
-    // queue the jobs inside a scope: until its closure returns, only a
-    // donor (here the test thread) can run them
-    pool.scope(|s| {
-        s.spawn(|_| {
-            ran.fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(pool.has_pending_jobs());
-        assert!(woken.load(Ordering::SeqCst) >= 1);
-        assert!(pool.run_pending_job());
-        assert_eq!(ran.load(Ordering::SeqCst), 1);
-        assert!(!pool.run_pending_job());
-        // dropping the waker arc unregisters it
-        drop(waker);
-        s.spawn(|_| {});
-        assert!(pool.run_pending_job());
-        assert_eq!(woken.load(Ordering::SeqCst), 1);
-    });
 }
 
 #[test]

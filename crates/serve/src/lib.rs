@@ -62,6 +62,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod queue;
 mod server;

@@ -12,7 +12,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Why a [`BoundedQueue::try_push`] was refused; carries the rejected
+/// Why a `BoundedQueue::try_push` was refused; carries the rejected
 /// item back to the caller.
 pub enum PushError<T> {
     /// The queue is at capacity.
@@ -64,7 +64,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Enqueues `item` if there is room; never blocks.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
+    pub(crate) fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         let mut s = self.state.lock();
         if s.closed {
             return Err(PushError::Closed(item));
@@ -97,7 +97,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Dequeues without blocking.
-    pub fn try_pop(&self) -> Option<T> {
+    pub(crate) fn try_pop(&self) -> Option<T> {
         let mut s = self.state.lock();
         let item = s.items.pop_front();
         if item.is_some() {

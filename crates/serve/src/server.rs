@@ -182,7 +182,7 @@ impl Ticket {
     }
 
     /// Non-blocking probe: `true` once a response is available.
-    pub fn is_ready(&self) -> bool {
+    pub(crate) fn is_ready(&self) -> bool {
         self.inner.slot.lock().is_some()
     }
 }

@@ -22,6 +22,7 @@
 //! parallelism and FFT sharing, not from fancy tensor layouts.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod ops;
 pub mod pad;

@@ -69,7 +69,7 @@ impl Vec3 {
 
     /// True when `self`, as a coordinate, addresses a voxel of `shape`.
     #[inline]
-    pub fn fits_in(&self, shape: Vec3) -> bool {
+    pub(crate) fn fits_in(&self, shape: Vec3) -> bool {
         self.0[0] < shape.0[0] && self.0[1] < shape.0[1] && self.0[2] < shape.0[2]
     }
 

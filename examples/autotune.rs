@@ -1,5 +1,5 @@
 //! Watch the cost-model planner (`znn-plan`) choose direct vs FFT
-//! convolution, pad shapes, and the FFT fan-out per conv edge — then
+//! convolution and pad shapes per conv edge — then
 //! verify the planned engine agrees numerically with both forced
 //! paths.
 //!
@@ -36,10 +36,7 @@ fn main() {
     let planned = Znn::new(graph.clone(), out_shape, TrainConfig::default()).unwrap();
 
     let plan = planned.net_plan();
-    println!(
-        "plan: fft_threads = {}, predicted round = {:.0}µs",
-        plan.fft_threads, plan.predicted_round_us
-    );
+    println!("plan: predicted round = {:.0}µs", plan.predicted_round_us);
     println!("per conv geometry:");
     let mut seen: Vec<Vec3> = Vec::new();
     for (i, e) in graph.edges().iter().enumerate() {
