@@ -4,11 +4,12 @@
 //!   atomic CRC-checked checkpoint (tmp + fsync + rename + prune) and
 //!   to restore the newest valid one, plus its on-disk size. This is
 //!   the price of `--checkpoint-every`, paid once per interval.
-//! * `"overhead"` — per-round cost of the recoverable driver: the same
-//!   training run under `Trainer::run` vs `Trainer::run_recoverable`
-//!   with checkpoints every 5 rounds. The delta bounds what the health
-//!   sentinels + last-good capture + periodic snapshots add to every
-//!   round (`overhead_pct_round`).
+//! * `"overhead"` — per-round cost of the training driver: a bare
+//!   `Znn::train_step` loop over the dataset's samples vs
+//!   `Trainer::run_recoverable` on the same samples with checkpoints
+//!   every 5 rounds. The delta bounds what the health sentinels +
+//!   rollback-state capture + periodic snapshots add to every round
+//!   (`overhead_pct_round`).
 //! * `"faults"` — one record per fault class (`task_panic`,
 //!   `lease_fail`, `nan_poke`, `crash`) injected mid-run through a
 //!   deterministic `FaultPlan`: did training survive to the requested
@@ -30,7 +31,7 @@ use std::time::Instant;
 use znn_alloc::PoolSet;
 use znn_bench::{fmt, header, row, time_per_round};
 use znn_core::{
-    latest_valid, Checkpoint, CheckpointConfig, ConvPolicy, RandomDataset, TrainConfig,
+    latest_valid, Checkpoint, CheckpointConfig, ConvPolicy, Dataset, RandomDataset, TrainConfig,
     TrainOutcome, Trainer, Znn,
 };
 use znn_fault::{FaultKind, FaultPlan};
@@ -165,9 +166,13 @@ fn main() {
     {
         let plain_s = {
             let znn = soak.znn(None, None, None);
-            let mut trainer = Trainer::new(&znn, soak.data(&znn));
+            let mut data = soak.data(&znn);
             let start = Instant::now();
-            trainer.run(rounds, rounds, |_| {});
+            for round in 0..rounds {
+                let (inputs, targets) = data.sample(round);
+                znn.train_step(&inputs, &targets);
+            }
+            znn.flush_updates();
             start.elapsed().as_secs_f64() / rounds as f64
         };
         let dir = tmpdir("overhead");
@@ -181,7 +186,9 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
         let rec_s = total_s / rounds as f64;
         let overhead_pct = (rec_s / plain_s - 1.0) * 100.0;
-        println!("\n# recoverable driver vs plain loop ({rounds} rounds, checkpoint every 5)\n");
+        println!(
+            "\n# training driver vs bare train_step loop ({rounds} rounds, checkpoint every 5)\n"
+        );
         header(&["plain s/round", "recoverable s/round", "overhead"]);
         row(&[
             fmt(plain_s),

@@ -2,11 +2,12 @@
 //! fixed strategies it replaces, on the paper's benchmark geometries.
 //!
 //! For each net the `Autotune` plan is resolved against the detected
-//! machine model and timed; every fixed strategy (direct, FFT with
-//! smooth pads, FFT with pow2 pads) is a `NetPlan::force` plan run via
-//! `Znn::with_plan`, priced through the *same* model, and timed
-//! identically. The headline number per net is
-//! the gap `auto_measured / best_fixed_measured`.
+//! machine model; every fixed strategy (direct, FFT with smooth pads,
+//! FFT with pow2 pads) is a `NetPlan::force` plan run via
+//! `Znn::with_plan`, priced through the *same* model. All four engines
+//! are built and warmed up front, then timed round-robin, rotating
+//! which goes first, and each reports its median round. The headline
+//! number per net is the gap `auto_measured / best_fixed_measured`.
 //!
 //! Emits `BENCH_plan.json`: machine prior, per-edge chosen plan,
 //! predicted vs measured round times, and a per-net verdict. The verdict is the
@@ -70,23 +71,46 @@ fn nets(smoke: bool) -> Vec<NetCase> {
     }
 }
 
-/// Median wall time per round of `rounds` training steps after
-/// `warmup` unmeasured ones.
-fn median_round_us(znn: &Znn, out: Vec3, warmup: usize, rounds: usize, seed: u64) -> f64 {
-    let x = ops::random(znn.input_shape(), seed);
+/// Median wall time per round of each engine over `rounds` measured
+/// rounds after `warmup` unmeasured ones. A round is one training step
+/// plus its flushed updates, so no engine's pending work runs while
+/// another is timed. The engines are timed round-robin, one round each
+/// per pass with the first engine rotating between passes, so host
+/// drift spreads over all of them alike.
+fn median_round_us(
+    engines: &[Znn],
+    out: Vec3,
+    warmup: usize,
+    rounds: usize,
+    seed: u64,
+) -> Vec<f64> {
+    let x = ops::random(engines[0].input_shape(), seed);
     let t = ops::random(out, seed + 1).map(|v| 0.3 * v);
-    for _ in 0..warmup {
+    let round = |znn: &Znn| {
         znn.train_step(std::slice::from_ref(&x), std::slice::from_ref(&t));
+        znn.flush_updates();
+    };
+    for znn in engines {
+        for _ in 0..warmup {
+            round(znn);
+        }
     }
-    let mut samples: Vec<f64> = (0..rounds)
-        .map(|_| {
+    let mut samples = vec![Vec::with_capacity(rounds); engines.len()];
+    for pass in 0..rounds {
+        for i in 0..engines.len() {
+            let e = (pass + i) % engines.len();
             let t0 = Instant::now();
-            znn.train_step(std::slice::from_ref(&x), std::slice::from_ref(&t));
-            t0.elapsed().as_micros() as f64
+            round(&engines[e]);
+            samples[e].push(t0.elapsed().as_micros() as f64);
+        }
+    }
+    samples
+        .into_iter()
+        .map(|mut s| {
+            s.sort_by(f64::total_cmp);
+            s[s.len() / 2]
         })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
+        .collect()
 }
 
 /// The default config at `workers`; every run enters through
@@ -103,7 +127,7 @@ fn main() {
     let workers = std::thread::available_parallelism()
         .map(|v| v.get())
         .unwrap_or(1);
-    let (warmup, rounds) = if smoke { (1, 3) } else { (2, 7) };
+    let (warmup, rounds) = if smoke { (1, 9) } else { (2, 15) };
 
     let machine = znn_plan::Machine::host();
     println!(
@@ -149,15 +173,25 @@ fn main() {
             (ConvMethod::Fft, false),
             (ConvMethod::Fft, true),
         ];
-        let mut fixed = Vec::new();
+        let mut engines = Vec::new();
+        let mut priced = Vec::new();
         for (method, pow2) in grid {
             let forced = Arc::new(NetPlan::force(&case.graph, case.out, method, 1, pow2).unwrap());
             let predicted_us = planner
                 .price(&case.graph, case.out, workers, &forced)
                 .unwrap();
-            let fz = Znn::with_plan(case.graph.clone(), case.out, config(workers), forced)
-                .expect("net sizes");
-            let measured_us = median_round_us(&fz, case.out, warmup, rounds, 11);
+            priced.push(predicted_us);
+            engines.push(
+                Znn::with_plan(case.graph.clone(), case.out, config(workers), forced)
+                    .expect("net sizes"),
+            );
+        }
+        engines.push(znn);
+        let mut measured = median_round_us(&engines, case.out, warmup, rounds, 11);
+        let auto_us = measured.pop().expect("the Auto engine is listed last");
+        let mut fixed = Vec::new();
+        let rows = grid.into_iter().zip(priced).zip(measured);
+        for (((method, pow2), predicted_us), measured_us) in rows {
             let label = match (method, pow2) {
                 (ConvMethod::Direct, _) => "direct",
                 (ConvMethod::Fft, false) => "fft",
@@ -172,8 +206,6 @@ fn main() {
                 measured_us,
             });
         }
-        // three more measured rounds than each fixed strategy gets
-        let auto_us = median_round_us(&znn, case.out, warmup, 3 + rounds, 11);
 
         let best = fixed
             .iter()

@@ -27,12 +27,13 @@
 //! resident footprint are reported when training ends. `--pool-report`
 //! additionally dumps per-size-class occupancy and hit rates at exit.
 //!
-//! `--checkpoint-dir` enables durable checkpoints (atomic write +
-//! CRC-checked, every `--checkpoint-every` rounds, default 25) and runs
-//! training under the recoverable driver: divergence and non-finite
-//! sentinels roll back to the last good state and retry with
-//! learning-rate backoff. `--resume` restarts from the newest valid
-//! snapshot in the directory, bit-identically.
+//! Training always runs the one recoverable loop
+//! (`Trainer::run_recoverable`): divergence and non-finite sentinels
+//! roll back past the update that caused a failure and retry with a
+//! backed-off SGD step. `--checkpoint-dir` only adds durable snapshots
+//! (atomic write + CRC-checked, every `--checkpoint-every` rounds,
+//! default 25, and at the end). `--resume` restarts from the newest
+//! valid snapshot in the directory, bit-identically.
 //!
 //! With no `--spec`, a built-in demo spec is used.
 
@@ -235,21 +236,17 @@ fn main() -> ExitCode {
             p.round, p.mean_loss, p.lr_factor
         );
     };
-    if args.checkpoint_dir.is_some() {
-        match trainer.run_recoverable(args.rounds, report_every, report) {
-            Ok(TrainOutcome::Completed { final_loss }) => {
-                println!("training completed, final loss {final_loss:.4}");
-            }
-            Ok(TrainOutcome::Interrupted { at_round }) => {
-                println!("training interrupted at round {at_round}");
-            }
-            Err(e) => {
-                eprintln!("training failed: {e}");
-                return ExitCode::FAILURE;
-            }
+    match trainer.run_recoverable(args.rounds, report_every, report) {
+        Ok(TrainOutcome::Completed { final_loss }) => {
+            println!("training completed, final loss {final_loss:.4}");
         }
-    } else {
-        trainer.run(args.rounds, report_every, report);
+        Ok(TrainOutcome::Interrupted { at_round }) => {
+            println!("training interrupted at round {at_round}");
+        }
+        Err(e) => {
+            eprintln!("training failed: {e}");
+            return ExitCode::FAILURE;
+        }
     }
     let stats = znn.stats();
     println!(

@@ -34,7 +34,7 @@ impl CheckpointConfig {
 }
 
 /// Thresholds for the health sentinels and the rollback loop
-/// (`Trainer::run_recoverable`).
+/// (`Trainer::run_recoverable`, the one training loop).
 #[derive(Clone, Debug)]
 pub struct HealthPolicy {
     /// Healthy-loss window the divergence detector compares against: a
@@ -45,11 +45,11 @@ pub struct HealthPolicy {
     pub divergence_window: usize,
     /// Multiple of the rolling median loss that counts as divergence.
     pub divergence_factor: f64,
-    /// Consecutive failed rounds tolerated before training aborts with
-    /// a diagnostic.
+    /// Failed rounds tolerated before a round past the failing one is
+    /// healthy; one more aborts training with a diagnostic.
     pub max_retries: u32,
-    /// Learning-rate multiplier applied on each rollback (compounds
-    /// across consecutive failures, resets after a healthy round).
+    /// SGD step multiplier applied on each rollback (compounds across
+    /// failures, resets once a round past the failed one is healthy).
     pub lr_backoff: f64,
 }
 
@@ -125,7 +125,8 @@ pub struct TrainConfig {
     /// Use the §X work-stealing scheduler instead of the global
     /// priority queue (priorities are then ignored).
     pub work_stealing: bool,
-    /// SGD learning rate η.
+    /// SGD learning rate η, scaled per round by the trainer's schedule
+    /// and rollback backoff.
     pub learning_rate: f32,
     /// Momentum coefficient (0 disables; classic heavy-ball).
     pub momentum: f32,

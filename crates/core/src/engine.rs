@@ -4,7 +4,7 @@ use crate::config::{Chooser, TrainConfig};
 use crate::state::{Contribution, ConvEdge, EdgeState, FreqPlan, MaxEdge, NodeState, TransferEdge};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use znn_fault::FaultKind;
@@ -103,6 +103,10 @@ struct Inner {
     bwd_latch: Latch,
     training: AtomicBool,
     round: AtomicU64,
+    /// This round's SGD step factor, as `f32` bits. Relaxed: it is
+    /// stored before the round submits its first task, and submission
+    /// orders it before every read in that round's tasks.
+    step: AtomicU32,
     input_shape: Vec3,
     /// Set by the first contained panic of the round; checked by the
     /// driver after each latch wait.
@@ -353,6 +357,7 @@ impl Znn {
             bwd_latch: Latch::new(inputs),
             training: AtomicBool::new(false),
             round: AtomicU64::new(0),
+            step: AtomicU32::new(1.0f32.to_bits()),
             input_shape,
             round_failed: AtomicBool::new(false),
             panic_note: Mutex::new(None),
@@ -442,6 +447,19 @@ impl Znn {
     /// Panics, before any state changes, unless `inputs` match the
     /// input nodes and `targets` the output nodes in count and shape.
     pub fn try_train_step(&self, inputs: &[Image], targets: &[Image]) -> Result<f64, RoundError> {
+        self.train_round(inputs, targets, 1.0)
+    }
+
+    /// [`Znn::try_train_step`] whose updates step by `learning_rate ×
+    /// step` (weight decay and momentum's new term included), fixed
+    /// when armed, so a later round that FORCEs them keeps this step.
+    /// At `step = 1.0` that is `learning_rate` bit for bit.
+    pub(crate) fn train_round(
+        &self,
+        inputs: &[Image],
+        targets: &[Image],
+        step: f32,
+    ) -> Result<f64, RoundError> {
         self.check_inputs(inputs);
         let outputs = self.inner.graph.outputs();
         assert_eq!(targets.len(), outputs.len(), "one target per output");
@@ -449,6 +467,7 @@ impl Znn {
             assert_eq!(t.shape(), self.inner.node_shape[o.0], "target shape mismatch");
         }
         self.inner.training.store(true, Ordering::Release);
+        self.inner.step.store(step.to_bits(), Ordering::Relaxed);
         let round_start = Instant::now();
         let round = self.inner.round.fetch_add(1, Ordering::Relaxed) + 1;
         self.run_forward(inputs);
@@ -1130,6 +1149,7 @@ impl Inner {
             (None, None)
         };
         let grad = Arc::clone(grad);
+        let eta = inner.eta();
         let inner2 = Arc::clone(inner);
         let handle = c.update.clone();
         // the containment sits INSIDE the armed closure: if the update
@@ -1149,7 +1169,7 @@ impl Inner {
                     }
                     _ => conv::kernel_gradient(&x, &grad, c.k, c.sparsity),
                 };
-                Inner::apply_sgd(inner2.as_ref(), c, dw);
+                Inner::apply_sgd(inner2.as_ref(), c, dw, eta);
             });
         }));
         Inner::submit_update_entry(inner, c.update.queue_entry());
@@ -1172,7 +1192,12 @@ impl Inner {
         );
     }
 
-    fn apply_sgd(inner: &Inner, c: &ConvEdge, mut dw: Image) {
+    /// The step size of the updates armed in this round.
+    fn eta(&self) -> f32 {
+        self.cfg.learning_rate * f32::from_bits(self.step.load(Ordering::Relaxed))
+    }
+
+    fn apply_sgd(inner: &Inner, c: &ConvEdge, mut dw: Image, eta: f32) {
         let cfg = &inner.cfg;
         let mut w = c.kernel.lock();
         if cfg.weight_decay > 0.0 {
@@ -1182,18 +1207,19 @@ impl Inner {
         if cfg.momentum > 0.0 {
             let mut vel = c.velocity.lock();
             let v = vel.get_or_insert_with(|| Tensor3::zeros(w.shape()));
-            // v = momentum*v - lr*dw ; w += v
+            // v = momentum*v - eta*dw ; w += v
             ops::scale(v, cfg.momentum);
-            ops::sub_scaled(v, cfg.learning_rate, &dw);
+            ops::sub_scaled(v, eta, &dw);
             ops::add_assign(&mut w, v);
         } else {
-            ops::sub_scaled(&mut w, cfg.learning_rate, &dw);
+            ops::sub_scaled(&mut w, eta, &dw);
         }
         // the kernel changed: its memoized spectrum is stale
         *c.kernel_spectrum.lock() = None;
     }
 
     fn arm_bias_update(inner: &Arc<Inner>, e: EdgeId, db: f32) {
+        let eta = inner.eta();
         let inner2 = Arc::clone(inner);
         let EdgeState::Transfer(t) = &inner.edges[e.0] else {
             unreachable!()
@@ -1207,7 +1233,7 @@ impl Inner {
                 let EdgeState::Transfer(t) = &inner2.edges[e.0] else {
                     unreachable!()
                 };
-                *t.bias.lock() -= inner2.cfg.learning_rate * db;
+                *t.bias.lock() -= eta * db;
             });
         }));
         Inner::submit_update_entry(inner, t.update.queue_entry());

@@ -33,8 +33,10 @@
 //! Training is **fault tolerant** (see `docs/ARCHITECTURE.md` §Fault
 //! tolerance): a panicking task poisons its round instead of the
 //! process ([`Znn::try_train_step`]), [`checkpoint`] persists durable
-//! CRC-checked snapshots, and [`Trainer::run_recoverable`] adds health
-//! sentinels with checkpoint rollback and learning-rate backoff. The
+//! CRC-checked snapshots, and [`Trainer::run_recoverable`], the one
+//! training loop, rolls back past the update that tripped a health
+//! sentinel and retries with a backed-off SGD step. Schedules and
+//! backoff scale the update tasks' step, never the targets. The
 //! `znn-fault` crate injects deterministic faults through
 //! [`TrainConfig::faults`] to test all of it.
 

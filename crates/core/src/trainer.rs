@@ -57,7 +57,7 @@ pub struct Progress {
     pub round: u64,
     /// Mean loss over the window.
     pub mean_loss: f64,
-    /// Learning-rate factor in effect.
+    /// Step factor (schedule × backoff) of the window's last round.
     pub lr_factor: f32,
 }
 
@@ -81,11 +81,11 @@ pub enum TrainOutcome {
 #[derive(Debug)]
 pub enum TrainError {
     /// The same round failed health checks more than
-    /// [`crate::HealthPolicy::max_retries`] times in a row, each retry
-    /// starting from the last good state with a backed-off learning
-    /// rate.
+    /// [`crate::HealthPolicy::max_retries`] times before a round past it
+    /// was healthy, each retry starting from the state before the
+    /// culprit update with a backed-off SGD step.
     RetriesExhausted {
-        /// The round that kept failing (1-based).
+        /// The round whose failure exhausted the retries (1-based).
         round: u64,
         /// Rollback-and-retry attempts made.
         retries: u32,
@@ -114,10 +114,9 @@ impl std::fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// In-memory copy of the last known-good training state, captured
-/// after every healthy round (cheap next to a round: two buffer
-/// copies, no disk).
-struct LastGood {
+/// The training state a round ran on, kept in memory for rollback (two
+/// buffer copies, no disk).
+struct RoundStart {
     round: u64,
     params: ParamSet,
     velocities: Vec<Option<Image>>,
@@ -125,10 +124,9 @@ struct LastGood {
 
 /// The training loop driver.
 ///
-/// The engine's learning rate is fixed at construction, so the schedule
-/// is applied by shrinking the per-round target residual (`t' = y +
-/// f·(t−y)`), which scales the MSE gradient by exactly the schedule
-/// factor — equivalent to scaling the SGD step.
+/// Each round's SGD step is `learning_rate ×` the schedule's factor ×
+/// the rollback backoff; the factor goes to the engine with the round,
+/// and losses are always taken against the true targets.
 pub struct Trainer<'a, D: Dataset> {
     znn: &'a Znn,
     data: D,
@@ -155,39 +153,15 @@ impl<'a, D: Dataset> Trainer<'a, D> {
         self
     }
 
-    /// Runs `rounds` training rounds; invokes `report` every
-    /// `report_every` rounds with windowed statistics.
-    pub fn run(
-        &mut self,
-        rounds: u64,
-        report_every: u64,
-        mut report: impl FnMut(Progress),
-    ) -> f64 {
-        let mut window = Vec::new();
-        let mut last = 0.0;
-        for _ in 0..rounds {
-            let factor = self.schedule.factor(self.round);
-            let (inputs, mut targets) = self.data.sample(self.round);
-            // schedule-by-target-scaling: targets move toward the
-            // current output only when factor != 1, which reduces the
-            // effective step; constant schedules take the fast path
-            if (factor - 1.0).abs() >= f32::EPSILON {
-                self.blend_targets(factor, &inputs, &mut targets);
-            }
-            last = self.znn.train_step(&inputs, &targets);
-            window.push(last);
-            self.history.push(last);
-            self.round += 1;
-            if self.round.is_multiple_of(report_every.max(1)) {
-                report(Progress {
-                    round: self.round - window.len() as u64,
-                    mean_loss: window.iter().sum::<f64>() / window.len() as f64,
-                    lr_factor: factor,
-                });
-                window.clear();
-            }
+    /// Runs `rounds` rounds of [`Trainer::run_recoverable`], invoking
+    /// `report` every `report_every` rounds with windowed statistics,
+    /// and returns the last healthy round's loss. Panics with the
+    /// diagnostic if the run gives up ([`TrainError`]).
+    pub fn run(&mut self, rounds: u64, report_every: u64, report: impl FnMut(Progress)) -> f64 {
+        if let Err(e) = self.run_recoverable(rounds, report_every, report) {
+            panic!("{e}");
         }
-        last
+        self.history.last().copied().unwrap_or(0.0)
     }
 
     /// Resumes from the newest valid snapshot in the configured
@@ -228,24 +202,24 @@ impl<'a, D: Dataset> Trainer<'a, D> {
         }
     }
 
-    /// Like [`Trainer::run`], but fault tolerant. Runs `rounds` rounds
-    /// with three layers of protection:
+    /// The training loop: runs `rounds` rounds, each with its step
+    /// factor, and checks [`crate::HealthPolicy`]'s sentinels after
+    /// every one. A failed round rolls back to the state before the
+    /// update that caused it and retries with the step backed off by
+    /// `lr_backoff` per failure (`docs/ARCHITECTURE.md` §5):
+    /// - a non-finite or divergent loss at round k blames round k−1's
+    ///   update: round k−1 is re-run from the state it ran on (round k
+    ///   is retried when that state is not kept: at this run's first
+    ///   round, or right after such a rollback);
+    /// - a non-finite parameter after round k, or a contained panic,
+    ///   retries round k from the state it ran on.
     ///
-    /// 1. **Panic containment** — a panicking task fails its round
-    ///    ([`Znn::try_train_step`]), not the process.
-    /// 2. **Health sentinels** — after each round: the loss must be
-    ///    finite, must not exceed [`crate::HealthPolicy`]'s
-    ///    `divergence_factor` × the rolling median of recent healthy
-    ///    losses, and every parameter must be finite.
-    /// 3. **Rollback with backoff** — an unhealthy round rolls back to
-    ///    the last good state (in memory; captured after every healthy
-    ///    round) and retries the *same* round with the learning rate
-    ///    scaled down by `lr_backoff` per consecutive failure. More
-    ///    than `max_retries` consecutive failures abort with a
-    ///    diagnostic; any healthy round resets the backoff.
-    ///
-    /// With [`crate::CheckpointConfig`] set, durable snapshots are
-    /// written every `every` rounds and at the end of the run.
+    /// Failures count against the round that failed and reset once a
+    /// round past it is healthy; more than `max_retries` abort, leaving
+    /// the engine on the rolled-back state. [`Trainer::history`] drops
+    /// the loss of a re-run round. With [`crate::CheckpointConfig`]
+    /// set, durable snapshots are written every `every` rounds and once
+    /// at the end.
     pub fn run_recoverable(
         &mut self,
         rounds: u64,
@@ -253,123 +227,121 @@ impl<'a, D: Dataset> Trainer<'a, D> {
         mut report: impl FnMut(Progress),
     ) -> Result<TrainOutcome, TrainError> {
         let health = self.znn.config().health.clone();
+        let cc = self.znn.config().checkpoint.clone();
         let start = self.round;
-        let mut window = Vec::new();
-        let mut healthy_losses: Vec<f64> = Vec::new();
-        let mut last = 0.0;
-        let mut consecutive_failures: u32 = 0;
+        // this run's losses, and with them the healthy-loss window
+        let base = self.history.len();
+        // the state the next round runs on, and the one the round
+        // before it ran on
+        let mut cur = self.capture();
+        let mut prev: Option<RoundStart> = None;
+        let mut failures: u32 = 0;
+        let mut failed_round = 0;
         let mut backoff = 1.0f64;
-        let mut last_good = self.capture_good();
+        let mut saved_at = None;
         while self.round - start < rounds {
+            let k = self.round + 1;
             let factor = self.schedule.factor(self.round) * backoff as f32;
-            let (inputs, mut targets) = self.data.sample(self.round);
-            if (factor - 1.0).abs() >= f32::EPSILON {
-                self.blend_targets(factor, &inputs, &mut targets);
-            }
-            let diagnostic = match self.znn.try_train_step(&inputs, &targets) {
-                Err(e) => Some(e.to_string()),
+            let (inputs, targets) = self.data.sample(self.round);
+            // Err((diagnostic, whether the previous update is to blame))
+            let verdict = match self.znn.train_round(&inputs, &targets, factor) {
+                Err(e) => Err((e.to_string(), false)),
                 Ok(loss) if !loss.is_finite() => {
-                    Some(format!("non-finite loss {loss} at round {}", self.round + 1))
+                    Err((format!("non-finite loss {loss} at round {k}"), true))
                 }
-                Ok(loss) if diverged(loss, &healthy_losses, &health) => Some(format!(
-                    "loss {loss:.3e} exceeds {}x the rolling median at round {}",
-                    health.divergence_factor,
-                    self.round + 1
+                Ok(loss) if diverged(loss, &self.history[base..], &health) => Err((
+                    format!(
+                        "loss {loss:.3e} exceeds {}x the rolling median at round {k}",
+                        health.divergence_factor
+                    ),
+                    true,
                 )),
-                Ok(loss) if !self.znn.params_all_finite() => Some(format!(
-                    "non-finite parameter after round {} (loss {loss:.3e})",
-                    self.round + 1
+                Ok(loss) if !self.znn.params_all_finite() => Err((
+                    format!("non-finite parameter after round {k} (loss {loss:.3e})"),
+                    false,
                 )),
-                Ok(loss) => {
-                    last = loss;
-                    None
+                Ok(loss) => Ok(loss),
+            };
+            let loss = match verdict {
+                Ok(loss) => loss,
+                Err((diagnostic, blame_previous)) => {
+                    failures += 1;
+                    failed_round = failed_round.max(k);
+                    if blame_previous {
+                        if let Some(p) = prev.take() {
+                            // round k−1 is re-run: its loss no longer stands
+                            self.history.pop();
+                            cur = p;
+                        }
+                    }
+                    self.rollback(&cur);
+                    if failures > health.max_retries {
+                        return Err(TrainError::RetriesExhausted {
+                            round: k,
+                            retries: failures - 1,
+                            diagnostic,
+                        });
+                    }
+                    backoff *= health.lr_backoff;
+                    continue;
                 }
             };
-            if let Some(diagnostic) = diagnostic {
-                consecutive_failures += 1;
-                if consecutive_failures > health.max_retries {
-                    // leave the engine on the last good state, not the
-                    // poisoned one, so the caller can keep using it
-                    self.rollback(&last_good);
-                    return Err(TrainError::RetriesExhausted {
-                        round: last_good.round + 1,
-                        retries: consecutive_failures - 1,
-                        diagnostic,
-                    });
-                }
-                self.rollback(&last_good);
-                backoff *= health.lr_backoff;
-                continue;
+            self.round = k;
+            self.history.push(loss);
+            prev = Some(std::mem::replace(&mut cur, self.capture()));
+            if k > failed_round {
+                failures = 0;
+                backoff = 1.0;
             }
-            // healthy round: advance, re-arm the safety net
-            consecutive_failures = 0;
-            backoff = 1.0;
-            self.round += 1;
-            window.push(last);
-            self.history.push(last);
-            healthy_losses.push(last);
-            last_good = self.capture_good();
-            if self.round.is_multiple_of(report_every.max(1)) {
+            let every = report_every.max(1);
+            if k.is_multiple_of(every) {
+                // the rounds since the last report, or since the start
+                let window = (k - start).min(every) as usize;
+                let window = &self.history[self.history.len() - window..];
                 report(Progress {
-                    round: self.round - window.len() as u64,
+                    round: k - window.len() as u64,
                     mean_loss: window.iter().sum::<f64>() / window.len() as f64,
                     lr_factor: factor,
                 });
-                window.clear();
             }
-            let cc = self.znn.config().checkpoint.clone();
             if let Some(cc) = &cc {
-                if cc.every > 0 && self.round.is_multiple_of(cc.every) {
+                if cc.every > 0 && k.is_multiple_of(cc.every) {
                     self.write_checkpoint(cc).map_err(TrainError::Checkpoint)?;
+                    saved_at = Some(k);
                 }
             }
             // fault injection: a crash between rounds — the run ends
             // here with whatever snapshots already reached disk, and a
             // later process resumes from them
             if let Some(faults) = &self.znn.config().faults {
-                if faults.take(FaultKind::Crash, self.round) {
-                    return Ok(TrainOutcome::Interrupted {
-                        at_round: self.round,
-                    });
+                if faults.take(FaultKind::Crash, k) {
+                    return Ok(TrainOutcome::Interrupted { at_round: k });
                 }
             }
         }
-        if let Some(cc) = self.znn.config().checkpoint.clone() {
-            self.write_checkpoint(&cc).map_err(TrainError::Checkpoint)?;
-        }
-        Ok(TrainOutcome::Completed { final_loss: last })
-    }
-
-    /// Blends targets toward the current prediction (`t' = y + f·(t −
-    /// y)`), scaling the MSE gradient by `factor`.
-    fn blend_targets(&self, factor: f32, inputs: &[Image], targets: &mut [Image]) {
-        let preds = self.znn.forward(inputs);
-        for (t, y) in targets.iter_mut().zip(&preds) {
-            let mut blended = y.clone();
-            for (b, (&tv, &yv)) in blended
-                .as_mut_slice()
-                .iter_mut()
-                .zip(t.as_slice().iter().zip(y.as_slice()))
-            {
-                *b = yv + factor * (tv - yv);
+        if let Some(cc) = &cc {
+            if saved_at != Some(self.round) {
+                self.write_checkpoint(cc).map_err(TrainError::Checkpoint)?;
             }
-            *t = blended;
         }
+        Ok(TrainOutcome::Completed {
+            final_loss: self.history[base..].last().copied().unwrap_or(0.0),
+        })
     }
 
-    fn capture_good(&self) -> LastGood {
-        LastGood {
+    fn capture(&self) -> RoundStart {
+        RoundStart {
             round: self.round,
             params: self.znn.params(),
             velocities: self.znn.optimizer_state(),
         }
     }
 
-    fn rollback(&mut self, good: &LastGood) {
-        self.znn.set_params(&good.params);
-        self.znn.set_optimizer_state(&good.velocities);
-        self.znn.set_round(good.round);
-        self.round = good.round;
+    fn rollback(&mut self, to: &RoundStart) {
+        self.znn.set_params(&to.params);
+        self.znn.set_optimizer_state(&to.velocities);
+        self.znn.set_round(to.round);
+        self.round = to.round;
     }
 
     fn write_checkpoint(&self, cc: &crate::CheckpointConfig) -> std::io::Result<()> {
@@ -387,19 +359,10 @@ impl<'a, D: Dataset> Trainer<'a, D> {
         self.round
     }
 
-    /// Full per-round loss history.
+    /// The loss of every round that stands, in order, against the true
+    /// targets; a rolled-back round's entry is replaced by its re-run.
     pub fn history(&self) -> &[f64] {
         &self.history
-    }
-
-    /// Parameter checkpoint (forces pending updates).
-    pub fn checkpoint(&self) -> ParamSet {
-        self.znn.params()
-    }
-
-    /// Restores a checkpoint.
-    pub fn restore(&self, params: &ParamSet) {
-        self.znn.set_params(params);
     }
 }
 
@@ -517,12 +480,12 @@ mod tests {
     fn checkpoint_restore_round_trips() {
         let znn = tiny();
         let mut trainer = Trainer::new(&znn, data(&znn));
-        let before = trainer.checkpoint();
+        let before = znn.params();
         trainer.run(5, 5, |_| {});
-        let after = trainer.checkpoint();
+        let after = znn.params();
         assert!(before.max_abs_diff(&after) > 0.0, "training changed nothing");
-        trainer.restore(&before);
-        assert_eq!(trainer.checkpoint().max_abs_diff(&before), 0.0);
+        znn.set_params(&before);
+        assert_eq!(znn.params().max_abs_diff(&before), 0.0);
     }
 
     #[test]

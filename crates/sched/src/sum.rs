@@ -9,6 +9,7 @@
 //! retries. No thread ever waits for another's addition.
 
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 
 /// Values that can absorb another value of the same type — the
 /// `ADD-TO(v, v')` of Algorithm 4.
@@ -32,6 +33,11 @@ impl Accumulate for usize {
 struct Slot<T> {
     sum: Option<T>,
     total: usize,
+    /// Completed sums not yet taken, oldest first. Completing moves the
+    /// sum here and re-arms the slot, so a contribution that arrives
+    /// before the completing caller's `take` starts the next sum
+    /// instead of merging into this one.
+    done: VecDeque<T>,
 }
 
 /// A reusable concurrent accumulator for a known number of
@@ -56,6 +62,7 @@ impl<T: Accumulate> ConcurrentSum<T> {
             slot: Mutex::new(Slot {
                 sum: None,
                 total: 0,
+                done: VecDeque::new(),
             }),
             required,
         }
@@ -75,9 +82,14 @@ impl<T: Accumulate> ConcurrentSum<T> {
             {
                 let mut slot = self.slot.lock();
                 if slot.sum.is_none() {
-                    slot.sum = Some(v);
                     slot.total += 1;
-                    return slot.total == self.required;
+                    if slot.total < self.required {
+                        slot.sum = Some(v);
+                        return false;
+                    }
+                    slot.total = 0;
+                    slot.done.push_back(v);
+                    return true;
                 }
                 merged = slot.sum.take();
             }
@@ -98,19 +110,18 @@ impl<T: Accumulate> ConcurrentSum<T> {
         let mut slot = self.slot.lock();
         slot.sum = None;
         slot.total = 0;
+        slot.done.clear();
     }
 
-    /// Collects the completed sum and resets the accumulator for the
-    /// next round. Panics if the sum is incomplete — callers must only
-    /// invoke this after [`ConcurrentSum::add`] returned `true`.
+    /// Collects the oldest completed sum. Panics if no sum is complete
+    /// — callers must only invoke this after [`ConcurrentSum::add`]
+    /// returned `true`.
     pub fn take(&self) -> T {
-        let mut slot = self.slot.lock();
-        assert_eq!(
-            slot.total, self.required,
-            "take() before the sum completed"
-        );
-        slot.total = 0;
-        slot.sum.take().expect("completed sum must hold a value")
+        self.slot
+            .lock()
+            .done
+            .pop_front()
+            .expect("take() before the sum completed")
     }
 }
 
@@ -162,6 +173,19 @@ mod tests {
         assert!(s.add(3.0));
         s.reset();
         assert!(!s.add(5.0));
+    }
+
+    #[test]
+    fn next_rounds_contribution_before_take_starts_a_new_sum() {
+        let s = ConcurrentSum::<usize>::new(2);
+        assert!(!s.add(1));
+        assert!(s.add(2));
+        // the next round's first contribution beats the completing
+        // caller's take: it must not merge into the completed sum
+        assert!(!s.add(10));
+        assert_eq!(s.take(), 3);
+        assert!(s.add(20));
+        assert_eq!(s.take(), 30);
     }
 
     #[test]
