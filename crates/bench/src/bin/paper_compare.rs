@@ -1,0 +1,347 @@
+//! Paper comparison — §IX Figs 8–9 and the planner report under one
+//! protocol: task-parallel ZNN against the layer-at-a-time direct
+//! baseline (`znn-baseline`, the algorithmic content of the GPU
+//! frameworks the paper ran), and the `znn-plan` cost model against
+//! the fixed strategies it replaces.
+//!
+//! Cases: Fig 8's 2D grid (width 4, kernels 4²–12², outputs 1²–8²)
+//! and Fig 9's 3D grid (width 3, kernels 3³–7³, outputs 1³–4³), both
+//! on the max-pooling comparison net, plus the planner's five benchmark
+//! nets. Every case builds five engines on the same graph: the
+//! layerwise baseline; ZNN under three `NetPlan::force` plans (direct,
+//! FFT, FFT with pow2 pads); and ZNN under the planner's `Autotune`
+//! plan. All five are built and warmed first, then timed round-robin,
+//! the first engine rotating each pass, and each reports its median
+//! round. A ZNN round is one `train_step` plus its flushed updates, so
+//! no engine's pending work runs while another is timed.
+//!
+//! Verdicts — **the bin exits non-zero if any fails**, so a regression
+//! cannot silently refresh the committed `BENCH_plan.json`:
+//! 1. on every case, ZNN's best forced strategy is no slower than
+//!    layerwise ([`beats_layerwise`]);
+//! 2. on every case, Auto is within the gap bound of the best fixed
+//!    strategy ([`auto_within_gap`]);
+//! 3. per dimensionality and output size of the grids, once FFT beats
+//!    direct at some kernel it beats it at every larger one
+//!    ([`crossover`]). The crossover kernel is recorded, not asserted.
+//!
+//! `--smoke` runs the planner nets at smaller sizes and a fixed subset
+//! of the grids, with fewer rounds, for CI.
+
+use std::fmt::Write as _;
+use std::sync::Arc;
+use std::time::Instant;
+use znn_baseline::LayerwiseNet;
+use znn_bench::{auto_within_gap, beats_layerwise, crossover, header, row, GAP_BOUND};
+use znn_core::{TrainConfig, Znn};
+use znn_graph::builder::{comparison_net, scalability_net_2d, scalability_net_3d};
+use znn_graph::{EdgeOp, Graph};
+use znn_ops::ConvMethod;
+use znn_plan::{NetPlan, PlanConfig, Planner};
+use znn_tensor::{ops, Vec3};
+
+/// The fixed strategies: direct once (pads are an FFT knob), FFT at
+/// both pad shapes.
+const FIXED: [(&str, ConvMethod, bool); 3] = [
+    ("direct", ConvMethod::Direct, false),
+    ("fft", ConvMethod::Fft, false),
+    ("fft_pow2", ConvMethod::Fft, true),
+];
+
+/// The grid rows `--smoke` runs, as (dimensionality, output edge): one
+/// whole kernel row per dimensionality, so each spans the crossover a
+/// full run measures (12² in 2D, 7³ in 3D on a 2-core AVX-512 host).
+/// In 3D it is the cheapest row: one pass of the five engines at 7³
+/// takes ~1 s.
+const SMOKE_ROWS: [(&str, usize); 2] = [("2d", 4), ("3d", 1)];
+
+struct Case {
+    name: String,
+    graph: Graph,
+    out: Vec3,
+    /// (dimensionality, output edge, kernel edge) of a grid point
+    grid: Option<(&'static str, usize, usize)>,
+}
+
+fn cases(smoke: bool) -> Vec<Case> {
+    let mut cases = Vec::new();
+    let grids: [(&str, usize, &[usize], &[usize]); 2] = [
+        ("2d", 4, &[4, 6, 8, 12], &[1, 2, 4, 8]),
+        ("3d", 3, &[3, 5, 7], &[1, 2, 4]),
+    ];
+    for (dim, width, kernels, outs) in grids {
+        let shape = |n| {
+            if dim == "2d" {
+                Vec3::flat(n, n)
+            } else {
+                Vec3::cube(n)
+            }
+        };
+        for &o in outs {
+            if smoke && !SMOKE_ROWS.contains(&(dim, o)) {
+                continue;
+            }
+            for &k in kernels {
+                let (graph, _) = comparison_net(width, shape(k), shape(2), false);
+                let name = format!("{dim}_k{k}_out{o}");
+                cases.push(Case {
+                    name,
+                    graph,
+                    out: shape(o),
+                    grid: Some((dim, o, k)),
+                });
+            }
+        }
+    }
+    let (fig8, _) = comparison_net(2, Vec3::flat(5, 5), Vec3::flat(2, 2), true);
+    let (fig9, _) = comparison_net(2, Vec3::cube(5), Vec3::cube(2), true);
+    // anisotropic EM-stack geometry: thin z, wide xy, mixed kernel
+    let (aniso, _) = comparison_net(2, Vec3::new(2, 5, 5), Vec3::new(1, 2, 2), true);
+    let (flat2d, _) = scalability_net_2d(2);
+    let (vol3d, _) = scalability_net_3d(2);
+    let nets = if smoke {
+        vec![
+            ("fig9_3d", fig9, Vec3::cube(2)),
+            ("flat_2d", flat2d, Vec3::flat(4, 4)),
+        ]
+    } else {
+        vec![
+            ("fig8_2d", fig8, Vec3::flat(16, 16)),
+            ("fig9_3d", fig9, Vec3::cube(4)),
+            ("aniso", aniso, Vec3::new(2, 8, 8)),
+            ("flat_2d", flat2d, Vec3::flat(8, 8)),
+            ("vol_3d", vol3d, Vec3::cube(4)),
+        ]
+    };
+    for (name, graph, out) in nets {
+        cases.push(Case {
+            name: name.into(),
+            graph,
+            out,
+            grid: None,
+        });
+    }
+    cases
+}
+
+/// Median wall time per round of each engine over `n` measured rounds
+/// after `warmup` unmeasured ones. Every engine is warmed before any
+/// is timed; then they run round-robin, one round each per pass with
+/// the first engine rotating between passes, so host drift spreads
+/// over all of them alike.
+fn median_round_us(rounds: &mut [Box<dyn FnMut() + '_>], warmup: usize, n: usize) -> Vec<f64> {
+    for round in rounds.iter_mut() {
+        (0..warmup).for_each(|_| round());
+    }
+    let mut samples = vec![Vec::with_capacity(n); rounds.len()];
+    for pass in 0..n {
+        for i in 0..rounds.len() {
+            let e = (pass + i) % rounds.len();
+            let t0 = Instant::now();
+            rounds[e]();
+            samples[e].push(t0.elapsed().as_micros() as f64);
+        }
+    }
+    samples
+        .into_iter()
+        .map(|mut s| {
+            s.sort_by(f64::total_cmp);
+            s[s.len() / 2]
+        })
+        .collect()
+}
+
+fn main() {
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let workers = std::thread::available_parallelism()
+        .map(|v| v.get())
+        .unwrap_or(1);
+    let (warmup, rounds) = if smoke { (1, 9) } else { (2, 15) };
+    // every ZNN engine enters through `with_plan`, so the config's conv
+    // policy is never consulted; layerwise trains with its loss and rate
+    let cfg = TrainConfig {
+        workers,
+        ..Default::default()
+    };
+    let machine = znn_plan::Machine::host();
+    println!("# paper comparison — ZNN vs layerwise, Auto vs fixed ({workers} workers)\n");
+    println!(
+        "machine prior: {} ({} cores, {:.2} GFLOP/s, {:.2} GB/s)\n",
+        machine.name, machine.cores, machine.gflops, machine.bandwidth_gbs
+    );
+    let mut json = String::from("{\n");
+    let _ = writeln!(json, "  \"smoke\": {smoke},\n  \"workers\": {workers},");
+    let _ = writeln!(
+        json,
+        "  \"machine\": {{\"name\": \"{}\", \"cores\": {}, \"gflops\": {:.3}, \
+         \"bandwidth_gbs\": {:.3}}},",
+        machine.name, machine.cores, machine.gflops, machine.bandwidth_gbs
+    );
+
+    let planner = Planner::new(PlanConfig::for_machine(machine.clone()));
+    let mut failures = Vec::new();
+    let mut records = Vec::new();
+    // (dimensionality, output edge, kernel edge, FFT beat direct)
+    let mut grid_wins = Vec::new();
+    header(&[
+        "case",
+        "layerwise ms",
+        "direct ms",
+        "fft ms",
+        "fft_pow2 ms",
+        "auto ms",
+        "gap",
+        "beats layerwise",
+    ]);
+    for case in cases(smoke) {
+        let auto = planner
+            .plan(&case.graph, case.out, workers, workers)
+            .expect("net sizes");
+        let prior_us = auto.predicted_round_us;
+        let mut plans = Vec::new();
+        for (_, method, pow2) in FIXED {
+            let forced = NetPlan::force(&case.graph, case.out, method, 1, pow2).expect("net sizes");
+            let predicted_us = planner
+                .price(&case.graph, case.out, workers, &forced)
+                .expect("net sizes");
+            plans.push((Arc::new(forced), predicted_us));
+        }
+        let auto = Arc::new(auto);
+        plans.push((Arc::clone(&auto), prior_us));
+        let engines: Vec<Znn> = plans
+            .iter()
+            .map(|(plan, _)| {
+                Znn::with_plan(case.graph.clone(), case.out, cfg.clone(), Arc::clone(plan))
+            })
+            .collect::<Result<_, _>>()
+            .expect("net sizes");
+        let mut layerwise =
+            LayerwiseNet::new(case.graph.clone(), case.out, 0x5EED).expect("net sizes");
+        let x = ops::random(engines[0].input_shape(), 11);
+        let t = ops::random(case.out, 12).map(|v| 0.3 * v);
+        let (xs, ts) = (std::slice::from_ref(&x), std::slice::from_ref(&t));
+        let mut timed: Vec<Box<dyn FnMut()>> = engines
+            .iter()
+            .map(|znn| {
+                Box::new(move || {
+                    znn.train_step(xs, ts);
+                    znn.flush_updates();
+                }) as Box<dyn FnMut()>
+            })
+            .collect();
+        timed.push(Box::new(|| {
+            layerwise.train_step(xs, ts, cfg.loss, cfg.learning_rate);
+        }));
+        let mut us = median_round_us(&mut timed, warmup, rounds);
+        let layerwise_us = us.pop().expect("layerwise is timed last");
+        let auto_us = us[FIXED.len()];
+        let best = us[..FIXED.len()]
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min);
+        let gap = auto_us / best;
+        let pass = auto_within_gap(auto_us, best);
+        let beats = beats_layerwise(best, layerwise_us);
+        if !pass {
+            failures.push(format!(
+                "{}: Auto {auto_us:.0}µs is {gap:.3}x the best fixed {best:.0}µs",
+                case.name
+            ));
+        }
+        if !beats {
+            failures.push(format!(
+                "{}: best forced {best:.0}µs, layerwise {layerwise_us:.0}µs",
+                case.name
+            ));
+        }
+        if let Some((dim, o, k)) = case.grid {
+            // FFT at its better pad against direct
+            grid_wins.push((dim, o, k, us[1].min(us[2]) < us[0]));
+        }
+        let mut cells = vec![case.name.clone(), format!("{:.2}", layerwise_us / 1e3)];
+        cells.extend(us.iter().map(|v| format!("{:.2}", v / 1e3)));
+        cells.extend([format!("{gap:.3}"), beats.to_string()]);
+        row(&cells);
+
+        // the per-edge chosen plan, deduped by conv geometry
+        let mut layers: Vec<String> = Vec::new();
+        for (e, ep) in case.graph.edges().iter().zip(&auto.edges) {
+            if let (EdgeOp::Conv { kernel, .. }, Some(ep)) = (&e.op, ep) {
+                let layer = format!(
+                    "       {{\"kernel\": \"{kernel}\", \"method\": \"{:?}\", \"pad\": \"{}\", \
+                     \"predicted_us\": {:.1}}}",
+                    ep.method, ep.pad, ep.predicted_us
+                );
+                if !layers.contains(&layer) {
+                    layers.push(layer);
+                }
+            }
+        }
+        let fixed: Vec<String> = FIXED
+            .iter()
+            .zip(&plans)
+            .zip(&us)
+            .map(|(((label, method, pow2), (_, predicted_us)), measured_us)| {
+                format!(
+                    "       {{\"strategy\": \"{label}\", \"method\": \"{method:?}\", \"pow2\": {pow2}, \
+                     \"predicted_us\": {predicted_us:.1}, \"measured_us\": {measured_us:.1}}}"
+                )
+            })
+            .collect();
+        records.push(format!(
+            "    {{\"net\": \"{}\",\n     \"layers\": [\n{}\n     ],\n     \
+             \"predicted_round_us_prior\": {prior_us:.1},\n     \"auto_measured_us\": {auto_us:.1},\n     \
+             \"fixed\": [\n{}\n     ],\n     \"best_fixed_us\": {best:.1},\n     \"gap\": {gap:.4},\n     \
+             \"verdict\": \"{}\",\n     \"layerwise_us\": {layerwise_us:.1},\n     \"beats_layerwise\": {beats}}}",
+            case.name,
+            layers.join(",\n"),
+            fixed.join(",\n"),
+            if pass { "pass" } else { "fail" },
+        ));
+    }
+    let _ = writeln!(json, "  \"nets\": [\n{}\n  ],", records.join(",\n"));
+
+    // verdict 3 per grid row; `cases` lists each row's kernels growing
+    println!("\nmeasured FFT-vs-direct crossover kernel per grid row (null: FFT never won):");
+    let mut monotone = true;
+    let mut rows = Vec::new();
+    for points in grid_wins.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let (dim, o) = (points[0].0, points[0].1);
+        let (first, ok) = crossover(&points.iter().map(|w| w.3).collect::<Vec<_>>());
+        let kernel = first.map_or("null".into(), |i| points[i].2.to_string());
+        println!(
+            "  {dim} out {o}: {kernel}{}",
+            if ok { "" } else { " (not monotone)" }
+        );
+        if !ok {
+            failures.push(format!(
+                "{dim} out {o}: FFT beat direct at k{kernel} but not at every larger kernel"
+            ));
+        }
+        monotone &= ok;
+        rows.push(format!(
+            "    {{\"dim\": \"{dim}\", \"out\": {o}, \"kernel\": {kernel}, \"monotone\": {ok}}}"
+        ));
+    }
+    let all_pass = failures.is_empty();
+    let _ = writeln!(json, "  \"crossover\": [\n{}\n  ],", rows.join(",\n"));
+    let _ = writeln!(json, "  \"crossover_monotone\": {monotone},");
+    let _ = writeln!(
+        json,
+        "  \"gap_bound\": {GAP_BOUND},\n  \"all_pass\": {all_pass}\n}}"
+    );
+
+    match std::fs::write("BENCH_plan.json", &json) {
+        Ok(()) => println!("\nwrote BENCH_plan.json"),
+        Err(e) => {
+            eprintln!("could not write BENCH_plan.json: {e}");
+            std::process::exit(1);
+        }
+    }
+    for f in &failures {
+        eprintln!("FAILED VERDICT: {f}");
+    }
+    if !all_pass {
+        std::process::exit(1);
+    }
+}

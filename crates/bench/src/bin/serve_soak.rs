@@ -68,11 +68,14 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
-/// Open-loop paced run against a fresh server: arrival `i` is due at
-/// `t0 + i·interval`, collect worker-side completion latencies for
-/// every admitted request, shut down. The submitter sleeps only until
-/// the next due time and a late arrival goes out at once, so the rate
-/// is the one asked for, not one capped by the OS sleep floor.
+/// Open-loop paced run against a fresh server until `admit` requests
+/// have been admitted: arrival `i` is due at `t0 + i·interval`; collect
+/// worker-side completion latencies for every admitted request, shut
+/// down. Counting admissions, not arrivals, fixes the sample size a
+/// percentile is read from, whatever the shed rate. The submitter
+/// sleeps only until the next due time and a late arrival goes out at
+/// once, so the rate is the one asked for, not one capped by the OS
+/// sleep floor.
 /// Baseline and overload both run through this, so the submitter
 /// thread's wakeup noise (which preempts workers on small machines)
 /// lands in both samples and the p99 ratio isolates what queueing
@@ -82,13 +85,15 @@ fn open_loop(
     cfg: ServeConfig,
     input: &Image,
     interval: Duration,
-    n: u64,
+    admit: usize,
 ) -> (Vec<f64>, znn_serve::ServeStats) {
     let server = Server::start(Arc::clone(net), cfg);
     let mut pending = Vec::new();
     let t0 = Instant::now();
-    for i in 0..n {
-        let due = t0 + interval.mul_f64(i as f64);
+    let mut arrivals = 0;
+    while pending.len() < admit {
+        let due = t0 + interval.mul_f64(arrivals as f64);
+        arrivals += 1;
         if let Some(wait) = due.checked_duration_since(Instant::now()) {
             std::thread::sleep(wait);
         }
@@ -109,7 +114,7 @@ fn open_loop(
         .collect();
     lat.sort_by(f64::total_cmp);
     let stats = server.shutdown();
-    assert_eq!(stats.submitted, n, "every arrival was offered");
+    assert_eq!(stats.submitted, arrivals, "every arrival was offered");
     (lat, stats)
 }
 
@@ -190,7 +195,9 @@ fn main() {
         max_batch: 1,
         ..ServeConfig::default()
     };
-    let n = if smoke { 60 } else { 400 };
+    // each p99 below is read from `n` admitted requests: at 100 it is
+    // the second-slowest, so one preempted request cannot decide it
+    let n = if smoke { 100 } else { 400 };
     let service = Duration::from_secs_f64(p50_idle);
     // baseline: 0.5× capacity — the queue never builds, so this is
     // the uncontended p99 as seen through the open-loop harness

@@ -43,14 +43,33 @@ pub fn fmt(v: f64) -> String {
     }
 }
 
-/// The listed rows joined by commas, or "none" — for summary lines
-/// that state only what the printed rows show.
-pub fn wins_or_none(rows: &[String]) -> String {
-    if rows.is_empty() {
-        "none".into()
-    } else {
-        rows.join(", ")
-    }
+/// Auto may be this factor slower than the best fixed strategy…
+pub const GAP_BOUND: f64 = 1.15;
+/// …or this many µs slower: the scheduler noise floor, which on a
+/// shared host rivals whole rounds of the small nets. Every timed
+/// verdict forgives a gap this small.
+pub const ABS_SLACK_US: f64 = 3_000.0;
+
+/// The planner verdict: the `Autotune` plan's median round is within
+/// [`GAP_BOUND`] or [`ABS_SLACK_US`] of the best fixed strategy's.
+pub fn auto_within_gap(auto_us: f64, best_fixed_us: f64) -> bool {
+    auto_us / best_fixed_us <= GAP_BOUND || auto_us - best_fixed_us <= ABS_SLACK_US
+}
+
+/// The paper's headline verdict: ZNN's best forced strategy runs a
+/// round no slower than the layerwise baseline, up to [`ABS_SLACK_US`].
+pub fn beats_layerwise(best_forced_us: f64, layerwise_us: f64) -> bool {
+    best_forced_us - layerwise_us <= ABS_SLACK_US
+}
+
+/// Reads one row of cases ordered by growing kernel, `fft_wins[i]`
+/// being whether FFT beat direct at the i-th kernel: returns the index
+/// of the crossover kernel (the first FFT win, `None` if FFT never
+/// won) and whether FFT also won at every larger kernel.
+pub fn crossover(fft_wins: &[bool]) -> (Option<usize>, bool) {
+    let first = fft_wins.iter().position(|&w| w);
+    let monotone = first.is_none_or(|i| fft_wins[i..].iter().all(|&w| w));
+    (first, monotone)
 }
 
 #[cfg(test)]
@@ -70,5 +89,29 @@ mod tests {
         assert_eq!(fmt(0.0), "0");
         assert!(fmt(123456.5).contains('e'));
         assert!(!fmt(3.25).contains('e'));
+    }
+
+    #[test]
+    fn gap_bound_and_slack_hold_exactly_at_their_boundaries() {
+        // 115 / 100 rounds to the same double as the 1.15 literal
+        assert!(auto_within_gap(115_000.0, 100_000.0));
+        assert!(!auto_within_gap(115_001.0, 100_000.0));
+        // below the bound's reach, the absolute slack decides
+        assert!(auto_within_gap(4_000.0, 1_000.0));
+        assert!(!auto_within_gap(4_000.5, 1_000.0));
+    }
+
+    #[test]
+    fn beating_layerwise_forgives_only_the_slack() {
+        assert!(beats_layerwise(90_000.0, 100_000.0));
+        assert!(beats_layerwise(103_000.0, 100_000.0));
+        assert!(!beats_layerwise(103_000.5, 100_000.0));
+    }
+
+    #[test]
+    fn crossover_is_the_first_fft_win_and_must_hold_after_it() {
+        assert_eq!(crossover(&[false, false, true, true]), (Some(2), true));
+        assert_eq!(crossover(&[false, true, false, true]), (Some(1), false));
+        assert_eq!(crossover(&[false, false, false]), (None, true));
     }
 }

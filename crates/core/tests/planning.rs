@@ -330,7 +330,7 @@ fn with_plan_rejects_an_odd_packed_axis() {
 #[test]
 fn auto_is_competitive_with_every_fixed_strategy() {
     // the ≤15% gap bound is asserted with real timings in the
-    // release-mode plan_report bench; here (debug, possibly one core)
+    // release-mode paper_compare bench; here (debug, possibly one core)
     // we keep the same relative bound but add absolute slack so
     // scheduler noise on tiny rounds cannot flake the suite
     let (g, _) = scalability_net_3d(2);

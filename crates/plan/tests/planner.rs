@@ -44,9 +44,10 @@ fn plan_covers_exactly_the_conv_edges() {
 
 #[test]
 fn crossover_matches_the_paper() {
-    // fig9's claim: in 3D, FFT is competitive at 5³ and wins at 7³;
-    // at 3³ (small images) direct wins. fig8: 2D 11² kernels are FFT
-    // territory.
+    // the paper's §IX (Figs 8–9): in 3D, FFT is competitive at 5³ and
+    // wins at 7³; at 3³ (small images) direct wins. In 2D, 11² kernels
+    // are FFT territory. `paper_compare` records the measured
+    // crossover on the host; this pins the cost model's choice.
     let p = planner(Machine::xeon_e5_18core());
     let method_for = |kernel: usize, flat: bool| {
         let (g, _) = if flat {
