@@ -2,6 +2,7 @@
 //! every table and figure of the paper; each binary's doc comment names
 //! the table or figure it reproduces.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::Instant;

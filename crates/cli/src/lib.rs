@@ -20,6 +20,7 @@
 //! and window triples may be abbreviated to a single integer (isotropic)
 //! or a pair (2D, leading axis 1). See [`parse_spec`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod spec;

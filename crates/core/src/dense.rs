@@ -266,9 +266,9 @@ impl DenseNet {
     }
 
     /// Runs one throwaway evaluation at `input_shape` so every interior
-    /// cache (kernel spectra, FFT plans, pool classes) is populated. After warmup, evaluation at this shape
-    /// takes no interior locks beyond cheap cache reads and allocates
-    /// only from the pools.
+    /// cache (kernel spectra, FFT plans, pool classes) is populated.
+    /// After warmup, evaluation at this shape takes no interior locks
+    /// beyond cheap cache reads and allocates only from the pools.
     pub fn warmup(&self, input_shape: Vec3) {
         let inputs: Vec<Image> = self
             .graph

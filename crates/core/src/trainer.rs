@@ -114,14 +114,6 @@ impl std::fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// The training state a round ran on, kept in memory for rollback (two
-/// buffer copies, no disk).
-struct RoundStart {
-    round: u64,
-    params: ParamSet,
-    velocities: Vec<Option<Image>>,
-}
-
 /// The training loop driver.
 ///
 /// Each round's SGD step is `learning_rate ×` the schedule's factor ×
@@ -234,7 +226,7 @@ impl<'a, D: Dataset> Trainer<'a, D> {
         // the state the next round runs on, and the one the round
         // before it ran on
         let mut cur = self.capture();
-        let mut prev: Option<RoundStart> = None;
+        let mut prev: Option<Checkpoint> = None;
         let mut failures: u32 = 0;
         let mut failed_round = 0;
         let mut backoff = 1.0f64;
@@ -306,7 +298,7 @@ impl<'a, D: Dataset> Trainer<'a, D> {
             }
             if let Some(cc) = &cc {
                 if cc.every > 0 && k.is_multiple_of(cc.every) {
-                    self.write_checkpoint(cc).map_err(TrainError::Checkpoint)?;
+                    cur.write_atomic(&cc.dir, cc.keep).map_err(TrainError::Checkpoint)?;
                     saved_at = Some(k);
                 }
             }
@@ -321,7 +313,7 @@ impl<'a, D: Dataset> Trainer<'a, D> {
         }
         if let Some(cc) = &cc {
             if saved_at != Some(self.round) {
-                self.write_checkpoint(cc).map_err(TrainError::Checkpoint)?;
+                cur.write_atomic(&cc.dir, cc.keep).map_err(TrainError::Checkpoint)?;
             }
         }
         Ok(TrainOutcome::Completed {
@@ -329,29 +321,21 @@ impl<'a, D: Dataset> Trainer<'a, D> {
         })
     }
 
-    fn capture(&self) -> RoundStart {
-        RoundStart {
+    /// The training state the next round runs on, kept in memory for
+    /// rollback and written as is when a checkpoint is due.
+    fn capture(&self) -> Checkpoint {
+        Checkpoint {
             round: self.round,
             params: self.znn.params(),
             velocities: self.znn.optimizer_state(),
         }
     }
 
-    fn rollback(&mut self, to: &RoundStart) {
+    fn rollback(&mut self, to: &Checkpoint) {
         self.znn.set_params(&to.params);
         self.znn.set_optimizer_state(&to.velocities);
         self.znn.set_round(to.round);
         self.round = to.round;
-    }
-
-    fn write_checkpoint(&self, cc: &crate::CheckpointConfig) -> std::io::Result<()> {
-        let ckpt = Checkpoint {
-            round: self.round,
-            params: self.znn.params(),
-            velocities: self.znn.optimizer_state(),
-        };
-        ckpt.write_atomic(&cc.dir, cc.keep)?;
-        Ok(())
     }
 
     /// Rounds completed so far.

@@ -1,5 +1,6 @@
-//! The work-stealing queues shared by the fork-join [`pool`](crate::pool)
-//! and the [`StealingExecutor`](crate::StealingExecutor).
+//! The work-stealing queue discipline of the [worker pool](crate::worker):
+//! the fork-join [`ThreadPool`](crate::ThreadPool), which is also the
+//! [`StealingExecutor`](crate::StealingExecutor), runs on it.
 //!
 //! One FIFO injector for submissions from outside, plus one deque per
 //! worker. A worker pushes onto and pops from the back of its own deque
@@ -7,6 +8,8 @@
 //! front (FIFO: the oldest, usually largest, piece of work). Each queue
 //! is a mutex around a `VecDeque`, held for one push or pop.
 
+use crate::executor::Task;
+use crate::worker::Discipline;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 
@@ -24,11 +27,6 @@ impl<T> WorkQueues<T> {
             injector: Mutex::new(VecDeque::new()),
             locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
         }
-    }
-
-    /// Number of worker deques.
-    pub(crate) fn workers(&self) -> usize {
-        self.locals.len()
     }
 
     /// Queues `item` on worker `local`'s own deque, or on the injector
@@ -55,6 +53,23 @@ impl<T> WorkQueues<T> {
             .enumerate()
             .filter(|&(i, _)| local != Some(i))
             .find_map(|(_, deque)| deque.lock().pop_front())
+    }
+}
+
+/// Priorities are ignored — that is precisely what the §X ablation
+/// probes.
+impl Discipline for WorkQueues<Task> {
+    fn push(&self, local: Option<usize>, _priority: u64, task: Task) -> usize {
+        WorkQueues::push(self, local, task);
+        0
+    }
+
+    fn pop(&self, local: Option<usize>) -> Option<Task> {
+        WorkQueues::pop(self, local)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.injector.lock().is_empty() && self.locals.iter().all(|d| d.lock().is_empty())
     }
 }
 

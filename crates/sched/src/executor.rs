@@ -1,16 +1,16 @@
-//! The worker pool (paper §VI-B).
+//! The priority executor (paper §VI-B): the crate's one worker pool
+//! over the global [`TaskQueue`].
 //!
 //! A predetermined number of workers repeatedly pick the
 //! highest-priority task off the global queue and execute it. Tasks are
 //! plain `FnOnce` closures; they may submit further tasks (that is how
 //! the dependency graph unfolds at runtime — the task that completes a
-//! node's sum enqueues the node's dependent tasks).
+//! node's sum enqueues the node's dependent tasks). The §X policies
+//! (FIFO, LIFO) are the same pool over the same queue in another order.
 
 use crate::queue::{QueuePolicy, TaskQueue};
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use crate::worker::{Discipline, WorkerPool};
+use parking_lot::Mutex;
 
 /// A unit of work.
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -44,144 +44,53 @@ pub struct SchedStats {
     pub task_panics: u64,
 }
 
-struct Shared {
-    queue: Mutex<TaskQueue<Task>>,
-    available: Condvar,
-    shutdown: AtomicBool,
-    executed: AtomicU64,
-    task_panics: AtomicU64,
-    peak_k: AtomicU64,
-    idle_workers: AtomicUsize,
-    workers: usize,
-    idle_cond: Condvar,
-    idle_lock: Mutex<()>,
+/// The global queue under its one mutex: one lock acquisition per push
+/// and per pop.
+impl Discipline for Mutex<TaskQueue<Task>> {
+    fn push(&self, _local: Option<usize>, priority: u64, task: Task) -> usize {
+        let mut q = self.lock();
+        q.push(priority, task);
+        q.distinct_priorities()
+    }
+
+    fn pop(&self, _local: Option<usize>) -> Option<Task> {
+        self.lock().pop()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.lock().is_empty()
+    }
 }
 
 /// The queue-based worker pool. Dropping the executor shuts the workers
 /// down after the queue drains.
-pub struct Executor {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
-}
+pub struct Executor(WorkerPool<Mutex<TaskQueue<Task>>>);
 
 impl Executor {
     /// Starts `workers >= 1` worker threads with the given queue policy.
     pub fn new(workers: usize, policy: QueuePolicy) -> Self {
         assert!(workers >= 1, "an executor needs at least one worker");
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(TaskQueue::new(policy)),
-            available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            executed: AtomicU64::new(0),
-            task_panics: AtomicU64::new(0),
-            peak_k: AtomicU64::new(0),
-            idle_workers: AtomicUsize::new(0),
-            workers,
-            idle_cond: Condvar::new(),
-            idle_lock: Mutex::new(()),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("znn-worker-{i}"))
-                    .spawn(move || worker_loop(shared))
-                    .expect("failed to spawn worker")
-            })
-            .collect();
-        Executor { shared, handles }
+        let queue = Mutex::new(TaskQueue::new(policy));
+        Executor(WorkerPool::new(workers, queue, "znn-worker"))
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.shared.workers
+        self.0.workers()
     }
 }
 
 impl Scheduler for Executor {
     fn submit(&self, priority: u64, task: Task) {
-        let k = {
-            let mut q = self.shared.queue.lock();
-            q.push(priority, task);
-            q.distinct_priorities() as u64
-        };
-        self.shared.peak_k.fetch_max(k, Ordering::Relaxed);
-        self.shared.available.notify_one();
+        self.0.submit(priority, task);
     }
 
     fn stats(&self) -> SchedStats {
-        SchedStats {
-            executed: self.shared.executed.load(Ordering::Relaxed),
-            peak_distinct_priorities: self.shared.peak_k.load(Ordering::Relaxed),
-            task_panics: self.shared.task_panics.load(Ordering::Relaxed),
-        }
+        self.0.stats()
     }
 
-    /// Waits until the queue is empty **and** every worker is idle.
     fn wait_quiescent(&self) {
-        let mut guard = self.shared.idle_lock.lock();
-        loop {
-            let queue_empty = self.shared.queue.lock().is_empty();
-            let all_idle =
-                self.shared.idle_workers.load(Ordering::SeqCst) == self.shared.workers;
-            if queue_empty && all_idle {
-                return;
-            }
-            self.shared
-                .idle_cond
-                .wait_for(&mut guard, std::time::Duration::from_millis(1));
-        }
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>) {
-    loop {
-        let task = shared.queue.lock().pop();
-        if let Some(task) = task {
-            // contain panics at the worker: a panicking task must fail
-            // *itself*, not kill this thread — a dead worker would
-            // strand the queue, break `wait_quiescent`'s all-idle
-            // accounting, and hang every later round. The executed
-            // counter and idle notification must fire either way.
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).is_err() {
-                shared.task_panics.fetch_add(1, Ordering::Relaxed);
-            }
-            shared.executed.fetch_add(1, Ordering::Relaxed);
-            shared.idle_cond.notify_all();
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // queue empty: park until a submit arrives. Submit pushes
-        // under the queue lock and drop takes it before notifying, and
-        // both conditions are re-checked under that lock here — so the
-        // untimed wait cannot miss a wakeup and idle workers never poll.
-        let mut q = shared.queue.lock();
-        if !q.is_empty() {
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        shared.idle_workers.fetch_add(1, Ordering::SeqCst);
-        shared.idle_cond.notify_all();
-        shared.available.wait(&mut q);
-        shared.idle_workers.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-impl Drop for Executor {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        // take the queue lock before notifying: a worker between its
-        // shutdown re-check (under the lock) and its untimed wait
-        // would otherwise sleep through this notification forever
-        drop(self.shared.queue.lock());
-        self.shared.available.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.0.wait_quiescent();
     }
 }
 
@@ -189,6 +98,8 @@ impl Drop for Executor {
 mod tests {
     use super::*;
     use crate::Latch;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
     use std::sync::atomic::AtomicU64 as TestCounter;
 
     #[test]

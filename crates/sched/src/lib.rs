@@ -10,17 +10,23 @@
 //!   and removal cost O(log K) in the number of **distinct priorities**
 //!   K rather than O(log N) in the number of tasks (§VII-A). FIFO and
 //!   LIFO policies from §X are provided for the scheduling ablation.
-//! * [`executor`] — the worker pool: each worker repeatedly picks the
-//!   highest-priority ready task and runs it (§VI-B). A task runs start
-//!   to finish on the worker that picked it — an FFT inside a
-//!   convolution task included — so the worker count is the whole
+//! * [`executor`] — the priority scheduler: each worker repeatedly
+//!   picks the highest-priority ready task and runs it (§VI-B). A task
+//!   runs start to finish on the worker that picked it — an FFT inside
+//!   a convolution task included — so the worker count is the whole
 //!   thread budget.
-//! * [`stealing`] — the work-stealing alternative scheduler mentioned in
-//!   §X, built on per-worker deques.
 //! * [`pool`] — a persistent fork-join [`ThreadPool`], with
 //!   [`ThreadPool::scope`] and the free [`scope`] on the
 //!   [`global_pool`]; the layer-at-a-time baseline splits each layer
 //!   over it.
+//! * [`stealing`] — the work-stealing alternative scheduler mentioned in
+//!   §X: the fork-join pool behind the [`Scheduler`] interface.
+//!
+//!   These are **one worker pool with three queue disciplines** — the
+//!   heap-of-lists priority queue, the same queue in FIFO or LIFO order,
+//!   and per-worker work-stealing deques — sharing one worker loop,
+//!   park/wake protocol, panic containment, quiescence wait and
+//!   shutdown.
 //! * [`update`] — the FORCE state machine of Algorithms 1–3: forward
 //!   tasks *force* their edge's pending update task — executing it
 //!   inline (Queued), delegating themselves to its executor (Executing),
@@ -46,6 +52,7 @@ pub mod queue;
 pub mod stealing;
 pub mod sum;
 pub mod update;
+mod worker;
 
 pub use executor::{Executor, SchedStats, Scheduler, Task};
 pub use latch::Latch;

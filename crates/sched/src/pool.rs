@@ -1,9 +1,10 @@
 //! The persistent fork-join pool the layer-at-a-time baseline runs on.
 //!
-//! [`ThreadPool`] is a pool of long-lived workers fed by the same
-//! work-stealing queues as the `StealingExecutor`: a shared injector
-//! plus one deque per worker. Workers pop their own deque LIFO, refill
-//! from the injector and steal FIFO from siblings.
+//! [`ThreadPool`] is the crate's one worker pool over the work-stealing
+//! queues: a shared injector plus one deque per worker. Workers pop
+//! their own deque LIFO, refill from the injector and steal FIFO from
+//! siblings. The same pool behind [`Scheduler`](crate::Scheduler) is
+//! the [`StealingExecutor`](crate::StealingExecutor).
 //! [`ThreadPool::scope`] (and the free [`scope`] on the [global
 //! pool](global_pool)) is the structured fork-join primitive: it
 //! returns only after every spawned task has finished, and tasks may
@@ -19,105 +20,14 @@
 //! a pool with a single worker.
 
 use crate::deque::WorkQueues;
-use parking_lot::{Condvar, Mutex};
+use crate::executor::Task;
+use crate::worker::{Shared, Sleeper, WorkerPool};
+use parking_lot::Mutex;
 use std::any::Any;
-use std::cell::Cell;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// A queued unit of work with its scope lifetime erased (sound because
-/// a scope never returns before its last job finishes).
-type Job = Box<dyn FnOnce() + Send>;
-
-thread_local! {
-    /// `(pool id, worker index)` when the current thread is a dedicated
-    /// pool worker.
-    static CURRENT_WORKER: Cell<Option<(u64, usize)>> = const { Cell::new(None) };
-}
-
-static POOL_IDS: AtomicU64 = AtomicU64::new(0);
-
-struct PoolState {
-    id: u64,
-    /// The injector and one deque per dedicated worker.
-    jobs: WorkQueues<Job>,
-    /// Jobs queued and not yet claimed — a cheap emptiness probe for
-    /// parked workers and scope owners.
-    queued: AtomicUsize,
-    shutdown: AtomicBool,
-    /// Guards every sleep/wake transition: `queued` is bumped and jobs
-    /// made visible while holding this lock, and sleepers (workers and
-    /// scope owners) re-check state under it before waiting — so
-    /// untimed condvar waits cannot miss a wakeup and idle threads
-    /// never poll.
-    sleep_lock: Mutex<()>,
-    sleep_cvar: Condvar,
-}
-
-impl PoolState {
-    /// The current thread's worker index in this pool, if it is one.
-    fn local_index(&self) -> Option<usize> {
-        match CURRENT_WORKER.get() {
-            Some((pool, i)) if pool == self.id => Some(i),
-            _ => None,
-        }
-    }
-
-    /// Queues `job`: onto the current worker's own deque when called
-    /// from inside this pool (the work-first rule), else the injector.
-    fn push_job(&self, job: Job) {
-        {
-            // publish the job and its count under the sleep lock so a
-            // thread that saw nothing and is about to wait cannot miss
-            // it (it re-checks `queued` under the same lock)
-            let _g = self.sleep_lock.lock();
-            self.queued.fetch_add(1, Ordering::SeqCst);
-            self.jobs.push(self.local_index(), job);
-            // notify_all, not notify_one: the condvar carries both job
-            // pushes and scope completions, so sleepers are
-            // heterogeneous (workers, scope owners) and a single
-            // wakeup could land on a sleeper waiting for the other
-            // event. Waking the rest is nearly free — they re-check
-            // and re-park, and a condvar with no waiters makes this a
-            // no-op.
-            self.sleep_cvar.notify_all();
-        }
-    }
-
-    /// Claims one queued job: own deque (LIFO), injector, then steal
-    /// FIFO from siblings.
-    fn find_job(&self) -> Option<Job> {
-        let job = self.jobs.pop(self.local_index());
-        if job.is_some() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-        }
-        job
-    }
-}
-
-fn worker_loop(state: Arc<PoolState>, index: usize) {
-    CURRENT_WORKER.set(Some((state.id, index)));
-    loop {
-        if let Some(job) = state.find_job() {
-            job();
-            continue;
-        }
-        if state.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let mut g = state.sleep_lock.lock();
-        // pushes and shutdown both flip their state and notify under
-        // `sleep_lock`, so this re-check-then-wait cannot lose a
-        // wakeup — the wait needs no timeout and idle workers cost
-        // nothing
-        if state.queued.load(Ordering::SeqCst) == 0 && !state.shutdown.load(Ordering::Acquire) {
-            state.sleep_cvar.wait(&mut g);
-        }
-    }
-    CURRENT_WORKER.set(None);
-}
 
 /// A persistent fork-join worker pool. See the [module docs](self) for
 /// the execution model.
@@ -138,37 +48,18 @@ fn worker_loop(state: Arc<PoolState>, index: usize) {
 /// });
 /// assert_eq!(parts.iter().sum::<u64>(), 10);
 /// ```
-pub struct ThreadPool {
-    state: Arc<PoolState>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
+pub struct ThreadPool(pub(crate) WorkerPool<WorkQueues<Task>>);
 
 impl ThreadPool {
     /// A pool with `width >= 1` dedicated worker threads.
     pub fn with_workers(width: usize) -> Self {
-        let state = Arc::new(PoolState {
-            id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
-            jobs: WorkQueues::new(width.max(1)),
-            queued: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            sleep_lock: Mutex::new(()),
-            sleep_cvar: Condvar::new(),
-        });
-        let handles = (0..state.jobs.workers())
-            .map(|i| {
-                let state = Arc::clone(&state);
-                std::thread::Builder::new()
-                    .name(format!("znn-pool-{i}"))
-                    .spawn(move || worker_loop(state, i))
-                    .expect("failed to spawn pool worker")
-            })
-            .collect();
-        ThreadPool { state, handles }
+        let width = width.max(1);
+        ThreadPool(WorkerPool::new(width, WorkQueues::new(width), "znn-pool"))
     }
 
     /// Number of dedicated worker threads.
     pub fn workers(&self) -> usize {
-        self.state.jobs.workers()
+        self.0.workers()
     }
 
     /// Creates a fork-join scope on this pool: `op` may spawn tasks
@@ -181,7 +72,7 @@ impl ThreadPool {
         OP: FnOnce(&Scope<'scope>) -> R,
     {
         let scope = Scope {
-            state: Arc::clone(&self.state),
+            state: Arc::clone(&self.0.shared),
             pending: AtomicUsize::new(0),
             panic: Mutex::new(None),
             _marker: PhantomData,
@@ -197,21 +88,6 @@ impl ThreadPool {
                 r
             }
             Err(p) => resume_unwind(p),
-        }
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.state.shutdown.store(true, Ordering::Release);
-        {
-            // notify under the sleep lock so a worker between its
-            // shutdown re-check and its wait cannot sleep through this
-            let _g = self.state.sleep_lock.lock();
-            self.state.sleep_cvar.notify_all();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
         }
     }
 }
@@ -252,7 +128,7 @@ where
 /// outlives the [`ThreadPool::scope`] call, and all of them complete
 /// before that call returns.
 pub struct Scope<'scope> {
-    state: Arc<PoolState>,
+    state: Arc<Shared<WorkQueues<Task>>>,
     /// Spawned-but-unfinished task count; the owner blocks until 0.
     pending: AtomicUsize,
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
@@ -312,9 +188,9 @@ impl<'scope> Scope<'scope> {
         // before `pending` returns to zero or the scope owner keeps
         // waiting in `complete`, which every path out of
         // `ThreadPool::scope` passes through, unwinding included.
-        let job: Job =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
-        self.state.push_job(job);
+        let job: Task =
+            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(job) };
+        self.state.submit(0, job);
     }
 
     fn finish_one(&self) {
@@ -324,36 +200,22 @@ impl<'scope> Scope<'scope> {
         // must not be touched again
         let state = Arc::clone(&self.state);
         if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // wake the owner (and anything else parked on the pool):
-            // the lock pairs with the owner's check-then-wait, so the
-            // terminal notification cannot be lost
-            let _g = state.sleep_lock.lock();
-            state.sleep_cvar.notify_all();
+            state.wake(&[Sleeper::Owner]);
         }
     }
 
     /// The join barrier: executes pending pool jobs until every task
-    /// spawned on this scope has finished. The owner parks on the
-    /// pool's sleep condvar, which is notified both on job pushes
-    /// (nested spawns it could help with) and on scope completion —
-    /// no timed polling.
+    /// spawned on this scope has finished. Between jobs the owner parks,
+    /// woken by job pushes (nested spawns it could help with) and by
+    /// this scope's completion.
     fn complete(&self) {
-        loop {
-            if self.pending.load(Ordering::SeqCst) == 0 {
-                break;
+        let state = &self.state;
+        let done = || self.pending.load(Ordering::SeqCst) == 0;
+        while !done() {
+            match state.pop() {
+                Some(job) => state.run(job),
+                None => state.park(Sleeper::Owner, || done() || !state.is_empty()),
             }
-            if let Some(job) = self.state.find_job() {
-                job();
-                continue;
-            }
-            let mut g = self.state.sleep_lock.lock();
-            if self.pending.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            if self.state.queued.load(Ordering::SeqCst) > 0 {
-                continue; // helpable work appeared between find and lock
-            }
-            self.state.sleep_cvar.wait(&mut g);
         }
     }
 }

@@ -21,8 +21,9 @@ pub enum QueuePolicy {
     Lifo,
 }
 
-/// A non-thread-safe priority multi-queue; the executor wraps it in a
-/// mutex + condvar. Generic in the task type so tests can use integers.
+/// A non-thread-safe priority multi-queue; the executor's worker pool
+/// holds it under one mutex. Generic in the task type so tests can use
+/// integers.
 pub struct TaskQueue<T> {
     policy: QueuePolicy,
     lists: BTreeMap<u64, VecDeque<T>>,

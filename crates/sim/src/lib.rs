@@ -3,4 +3,6 @@
 //! re-exports what the out-of-workspace `znn_benchmark` crate imports
 //! from it; the next change to the benchmark deletes it.
 
+#![forbid(unsafe_code)]
+
 pub use znn_plan::Machine;

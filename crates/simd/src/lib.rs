@@ -75,6 +75,8 @@
 //! assert_eq!(d, d2);                           // bitwise, always
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 use num_complex::Complex;
 use std::sync::OnceLock;
 
@@ -180,13 +182,15 @@ macro_rules! dispatched {
             #[cfg(target_arch = "x86_64")]
             {
                 match isa() {
-                    // SAFETY: the matching features were detected at
-                    // runtime (Avx512F implies AVX2+FMA were too).
                     Isa::Avx512F => {
+                        // SAFETY: AVX-512F was detected at runtime, on
+                        // top of AVX2+FMA; the body checks its lengths.
                         unsafe { avx512::$name($($arg),*) };
                         return;
                     }
                     Isa::Avx2Fma => {
+                        // SAFETY: AVX2+FMA were detected at runtime; the
+                        // body checks its lengths.
                         unsafe { avx2::$name($($arg),*) };
                         return;
                     }
@@ -311,10 +315,10 @@ pub fn fma_taps_f(dst: &mut [f32], src: &[f32], len: usize, taps: &[Tap], rows: 
     #[cfg(target_arch = "x86_64")]
     {
         match isa() {
-            // SAFETY: AVX2+FMA were detected at runtime (`Avx512F`
-            // implies them), and `check_tap_rows` bounded every row and
-            // tap run.
             Isa::Avx512F | Isa::Avx2Fma => {
+                // SAFETY: AVX2+FMA were detected at runtime (`Avx512F`
+                // implies them), and `check_tap_rows` bounded every row
+                // and tap run.
                 unsafe { avx2::fma_taps_f(dst, src, len, taps, rows) };
                 return;
             }
@@ -350,10 +354,10 @@ pub fn dot_taps_f64(
     #[cfg(target_arch = "x86_64")]
     {
         match isa() {
-            // SAFETY: AVX2+FMA were detected at runtime (`Avx512F`
-            // implies them), and every row plus the farthest tap was
-            // bounded above.
             Isa::Avx512F | Isa::Avx2Fma => {
+                // SAFETY: AVX2+FMA were detected at runtime (`Avx512F`
+                // implies them), and every row plus the farthest tap was
+                // bounded above.
                 unsafe { avx2::dot_taps_f64(out, a, b, len, rows, offs) };
                 return;
             }
@@ -708,6 +712,7 @@ mod tests {
         let mut out = [[0.0f32; 8]; 8];
         // SAFETY: AVX2 detected above.
         let rows = std::array::from_fn(|i| unsafe { x8::F32x8::load(m[i].as_ptr()) });
+        // SAFETY: AVX2 detected above; `out` has eight rows of eight.
         unsafe {
             let t = x8::transpose8x8(rows);
             for (i, v) in t.iter().enumerate() {

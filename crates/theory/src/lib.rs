@@ -3,6 +3,8 @@
 //! only re-exports what the out-of-workspace `znn_benchmark` crate
 //! imports from it; the next change to the benchmark deletes it.
 
+#![forbid(unsafe_code)]
+
 pub use znn_plan::brent::{achievable_speedup, NetworkModel};
 pub use znn_plan::flops::{ConvAlgorithm, LayerModel};
 pub use znn_plan::DEFAULT_C;

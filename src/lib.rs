@@ -27,6 +27,8 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
+#![forbid(unsafe_code)]
+
 pub use znn_alloc as alloc;
 pub use znn_baseline as baseline;
 pub use znn_core as core;
