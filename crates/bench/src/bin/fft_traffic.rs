@@ -24,7 +24,8 @@
 //!   resident footprint (which freezes after the first rounds while
 //!   churn keeps flowing — the paper's flat-memory property).
 //! * `"simd"` — the detected ISA and the SIMD microkernel speedups:
-//!   each batched Stockham butterfly radix and each pointwise op timed
+//!   each batched Stockham butterfly radix, each pointwise op and the
+//!   packed stage's unpack and repack timed
 //!   dispatched vs pinned-scalar, plus the end-to-end 64³ r2c forward
 //!   delta (`FftEngine` default vs `with_scalar_kernels()`). On hosts
 //!   without AVX2 both paths run the same code and the speedups read
@@ -444,6 +445,60 @@ fn main() {
             }
         });
         push_kernel("conv_fma_row", scalar_s, autovec_s, simd_s, &mut recs);
+
+        // The FFT packed stage's element loops at a real line length of
+        // 30 (hn = 15 packed values: four 4-bin vectors, the last one
+        // overlapping),
+        // over 64 lines per application (~8 KiB per stream, L1-resident)
+        // with the engine's twiddles. Each application rewrites its
+        // output from unchanged inputs, so repeats neither decay nor
+        // grow. The portable twin is the only baseline (its reversed
+        // mirror reads keep it one lane), so the scalar and autovec
+        // columns coincide as in the radix rows.
+        const PK_N: usize = 30;
+        const PK_LINES: usize = 64;
+        let hn = PK_N / 2;
+        let twiddles = |sign: f64| -> Vec<Complex32> {
+            (0..=hn)
+                .map(|k| {
+                    let ang = sign * 2.0 * std::f64::consts::PI * k as f64 / PK_N as f64;
+                    Complex32::new(ang.cos() as f32, ang.sin() as f32)
+                })
+                .collect()
+        };
+        let (tw_fwd, tw_inv) = (twiddles(-1.0), twiddles(1.0));
+        let packed: Vec<Complex32> =
+            seed_c.iter().copied().cycle().take(PK_LINES * (hn + 1)).collect();
+        let mut out = vec![Complex32::new(0.0, 0.0); PK_LINES * (hn + 1)];
+        let [simd_s, autovec_s, _] = duel(|path| {
+            for _ in 0..PW_K {
+                let d = std::hint::black_box(&mut out);
+                for (dst, z) in d.chunks_exact_mut(hn + 1).zip(packed.chunks_exact(hn + 1)) {
+                    match path {
+                        Path::Simd => znn_simd::r2c_unpack(dst, &z[..hn], &tw_fwd),
+                        Path::Autovec | Path::Strict => {
+                            znn_simd::scalar::r2c_unpack(dst, &z[..hn], &tw_fwd)
+                        }
+                    }
+                }
+            }
+        });
+        push_kernel("r2c_unpack_n30", autovec_s, autovec_s, simd_s, &mut recs);
+
+        let [simd_s, autovec_s, _] = duel(|path| {
+            for _ in 0..PW_K {
+                let d = std::hint::black_box(&mut out);
+                for (z, x) in d.chunks_exact_mut(hn + 1).zip(packed.chunks_exact(hn + 1)) {
+                    match path {
+                        Path::Simd => znn_simd::c2r_repack(&mut z[..hn], x, &tw_inv),
+                        Path::Autovec | Path::Strict => {
+                            znn_simd::scalar::c2r_repack(&mut z[..hn], x, &tw_inv)
+                        }
+                    }
+                }
+            }
+        });
+        push_kernel("c2r_repack_n30", autovec_s, autovec_s, simd_s, &mut recs);
 
         json.push_str(&recs.join(",\n"));
         json.push_str("\n    ],\n");

@@ -3,6 +3,7 @@
 use crate::line::{Direction, LinePlan};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 use znn_alloc::PoolSet;
 use znn_tensor::{BufferSource, CImage, Complex32, Image, Spectrum, Vec3};
@@ -213,6 +214,36 @@ type PlanMap = HashMap<(usize, Direction), Arc<LinePlan>>;
 /// r2c twiddle cache: one table per (packed-axis extent, direction).
 type TwiddleMap = HashMap<(usize, Direction), Arc<Vec<Complex32>>>;
 
+/// One complex element loop of the packed stage: `znn_simd::r2c_unpack`
+/// or `znn_simd::c2r_repack` (or a scalar twin).
+type PackFn = fn(&mut [Complex32], &[Complex32], &[Complex32]);
+
+/// The element loops of the packed stage: `znn-simd`'s dispatched
+/// kernels, or their scalar twins under
+/// [`FftEngine::with_scalar_kernels`]. Every pair is bitwise equal.
+#[derive(Clone, Copy)]
+struct PackKernels {
+    /// The forward Hermitian unpack of one transformed line.
+    unpack: PackFn,
+    /// The inverse repack of one line's bins.
+    repack: PackFn,
+    /// The c2r extract of a dense output row.
+    scale_copy: fn(&mut [MaybeUninit<f32>], &[f32], f32),
+}
+
+impl PackKernels {
+    const DISPATCHED: PackKernels = PackKernels {
+        unpack: znn_simd::r2c_unpack,
+        repack: znn_simd::c2r_repack,
+        scale_copy: znn_simd::scale_copy_f,
+    };
+    const SCALAR: PackKernels = PackKernels {
+        unpack: znn_simd::scalar::r2c_unpack,
+        repack: znn_simd::scalar::c2r_repack,
+        scale_copy: znn_simd::scalar::scale_copy_f,
+    };
+}
+
 /// A 3D FFT for real-valued images, built from cached 1D
 /// [`LinePlan`]s.
 ///
@@ -233,6 +264,12 @@ type TwiddleMap = HashMap<(usize, Direction), Arc<Vec<Complex32>>>;
 /// transforms over the halved tensor. Each stage skips the lines that
 /// are zero on the way in or unread on the way out (see the crate docs'
 /// *Pruned transforms*).
+///
+/// The packed stage's element loops around its line transforms — the
+/// Hermitian unpack, the inverse's repack and the dense c2r extract —
+/// are `znn-simd` kernels (`r2c_unpack`, `c2r_repack`,
+/// `scale_copy_f`), dispatched to AVX2 bodies that are bitwise equal to
+/// their scalar twins. The dense pack is a plain row copy.
 ///
 /// # Threading model
 ///
@@ -258,8 +295,8 @@ type TwiddleMap = HashMap<(usize, Direction), Arc<Vec<Complex32>>>;
 /// tensor drops. A forward transform leases only its half-spectrum:
 /// [`FftEngine::forward_padded`] reads the unpadded image directly, so
 /// no padded copy is leased. A cropped [`FftEngine::inverse_real`]
-/// leases only its `shape` output and writes each cropped run into it,
-/// recycling the consumed spectrum. Only the full box
+/// leases only its `shape` output, without a zero-fill, and writes each
+/// cropped run into it, recycling the consumed spectrum. Only the full box
 /// ([`FftEngine::irfft3`]) works in place: it re-adopts the spectrum's
 /// storage as the real output, so the c2r buffer reuse survives
 /// pooling. A steady-state transform loop then performs zero
@@ -290,8 +327,8 @@ pub struct FftEngine {
     rtwiddles: Mutex<TwiddleMap>,
     /// When true, every 1D line plan comes from
     /// [`LinePlan::scalar`] — the Stockham kernels with the
-    /// batched SIMD lines pinned off (see
-    /// [`FftEngine::with_scalar_kernels`]).
+    /// batched SIMD lines pinned off — and the packed stage runs the
+    /// scalar twins (see [`FftEngine::with_scalar_kernels`]).
     scalar_kernels: bool,
     /// Scratch, one set per concurrent caller (see [`ScratchPool`]).
     scratch: ScratchPool,
@@ -320,11 +357,13 @@ impl FftEngine {
         Self::new()
     }
 
-    /// A new engine whose 1D line plans pin the
-    /// Stockham kernels to their scalar per-line path, bypassing the
-    /// batched SIMD lines. Results are bitwise identical to the default
-    /// engine — the vector butterflies perform the same IEEE ops in the
-    /// same order — so this switch can only ever change speed.
+    /// A new engine that runs no SIMD code of its own: its 1D line
+    /// plans pin the Stockham kernels to their scalar per-line path,
+    /// bypassing the batched SIMD lines, and its packed stage calls the
+    /// scalar twins of `znn-simd`'s unpack, repack and extract kernels.
+    /// Results are bitwise identical to the default engine — the vector
+    /// bodies perform the same IEEE ops in the same order — so this
+    /// switch can only ever change speed.
     ///
     /// It stays in the crate because it is the oracle of the bitwise
     /// SIMD pins: `tests/simd_parity.rs` and `tests/force_scalar.rs`
@@ -343,7 +382,9 @@ impl FftEngine {
     /// steady-state transform loop performs **zero** allocation after
     /// its first pass, and transforms stay **bit-for-bit identical** to
     /// the unpooled engine (pool leases are zero-filled exactly like
-    /// fresh buffers, and scratch contents never reach an output).
+    /// fresh buffers, a cropped output leased without the fill is fully
+    /// written before it is read, and scratch contents never reach an
+    /// output).
     ///
     /// Use **one `PoolSet` per pipeline**: a spectrum leased from a
     /// *different* pool and consumed by this engine's [`FftEngine::irfft3`]
@@ -380,9 +421,13 @@ impl FftEngine {
         znn_alloc::lease_cimage(self.pools.as_ref(), shape)
     }
 
-    /// A zero-filled real tensor, leased when pools are attached.
-    fn lease_image(&self, shape: Vec3) -> Image {
-        znn_alloc::lease_image(self.pools.as_ref(), shape)
+    /// The packed stage's element loops.
+    fn pack(&self) -> PackKernels {
+        if self.scalar_kernels {
+            PackKernels::SCALAR
+        } else {
+            PackKernels::DISPATCHED
+        }
     }
 
     fn plan(&self, len: usize, dir: Direction) -> Arc<LinePlan> {
@@ -525,6 +570,14 @@ impl FftEngine {
     /// `src_x · h` lines and only the last axis runs in full. A kept line
     /// runs the same butterflies on the same data as the unpruned
     /// transform; a skipped line stays at the lease's `+0`.
+    ///
+    /// Packing: sample `p` of the zero-padded packed-axis row is float
+    /// `p` of its half-length line's interleaved storage. A source row
+    /// at unit step is one copy into the line plus a zero tail; a
+    /// dilated row (`step > 1` on the packed axis) is a strided walk.
+    /// Each transformed line is unpacked into its `h` bins by
+    /// `znn_simd::r2c_unpack` (the scalar twin on
+    /// [`FftEngine::with_scalar_kernels`]).
     pub(crate) fn forward_lattice(&self, src: &Image, step: Vec3, m: Vec3) -> Spectrum {
         let lat = Lattice {
             at: Vec3::zero(),
@@ -565,15 +618,18 @@ impl FftEngine {
                 for g0 in (0..lines.len()).step_by(LINE_BATCH) {
                     let g = LINE_BATCH.min(lines.len() - g0);
                     let group = &mut buf[..g * hn];
-                    // z[t] = x[2t] + i·x[2t+1] over the zero-padded row
+                    // z[t] = x[2t] + i·x[2t+1] over the zero-padded row:
+                    // sample p of the padded row is float p of the line
                     for (j, line) in (g0..).zip(group.chunks_exact_mut(hn)) {
-                        line.fill(Complex32::default());
-                        for (i, &v) in src[j * e..(j + 1) * e].iter().enumerate() {
-                            let p = i * sp;
-                            if p.is_multiple_of(2) {
-                                line[p / 2].re = v;
-                            } else {
-                                line[p / 2].im = v;
+                        let row = &src[j * e..(j + 1) * e];
+                        let floats = znn_simd::complex_as_floats_mut(line);
+                        if sp == 1 {
+                            floats[..e].copy_from_slice(row);
+                            floats[e..].fill(0.0);
+                        } else {
+                            floats.fill(0.0);
+                            for (f, &v) in floats.iter_mut().step_by(sp).zip(row) {
+                                *f = v;
                             }
                         }
                     }
@@ -581,14 +637,7 @@ impl FftEngine {
                         p.process_with_scratch(group, scratch);
                     }
                     for (j, line) in (g0..).zip(group.chunks_exact(hn)) {
-                        let row = &mut dst[lines.start(j)..][..h];
-                        for (k, d) in row.iter_mut().enumerate() {
-                            let zk = line[k % hn];
-                            let zc = line[(hn - k) % hn].conj();
-                            let ze = (zk + zc) * 0.5;
-                            let zo = (zk - zc) * Complex32::new(0.0, -0.5);
-                            *d = ze + tw[k] * zo;
-                        }
+                        (self.pack().unpack)(&mut dst[lines.start(j)..][..h], line, &tw);
                     }
                 }
             } else {
@@ -631,8 +680,9 @@ impl FftEngine {
     /// already-inverted coordinate is off the lattice, and the c2r stage
     /// runs only on lattice lines and writes each line's lattice samples
     /// straight into its output row. The dense full box works in place
-    /// on the spectrum's storage; every other lattice writes into a
-    /// fresh `lat.count` lease and recycles the spectrum.
+    /// on the spectrum's storage; every other lattice writes every voxel
+    /// of a fresh `lat.count` lease, taken without a zero-fill, and
+    /// recycles the spectrum.
     pub(crate) fn inverse_lattice(&self, spec: Spectrum, lat: Lattice) -> Image {
         let m = spec.full_shape();
         assert!(
@@ -688,9 +738,11 @@ impl FftEngine {
                 let p = data.as_mut_ptr();
                 // SAFETY: the full box enumerates every line in memory
                 // order, so lines.start(j) = j·h: row j (n floats at
-                // 2·j·h) is the prefix of slot j (2h floats at 2·j·h),
-                // all inside `data`'s 2·len(half) floats.
-                unsafe { self.c2r_lines(s, p, p, 2 * h, &lines, n, scale) };
+                // 2·j·h) is the prefix of slot j (h bins = 2h floats at
+                // 2·j·h), all inside `data`'s 2·len(half) floats, which
+                // are Complex32-aligned since they began as a complex
+                // buffer.
+                unsafe { self.c2r_lines(s, p.cast(), p, 2 * h, &lines, n, scale) };
                 // compact the per-slot real lines into a dense image: line
                 // i moves left from 2·i·h to i·n, so a forward pass never
                 // overwrites an unmoved line
@@ -708,25 +760,44 @@ impl FftEngine {
                     None => out,
                 }
             } else {
-                let mut out = self.lease_image(lat.count);
-                let src = half.as_mut_slice().as_mut_ptr().cast::<f32>();
-                let dst = out.as_mut_slice().as_mut_ptr();
+                // every voxel of the output is written below before
+                // anything reads it, so it is leased without a zero-fill
+                let len = lat.count.len();
+                let home = self.pools.as_ref().map(|p| Arc::clone(p.real_home()));
+                let mut data = match &home {
+                    Some(h) => h.lease_empty(len),
+                    None => Vec::with_capacity(len),
+                };
+                let src = half.as_slice().as_ptr();
+                let dst = data.as_mut_ptr();
                 // SAFETY: the lattice fits `m`, so each start is a packed
-                // line origin of `half` (Complex32 is two f32s, so slot j
-                // is the line's 2h floats); `out` holds one lat.count[pa]
-                // row per start, and the two buffers are distinct.
+                // line origin of `half` with its h bins inside it; `data`
+                // has capacity for lat.count.len() floats, which is one
+                // lat.count[pa] row per start, and the two buffers are
+                // distinct.
                 unsafe { self.c2r_lines(s, src, dst, lat.count[pa], &lines, n, scale) };
-                out
+                // SAFETY: the rows j·lat.count[pa] .. (j+1)·lat.count[pa]
+                // for j < lines.len() tile 0..len, and c2r_lines wrote
+                // every element of every row, so all len floats are
+                // initialized.
+                unsafe { data.set_len(len) };
+                let out = Image::from_vec(lat.count, data);
+                match home {
+                    Some(home) => out.with_home(home),
+                    None => out,
+                }
             }
         })
     }
 
     /// The c2r stage of [`FftEngine::inverse_lattice`]: for each line
-    /// `j`, reads the `h` interleaved bins at `src + 2·lines.start(j)`,
-    /// inverts them at length `n`, and writes sample `lat.coord(pa, i)`
-    /// times `scale` to `dst[j·row_len + i]` for `i < lat.count[pa]`,
-    /// where `lat` is the lattice `lines` was taken from and `pa` the
-    /// packed axis they run along.
+    /// `j`, reads the `h` bins at `src + lines.start(j)`, inverts them
+    /// at length `n`, and writes sample `lat.coord(pa, i)` times `scale`
+    /// to `dst[j·row_len + i]` for `i < lat.count[pa]`, where `lat` is
+    /// the lattice `lines` was taken from and `pa` the packed axis they
+    /// run along. A dense lattice row is one scaled copy of `count`
+    /// samples from `lat.at[pa]`; a dilated or flipped one is a strided
+    /// walk.
     ///
     /// `src` and `dst` may alias when every row lies inside its own
     /// line's slot (the in-place full box): a line's bins are consumed
@@ -734,16 +805,16 @@ impl FftEngine {
     ///
     /// # Safety
     ///
-    /// For every `j < lines.len()`, the `2h` floats at
-    /// `src + 2·lines.start(j)` must be readable and the `lat.count[pa]`
-    /// floats at `dst + j·row_len` writable for the whole call. Rows
-    /// must be pairwise disjoint, and a row may overlap only its own
-    /// line's slot.
+    /// For every `j < lines.len()`, the `h` bins at
+    /// `src + lines.start(j)` must be readable and the `lat.count[pa]`
+    /// floats at `dst + j·row_len` writable (they need not be
+    /// initialized) for the whole call. Rows must be pairwise disjoint,
+    /// and a row may overlap only its own line's slot.
     #[allow(clippy::too_many_arguments)]
     unsafe fn c2r_lines(
         &self,
         s: &mut ScratchBuffers,
-        src: *const f32,
+        src: *const Complex32,
         dst: *mut f32,
         row_len: usize,
         lines: &Lines,
@@ -755,10 +826,12 @@ impl FftEngine {
         let count = lat.count[pa];
         // SAFETY: valid by the caller's contract; a slot is only read
         // before its own row is written, and no two rows overlap.
-        let slot =
-            |j: usize| unsafe { std::slice::from_raw_parts(src.add(2 * lines.start(j)), 2 * h) };
-        // SAFETY: as for `slot`
-        let row = |j: usize| unsafe { std::slice::from_raw_parts_mut(dst.add(j * row_len), count) };
+        let slot = |j: usize| unsafe { std::slice::from_raw_parts(src.add(lines.start(j)), h) };
+        // SAFETY: as for `slot`. A row may be uninitialized, so it is
+        // viewed as MaybeUninit and only ever written.
+        let row = |j: usize| unsafe {
+            std::slice::from_raw_parts_mut(dst.add(j * row_len).cast::<MaybeUninit<f32>>(), count)
+        };
         if n.is_multiple_of(2) {
             let hn = n / 2;
             let plan = (hn > 1).then(|| self.plan(hn, Direction::Inverse));
@@ -774,28 +847,31 @@ impl FftEngine {
             for g0 in (0..lines.len()).step_by(LINE_BATCH) {
                 let g = LINE_BATCH.min(lines.len() - g0);
                 let group = &mut buf[..g * hn];
+                // z[k] = ze + i·zo repacks even/odd interleaving
                 for (j, line) in (g0..).zip(group.chunks_exact_mut(hn)) {
-                    let slot = slot(j);
-                    for (k, b) in line.iter_mut().enumerate() {
-                        let xk = Complex32::new(slot[2 * k], slot[2 * k + 1]);
-                        let xc = Complex32::new(slot[2 * (hn - k)], -slot[2 * (hn - k) + 1]);
-                        let ze = (xk + xc) * 0.5;
-                        let zo = (xk - xc) * 0.5 * tw[k];
-                        // z[k] = ze + i·zo repacks even/odd interleaving
-                        *b = Complex32::new(ze.re - zo.im, ze.im + zo.re);
-                    }
+                    (self.pack().repack)(line, slot(j), &tw);
                 }
                 if let Some(p) = &plan {
                     p.process_with_scratch(group, scratch);
                 }
-                // sample t of the real line is z[t/2].re (even t) or
-                // z[t/2].im (odd t)
+                // sample t of the real line is float t of the
+                // transformed line (z[t/2].re for even t, .im for odd)
+                let (at, step) = (lat.at[pa], lat.step[pa]);
                 for (j, line) in (g0..).zip(group.chunks_exact(hn)) {
-                    for (i, d) in row(j).iter_mut().enumerate() {
-                        let t = lat.coord(pa, i);
-                        let z = line[t / 2];
-                        let v = if t.is_multiple_of(2) { z.re } else { z.im };
-                        *d = v * scale;
+                    let floats = znn_simd::complex_as_floats(line);
+                    let samples = floats[at..].iter().step_by(step);
+                    let row = row(j);
+                    if lat.flip {
+                        // output i holds sample at + (count−1−i)·step
+                        for (d, &v) in row.iter_mut().rev().zip(samples) {
+                            d.write(v * scale);
+                        }
+                    } else if step == 1 {
+                        (self.pack().scale_copy)(row, &floats[at..][..count], scale);
+                    } else {
+                        for (d, &v) in row.iter_mut().zip(samples) {
+                            d.write(v * scale);
+                        }
                     }
                 }
             }
@@ -809,18 +885,16 @@ impl FftEngine {
             let buf = borrow_buf(&mut s.line, n, s.home.as_ref());
             for j in 0..lines.len() {
                 let slot = slot(j);
-                for (k, b) in buf[..h].iter_mut().enumerate() {
-                    *b = Complex32::new(slot[2 * k], slot[2 * k + 1]);
-                }
+                buf[..h].copy_from_slice(slot);
                 // Hermitian reconstruction of the dropped bins
                 for k in 1..h {
-                    buf[n - k] = Complex32::new(slot[2 * k], -slot[2 * k + 1]);
+                    buf[n - k] = slot[k].conj();
                 }
                 if let Some(p) = &plan {
                     p.process_with_scratch(buf, scratch);
                 }
                 for (i, d) in row(j).iter_mut().enumerate() {
-                    *d = buf[lat.coord(pa, i)].re * scale;
+                    d.write(buf[lat.coord(pa, i)].re * scale);
                 }
             }
         }

@@ -1,9 +1,11 @@
 //! SIMD-vs-scalar parity at the 3D engine level: the default engine
-//! (batched AVX2 Stockham lines where detected) must be *bitwise*
-//! equal to `with_scalar_kernels()` on every path — forward r2c (whose
-//! strided stages are complex line transforms) and inverse, threaded
-//! or not. On hosts without AVX2 the two engines run the same code and
-//! the pins hold trivially.
+//! (batched AVX2 Stockham lines and `znn-simd`'s packed-stage unpack,
+//! repack and extract kernels where detected) must be *bitwise* equal
+//! to `with_scalar_kernels()` on every path — forward r2c (whose
+//! strided stages are complex line transforms), inverse, and the
+//! pruned lattices of kernel spectra, crops and kernel gradients,
+//! threaded or not. On hosts without AVX2 the two engines run the same
+//! code and the pins hold trivially.
 
 use proptest::prelude::*;
 use znn_fft::{spectra, FftEngine};
@@ -42,6 +44,57 @@ fn default_engine_matches_scalar_kernels_bitwise() {
             back_a.max_abs_diff(&back_b) == 0.0,
             "inverse drift on {shape}"
         );
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn spectrum_bits(s: &znn_tensor::Spectrum) -> Vec<u32> {
+    s.half().as_slice().iter().flat_map(|c| [c.re.to_bits(), c.im.to_bits()]).collect()
+}
+
+#[test]
+fn packed_stage_lattices_match_scalar_kernels_bitwise() {
+    // the packed stage's three lattice paths (dilated forward, cropped
+    // dense inverse at an offset, flipped strided inverse) at odd
+    // half-lengths hn = 15, 25 and at hn = 16, 24, multiples of the
+    // 4-bin vector; the flat shape packs along y
+    let simd = FftEngine::new();
+    let scalar = FftEngine::with_scalar_kernels();
+    for m in [
+        Vec3::new(6, 10, 30),
+        Vec3::new(5, 7, 50),
+        Vec3::new(6, 10, 32),
+        Vec3::new(4, 8, 48),
+        Vec3::new(9, 30, 1),
+    ] {
+        let pa = znn_tensor::Spectrum::packed_axis(m);
+        let flat = m[2] == 1;
+        let k = if flat { Vec3::new(3, 4, 1) } else { Vec3::new(2, 3, 4) };
+        let sparsity = if flat { Vec3::new(2, 3, 1) } else { Vec3::new(2, 3, 5) };
+        let w = ops::random(k, 41);
+        let a = spectra::kernel_spectrum(&simd, &w, sparsity, m);
+        let b = spectra::kernel_spectrum(&scalar, &w, sparsity, m);
+        assert_eq!(spectrum_bits(&a), spectrum_bits(&b), "dilated kernel spectrum at {m}");
+
+        let img = ops::random(m, 42);
+        let spec = simd.rfft3(&img);
+        // a crop that starts inside the packed axis
+        let mut at = Vec3::new(1, 2, if flat { 0 } else { 2 });
+        at[pa] = 3;
+        let crop = m - at - Vec3::new(1, 1, if flat { 0 } else { 1 });
+        let a = simd.inverse_real(spec.clone(), at, crop);
+        let b = scalar.inverse_real(spec.clone(), at, crop);
+        assert!(at[pa] > 0);
+        assert_eq!(bits(a.as_slice()), bits(b.as_slice()), "cropped inverse at {m}");
+
+        for s in [sparsity, Vec3::one()] {
+            let a = spectra::kernel_gradient_from_corr(&simd, spec.clone(), k, s);
+            let b = spectra::kernel_gradient_from_corr(&scalar, spec.clone(), k, s);
+            assert_eq!(bits(a.as_slice()), bits(b.as_slice()), "kernel gradient s={s} at {m}");
+        }
     }
 }
 

@@ -16,6 +16,7 @@
 use crate::{complex_as_floats, complex_as_floats_mut, taps, Tap, TapRow};
 use num_complex::Complex;
 use std::arch::x86_64::*;
+use std::mem::MaybeUninit;
 
 /// `(a0·b0, a1·b1, …)` complex product of 4 interleaved complexes.
 #[inline(always)]
@@ -315,4 +316,159 @@ pub unsafe fn dot_taps_f64(
     offs: &[usize],
 ) {
     taps::dot_taps(out, a, b, len, rows, offs);
+}
+
+/// Swaps the `re, im` lanes of 4 interleaved complexes.
+#[inline(always)]
+unsafe fn swap_ri(v: __m256) -> __m256 {
+    _mm256_permute_ps(v, 0xB1)
+}
+
+/// The 4 complexes at `p`, in reverse order: `(p[3], p[2], p[1], p[0])`.
+///
+/// # Safety
+///
+/// AVX2 is enabled and the 8 floats at `p` are readable.
+#[inline(always)]
+unsafe fn load_rev4(p: *const f32) -> __m256 {
+    let v = _mm256_castps_pd(_mm256_loadu_ps(p));
+    _mm256_castpd_ps(_mm256_permute4x64_pd(v, 0x1B))
+}
+
+/// Unpack bins `k..k+4` (all in `1..hn`) into `dp`, reading `z[k..]`
+/// and the mirrors `z[hn−k−3 ..= hn−k]` by a reversed load. Each
+/// product is spelled out so that every lane multiplies and adds the
+/// twin's operands in the twin's order: `zo` keeps both `× 0.0` terms
+/// of `(zk − zc)·(0 − 0.5i)`, and `tw·zo` is the `num-complex` product.
+///
+/// # Safety
+///
+/// AVX2 is enabled, `1 ≤ k` and `k + 4 ≤ hn`; `zp` points to `hn`
+/// complexes, `wp` to at least `k + 4` and `dp` to at least `k + 4`
+/// writable ones.
+#[inline(always)]
+unsafe fn unpack4(zp: *const f32, wp: *const f32, dp: *mut f32, hn: usize, k: usize) {
+    let half = _mm256_set1_ps(0.5);
+    // (0, −0.5) and (−0.5, 0): the factor's components in the order
+    // the product's re and im lanes take them
+    let re_row = _mm256_setr_ps(0.0, -0.5, 0.0, -0.5, 0.0, -0.5, 0.0, -0.5);
+    let im_row = _mm256_setr_ps(-0.5, 0.0, -0.5, 0.0, -0.5, 0.0, -0.5, 0.0);
+    let zk = _mm256_loadu_ps(zp.add(2 * k));
+    let zc = conj4(load_rev4(zp.add(2 * (hn - k - 3))));
+    let ze = _mm256_mul_ps(_mm256_add_ps(zk, zc), half);
+    let dl = _mm256_sub_ps(zk, zc);
+    // zo = (dl.re·0 − dl.im·(−0.5), dl.re·(−0.5) + dl.im·0)
+    let t1 = _mm256_mul_ps(_mm256_moveldup_ps(dl), re_row);
+    let t2 = _mm256_mul_ps(_mm256_movehdup_ps(dl), im_row);
+    let zo = _mm256_addsub_ps(t1, t2);
+    // tw·zo = (tw.re·zo.re − tw.im·zo.im, tw.re·zo.im + tw.im·zo.re)
+    let w = _mm256_loadu_ps(wp.add(2 * k));
+    let p1 = _mm256_mul_ps(_mm256_moveldup_ps(w), zo);
+    let p2 = _mm256_mul_ps(_mm256_movehdup_ps(w), swap_ri(zo));
+    _mm256_storeu_ps(dp.add(2 * k), _mm256_add_ps(ze, _mm256_addsub_ps(p1, p2)));
+}
+
+/// Repack bins `k..k+4` (all in `0..hn`) into `zp`, reading `x[k..]`
+/// and the mirrors `x[hn−k−3 ..= hn−k]` by a reversed load, with the
+/// twin's operand order per lane: `zo = ((xk − xc)·0.5)·tw` and
+/// `z = (ze.re − zo.im, ze.im + zo.re)`.
+///
+/// # Safety
+///
+/// AVX2 is enabled and `k + 4 ≤ hn`; `xp` points to `hn + 1`
+/// complexes, `wp` to at least `k + 4` and `zp` to at least `k + 4`
+/// writable ones.
+#[inline(always)]
+unsafe fn repack4(xp: *const f32, wp: *const f32, zp: *mut f32, hn: usize, k: usize) {
+    let half = _mm256_set1_ps(0.5);
+    let xk = _mm256_loadu_ps(xp.add(2 * k));
+    let xc = conj4(load_rev4(xp.add(2 * (hn - k - 3))));
+    let ze = _mm256_mul_ps(_mm256_add_ps(xk, xc), half);
+    let d = _mm256_mul_ps(_mm256_sub_ps(xk, xc), half);
+    // zo = d·tw = (d.re·tw.re − d.im·tw.im, d.re·tw.im + d.im·tw.re)
+    let w = _mm256_loadu_ps(wp.add(2 * k));
+    let t1 = _mm256_mul_ps(_mm256_moveldup_ps(d), w);
+    let t2 = _mm256_mul_ps(_mm256_movehdup_ps(d), swap_ri(w));
+    let zo = _mm256_addsub_ps(t1, t2);
+    _mm256_storeu_ps(zp.add(2 * k), _mm256_addsub_ps(ze, swap_ri(zo)));
+}
+
+/// r2c Hermitian unpack, 4 bins per vector. Bins `0` and `hn` (whose
+/// mirror wraps to `z[0]`) run the twin's per-bin function; the body
+/// covers `1..hn` with vectors at `1, 5, 9, …` and one last vector
+/// ending at `hn`, which may recompute bins an earlier vector wrote
+/// (with the same result, so the overlap is invisible). Lines too
+/// short for one vector (`hn < 5`) run the twin's per-bin function.
+///
+/// # Safety
+///
+/// AVX2+FMA must be available; the lengths are checked here.
+#[target_feature(enable = "avx2,fma")]
+pub unsafe fn r2c_unpack(dst: &mut [Complex<f32>], z: &[Complex<f32>], tw: &[Complex<f32>]) {
+    use crate::scalar::unpack_bin;
+    let hn = z.len();
+    crate::scalar::check_packed(hn, dst.len(), tw.len());
+    dst[0] = unpack_bin(z[0], z[0], tw[0]);
+    dst[hn] = unpack_bin(z[0], z[0], tw[hn]);
+    if hn < 5 {
+        for k in 1..hn {
+            dst[k] = unpack_bin(z[k], z[hn - k], tw[k]);
+        }
+        return;
+    }
+    let zp = complex_as_floats(z).as_ptr();
+    let wp = complex_as_floats(tw).as_ptr();
+    let dp = complex_as_floats_mut(dst).as_mut_ptr();
+    // every call below has 1 ≤ k and k + 4 ≤ hn (hn ≥ 5), inside the
+    // lengths checked above
+    let mut k = 1;
+    while k + 4 < hn {
+        unpack4(zp, wp, dp, hn, k);
+        k += 4;
+    }
+    unpack4(zp, wp, dp, hn, hn - 4);
+}
+
+/// c2r repack, 4 bins per vector over `0..hn` (the mirror `x[hn − k]`
+/// never wraps): vectors at `0, 4, 8, …` and one last vector ending at
+/// `hn`, overlapping as in [`r2c_unpack`]. Lines too short for one
+/// vector (`hn < 4`) run the twin's per-bin function.
+///
+/// # Safety
+///
+/// AVX2+FMA must be available; the lengths are checked here.
+#[target_feature(enable = "avx2,fma")]
+pub unsafe fn c2r_repack(z: &mut [Complex<f32>], x: &[Complex<f32>], tw: &[Complex<f32>]) {
+    use crate::scalar::repack_bin;
+    let hn = z.len();
+    crate::scalar::check_packed(hn, x.len(), tw.len());
+    if hn < 4 {
+        for k in 0..hn {
+            z[k] = repack_bin(x[k], x[hn - k], tw[k]);
+        }
+        return;
+    }
+    let xp = complex_as_floats(x).as_ptr();
+    let wp = complex_as_floats(tw).as_ptr();
+    let zp = complex_as_floats_mut(z).as_mut_ptr();
+    // every call below has k + 4 ≤ hn (hn ≥ 4), inside the lengths
+    // checked above
+    let mut k = 0;
+    while k + 4 < hn {
+        repack4(xp, wp, zp, hn, k);
+        k += 4;
+    }
+    repack4(xp, wp, zp, hn, hn - 4);
+}
+
+#[target_feature(enable = "avx2,fma")]
+pub unsafe fn scale_copy_f(dst: &mut [MaybeUninit<f32>], src: &[f32], s: f32) {
+    assert_eq!(dst.len(), src.len());
+    // stores only: no element of `dst` is read, initialized or not
+    let (dp, sp) = (dst.as_mut_ptr().cast::<f32>(), src.as_ptr());
+    let sv = _mm256_set1_ps(s);
+    real_loop!(dst, main, i, {
+        _mm256_storeu_ps(dp.add(i), _mm256_mul_ps(_mm256_loadu_ps(sp.add(i)), sv));
+    });
+    crate::scalar::scale_copy_f(&mut dst[main..], &src[main..], s);
 }

@@ -6,7 +6,8 @@
 //! four complexes, which is the throughput wall on Intel server
 //! cores — doubling the vector width halves the shuffle count per
 //! element. The streaming real/transfer kernels are load/store-bound
-//! already, so this module re-exports their AVX2 bodies unchanged.
+//! already, and the FFT packed-stage kernels run over lines of a few
+//! dozen bins, so this module re-exports their AVX2 bodies unchanged.
 //!
 //! Exactness: AVX-512 has no `addsub`; the alternating-sign step is
 //! done by flipping the sign bit of the even (real) lanes of the
@@ -21,9 +22,9 @@ use num_complex::Complex;
 use std::arch::x86_64::*;
 
 pub use super::avx2::{
-    add_assign_c, add_assign_f, axpy_f, bias_add_f, bias_leaky_relu_f, bias_relu_f, fma_acc_f,
-    leaky_relu_deriv_mul_f, logistic_deriv_mul_f, mul_assign_f, relu_deriv_mul_f, scale_f,
-    sub_scaled_f, tanh_deriv_mul_f,
+    add_assign_c, add_assign_f, axpy_f, bias_add_f, bias_leaky_relu_f, bias_relu_f, c2r_repack,
+    fma_acc_f, leaky_relu_deriv_mul_f, logistic_deriv_mul_f, mul_assign_f, r2c_unpack,
+    relu_deriv_mul_f, scale_copy_f, scale_f, sub_scaled_f, tanh_deriv_mul_f,
 };
 
 /// Even (real) lanes `x − y`, odd (imag) lanes `x + y` — the `addsub`

@@ -1,5 +1,5 @@
-//! Runtime-dispatched SIMD microkernels for the pointwise layer and the
-//! direct convolution passes.
+//! Runtime-dispatched SIMD microkernels for the pointwise layer, the
+//! direct convolution passes and the FFT's packed (r2c/c2r) stage.
 //!
 //! The paper's per-core throughput assumes wide-vector arithmetic
 //! (its many-core results lean on Xeon-Phi-class SIMD); this crate is
@@ -45,6 +45,27 @@
 //!   class: add-only in f64, bitwise — every body performs the twin's
 //!   additions in the twin's order.
 //!
+//! # FFT packed-stage kernels
+//!
+//! The r2c/c2r stage of `znn-fft` packs each even-length real line of
+//! `n = 2·hn` samples into `hn` complex values, transforms them, and
+//! then unpacks `hn + 1` bins (or, inverse, repacks the bins before
+//! transforming). The element loops around the line transforms are:
+//!
+//! * [`r2c_unpack`] — the forward Hermitian unpack. Bins `0` and `hn`
+//!   are peeled; the vector body runs `k ∈ 1..hn`, reading `z[hn − k]`
+//!   with a reversed load. Exactness class: add/sub/mul-only, bitwise —
+//!   every lane performs the twin's operations in the twin's order,
+//!   including the `× 0.0` terms of `(zk − zc)·(0 − 0.5i)`.
+//! * [`c2r_repack`] — the inverse's `ze + i·zo` repack over `k ∈ 0..hn`.
+//!   Exactness class: add/sub/mul-only, bitwise, as above.
+//! * [`scale_copy_f`] — the c2r extract of a dense output row, `count`
+//!   samples times the normalization. Exactness class: one multiply per
+//!   element, bitwise.
+//!
+//! The dense forward pack is a plain copy of the real row into the
+//! line's interleaved floats, so it has no arithmetic to pin.
+//!
 //! Because results never depend on which body ran, on lane position,
 //! or on tail handling, all of the workspace's bit-determinism
 //! guarantees (thread-count invariance, pooled-vs-raw parity,
@@ -78,6 +99,7 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 use num_complex::Complex;
+use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 
 pub mod scalar;
@@ -216,6 +238,13 @@ dispatched!(
     scale_f,
     (dst: &mut [f32], s: f32),
     "`dst[i] *= s`."
+);
+dispatched!(
+    scale_copy_f,
+    (dst: &mut [MaybeUninit<f32>], src: &[f32], s: f32),
+    "`dst[i] = src[i] · s` (panics on length mismatch) — the c2r \
+     extract of a dense output row. Every element of `dst` is written \
+     and none is read, so `dst` may be uninitialized."
 );
 dispatched!(
     axpy_f,
@@ -382,6 +411,23 @@ dispatched!(
     conj_mul_assign_c,
     (dst: &mut [Complex<f32>], g: &[Complex<f32>]),
     "`dst[i] *= conj(g[i])` — the correlation-spectrum kernel."
+);
+dispatched!(
+    r2c_unpack,
+    (dst: &mut [Complex<f32>], z: &[Complex<f32>], tw: &[Complex<f32>]),
+    "The r2c Hermitian unpack of one packed line: for `k ≤ hn`, with \
+     `hn = z.len() ≥ 1`, `zk = z[k mod hn]` and \
+     `zc = conj(z[(hn − k) mod hn])`, \
+     `dst[k] = (zk + zc)·0.5 + tw[k]·((zk − zc)·(0 − 0.5i))`. \
+     Panics unless `dst` and `tw` hold `hn + 1` values."
+);
+dispatched!(
+    c2r_repack,
+    (z: &mut [Complex<f32>], x: &[Complex<f32>], tw: &[Complex<f32>]),
+    "The c2r repack of one half-spectrum line: for `k < hn`, with \
+     `hn = z.len() ≥ 1`, `xc = conj(x[hn − k])`, `ze = (x[k] + xc)·0.5` \
+     and `zo = ((x[k] − xc)·0.5)·tw[k]`, `z[k] = ze + i·zo`. Panics \
+     unless `x` and `tw` hold `hn + 1` values."
 );
 dispatched!(
     bias_add_f,
@@ -636,6 +682,157 @@ mod tests {
                 assert_eq!(a, b, "{name} n={n}");
             }
         }
+    }
+
+    /// `n` values drawn from ±0, ±inf, NaN, ±subnormal, ±1 and random
+    /// finite floats, so every lane meets each class next to the others.
+    fn special_f(seed: u64, n: usize) -> Vec<f32> {
+        let pool = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(1),
+            -f32::from_bits(0x0040_0000),
+            1.0,
+            -1.0,
+        ];
+        let r = rand_f(seed, n);
+        r.iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let pick = ((x + 1.0) * 7.9) as usize + i;
+                pool.get(pick % (pool.len() + 3)).copied().unwrap_or(x * 1e3)
+            })
+            .collect()
+    }
+
+    fn pairs(f: Vec<f32>) -> Vec<Complex<f32>> {
+        f.chunks_exact(2).map(|p| Complex::new(p[0], p[1])).collect()
+    }
+
+    /// The values of a buffer [`scale_copy_f`] filled.
+    fn written(v: &[MaybeUninit<f32>]) -> Vec<f32> {
+        // SAFETY: every caller passes a buffer whose every element the
+        // kernel under test wrote (it writes all of `dst`).
+        v.iter().map(|x| unsafe { x.assume_init() }).collect()
+    }
+
+    /// Packed-stage twiddles `e^{±iπk/hn}` for `k ≤ hn` (forward:
+    /// `sign = −1`), rounded from f64 like the FFT engine's.
+    fn twiddles(hn: usize, sign: f64) -> Vec<Complex<f32>> {
+        (0..=hn)
+            .map(|k| {
+                let ang = sign * std::f64::consts::PI * k as f64 / hn as f64;
+                Complex::new(ang.cos() as f32, ang.sin() as f32)
+            })
+            .collect()
+    }
+
+    /// The FFT packed-stage kernels against their twins, through the
+    /// dispatcher and through the AVX2 body directly (when the hardware
+    /// has it), for every `hn` in 1..=70 — vector bodies, tails and the
+    /// wrap bins — on random lines, on lines of ±0, ±inf, NaN and
+    /// subnormals, and with such values in the twiddles too. Every bit
+    /// is compared except a NaN's sign and payload: Rust leaves those
+    /// unspecified for arithmetic results, and LLVM picks which NaN
+    /// operand propagates per call site (the twin inlined into two
+    /// functions already differs), so a NaN must meet a NaN.
+    #[test]
+    fn packed_stage_kernels_match_scalar_twins_bitwise() {
+        type Pack = fn(&mut [Complex<f32>], &[Complex<f32>], &[Complex<f32>]);
+        type Extract = fn(&mut [MaybeUninit<f32>], &[f32], f32);
+        let mut bodies: Vec<(&str, Pack, Pack, Extract)> =
+            vec![("dispatched", r2c_unpack, c2r_repack, scale_copy_f)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            // listed whenever the hardware has AVX2+FMA, even under
+            // ZNN_FORCE_SCALAR
+            if detect(false) != Isa::Scalar {
+                bodies.push((
+                    "avx2",
+                    // SAFETY: AVX2+FMA detected; the bodies check lengths.
+                    |d, z, t| unsafe { avx2::r2c_unpack(d, z, t) },
+                    // SAFETY: as above.
+                    |z, x, t| unsafe { avx2::c2r_repack(z, x, t) },
+                    // SAFETY: as above.
+                    |d, s, k| unsafe { avx2::scale_copy_f(d, s, k) },
+                ));
+            }
+        }
+        let bits = |x: f32| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() };
+        let cbits =
+            |v: &[Complex<f32>]| v.iter().map(|c| (bits(c.re), bits(c.im))).collect::<Vec<_>>();
+        let fbits = |v: &[f32]| v.iter().map(|&x| bits(x)).collect::<Vec<_>>();
+        for hn in 1..=70usize {
+            let seed = hn as u64;
+            for (case, data, fwd, inv) in [
+                ("random", rand_f(seed, 2 * hn + 2), twiddles(hn, -1.0), twiddles(hn, 1.0)),
+                ("special", special_f(seed, 2 * hn + 2), twiddles(hn, -1.0), twiddles(hn, 1.0)),
+                (
+                    "special twiddles",
+                    special_f(seed ^ 5, 2 * hn + 2),
+                    pairs(special_f(seed ^ 6, 2 * hn + 2)),
+                    pairs(special_f(seed ^ 7, 2 * hn + 2)),
+                ),
+            ] {
+                let bins = pairs(data.clone());
+                let line = &bins[..hn];
+                let mut want_u = vec![Complex::new(f32::NAN, 0.0); hn + 1];
+                scalar::r2c_unpack(&mut want_u, line, &fwd);
+                let mut want_r = vec![Complex::new(f32::NAN, 0.0); hn];
+                scalar::c2r_repack(&mut want_r, &bins, &inv);
+                let mut want_s = vec![MaybeUninit::uninit(); 2 * hn + 2];
+                scalar::scale_copy_f(&mut want_s, &data, 1.0 / 3.0);
+                let want_s = written(&want_s);
+                for (name, unpack, repack, copy) in &bodies {
+                    let what = format!("{name} hn={hn} {case}");
+                    let mut got = vec![Complex::new(0.0, f32::NAN); hn + 1];
+                    unpack(&mut got, line, &fwd);
+                    assert_eq!(cbits(&got), cbits(&want_u), "r2c_unpack {what}");
+                    let mut got = vec![Complex::new(0.0, f32::NAN); hn];
+                    repack(&mut got, &bins, &inv);
+                    assert_eq!(cbits(&got), cbits(&want_r), "c2r_repack {what}");
+                    let mut got = vec![MaybeUninit::uninit(); 2 * hn + 2];
+                    copy(&mut got, &data, 1.0 / 3.0);
+                    assert_eq!(fbits(&written(&got)), fbits(&want_s), "scale_copy_f {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_stage_kernels_follow_their_definitions() {
+        // a real line x = (1, 2, 3, 4) packs to z = (1 + 2i, 3 + 4i);
+        // its length-2 DFT is (4 + 6i, −2 − 2i), which unpacks to the
+        // DFT of x: (10, −2 + 2i, −2)
+        let z = [Complex::new(4.0f32, 6.0), Complex::new(-2.0, -2.0)];
+        let tw = [Complex::new(1.0f32, 0.0), Complex::new(0.0, -1.0), Complex::new(-1.0, 0.0)];
+        let mut bins = [Complex::new(f32::NAN, 0.0); 3];
+        r2c_unpack(&mut bins, &z, &tw);
+        let want = [Complex::new(10.0, 0.0), Complex::new(-2.0, 2.0), Complex::new(-2.0, 0.0)];
+        for (b, w) in bins.iter().zip(&want) {
+            assert!((b - w).norm() < 1e-6, "{bins:?}");
+        }
+        // the repack inverts the unpack up to the factor 2 the inverse
+        // stage's normalization takes out
+        let inv = [Complex::new(1.0f32, 0.0), Complex::new(0.0, 1.0), Complex::new(-1.0, 0.0)];
+        let mut back = [Complex::new(f32::NAN, 0.0); 2];
+        c2r_repack(&mut back, &want, &inv);
+        for (b, w) in back.iter().zip(&z) {
+            assert!((b - w).norm() < 1e-6, "{back:?}");
+        }
+        let mut row = [MaybeUninit::uninit(); 3];
+        scale_copy_f(&mut row, &[2.0, -4.0, 8.0], 0.25);
+        assert_eq!(written(&row), [0.5, -1.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one twiddle per bin")]
+    fn packed_stage_kernels_check_lengths() {
+        let z = [Complex::new(0.0f32, 0.0); 4];
+        r2c_unpack(&mut [Complex::new(0.0, 0.0); 5], &z, &[Complex::new(1.0, 0.0); 4]);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::{Tap, TapRow};
 use num_complex::Complex;
+use std::mem::MaybeUninit;
 
 /// `dst[i] += src[i]`.
 pub fn add_assign_f(dst: &mut [f32], src: &[f32]) {
@@ -169,5 +170,67 @@ pub fn tanh_deriv_mul_f(dst: &mut [f32], y: &[f32]) {
     assert_eq!(dst.len(), y.len());
     for (d, &yv) in dst.iter_mut().zip(y) {
         *d *= 1.0 - yv * yv;
+    }
+}
+
+/// Bin `k` of the r2c Hermitian unpack from the packed line's `z[k]`,
+/// its mirror `z[hn − k]` and the twiddle `tw[k]` — the per-bin
+/// arithmetic every body of [`r2c_unpack`] performs, `× 0.0` terms
+/// included.
+#[inline(always)]
+pub(crate) fn unpack_bin(zk: Complex<f32>, zm: Complex<f32>, tw: Complex<f32>) -> Complex<f32> {
+    let zc = zm.conj();
+    let ze = (zk + zc) * 0.5;
+    let zo = (zk - zc) * Complex::new(0.0, -0.5);
+    ze + tw * zo
+}
+
+/// Bin `k` of the c2r repack from `x[k]`, its mirror `x[hn − k]` and
+/// the twiddle `tw[k]`: `ze + i·zo`.
+#[inline(always)]
+pub(crate) fn repack_bin(xk: Complex<f32>, xm: Complex<f32>, tw: Complex<f32>) -> Complex<f32> {
+    let xc = xm.conj();
+    let ze = (xk + xc) * 0.5;
+    let zo = (xk - xc) * 0.5 * tw;
+    Complex::new(ze.re - zo.im, ze.im + zo.re)
+}
+
+/// Panics unless the packed line `z` (`hn ≥ 1` values) pairs with
+/// `hn + 1` bins and `hn + 1` twiddles.
+pub(crate) fn check_packed(hn: usize, bins: usize, tw: usize) {
+    assert!(hn >= 1, "empty packed line");
+    assert_eq!(bins, hn + 1, "a packed line of {hn} holds {} bins", hn + 1);
+    assert_eq!(tw, hn + 1, "one twiddle per bin");
+}
+
+/// r2c Hermitian unpack: `dst[k]` (`k ≤ hn`) from the transformed
+/// packed line `z` (`hn` values), `z[k mod hn]`, `conj(z[(hn − k) mod hn])`
+/// and `tw[k]`.
+pub fn r2c_unpack(dst: &mut [Complex<f32>], z: &[Complex<f32>], tw: &[Complex<f32>]) {
+    let hn = z.len();
+    check_packed(hn, dst.len(), tw.len());
+    dst[0] = unpack_bin(z[0], z[0], tw[0]);
+    dst[hn] = unpack_bin(z[0], z[0], tw[hn]);
+    for k in 1..hn {
+        dst[k] = unpack_bin(z[k], z[hn - k], tw[k]);
+    }
+}
+
+/// c2r repack: `z[k]` (`k < hn`) from the bins `x` (`hn + 1` values),
+/// `x[k]`, `conj(x[hn − k])` and `tw[k]`.
+pub fn c2r_repack(z: &mut [Complex<f32>], x: &[Complex<f32>], tw: &[Complex<f32>]) {
+    let hn = z.len();
+    check_packed(hn, x.len(), tw.len());
+    for (k, d) in z.iter_mut().enumerate() {
+        *d = repack_bin(x[k], x[hn - k], tw[k]);
+    }
+}
+
+/// `dst[i] = src[i] · s`, writing every element of `dst` and reading
+/// none.
+pub fn scale_copy_f(dst: &mut [MaybeUninit<f32>], src: &[f32], s: f32) {
+    assert_eq!(dst.len(), src.len());
+    for (d, &v) in dst.iter_mut().zip(src) {
+        d.write(v * s);
     }
 }
