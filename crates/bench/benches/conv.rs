@@ -4,11 +4,12 @@
 //! against the one-shot `znn_fft::fft_conv_valid`.
 //!
 //! `direct_passes` times the three direct passes of one conv edge —
-//! forward, input gradient, kernel gradient — at every conv geometry of
-//! the two direct-convolution benchmark nets: `scalability_net_3d(8)`
-//! at output 4³ (3³ kernels at sparsity 1/2/4/4 onto 27³/22³/12³/4³)
-//! and the sparse `comparison_net(3, 5², 2²)` at output 16² (flat 5²
-//! kernels onto 91²…16²).
+//! forward, input gradient, kernel gradient — as the engine runs them
+//! (on one `conv::DirectConv` and `conv::Scratch`), at every conv
+//! geometry of the two direct-convolution benchmark nets:
+//! `scalability_net_3d(8)` at output 4³ (3³ kernels at sparsity
+//! 1/2/4/4 onto 27³/22³/12³/4³) and the sparse `comparison_net(3, 5²,
+//! 2²)` at output 16² (flat 5² kernels onto 91²…16²).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeSet;
@@ -18,7 +19,7 @@ use znn_fft::{fft_conv_valid, FftEngine};
 use znn_graph::builder::{comparison_net, scalability_net_3d};
 use znn_graph::{shapes, EdgeOp, Graph};
 use znn_ops::conv;
-use znn_tensor::{ops, pad, Vec3};
+use znn_tensor::{ops, pad, Tensor3, Vec3};
 
 /// The distinct `(input shape, kernel, sparsity)` of a net's conv edges
 /// at output shape `out`, first layer first.
@@ -53,14 +54,19 @@ fn bench_direct_passes(c: &mut Criterion) {
             let y = conv::valid_shape(n, k, s).expect("valid geometry");
             let grad = ops::random(y, 3);
             let id = format!("{name}/k{}_s{}_out{}", k[2], s[2], y[2]);
+            // as the engine runs them: tables built once, one scratch,
+            // outputs into zeroed buffers
+            let geometry = conv::DirectConv::new(n, k, s);
+            let scratch = conv::Scratch::default();
+            let (mut fwd, mut bwd) = (Tensor3::zeros(y), Tensor3::zeros(n));
             group.bench_function(format!("forward/{id}"), |b| {
-                b.iter(|| black_box(conv::conv_valid(black_box(&img), &ker, s)))
+                b.iter(|| geometry.forward_into(black_box(&img), &ker, &mut fwd, &scratch))
             });
             group.bench_function(format!("input_gradient/{id}"), |b| {
-                b.iter(|| black_box(conv::input_gradient(black_box(&grad), &ker, s)))
+                b.iter(|| geometry.input_gradient_into(black_box(&grad), &ker, &mut bwd, &scratch))
             });
             group.bench_function(format!("kernel_gradient/{id}"), |b| {
-                b.iter(|| black_box(conv::kernel_gradient(black_box(&img), &grad, k, s)))
+                b.iter(|| black_box(geometry.kernel_gradient(black_box(&img), &grad, &scratch)))
             });
         }
     }

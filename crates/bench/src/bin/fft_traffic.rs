@@ -24,8 +24,9 @@
 //!   resident footprint (which freezes after the first rounds while
 //!   churn keeps flowing — the paper's flat-memory property).
 //! * `"simd"` — the detected ISA and the SIMD microkernel speedups:
-//!   each batched Stockham butterfly radix, each pointwise op and the
-//!   packed stage's unpack and repack timed
+//!   each batched Stockham butterfly radix, each pointwise op, the
+//!   packed stage's unpack and repack and the kernel gradient's f64
+//!   tap dot timed
 //!   dispatched vs pinned-scalar, plus the end-to-end 64³ r2c forward
 //!   delta (`FftEngine` default vs `with_scalar_kernels()`). On hosts
 //!   without AVX2 both paths run the same code and the speedups read
@@ -499,6 +500,34 @@ fn main() {
             }
         });
         push_kernel("c2r_repack_n30", autovec_s, autovec_s, simd_s, &mut recs);
+
+        // The kernel gradient's f64 tap dot at the direct workload's
+        // 22³ s2 layer: 3³ taps at sparsity 2 over the 22² output rows
+        // of a 26³ input, widened to f64 once as `conv::kernel_gradient`
+        // does. One dot is ~10⁵ times longer than a pointwise
+        // application, so each trial runs it once and the duel's
+        // per-application scaling is undone. The twin is the only
+        // baseline, as in the packed-stage rows.
+        let (n, out, s) = (Vec3::cube(26), Vec3::cube(22), 2);
+        let rows: Vec<(usize, usize)> = (0..out[0])
+            .flat_map(|ox| (0..out[1]).map(move |oy| (ox, oy)))
+            .map(|(ox, oy)| (out.offset(Vec3::new(ox, oy, 0)), n.offset(Vec3::new(ox, oy, 0))))
+            .collect();
+        let offs: Vec<usize> = Vec3::cube(3).iter().map(|u| n.offset(u * s)).collect();
+        let g = ops::random(out, 13);
+        let x: Vec<f64> = ops::random(n, 14).as_slice().iter().map(|&v| f64::from(v)).collect();
+        let mut dots = vec![0.0f64; offs.len()];
+        let [simd_s, autovec_s, _] = duel(|path| {
+            let d = std::hint::black_box(&mut dots);
+            match path {
+                Path::Simd => znn_simd::dot_taps_f64(d, g.as_slice(), &x, out[2], &rows, &offs),
+                Path::Autovec | Path::Strict => {
+                    znn_simd::scalar::dot_taps_f64(d, g.as_slice(), &x, out[2], &rows, &offs)
+                }
+            }
+        })
+        .map(|t| t * PW_K as f64);
+        push_kernel("dot_taps_k27", autovec_s, autovec_s, simd_s, &mut recs);
 
         json.push_str(&recs.join(",\n"));
         json.push_str("\n    ],\n");

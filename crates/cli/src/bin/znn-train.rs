@@ -35,7 +35,10 @@
 //! default 25, and at the end). `--resume` restarts from the newest
 //! valid snapshot in the directory, bit-identically.
 //!
-//! With no `--spec`, a built-in demo spec is used.
+//! With no `--spec`, a built-in demo spec is used. The synthetic
+//! dataset makes one input volume and one target, so a spec whose net
+//! has more than one input or output node (`input width=` or the last
+//! conv's `width=` above 1) exits 2 with the usage message.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -153,6 +156,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // the synthetic dataset makes one input volume and one target
+    let (inputs, outputs) = (graph.inputs().len(), graph.outputs().len());
+    if inputs != 1 || outputs != 1 {
+        eprintln!(
+            "the spec's net has {inputs} input and {outputs} output nodes; \
+             training on the built-in dataset needs input width=1 and a last conv of width=1"
+        );
+        usage();
+    }
     println!(
         "network: {} nodes, {} edges, {} parameters",
         graph.node_count(),

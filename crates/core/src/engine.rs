@@ -3,6 +3,7 @@
 use crate::config::{Chooser, TrainConfig};
 use crate::state::{Contribution, ConvEdge, EdgeState, FreqPlan, MaxEdge, NodeState, TransferEdge};
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,6 +120,8 @@ struct Inner {
     net_plan: Arc<NetPlan>,
     /// Wall time of the last completed round, µs.
     last_round_us: AtomicU64,
+    /// Buffers of the direct conv passes, shared by every direct edge.
+    direct_scratch: conv::Scratch,
 }
 
 /// A training round that was poisoned by a panicking task. By the time
@@ -256,18 +259,31 @@ impl Znn {
             ep
         };
 
-        // per-edge runtime state with deterministic parameter init
+        // per-edge runtime state with deterministic parameter init; the
+        // direct passes' tables are built once per distinct geometry
+        let mut geometries = HashMap::new();
         let edges: Vec<EdgeState> = graph
             .edges()
             .iter()
             .enumerate()
             .map(|(i, e)| match e.op {
                 EdgeOp::Conv { kernel, sparsity } => {
-                    let ep = conv_plan(i, node_shape[e.from.0]);
+                    let n = node_shape[e.from.0];
+                    let ep = conv_plan(i, n);
+                    // an FFT edge without memoized spectra takes its kernel
+                    // gradient directly too
+                    let runs_direct = ep.method == ConvMethod::Direct || !cfg.memoize_fft;
+                    let direct = runs_direct.then(|| {
+                        let d = geometries.entry((n, kernel, sparsity)).or_insert_with(|| {
+                            Arc::new(conv::DirectConv::new(n, kernel, sparsity))
+                        });
+                        Arc::clone(d)
+                    });
                     EdgeState::Conv(ConvEdge {
                         kernel: Mutex::new(kernel_init(cfg.seed, EdgeId(i), kernel)),
                         velocity: Mutex::new(None),
                         method: ep.method,
+                        direct,
                         kernel_spectrum: Mutex::new(None),
                         update: znn_sched::UpdateHandle::new(),
                         k: kernel,
@@ -364,6 +380,7 @@ impl Znn {
             task_panics: AtomicU64::new(0),
             net_plan,
             last_round_us: AtomicU64::new(0),
+            direct_scratch: conv::Scratch::default(),
         });
         // latches start "open" until a round arms them
         for _ in 0..outputs {
@@ -905,11 +922,10 @@ impl Inner {
     ) -> Contribution {
         match c.method {
             ConvMethod::Direct => {
+                let d = c.direct.as_ref().expect("direct edge has its tables");
                 let w = c.kernel.lock();
-                let out_shape = conv::valid_shape(input.shape(), w.shape(), c.sparsity)
-                    .expect("validated geometry");
-                let mut out = Inner::lease_image(inner, out_shape);
-                conv::conv_valid_into(input, &w, c.sparsity, &mut out);
+                let mut out = Inner::lease_image(inner, d.output_shape());
+                d.forward_into(input, &w, &mut out, &inner.direct_scratch);
                 Contribution::Spatial(out)
             }
             ConvMethod::Fft => {
@@ -1075,9 +1091,10 @@ impl Inner {
     ) -> Contribution {
         match c.method {
             ConvMethod::Direct => {
+                let d = c.direct.as_ref().expect("direct edge has its tables");
                 let w = c.kernel.lock();
                 let mut out = Inner::lease_image(inner, inner.node_shape[from.0]);
-                conv::input_gradient_into(grad, &w, c.sparsity, &mut out);
+                d.input_gradient_into(grad, &w, &mut out, &inner.direct_scratch);
                 Contribution::Spatial(out)
             }
             ConvMethod::Fft => {
@@ -1167,7 +1184,10 @@ impl Inner {
                         let corr = spectra::corr_spectrum(xs, gs);
                         spectra::kernel_gradient_from_corr(&inner2.fft, corr, c.k, c.sparsity)
                     }
-                    _ => conv::kernel_gradient(&x, &grad, c.k, c.sparsity),
+                    _ => {
+                        let d = c.direct.as_ref().expect("direct kernel gradient has its tables");
+                        d.kernel_gradient(&x, &grad, &inner2.direct_scratch)
+                    }
                 };
                 Inner::apply_sgd(inner2.as_ref(), c, dw, eta);
             });

@@ -3,6 +3,7 @@
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
+use znn_ops::conv::DirectConv;
 use znn_ops::{ConvMethod, Transfer};
 use znn_sched::{Accumulate, ConcurrentSum, UpdateHandle};
 use znn_tensor::{ops, Image, Spectrum, Tensor3, Vec3};
@@ -158,6 +159,10 @@ pub(crate) struct ConvEdge {
     /// Momentum buffer (allocated on first use).
     pub velocity: Mutex<Option<Image>>,
     pub method: ConvMethod,
+    /// The direct passes' tables, shared by every edge with the same
+    /// input shape, kernel and sparsity; `None` on an edge that runs no
+    /// direct pass (an FFT edge with memoized spectra).
+    pub direct: Option<Arc<DirectConv>>,
     /// Memoized half-spectrum of the padded kernel at `m` (current
     /// round).
     pub kernel_spectrum: Mutex<Option<Arc<Spectrum>>>,

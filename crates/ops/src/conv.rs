@@ -27,15 +27,45 @@
 //!   the dropped taps only ever added exact zeros, so at most the sign
 //!   of a zero can differ.
 //! * **kernel gradient** ([`kernel_gradient`]) — one f64 dot per tap
-//!   over all output rows, exact f32×f32 products accumulated in eight
-//!   f64 lanes by [`znn_simd::dot_taps_f64`], rounded to f32 once.
-//!   Bit contract: the f64 accumulation of exact products; only the
+//!   over the forward's output rows: the input is widened to f64 once
+//!   per call (exactly), and [`znn_simd::dot_taps_f64`] accumulates the
+//!   exact products in eight f64 lanes, rounded to f32 once. Bit
+//!   contract: the f64 accumulation of exact products; only the
 //!   association differs from a sequential sum, so results stay within
 //!   1 f32 ulp of it.
 //!
-//! The `znn-simd` bodies (AVX2+FMA, scalar twin) are bitwise
+//! The `znn-simd` bodies (AVX-512F, AVX2+FMA, scalar twin) are bitwise
 //! identical to each other, so none of this depends on the host.
+//!
+//! # Geometry and scratch
+//!
+//! Everything but the weights depends only on the input shape, the
+//! kernel shape and the sparsity: the tap offsets, the input
+//! gradient's x/y tap-range classes and its tap lists, and the output
+//! row tables (one shared by the forward and the kernel gradient). A
+//! [`DirectConv`] computes them once; the training engine builds one
+//! per distinct geometry when it is constructed and shares it across
+//! that layer's edges. A call only gathers the weights into the tap
+//! list, skipping zero taps as before; when a kernel has a zero
+//! weight, that call re-resolves the rows' tap-list bounds in scratch
+//! (the precomputed bounds count every tap). The free functions
+//! ([`conv_valid_into`], [`input_gradient_into`], [`kernel_gradient`])
+//! build the same tables and run the same code, so every caller gets
+//! the same bits.
+//!
+//! The per-call buffers — the gathered taps, re-resolved rows, the
+//! input gradient's z-halo copy of `g` and the kernel gradient's
+//! widened input — come from a [`Scratch`]: a free list of buffer
+//! sets, each taken for one call and put back after it. The engine
+//! owns one `Scratch` for all of its direct edges. It holds at most one
+//! set per direct pass that ran at the same time as others (so at most
+//! one per thread running engine tasks), and each set keeps the
+//! largest sizes it has served: `g.x·g.y·(g.z + 2·s.z·(k.z−1))` f32s
+//! of halo and `|x|` f64s of widened input. In steady state the passes
+//! allocate nothing that grows with the row count. The free functions
+//! run on a fresh `Scratch`, so their buffers are freed on return.
 
+use std::sync::{Mutex, PoisonError};
 use znn_simd::{Tap, TapRow};
 use znn_tensor::{Image, Tensor3, Vec3};
 
@@ -57,16 +87,303 @@ pub fn valid_shape(n: Vec3, k: Vec3, s: Vec3) -> Option<Vec3> {
     n.valid_conv(k.dilated(s))
 }
 
+/// The valid output shape, or a panic naming the misfit.
+fn fitted(n: Vec3, k: Vec3, s: Vec3) -> Vec3 {
+    valid_shape(n, k, s)
+        .unwrap_or_else(|| panic!("kernel {k} at sparsity {s} larger than image {n}"))
+}
+
+/// The buffers one direct pass borrows from a [`Scratch`].
+#[derive(Default)]
+struct Buffers {
+    list: TapList,
+    /// The input gradient's z-haloed copy of `g`.
+    halo: Vec<f32>,
+    /// The kernel gradient's input, widened to f64.
+    wide: Vec<f64>,
+}
+
+/// One call's tap list and, when it skipped zero taps, its rows.
+#[derive(Default)]
+struct TapList {
+    taps: Vec<Tap>,
+    /// `kept[i]`: taps kept among the first `i` of the full list.
+    kept: Vec<usize>,
+    rows: Vec<TapRow>,
+}
+
+impl TapList {
+    /// Gathers the weights of `taps`, `(index into w, offset)` pairs,
+    /// skipping zero weights, and returns the tap list with the rows to
+    /// run it on: `rows` itself when no weight is zero, else a copy
+    /// whose bounds count only the kept taps. `rows` index the full
+    /// list.
+    fn gather<'a>(
+        &'a mut self,
+        w: &[f32],
+        taps: impl Iterator<Item = (usize, usize)>,
+        rows: &'a [TapRow],
+    ) -> (&'a [Tap], &'a [TapRow]) {
+        self.taps.clear();
+        if !w.contains(&0.0) {
+            self.taps.extend(taps.map(|(i, off)| Tap { off, w: w[i] }));
+            return (&self.taps, rows);
+        }
+        self.kept.clear();
+        self.kept.push(0);
+        for (i, off) in taps {
+            if w[i] != 0.0 {
+                self.taps.push(Tap { off, w: w[i] });
+            }
+            self.kept.push(self.taps.len());
+        }
+        let kept = &self.kept;
+        self.rows.clear();
+        self.rows.extend(rows.iter().map(|r| TapRow {
+            first: kept[r.first],
+            end: kept[r.end],
+            ..*r
+        }));
+        (&self.taps, &self.rows)
+    }
+}
+
+/// Reusable buffers for the direct passes: a free list of buffer sets,
+/// one taken per call and returned after it, shareable across threads
+/// (see the module docs for how large it can grow).
+#[derive(Default)]
+pub struct Scratch {
+    free: Mutex<Vec<Buffers>>,
+}
+
+impl Scratch {
+    /// Runs `f` on a buffer set of this scratch (a new one when all are
+    /// in use), then returns the set. A set whose pass panicked is
+    /// dropped, not returned.
+    fn with<R>(&self, f: impl FnOnce(&mut Buffers) -> R) -> R {
+        let taken = self.free.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        let mut b = taken.unwrap_or_default();
+        let r = f(&mut b);
+        self.free.lock().unwrap_or_else(PoisonError::into_inner).push(b);
+        r
+    }
+}
+
+/// The valid-convolution walk shared by the forward and the kernel
+/// gradient: both run over the same output rows at the same input
+/// bases.
+struct ValidRows {
+    out: Vec3,
+    /// Input offset of reflected tap `u`, in `(ux, uy, uz)` order. Its
+    /// forward weight is `ker[k−1−u]`, which is `ker` read backwards.
+    offs: Vec<usize>,
+    /// One per output row: `dst` in the output (or output gradient),
+    /// `src` the input base, over all taps.
+    rows: Vec<TapRow>,
+}
+
+impl ValidRows {
+    fn new(n: Vec3, k: Vec3, s: Vec3) -> Self {
+        let out = fitted(n, k, s);
+        let (iy_stride, ix_stride) = (n[2], n[1] * n[2]);
+        // out[o] = Σ_t ker[t] · img[o + (k−1−t)·s]  (true convolution).
+        // Substituting u = k−1−t: weight is the reflected kernel at u and
+        // the input offset is o + u·s. As the output z index advances by
+        // one so does the input index (sparsity dilates the kernel, not
+        // the output walk), so every tap is a contiguous run at a fixed
+        // offset from the output row's input base — one tap list serves
+        // every row.
+        let offs = k
+            .iter()
+            .map(|u| u[0] * s[0] * ix_stride + u[1] * s[1] * iy_stride + u[2] * s[2])
+            .collect();
+        let rows = (0..out[0])
+            .flat_map(|ox| (0..out[1]).map(move |oy| (ox, oy)))
+            .map(|(ox, oy)| TapRow {
+                dst: out.offset(Vec3::new(ox, oy, 0)),
+                src: ox * ix_stride + oy * iy_stride,
+                first: 0,
+                end: k.len(),
+            })
+            .collect();
+        ValidRows { out, offs, rows }
+    }
+
+    fn forward(&self, img: &Image, ker: &Image, out: &mut Image, b: &mut Buffers) {
+        assert_eq!(out.shape(), self.out, "conv_valid_into output shape");
+        let last = self.offs.len() - 1;
+        let taps = self.offs.iter().enumerate().map(|(u, &off)| (last - u, off));
+        let (taps, rows) = b.list.gather(ker.as_slice(), taps, &self.rows);
+        znn_simd::fma_taps_f(out.as_mut_slice(), img.as_slice(), self.out[2], taps, rows);
+    }
+
+    fn kernel_gradient(&self, x: &Image, g: &Image, k: Vec3, b: &mut Buffers) -> Image {
+        let out = self.out;
+        assert_eq!(
+            g.shape(),
+            out,
+            "output gradient shape {} does not match valid shape {out}",
+            g.shape()
+        );
+        b.wide.clear();
+        b.wide.extend(x.as_slice().iter().map(|&v| f64::from(v)));
+        // the dot runs the taps in `u` order; tap `u` is kernel index
+        // `k−1−u`, so the sums land in the gradient reversed
+        let mut acc = vec![0.0f64; self.offs.len()];
+        znn_simd::dot_taps_f64(&mut acc, g.as_slice(), &b.wide, out[2], &self.rows, &self.offs);
+        Tensor3::from_vec(k, acc.iter().rev().map(|&a| a as f32).collect())
+    }
+}
+
+/// The input gradient's gather-form walk: every tap list and output row
+/// of the full convolution, over all taps.
+struct FullRows {
+    /// `s·(k−1)`: the full convolution's margin.
+    m: Vec3,
+    /// `(kernel index, offset into the z-haloed gradient)` of every tap
+    /// of every (x range, y range) class, lists concatenated.
+    taps: Vec<(usize, usize)>,
+    /// One per output row that has taps, bounded in `taps`.
+    rows: Vec<TapRow>,
+}
+
+impl FullRows {
+    /// The walk for an output gradient `gs` and kernel `k` at sparsity
+    /// `s`.
+    fn new(gs: Vec3, k: Vec3, s: Vec3) -> Self {
+        let m = (k - Vec3::one()) * s;
+        let n = gs + m;
+        let zp = gs[2] + 2 * m[2];
+        let (y_stride, x_stride) = (zp, gs[1] * zp);
+
+        // The full convolution is a valid convolution of g padded by m
+        // with the reflected kernel, whose weight at u is ker[u]: output
+        // o reads padded g at o + u·s, i.e. g at o + u·s − m. Along x
+        // (and y) the taps that land inside g form one range u ∈ lo..hi
+        // per output coordinate; rows that share both ranges share one
+        // tap list.
+        let (xr, xi) = tap_ranges(n[0], gs[0], k[0], s[0]);
+        let (yr, yi) = tap_ranges(n[1], gs[1], k[1], s[1]);
+        let mut taps = Vec::new();
+        let mut lists = Vec::with_capacity(xr.len() * yr.len());
+        for &(ax, bx) in &xr {
+            for &(ay, by) in &yr {
+                let first = taps.len();
+                for ux in ax..bx {
+                    for uy in ay..by {
+                        for uz in 0..k[2] {
+                            let off = (ux - ax) * s[0] * x_stride
+                                + (uy - ay) * s[1] * y_stride
+                                + uz * s[2];
+                            taps.push((k.offset(Vec3::new(ux, uy, uz)), off));
+                        }
+                    }
+                }
+                lists.push((first, taps.len()));
+            }
+        }
+        let mut rows = Vec::with_capacity(n[0] * n[1]);
+        for ox in 0..n[0] {
+            let (ax, bx) = xr[xi[ox]];
+            for oy in 0..n[1] {
+                let (ay, by) = yr[yi[oy]];
+                if ax == bx || ay == by {
+                    continue; // only halo taps: the row stays zero
+                }
+                let (first, end) = lists[xi[ox] * yr.len() + yi[oy]];
+                rows.push(TapRow {
+                    dst: (ox * n[1] + oy) * n[2],
+                    src: (ox + ax * s[0] - m[0]) * x_stride + (oy + ay * s[1] - m[1]) * y_stride,
+                    first,
+                    end,
+                });
+            }
+        }
+        // rows that share a tap list run next to each other, so the row
+        // kernel blocks them in registers; each output element still
+        // gets the same fma chain
+        rows.sort_by_key(|r| r.first);
+        FullRows { m, taps, rows }
+    }
+
+    fn run(&self, g: &Image, ker: &Image, out: &mut Image, b: &mut Buffers) {
+        let gs = g.shape();
+        let n = gs + self.m;
+        assert_eq!(out.shape(), n, "input_gradient_into output shape");
+        let (mz, gz) = (self.m[2], gs[2]);
+        let src = if mz == 0 {
+            g.as_slice()
+        } else {
+            // every element is written below, whatever the set last held
+            let zp = gz + 2 * mz;
+            b.halo.truncate(gs[0] * gs[1] * zp);
+            b.halo.resize(gs[0] * gs[1] * zp, 0.0);
+            for (h, row) in b.halo.chunks_exact_mut(zp).zip(g.as_slice().chunks_exact(gz)) {
+                h[..mz].fill(0.0);
+                h[mz..mz + gz].copy_from_slice(row);
+                h[mz + gz..].fill(0.0);
+            }
+            &b.halo[..]
+        };
+        let (taps, rows) = b.list.gather(ker.as_slice(), self.taps.iter().copied(), &self.rows);
+        znn_simd::fma_taps_f(out.as_mut_slice(), src, n[2], taps, rows);
+    }
+}
+
+/// The tables of one direct conv edge — input shape, kernel shape and
+/// sparsity — for all three passes, computed once (see the module
+/// docs). Shareable across threads and across every edge with the same
+/// geometry; each call takes its weights and images as arguments and
+/// its buffers from a [`Scratch`].
+pub struct DirectConv {
+    n: Vec3,
+    k: Vec3,
+    valid: ValidRows,
+    full: FullRows,
+}
+
+impl DirectConv {
+    /// The tables for an `n` input, a `k` kernel and sparsity `s`.
+    /// Panics when the dilated kernel does not fit in the input.
+    pub fn new(n: Vec3, k: Vec3, s: Vec3) -> Self {
+        let valid = ValidRows::new(n, k, s);
+        let full = FullRows::new(valid.out, k, s);
+        DirectConv { n, k, valid, full }
+    }
+
+    /// The forward output (and output gradient) shape `n − s·(k−1)`.
+    pub fn output_shape(&self) -> Vec3 {
+        self.valid.out
+    }
+
+    /// [`conv_valid_into`] on these tables: `out` is zero-filled and of
+    /// the output shape.
+    pub fn forward_into(&self, img: &Image, ker: &Image, out: &mut Image, scratch: &Scratch) {
+        assert_eq!((img.shape(), ker.shape()), (self.n, self.k), "input and kernel shapes");
+        scratch.with(|b| self.valid.forward(img, ker, out, b));
+    }
+
+    /// [`input_gradient_into`] on these tables: `out` is zero-filled and
+    /// of the input shape.
+    pub fn input_gradient_into(&self, g: &Image, ker: &Image, out: &mut Image, scratch: &Scratch) {
+        let shapes = (g.shape(), ker.shape());
+        assert_eq!(shapes, (self.valid.out, self.k), "output gradient and kernel shapes");
+        scratch.with(|b| self.full.run(g, ker, out, b));
+    }
+
+    /// [`kernel_gradient`] on these tables.
+    pub fn kernel_gradient(&self, x: &Image, g: &Image, scratch: &Scratch) -> Image {
+        assert_eq!(x.shape(), self.n, "input shape");
+        scratch.with(|b| self.valid.kernel_gradient(x, g, self.k, b))
+    }
+}
+
 /// Valid true convolution with per-axis sparsity (skip kernels, §II).
 ///
 /// `sparsity = (1,1,1)` is dense convolution. Panics when the dilated
 /// kernel does not fit in the image.
 pub fn conv_valid(img: &Image, ker: &Image, sparsity: Vec3) -> Image {
-    let n = img.shape();
-    let k = ker.shape();
-    let out_shape = valid_shape(n, k, sparsity)
-        .unwrap_or_else(|| panic!("kernel {k} at sparsity {sparsity} larger than image {n}"));
-    let mut out = Tensor3::<f32>::zeros(out_shape);
+    let mut out = Tensor3::<f32>::zeros(fitted(img.shape(), ker.shape(), sparsity));
     conv_valid_into(img, ker, sparsity, &mut out);
     out
 }
@@ -75,38 +392,8 @@ pub fn conv_valid(img: &Image, ker: &Image, sparsity: Vec3) -> Image {
 /// valid shape — the allocation-free form used with pool-leased
 /// buffers (leases are zeroed). Panics on a wrong output shape.
 pub fn conv_valid_into(img: &Image, ker: &Image, sparsity: Vec3, out: &mut Image) {
-    let n = img.shape();
-    let k = ker.shape();
-    let s = sparsity;
-    let out_shape = valid_shape(n, k, s)
-        .unwrap_or_else(|| panic!("kernel {k} at sparsity {s} larger than image {n}"));
-    assert_eq!(out.shape(), out_shape, "conv_valid_into output shape");
-    let (iy_stride, ix_stride) = (n[2], n[1] * n[2]);
-
-    // out[o] = Σ_t ker[t] · img[o + (k−1−t)·s]  (true convolution).
-    // Substituting u = k−1−t: weight is the reflected kernel at u and the
-    // input offset is o + u·s. As the output z index advances by one so
-    // does the input index (sparsity dilates the kernel, not the output
-    // walk), so every tap is a contiguous run at a fixed offset from the
-    // output row's input base — one tap list serves every row.
-    let mut taps = Vec::with_capacity(k.len());
-    for u in k.iter() {
-        let w = ker.at(k - Vec3::one() - u);
-        if w != 0.0 {
-            let off = u[0] * s[0] * ix_stride + u[1] * s[1] * iy_stride + u[2] * s[2];
-            taps.push(Tap { off, w });
-        }
-    }
-    let rows: Vec<TapRow> = (0..out_shape[0])
-        .flat_map(|ox| (0..out_shape[1]).map(move |oy| (ox, oy)))
-        .map(|(ox, oy)| TapRow {
-            dst: out_shape.offset(Vec3::new(ox, oy, 0)),
-            src: ox * ix_stride + oy * iy_stride,
-            first: 0,
-            end: taps.len(),
-        })
-        .collect();
-    znn_simd::fma_taps_f(out.as_mut_slice(), img.as_slice(), out_shape[2], &taps, &rows);
+    let valid = ValidRows::new(img.shape(), ker.shape(), sparsity);
+    valid.forward(img, ker, out, &mut Buffers::default());
 }
 
 /// Kernel gradient of a sparse valid convolution (§III-B).
@@ -117,37 +404,12 @@ pub fn conv_valid_into(img: &Image, ker: &Image, sparsity: Vec3, out: &mut Image
 /// `∂L/∂w[t] = Σ_o g[o] · x[o + (k−1−t)·s]`
 ///
 /// which is the paper's "reflected forward image convolved with the
-/// backward image", sampled on the kernel lattice. Each sum runs in
-/// f64 over exact f32 products ([`znn_simd::dot_taps_f64`]) and is
-/// rounded to f32 once.
+/// backward image", sampled on the kernel lattice. `x` is widened to
+/// f64 once; each sum runs in f64 over exact products
+/// ([`znn_simd::dot_taps_f64`]) and is rounded to f32 once.
 pub fn kernel_gradient(x: &Image, g: &Image, k: Vec3, sparsity: Vec3) -> Image {
-    let n = x.shape();
-    let s = sparsity;
-    let expect = valid_shape(n, k, s).expect("kernel/sparsity does not fit input");
-    assert_eq!(
-        g.shape(),
-        expect,
-        "output gradient shape {} does not match valid shape {expect}",
-        g.shape()
-    );
-    let (xy_stride, xx_stride) = (n[2], n[1] * n[2]);
-    let go = g.shape();
-    // both walks advance by one voxel in z: one contiguous dot per
-    // output row and tap, the tap fixing the offset into `x`
-    let rows: Vec<(usize, usize)> = (0..go[0])
-        .flat_map(|ox| (0..go[1]).map(move |oy| (ox, oy)))
-        .map(|(ox, oy)| (go.offset(Vec3::new(ox, oy, 0)), ox * xx_stride + oy * xy_stride))
-        .collect();
-    let offs: Vec<usize> = k
-        .iter()
-        .map(|t| {
-            let u = k - Vec3::one() - t;
-            u[0] * s[0] * xx_stride + u[1] * s[1] * xy_stride + u[2] * s[2]
-        })
-        .collect();
-    let mut acc = vec![0.0f64; k.len()];
-    znn_simd::dot_taps_f64(&mut acc, g.as_slice(), x.as_slice(), go[2], &rows, &offs);
-    Tensor3::from_vec(k, acc.into_iter().map(|a| a as f32).collect())
+    let valid = ValidRows::new(x.shape(), k, sparsity);
+    valid.kernel_gradient(x, g, k, &mut Buffers::default())
 }
 
 /// Input gradient of a sparse valid convolution: the backward-pass
@@ -170,79 +432,8 @@ pub fn input_gradient(g: &Image, ker: &Image, sparsity: Vec3) -> Image {
 /// built. Along z the rows read a copy of `g` with a zero halo of
 /// `s·(k−1)` on each side, keeping every z tap a contiguous run.
 pub fn input_gradient_into(g: &Image, ker: &Image, sparsity: Vec3, out: &mut Image) {
-    let gs = g.shape();
-    let k = ker.shape();
-    let s = sparsity;
-    let m = (k - Vec3::one()) * s;
-    let n = gs + m;
-    assert_eq!(out.shape(), n, "input_gradient_into output shape");
-    let halo;
-    let src = if m[2] == 0 {
-        g
-    } else {
-        // a plain allocation, freed on return: leased from the pool, its
-        // power-of-two class would stay resident after the pass
-        let shape = Vec3::new(gs[0], gs[1], gs[2] + 2 * m[2]);
-        let mut v = Vec::with_capacity(shape.len());
-        for x in 0..gs[0] {
-            for y in 0..gs[1] {
-                v.resize(v.len() + m[2], 0.0);
-                v.extend_from_slice(g.z_line(x, y));
-                v.resize(v.len() + m[2], 0.0);
-            }
-        }
-        halo = Image::from_vec(shape, v);
-        &halo
-    };
-    let zp = src.shape()[2];
-    let (y_stride, x_stride) = (zp, gs[1] * zp);
-
-    // The full convolution is a valid convolution of g padded by m with
-    // the reflected kernel, whose weight at u is ker[u]: output o reads
-    // padded g at o + u·s, i.e. g at o + u·s − m. Along x (and y) the
-    // taps that land inside g form one range u ∈ lo..hi per output
-    // coordinate; rows that share both ranges share one tap list.
-    let (xr, xi) = tap_ranges(n[0], gs[0], k[0], s[0]);
-    let (yr, yi) = tap_ranges(n[1], gs[1], k[1], s[1]);
-    let mut taps = Vec::new();
-    let mut lists = Vec::with_capacity(xr.len() * yr.len());
-    for &(ax, bx) in &xr {
-        for &(ay, by) in &yr {
-            let first = taps.len();
-            for ux in ax..bx {
-                for uy in ay..by {
-                    for uz in 0..k[2] {
-                        let w = ker.at(Vec3::new(ux, uy, uz));
-                        if w != 0.0 {
-                            let off = (ux - ax) * s[0] * x_stride
-                                + (uy - ay) * s[1] * y_stride
-                                + uz * s[2];
-                            taps.push(Tap { off, w });
-                        }
-                    }
-                }
-            }
-            lists.push((first, taps.len()));
-        }
-    }
-    let mut rows = Vec::with_capacity(n[0] * n[1]);
-    for ox in 0..n[0] {
-        let (ax, bx) = xr[xi[ox]];
-        for oy in 0..n[1] {
-            let (ay, by) = yr[yi[oy]];
-            if ax == bx || ay == by {
-                continue; // only halo taps: the row stays zero
-            }
-            let (first, end) = lists[xi[ox] * yr.len() + yi[oy]];
-            rows.push(TapRow {
-                dst: (ox * n[1] + oy) * n[2],
-                src: (ox + ax * s[0] - m[0]) * x_stride + (oy + ay * s[1] - m[1]) * y_stride,
-                first,
-                end,
-            });
-        }
-    }
-    znn_simd::fma_taps_f(out.as_mut_slice(), src.as_slice(), n[2], &taps, &rows);
+    let full = FullRows::new(g.shape(), ker.shape(), sparsity);
+    full.run(g, ker, out, &mut Buffers::default());
 }
 
 /// Along one axis of a full convolution onto `n = g + s·(k−1)`

@@ -254,6 +254,65 @@ fn workload_geometries_match() {
     }
 }
 
+/// One geometry's tables and one scratch shared by kernels with
+/// different zero patterns (none, every third tap, every second tap),
+/// called alternately and then from two threads at once: each call
+/// skips its own zero taps, so every pass still meets its twin under
+/// its contract. The forward and backward inputs hold infinities: a
+/// zero tap applied to one would make a NaN where the twin, which
+/// skips it, stays finite.
+#[test]
+fn shared_geometry_with_zero_weights_matches_twins() {
+    let (out, k, s) = (Vec3::new(5, 6, 11), Vec3::new(3, 2, 3), Vec3::new(2, 1, 2));
+    let n = out + (k - Vec3::one()) * s;
+    let geometry = conv::DirectConv::new(n, k, s);
+    let scratch = conv::Scratch::default();
+    let kernels = [kernel_with_zeros(k, 7, 0), kernel_with_zeros(k, 8, 3), kernel_with_zeros(k, 9, 2)];
+    let with_infinities = |mut img: Image| {
+        img.as_mut_slice().iter_mut().step_by(37).for_each(|v| *v = f32::INFINITY);
+        img
+    };
+    let (x, g) = (with_infinities(ops::random(n, 10)), with_infinities(ops::random(out, 11)));
+    let (x_upd, g_upd) = (ops::random(n, 12), ops::random(out, 13));
+    let twins: Vec<_> = kernels
+        .iter()
+        .map(|ker| (twin_forward(&x, ker, s), twin_input_gradient(&g, ker, s)))
+        .collect();
+    let upd_twin = twin_kernel_gradient(&x_upd, &g_upd, k, s);
+    // NaN payloads are left unspecified by Rust's arithmetic
+    let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+    let check = |i: usize| {
+        let (ker, (fwd_twin, bwd_twin)) = (&kernels[i], &twins[i]);
+        let mut fwd = Tensor3::<f32>::zeros(out);
+        geometry.forward_into(&x, ker, &mut fwd, &scratch);
+        for (j, (&a, &b)) in fwd.as_slice().iter().zip(fwd_twin.as_slice()).enumerate() {
+            assert!(same(a, b), "forward at {j}: {a:e} vs twin {b:e}, kernel {i}");
+        }
+        let mut bwd = Tensor3::<f32>::zeros(n);
+        geometry.input_gradient_into(&g, ker, &mut bwd, &scratch);
+        for (j, (&a, &b)) in bwd.as_slice().iter().zip(bwd_twin.as_slice()).enumerate() {
+            assert!(a == b || same(a, b), "input gradient at {j}: {a} vs twin {b}, kernel {i}");
+        }
+        let upd = geometry.kernel_gradient(&x_upd, &g_upd, &scratch);
+        for (j, (&a, &b)) in upd.as_slice().iter().zip(upd_twin.as_slice()).enumerate() {
+            assert!(ulps(a, b) <= 1, "kernel gradient at {j}: {a} vs twin {b}");
+        }
+    };
+    for round in 0..6 {
+        check(round % kernels.len());
+    }
+    let (check, count) = (&check, kernels.len());
+    std::thread::scope(|threads| {
+        for t in 0..2 {
+            threads.spawn(move || {
+                for round in 0..30 {
+                    check((round + t) % count);
+                }
+            });
+        }
+    });
+}
+
 /// The `_into` form writes the same bits as the allocating one.
 #[test]
 fn input_gradient_into_matches_input_gradient() {

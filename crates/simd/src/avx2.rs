@@ -13,7 +13,7 @@
 //! the vendored `num-complex` product with the imaginary-part add
 //! commuted — bitwise identical (IEEE add commutes).
 
-use crate::{complex_as_floats, complex_as_floats_mut, taps, Tap, TapRow};
+use crate::{complex_as_floats, complex_as_floats_mut, taps, DotRow, Tap, TapRow};
 use num_complex::Complex;
 use std::arch::x86_64::*;
 use std::mem::MaybeUninit;
@@ -298,8 +298,7 @@ pub unsafe fn fma_taps_f(dst: &mut [f32], src: &[f32], len: usize, t: &[Tap], ro
     taps::fma_taps(dst, src, len, t, rows);
 }
 
-/// f64 tap dot over two 4-lane halves (see `taps.rs`); AVX-512 hosts
-/// run it too.
+/// f64 tap dot over two 4-lane halves (see `taps.rs`).
 ///
 /// # Safety
 ///
@@ -307,12 +306,12 @@ pub unsafe fn fma_taps_f(dst: &mut [f32], src: &[f32], len: usize, t: &[Tap], ro
 /// row plus its farthest tap must be in bounds, as
 /// `crate::dot_taps_f64` checks before calling.
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn dot_taps_f64(
+pub unsafe fn dot_taps_f64<R: DotRow>(
     out: &mut [f64],
     a: &[f32],
-    b: &[f32],
+    b: &[f64],
     len: usize,
-    rows: &[(usize, usize)],
+    rows: &[R],
     offs: &[usize],
 ) {
     taps::dot_taps(out, a, b, len, rows, offs);

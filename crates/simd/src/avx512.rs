@@ -1,13 +1,23 @@
-//! AVX-512F bodies for the complex pointwise kernels.
+//! AVX-512F bodies for the complex pointwise kernels and the f64 tap
+//! dot.
 //!
-//! Selected when `avx512f` is detected on top of AVX2+FMA. Only the
-//! shuffle-bound complex kernels get native 512-bit bodies: on AVX2
-//! the interleaved complex product costs three port-5 shuffles per
-//! four complexes, which is the throughput wall on Intel server
-//! cores — doubling the vector width halves the shuffle count per
-//! element. The streaming real/transfer kernels are load/store-bound
-//! already, and the FFT packed-stage kernels run over lines of a few
-//! dozen bins, so this module re-exports their AVX2 bodies unchanged.
+//! Selected when `avx512f` is detected on top of AVX2+FMA. Two kinds
+//! of kernel get native 512-bit bodies:
+//!
+//! * the shuffle-bound complex kernels: on AVX2 the interleaved
+//!   complex product costs three port-5 shuffles per four complexes,
+//!   which is the throughput wall on Intel server cores — doubling the
+//!   vector width halves the shuffle count per element;
+//! * the kernel gradient's f64 tap dot ([`crate::dot_taps_f64`]): its
+//!   eight `i % 8` lanes are one zmm, so each tap costs one FMA per
+//!   eight elements instead of two, and 14 taps share each widened
+//!   chunk of `a` (the body lives in `taps.rs`).
+//!
+//! The streaming real/transfer kernels are load/store-bound already,
+//! the f32 multi-tap row pass measured no faster at 512 bits, and the
+//! FFT packed-stage kernels run over lines of a few dozen bins, so
+//! this module re-exports their AVX2 bodies unchanged (the row pass is
+//! dispatched to its AVX2 body directly).
 //!
 //! Exactness: AVX-512 has no `addsub`; the alternating-sign step is
 //! done by flipping the sign bit of the even (real) lanes of the
@@ -17,7 +27,7 @@
 //! handle their own scalar tails; elementwise kernels never depend on
 //! where the vector/tail boundary lands.
 
-use crate::{complex_as_floats, complex_as_floats_mut};
+use crate::{complex_as_floats, complex_as_floats_mut, taps, DotRow};
 use num_complex::Complex;
 use std::arch::x86_64::*;
 
@@ -108,4 +118,23 @@ pub unsafe fn conj_mul_assign_c(dst: &mut [Complex<f32>], g: &[Complex<f32>]) {
         i += 16;
     }
     super::avx2::conj_mul_assign_c(&mut dst[main..], &g[main..]);
+}
+
+/// f64 tap dot with all eight lanes in one zmm (see `taps.rs`).
+///
+/// # Safety
+///
+/// AVX-512F+AVX2+FMA must be available, `out.len() == offs.len()`,
+/// and every row plus its farthest tap must be in bounds, as
+/// `crate::dot_taps_f64` checks before calling.
+#[target_feature(enable = "avx512f,avx2,fma")]
+pub unsafe fn dot_taps_f64<R: DotRow>(
+    out: &mut [f64],
+    a: &[f32],
+    b: &[f64],
+    len: usize,
+    rows: &[R],
+    offs: &[usize],
+) {
+    taps::dot_taps_512(out, a, b, len, rows, offs);
 }

@@ -8,10 +8,10 @@
 //!
 //! * an **AVX2+FMA** body (`x86_64` only), selected at runtime via
 //!   `is_x86_feature_detected!`,
-//! * an **AVX-512F** body for the shuffle-bound complex kernels
-//!   (selected when `avx512f` is detected on top of AVX2+FMA; the
-//!   streaming real kernels and the direct-convolution kernels reuse
-//!   the AVX2 bodies there), and
+//! * an **AVX-512F** body for the shuffle-bound complex kernels and
+//!   the f64 tap dot (selected when `avx512f` is detected on top of
+//!   AVX2+FMA; the streaming real kernels and the multi-tap row pass
+//!   reuse the AVX2 bodies there), and
 //! * a portable **scalar twin** ([`scalar`]) that compiles everywhere
 //!   and is the reference every vector body is pinned against.
 //!
@@ -39,11 +39,15 @@
 //!   tap range) in registers across all of its taps, in the caller's
 //!   order, and masks the row tail. Exactness class: FMA, bitwise — per
 //!   element it is the [`fma_acc_f`] chain over the row's taps.
-//! * [`dot_taps_f64`] — the kernel gradient's per-tap dot. Exact
-//!   f32×f32 products are accumulated in eight f64 lanes (element `i`
-//!   into lane `i % 8`) and reduced in one fixed order. Exactness
-//!   class: add-only in f64, bitwise — every body performs the twin's
-//!   additions in the twin's order.
+//! * [`dot_taps_f64`] — the kernel gradient's per-tap dot. It takes
+//!   the image side `b` already widened to f64 (exact), so no body
+//!   converts it per tap. Exact f32×f32 products are accumulated in
+//!   eight f64 lanes (element `i` into lane `i % 8`) and reduced in one
+//!   fixed order. The AVX-512F body holds the eight lanes in one zmm
+//!   and runs balanced groups of up to 14 taps per widened chunk of
+//!   `a`; the AVX2 body holds them as two 4-lane halves, four taps at a
+//!   time. Exactness class: add-only in f64, bitwise — every body
+//!   performs the twin's additions in the twin's order.
 //!
 //! # FFT packed-stage kernels
 //!
@@ -314,11 +318,38 @@ fn check_tap_rows(dst_len: usize, src_len: usize, len: usize, taps: &[Tap], rows
     }
 }
 
+/// A row of a [`dot_taps_f64`] pass: where it starts in `a` and the
+/// base its taps' offsets are added to in `b`.
+///
+/// A plain `(a, b)` pair is one; so is a [`TapRow`], read as `(dst,
+/// src)`. The kernel gradient walks the forward's output rows: the
+/// output gradient is shaped like the forward's `dst` and the input is
+/// its `src`, so both passes share one row table.
+pub trait DotRow: Copy {
+    /// `(start in a, base in b)`.
+    fn bases(self) -> (usize, usize);
+}
+
+impl DotRow for (usize, usize) {
+    #[inline(always)]
+    fn bases(self) -> (usize, usize) {
+        self
+    }
+}
+
+impl DotRow for TapRow {
+    #[inline(always)]
+    fn bases(self) -> (usize, usize) {
+        (self.dst, self.src)
+    }
+}
+
 /// Panics unless every row of a [`dot_taps_f64`] pass stays inside `a`
 /// and, at its farthest tap, inside `b`.
-fn check_dot_rows(a_len: usize, b_len: usize, len: usize, rows: &[(usize, usize)], offs: &[usize]) {
+fn check_dot_rows<R: DotRow>(a_len: usize, b_len: usize, len: usize, rows: &[R], offs: &[usize]) {
     let Some(&reach) = offs.iter().max() else { return };
-    for &(ra, rb) in rows {
+    for r in rows {
+        let (ra, rb) = r.bases();
         assert!(ra.checked_add(len).is_some_and(|e| e <= a_len), "row at {ra} overruns a");
         assert!(
             rb.checked_add(reach).and_then(|e| e.checked_add(len)).is_some_and(|e| e <= b_len),
@@ -359,23 +390,27 @@ pub fn fma_taps_f(dst: &mut [f32], src: &[f32], len: usize, taps: &[Tap], rows: 
 
 /// Many dot products over one set of rows, in f64: for each tap `t`,
 /// `out[t] = Σ_rows Σ_{i<len} a[ra + i] · b[rb + offs[t] + i]` over the
-/// `(ra, rb)` pairs of `rows`.
+/// `(ra, rb)` bases of `rows` ([`DotRow`]).
 ///
-/// Every product of two f32s is exact in f64. Element `i` of a row is
-/// added into lane `i % 8` of eight f64 accumulators (rows in order),
-/// which are then reduced as `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))`.
-/// All bodies perform exactly these additions, so they are bitwise
-/// identical. Panics on `out.len() != offs.len()` or an out-of-bounds
-/// row.
+/// `b` holds f32 values already widened to f64 (the conversion is
+/// exact), so a caller that dots one image against many taps widens it
+/// once, not once per tap. Every product of an f32 and a widened f32
+/// is exact in f64. Element `i` of a row is added into lane `i % 8` of
+/// eight f64 accumulators (rows in order), which are then reduced as
+/// `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))`. All bodies perform
+/// exactly these additions, so they are bitwise identical. Panics on
+/// `out.len() != offs.len()` or an out-of-bounds row.
 ///
-/// Dispatched: the AVX2+FMA body when detected (AVX-512 hosts
-/// included), else the scalar twin in [`scalar`].
-pub fn dot_taps_f64(
+/// Dispatched: the AVX-512F body (all eight lanes in one register,
+/// taps in balanced groups of at most 14) when detected, else the
+/// AVX2+FMA body (two 4-lane halves, taps in groups of 4), else the
+/// scalar twin in [`scalar`].
+pub fn dot_taps_f64<R: DotRow>(
     out: &mut [f64],
     a: &[f32],
-    b: &[f32],
+    b: &[f64],
     len: usize,
-    rows: &[(usize, usize)],
+    rows: &[R],
     offs: &[usize],
 ) {
     assert_eq!(out.len(), offs.len(), "one output per tap");
@@ -383,10 +418,16 @@ pub fn dot_taps_f64(
     #[cfg(target_arch = "x86_64")]
     {
         match isa() {
-            Isa::Avx512F | Isa::Avx2Fma => {
-                // SAFETY: AVX2+FMA were detected at runtime (`Avx512F`
-                // implies them), and every row plus the farthest tap was
+            Isa::Avx512F => {
+                // SAFETY: AVX-512F was detected at runtime on top of
+                // AVX2+FMA, and every row plus the farthest tap was
                 // bounded above.
+                unsafe { avx512::dot_taps_f64(out, a, b, len, rows, offs) };
+                return;
+            }
+            Isa::Avx2Fma => {
+                // SAFETY: AVX2+FMA were detected at runtime, and every
+                // row plus the farthest tap was bounded above.
                 unsafe { avx2::dot_taps_f64(out, a, b, len, rows, offs) };
                 return;
             }
@@ -545,7 +586,7 @@ mod tests {
     }
 
     type TapCase = (Vec<f32>, Vec<f32>, Vec<Tap>, Vec<TapRow>);
-    type DotCase = (Vec<f32>, Vec<f32>, Vec<(usize, usize)>, Vec<usize>);
+    type DotCase = (Vec<f32>, Vec<f64>, Vec<(usize, usize)>, Vec<usize>);
 
     /// A multi-tap pass at row length `len`: `nrows` rows whose tap
     /// ranges come in runs of 1, 2, …, so every row-block size and
@@ -573,11 +614,13 @@ mod tests {
     }
 
     /// Per-tap dots at row length `len` over `nrows` rows at odd
-    /// offsets, for 1..=9 taps (every group size and remainder).
+    /// offsets, for 1..=30 taps (every AVX2 group remainder and every
+    /// balanced AVX-512 split, 27 and 25 included). `b` is widened to
+    /// f64, as the kernel gradient passes it.
     fn dot_pass(len: usize, nrows: usize, seed: u64) -> DotCase {
         let rows: Vec<(usize, usize)> =
             (0..nrows).map(|k| (k * (len + 1) + 3, k * (len + 2) + 1)).collect();
-        let offs = vec![0, 5, 1, 19, 7, 2, 33, 11, 3][..1 + (seed as usize % 9)].to_vec();
+        let offs: Vec<usize> = (0..1 + seed as usize % 30).map(|t| (t * 13 + 5) % 37).collect();
         // magnitudes spread over 2^±20, so the f64 additions round and
         // any change of association shows in the bits
         let a = rand_f(seed ^ 3, nrows * (len + 1) + 3 + len)
@@ -585,16 +628,18 @@ mod tests {
             .enumerate()
             .map(|(i, x)| x * 2f32.powi((i * 7 % 41) as i32 - 20))
             .collect();
-        let b = rand_f(seed ^ 4, nrows * (len + 2) + 1 + 33 + len);
+        let b =
+            rand_f(seed ^ 4, nrows * (len + 2) + 1 + 36 + len).into_iter().map(f64::from).collect();
         (a, b, rows, offs)
     }
 
     /// The multi-tap row pass and the f64 tap dot against their twins,
-    /// through the dispatcher and through the AVX2 body directly (when
-    /// the hardware has it), at every row length 0–40.
+    /// through the dispatcher and through the AVX2 and AVX-512 dot
+    /// bodies directly (when the hardware has them), at every row
+    /// length 0–40.
     fn tap_kernels_match_scalar_twins_bitwise() {
         type Rows = fn(&mut [f32], &[f32], usize, &[Tap], &[TapRow]);
-        type Dots = fn(&mut [f64], &[f32], &[f32], usize, &[(usize, usize)], &[usize]);
+        type Dots = fn(&mut [f64], &[f32], &[f64], usize, &[(usize, usize)], &[usize]);
         let mut bodies: Vec<(&str, Rows, Dots)> = vec![("dispatched", fma_taps_f, dot_taps_f64)];
         #[cfg(target_arch = "x86_64")]
         {
@@ -614,6 +659,13 @@ mod tests {
                         unsafe { avx2::dot_taps_f64(o, a, b, l, r, f) }
                     },
                 ));
+            }
+            if detect(false) == Isa::Avx512F {
+                bodies.push(("avx512", fma_taps_f, |o, a, b, l, r, f| {
+                    check_dot_rows(a.len(), b.len(), l, r, f);
+                    // SAFETY: AVX-512F detected; rows bounded above.
+                    unsafe { avx512::dot_taps_f64(o, a, b, l, r, f) }
+                }));
             }
         }
         for len in 0..=40 {
@@ -650,7 +702,7 @@ mod tests {
         assert_eq!(dst, [10.0 + 0.5 - 3.0, 20.0 + 1.0 - 4.0]);
         let mut out = [f64::NAN];
         let a = [1.0f32, 2.0, 3.0];
-        dot_taps_f64(&mut out, &a, &src, 3, &[(0, 0)], &[1]);
+        dot_taps_f64(&mut out, &a, &src.map(f64::from), 3, &[(0, 0)], &[1]);
         assert_eq!(out, [2.0 + 6.0 + 12.0]);
     }
 

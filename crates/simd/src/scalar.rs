@@ -6,7 +6,7 @@
 //! operation the hardware `vfmadd` performs — so fusing is part of the
 //! contract, not a vector-path quirk.
 
-use crate::{Tap, TapRow};
+use crate::{DotRow, Tap, TapRow};
 use num_complex::Complex;
 use std::mem::MaybeUninit;
 
@@ -70,24 +70,26 @@ pub fn fma_taps_f(dst: &mut [f32], src: &[f32], len: usize, taps: &[Tap], rows: 
     }
 }
 
-/// Per-tap f64 dot over `rows`: element `i` of a row adds its exact
-/// product into lane `i % 8`, and the lanes reduce as
-/// `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))`.
-pub fn dot_taps_f64(
+/// Per-tap f64 dot over `rows`: element `i` of a row adds the exact
+/// product of `a` and the widened `b` into lane `i % 8`, and the lanes
+/// reduce as `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))`.
+pub fn dot_taps_f64<R: DotRow>(
     out: &mut [f64],
     a: &[f32],
-    b: &[f32],
+    b: &[f64],
     len: usize,
-    rows: &[(usize, usize)],
+    rows: &[R],
     offs: &[usize],
 ) {
     assert_eq!(out.len(), offs.len());
     for (o, &off) in out.iter_mut().zip(offs) {
         let mut l = [0.0f64; 8];
-        for &(ra, rb) in rows {
+        for r in rows {
+            let (ra, rb) = r.bases();
             for (i, (&x, &y)) in a[ra..][..len].iter().zip(&b[rb + off..][..len]).enumerate() {
-                // f32 × f32 is exact in f64: one rounding, in the add
-                l[i % 8] += x as f64 * y as f64;
+                // f32 × widened f32 is exact in f64: one rounding, in
+                // the add
+                l[i % 8] += x as f64 * y;
             }
         }
         *o = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
