@@ -30,9 +30,10 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
 use znn_baseline::LayerwiseNet;
-use znn_bench::{auto_within_gap, beats_layerwise, crossover, header, row, GAP_BOUND};
+use znn_bench::{
+    auto_within_gap, beats_layerwise, crossover, header, median_round_us, row, GAP_BOUND,
+};
 use znn_core::{TrainConfig, Znn};
 use znn_graph::builder::{comparison_net, scalability_net_2d, scalability_net_3d};
 use znn_graph::{EdgeOp, Graph};
@@ -122,33 +123,6 @@ fn cases(smoke: bool) -> Vec<Case> {
         });
     }
     cases
-}
-
-/// Median wall time per round of each engine over `n` measured rounds
-/// after `warmup` unmeasured ones. Every engine is warmed before any
-/// is timed; then they run round-robin, one round each per pass with
-/// the first engine rotating between passes, so host drift spreads
-/// over all of them alike.
-fn median_round_us(rounds: &mut [Box<dyn FnMut() + '_>], warmup: usize, n: usize) -> Vec<f64> {
-    for round in rounds.iter_mut() {
-        (0..warmup).for_each(|_| round());
-    }
-    let mut samples = vec![Vec::with_capacity(n); rounds.len()];
-    for pass in 0..n {
-        for i in 0..rounds.len() {
-            let e = (pass + i) % rounds.len();
-            let t0 = Instant::now();
-            rounds[e]();
-            samples[e].push(t0.elapsed().as_micros() as f64);
-        }
-    }
-    samples
-        .into_iter()
-        .map(|mut s| {
-            s.sort_by(f64::total_cmp);
-            s[s.len() / 2]
-        })
-        .collect()
 }
 
 fn main() {

@@ -1,11 +1,13 @@
 //! Shared plumbing for the benchmark harness binaries that regenerate
-//! every table and figure of the paper; each binary's doc comment names
-//! the table or figure it reproduces.
+//! every table and figure of the paper, and the verdicts they hold the
+//! results to; each binary's doc comment names the table or figure it
+//! reproduces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::Instant;
+use znn_plan::Machine;
 
 /// Times `f` over `reps` repetitions after `warmup` unrecorded runs;
 /// returns seconds per repetition — the paper's measurement protocol
@@ -20,6 +22,33 @@ pub fn time_per_round(warmup: usize, reps: usize, mut f: impl FnMut()) -> f64 {
         f();
     }
     start.elapsed().as_secs_f64() / reps.max(1) as f64
+}
+
+/// Median wall time per round, in µs, of each of `rounds` over `n`
+/// measured rounds after `warmup` unmeasured ones. Every round is
+/// warmed before any is timed; then they run round-robin, one round
+/// each per pass with the first rotating between passes, so host drift
+/// spreads over all of them alike.
+pub fn median_round_us(rounds: &mut [Box<dyn FnMut() + '_>], warmup: usize, n: usize) -> Vec<f64> {
+    for round in rounds.iter_mut() {
+        (0..warmup).for_each(|_| round());
+    }
+    let mut samples = vec![Vec::with_capacity(n); rounds.len()];
+    for pass in 0..n {
+        for i in 0..rounds.len() {
+            let e = (pass + i) % rounds.len();
+            let t0 = Instant::now();
+            rounds[e]();
+            samples[e].push(t0.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    samples.into_iter().map(median).collect()
+}
+
+/// The middle sample, the upper middle of an even count.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// Prints a markdown-style table row.
@@ -73,6 +102,105 @@ pub fn crossover(fft_wins: &[bool]) -> (Option<usize>, bool) {
     (first, monotone)
 }
 
+/// The verdict ledger of a harness: prints each verdict as it is
+/// checked, and turns any failure into a non-zero exit code.
+#[derive(Default)]
+pub struct Verdicts(Vec<String>);
+
+impl Verdicts {
+    /// Records the verdict `name`.
+    pub fn check(&mut self, name: &str, pass: bool) {
+        println!("verdict {name}: {}", if pass { "pass" } else { "FAIL" });
+        if !pass {
+            self.0.push(name.into());
+        }
+    }
+
+    /// 0 if every verdict passed; else names each failure on stderr, 1.
+    pub fn exit_code(&self) -> i32 {
+        self.0.iter().for_each(|name| eprintln!("FAILED VERDICT: {name}"));
+        i32::from(!self.0.is_empty())
+    }
+}
+
+/// Equal up to a relative 1e-9: a closed form and the formula it is
+/// checked against may group the same terms differently.
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
+}
+
+fn non_decreasing(xs: &[f64]) -> bool {
+    xs.windows(2).all(|w| w[0] <= w[1])
+}
+
+/// Fig 4: `curves[i]` is the Brent speedup at the i-th of growing
+/// processor counts `ps`, over one grid of growing widths. Every curve
+/// rises with width and stays within its P; the first width to reach
+/// 0.75·P never shrinks as P grows, and is larger at the largest P than
+/// at the smallest (a curve that never reaches it counts as past the
+/// grid).
+pub fn brent_curves_hold(ps: &[f64], curves: &[Vec<f64>]) -> bool {
+    let reach: Vec<usize> = ps
+        .iter()
+        .zip(curves)
+        .map(|(&p, c)| c.iter().position(|&s| s >= 0.75 * p).unwrap_or(usize::MAX))
+        .collect();
+    ps.iter().zip(curves).all(|(&p, c)| non_decreasing(c) && c.iter().all(|&s| s <= p || close(s, p)))
+        && reach.windows(2).all(|w| w[0] <= w[1])
+        && reach.first() < reach.last()
+}
+
+/// Fig 5: no simulated `(workers, speedup)` point exceeds what the
+/// machine's cores and SMT lanes deliver to that many workers.
+pub fn within_throughput(points: &[(usize, f64)], machine: &Machine) -> bool {
+    points.iter().all(|&(w, s)| {
+        let peak = machine.total_throughput(w);
+        s <= peak || close(s, peak)
+    })
+}
+
+/// Fig 5: over points of growing worker counts, the speedup never falls
+/// while every worker has a core of its own.
+pub fn rises_to_cores(points: &[(usize, f64)], cores: usize) -> bool {
+    non_decreasing(&points.iter().filter(|p| p.0 <= cores).map(|p| p.1).collect::<Vec<_>>())
+}
+
+/// Figs 6–7: a wide enough net reaches 95 % of the machine's peak.
+pub fn saturates(speedup: f64, peak: f64) -> bool {
+    speedup >= 0.95 * peak
+}
+
+/// Tables I–II: a `LayerModel` count equals the formula its label prints.
+pub fn matches_formula(model: f64, formula: f64) -> bool {
+    close(model, formula)
+}
+
+/// Table II: over growing kernels, direct is cheaper at the smallest,
+/// FFT at the largest, and once FFT wins it keeps winning.
+pub fn direct_then_fft(fft_wins: &[bool]) -> bool {
+    matches!(crossover(fft_wins), (Some(i), true) if i > 0)
+}
+
+/// Tables III–IV: over growing widths `fs`, each latency column of
+/// `t_inf` grows from its first value only by one fixed multiple of
+/// ⌈log₂ f⌉ (the binary collapse of f sums; 0 for a pass without one),
+/// while the serial cost `t1` grows as f².
+pub fn t_inf_log_t1_square(fs: &[f64], t_inf: &[Vec<f64>], t1: &[f64]) -> bool {
+    let lg = |f: f64| f.log2().ceil() - fs[0].log2().ceil();
+    let n = fs.len() - 1;
+    let log_term = |ts: &Vec<f64>| {
+        let step = (ts[n] - ts[0]) / lg(fs[n]);
+        (0..=n).all(|i| close(ts[i] - ts[0], step * lg(fs[i])))
+    };
+    t_inf.iter().all(log_term) && (0..=n).all(|i| close(t1[i], t1[0] * (fs[i] / fs[0]).powi(2)))
+}
+
+/// §VII-C: a pool counter read after each round (bytes from the
+/// system, misses) never moves after round 0.
+pub fn flat_after_first_round(per_round: &[u64]) -> bool {
+    per_round.iter().all(|&v| v == per_round[0])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,6 +211,74 @@ mod tests {
             std::hint::black_box((0..10_000).sum::<u64>());
         });
         assert!(t > 0.0);
+    }
+
+    #[test]
+    fn median_rounds_rotate_the_first_engine_after_warming_each() {
+        let calls = std::cell::RefCell::new(Vec::new());
+        let calls = &calls;
+        let mut rounds: Vec<Box<dyn FnMut()>> =
+            (0..3).map(|i| Box::new(move || calls.borrow_mut().push(i)) as _).collect();
+        assert_eq!(median_round_us(&mut rounds, 1, 3).len(), 3);
+        // one warm-up each, then passes starting at engines 0, 1, 2
+        assert_eq!(*calls.borrow(), [0, 1, 2, 0, 1, 2, 1, 2, 0, 2, 0, 1]);
+        assert_eq!(median(vec![5.0, 1.0, 4.0, 2.0, 3.0]), 3.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
+    }
+
+    #[test]
+    fn a_failed_verdict_makes_a_non_zero_exit() {
+        let mut v = Verdicts::default();
+        v.check("holds", true);
+        assert_eq!(v.exit_code(), 0);
+        v.check("breaks", false);
+        assert_eq!(v.exit_code(), 1);
+    }
+
+    #[test]
+    fn brent_curves_rise_within_p_and_need_more_width_at_larger_p() {
+        let (a, b) = (vec![7.0, 8.0, 8.0], vec![10.0, 16.0, 17.0]);
+        assert!(brent_curves_hold(&[8.0, 18.0], &[a.clone(), b.clone()]));
+        // a curve past P, a falling curve, reach shrinking or flat in P
+        assert!(!brent_curves_hold(&[8.0, 18.0], &[vec![7.0, 8.1], b.clone()]));
+        assert!(!brent_curves_hold(&[8.0, 18.0], &[a.clone(), vec![10.0, 16.0, 15.0]]));
+        assert!(!brent_curves_hold(&[18.0, 20.0], &[b.clone(), vec![16.0, 17.0, 18.0]]));
+        assert!(!brent_curves_hold(&[8.0, 18.0], &[a, vec![14.0, 16.0, 17.0]]));
+        // a curve that never reaches 0.75·P lies past the grid
+        assert!(brent_curves_hold(&[8.0, 18.0], &[vec![7.0], vec![10.0]]));
+    }
+
+    #[test]
+    fn simulated_speedup_stays_within_throughput_rises_to_cores_and_saturates() {
+        let m = Machine::xeon_e5_8core();
+        assert!(within_throughput(&[(1, 1.0), (8, 8.0), (16, 10.4)], &m));
+        assert!(!within_throughput(&[(8, 8.0), (12, 9.3)], &m));
+        assert!(rises_to_cores(&[(1, 1.0), (4, 3.9), (8, 7.7), (12, 7.0)], 8));
+        assert!(!rises_to_cores(&[(1, 1.0), (4, 3.9), (8, 3.8)], 8));
+        assert!(saturates(9.9, 10.4) && !saturates(9.8, 10.4));
+    }
+
+    #[test]
+    fn closed_forms_match_their_formulas_and_cross_over_once() {
+        assert!(matches_formula(0.1 + 0.2, 0.3) && !matches_formula(4.424e5, 4.425e5));
+        assert!(direct_then_fft(&[false, false, true, true]));
+        assert!(!direct_then_fft(&[true, true]) && !direct_then_fft(&[false, false]));
+        assert!(!direct_then_fft(&[false, true, false]));
+    }
+
+    #[test]
+    fn latency_grows_by_the_log_term_while_work_grows_as_the_square() {
+        let (fs, t1) = ([1.0, 4.0, 16.0, 64.0], [3.0, 48.0, 768.0, 12288.0]);
+        let ok = vec![vec![1e6, 1.016e6, 1.032e6, 1.048e6], vec![1e6; 4]];
+        assert!(t_inf_log_t1_square(&fs, &ok, &t1));
+        assert!(!t_inf_log_t1_square(&fs, &[vec![1e6, 1.004e6, 1.016e6, 1.064e6]], &t1));
+        assert!(!t_inf_log_t1_square(&fs, &ok, &[3.0, 12.0, 48.0, 192.0]));
+    }
+
+    #[test]
+    fn a_pool_counter_is_flat_only_if_no_round_after_the_first_moves_it() {
+        assert!(flat_after_first_round(&[256_256; 6]));
+        assert!(!flat_after_first_round(&[7, 7, 8]));
     }
 
     #[test]
