@@ -15,7 +15,7 @@
 //! queue) wearing two
 //! `znn_tensor::BufferSource` faces (real and complex), so every
 //! hot-path `Tensor3`/`Spectrum` buffer — padded images, half-spectra,
-//! product spectra, FFT scratch, cropped outputs, dropout masks — is
+//! product spectra, inverse-transform outputs, dropout masks — is
 //! *leased* and returns to the pool when the tensor drops (an RAII
 //! lease; see `znn_tensor::storage`). `TrainConfig::pools` routes the
 //! process-wide [`PoolSet::global`] through `FftEngine`, `znn-core` and

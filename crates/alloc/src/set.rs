@@ -7,20 +7,18 @@
 //! * a **real** home for `Tensor3<f32>` buffers (images, padded images,
 //!   cropped outputs, dropout masks), and
 //! * a **complex** home for `Tensor3<Complex32>` buffers (half-spectra,
-//!   product spectra, FFT scratch), which leases `2·len` `f32` units
+//!   product spectra), which leases `2·len` `f32` units
 //!   and reinterprets the allocation in place — `Complex<f32>` is
 //!   `#[repr(C)] { re: f32, im: f32 }`, so the layouts agree exactly.
 //!
-//! Sharing one chunk pool (rather than one typed pool per element) is
-//! deliberate: the in-place c2r transform converts complex spectrum
-//! buffers into real image buffers without copying, so with typed pools
-//! every training round would *migrate* capacity from the complex pool
-//! to the real pool and the complex pool would miss forever — the exact
-//! footprint creep the paper's design rules out. With a single pool the
-//! buffer simply comes back as so many `f32` units, whatever type it
-//! left as, and the footprint plateaus after the first few rounds
-//! (§VII-C). It also matches the paper more closely: the pools there
-//! hold chunks of 2^i *bytes*, not typed objects.
+//! Sharing one chunk pool (rather than one typed pool per element)
+//! follows §VII-C: the pools there hold chunks of 2^i *bytes*, not
+//! typed objects. A freed spectrum chunk can serve the next image of
+//! the same byte size, and the other way round, so the footprint is one
+//! set of size classes rather than one per element type, and it
+//! plateaus after the first few rounds. Every buffer goes back as the
+//! type it was leased as; the complex personality only reinterprets
+//! chunk storage on the way out and back.
 //!
 //! # Invariant: even capacities for complex leases
 //!
@@ -31,10 +29,9 @@
 //! complex leases request ≥ 2 units and so pop from classes ≥ 1, whose
 //! pool-born chunks have power-of-two (even) capacity; the only odd
 //! capacity a pool-born chunk can have is the 1-unit class 0, which
-//! complex leases never touch; and buffers re-adopted after a c2r
-//! conversion have capacity `2 · complex capacity`, even by
-//! construction. The lease path still asserts the invariant rather than
-//! trusting it.
+//! complex leases never touch; and a complex buffer recycled into the
+//! chunks has capacity `2 · complex capacity`, even by construction.
+//! The lease path still asserts the invariant rather than trusting it.
 
 use crate::pool::{BufferPool, ClassReport};
 use crate::stats::PoolStats;
@@ -194,8 +191,7 @@ impl PoolSet {
         &self.real
     }
 
-    /// The [`BufferSource`] for complex tensor buffers (spectra and FFT
-    /// scratch).
+    /// The [`BufferSource`] for complex tensor buffers (spectra).
     pub fn complex_home(&self) -> &Arc<dyn BufferSource<Complex32>> {
         &self.complex
     }

@@ -47,8 +47,8 @@ impl PoolStats {
     /// counter negative — but while other leases are live it *does*
     /// make `bytes_in_use` under-count by the foreign class size, so
     /// accounting-exact callers must only return buffers whose lease
-    /// was recorded here (the engine's `irfft3` re-adoption checks
-    /// pool identity for exactly this reason).
+    /// was recorded here (a leased tensor's buffer returns to the
+    /// source that leased it, never to another).
     pub(crate) fn record_free(&self, bytes: usize) {
         let _ = self
             .bytes_in_use

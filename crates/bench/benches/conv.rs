@@ -5,7 +5,7 @@
 //!
 //! `direct_passes` times the three direct passes of one conv edge —
 //! forward, input gradient, kernel gradient — as the engine runs them
-//! (on one `conv::DirectConv` and `conv::Scratch`), at every conv
+//! (on one `conv::DirectConv`), at every conv
 //! geometry of the two direct-convolution benchmark nets:
 //! `scalability_net_3d(8)` at output 4³ (3³ kernels at sparsity
 //! 1/2/4/4 onto 27³/22³/12³/4³) and the sparse `comparison_net(3, 5²,
@@ -54,19 +54,18 @@ fn bench_direct_passes(c: &mut Criterion) {
             let y = conv::valid_shape(n, k, s).expect("valid geometry");
             let grad = ops::random(y, 3);
             let id = format!("{name}/k{}_s{}_out{}", k[2], s[2], y[2]);
-            // as the engine runs them: tables built once, one scratch,
-            // outputs into zeroed buffers
+            // as the engine runs them: tables built once, outputs into
+            // zeroed buffers
             let geometry = conv::DirectConv::new(n, k, s);
-            let scratch = conv::Scratch::default();
             let (mut fwd, mut bwd) = (Tensor3::zeros(y), Tensor3::zeros(n));
             group.bench_function(format!("forward/{id}"), |b| {
-                b.iter(|| geometry.forward_into(black_box(&img), &ker, &mut fwd, &scratch))
+                b.iter(|| geometry.forward_into(black_box(&img), &ker, &mut fwd))
             });
             group.bench_function(format!("input_gradient/{id}"), |b| {
-                b.iter(|| geometry.input_gradient_into(black_box(&grad), &ker, &mut bwd, &scratch))
+                b.iter(|| geometry.input_gradient_into(black_box(&grad), &ker, &mut bwd))
             });
             group.bench_function(format!("kernel_gradient/{id}"), |b| {
-                b.iter(|| black_box(geometry.kernel_gradient(black_box(&img), &grad, &scratch)))
+                b.iter(|| black_box(geometry.kernel_gradient(black_box(&img), &grad)))
             });
         }
     }

@@ -86,8 +86,8 @@ fn main() {
         });
         // irfft3 consumes its spectrum, so the clone has to sit in the
         // timed loop — measure it separately and subtract, or the
-        // inverse cost would include an allocation+memcpy the in-place
-        // c2r path specifically avoids
+        // inverse cost would include the clone's allocation and copy,
+        // which are no part of the inverse
         let t_clone = time_per_round(warm, reps, || {
             std::hint::black_box(spec.clone());
         });

@@ -145,12 +145,14 @@ pub struct TrainConfig {
     /// Seed for parameter init and dropout masks.
     pub seed: u64,
     /// The §VII-C recycling pools every hot-path buffer is leased from:
-    /// images, half-spectra, FFT scratch, dropout masks, direct-conv
-    /// outputs. The default is the process-wide [`PoolSet::global`], so
-    /// all engines in a process share one flat footprint and
-    /// steady-state rounds allocate nothing; `None` falls back to plain
-    /// `Vec` allocation (the pre-pool behaviour, kept for ablation and
-    /// the CLI's `--no-pool`). Pooling never changes a computed bit.
+    /// images, half-spectra, inverse-transform outputs, dropout masks,
+    /// direct-conv outputs (the transforms' and direct passes' small
+    /// scratch is per thread, not pooled). The default is the
+    /// process-wide [`PoolSet::global`], so all engines in a process
+    /// share one flat footprint and steady-state rounds allocate
+    /// nothing; `None` falls back to plain `Vec` allocation (the
+    /// pre-pool behaviour, kept for ablation and the CLI's
+    /// `--no-pool`). Pooling never changes a computed bit.
     pub pools: Option<Arc<PoolSet>>,
     /// Durable-checkpoint settings; `None` (the default) trains
     /// without touching disk.

@@ -58,7 +58,7 @@ pub struct DenseConfig {
     /// `good_shape` when forced and the planner's radix-aware
     /// [`Planner::pad_for`] when priced.
     pub conv: ConvPolicy,
-    /// Pooled allocator for outputs, windows and FFT scratch; `None`
+    /// Pooled allocator for outputs, windows and spectra; `None`
     /// falls back to plain allocation.
     pub pools: Option<Arc<PoolSet>>,
     /// Ignored: every transform runs on the calling thread. Kept for

@@ -120,8 +120,6 @@ struct Inner {
     net_plan: Arc<NetPlan>,
     /// Wall time of the last completed round, µs.
     last_round_us: AtomicU64,
-    /// Buffers of the direct conv passes, shared by every direct edge.
-    direct_scratch: conv::Scratch,
 }
 
 /// A training round that was poisoned by a panicking task. By the time
@@ -227,7 +225,7 @@ impl Znn {
 
         // every transform runs on the thread of the task that needs it,
         // so the scheduler's workers are the whole thread budget. Every
-        // engine-allocated buffer (spectra, cropped outputs, scratch)
+        // engine-allocated buffer (spectra, inverse outputs)
         // leases from the configured PoolSet, so steady-state rounds
         // never touch the system allocator (§VII-C)
         let mut fft = FftEngine::new();
@@ -380,7 +378,6 @@ impl Znn {
             task_panics: AtomicU64::new(0),
             net_plan,
             last_round_us: AtomicU64::new(0),
-            direct_scratch: conv::Scratch::default(),
         });
         // latches start "open" until a round arms them
         for _ in 0..outputs {
@@ -925,7 +922,7 @@ impl Inner {
                 let d = c.direct.as_ref().expect("direct edge has its tables");
                 let w = c.kernel.lock();
                 let mut out = Inner::lease_image(inner, d.output_shape());
-                d.forward_into(input, &w, &mut out, &inner.direct_scratch);
+                d.forward_into(input, &w, &mut out);
                 Contribution::Spatial(out)
             }
             ConvMethod::Fft => {
@@ -1094,7 +1091,7 @@ impl Inner {
                 let d = c.direct.as_ref().expect("direct edge has its tables");
                 let w = c.kernel.lock();
                 let mut out = Inner::lease_image(inner, inner.node_shape[from.0]);
-                d.input_gradient_into(grad, &w, &mut out, &inner.direct_scratch);
+                d.input_gradient_into(grad, &w, &mut out);
                 Contribution::Spatial(out)
             }
             ConvMethod::Fft => {
@@ -1186,7 +1183,7 @@ impl Inner {
                     }
                     _ => {
                         let d = c.direct.as_ref().expect("direct kernel gradient has its tables");
-                        d.kernel_gradient(&x, &grad, &inner2.direct_scratch)
+                        d.kernel_gradient(&x, &grad)
                     }
                 };
                 Inner::apply_sgd(inner2.as_ref(), c, dw, eta);

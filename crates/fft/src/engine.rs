@@ -2,93 +2,42 @@
 
 use crate::line::{Direction, LinePlan};
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::mem::MaybeUninit;
 use std::sync::Arc;
 use znn_alloc::PoolSet;
-use znn_tensor::{BufferSource, CImage, Complex32, Image, Spectrum, Vec3};
+use znn_tensor::{CImage, Complex32, Image, Spectrum, Vec3};
 
 /// The scratch one transform works in.
-struct ScratchBuffers {
+#[derive(Default)]
+struct Scratch {
     /// `LinePlan::process_with_scratch` scratch.
     plan: Vec<Complex32>,
     /// Gathered strided lines (x/y axes) or packed r2c/c2r lines.
     line: Vec<Complex32>,
-    /// Recycling pool the buffers are leased from on growth and return
-    /// to on drop ([`FftEngine::with_buffer_pools`]); `None` grows and
-    /// frees plainly.
-    home: Option<Arc<dyn BufferSource<Complex32>>>,
 }
 
-impl Drop for ScratchBuffers {
-    fn drop(&mut self) {
-        if let Some(home) = self.home.take() {
-            for buf in [std::mem::take(&mut self.plan), std::mem::take(&mut self.line)] {
-                if buf.capacity() > 0 {
-                    home.recycle(buf);
-                }
-            }
-        }
-    }
+thread_local! {
+    /// This thread's transform scratch. Transforms are hot (one per
+    /// image per pass), and allocating it per call was measurable. A
+    /// transform borrows it from start to finish and starts no other
+    /// transform inside, so the borrow never nests; every buffer is
+    /// fully overwritten before it is read, so no output bit depends on
+    /// what an earlier transform left there.
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
-/// Engine-owned scratch, one set per concurrent caller: FFT in-place
-/// scratch, a line gather buffer, and the packed line buffer of the
-/// r2c/c2r stages. Transforms are hot (one per image per pass) —
-/// allocating these per call was measurable.
-///
-/// A transform takes one set off the free list for its whole run and
-/// puts it back when done, so the list grows to the peak number of
-/// threads transforming on this engine at once. Every buffer is fully
-/// overwritten before it is read, so which set a transform takes
-/// cannot affect a single output bit.
-struct ScratchPool {
-    free: Mutex<Vec<ScratchBuffers>>,
-    /// The home of every set this pool creates.
-    home: Option<Arc<dyn BufferSource<Complex32>>>,
+/// Runs `f` on this thread's scratch.
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-impl ScratchPool {
-    fn new(home: Option<Arc<dyn BufferSource<Complex32>>>) -> Self {
-        ScratchPool {
-            free: Mutex::new(Vec::new()),
-            home,
-        }
-    }
-
-    fn with<R>(&self, f: impl FnOnce(&mut ScratchBuffers) -> R) -> R {
-        let taken = self.free.lock().pop();
-        let mut s = taken.unwrap_or_else(|| ScratchBuffers {
-            plan: Vec::new(),
-            line: Vec::new(),
-            home: self.home.clone(),
-        });
-        let r = f(&mut s);
-        self.free.lock().push(s);
-        r
-    }
-}
-
-/// Grows (never shrinks below the request) `buf` to `n` elements and
-/// returns the prefix. With a `home`, growth swaps in a fresh pool
-/// lease and recycles the outgrown buffer — scratch contents are never
-/// carried across calls (every caller fully overwrites the prefix
-/// before reading it), so the swap is invisible.
-fn borrow_buf<'a>(
-    buf: &'a mut Vec<Complex32>,
-    n: usize,
-    home: Option<&Arc<dyn BufferSource<Complex32>>>,
-) -> &'a mut [Complex32] {
+/// Grows `buf` to at least `n` elements (it never shrinks) and returns
+/// its first `n`.
+fn borrow_buf(buf: &mut Vec<Complex32>, n: usize) -> &mut [Complex32] {
     if buf.len() < n {
-        match home {
-            Some(h) => {
-                let old = std::mem::replace(buf, h.lease(n));
-                if old.capacity() > 0 {
-                    h.recycle(old);
-                }
-            }
-            None => buf.resize(n, Complex32::default()),
-        }
+        buf.resize(n, Complex32::default());
     }
     &mut buf[..n]
 }
@@ -101,7 +50,7 @@ fn borrow_buf<'a>(
 /// before their axis is transformed; an inverse only the lines that
 /// meet it after. Every other line is all-zero (forward) or never read
 /// (inverse), so skipping it changes no kept value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Lattice {
     pub at: Vec3,
     pub count: Vec3,
@@ -250,7 +199,7 @@ impl PackKernels {
 /// The engine is cheap to share (`Arc<FftEngine>`) and thread-safe: the
 /// plan cache is behind a mutex that is only touched on cache misses;
 /// the transforms themselves run lock-free on caller-owned buffers plus
-/// one scratch set per concurrent caller.
+/// the calling thread's own scratch.
 ///
 /// Every transform is **r2c / c2r** ([`FftEngine::rfft3`],
 /// [`FftEngine::irfft3`] and the staged [`FftEngine::forward_padded`] /
@@ -276,7 +225,9 @@ impl PackKernels {
 /// A transform runs from start to finish on the thread that calls it,
 /// as one task of the paper's task graph does; parallelism comes from
 /// running many transforms at once, never from splitting one. Any
-/// number of threads may transform on one engine concurrently.
+/// number of threads may transform on one engine concurrently; each
+/// works in its own thread's scratch buffers, which live as long as the
+/// thread and are shared by every engine it runs.
 ///
 /// Transforms are decomposed per axis into batches of independent 1D
 /// lines, gathered in groups of 8 and handed to the planned kernel in
@@ -289,19 +240,19 @@ impl PackKernels {
 ///
 /// # Memory model
 ///
-/// With [`FftEngine::with_buffer_pools`] every buffer the engine
-/// allocates — half-spectra, cropped outputs, scratch — is
-/// leased from a `znn_alloc::PoolSet` and recycled when the produced
-/// tensor drops. A forward transform leases only its half-spectrum:
-/// [`FftEngine::forward_padded`] reads the unpadded image directly, so
-/// no padded copy is leased. A cropped [`FftEngine::inverse_real`]
-/// leases only its `shape` output, without a zero-fill, and writes each
-/// cropped run into it, recycling the consumed spectrum. Only the full box
-/// ([`FftEngine::irfft3`]) works in place: it re-adopts the spectrum's
-/// storage as the real output, so the c2r buffer reuse survives
-/// pooling. A steady-state transform loop then performs zero
-/// allocation; see the crate-level docs of `znn-alloc` and the §VII-C
-/// discussion in `docs/ARCHITECTURE.md`.
+/// With [`FftEngine::with_buffer_pools`] every tensor the engine
+/// produces — half-spectra and real outputs — is leased from a
+/// `znn_alloc::PoolSet` and recycled when it drops. A forward transform
+/// leases only its half-spectrum: [`FftEngine::forward_padded`] reads
+/// the unpadded image directly, so no padded copy is leased. Every
+/// inverse ([`FftEngine::inverse_real`], and [`FftEngine::irfft3`] as
+/// its full box) leases only its output, without a zero-fill, writes
+/// each wanted run into it, and drops the consumed spectrum, which
+/// returns to the pool it was leased from. The per-thread scratch is
+/// not pooled: it is a few lines long and lives as long as its thread.
+/// A steady-state transform loop then performs zero allocation; see the
+/// crate-level docs of `znn-alloc` and the §VII-C discussion in
+/// `docs/ARCHITECTURE.md`.
 ///
 /// # Example
 ///
@@ -316,7 +267,7 @@ impl PackKernels {
 /// let spec = engine.rfft3(&img);
 /// // the half-spectrum stores 25 of 48 packed-axis bins per line
 /// assert_eq!(spec.half().shape(), Vec3::new(48, 48, 25));
-/// // the inverse consumes its spectrum in place and round-trips
+/// // the inverse consumes its spectrum and round-trips
 /// let back = engine.irfft3(spec);
 /// assert!(back.max_abs_diff(&img) < 1e-5);
 /// ```
@@ -330,11 +281,9 @@ pub struct FftEngine {
     /// batched SIMD lines pinned off — and the packed stage runs the
     /// scalar twins (see [`FftEngine::with_scalar_kernels`]).
     scalar_kernels: bool,
-    /// Scratch, one set per concurrent caller (see [`ScratchPool`]).
-    scratch: ScratchPool,
-    /// Recycling pools every transform buffer is leased from when set
-    /// ([`FftEngine::with_buffer_pools`]): half-spectra, cropped
-    /// outputs, scratch. `None` allocates plainly.
+    /// Recycling pools every produced tensor is leased from when set
+    /// ([`FftEngine::with_buffer_pools`]): half-spectra and real
+    /// outputs. `None` allocates plainly.
     pools: Option<Arc<PoolSet>>,
 }
 
@@ -345,7 +294,6 @@ impl FftEngine {
             plans: Mutex::new(HashMap::new()),
             rtwiddles: Mutex::new(HashMap::new()),
             scalar_kernels: false,
-            scratch: ScratchPool::new(None),
             pools: None,
         }
     }
@@ -375,25 +323,18 @@ impl FftEngine {
         engine
     }
 
-    /// Routes every buffer this engine allocates — half-spectra,
-    /// cropped outputs, scratch — through
-    /// `pools` (the paper's §VII-C recycling allocator). Leased buffers
-    /// return to the pool when the produced tensors drop, so a
-    /// steady-state transform loop performs **zero** allocation after
-    /// its first pass, and transforms stay **bit-for-bit identical** to
-    /// the unpooled engine (pool leases are zero-filled exactly like
-    /// fresh buffers, a cropped output leased without the fill is fully
-    /// written before it is read, and scratch contents never reach an
-    /// output).
-    ///
-    /// Use **one `PoolSet` per pipeline**: a spectrum leased from a
-    /// *different* pool and consumed by this engine's [`FftEngine::irfft3`]
-    /// is treated as foreign — transformed correctly, but its storage
-    /// is detached rather than adopted (adopting never-leased bytes
-    /// would corrupt this pool's accounting), so the originating pool
-    /// keeps the bytes counted in use and re-misses that class next
-    /// round. Correctness is unaffected; the flat-footprint guarantee
-    /// only holds within a single pool.
+    /// Routes every tensor this engine produces — half-spectra and real
+    /// outputs — through `pools` (the paper's §VII-C recycling
+    /// allocator). Leased buffers return to the pool when the produced
+    /// tensors drop, so a steady-state transform loop performs **zero**
+    /// allocation after its first pass, and transforms stay
+    /// **bit-for-bit identical** to the unpooled engine (pool leases are
+    /// zero-filled exactly like fresh buffers, an inverse's output
+    /// leased without the fill is fully written before it is read, and
+    /// scratch contents never reach an output). A consumed spectrum
+    /// returns to whichever pool leased it, so spectra from another
+    /// pool, or from none, are inverted without touching this pool's
+    /// accounting.
     ///
     /// ```
     /// use znn_alloc::PoolSet;
@@ -411,7 +352,6 @@ impl FftEngine {
     /// assert!(again.max_abs_diff(&img) < 1e-5);
     /// ```
     pub fn with_buffer_pools(mut self, pools: Arc<PoolSet>) -> Self {
-        self.scratch = ScratchPool::new(Some(Arc::clone(pools.complex_home())));
         self.pools = Some(pools);
         self
     }
@@ -468,7 +408,7 @@ impl FftEngine {
     /// Transforms, in place, `lines` of `t` (every line along their
     /// axis, or a pruned subset). `lines` must come from
     /// [`Lattice::lines`] for `t`'s shape, with a lattice that fits it.
-    fn transform_axis(&self, s: &mut ScratchBuffers, t: &mut CImage, dir: Direction, lines: Lines) {
+    fn transform_axis(&self, s: &mut Scratch, t: &mut CImage, dir: Direction, lines: Lines) {
         let shape = t.shape();
         let axis = lines.axis;
         let len = shape[axis];
@@ -478,8 +418,8 @@ impl FftEngine {
         let stride = [shape[1] * shape[2], shape[2], 1][axis];
         let plan = self.plan(len, dir);
         let data = t.as_mut_slice();
-        let scratch = borrow_buf(&mut s.plan, plan.scratch_len(), s.home.as_ref());
-        let buf = borrow_buf(&mut s.line, LINE_BATCH * len, s.home.as_ref());
+        let scratch = borrow_buf(&mut s.plan, plan.scratch_len());
+        let buf = borrow_buf(&mut s.line, LINE_BATCH * len);
         // gather lines in groups of LINE_BATCH so a full group runs the
         // Stockham kernels' batched SIMD path in one call; line j is the
         // elements lines.start(j) + k·stride, k < len
@@ -523,12 +463,10 @@ impl FftEngine {
     }
 
     /// Inverse of [`FftEngine::rfft3`], normalized so
-    /// `irfft3(rfft3(x)) == x`. Consumes the spectrum: the inverse is
-    /// computed in place on its buffer, and the real output *reuses that
-    /// buffer's storage* — the interleaved unpack writes each real line
-    /// into the (strictly larger) slot its complex bins occupied, then
-    /// one compaction pass packs the lines tight. No per-call output
-    /// allocation.
+    /// `irfft3(rfft3(x)) == x`: the full box of
+    /// [`FftEngine::inverse_real`]. Consumes the spectrum: the complex
+    /// stages run in place on its buffer, and the c2r stage writes each
+    /// real line into a fresh output, leased without a zero-fill.
     pub fn irfft3(&self, spec: Spectrum) -> Image {
         let m = spec.full_shape();
         self.inverse_lattice(spec, Lattice::dense(Vec3::zero(), m))
@@ -554,7 +492,7 @@ impl FftEngine {
     ///
     /// Only the lines the crop reads are inverted, and each cropped run
     /// is written straight into a fresh `shape` output; the full box is
-    /// [`FftEngine::irfft3`], which works in place.
+    /// [`FftEngine::irfft3`].
     pub fn inverse_real(&self, spec: Spectrum, at: Vec3, shape: Vec3) -> Image {
         self.inverse_lattice(spec, Lattice::dense(at, shape))
     }
@@ -601,18 +539,14 @@ impl FftEngine {
         let lines = lat.lines(hs, pa, |_| true);
         let (e, sp) = (src.shape()[pa], step[pa]);
         let src = src.as_slice();
-        self.scratch.with(|s| {
+        with_scratch(|s| {
             let dst = half.as_mut_slice();
             if n.is_multiple_of(2) {
                 let hn = n / 2;
                 let plan = (hn > 1).then(|| self.plan(hn, Direction::Forward));
                 let tw = self.rtwiddle(n, Direction::Forward);
-                let scratch = borrow_buf(
-                    &mut s.plan,
-                    plan.as_ref().map_or(0, |p| p.scratch_len()),
-                    s.home.as_ref(),
-                );
-                let buf = borrow_buf(&mut s.line, LINE_BATCH * hn, s.home.as_ref());
+                let scratch = borrow_buf(&mut s.plan, plan.as_ref().map_or(0, |p| p.scratch_len()));
+                let buf = borrow_buf(&mut s.line, LINE_BATCH * hn);
                 // pack LINE_BATCH lines per transform call so a full
                 // group runs the Stockham batched SIMD path
                 for g0 in (0..lines.len()).step_by(LINE_BATCH) {
@@ -642,12 +576,8 @@ impl FftEngine {
                 }
             } else {
                 let plan = (n > 1).then(|| self.plan(n, Direction::Forward));
-                let scratch = borrow_buf(
-                    &mut s.plan,
-                    plan.as_ref().map_or(0, |p| p.scratch_len()),
-                    s.home.as_ref(),
-                );
-                let buf = borrow_buf(&mut s.line, n, s.home.as_ref());
+                let scratch = borrow_buf(&mut s.plan, plan.as_ref().map_or(0, |p| p.scratch_len()));
+                let buf = borrow_buf(&mut s.line, n);
                 for j in 0..lines.len() {
                     buf.fill(Complex32::default());
                     for (i, &v) in src[j * e..(j + 1) * e].iter().enumerate() {
@@ -679,10 +609,9 @@ impl FftEngine {
     /// runs in full, each later axis skips the lines whose
     /// already-inverted coordinate is off the lattice, and the c2r stage
     /// runs only on lattice lines and writes each line's lattice samples
-    /// straight into its output row. The dense full box works in place
-    /// on the spectrum's storage; every other lattice writes every voxel
-    /// of a fresh `lat.count` lease, taken without a zero-fill, and
-    /// recycles the spectrum.
+    /// straight into its output row. Every lattice, the full box
+    /// included, writes every voxel of a fresh `lat.count` lease, taken
+    /// without a zero-fill, and drops the spectrum.
     pub(crate) fn inverse_lattice(&self, spec: Spectrum, lat: Lattice) -> Image {
         let m = spec.full_shape();
         assert!(
@@ -691,23 +620,6 @@ impl FftEngine {
         );
         let pa = Spectrum::packed_axis(m);
         let n = m[pa];
-        let h = n / 2 + 1;
-        let in_place = lat == Lattice::dense(Vec3::zero(), m);
-        // Re-adopt the output storage into the pool only when the
-        // incoming spectrum's buffer was leased from THIS engine's own
-        // pool: the lease is still counted in the pool's bytes_in_use
-        // (into_vec below detaches without touching the counters), so
-        // the eventual recycle balances it exactly. Adopting a raw or
-        // foreign-pool buffer instead would push never-leased bytes at
-        // the pool and corrupt its accounting.
-        let adopt_home = match &self.pools {
-            Some(p) if in_place => spec
-                .half()
-                .home()
-                .is_some_and(|h| Arc::ptr_eq(h, p.complex_home()))
-                .then(|| Arc::clone(p.real_home())),
-            _ => None,
-        };
         let mut half = spec.into_half();
         let hs = half.shape();
         // the non-packed inverse stages are unnormalized, each
@@ -721,102 +633,51 @@ impl FftEngine {
             n
         };
         let scale = 1.0 / ((m.len() / n) * zfac) as f32;
-        // c2r stage: line j's h bins occupy the 2h-float slot at
-        // 2·lines.start(j); its lattice samples become output row j
-        let lines = lat.lines(hs, pa, |_| true);
-        self.scratch.with(|s| {
+        // every voxel of the output is written below before anything
+        // reads it, so it is leased without a zero-fill
+        let len = lat.count.len();
+        let home = self.pools.as_ref().map(|p| Arc::clone(p.real_home()));
+        let mut data = match &home {
+            Some(h) => h.lease_empty(len),
+            None => Vec::with_capacity(len),
+        };
+        with_scratch(|s| {
             for a in (0..3).filter(|&a| a != pa) {
                 let lines = lat.lines(hs, a, |b| b < a && b != pa);
                 self.transform_axis(s, &mut half, Direction::Inverse, lines);
             }
-            if in_place {
-                // In-place c2r: view the half buffer as interleaved f32
-                // storage. Line j's n real outputs (n ≤ 2h-1) are written
-                // back into its own slot's prefix after the bins are
-                // consumed into scratch, so nothing allocates.
-                let mut data = complex_vec_into_reals(half.into_vec());
-                let p = data.as_mut_ptr();
-                // SAFETY: the full box enumerates every line in memory
-                // order, so lines.start(j) = j·h: row j (n floats at
-                // 2·j·h) is the prefix of slot j (h bins = 2h floats at
-                // 2·j·h), all inside `data`'s 2·len(half) floats, which
-                // are Complex32-aligned since they began as a complex
-                // buffer.
-                unsafe { self.c2r_lines(s, p.cast(), p, 2 * h, &lines, n, scale) };
-                // compact the per-slot real lines into a dense image: line
-                // i moves left from 2·i·h to i·n, so a forward pass never
-                // overwrites an unmoved line
-                for i in 1..lines.len() {
-                    data.copy_within(2 * i * h..2 * i * h + n, i * n);
-                }
-                data.truncate(m.len());
-                let out = Image::from_vec(m, data);
-                // The storage began life as the spectrum's complex lease
-                // and was detached by the reinterpretation; re-adopt it
-                // (as so many f32 units) so it rejoins the same chunk pool
-                // when the image drops.
-                match adopt_home {
-                    Some(home) => out.with_home(home),
-                    None => out,
-                }
-            } else {
-                // every voxel of the output is written below before
-                // anything reads it, so it is leased without a zero-fill
-                let len = lat.count.len();
-                let home = self.pools.as_ref().map(|p| Arc::clone(p.real_home()));
-                let mut data = match &home {
-                    Some(h) => h.lease_empty(len),
-                    None => Vec::with_capacity(len),
-                };
-                let src = half.as_slice().as_ptr();
-                let dst = data.as_mut_ptr();
-                // SAFETY: the lattice fits `m`, so each start is a packed
-                // line origin of `half` with its h bins inside it; `data`
-                // has capacity for lat.count.len() floats, which is one
-                // lat.count[pa] row per start, and the two buffers are
-                // distinct.
-                unsafe { self.c2r_lines(s, src, dst, lat.count[pa], &lines, n, scale) };
-                // SAFETY: the rows j·lat.count[pa] .. (j+1)·lat.count[pa]
-                // for j < lines.len() tile 0..len, and c2r_lines wrote
-                // every element of every row, so all len floats are
-                // initialized.
-                unsafe { data.set_len(len) };
-                let out = Image::from_vec(lat.count, data);
-                match home {
-                    Some(home) => out.with_home(home),
-                    None => out,
-                }
-            }
-        })
+            // c2r stage: line j's h bins start at lines.start(j); its
+            // lattice samples become output row j
+            let lines = lat.lines(hs, pa, |_| true);
+            let rows = &mut data.spare_capacity_mut()[..len];
+            self.c2r_lines(s, half.as_slice(), rows, &lines, n, scale);
+        });
+        // SAFETY: `rows` were the first `len` spare elements of `data`
+        // (capacity ≥ len, or the slice would have panicked), and
+        // c2r_lines writes every element of `dst`: it asserts one row
+        // per line and writes each row in full.
+        unsafe { data.set_len(len) };
+        let out = Image::from_vec(lat.count, data);
+        match home {
+            Some(home) => out.with_home(home),
+            None => out,
+        }
     }
 
     /// The c2r stage of [`FftEngine::inverse_lattice`]: for each line
-    /// `j`, reads the `h` bins at `src + lines.start(j)`, inverts them
+    /// `j`, reads the `h` bins at `src[lines.start(j)..]`, inverts them
     /// at length `n`, and writes sample `lat.coord(pa, i)` times `scale`
-    /// to `dst[j·row_len + i]` for `i < lat.count[pa]`, where `lat` is
-    /// the lattice `lines` was taken from and `pa` the packed axis they
-    /// run along. A dense lattice row is one scaled copy of `count`
+    /// to `dst[j·count + i]` for `i < count = lat.count[pa]`, where `lat`
+    /// is the lattice `lines` was taken from and `pa` the packed axis
+    /// they run along. A dense lattice row is one scaled copy of `count`
     /// samples from `lat.at[pa]`; a dilated or flipped one is a strided
-    /// walk.
-    ///
-    /// `src` and `dst` may alias when every row lies inside its own
-    /// line's slot (the in-place full box): a line's bins are consumed
-    /// into scratch before its row is written.
-    ///
-    /// # Safety
-    ///
-    /// For every `j < lines.len()`, the `h` bins at
-    /// `src + lines.start(j)` must be readable and the `lat.count[pa]`
-    /// floats at `dst + j·row_len` writable (they need not be
-    /// initialized) for the whole call. Rows must be pairwise disjoint,
-    /// and a row may overlap only its own line's slot.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn c2r_lines(
+    /// walk. `dst` holds exactly one row per line, and every element of
+    /// it is written.
+    fn c2r_lines(
         &self,
-        s: &mut ScratchBuffers,
-        src: *const Complex32,
-        dst: *mut f32,
-        row_len: usize,
+        s: &mut Scratch,
+        src: &[Complex32],
+        dst: &mut [MaybeUninit<f32>],
         lines: &Lines,
         n: usize,
         scale: f32,
@@ -824,24 +685,14 @@ impl FftEngine {
         let h = n / 2 + 1;
         let (lat, pa) = (&lines.lat, lines.axis);
         let count = lat.count[pa];
-        // SAFETY: valid by the caller's contract; a slot is only read
-        // before its own row is written, and no two rows overlap.
-        let slot = |j: usize| unsafe { std::slice::from_raw_parts(src.add(lines.start(j)), h) };
-        // SAFETY: as for `slot`. A row may be uninitialized, so it is
-        // viewed as MaybeUninit and only ever written.
-        let row = |j: usize| unsafe {
-            std::slice::from_raw_parts_mut(dst.add(j * row_len).cast::<MaybeUninit<f32>>(), count)
-        };
+        assert_eq!(dst.len(), lines.len() * count, "one output row per line");
+        let slot = |j: usize| &src[lines.start(j)..][..h];
         if n.is_multiple_of(2) {
             let hn = n / 2;
             let plan = (hn > 1).then(|| self.plan(hn, Direction::Inverse));
             let tw = self.rtwiddle(n, Direction::Inverse);
-            let scratch = borrow_buf(
-                &mut s.plan,
-                plan.as_ref().map_or(0, |p| p.scratch_len()),
-                s.home.as_ref(),
-            );
-            let buf = borrow_buf(&mut s.line, LINE_BATCH * hn, s.home.as_ref());
+            let scratch = borrow_buf(&mut s.plan, plan.as_ref().map_or(0, |p| p.scratch_len()));
+            let buf = borrow_buf(&mut s.line, LINE_BATCH * hn);
             // repack LINE_BATCH slots per transform call so a full group
             // runs the Stockham batched SIMD path
             for g0 in (0..lines.len()).step_by(LINE_BATCH) {
@@ -860,7 +711,7 @@ impl FftEngine {
                 for (j, line) in (g0..).zip(group.chunks_exact(hn)) {
                     let floats = znn_simd::complex_as_floats(line);
                     let samples = floats[at..].iter().step_by(step);
-                    let row = row(j);
+                    let row = &mut dst[j * count..][..count];
                     if lat.flip {
                         // output i holds sample at + (count−1−i)·step
                         for (d, &v) in row.iter_mut().rev().zip(samples) {
@@ -877,12 +728,8 @@ impl FftEngine {
             }
         } else {
             let plan = (n > 1).then(|| self.plan(n, Direction::Inverse));
-            let scratch = borrow_buf(
-                &mut s.plan,
-                plan.as_ref().map_or(0, |p| p.scratch_len()),
-                s.home.as_ref(),
-            );
-            let buf = borrow_buf(&mut s.line, n, s.home.as_ref());
+            let scratch = borrow_buf(&mut s.plan, plan.as_ref().map_or(0, |p| p.scratch_len()));
+            let buf = borrow_buf(&mut s.line, n);
             for j in 0..lines.len() {
                 let slot = slot(j);
                 buf[..h].copy_from_slice(slot);
@@ -893,25 +740,12 @@ impl FftEngine {
                 if let Some(p) = &plan {
                     p.process_with_scratch(buf, scratch);
                 }
-                for (i, d) in row(j).iter_mut().enumerate() {
+                for (i, d) in dst[j * count..][..count].iter_mut().enumerate() {
                     d.write(buf[lat.coord(pa, i)].re * scale);
                 }
             }
         }
     }
-}
-
-/// Reinterprets a `Vec<Complex32>` as the `Vec<f32>` over the same
-/// allocation (`re`, `im` interleaved), without copying.
-fn complex_vec_into_reals(v: Vec<Complex32>) -> Vec<f32> {
-    let mut v = std::mem::ManuallyDrop::new(v);
-    let (ptr, len, cap) = (v.as_mut_ptr(), v.len(), v.capacity());
-    // SAFETY: Complex<f32> is #[repr(C)] { re: f32, im: f32 } — size 8,
-    // align 4 — so Layout::array::<f32>(2·cap) equals
-    // Layout::array::<Complex32>(cap): the allocation contract for the
-    // eventual drop/realloc is preserved, every byte of the length is
-    // initialized, and every bit pattern is a valid f32.
-    unsafe { Vec::from_raw_parts(ptr.cast::<f32>(), len * 2, cap * 2) }
 }
 
 impl Default for FftEngine {
@@ -1194,8 +1028,8 @@ mod tests {
 
     #[test]
     fn multi_threaded_transforms_match_single_threaded_bitwise() {
-        // transforms running at once on one engine take separate
-        // scratch sets, so each must equal a serial engine's result
+        // transforms running at once on one engine work in their own
+        // threads' scratch, so each must equal a serial engine's result
         // bit for bit; the shapes differ, so the sets grow apart
         let serial = FftEngine::new();
         let shared = FftEngine::new();

@@ -26,9 +26,9 @@
 //!   unpacks with one twiddle pass — ~2× fewer FLOPs on that stage. The
 //!   remaining stages are complex line transforms over the
 //!   already-halved tensor, so they also do half the work of a full
-//!   complex transform. The inverse consumes its spectrum *in place*: the c2r
-//!   unpack writes each real line into the storage its complex bins
-//!   occupied and compacts, so no output buffer is allocated per call.
+//!   complex transform. The inverse consumes its spectrum: its complex
+//!   stages run in place on the spectrum's buffer, and the c2r stage
+//!   writes each real line into the output, leased without a zero-fill.
 //! * **Padding discipline.** Transform shapes come from
 //!   [`good_shape`]: 5-smooth per axis, and *even* on the packed axis
 //!   so the packed stage always applies and the
@@ -100,8 +100,8 @@
 //! start to finish on the thread that calls it. Parallelism lives one
 //! level up, in the paper's task graph: each transform is part of one
 //! task, and many tasks run at once. Any number of threads may share
-//! one engine; each transform takes its own scratch set, so concurrent
-//! transforms are bit-for-bit equal to serial ones; see the
+//! one engine; each transform works in its own thread's scratch, so
+//! concurrent transforms are bit-for-bit equal to serial ones; see the
 //! [threading model](FftEngine#threading-model).
 //!
 //! The staged API (`forward_padded` → pointwise products in

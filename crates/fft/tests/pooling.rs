@@ -6,17 +6,18 @@
 //! 1. **Bit-for-bit fidelity** — leasing buffers from a recycling pool
 //!    must not change a single output bit relative to the plain-`Vec`
 //!    engine, on any shape or direction (pool leases are zero-filled
-//!    exactly like fresh buffers, and every scratch prefix is fully
-//!    overwritten before it is read).
+//!    exactly like fresh buffers, an inverse's output leased without
+//!    the fill is fully written before it is read, and the per-thread
+//!    scratch never reaches an output).
 //! 2. **Zero steady-state allocation** — once one pass of a workload
 //!    has warmed the pool, repeating the workload performs no system
 //!    allocation at all: every lease is a hit and the resident
 //!    footprint stops growing (the paper's "memory usage peaks after
 //!    the first few rounds" property).
 //! 3. **Conservation** — everything leased comes back: after all
-//!    produced tensors drop, the pool counts zero bytes in use, even
-//!    though `irfft3` migrates its buffer from the complex to the real
-//!    personality in place.
+//!    produced tensors drop, the pool counts zero bytes in use. Every
+//!    inverse leases its real output and drops the consumed spectrum,
+//!    which returns to the pool that leased it.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -156,7 +157,7 @@ fn pruned_transforms_lease_only_their_outputs() {
     let m = Vec3::cube(60);
     let x = ops::random(Vec3::cube(5), 61);
     let w = ops::random(Vec3::cube(5), 62);
-    // warm the scratch slots, so the windows below see output leases only
+    // warm the plan cache and the thread's scratch first
     drop(engine.irfft3(engine.rfft3(&ops::random(m, 63))));
     let warm = pools.stats().bytes_in_use();
     let chunk = |floats: usize| znn_alloc::size_of_class(znn_alloc::class_of(floats)) * 4;
@@ -216,7 +217,7 @@ fn all_leases_return_to_the_pool() {
         drop(clone);
         drop(back);
     }
-    drop(engine); // scratch slots recycle too
+    drop(engine);
     assert_eq!(
         pools.stats().bytes_in_use(),
         0,
@@ -252,18 +253,20 @@ fn pooled_engine_shares_plans_and_pools_across_threads() {
 #[test]
 fn foreign_spectra_are_not_adopted_into_the_pool() {
     // a spectrum whose buffer the pool never leased (here: produced by
-    // an unpooled engine) must not be adopted on the irfft3 in-place
-    // path — recycling never-leased bytes would corrupt the pool's
-    // bytes_in_use accounting and under-report the real footprint
+    // an unpooled engine) must not reach the pool when irfft3 consumes
+    // it — recycling never-leased bytes would corrupt the pool's
+    // bytes_in_use accounting and under-report the real footprint; the
+    // output is this engine's own lease
     let pools = PoolSet::new();
     let engine = FftEngine::new().with_buffer_pools(Arc::clone(&pools));
     let img = ops::random(Vec3::cube(6), 51);
-    // warm up so the scratch-slot leases are already counted
+    // warm up so the output's size class is already parked
     drop(engine.irfft3(engine.rfft3(&img)));
     let in_use = pools.stats().bytes_in_use();
     let foreign = FftEngine::new().rfft3(&img);
     let back = engine.irfft3(foreign);
-    assert!(back.home().is_none(), "foreign buffer was adopted");
+    let home = back.home().expect("the output is leased");
+    assert!(Arc::ptr_eq(home, pools.real_home()), "the output's home is another pool");
     drop(back);
     assert_eq!(
         pools.stats().bytes_in_use(),
@@ -298,7 +301,7 @@ proptest! {
         // clone, recycle the original, re-lease its chunk: the clone
         // must still hold the exact bits
         let keep = b.clone();
-        let back = pooled.irfft3(b); // consumes + recycles in place
+        let back = pooled.irfft3(b); // consumes + recycles the spectrum
         prop_assert!(max_cdiff_bits(&a, &keep), "clone lost bits on {shape}");
         let back_raw = raw.irfft3(a);
         prop_assert!(bits_equal(&back_raw, &back), "inverse drift on {shape}");

@@ -55,17 +55,16 @@
 //!
 //! The per-call buffers — the gathered taps, re-resolved rows, the
 //! input gradient's z-halo copy of `g` and the kernel gradient's
-//! widened input — come from a [`Scratch`]: a free list of buffer
-//! sets, each taken for one call and put back after it. The engine
-//! owns one `Scratch` for all of its direct edges. It holds at most one
-//! set per direct pass that ran at the same time as others (so at most
-//! one per thread running engine tasks), and each set keeps the
-//! largest sizes it has served: `g.x·g.y·(g.z + 2·s.z·(k.z−1))` f32s
-//! of halo and `|x|` f64s of widened input. In steady state the passes
-//! allocate nothing that grows with the row count. The free functions
-//! run on a fresh `Scratch`, so their buffers are freed on return.
+//! widened input — are one set per thread, borrowed for the whole pass
+//! by `DirectConv`'s methods and the free functions alike. A set keeps
+//! the largest sizes it has served, `g.x·g.y·(g.z + 2·s.z·(k.z−1))`
+//! f32s of halo and `|x|` f64s of widened input, and lives as long as
+//! its thread, so in steady state no pass allocates anything that grows
+//! with the row count. Every buffer is fully overwritten before it is
+//! read, so no output bit depends on which thread runs a pass or on
+//! what an earlier pass, even one that panicked, left there.
 
-use std::sync::{Mutex, PoisonError};
+use std::cell::RefCell;
 use znn_simd::{Tap, TapRow};
 use znn_tensor::{Image, Tensor3, Vec3};
 
@@ -93,7 +92,7 @@ fn fitted(n: Vec3, k: Vec3, s: Vec3) -> Vec3 {
         .unwrap_or_else(|| panic!("kernel {k} at sparsity {s} larger than image {n}"))
 }
 
-/// The buffers one direct pass borrows from a [`Scratch`].
+/// The buffers one direct pass borrows.
 #[derive(Default)]
 struct Buffers {
     list: TapList,
@@ -148,25 +147,17 @@ impl TapList {
     }
 }
 
-/// Reusable buffers for the direct passes: a free list of buffer sets,
-/// one taken per call and returned after it, shareable across threads
-/// (see the module docs for how large it can grow).
-#[derive(Default)]
-pub struct Scratch {
-    free: Mutex<Vec<Buffers>>,
+thread_local! {
+    /// This thread's direct-pass buffers (see the module docs). A pass
+    /// borrows them from start to finish and runs no other pass inside,
+    /// so the borrow never nests; a pass that panics releases them as
+    /// it unwinds.
+    static SCRATCH: RefCell<Buffers> = RefCell::default();
 }
 
-impl Scratch {
-    /// Runs `f` on a buffer set of this scratch (a new one when all are
-    /// in use), then returns the set. A set whose pass panicked is
-    /// dropped, not returned.
-    fn with<R>(&self, f: impl FnOnce(&mut Buffers) -> R) -> R {
-        let taken = self.free.lock().unwrap_or_else(PoisonError::into_inner).pop();
-        let mut b = taken.unwrap_or_default();
-        let r = f(&mut b);
-        self.free.lock().unwrap_or_else(PoisonError::into_inner).push(b);
-        r
-    }
+/// Runs `f` on this thread's direct-pass buffers.
+fn with_scratch<R>(f: impl FnOnce(&mut Buffers) -> R) -> R {
+    SCRATCH.with(|b| f(&mut b.borrow_mut()))
 }
 
 /// The valid-convolution walk shared by the forward and the kernel
@@ -334,7 +325,7 @@ impl FullRows {
 /// sparsity — for all three passes, computed once (see the module
 /// docs). Shareable across threads and across every edge with the same
 /// geometry; each call takes its weights and images as arguments and
-/// its buffers from a [`Scratch`].
+/// works in its thread's buffers.
 pub struct DirectConv {
     n: Vec3,
     k: Vec3,
@@ -358,23 +349,23 @@ impl DirectConv {
 
     /// [`conv_valid_into`] on these tables: `out` is zero-filled and of
     /// the output shape.
-    pub fn forward_into(&self, img: &Image, ker: &Image, out: &mut Image, scratch: &Scratch) {
+    pub fn forward_into(&self, img: &Image, ker: &Image, out: &mut Image) {
         assert_eq!((img.shape(), ker.shape()), (self.n, self.k), "input and kernel shapes");
-        scratch.with(|b| self.valid.forward(img, ker, out, b));
+        with_scratch(|b| self.valid.forward(img, ker, out, b));
     }
 
     /// [`input_gradient_into`] on these tables: `out` is zero-filled and
     /// of the input shape.
-    pub fn input_gradient_into(&self, g: &Image, ker: &Image, out: &mut Image, scratch: &Scratch) {
+    pub fn input_gradient_into(&self, g: &Image, ker: &Image, out: &mut Image) {
         let shapes = (g.shape(), ker.shape());
         assert_eq!(shapes, (self.valid.out, self.k), "output gradient and kernel shapes");
-        scratch.with(|b| self.full.run(g, ker, out, b));
+        with_scratch(|b| self.full.run(g, ker, out, b));
     }
 
     /// [`kernel_gradient`] on these tables.
-    pub fn kernel_gradient(&self, x: &Image, g: &Image, scratch: &Scratch) -> Image {
+    pub fn kernel_gradient(&self, x: &Image, g: &Image) -> Image {
         assert_eq!(x.shape(), self.n, "input shape");
-        scratch.with(|b| self.valid.kernel_gradient(x, g, self.k, b))
+        with_scratch(|b| self.valid.kernel_gradient(x, g, self.k, b))
     }
 }
 
@@ -393,7 +384,7 @@ pub fn conv_valid(img: &Image, ker: &Image, sparsity: Vec3) -> Image {
 /// buffers (leases are zeroed). Panics on a wrong output shape.
 pub fn conv_valid_into(img: &Image, ker: &Image, sparsity: Vec3, out: &mut Image) {
     let valid = ValidRows::new(img.shape(), ker.shape(), sparsity);
-    valid.forward(img, ker, out, &mut Buffers::default());
+    with_scratch(|b| valid.forward(img, ker, out, b));
 }
 
 /// Kernel gradient of a sparse valid convolution (§III-B).
@@ -409,7 +400,7 @@ pub fn conv_valid_into(img: &Image, ker: &Image, sparsity: Vec3, out: &mut Image
 /// ([`znn_simd::dot_taps_f64`]) and is rounded to f32 once.
 pub fn kernel_gradient(x: &Image, g: &Image, k: Vec3, sparsity: Vec3) -> Image {
     let valid = ValidRows::new(x.shape(), k, sparsity);
-    valid.kernel_gradient(x, g, k, &mut Buffers::default())
+    with_scratch(|b| valid.kernel_gradient(x, g, k, b))
 }
 
 /// Input gradient of a sparse valid convolution: the backward-pass
@@ -433,7 +424,7 @@ pub fn input_gradient(g: &Image, ker: &Image, sparsity: Vec3) -> Image {
 /// `s·(k−1)` on each side, keeping every z tap a contiguous run.
 pub fn input_gradient_into(g: &Image, ker: &Image, sparsity: Vec3, out: &mut Image) {
     let full = FullRows::new(g.shape(), ker.shape(), sparsity);
-    full.run(g, ker, out, &mut Buffers::default());
+    with_scratch(|b| full.run(g, ker, out, b));
 }
 
 /// Along one axis of a full convolution onto `n = g + s·(k−1)`

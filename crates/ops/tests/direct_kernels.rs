@@ -254,7 +254,7 @@ fn workload_geometries_match() {
     }
 }
 
-/// One geometry's tables and one scratch shared by kernels with
+/// One geometry's tables shared by kernels with
 /// different zero patterns (none, every third tap, every second tap),
 /// called alternately and then from two threads at once: each call
 /// skips its own zero taps, so every pass still meets its twin under
@@ -266,7 +266,6 @@ fn shared_geometry_with_zero_weights_matches_twins() {
     let (out, k, s) = (Vec3::new(5, 6, 11), Vec3::new(3, 2, 3), Vec3::new(2, 1, 2));
     let n = out + (k - Vec3::one()) * s;
     let geometry = conv::DirectConv::new(n, k, s);
-    let scratch = conv::Scratch::default();
     let kernels = [kernel_with_zeros(k, 7, 0), kernel_with_zeros(k, 8, 3), kernel_with_zeros(k, 9, 2)];
     let with_infinities = |mut img: Image| {
         img.as_mut_slice().iter_mut().step_by(37).for_each(|v| *v = f32::INFINITY);
@@ -284,16 +283,16 @@ fn shared_geometry_with_zero_weights_matches_twins() {
     let check = |i: usize| {
         let (ker, (fwd_twin, bwd_twin)) = (&kernels[i], &twins[i]);
         let mut fwd = Tensor3::<f32>::zeros(out);
-        geometry.forward_into(&x, ker, &mut fwd, &scratch);
+        geometry.forward_into(&x, ker, &mut fwd);
         for (j, (&a, &b)) in fwd.as_slice().iter().zip(fwd_twin.as_slice()).enumerate() {
             assert!(same(a, b), "forward at {j}: {a:e} vs twin {b:e}, kernel {i}");
         }
         let mut bwd = Tensor3::<f32>::zeros(n);
-        geometry.input_gradient_into(&g, ker, &mut bwd, &scratch);
+        geometry.input_gradient_into(&g, ker, &mut bwd);
         for (j, (&a, &b)) in bwd.as_slice().iter().zip(bwd_twin.as_slice()).enumerate() {
             assert!(a == b || same(a, b), "input gradient at {j}: {a} vs twin {b}, kernel {i}");
         }
-        let upd = geometry.kernel_gradient(&x_upd, &g_upd, &scratch);
+        let upd = geometry.kernel_gradient(&x_upd, &g_upd);
         for (j, (&a, &b)) in upd.as_slice().iter().zip(upd_twin.as_slice()).enumerate() {
             assert!(ulps(a, b) <= 1, "kernel gradient at {j}: {a} vs twin {b}");
         }
@@ -311,6 +310,43 @@ fn shared_geometry_with_zero_weights_matches_twins() {
             });
         }
     });
+}
+
+/// A pass that panics while it holds its thread's buffers (the input
+/// gradient into a wrong-shaped output) leaves the thread able to run
+/// the next passes, and they write the same bits as on a fresh thread.
+/// The buffers outlive the panicked pass, so this pins that a later
+/// pass neither trips over the abandoned borrow nor reads what the
+/// earlier passes left behind.
+#[test]
+fn a_panicked_pass_leaves_its_thread_usable() {
+    let (out, k, s) = (Vec3::new(4, 5, 9), Vec3::new(3, 2, 3), Vec3::new(2, 1, 2));
+    let n = out + (k - Vec3::one()) * s;
+    let geometry = conv::DirectConv::new(n, k, s);
+    let (x, g) = (ops::random(n, 40), ops::random(out, 41));
+    let passes = |ker: &Image| {
+        let mut fwd = Tensor3::<f32>::zeros(out);
+        geometry.forward_into(&x, ker, &mut fwd);
+        let mut bwd = Tensor3::<f32>::zeros(n);
+        geometry.input_gradient_into(&g, ker, &mut bwd);
+        [bits(&fwd), bits(&bwd), bits(&geometry.kernel_gradient(&x, &g))]
+    };
+    let (warm, ker) = (kernel_with_zeros(k, 42, 2), kernel_with_zeros(k, 43, 3));
+    let fresh = std::thread::scope(|t| t.spawn(|| passes(&ker)).join().unwrap());
+    let after_panic = std::thread::scope(|t| {
+        t.spawn(|| {
+            // fill the thread's buffers with another kernel's taps
+            passes(&warm);
+            let mut wrong = Tensor3::<f32>::zeros(n + Vec3::one());
+            let pass = || geometry.input_gradient_into(&g, &ker, &mut wrong);
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(pass));
+            assert!(panicked.is_err(), "a wrong-shaped output must panic");
+            passes(&ker)
+        })
+        .join()
+        .unwrap()
+    });
+    assert!(after_panic == fresh, "passes after a panic differ from a fresh thread's");
 }
 
 /// The `_into` form writes the same bits as the allocating one.

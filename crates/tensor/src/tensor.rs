@@ -73,9 +73,9 @@ impl<T: Copy> Tensor3<T> {
 
     /// Places this tensor's buffer in `home`'s custody: on drop it is
     /// recycled there, exactly as if it had been leased. Used where a
-    /// buffer changes element type mid-pipeline (the in-place c2r
-    /// transform reinterprets a complex buffer as reals) and must
-    /// rejoin the pool under its new type.
+    /// buffer is leased empty (`BufferSource::lease_empty`), filled,
+    /// and only then wrapped as a tensor (an inverse transform's
+    /// output, the max-filter's passes).
     pub fn with_home(self, home: Arc<dyn BufferSource<T>>) -> Self {
         let shape = self.shape;
         Tensor3 {
