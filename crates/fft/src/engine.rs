@@ -12,9 +12,10 @@ use znn_tensor::{CImage, Complex32, Image, Spectrum, Vec3};
 /// The scratch one transform works in.
 #[derive(Default)]
 struct Scratch {
-    /// `LinePlan::process_with_scratch` scratch.
+    /// `LinePlan` scratch (the SIMD lines' slabs included).
     plan: Vec<Complex32>,
-    /// Gathered strided lines (x/y axes) or packed r2c/c2r lines.
+    /// Packed r2c/c2r lines, or the strided lines the scalar twin of
+    /// the lanes path gathers.
     line: Vec<Complex32>,
 }
 
@@ -149,13 +150,32 @@ impl Lines {
             })
             .sum()
     }
+
+    /// Lines per row of adjacent lines: line `r·run + i` (`i < run`)
+    /// starts at `start(r·run) + i`. A row runs along an unpruned other
+    /// axis of unit stride — the packed axis, which the strided passes
+    /// never prune: the inner axis of a volume's lines, or the outer
+    /// one of a flat image's, whose inner axis is the unit `z`. `1`
+    /// when neither applies.
+    fn run(&self) -> usize {
+        let unpruned_unit = |k: usize| !self.keep[k] && self.strides[k] == 1;
+        if self.counts[1] == 1 && unpruned_unit(0) {
+            self.counts[0]
+        } else if unpruned_unit(1) {
+            self.counts[1]
+        } else {
+            1
+        }
+    }
 }
 
-/// Lines gathered per `process_with_scratch` call in the strided-axis
-/// and r2c/c2r line loops. Matches the 8-line struct-of-arrays batch
-/// the Stockham SIMD kernels consume, so a full group takes the
-/// vectorized path; per-line results are bitwise identical either way,
-/// making group boundaries unobservable.
+/// Lines per SIMD group: the lanes of one `process_lanes` call in the
+/// strided passes, and the lines packed per `process_with_scratch` call
+/// in the r2c/c2r loops (and gathered per call by the strided passes'
+/// scalar twin). Matches the 8-line struct-of-arrays batch the Stockham
+/// SIMD kernels consume, so a full group takes the vectorized path;
+/// per-line results are bitwise identical either way, making group
+/// boundaries unobservable.
 const LINE_BATCH: usize = 8;
 
 /// Plan cache: one planned 1D transform per (line length, direction).
@@ -230,10 +250,18 @@ impl PackKernels {
 /// thread and are shared by every engine it runs.
 ///
 /// Transforms are decomposed per axis into batches of independent 1D
-/// lines, gathered in groups of 8 and handed to the planned kernel in
-/// one call, which lets the Stockham engine run its batched AVX2 lines
-/// (struct-of-arrays across the group — see `znn-simd` and
-/// `docs/ARCHITECTURE.md` §7); batched and per-line results are bitwise
+/// lines run 8 at a time, which lets the Stockham engine run its
+/// batched AVX2 lines (struct-of-arrays across the group — see
+/// `znn-simd` and `docs/ARCHITECTURE.md` §7). The packed stage packs 8
+/// contiguous lines into a line-major buffer per call. The strided
+/// passes put the 8 lanes across the packed axis: element `k` of the
+/// lines at 8 adjacent packed-axis coordinates is 8 adjacent
+/// complexes, so each group is transformed in place — loaded,
+/// deinterleaved, run through the butterflies and stored back, with no
+/// gather, scatter or transpose — and each row of `⌊n/2⌋+1` lines ends
+/// in one masked group. Plans without SIMD lines (scalar-pinned,
+/// non-AVX2 hosts, non-5-smooth lengths) gather their strided lines
+/// in groups of 8 instead. Batched and per-line results are bitwise
 /// identical, so the grouping is purely a speed lever. Scratch is fully
 /// overwritten before use, so transforms are **bit-for-bit
 /// deterministic**, whichever thread runs them.
@@ -408,6 +436,16 @@ impl FftEngine {
     /// Transforms, in place, `lines` of `t` (every line along their
     /// axis, or a pruned subset). `lines` must come from
     /// [`Lattice::lines`] for `t`'s shape, with a lattice that fits it.
+    ///
+    /// Line `j` is the elements `lines.start(j) + k·stride`, `k < len`.
+    /// On a plan with SIMD lines ([`LinePlan::has_lanes`]) the 8 lanes
+    /// run across adjacent lines — adjacent packed-axis coordinates, so
+    /// element `k` of 8 lines is 8 adjacent complexes — and each row of
+    /// [`Lines::run`] lines runs in groups of [`LINE_BATCH`], the last
+    /// `run mod 8` as one masked group, transformed in place by
+    /// [`LinePlan::process_lanes`]. Other plans (scalar-pinned, non-AVX2
+    /// hosts, the recursive fallback) gather groups of lines into a
+    /// line-major buffer, transform it and scatter it back.
     fn transform_axis(&self, s: &mut Scratch, t: &mut CImage, dir: Direction, lines: Lines) {
         let shape = t.shape();
         let axis = lines.axis;
@@ -419,11 +457,20 @@ impl FftEngine {
         let plan = self.plan(len, dir);
         let data = t.as_mut_slice();
         let scratch = borrow_buf(&mut s.plan, plan.scratch_len());
-        let buf = borrow_buf(&mut s.line, LINE_BATCH * len);
-        // gather lines in groups of LINE_BATCH so a full group runs the
-        // Stockham kernels' batched SIMD path in one call; line j is the
-        // elements lines.start(j) + k·stride, k < len
         let n_lines = lines.len();
+        if plan.has_lanes() {
+            let run = lines.run();
+            for r0 in (0..n_lines).step_by(run) {
+                let row = lines.start(r0);
+                debug_assert_eq!(lines.start(r0 + run - 1), row + run - 1);
+                for l0 in (0..run).step_by(LINE_BATCH) {
+                    let lanes = LINE_BATCH.min(run - l0);
+                    plan.process_lanes(data, row + l0, stride, lanes, scratch);
+                }
+            }
+            return;
+        }
+        let buf = borrow_buf(&mut s.line, LINE_BATCH * len);
         for g0 in (0..n_lines).step_by(LINE_BATCH) {
             let group = &mut buf[..LINE_BATCH.min(n_lines - g0) * len];
             for (j, line) in (g0..).zip(group.chunks_exact_mut(len)) {

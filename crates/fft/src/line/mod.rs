@@ -1,8 +1,12 @@
 //! Planned 1D line transforms: the kernels underneath [`FftEngine`].
 //!
 //! A [`LinePlan`] transforms every contiguous `len`-element line of a
-//! buffer in one call — the engine hands it groups of gathered lines —
-//! with one of two algorithms:
+//! buffer in one call — the engine hands it the packed stage's groups
+//! of 8 packed lines — or, on plans with SIMD lines, up to 8 strided
+//! lines in place whose elements are adjacent in memory (the engine's
+//! strided passes, with the lanes across the packed axis; plans
+//! without SIMD lines get those lines gathered instead). It runs one
+//! of two algorithms:
 //!
 //! * **Iterative mixed-radix Stockham autosort** (`stockham`) — the hot
 //!   path, used for every 5-smooth length (`2^a·3^b·5^c`, which is
@@ -144,6 +148,44 @@ impl LinePlan {
         match &self.0 {
             Kernel::Stockham(k) => k.process(buffer, scratch),
             Kernel::MixedRadix(k) => k.process(buffer, scratch),
+        }
+    }
+
+    /// True when [`LinePlan::process_lanes`] runs: a Stockham plan on
+    /// its batched SIMD path. Scalar-pinned plans, non-AVX2 hosts and
+    /// the recursive fallback have no lane kernel.
+    pub(crate) fn has_lanes(&self) -> bool {
+        matches!(&self.0, Kernel::Stockham(k) if k.has_lanes())
+    }
+
+    /// Transforms, in place, the `lanes` lines (`1 ≤ lanes ≤ 8`) whose
+    /// element `t` of line `l` is `data[start + t·stride + l]`, using
+    /// `scratch` (at least [`LinePlan::scratch_len`] elements). Output
+    /// is bitwise identical to gathering each line and transforming it
+    /// with [`LinePlan::process_with_scratch`].
+    ///
+    /// # Panics
+    /// If the plan has no lane kernel ([`LinePlan::has_lanes`]), if
+    /// `lanes` exceeds 8 or `stride`, if the group reaches past `data`,
+    /// or if `scratch` is too small.
+    pub(crate) fn process_lanes(
+        &self,
+        data: &mut [Complex32],
+        start: usize,
+        stride: usize,
+        lanes: usize,
+        scratch: &mut [Complex32],
+    ) {
+        assert!(
+            scratch.len() >= self.scratch_len(),
+            "scratch too small: {} < {}",
+            scratch.len(),
+            self.scratch_len()
+        );
+        match &self.0 {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Stockham(k) => k.process_lanes(data, start, stride, lanes, scratch),
+            _ => panic!("process_lanes on a plan without a lane kernel"),
         }
     }
 

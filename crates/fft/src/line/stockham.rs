@@ -36,20 +36,34 @@
 //!
 //! # Batched SIMD lines
 //!
-//! When the process detects AVX2+FMA (via `znn-simd`) and the caller
-//! hands `process` a buffer of ≥ 8 independent lines,
-//! groups of 8 lines are transformed together: a gather shim
-//! transposes the interleaved lines into struct-of-arrays slabs (one
-//! 8-wide re vector + one im vector per element), the stage loop runs
-//! on 8-lane vectors, and a scatter shim transposes back. Each vector
-//! butterfly performs the *same IEEE operations in the same order* as
-//! the scalar stage above it (the only re-association is the exact
-//! `x + y = y + x` inside the complex product), so batched output is
-//! bitwise identical to the scalar per-line path — asserted by the
-//! `simd_*` differential tests. Leftover lines (`count % 8`) and
-//! non-AVX2 hosts take the scalar path; `Stockham::new` with
+//! When the process detects AVX2+FMA (via `znn-simd`), 8 independent
+//! lines are transformed together as 8-lane vectors in
+//! struct-of-arrays slabs (one 8-wide re vector + one im vector per
+//! element). Each vector butterfly performs the *same IEEE operations
+//! in the same order* as the scalar stage above it (the only
+//! re-association is the exact `x + y = y + x` inside the complex
+//! product), so every lane is bitwise identical to the scalar per-line
+//! path — asserted by the `simd_*` differential tests. The slabs are
+//! filled in one of two ways:
+//!
+//! * **Lanes across adjacent lines** ([`Stockham::process_lanes`]): the
+//!   engine's strided passes hand over up to 8 lines whose element `t`
+//!   is 8 adjacent complexes in memory (lines at adjacent packed-axis
+//!   coordinates). One unaligned load plus a re/im deinterleave fills
+//!   slab element `t`, and one interleave store writes it back in
+//!   place; a group of fewer than 8 lines masks its loads and stores,
+//!   so the absent lanes read as zero and are never written. Nothing is
+//!   gathered, scattered or transposed.
+//! * **Line-major buffers** (`process` on ≥ 8 contiguous lines — the
+//!   packed stage's lines): a gather shim transposes 8 interleaved
+//!   lines into the slabs and a scatter shim transposes back. Leftover
+//!   lines (`count % 8`) take the scalar path.
+//!
+//! Non-AVX2 hosts take the scalar path; `Stockham::new` with
 //! `allow_simd` false (behind [`LinePlan::scalar`](super::LinePlan::scalar))
-//! pins a plan to scalar for benchmarking and differential testing.
+//! pins a plan to scalar for benchmarking and differential testing,
+//! and such a plan has no lane kernel, so the engine gathers its
+//! strided lines instead.
 
 use super::Direction;
 use znn_tensor::Complex32;
@@ -367,6 +381,53 @@ impl Stockham {
         }
     }
 
+    /// True when [`Stockham::process_lanes`] runs: the plan takes the
+    /// batched SIMD path (AVX2+FMA detected and not pinned to scalar).
+    pub(super) fn has_lanes(&self) -> bool {
+        self.use_simd
+    }
+
+    /// Transforms, in place, the `lanes` lines (`1 ≤ lanes ≤ 8`) whose
+    /// element `t` of line `l` is `data[start + t·stride + l]`, through
+    /// the SIMD stage kernels; `scratch` holds at least
+    /// [`Stockham::scratch_len`] elements. Each line's output is
+    /// bitwise identical to the scalar per-line path.
+    ///
+    /// # Panics
+    /// If the plan has no lane kernel ([`Stockham::has_lanes`]), if
+    /// `lanes` is outside `1..=min(8, stride)` (lines must not share an
+    /// element), or if the group reaches past `data`.
+    #[cfg(target_arch = "x86_64")]
+    pub(super) fn process_lanes(
+        &self,
+        data: &mut [Complex32],
+        start: usize,
+        stride: usize,
+        lanes: usize,
+        scratch: &mut [Complex32],
+    ) {
+        let n = self.len;
+        assert!(self.use_simd, "process_lanes on a plan without SIMD lines");
+        assert!(
+            (1..=batch::LANES.min(stride)).contains(&lanes),
+            "{lanes} lanes at stride {stride}"
+        );
+        assert!(
+            start + (n - 1) * stride + lanes <= data.len(),
+            "lane group at {start} (stride {stride}, {lanes} lanes, length {n}) \
+             overruns {} elements",
+            data.len()
+        );
+        let slabs = znn_simd::complex_as_floats_mut(&mut scratch[n..17 * n]);
+        let (ping, pong) = slabs.split_at_mut(16 * n);
+        // SAFETY: `use_simd` implies AVX2+FMA were detected at runtime;
+        // the asserts above put every element `start + t·stride + l`
+        // (`t < n`, `l < lanes`) inside `data`, with `lanes ≤ stride`
+        // so no two lines share one; `ping`/`pong` are `16·n` floats
+        // each — what `transform_lanes` requires.
+        unsafe { batch::transform_lanes(self, data, start, stride, lanes, ping, pong) };
+    }
+
     /// Transform `buffer`'s lines in groups of 8 through the SIMD
     /// stage kernels; leftover lines (`count % 8`) take the scalar
     /// per-line path. Output is bitwise identical either way, so the
@@ -433,18 +494,21 @@ impl Stockham {
 /// offsets `[16t, 16t+8)` (the 8 real parts, one per line) and
 /// `[16t+8, 16t+16)` (the 8 imaginary parts). Each `bstage*` mirrors
 /// the scalar stage of the same radix operation-for-operation on
-/// [`CF32x8`] vectors, so every lane computes exactly what the scalar
-/// path computes for that line.
+/// `CF32x8` vectors, so every lane computes exactly what the scalar
+/// path computes for that line. The slabs are filled from line-major
+/// lines by `transform_batch` or straight from adjacent lines in
+/// place by `transform_lanes`; both run the same `run_stages`.
 ///
-/// Every function here requires AVX2 and FMA, which the only entry
-/// point, [`transform_batch`], inherits from its caller (the `use_simd`
-/// plan flag is set only when both were detected at runtime). Slabs
+/// Every function here requires AVX2 and FMA, which the two entry
+/// points inherit from their callers (the `use_simd` plan flag is set
+/// only when both were detected at runtime). Slabs
 /// are `16·n` floats for a line length `n`, so a slab holds elements
 /// `t < n`; each stage only touches elements below `n`.
 #[cfg(target_arch = "x86_64")]
 #[deny(unsafe_op_in_unsafe_fn)]
 mod batch {
     use super::{Complex32, Stockham, C51, C52, S3, S51, S52};
+    use std::arch::x86_64::*;
     use znn_simd::x8::{transpose8x8, CF32x8, F32x8};
 
     /// Lines per batch — the f32 lane count of one AVX2 vector.
@@ -782,6 +846,54 @@ mod batch {
         }
     }
 
+    /// Runs the planned stages on the slab in `ping`, ping-ponging
+    /// with `pong`, and returns the slab that holds the result.
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available and `ping.len() == pong.len() ==
+    /// 16·n` for the plan length `n`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn run_stages<'a>(
+        fft: &Stockham,
+        ping: &'a mut [f32],
+        pong: &'a mut [f32],
+    ) -> &'a [f32] {
+        let n = fft.len;
+        debug_assert_eq!(ping.len(), 16 * n);
+        debug_assert_eq!(pong.len(), 16 * n);
+        let mut s = 1usize;
+        let mut in_ping = true;
+        for stage in &fft.stages {
+            let (src, dst) = if in_ping {
+                (ping.as_ptr(), pong.as_mut_ptr())
+            } else {
+                (pong.as_ptr(), ping.as_mut_ptr())
+            };
+            // SAFETY: the caller guarantees AVX2+FMA and the slab
+            // lengths; `ping` and `pong` are distinct `n`-element slabs,
+            // and the planned stages have radices whose running product
+            // `s·radix` divides `n` with `(radix−1)·n/(s·radix)`
+            // twiddles each (see `plan_stages`), which is what each
+            // `bstage*` requires.
+            unsafe {
+                match stage.radix {
+                    2 => bstage2(src, dst, s),
+                    3 => bstage3(src, dst, n, s, &stage.twiddles, fft.esign),
+                    4 => bstage4(src, dst, n, s, &stage.twiddles, fft.esign),
+                    5 => bstage5(src, dst, n, s, &stage.twiddles, fft.esign),
+                    r => unreachable!("unplanned radix {r}"),
+                }
+            }
+            in_ping = !in_ping;
+            s *= stage.radix as usize;
+        }
+        if in_ping {
+            ping
+        } else {
+            pong
+        }
+    }
+
     /// Transforms 8 interleaved lines (`lines.len() == 8·n`) through
     /// the batched stage loop: gather to struct-of-arrays, ping-pong
     /// the stages between the two slabs, scatter back.
@@ -799,33 +911,177 @@ mod batch {
     ) {
         let n = fft.len;
         debug_assert_eq!(lines.len(), LANES * n);
-        // SAFETY: the caller guarantees AVX2+FMA and the slice lengths.
-        // `ping` and `pong` are distinct `n`-element slabs, and the
-        // planned stages have radices whose running product `s·radix`
-        // divides `n` with `(radix−1)·n/(s·radix)` twiddles each (see
-        // `plan_stages`), which is what each `bstage*` requires.
+        // SAFETY: the caller guarantees AVX2+FMA and the slice lengths
+        // each shim and `run_stages` require.
         unsafe {
             soa_gather(lines, ping, n);
-            let mut s = 1usize;
-            let mut in_ping = true;
-            for stage in &fft.stages {
-                let (src, dst) = if in_ping {
-                    (ping.as_ptr(), pong.as_mut_ptr())
-                } else {
-                    (pong.as_ptr(), ping.as_mut_ptr())
-                };
-                match stage.radix {
-                    2 => bstage2(src, dst, s),
-                    3 => bstage3(src, dst, n, s, &stage.twiddles, fft.esign),
-                    4 => bstage4(src, dst, n, s, &stage.twiddles, fft.esign),
-                    5 => bstage5(src, dst, n, s, &stage.twiddles, fft.esign),
-                    r => unreachable!("unplanned radix {r}"),
-                }
-                in_ping = !in_ping;
-                s *= stage.radix as usize;
-            }
-            let result: &[f32] = if in_ping { ping } else { pong };
+            let result = run_stages(fft, ping, pong);
             soa_scatter(result, lines, n);
+        }
+    }
+
+    /// How one lane group's 16 floats per element are accessed.
+    #[derive(Clone, Copy)]
+    enum Group {
+        /// All 8 lanes: two plain unaligned vectors.
+        Full,
+        /// Lanes `0..lanes` only, `lanes < 8`: `lo` masks the first
+        /// vector (lanes 0–3); `hi` masks the second (lanes 4–7), and
+        /// is `None` when `lanes ≤ 4`, so that vector is never touched.
+        Masked { lo: __m256i, hi: Option<__m256i> },
+    }
+
+    impl Group {
+        /// The access pattern of a group of `1 ≤ lanes ≤ 8` lanes.
+        ///
+        /// # Safety
+        /// AVX2 must be available.
+        #[inline(always)]
+        unsafe fn new(lanes: usize) -> Group {
+            if lanes == LANES {
+                return Group::Full;
+            }
+            // SAFETY: the caller guarantees AVX2; no memory is touched.
+            unsafe {
+                Group::Masked {
+                    lo: lanes_below(lanes),
+                    hi: if lanes > 4 {
+                        Some(lanes_below(lanes - 4))
+                    } else {
+                        None
+                    },
+                }
+            }
+        }
+    }
+
+    /// The mask of one 4-lane vector of a group whose lanes `≥ k` are
+    /// absent: float `f` belongs to lane `f/2`, and its mask element is
+    /// on (all ones) where that lane is below `k`.
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[inline(always)]
+    unsafe fn lanes_below(k: usize) -> __m256i {
+        // SAFETY: the caller guarantees AVX2; no memory is touched.
+        unsafe {
+            let lane = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(k as i32), lane)
+        }
+    }
+
+    /// Puts the 64-bit pairs of a deinterleaving shuffle in lane order:
+    /// `r0 r1 r4 r5 | r2 r3 r6 r7` becomes `r0 … r7`.
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[inline(always)]
+    unsafe fn pairs_in_order(v: __m256) -> __m256 {
+        // SAFETY: the caller guarantees AVX2; no memory is touched.
+        unsafe { _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(v), 0xD8)) }
+    }
+
+    /// Loads one element of a lane group — the `lanes` interleaved
+    /// complexes at `p` — as an 8-lane struct-of-arrays vector; a
+    /// masked group's absent lanes read as zero.
+    ///
+    /// # Safety
+    /// AVX2 must be available and `p` valid for reads of the group's
+    /// `2·lanes` floats; a masked load touches no other memory.
+    #[inline(always)]
+    unsafe fn lanes_load(p: *const f32, group: Group) -> CF32x8 {
+        // SAFETY: a full group reads floats `[0, 16)` of `p`; a masked
+        // one reads only its lanes' floats, and forms `p + 8` only when
+        // lane 4 is present, so that pointer is in bounds too.
+        unsafe {
+            let (a, b) = match group {
+                Group::Full => (_mm256_loadu_ps(p), _mm256_loadu_ps(p.add(8))),
+                Group::Masked { lo, hi: Some(hi) } => {
+                    (_mm256_maskload_ps(p, lo), _mm256_maskload_ps(p.add(8), hi))
+                }
+                Group::Masked { lo, hi: None } => (_mm256_maskload_ps(p, lo), _mm256_setzero_ps()),
+            };
+            // a = r0 i0 r1 i1 | r2 i2 r3 i3, b = r4 i4 r5 i5 | r6 i6 r7 i7;
+            // the shuffles pick r0 r1 r4 r5 | r2 r3 r6 r7 (and the same
+            // of im), and the 64-bit permute puts the pairs in order
+            CF32x8 {
+                re: F32x8(pairs_in_order(_mm256_shuffle_ps(a, b, 0x88))),
+                im: F32x8(pairs_in_order(_mm256_shuffle_ps(a, b, 0xDD))),
+            }
+        }
+    }
+
+    /// Stores one element of a lane group: the inverse of
+    /// [`lanes_load`]. A masked group writes only its lanes.
+    ///
+    /// # Safety
+    /// AVX2 must be available and `p` valid for writes of the group's
+    /// `2·lanes` floats; a masked store touches no other memory.
+    #[inline(always)]
+    unsafe fn lanes_store(p: *mut f32, group: Group, v: CF32x8) {
+        // SAFETY: the bounds of `lanes_load`, for writes.
+        unsafe {
+            // r0 i0 r1 i1 | r4 i4 r5 i5 and r2 i2 r3 i3 | r6 i6 r7 i7,
+            // then the 128-bit halves regrouped into lanes 0–3 and 4–7
+            let lo = _mm256_unpacklo_ps(v.re.0, v.im.0);
+            let hi = _mm256_unpackhi_ps(v.re.0, v.im.0);
+            let a = _mm256_permute2f128_ps(lo, hi, 0x20);
+            let b = _mm256_permute2f128_ps(lo, hi, 0x31);
+            match group {
+                Group::Full => {
+                    _mm256_storeu_ps(p, a);
+                    _mm256_storeu_ps(p.add(8), b);
+                }
+                Group::Masked { lo, hi } => {
+                    _mm256_maskstore_ps(p, lo, a);
+                    if let Some(hi) = hi {
+                        _mm256_maskstore_ps(p.add(8), hi, b);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Transforms, in place, the `lanes` lines whose element `t` of line
+    /// `l` is `data[start + t·stride + l]`: each element's `lanes`
+    /// adjacent complexes load straight into slab element `t`, the
+    /// stages run as in [`transform_batch`], and each result element
+    /// stores straight back.
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available, `1 ≤ lanes ≤ min(8, stride)`,
+    /// `start + (n−1)·stride + lanes ≤ data.len()` and `ping.len() ==
+    /// pong.len() == 16·n` for the plan length `n`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn transform_lanes(
+        fft: &Stockham,
+        data: &mut [Complex32],
+        start: usize,
+        stride: usize,
+        lanes: usize,
+        ping: &mut [f32],
+        pong: &mut [f32],
+    ) {
+        let n = fft.len;
+        let base = znn_simd::complex_as_floats_mut(data).as_mut_ptr();
+        // SAFETY: the caller guarantees AVX2+FMA; element `t < n` of the
+        // group is the `lanes` complexes from `start + t·stride`, inside
+        // `data` by the caller's bound, and slab element `t` is inside
+        // the `16·n`-float `ping` and result slab. Every element is
+        // loaded before the stages run and stored after, and
+        // `lanes ≤ stride` keeps the groups of different `t` disjoint,
+        // so no store overwrites an element not yet loaded.
+        unsafe {
+            let group = Group::new(lanes);
+            for t in 0..n {
+                let p = base.add(2 * (start + t * stride));
+                cv_store(ping.as_mut_ptr(), t, lanes_load(p, group));
+            }
+            let result = run_stages(fft, ping, pong);
+            for t in 0..n {
+                let p = base.add(2 * (start + t * stride));
+                lanes_store(p, group, cv_load(result.as_ptr(), t));
+            }
         }
     }
 }

@@ -156,3 +156,96 @@ fn threaded_simd_engine_matches_scalar_kernels_bitwise() {
         }
     });
 }
+
+/// Every transform path through the strided passes of `engine`, as bit
+/// patterns: full `rfft3`/`irfft3`, a pruned `forward_padded`, a
+/// cropped `inverse_real`, a kernel spectrum dilated on every axis it
+/// fits (step > 1 on the outer axis) and the flipped, dilated kernel
+/// gradient.
+fn strided_pass_bits(engine: &FftEngine, m: Vec3, seed: u64) -> Vec<(String, Vec<u32>)> {
+    let img = ops::random(m, seed);
+    let spec = engine.rfft3(&img);
+    let mut out = vec![("rfft3".to_string(), spectrum_bits(&spec))];
+    out.push((
+        "irfft3".into(),
+        bits(engine.irfft3(spec.clone()).as_slice()),
+    ));
+    let small = Vec3::new(m[0] - m[0] / 3, m[1] - m[1] / 4, m[2] - m[2] / 5);
+    let padded = engine.forward_padded(&ops::random(small, seed + 1), m);
+    out.push((format!("forward_padded {small}"), spectrum_bits(&padded)));
+    let at = Vec3::new(m[0] / 4, m[1] / 3, m[2] / 2);
+    let crop = m - at - Vec3::new(m[0] / 5, m[1] / 6, 0);
+    let cropped = engine.inverse_real(padded, at, crop);
+    out.push((
+        format!("inverse_real {at} {crop}"),
+        bits(cropped.as_slice()),
+    ));
+    let k = Vec3::new(3.min(m[0]), 3.min(m[1]), 3.min(m[2]));
+    let step = |a: usize, s: usize| if (k[a] - 1) * s < m[a] { s } else { 1 };
+    let s = Vec3::new(step(0, 3), step(1, 2), step(2, 2));
+    let w = ops::random(k, seed + 2);
+    let ks = spectra::kernel_spectrum(engine, &w, s, m);
+    out.push((format!("kernel_spectrum {k} s={s}"), spectrum_bits(&ks)));
+    let g = spectra::kernel_gradient_from_corr(engine, spec, k, s);
+    out.push((format!("kernel_gradient {k} s={s}"), bits(g.as_slice())));
+    out
+}
+
+#[test]
+fn lanes_across_the_packed_axis_match_scalar_kernels_bitwise() {
+    // the strided passes run 8 lanes across adjacent packed-axis lines,
+    // each row of h = n/2+1 lines in groups of 8 with the last h mod 8
+    // as one masked group; the scalar engine gathers the same lines. h
+    // takes every residue mod 8 (h < 8 is one masked group per row),
+    // on volumes (lanes across z) and flat images (lanes across y),
+    // plus the training shapes 60³ (h = 31) and 50³ (h = 26); the
+    // non-packed extents mix radices, one is not 5-smooth (recursive
+    // lines, gathered by both engines) and the odd packed extent 9
+    // takes the full-length pack
+    let simd = FftEngine::new();
+    let scalar = FftEngine::with_scalar_kernels();
+    let mut shapes: Vec<Vec3> = (2..=16)
+        .step_by(2)
+        .map(|mz| Vec3::new(12, 10, mz))
+        .collect();
+    shapes.extend((2..=16).step_by(2).map(|my| Vec3::new(20, my, 1)));
+    shapes.extend([
+        Vec3::cube(60),
+        Vec3::cube(50),
+        Vec3::new(8, 7, 22),
+        Vec3::new(6, 16, 9),
+        Vec3::new(16, 62, 1),
+    ]);
+    let residues: std::collections::BTreeSet<usize> = shapes
+        .iter()
+        .map(|&m| znn_tensor::Spectrum::half_shape(m)[znn_tensor::Spectrum::packed_axis(m)] % 8)
+        .collect();
+    assert_eq!(residues.len(), 8, "every h mod 8");
+    for (i, &m) in shapes.iter().enumerate() {
+        let seed = 500 + i as u64;
+        let want = strided_pass_bits(&scalar, m, seed);
+        for (got, want) in strided_pass_bits(&simd, m, seed).iter().zip(&want) {
+            assert_eq!(got.0, want.0);
+            assert!(got.1 == want.1, "{} drift at {m}", got.0);
+        }
+    }
+    // 3 concurrent callers on one pooled engine, each on its own shapes
+    let pooled = FftEngine::new().with_buffer_pools(znn_alloc::PoolSet::new());
+    std::thread::scope(|sc| {
+        for c in 0..3 {
+            let (pooled, scalar, shapes) = (&pooled, &scalar, &shapes);
+            sc.spawn(move || {
+                for (i, &m) in shapes.iter().enumerate().skip(c).step_by(3) {
+                    let seed = 900 + i as u64;
+                    let want = strided_pass_bits(scalar, m, seed);
+                    for _ in 0..2 {
+                        let got = strided_pass_bits(pooled, m, seed);
+                        for (got, want) in got.iter().zip(&want) {
+                            assert!(got.1 == want.1, "concurrent {} drift at {m}", got.0);
+                        }
+                    }
+                }
+            });
+        }
+    });
+}

@@ -23,7 +23,9 @@ pub struct PoolResult {
 /// of the block, the input row it reads is walked once, contiguously,
 /// block by block. Every output therefore sees its block's voxels in
 /// `(dx, dy, dz)` order and keeps the first strict maximum (a `NaN`
-/// never wins; an all-`NaN` block yields `-inf` with argmax 0).
+/// never wins; a block of only `NaN` and `-inf` yields `-inf` with its
+/// argmax at the block's first voxel, so the backward pass routes that
+/// output's gradient inside its own block).
 ///
 /// Panics if any extent of the input is not divisible by `p` (the
 /// paper's precondition).
@@ -41,6 +43,11 @@ pub fn max_pool(img: &Image, p: Vec3) -> PoolResult {
     let arg_rows = argmax.as_mut_slice().chunks_exact_mut(oz);
     for (r, (best, best_at)) in out_rows.zip(arg_rows).enumerate() {
         let (ox, oy) = (r / out_shape[1], r % out_shape[1]);
+        // each argmax starts at its block's first voxel
+        let corner = Vec3::new(ox * p[0], oy * p[1], 0);
+        for (oz, at) in best_at.iter_mut().enumerate() {
+            *at = (n.offset(corner) + oz * p[2]) as u32;
+        }
         for dx in 0..p[0] {
             for dy in 0..p[1] {
                 let start = n.offset(Vec3::new(ox * p[0] + dx, oy * p[1] + dy, 0));
@@ -175,7 +182,7 @@ mod tests {
         for o in out_shape.iter() {
             let base = o * p;
             let mut best = f32::NEG_INFINITY;
-            let mut best_at = 0u32;
+            let mut best_at = n.offset(base) as u32;
             for d in p.iter() {
                 let at = base + d;
                 let v = img.at(at);
@@ -221,6 +228,48 @@ mod tests {
                 assert_eq!(got.argmax, want.argmax, "argmax n={n} p={p}");
             }
         }
+    }
+
+    #[test]
+    fn unwinnable_blocks_route_their_gradient_inside_the_block() {
+        // blocks of only NaN or -inf have no strict maximum: their
+        // argmax is the block's first voxel, so the backward pass sends
+        // their gradient into their own block; the finite blocks keep
+        // their winners and output bits
+        let (n, p) = (Vec3::new(4, 6, 8), Vec3::new(2, 3, 2));
+        let base = random(n, 38);
+        let want = max_pool(&base, p);
+        let mut x = base.clone();
+        let blocks: Vec<Vec3> = n.pooled(p).unwrap().iter().collect();
+        let dead = [
+            (blocks[0], f32::NAN),
+            (blocks[5], f32::NAN),
+            (blocks[11], f32::NEG_INFINITY),
+        ];
+        for &(o, v) in &dead {
+            for d in p.iter() {
+                x[o * p + d] = v;
+            }
+        }
+        let got = max_pool(&x, p);
+        assert_eq!(got.output.shape(), want.output.shape());
+        let grad = Tensor3::filled(got.output.shape(), 1.0);
+        let back = max_pool_backward(&grad, &got.argmax, n);
+        for o in blocks {
+            let corner = o * p;
+            let ix = got.argmax[o] as usize;
+            let in_block = p.iter().any(|d| n.offset(corner + d) == ix);
+            assert!(in_block, "argmax {ix} of block {o} lies outside it");
+            assert_eq!(back.as_slice()[ix], 1.0, "gradient of block {o}");
+            if dead.iter().any(|&(b, _)| b == o) {
+                assert_eq!(ix, n.offset(corner), "block {o} starts at its first voxel");
+                assert_eq!(got.output[o], f32::NEG_INFINITY);
+            } else {
+                assert_eq!(got.argmax[o], want.argmax[o], "argmax of finite block {o}");
+                assert_eq!(got.output[o].to_bits(), want.output[o].to_bits());
+            }
+        }
+        assert_eq!(max_pool_reference(&x, p).argmax, got.argmax);
     }
 
     #[test]
