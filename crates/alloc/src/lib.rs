@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::undocumented_unsafe_blocks)]
+#![warn(unreachable_pub)]
 
 mod class;
 mod pool;

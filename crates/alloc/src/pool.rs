@@ -58,7 +58,7 @@ pub(crate) struct BufferPool<T> {
 
 impl<T: Copy + Default> BufferPool<T> {
     /// An empty pool.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BufferPool {
             classes: (0..CLASS_COUNT).map(|_| Mutex::new(VecDeque::new())).collect(),
             stats: PoolStats::new(),
@@ -69,7 +69,7 @@ impl<T: Copy + Default> BufferPool<T> {
 
     /// Fetches a zero-filled buffer of exactly `len` elements whose
     /// capacity is `len` rounded up to a power of two.
-    pub fn get(&self, len: usize) -> Vec<T> {
+    pub(crate) fn get(&self, len: usize) -> Vec<T> {
         let class = class_of(len);
         let bytes = size_of_class(class) * std::mem::size_of::<T>();
         let recycled = self.classes[class].lock().pop_front();
@@ -117,7 +117,7 @@ impl<T: Copy + Default> BufferPool<T> {
 
     /// Per-class occupancy and hit-rate rows, skipping classes the
     /// workload never touched.
-    pub fn class_report(&self) -> Vec<ClassReport> {
+    pub(crate) fn class_report(&self) -> Vec<ClassReport> {
         (0..CLASS_COUNT)
             .filter_map(|class| {
                 let hits = self.class_hits[class].load(Ordering::Relaxed);
@@ -140,7 +140,7 @@ impl<T: Copy + Default> BufferPool<T> {
     /// Returns a buffer to its class pool. Buffers whose capacity is not
     /// a power of two (i.e. not born from this pool) are classed by the
     /// largest power of two they can hold, so nothing is wasted.
-    pub fn put(&self, buf: Vec<T>) {
+    pub(crate) fn put(&self, buf: Vec<T>) {
         if buf.capacity() == 0 {
             return;
         }
@@ -154,7 +154,7 @@ impl<T: Copy + Default> BufferPool<T> {
     }
 
     /// Allocation counters.
-    pub fn stats(&self) -> &PoolStats {
+    pub(crate) fn stats(&self) -> &PoolStats {
         &self.stats
     }
 }

@@ -22,6 +22,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod layerwise;
 mod reference;

@@ -1,5 +1,7 @@
 //! Transform traffic — time and bytes per 3D r2c transform and its
-//! inverse, each on one thread.
+//! inverse, each on one thread, on a pooled engine warmed before timing
+//! (as training and serving run it, so no timed output faults in fresh
+//! pages).
 //!
 //! The r2c path stores `⌊m/2⌋+1` of `m` packed-axis bins, so the bytes
 //! per spectrum approach half those of a full complex spectrum as
@@ -11,9 +13,14 @@
 //! tracked across PRs. `--smoke` runs one small size (CI keeps the
 //! bench bins from rotting without paying for the full sweep).
 //!
-//! Three extra sections ride along (all always recorded, so CI can
+//! Five extra sections ride along (all always recorded, so CI can
 //! assert their JSON fields):
 //!
+//! * `"pruned"` — the pruned transforms of §IV at `train3d_fft`'s
+//!   geometries, each beside the full-box transform it replaces.
+//! * `"direct_passes"` — the three direct passes through one
+//!   `conv::DirectConv` per distinct conv geometry of the
+//!   `train3d_direct` and `train2d_recover` nets.
 //! * `"padding"` — padded-voxel counts of the 5-smooth `good_shape`
 //!   policy vs the 2^k-only `pow2_shape` baseline for a sweep of raw
 //!   extents, quoting the savings that justify preferring 5-smooth
@@ -32,12 +39,17 @@
 //!   without AVX2 both paths run the same code and the speedups read
 //!   ~1×; the fields are still recorded.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use znn_alloc::PoolSet;
-use znn_bench::{fmt, header, row, time_per_round};
+use znn_bench::{fmt, header, machine_json, row, time_per_round};
 use znn_fft::{good_shape, pow2_shape, spectra, FftEngine};
-use znn_tensor::{ops, Complex32, Spectrum, Vec3};
+use znn_graph::builder::{comparison_net, scalability_net_3d};
+use znn_graph::{shapes, EdgeOp, Graph};
+use znn_ops::conv::DirectConv;
+use znn_tensor::{ops, pad, Complex32, Image, Spectrum, Vec3};
 
 /// The shared `(warmup, reps)` budget per cube size — one protocol for
 /// every section of `BENCH_fft.json`, so committed numbers from
@@ -55,6 +67,56 @@ fn reps_for(n: usize) -> (usize, usize) {
     }
 }
 
+/// Mean seconds of the timed part of `call`, which returns how long
+/// that part took, over `reps` calls after `warm` unrecorded ones: the
+/// inverses consume a spectrum cloned off the clock, and the direct
+/// passes accumulate into an output zeroed off the clock.
+fn mean_timed(warm: usize, reps: usize, mut call: impl FnMut() -> Duration) -> f64 {
+    (0..warm).for_each(|_| {
+        call();
+    });
+    (0..reps).map(|_| call()).sum::<Duration>().as_secs_f64() / reps as f64
+}
+
+/// Seconds per `inverse` of a fresh clone of `spec`, on the `reps_for`
+/// protocol of `n`.
+fn inverse_s(n: usize, spec: &Spectrum, inverse: impl Fn(Spectrum) -> Image) -> f64 {
+    let (warm, reps) = reps_for(n);
+    mean_timed(warm, reps, || {
+        let s = spec.clone();
+        let t0 = Instant::now();
+        std::hint::black_box(inverse(s));
+        t0.elapsed()
+    })
+}
+
+/// Mean seconds of `pass` into `out`, which is zeroed off the clock
+/// before each call, as a fresh lease is.
+fn zeroed_s((warm, reps): (usize, usize), mut out: Image, pass: impl Fn(&mut Image)) -> f64 {
+    mean_timed(warm, reps, || {
+        out.as_mut_slice().fill(0.0);
+        let t0 = Instant::now();
+        pass(std::hint::black_box(&mut out));
+        t0.elapsed()
+    })
+}
+
+/// The distinct `(input shape, kernel, sparsity)` of a net's conv edges
+/// at output shape `out`, first layer first.
+fn conv_geometries(g: &Graph, out: Vec3) -> Vec<(Vec3, Vec3, Vec3)> {
+    let input = shapes::required_input_shape(g, out).expect("net fits");
+    let shape = shapes::infer_shapes(g, input).expect("shapes");
+    let mut seen = BTreeSet::new();
+    g.edges()
+        .iter()
+        .filter_map(|e| match e.op {
+            EdgeOp::Conv { kernel, sparsity } => Some((shape[&e.from], kernel, sparsity)),
+            _ => None,
+        })
+        .filter(|&(n, k, s)| seen.insert((n.0, k.0, s.0)))
+        .collect()
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let sizes: &[usize] = if smoke {
@@ -62,15 +124,12 @@ fn main() {
     } else {
         &[16, 24, 32, 48, 60, 64, 120]
     };
-    let host = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1);
 
     println!("# transform traffic — r2c half-spectrum bytes and time\n");
-    let engine = FftEngine::new();
+    let engine = FftEngine::new().with_buffer_pools(PoolSet::new());
     header(&["shape", "spectrum bytes", "bytes vs full spectrum", "fwd s", "inv s"]);
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"host_threads\": {host},");
+    let _ = writeln!(json, "  {},", machine_json());
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     json.push_str("  \"sizes\": [\n");
     let mut records: Vec<String> = Vec::new();
@@ -84,17 +143,7 @@ fn main() {
         let t_r2c = time_per_round(warm, reps, || {
             std::hint::black_box(engine.rfft3(&img));
         });
-        // irfft3 consumes its spectrum, so the clone has to sit in the
-        // timed loop — measure it separately and subtract, or the
-        // inverse cost would include the clone's allocation and copy,
-        // which are no part of the inverse
-        let t_clone = time_per_round(warm, reps, || {
-            std::hint::black_box(spec.clone());
-        });
-        let t_inv = (time_per_round(warm, reps, || {
-            std::hint::black_box(engine.irfft3(spec.clone()));
-        }) - t_clone)
-            .max(f64::EPSILON);
+        let t_inv = inverse_s(n, &spec, |s| engine.irfft3(s));
         row(&[
             format!("{n}³"),
             r2c_bytes.to_string(),
@@ -109,6 +158,77 @@ fn main() {
     }
     json.push_str(&records.join(",\n"));
     json.push_str("\n  ]");
+
+    // Pruned transforms (§IV): each beside the full-box transform it
+    // replaces, on the same pooled engine. A kernel spectrum transforms
+    // only the lines the dilated kernel touches; the kernel gradient and
+    // the forward crop inverse only the lines their output keeps.
+    println!("\n# pruned — pruned transforms beside their full-box equivalents\n");
+    header(&["transform", "pruned s", "full box s", "speedup"]);
+    let mut recs = Vec::new();
+    let mut push_pruned = |name: String, pruned_s: f64, full_s: f64| {
+        let speedup = full_s / pruned_s;
+        row(&[name.clone(), fmt(pruned_s), fmt(full_s), format!("{speedup:.2}x")]);
+        recs.push(format!(
+            "    {{\"transform\": \"{name}\", \"pruned_s\": {pruned_s:.6e}, \
+             \"full_box_s\": {full_s:.6e}, \"speedup\": {speedup:.2}}}"
+        ));
+    };
+    let k = Vec3::cube(5);
+    let w = ops::random(k, 3);
+    for (s, n) in [(1usize, 60usize), (4, 40)] {
+        let (s, m) = (Vec3::cube(s), Vec3::cube(n));
+        let padded = pad::pad(&pad::dilate(&w, s), m, Vec3::zero());
+        let (warm, reps) = reps_for(n);
+        let pruned = time_per_round(warm, reps, || {
+            std::hint::black_box(spectra::kernel_spectrum(&engine, &w, s, m));
+        });
+        let full = time_per_round(warm, reps, || {
+            std::hint::black_box(engine.rfft3(&padded));
+        });
+        push_pruned(format!("kernel_spectrum_k5_s{}_to_{n}", s[0]), pruned, full);
+    }
+    let spec = engine.rfft3(&ops::random(Vec3::cube(60), 4));
+    let full = inverse_s(60, &spec, |s| engine.irfft3(s));
+    let pruned =
+        inverse_s(60, &spec, |s| spectra::kernel_gradient_from_corr(&engine, s, k, Vec3::one()));
+    push_pruned("kernel_gradient_k5_of_60".into(), pruned, full);
+    let pruned = inverse_s(60, &spec, |s| engine.inverse_real(s, Vec3::cube(4), Vec3::cube(51)));
+    push_pruned("inverse_crop_51_of_60".into(), pruned, full);
+    let _ = write!(json, ",\n  \"pruned\": [\n{}\n  ]", recs.join(",\n"));
+
+    // The three direct passes of one conv edge as the engine runs them,
+    // on tables built once per geometry.
+    println!("\n# direct_passes — the direct conv passes at the workloads' geometries\n");
+    header(&["net", "input", "kernel", "sparsity", "forward s", "input grad s", "kernel grad s"]);
+    let reps = if smoke { (1, 3) } else { (2, 20) };
+    let nets = [
+        ("3d", scalability_net_3d(8).0, Vec3::cube(4)),
+        ("2d", comparison_net(3, Vec3::flat(5, 5), Vec3::flat(2, 2), true).0, Vec3::flat(16, 16)),
+    ];
+    let mut recs = Vec::new();
+    for (net, g, out) in nets {
+        for (n, k, s) in conv_geometries(&g, out) {
+            let conv = DirectConv::new(n, k, s);
+            let y = conv.output_shape();
+            let (img, ker, grad) = (ops::random(n, 1), ops::random(k, 2), ops::random(y, 3));
+            let forward = zeroed_s(reps, Image::zeros(y), |out| conv.forward_into(&img, &ker, out));
+            let input_grad =
+                zeroed_s(reps, Image::zeros(n), |out| conv.input_gradient_into(&grad, &ker, out));
+            let kernel_grad = time_per_round(reps.0, reps.1, || {
+                std::hint::black_box(conv.kernel_gradient(&img, &grad));
+            });
+            let times = [forward, input_grad, kernel_grad];
+            let cells = [net.to_string(), n.to_string(), k.to_string(), s.to_string()];
+            row(&cells.into_iter().chain(times.map(fmt)).collect::<Vec<_>>());
+            recs.push(format!(
+                "    {{\"net\": \"{net}\", \"input\": \"{n}\", \"kernel\": \"{k}\", \
+                 \"sparsity\": \"{s}\", \"forward_s\": {forward:.6e}, \
+                 \"input_gradient_s\": {input_grad:.6e}, \"kernel_gradient_s\": {kernel_grad:.6e}}}"
+            ));
+        }
+    }
+    let _ = write!(json, ",\n  \"direct_passes\": [\n{}\n  ]", recs.join(",\n"));
 
     // Padding policy: 5-smooth good_shape vs the 2^k-only baseline —
     // padded voxels are transformed, multiplied, and (memoized) held

@@ -32,7 +32,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use znn_baseline::LayerwiseNet;
 use znn_bench::{
-    auto_within_gap, beats_layerwise, crossover, header, median_round_us, row, GAP_BOUND,
+    auto_within_gap, beats_layerwise, crossover, header, machine_json, median_round_us, row,
+    GAP_BOUND,
 };
 use znn_core::{TrainConfig, Znn};
 use znn_graph::builder::{comparison_net, scalability_net_2d, scalability_net_3d};
@@ -145,12 +146,7 @@ fn main() {
     );
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"smoke\": {smoke},\n  \"workers\": {workers},");
-    let _ = writeln!(
-        json,
-        "  \"machine\": {{\"name\": \"{}\", \"cores\": {}, \"gflops\": {:.3}, \
-         \"bandwidth_gbs\": {:.3}}},",
-        machine.name, machine.cores, machine.gflops, machine.bandwidth_gbs
-    );
+    let _ = writeln!(json, "  {},", machine_json());
 
     let planner = Planner::new(PlanConfig::for_machine(machine.clone()));
     let mut failures = Vec::new();

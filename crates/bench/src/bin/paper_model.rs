@@ -1,16 +1,21 @@
 //! The paper's model claims, one section per figure or table: Fig 4
 //! (Brent's bound), Figs 5–7 (simulated speedup on the Table V
 //! machines), Tables I–V (FLOP and T∞ closed forms), §VII-C/§IX-B
-//! memory and the §X scheduling ablation. Each claim is a verdict, a
-//! pure function in `znn_bench` over closed forms, the simulator or
-//! exact counters, never a wall time; **the bin exits non-zero if any
-//! fails**. Two claims the model breaks are recorded instead: the §X
-//! policy ranking and width monotonicity in Figs 6–7. Timed columns
-//! run their engines interleaved under [`median_round_us`]. The
-//! simulator schedules `znn_plan::cost`'s task prices of a forced
-//! `NetPlan`, so a pricing change moves Figs 5–7 and §X. Writes
-//! `BENCH_sched.json` (§X); `--smoke` shrinks grids and rounds.
+//! memory, the §VII-A/§VII-B data-structure ablations and the §X
+//! scheduling ablation. Each claim is a verdict, a pure function in
+//! `znn_bench` over closed forms, the simulator or exact counters,
+//! never a wall time; **the bin exits non-zero if any fails**. Two
+//! claims the model breaks are recorded instead: the §X policy ranking
+//! and width monotonicity in Figs 6–7; the §VII ablations are timed and
+//! recorded, not asserted. Timed columns run their engines interleaved
+//! under [`median_round_us`]. The simulator schedules
+//! `znn_plan::cost`'s task prices of a forced `NetPlan`, so a pricing
+//! change moves Figs 5–7 and §X. Writes `BENCH_sched.json` (§VII, §X);
+//! `--smoke` shrinks grids and rounds.
 
+use parking_lot::Mutex;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::slice::from_ref;
@@ -23,7 +28,7 @@ use znn_plan::brent::{achievable_speedup, NetworkModel};
 use znn_plan::flops::{ConvAlgorithm, LayerModel};
 use znn_plan::{cost::task_costs, tinf::t_inf, DEFAULT_C};
 use znn_plan::{simulate, Machine, NetPlan, SimConfig, SimResult};
-use znn_sched::QueuePolicy;
+use znn_sched::{queue::TaskQueue, Accumulate, ConcurrentSum, QueuePolicy};
 use znn_tensor::{ops, Image, Vec3};
 
 type Rounds<'a> = Vec<Box<dyn FnMut() + 'a>>;
@@ -328,14 +333,14 @@ fn memory(timing: (usize, usize), v: &mut Verdicts) {
 }
 
 fn sched(smoke: bool, timing: (usize, usize)) {
+    let mut json = format!("{{\n  \"smoke\": {smoke},\n  {},\n", machine_json());
+    let _ = writeln!(json, "  \"queue_ablation\": [\n{}\n  ],", queue_ablation(timing));
+    let _ = writeln!(json, "  \"sum_ablation\": {},", sum_ablation(timing));
     let width = if smoke { 4 } else { 20 };
     println!("\n# §X — scheduling ablation (simulated makespan, lower is better)\n");
     let machine = Machine::xeon_e5_18core();
     let policies = [QueuePolicy::Priority, QueuePolicy::Fifo, QueuePolicy::Lifo];
-    let mut json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"sim_machine\": \"{}\",\n  \"sim_workers\": 18,\n",
-        machine.name
-    );
+    let _ = writeln!(json, "  \"sim_machine\": \"{}\",\n  \"sim_workers\": 18,", machine.name);
     header(&["network", "priority", "fifo", "lifo", "fastest"]);
     let mut recs = Vec::new();
     for (dim, key) in [("2D", "net2d"), ("3D", "net3d")] {
@@ -351,8 +356,6 @@ fn sched(smoke: bool, timing: (usize, usize)) {
     }
     let _ = writeln!(json, "  \"simulated\": [\n{}\n  ],", recs.join(",\n"));
     println!("\nrecorded, not asserted: which policy the simulator finds fastest.");
-    println!("(see the `queue` criterion bench for the heap-of-lists' cost");
-    println!("against a binary heap over every task.)");
 
     println!("\n# host rows: real engine under each policy (s/update)\n");
     header(&["policy", "s/update"]);
@@ -376,4 +379,90 @@ fn sched(smoke: bool, timing: (usize, usize)) {
         std::process::exit(1);
     }
     println!("\nwrote BENCH_sched.json");
+}
+
+/// §VII-A: the heap of lists pops in O(log K) over K distinct
+/// priorities, a binary heap keyed on every task in O(log N). Both pop
+/// the same (priority, arrival) order of N tasks arriving in bursts of
+/// one priority, as a wide layer's do. Returns the JSON rows.
+fn queue_ablation(timing: (usize, usize)) -> String {
+    println!("\n# §VII-A — heap of lists vs binary heap (push N, pop all; µs)\n");
+    header(&["N tasks", "K priorities", "heap of lists", "binary heap"]);
+    let rows = [(10_000u64, 8u64), (10_000, 1000)].map(|(n, k)| {
+        let mut rounds: Rounds = vec![
+            Box::new(move || {
+                let mut q = TaskQueue::new(QueuePolicy::Priority);
+                (0..n).for_each(|i| q.push(i % k, i));
+                while black_box(q.pop()).is_some() {}
+            }),
+            Box::new(move || {
+                let mut q = BinaryHeap::new();
+                (0..n).for_each(|i| q.push(Reverse((i % k, i))));
+                while black_box(q.pop()).is_some() {}
+            }),
+        ];
+        let us = median_round_us(&mut rounds, timing.0, timing.1);
+        row(&[n.to_string(), k.to_string(), fmt(us[0]), fmt(us[1])]);
+        format!(
+            "    {{\"tasks\": {n}, \"priorities\": {k}, \"heap_of_lists_us\": {:.1}, \
+             \"binary_heap_us\": {:.1}}}",
+            us[0], us[1]
+        )
+    });
+    println!("\nrecorded, not asserted: the heap of lists' cost against a binary heap.");
+    rows.join(",\n")
+}
+
+/// An image as a [`ConcurrentSum`] contribution.
+struct Summand(Image);
+
+impl Accumulate for Summand {
+    fn accumulate(&mut self, other: Self) {
+        ops::add_assign(&mut self.0, &other.0);
+    }
+}
+
+/// Calls `contribute` with a fresh copy of every image, as a task's
+/// output is fresh, from `threads` scoped threads that split the images.
+fn spread(images: &[Image], threads: usize, contribute: impl Fn(Image) + Sync) {
+    std::thread::scope(|s| {
+        for part in images.chunks(images.len().div_ceil(threads)) {
+            let contribute = &contribute;
+            s.spawn(move || part.iter().for_each(|x| contribute(x.clone())));
+        }
+    });
+}
+
+/// §VII-B: Algorithm 4's wait-free sum, which holds its lock only for
+/// pointer swaps, against adding each image under the lock, whose
+/// critical section grows with the image: eight 24³ contributions from
+/// as many threads as the host has. Returns the JSON object.
+fn sum_ablation(timing: (usize, usize)) -> String {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let images: Vec<Image> = (0..8).map(|i| ops::random(Vec3::cube(24), i)).collect();
+    let images = &images;
+    println!("\n# §VII-B — wait-free vs locked sum, 8 × 24³ from {threads} threads (µs)\n");
+    header(&["wait-free", "locked"]);
+    let mut rounds: Rounds = vec![
+        Box::new(move || {
+            let sum = ConcurrentSum::new(images.len());
+            spread(images, threads, |x| _ = sum.add(Summand(x)));
+            black_box(sum.take());
+        }),
+        Box::new(move || {
+            let acc = Mutex::new(Image::zeros(images[0].shape()));
+            spread(images, threads, |x| ops::add_assign(&mut acc.lock(), &x));
+            black_box(acc.into_inner());
+        }),
+    ];
+    let us = median_round_us(&mut rounds, timing.0, timing.1);
+    row(&[fmt(us[0]), fmt(us[1])]);
+    println!("\nrecorded, not asserted: the wait-free sum's cost against the locked one.");
+    format!(
+        "{{\"images\": {}, \"n\": 24, \"threads\": {threads}, \"wait_free_us\": {:.1}, \
+         \"locked_us\": {:.1}}}",
+        images.len(),
+        us[0],
+        us[1]
+    )
 }

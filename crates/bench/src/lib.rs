@@ -5,6 +5,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::time::Instant;
 use znn_plan::Machine;
@@ -49,6 +50,18 @@ pub fn median_round_us(rounds: &mut [Box<dyn FnMut() + '_>], warmup: usize, n: u
 fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
+}
+
+/// The `"machine"` field by which a BENCH file names its host: the
+/// detected model's cores and probed single-thread rates, and the SIMD
+/// ISA the kernels dispatch to.
+pub fn machine_json() -> String {
+    let (m, isa) = (Machine::host(), znn_simd::isa_name());
+    format!(
+        "\"machine\": {{\"name\": \"{}\", \"cores\": {}, \"isa\": \"{isa}\", \"gflops\": {:.3}, \
+         \"bandwidth_gbs\": {:.3}}}",
+        m.name, m.cores, m.gflops, m.bandwidth_gbs
+    )
 }
 
 /// Prints a markdown-style table row.

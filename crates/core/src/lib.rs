@@ -42,6 +42,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod checkpoint;
 mod config;

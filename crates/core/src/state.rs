@@ -98,17 +98,17 @@ impl SpectrumCache {
 
     /// Drops every cached spectrum (called when the node's image is
     /// replaced by the next round's).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         self.map.lock().clear();
     }
 
     /// Number of cached spectra (for memory accounting).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.lock().len()
     }
 
     /// Bytes held by materialized cached spectra (§IX-B accounting).
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.map
             .lock()
             .values()
@@ -139,7 +139,7 @@ pub(crate) struct NodeState {
 }
 
 impl NodeState {
-    pub fn new(in_degree: usize, out_degree: usize, shape: Vec3) -> Self {
+    pub(crate) fn new(in_degree: usize, out_degree: usize, shape: Vec3) -> Self {
         NodeState {
             fwd_sum: ConcurrentSum::new(in_degree.max(1)),
             bwd_sum: ConcurrentSum::new(out_degree.max(1)),

@@ -50,6 +50,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -61,7 +61,7 @@ pub(crate) struct Lattice {
 
 impl Lattice {
     /// The dense box of `count` voxels at `at`.
-    pub fn dense(at: Vec3, count: Vec3) -> Self {
+    pub(crate) fn dense(at: Vec3, count: Vec3) -> Self {
         Lattice {
             at,
             count,

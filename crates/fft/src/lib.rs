@@ -117,6 +117,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::undocumented_unsafe_blocks)]
+#![warn(unreachable_pub)]
 
 mod conv;
 mod engine;

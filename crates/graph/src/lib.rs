@@ -13,6 +13,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod builder;
 pub mod init;

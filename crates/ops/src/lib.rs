@@ -34,6 +34,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod conv;
 pub mod filter;

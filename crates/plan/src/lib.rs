@@ -52,6 +52,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod brent;
 pub mod cost;

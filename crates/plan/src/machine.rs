@@ -213,18 +213,20 @@ fn flop_probe() -> f64 {
 
 /// Measured single-thread copy bandwidth, GB/s (read + write bytes),
 /// over buffers far larger than L2. The first copy faults the
-/// destination's pages in and is not timed.
+/// destination's pages in and is not timed. The buffers are bytes so
+/// the source fill is one `memset` in every build profile: a `u32`
+/// fill runs element by element in an unoptimised build, and that
+/// untimed fill used to cost three times both probe windows together.
 fn bandwidth_probe() -> f64 {
-    const WORDS: usize = 2 << 20; // 8 MiB per buffer
-    let src = vec![1u32; WORDS];
-    let mut dst = vec![0u32; WORDS];
+    const BYTES: usize = 8 << 20; // per buffer
+    let src = vec![1u8; BYTES];
+    let mut dst = vec![0u8; BYTES];
     dst.copy_from_slice(&src);
     let (reps, secs) = run_for_budget(|| {
         dst.copy_from_slice(&src);
         std::hint::black_box(&mut dst);
     });
-    let bytes = reps * (2 * WORDS * std::mem::size_of::<u32>()) as f64;
-    (bytes / secs / 1e9).max(0.1)
+    (reps * (2 * BYTES) as f64 / secs / 1e9).max(0.1)
 }
 
 #[cfg(test)]

@@ -43,6 +43,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::undocumented_unsafe_blocks)]
+#![warn(unreachable_pub)]
 
 mod deque;
 pub mod executor;

@@ -4,5 +4,6 @@
 //! from it; the next change to the benchmark deletes it.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use znn_plan::Machine;

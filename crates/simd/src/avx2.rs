@@ -50,7 +50,7 @@ macro_rules! real_loop {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn add_assign_f(dst: &mut [f32], src: &[f32]) {
+pub(crate) unsafe fn add_assign_f(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len());
     let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
     real_loop!(dst, main, i, {
@@ -62,7 +62,7 @@ pub unsafe fn add_assign_f(dst: &mut [f32], src: &[f32]) {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn mul_assign_f(dst: &mut [f32], src: &[f32]) {
+pub(crate) unsafe fn mul_assign_f(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len());
     let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
     real_loop!(dst, main, i, {
@@ -74,7 +74,7 @@ pub unsafe fn mul_assign_f(dst: &mut [f32], src: &[f32]) {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn scale_f(dst: &mut [f32], s: f32) {
+pub(crate) unsafe fn scale_f(dst: &mut [f32], s: f32) {
     let dp = dst.as_mut_ptr();
     let sv = _mm256_set1_ps(s);
     real_loop!(dst, main, i, {
@@ -85,7 +85,7 @@ pub unsafe fn scale_f(dst: &mut [f32], s: f32) {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn axpy_f(dst: &mut [f32], a: f32, src: &[f32]) {
+pub(crate) unsafe fn axpy_f(dst: &mut [f32], a: f32, src: &[f32]) {
     assert_eq!(dst.len(), src.len());
     let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
     let av = _mm256_set1_ps(a);
@@ -98,7 +98,7 @@ pub unsafe fn axpy_f(dst: &mut [f32], a: f32, src: &[f32]) {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn sub_scaled_f(dst: &mut [f32], eta: f32, src: &[f32]) {
+pub(crate) unsafe fn sub_scaled_f(dst: &mut [f32], eta: f32, src: &[f32]) {
     assert_eq!(dst.len(), src.len());
     let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
     let nv = _mm256_set1_ps(-eta);
@@ -111,7 +111,7 @@ pub unsafe fn sub_scaled_f(dst: &mut [f32], eta: f32, src: &[f32]) {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn fma_acc_f(dst: &mut [f32], w: f32, src: &[f32]) {
+pub(crate) unsafe fn fma_acc_f(dst: &mut [f32], w: f32, src: &[f32]) {
     assert_eq!(dst.len(), src.len());
     let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
     let wv = _mm256_set1_ps(w);
@@ -124,14 +124,14 @@ pub unsafe fn fma_acc_f(dst: &mut [f32], w: f32, src: &[f32]) {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn add_assign_c(dst: &mut [Complex<f32>], src: &[Complex<f32>]) {
+pub(crate) unsafe fn add_assign_c(dst: &mut [Complex<f32>], src: &[Complex<f32>]) {
     assert_eq!(dst.len(), src.len());
     // complex add is lanewise on the interleaved floats
     add_assign_f(complex_as_floats_mut(dst), complex_as_floats(src));
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn mul_assign_c(dst: &mut [Complex<f32>], src: &[Complex<f32>]) {
+pub(crate) unsafe fn mul_assign_c(dst: &mut [Complex<f32>], src: &[Complex<f32>]) {
     assert_eq!(dst.len(), src.len());
     let n = dst.len();
     let main = n - n % 4;
@@ -168,7 +168,7 @@ pub unsafe fn mul_assign_c(dst: &mut [Complex<f32>], src: &[Complex<f32>]) {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn conj_mul_assign_c(dst: &mut [Complex<f32>], g: &[Complex<f32>]) {
+pub(crate) unsafe fn conj_mul_assign_c(dst: &mut [Complex<f32>], g: &[Complex<f32>]) {
     assert_eq!(dst.len(), g.len());
     let n = dst.len();
     let main = n - n % 4;
@@ -185,7 +185,7 @@ pub unsafe fn conj_mul_assign_c(dst: &mut [Complex<f32>], g: &[Complex<f32>]) {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn bias_add_f(dst: &mut [f32], bias: f32) {
+pub(crate) unsafe fn bias_add_f(dst: &mut [f32], bias: f32) {
     let dp = dst.as_mut_ptr();
     let bv = _mm256_set1_ps(bias);
     real_loop!(dst, main, i, {
@@ -196,7 +196,7 @@ pub unsafe fn bias_add_f(dst: &mut [f32], bias: f32) {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn bias_relu_f(dst: &mut [f32], bias: f32) {
+pub(crate) unsafe fn bias_relu_f(dst: &mut [f32], bias: f32) {
     let dp = dst.as_mut_ptr();
     let bv = _mm256_set1_ps(bias);
     let zero = _mm256_setzero_ps();
@@ -211,7 +211,7 @@ pub unsafe fn bias_relu_f(dst: &mut [f32], bias: f32) {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn bias_leaky_relu_f(dst: &mut [f32], bias: f32, a: f32) {
+pub(crate) unsafe fn bias_leaky_relu_f(dst: &mut [f32], bias: f32, a: f32) {
     let dp = dst.as_mut_ptr();
     let bv = _mm256_set1_ps(bias);
     let av = _mm256_set1_ps(a);
@@ -226,7 +226,7 @@ pub unsafe fn bias_leaky_relu_f(dst: &mut [f32], bias: f32, a: f32) {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn relu_deriv_mul_f(dst: &mut [f32], y: &[f32]) {
+pub(crate) unsafe fn relu_deriv_mul_f(dst: &mut [f32], y: &[f32]) {
     assert_eq!(dst.len(), y.len());
     let (dp, yp) = (dst.as_mut_ptr(), y.as_ptr());
     let zero = _mm256_setzero_ps();
@@ -243,7 +243,7 @@ pub unsafe fn relu_deriv_mul_f(dst: &mut [f32], y: &[f32]) {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn leaky_relu_deriv_mul_f(dst: &mut [f32], y: &[f32], a: f32) {
+pub(crate) unsafe fn leaky_relu_deriv_mul_f(dst: &mut [f32], y: &[f32], a: f32) {
     assert_eq!(dst.len(), y.len());
     let (dp, yp) = (dst.as_mut_ptr(), y.as_ptr());
     let zero = _mm256_setzero_ps();
@@ -259,7 +259,7 @@ pub unsafe fn leaky_relu_deriv_mul_f(dst: &mut [f32], y: &[f32], a: f32) {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn logistic_deriv_mul_f(dst: &mut [f32], y: &[f32]) {
+pub(crate) unsafe fn logistic_deriv_mul_f(dst: &mut [f32], y: &[f32]) {
     assert_eq!(dst.len(), y.len());
     let (dp, yp) = (dst.as_mut_ptr(), y.as_ptr());
     let one = _mm256_set1_ps(1.0);
@@ -273,7 +273,7 @@ pub unsafe fn logistic_deriv_mul_f(dst: &mut [f32], y: &[f32]) {
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn tanh_deriv_mul_f(dst: &mut [f32], y: &[f32]) {
+pub(crate) unsafe fn tanh_deriv_mul_f(dst: &mut [f32], y: &[f32]) {
     assert_eq!(dst.len(), y.len());
     let (dp, yp) = (dst.as_mut_ptr(), y.as_ptr());
     let one = _mm256_set1_ps(1.0);
@@ -294,7 +294,13 @@ pub unsafe fn tanh_deriv_mul_f(dst: &mut [f32], y: &[f32]) {
 /// AVX2+FMA must be available, and every row and tap run must be in
 /// bounds, as `crate::fma_taps_f` checks before calling.
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn fma_taps_f(dst: &mut [f32], src: &[f32], len: usize, t: &[Tap], rows: &[TapRow]) {
+pub(crate) unsafe fn fma_taps_f(
+    dst: &mut [f32],
+    src: &[f32],
+    len: usize,
+    t: &[Tap],
+    rows: &[TapRow],
+) {
     taps::fma_taps(dst, src, len, t, rows);
 }
 
@@ -306,7 +312,7 @@ pub unsafe fn fma_taps_f(dst: &mut [f32], src: &[f32], len: usize, t: &[Tap], ro
 /// row plus its farthest tap must be in bounds, as
 /// `crate::dot_taps_f64` checks before calling.
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn dot_taps_f64<R: DotRow>(
+pub(crate) unsafe fn dot_taps_f64<R: DotRow>(
     out: &mut [f64],
     a: &[f32],
     b: &[f64],
@@ -403,7 +409,7 @@ unsafe fn repack4(xp: *const f32, wp: *const f32, zp: *mut f32, hn: usize, k: us
 ///
 /// AVX2+FMA must be available; the lengths are checked here.
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn r2c_unpack(dst: &mut [Complex<f32>], z: &[Complex<f32>], tw: &[Complex<f32>]) {
+pub(crate) unsafe fn r2c_unpack(dst: &mut [Complex<f32>], z: &[Complex<f32>], tw: &[Complex<f32>]) {
     use crate::scalar::unpack_bin;
     let hn = z.len();
     crate::scalar::check_packed(hn, dst.len(), tw.len());
@@ -437,7 +443,7 @@ pub unsafe fn r2c_unpack(dst: &mut [Complex<f32>], z: &[Complex<f32>], tw: &[Com
 ///
 /// AVX2+FMA must be available; the lengths are checked here.
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn c2r_repack(z: &mut [Complex<f32>], x: &[Complex<f32>], tw: &[Complex<f32>]) {
+pub(crate) unsafe fn c2r_repack(z: &mut [Complex<f32>], x: &[Complex<f32>], tw: &[Complex<f32>]) {
     use crate::scalar::repack_bin;
     let hn = z.len();
     crate::scalar::check_packed(hn, x.len(), tw.len());
@@ -461,7 +467,7 @@ pub unsafe fn c2r_repack(z: &mut [Complex<f32>], x: &[Complex<f32>], tw: &[Compl
 }
 
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn scale_copy_f(dst: &mut [MaybeUninit<f32>], src: &[f32], s: f32) {
+pub(crate) unsafe fn scale_copy_f(dst: &mut [MaybeUninit<f32>], src: &[f32], s: f32) {
     assert_eq!(dst.len(), src.len());
     // stores only: no element of `dst` is read, initialized or not
     let (dp, sp) = (dst.as_mut_ptr().cast::<f32>(), src.as_ptr());

@@ -31,7 +31,7 @@ use crate::{complex_as_floats, complex_as_floats_mut, taps, DotRow};
 use num_complex::Complex;
 use std::arch::x86_64::*;
 
-pub use super::avx2::{
+pub(crate) use super::avx2::{
     add_assign_c, add_assign_f, axpy_f, bias_add_f, bias_leaky_relu_f, bias_relu_f, c2r_repack,
     fma_acc_f, leaky_relu_deriv_mul_f, logistic_deriv_mul_f, mul_assign_f, r2c_unpack,
     relu_deriv_mul_f, scale_copy_f, scale_f, sub_scaled_f, tanh_deriv_mul_f,
@@ -68,7 +68,7 @@ unsafe fn conj8(v: __m512) -> __m512 {
 }
 
 #[target_feature(enable = "avx512f,avx2,fma")]
-pub unsafe fn mul_assign_c(dst: &mut [Complex<f32>], src: &[Complex<f32>]) {
+pub(crate) unsafe fn mul_assign_c(dst: &mut [Complex<f32>], src: &[Complex<f32>]) {
     assert_eq!(dst.len(), src.len());
     let n = dst.len();
     let main = n - n % 8;
@@ -104,7 +104,7 @@ pub unsafe fn mul_assign_c(dst: &mut [Complex<f32>], src: &[Complex<f32>]) {
 }
 
 #[target_feature(enable = "avx512f,avx2,fma")]
-pub unsafe fn conj_mul_assign_c(dst: &mut [Complex<f32>], g: &[Complex<f32>]) {
+pub(crate) unsafe fn conj_mul_assign_c(dst: &mut [Complex<f32>], g: &[Complex<f32>]) {
     assert_eq!(dst.len(), g.len());
     let n = dst.len();
     let main = n - n % 8;
@@ -128,7 +128,7 @@ pub unsafe fn conj_mul_assign_c(dst: &mut [Complex<f32>], g: &[Complex<f32>]) {
 /// and every row plus its farthest tap must be in bounds, as
 /// `crate::dot_taps_f64` checks before calling.
 #[target_feature(enable = "avx512f,avx2,fma")]
-pub unsafe fn dot_taps_f64<R: DotRow>(
+pub(crate) unsafe fn dot_taps_f64<R: DotRow>(
     out: &mut [f64],
     a: &[f32],
     b: &[f64],

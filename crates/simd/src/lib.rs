@@ -101,6 +101,7 @@
 //! ```
 
 #![warn(clippy::undocumented_unsafe_blocks)]
+#![warn(unreachable_pub)]
 
 use num_complex::Complex;
 use std::mem::MaybeUninit;

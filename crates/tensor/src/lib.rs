@@ -23,6 +23,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::undocumented_unsafe_blocks)]
+#![warn(unreachable_pub)]
 
 pub mod ops;
 pub mod pad;

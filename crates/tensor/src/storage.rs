@@ -66,7 +66,7 @@ pub(crate) struct Storage<T> {
 
 impl<T> Storage<T> {
     /// Plain (unpooled) storage over an owned buffer.
-    pub fn raw(data: Vec<T>) -> Self {
+    pub(crate) fn raw(data: Vec<T>) -> Self {
         Storage {
             data: ManuallyDrop::new(data),
             home: None,
@@ -74,7 +74,7 @@ impl<T> Storage<T> {
     }
 
     /// Storage leased from `home`: the buffer returns there on drop.
-    pub fn leased(home: Arc<dyn BufferSource<T>>, len: usize) -> Self {
+    pub(crate) fn leased(home: Arc<dyn BufferSource<T>>, len: usize) -> Self {
         Storage {
             data: ManuallyDrop::new(home.lease(len)),
             home: Some(home),
@@ -83,7 +83,7 @@ impl<T> Storage<T> {
 
     /// Adopts an owned buffer into `home`'s custody: it will be
     /// recycled there on drop, exactly as if it had been leased.
-    pub fn adopted(data: Vec<T>, home: Arc<dyn BufferSource<T>>) -> Self {
+    pub(crate) fn adopted(data: Vec<T>, home: Arc<dyn BufferSource<T>>) -> Self {
         Storage {
             data: ManuallyDrop::new(data),
             home: Some(home),
@@ -91,14 +91,14 @@ impl<T> Storage<T> {
     }
 
     /// The source this buffer returns to on drop, if any.
-    pub fn home(&self) -> Option<&Arc<dyn BufferSource<T>>> {
+    pub(crate) fn home(&self) -> Option<&Arc<dyn BufferSource<T>>> {
         self.home.as_ref()
     }
 
     /// Consumes the storage, returning the raw buffer. The buffer
     /// leaves its source's custody — it will be freed normally unless
     /// re-adopted.
-    pub fn into_vec(mut self) -> Vec<T> {
+    pub(crate) fn into_vec(mut self) -> Vec<T> {
         self.home = None;
         // SAFETY: `self` is forgotten right after, so `Drop` never runs
         // and the Vec is moved out exactly once.
@@ -108,22 +108,22 @@ impl<T> Storage<T> {
     }
 
     #[inline]
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         &self.data
     }
 
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
 
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
     }
 
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 }

@@ -4,6 +4,7 @@
 //! imports from it; the next change to the benchmark deletes it.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use znn_plan::brent::{achievable_speedup, NetworkModel};
 pub use znn_plan::flops::{ConvAlgorithm, LayerModel};

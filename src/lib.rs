@@ -28,6 +28,7 @@
 //! See `examples/quickstart.rs` for a five-minute tour.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use znn_alloc as alloc;
 pub use znn_baseline as baseline;
