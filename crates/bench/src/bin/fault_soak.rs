@@ -7,8 +7,8 @@
 //! * `"overhead"` — per-round cost of the training driver: a bare
 //!   `Znn::train_step` loop over the dataset's samples vs
 //!   `Trainer::run_recoverable` on the same samples without
-//!   checkpoints (their cost is the `"checkpoint"` record), timed in
-//!   alternating blocks, median of each side. The delta is what the
+//!   checkpoints (their cost is the `"checkpoint"` record), blocks of
+//!   rounds timed interleaved under `median_s`. The delta is what the
 //!   health sentinels and rollback-state capture add to every round
 //!   (`overhead_pct_round`).
 //! * `"faults"` — one record per fault class (`task_panic`,
@@ -21,16 +21,15 @@
 //!   run whose injected panic unwound mid-round, every leased buffer
 //!   must be back in pool custody (`pool_leaked_bytes` = 0).
 //!
-//! Emits `BENCH_fault.json` with every number so the fault-tolerance
-//! cost trajectory is tracked across PRs. `--smoke` shrinks the net
-//! and round count (CI keeps the recovery paths from rotting without
-//! paying for the full soak).
+//! Writes `BENCH_fault.json`, and exits non-zero through `Verdicts`
+//! unless every fault class survives and no pooled byte leaks.
+//! `--smoke` shrinks the net and round count (CI keeps the recovery
+//! paths from rotting without paying for the full soak).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use znn_alloc::PoolSet;
-use znn_bench::{fmt, header, row, time_per_round};
+use znn_bench::{fmt, header, median_s, row, write_record, Verdicts};
 use znn_core::{
     latest_valid, Checkpoint, CheckpointConfig, ConvPolicy, Dataset, RandomDataset, TrainConfig,
     TrainOutcome, Trainer, Znn,
@@ -123,9 +122,8 @@ fn main() {
         rounds: if smoke { 8 } else { 24 },
     };
     let rounds = soak.rounds;
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"rounds\": {rounds},");
+    let mut v = Verdicts::default();
+    let mut members = vec![format!("\"rounds\": {rounds}")];
 
     // --- checkpoint cost: one atomic durable write, one restore -----
     let ckpt_dir = tmpdir("ckpt");
@@ -138,14 +136,16 @@ fn main() {
             params: znn.params(),
             velocities: znn.optimizer_state(),
         };
-        let (warm, reps) = if smoke { (1, 5) } else { (2, 20) };
-        let write_s = time_per_round(warm, reps, || {
-            ckpt.write_atomic(&ckpt_dir, 3).expect("checkpoint writes");
+        let timing = if smoke { (1, 5) } else { (2, 21) };
+        let t = median_s(2, timing, |i| {
+            if i == 0 {
+                ckpt.write_atomic(&ckpt_dir, 3).expect("checkpoint writes");
+            } else {
+                let restored = latest_valid(&ckpt_dir).expect("checkpoint dir reads");
+                assert!(restored.is_some_and(|c| c.round == ckpt.round));
+            }
         });
-        let restore_s = time_per_round(warm, reps, || {
-            let restored = latest_valid(&ckpt_dir).expect("checkpoint dir reads");
-            assert!(restored.is_some_and(|c| c.round == ckpt.round));
-        });
+        let (write_s, restore_s) = (t[0], t[1]);
         let bytes = std::fs::read_dir(&ckpt_dir)
             .expect("checkpoint dir lists")
             .filter_map(|e| e.ok()?.metadata().ok())
@@ -155,61 +155,51 @@ fn main() {
         println!("# fault soak — checkpoint cost\n");
         header(&["snapshot bytes", "write s", "restore s"]);
         row(&[bytes.to_string(), fmt(write_s), fmt(restore_s)]);
-        json.push_str("  \"checkpoint\": {\n");
-        let _ = writeln!(json, "    \"bytes\": {bytes},");
-        let _ = writeln!(json, "    \"checkpoint_write_s\": {write_s:.6e},");
-        let _ = writeln!(json, "    \"checkpoint_restore_s\": {restore_s:.6e}");
-        json.push_str("  },\n");
+        members.push(format!(
+            "\"checkpoint\": {{\"bytes\": {bytes}, \"checkpoint_write_s\": {write_s:.6e}, \
+             \"checkpoint_restore_s\": {restore_s:.6e}}}"
+        ));
     }
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 
     // --- training-driver overhead per round -------------------------
     {
-        // one block is a few hundred µs, so a single pair is noise:
-        // alternate many and take each side's median
+        // one block of `rounds` rounds is a few hundred µs, so a single
+        // pair is noise: interleave many and take each side's median
         let blocks = 15;
         let plain = soak.znn(None, None, None);
         let mut plain_data = soak.data(&plain);
+        let mut plain_round = 0;
         let recoverable = soak.znn(None, None, None);
         let mut trainer = Trainer::new(&recoverable, soak.data(&recoverable));
-        let (mut plain_s, mut rec_s) = (Vec::new(), Vec::new());
-        for block in 0..blocks {
-            let start = Instant::now();
-            for round in block * rounds..(block + 1) * rounds {
-                let (inputs, targets) = plain_data.sample(round);
-                plain.train_step(&inputs, &targets);
+        let t = median_s(2, (1, blocks), |i| {
+            if i == 0 {
+                for round in plain_round..plain_round + rounds {
+                    let (inputs, targets) = plain_data.sample(round);
+                    plain.train_step(&inputs, &targets);
+                }
+                plain.flush_updates();
+                plain_round += rounds;
+            } else {
+                let outcome = trainer.run_recoverable(rounds, rounds, |_| {});
+                assert!(
+                    matches!(outcome, Ok(TrainOutcome::Completed { .. })),
+                    "overhead run must complete"
+                );
             }
-            plain.flush_updates();
-            plain_s.push(start.elapsed().as_secs_f64() / rounds as f64);
-            let start = Instant::now();
-            let outcome = trainer.run_recoverable(rounds, rounds, |_| {});
-            rec_s.push(start.elapsed().as_secs_f64() / rounds as f64);
-            assert!(
-                matches!(outcome, Ok(TrainOutcome::Completed { .. })),
-                "overhead run must complete"
-            );
-        }
-        let median = |mut v: Vec<f64>| {
-            v.sort_by(f64::total_cmp);
-            v[v.len() / 2]
-        };
-        let (plain_s, rec_s) = (median(plain_s), median(rec_s));
+        });
+        let (plain_s, rec_s) = (t[0] / rounds as f64, t[1] / rounds as f64);
         let overhead_pct = (rec_s / plain_s - 1.0) * 100.0;
         println!(
             "\n# training driver vs bare train_step loop \
-             (median of {blocks} alternating blocks of {rounds} rounds, no checkpoints)\n"
+             (median of {blocks} interleaved blocks of {rounds} rounds, no checkpoints)\n"
         );
         header(&["plain s/round", "recoverable s/round", "overhead"]);
-        row(&[
-            fmt(plain_s),
-            fmt(rec_s),
-            format!("{overhead_pct:.1}%"),
-        ]);
-        json.push_str("  \"overhead\": {\n");
-        let _ = writeln!(json, "    \"plain_round_s\": {plain_s:.6e},");
-        let _ = writeln!(json, "    \"recoverable_round_s\": {rec_s:.6e},");
-        let _ = writeln!(json, "    \"overhead_pct_round\": {overhead_pct:.2}");
-        json.push_str("  },\n");
+        row(&[fmt(plain_s), fmt(rec_s), format!("{overhead_pct:.1}%")]);
+        members.push(format!(
+            "\"overhead\": {{\"plain_round_s\": {plain_s:.6e}, \"recoverable_round_s\": {rec_s:.6e}, \
+             \"overhead_pct_round\": {overhead_pct:.2}}}"
+        ));
     }
 
     // --- per-fault-class recovery ------------------------------------
@@ -300,25 +290,20 @@ fn main() {
             fmt(r.recovery_s),
         ]);
     }
-    json.push_str("  \"faults\": [\n");
     let recs: Vec<String> = records
         .iter()
         .map(|r| {
-            let mut s = format!(
+            v.check(&format!("{} survived", r.kind), r.survived);
+            let resume = r.resume_s.map_or(String::new(), |s| format!(", \"resume_s\": {s:.6e}"));
+            format!(
                 "    {{\"kind\": \"{}\", \"survived\": {}, \"clean_s\": {:.6e}, \
-                 \"faulted_s\": {:.6e}, \"recovery_s\": {:.6e}",
+                 \"faulted_s\": {:.6e}, \"recovery_s\": {:.6e}{resume}}}",
                 r.kind, r.survived, r.clean_s, r.faulted_s, r.recovery_s
-            );
-            if let Some(resume_s) = r.resume_s {
-                let _ = write!(s, ", \"resume_s\": {resume_s:.6e}");
-            }
-            s.push('}');
-            s
+            )
         })
         .collect();
-    json.push_str(&recs.join(",\n"));
-    json.push_str("\n  ],\n");
-    let _ = writeln!(json, "  \"faults_survived\": {faults_survived},");
+    members.push(format!("\"faults\": [\n{}\n  ]", recs.join(",\n")));
+    members.push(format!("\"faults_survived\": {faults_survived}"));
 
     // --- pooled-buffer conservation under unwinding ------------------
     {
@@ -335,30 +320,17 @@ fn main() {
         println!("\n# pool custody after injected panics\n");
         header(&["leaked bytes", "resident bytes"]);
         row(&[leaked.to_string(), resident.to_string()]);
-        if leaked != 0 {
-            println!("\nWARNING: {leaked} bytes still leased after unwinding — leak!");
-        }
-        json.push_str("  \"pool\": {\n");
-        let _ = writeln!(json, "    \"pool_leaked_bytes\": {leaked},");
-        let _ = writeln!(json, "    \"pool_resident_bytes\": {resident}");
-        json.push_str("  }\n");
+        v.check("pool_leaked_bytes == 0 after a mid-round unwind", leaked == 0);
+        members.push(format!(
+            "\"pool\": {{\"pool_leaked_bytes\": {leaked}, \"pool_resident_bytes\": {resident}}}"
+        ));
     }
-    json.push_str("}\n");
 
     println!(
         "\nshape check: all {} fault classes survive ({faults_survived} did) and zero\n\
          pooled bytes stay leased after a mid-round unwind.",
         records.len()
     );
-
-    match std::fs::write("BENCH_fault.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_fault.json"),
-        Err(e) => {
-            // fail loudly: CI greps the file for these fields, and a
-            // swallowed write error would let that check pass vacuously
-            // against a stale committed copy
-            eprintln!("\ncould not write BENCH_fault.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_record("fault", smoke, &members);
+    std::process::exit(v.exit_code());
 }

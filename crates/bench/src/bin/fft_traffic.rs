@@ -9,12 +9,12 @@
 //! spectrum costs for the lifetime of a training round — the paper's
 //! main RAM consumer (§IV).
 //!
-//! Emits `BENCH_fft.json` with every number so the perf trajectory is
-//! tracked across PRs. `--smoke` runs one small size (CI keeps the
-//! bench bins from rotting without paying for the full sweep).
+//! Every timed row is a `median_s` median, its alternatives interleaved
+//! under one `(warm-up, measured)` protocol. Writes `BENCH_fft.json`;
+//! `--smoke` runs one small size, and CI checks its key paths against
+//! the committed record's.
 //!
-//! Five extra sections ride along (all always recorded, so CI can
-//! assert their JSON fields):
+//! Five extra sections ride along, each always recorded:
 //!
 //! * `"pruned"` — the pruned transforms of §IV at `train3d_fft`'s
 //!   geometries, each beside the full-box transform it replaces.
@@ -40,66 +40,16 @@
 //!   ~1×; the fields are still recorded.
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use znn_alloc::PoolSet;
-use znn_bench::{fmt, header, machine_json, row, time_per_round};
+use znn_bench::{fmt, header, median_s, row, write_record};
 use znn_fft::{good_shape, pow2_shape, spectra, FftEngine};
 use znn_graph::builder::{comparison_net, scalability_net_3d};
 use znn_graph::{shapes, EdgeOp, Graph};
 use znn_ops::conv::DirectConv;
 use znn_tensor::{ops, pad, Complex32, Image, Spectrum, Vec3};
-
-/// The shared `(warmup, reps)` budget per cube size — one protocol for
-/// every section of `BENCH_fft.json`, so committed numbers from
-/// different sections of the same run are comparable. Mid-range sizes
-/// get 5 reps rather than 3: their numbers are the ones the acceptance
-/// criteria and ROADMAP quote, and at 3 reps run-to-run variance was
-/// large enough (>2x observed at 60³) to mask real changes.
-fn reps_for(n: usize) -> (usize, usize) {
-    if n >= 100 {
-        (1, 3)
-    } else if n >= 48 {
-        (1, 5)
-    } else {
-        (2, 8)
-    }
-}
-
-/// Mean seconds of the timed part of `call`, which returns how long
-/// that part took, over `reps` calls after `warm` unrecorded ones: the
-/// inverses consume a spectrum cloned off the clock, and the direct
-/// passes accumulate into an output zeroed off the clock.
-fn mean_timed(warm: usize, reps: usize, mut call: impl FnMut() -> Duration) -> f64 {
-    (0..warm).for_each(|_| {
-        call();
-    });
-    (0..reps).map(|_| call()).sum::<Duration>().as_secs_f64() / reps as f64
-}
-
-/// Seconds per `inverse` of a fresh clone of `spec`, on the `reps_for`
-/// protocol of `n`.
-fn inverse_s(n: usize, spec: &Spectrum, inverse: impl Fn(Spectrum) -> Image) -> f64 {
-    let (warm, reps) = reps_for(n);
-    mean_timed(warm, reps, || {
-        let s = spec.clone();
-        let t0 = Instant::now();
-        std::hint::black_box(inverse(s));
-        t0.elapsed()
-    })
-}
-
-/// Mean seconds of `pass` into `out`, which is zeroed off the clock
-/// before each call, as a fresh lease is.
-fn zeroed_s((warm, reps): (usize, usize), mut out: Image, pass: impl Fn(&mut Image)) -> f64 {
-    mean_timed(warm, reps, || {
-        out.as_mut_slice().fill(0.0);
-        let t0 = Instant::now();
-        pass(std::hint::black_box(&mut out));
-        t0.elapsed()
-    })
-}
 
 /// The distinct `(input shape, kernel, sparsity)` of a net's conv edges
 /// at output shape `out`, first layer first.
@@ -124,40 +74,38 @@ fn main() {
     } else {
         &[16, 24, 32, 48, 60, 64, 120]
     };
+    // (warm-up, measured) calls of every timed row
+    let timing = if smoke { (1, 5) } else { (2, 61) };
+    let mut members = Vec::new();
 
     println!("# transform traffic — r2c half-spectrum bytes and time\n");
     let engine = FftEngine::new().with_buffer_pools(PoolSet::new());
     header(&["shape", "spectrum bytes", "bytes vs full spectrum", "fwd s", "inv s"]);
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  {},", machine_json());
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    json.push_str("  \"sizes\": [\n");
-    let mut records: Vec<String> = Vec::new();
+    let mut recs = Vec::new();
     for &n in sizes {
         let m = Vec3::cube(n);
         let img = ops::random(m, 1);
         let spec = engine.rfft3(&img);
         let r2c_bytes = spec.stored_bytes();
         let complex_bytes = m.len() * std::mem::size_of::<Complex32>();
-        let (warm, reps) = reps_for(n);
-        let t_r2c = time_per_round(warm, reps, || {
-            std::hint::black_box(engine.rfft3(&img));
+        // the inverse consumes a spectrum cloned off the clock
+        let t = median_s(2, timing, |i| {
+            let s = (i == 1).then(|| spec.clone());
+            let t0 = Instant::now();
+            match s {
+                None => drop(black_box(engine.rfft3(&img))),
+                Some(s) => drop(black_box(engine.irfft3(s))),
+            }
+            t0.elapsed()
         });
-        let t_inv = inverse_s(n, &spec, |s| engine.irfft3(s));
-        row(&[
-            format!("{n}³"),
-            r2c_bytes.to_string(),
-            format!("{:.3}", r2c_bytes as f64 / complex_bytes as f64),
-            fmt(t_r2c),
-            fmt(t_inv),
-        ]);
-        records.push(format!(
-            "    {{\"n\": {n}, \"r2c_bytes\": {r2c_bytes}, \"r2c_fwd_s\": {t_r2c:.6e}, \
-             \"r2c_inv_s\": {t_inv:.6e}}}"
+        let ratio = format!("{:.3}", r2c_bytes as f64 / complex_bytes as f64);
+        row(&[format!("{n}³"), r2c_bytes.to_string(), ratio, fmt(t[0]), fmt(t[1])]);
+        recs.push(format!(
+            "    {{\"n\": {n}, \"r2c_bytes\": {r2c_bytes}, \"r2c_fwd_s\": {:.6e}, \"r2c_inv_s\": {:.6e}}}",
+            t[0], t[1]
         ));
     }
-    json.push_str(&records.join(",\n"));
-    json.push_str("\n  ]");
+    members.push(format!("\"sizes\": [\n{}\n  ]", recs.join(",\n")));
 
     // Pruned transforms (§IV): each beside the full-box transform it
     // replaces, on the same pooled engine. A kernel spectrum transforms
@@ -170,8 +118,8 @@ fn main() {
         let speedup = full_s / pruned_s;
         row(&[name.clone(), fmt(pruned_s), fmt(full_s), format!("{speedup:.2}x")]);
         recs.push(format!(
-            "    {{\"transform\": \"{name}\", \"pruned_s\": {pruned_s:.6e}, \
-             \"full_box_s\": {full_s:.6e}, \"speedup\": {speedup:.2}}}"
+            "    \"{name}\": {{\"pruned_s\": {pruned_s:.6e}, \"full_box_s\": {full_s:.6e}, \
+             \"speedup\": {speedup:.2}}}"
         ));
     };
     let k = Vec3::cube(5);
@@ -179,56 +127,67 @@ fn main() {
     for (s, n) in [(1usize, 60usize), (4, 40)] {
         let (s, m) = (Vec3::cube(s), Vec3::cube(n));
         let padded = pad::pad(&pad::dilate(&w, s), m, Vec3::zero());
-        let (warm, reps) = reps_for(n);
-        let pruned = time_per_round(warm, reps, || {
-            std::hint::black_box(spectra::kernel_spectrum(&engine, &w, s, m));
+        let t = median_s(2, timing, |i| match i {
+            0 => drop(black_box(spectra::kernel_spectrum(&engine, &w, s, m))),
+            _ => drop(black_box(engine.rfft3(&padded))),
         });
-        let full = time_per_round(warm, reps, || {
-            std::hint::black_box(engine.rfft3(&padded));
-        });
-        push_pruned(format!("kernel_spectrum_k5_s{}_to_{n}", s[0]), pruned, full);
+        push_pruned(format!("kernel_spectrum_k5_s{}_to_{n}", s[0]), t[0], t[1]);
     }
     let spec = engine.rfft3(&ops::random(Vec3::cube(60), 4));
-    let full = inverse_s(60, &spec, |s| engine.irfft3(s));
-    let pruned =
-        inverse_s(60, &spec, |s| spectra::kernel_gradient_from_corr(&engine, s, k, Vec3::one()));
-    push_pruned("kernel_gradient_k5_of_60".into(), pruned, full);
-    let pruned = inverse_s(60, &spec, |s| engine.inverse_real(s, Vec3::cube(4), Vec3::cube(51)));
-    push_pruned("inverse_crop_51_of_60".into(), pruned, full);
-    let _ = write!(json, ",\n  \"pruned\": [\n{}\n  ]", recs.join(",\n"));
+    let t = median_s(3, timing, |i| {
+        let s = spec.clone();
+        let t0 = Instant::now();
+        match i {
+            0 => drop(black_box(engine.irfft3(s))),
+            1 => drop(black_box(spectra::kernel_gradient_from_corr(&engine, s, k, Vec3::one()))),
+            _ => drop(black_box(engine.inverse_real(s, Vec3::cube(4), Vec3::cube(51)))),
+        }
+        t0.elapsed()
+    });
+    push_pruned("kernel_gradient_k5_of_60".into(), t[1], t[0]);
+    push_pruned("inverse_crop_51_of_60".into(), t[2], t[0]);
+    members.push(format!("\"pruned\": {{\n{}\n  }}", recs.join(",\n")));
 
     // The three direct passes of one conv edge as the engine runs them,
-    // on tables built once per geometry.
+    // on tables built once per geometry, each output zeroed off the
+    // clock as a fresh lease is.
     println!("\n# direct_passes — the direct conv passes at the workloads' geometries\n");
     header(&["net", "input", "kernel", "sparsity", "forward s", "input grad s", "kernel grad s"]);
-    let reps = if smoke { (1, 3) } else { (2, 20) };
     let nets = [
         ("3d", scalability_net_3d(8).0, Vec3::cube(4)),
         ("2d", comparison_net(3, Vec3::flat(5, 5), Vec3::flat(2, 2), true).0, Vec3::flat(16, 16)),
     ];
-    let mut recs = Vec::new();
+    let mut by_net = Vec::new();
     for (net, g, out) in nets {
+        let mut recs = Vec::new();
         for (n, k, s) in conv_geometries(&g, out) {
             let conv = DirectConv::new(n, k, s);
             let y = conv.output_shape();
             let (img, ker, grad) = (ops::random(n, 1), ops::random(k, 2), ops::random(y, 3));
-            let forward = zeroed_s(reps, Image::zeros(y), |out| conv.forward_into(&img, &ker, out));
-            let input_grad =
-                zeroed_s(reps, Image::zeros(n), |out| conv.input_gradient_into(&grad, &ker, out));
-            let kernel_grad = time_per_round(reps.0, reps.1, || {
-                std::hint::black_box(conv.kernel_gradient(&img, &grad));
+            let mut outs = [Image::zeros(y), Image::zeros(n)];
+            let t = median_s(3, timing, |i| {
+                if let Some(out) = outs.get_mut(i) {
+                    out.as_mut_slice().fill(0.0);
+                }
+                let t0 = Instant::now();
+                match i {
+                    0 => conv.forward_into(&img, &ker, black_box(&mut outs[0])),
+                    1 => conv.input_gradient_into(&grad, &ker, black_box(&mut outs[1])),
+                    _ => drop(black_box(conv.kernel_gradient(&img, &grad))),
+                }
+                t0.elapsed()
             });
-            let times = [forward, input_grad, kernel_grad];
             let cells = [net.to_string(), n.to_string(), k.to_string(), s.to_string()];
-            row(&cells.into_iter().chain(times.map(fmt)).collect::<Vec<_>>());
+            row(&cells.into_iter().chain(t.iter().map(|&v| fmt(v))).collect::<Vec<_>>());
             recs.push(format!(
-                "    {{\"net\": \"{net}\", \"input\": \"{n}\", \"kernel\": \"{k}\", \
-                 \"sparsity\": \"{s}\", \"forward_s\": {forward:.6e}, \
-                 \"input_gradient_s\": {input_grad:.6e}, \"kernel_gradient_s\": {kernel_grad:.6e}}}"
+                "      {{\"input\": \"{n}\", \"kernel\": \"{k}\", \"sparsity\": \"{s}\", \
+                 \"forward_s\": {:.6e}, \"input_gradient_s\": {:.6e}, \"kernel_gradient_s\": {:.6e}}}",
+                t[0], t[1], t[2]
             ));
         }
+        by_net.push(format!("    \"{net}\": [\n{}\n    ]", recs.join(",\n")));
     }
-    let _ = write!(json, ",\n  \"direct_passes\": [\n{}\n  ]", recs.join(",\n"));
+    members.push(format!("\"direct_passes\": {{\n{}\n  }}", by_net.join(",\n")));
 
     // Padding policy: 5-smooth good_shape vs the 2^k-only baseline —
     // padded voxels are transformed, multiplied, and (memoized) held
@@ -240,100 +199,68 @@ fn main() {
     };
     println!("\n# padding — 5-smooth good_shape vs 2^k-only baseline\n");
     header(&["raw", "good_shape", "voxels", "pow2 shape", "voxels", "saved"]);
-    json.push_str(",\n  \"padding\": [\n");
     let mut recs = Vec::new();
     for &n in raw_sizes {
         let raw = Vec3::cube(n);
-        let smooth = good_shape(raw);
-        let pow2 = pow2_shape(raw);
-        let sv = smooth.len();
-        let pv = pow2.len();
-        row(&[
-            format!("{n}³"),
-            smooth.to_string(),
-            sv.to_string(),
-            pow2.to_string(),
-            pv.to_string(),
-            format!("{:.2}x", pv as f64 / sv as f64),
-        ]);
+        let (smooth, pow2) = (good_shape(raw), pow2_shape(raw));
+        let (sv, pv) = (smooth.len(), pow2.len());
+        let savings = pv as f64 / sv as f64;
+        let cells = [smooth.to_string(), sv.to_string(), pow2.to_string(), pv.to_string()];
+        row(&[format!("{n}³")].into_iter().chain(cells).chain([format!("{savings:.2}x")]).collect::<Vec<_>>());
         recs.push(format!(
-            "    {{\"n\": {n}, \"smooth_voxels\": {sv}, \"pow2_voxels\": {pv}, \
-             \"savings\": {:.2}}}",
-            pv as f64 / sv as f64
+            "    {{\"n\": {n}, \"smooth_voxels\": {sv}, \"pow2_voxels\": {pv}, \"savings\": {savings:.2}}}"
         ));
     }
-    json.push_str(&recs.join(",\n"));
-    json.push_str("\n  ]");
+    members.push(format!("\"padding\": [\n{}\n  ]", recs.join(",\n")));
 
     // Allocator traffic (§VII-C): the same per-round FFT-convolution
     // buffer pattern — two padded forward transforms, a derived flip
     // spectrum, a spectrum product, one cropped inverse — run on a
     // pooled engine. Round 0 is the cold footprint; from round ~2 the
     // pool serves every lease by recycling, so churn bytes keep moving
-    // while misses and resident bytes freeze. Always recorded, so CI
-    // can assert the fields.
+    // while misses and resident bytes freeze.
     {
         let n = if smoke { 16 } else { 48 };
-        let alloc_rounds = 6usize;
         let pools = PoolSet::new();
         let engine = FftEngine::new().with_buffer_pools(Arc::clone(&pools));
-        let vol = Vec3::cube(n);
-        let k = Vec3::cube(3);
+        let (vol, k) = (Vec3::cube(n), Vec3::cube(3));
         let m = good_shape(vol);
-        let x = ops::random(vol, 5);
-        let w = ops::random(k, 6);
+        let (x, w) = (ops::random(vol, 5), ops::random(k, 6));
         println!("\n# alloc — pooled-allocator traffic per FFT-conv round at {n}³\n");
-        header(&[
-            "round",
-            "churn bytes",
-            "allocs avoided",
-            "misses",
-            "resident bytes",
-        ]);
-        json.push_str(",\n  \"alloc\": {\n");
-        let _ = writeln!(json, "    \"n\": {n},");
-        json.push_str("    \"rounds\": [\n");
+        header(&["round", "churn bytes", "allocs avoided", "misses", "resident bytes"]);
         let mut recs = Vec::new();
         let mut last = (0usize, 0usize, 0usize);
         let mut steady = (0usize, 0usize); // (churn, hits) of the last round
-        for round in 0..alloc_rounds {
+        for round in 0..6 {
             let xs = engine.forward_padded(&x, m);
             let ws = engine.forward_padded(&w, m);
             let flip = spectra::flip_spectrum(&ws, k);
             let prod = znn_tensor::ops::mul_s(&xs, &flip);
-            let out = engine.inverse_real(
-                prod,
-                k - Vec3::one(),
-                vol.valid_conv(k).expect("kernel fits"),
-            );
-            std::hint::black_box(&out);
+            let out = engine.inverse_real(prod, k - Vec3::one(), vol.valid_conv(k).expect("kernel fits"));
+            black_box(&out);
             drop((xs, ws, flip, out));
             let s = pools.stats();
-            let churn = s.bytes_leased() - last.0;
-            let hits = s.hits() - last.1;
+            let (churn, hits) = (s.bytes_leased() - last.0, s.hits() - last.1);
             let misses = s.misses() - last.2;
             last = (s.bytes_leased(), s.hits(), s.misses());
             steady = (churn, hits);
-            row(&[
-                round.to_string(),
-                churn.to_string(),
-                hits.to_string(),
-                misses.to_string(),
-                s.bytes_from_system().to_string(),
-            ]);
+            let resident = s.bytes_from_system();
+            row(&[round, churn, hits, misses, resident].map(|c| c.to_string()));
             recs.push(format!(
                 "      {{\"round\": {round}, \"churn_bytes\": {churn}, \"allocs_avoided\": {hits}, \
-                 \"misses\": {misses}, \"resident_bytes\": {}}}",
-                s.bytes_from_system()
+                 \"misses\": {misses}, \"resident_bytes\": {resident}}}"
             ));
         }
-        json.push_str(&recs.join(",\n"));
-        json.push_str("\n    ],\n");
-        let _ = writeln!(json, "    \"churn_bytes_round\": {},", steady.0);
-        let _ = writeln!(json, "    \"allocs_avoided_round\": {},", steady.1);
-        let _ = writeln!(json, "    \"hit_rate\": {:.4},", pools.hit_rate());
-        let _ = writeln!(json, "    \"resident_bytes\": {}", pools.resident_bytes());
-        json.push_str("  }");
+        members.push(format!(
+            "\"alloc\": {{\n    \"n\": {n},\n    \"rounds\": [\n{}\n    ],\n    \
+             \"churn_bytes_round\": {},\n    \"allocs_avoided_round\": {},\n    \
+             \"hit_rate\": {:.4},\n    \"resident_bytes\": {}\n  }}",
+            recs.join(",\n"),
+            steady.0,
+            steady.1,
+            pools.hit_rate(),
+            pools.resident_bytes()
+        ));
         println!(
             "\nshape check: resident bytes freeze after the first rounds while\n\
              churn keeps flowing — steady-state rounds recycle {} bytes with a\n\
@@ -342,347 +269,7 @@ fn main() {
             pools.hit_rate() * 100.0
         );
     }
-
-    // SIMD microkernels: the dispatched vector kernels vs two
-    // baselines — true scalar arithmetic (`scalar_s`, the speedup
-    // denominator) and the auto-vectorized portable twins
-    // (`autovec_s`, the code `ZNN_FORCE_SCALAR` runs) — per butterfly
-    // radix family and per pointwise op, then the end-to-end 64³ r2c
-    // forward delta. Always recorded so CI can assert the fields; the
-    // per-kernel pins are this PR's acceptance numbers.
-    {
-        use znn_fft::line::{Direction, LinePlan};
-
-        fn time_plan(plan: &LinePlan, base: &[Complex32]) -> f64 {
-            let mut buf = base.to_vec();
-            let mut scratch = vec![Complex32::new(0.0, 0.0); plan.scratch_len()];
-            // best of 4 short rounds, same rationale as the pointwise
-            // duel: the min is the only stable estimator on a
-            // steal-prone single-vCPU host
-            (0..4)
-                .map(|_| {
-                    time_per_round(1, 2, || {
-                        buf.copy_from_slice(base);
-                        plan.process_with_scratch(std::hint::black_box(&mut buf), &mut scratch);
-                        std::hint::black_box(&buf);
-                    })
-                })
-                .fold(f64::INFINITY, f64::min)
-        }
-
-        fn push_kernel(
-            name: &str,
-            scalar_s: f64,
-            autovec_s: f64,
-            simd_s: f64,
-            recs: &mut Vec<String>,
-        ) {
-            row(&[
-                name.to_string(),
-                fmt(scalar_s),
-                fmt(autovec_s),
-                fmt(simd_s),
-                format!("{:.2}x", scalar_s / simd_s),
-                format!("{:.2}x", autovec_s / simd_s),
-            ]);
-            recs.push(format!(
-                "      {{\"kernel\": \"{name}\", \"scalar_s\": {scalar_s:.6e}, \
-                 \"autovec_s\": {autovec_s:.6e}, \"simd_s\": {simd_s:.6e}, \
-                 \"speedup\": {:.2}, \"autovec_speedup\": {:.2}}}",
-                scalar_s / simd_s,
-                autovec_s / simd_s
-            ));
-        }
-
-        println!(
-            "\n# simd — microkernels ({}) vs scalar arithmetic and the\n\
-             # auto-vectorized portable twins (the `ZNN_FORCE_SCALAR` path)\n",
-            znn_simd::isa_name()
-        );
-        header(&[
-            "kernel",
-            "scalar s",
-            "autovec s",
-            "simd s",
-            "vs scalar",
-            "vs autovec",
-        ]);
-        json.push_str(",\n  \"simd\": {\n");
-        let _ = writeln!(json, "    \"isa\": \"{}\",", znn_simd::isa_name());
-        let _ = writeln!(json, "    \"forced_scalar\": {},", znn_simd::forced_scalar());
-        json.push_str("    \"kernels\": [\n");
-        let mut recs = Vec::new();
-
-        // one length per radix family, batched to ~64k elements per
-        // call exactly like the 3D engine drives the line plans
-        for (label, n) in [
-            ("radix4_n64", 64usize),
-            ("radix3_n27", 27),
-            ("radix5_n125", 125),
-            ("trailing2_n128", 128),
-        ] {
-            let lines = (64 * 1024 / n).max(8);
-            let base: Vec<Complex32> = (0..lines * n)
-                .map(|i| {
-                    Complex32::new(
-                        ops::splitmix_f32(8, i as u64),
-                        ops::splitmix_f32(9, i as u64),
-                    )
-                })
-                .collect();
-            let simd_plan = LinePlan::new(n, Direction::Forward);
-            let scalar_plan = LinePlan::scalar(n, Direction::Forward);
-            // the scalar butterflies are genuinely one-lane (their
-            // dataflow defeats the auto-vectorizer), so the scalar and
-            // autovec baselines coincide for the radix rows
-            let t_scalar = time_plan(&scalar_plan, &base);
-            let t_simd = time_plan(&simd_plan, &base);
-            push_kernel(label, t_scalar, t_scalar, t_simd, &mut recs);
-        }
-
-        // The pointwise layer, measured compute-bound: an L1-resident
-        // working set (1024 complexes = 8 KiB per stream) with K
-        // in-place applications per timed round, so the numbers isolate
-        // the kernel's ALU throughput rather than DRAM bandwidth (a
-        // spectrum-sized streaming sweep reads ~1x for every kernel —
-        // both sides sit at the same memory wall). The multiplier is
-        // unit-magnitude (e^{iθ}), so repeated in-place products
-        // neither decay into denormals nor overflow; the FMA
-        // accumulant grows only linearly in K.
-        const PW_N: usize = 1024;
-        const PW_K: usize = 256;
-        let unit: Vec<Complex32> = (0..PW_N)
-            .map(|i| {
-                let theta = std::f32::consts::PI * ops::splitmix_f32(10, i as u64);
-                Complex32::new(theta.cos(), theta.sin())
-            })
-            .collect();
-        let seed_c: Vec<Complex32> = (0..PW_N)
-            .map(|i| {
-                Complex32::new(
-                    ops::splitmix_f32(11, i as u64),
-                    ops::splitmix_f32(12, i as u64),
-                )
-            })
-            .collect();
-        let seed_f: Vec<f32> = seed_c.iter().map(|z| z.re).collect();
-
-        // True one-lane scalar baselines for the `scalar s` column.
-        // The portable twins in `znn_simd::scalar` are straight-line
-        // loops that LLVM auto-vectorizes to SSE2 at opt-level 3 —
-        // that compiled form is what `ZNN_FORCE_SCALAR` actually runs
-        // and is recorded in the `autovec` column. To measure scalar
-        // *arithmetic* (one lane per instruction — the baseline the
-        // paper's SIMD-width argument is stated against), the same
-        // per-element operations are walked in an odd-stride order the
-        // vectorizer cannot fuse; the stride is a unit mod the
-        // power-of-two length, so each pass still touches every
-        // element exactly once in the same L1-resident working set.
-        fn strict_cmul(dst: &mut [Complex32], src: &[Complex32]) {
-            let mask = dst.len() - 1;
-            let mut j = 0usize;
-            for _ in 0..dst.len() {
-                dst[j] *= src[j];
-                j = (j + 17) & mask;
-            }
-        }
-        fn strict_conj_mul(dst: &mut [Complex32], g: &[Complex32]) {
-            let mask = dst.len() - 1;
-            let mut j = 0usize;
-            for _ in 0..dst.len() {
-                dst[j] *= g[j].conj();
-                j = (j + 17) & mask;
-            }
-        }
-        fn strict_fma(dst: &mut [f32], w: f32, src: &[f32]) {
-            let mask = dst.len() - 1;
-            let mut j = 0usize;
-            for _ in 0..dst.len() {
-                dst[j] = w.mul_add(src[j], dst[j]);
-                j = (j + 17) & mask;
-            }
-        }
-
-        #[derive(Clone, Copy)]
-        enum Path {
-            Simd,
-            Autovec,
-            Strict,
-        }
-
-        // Interleaved best-of-N duel: on a shared/1-core host a single
-        // mean swings several-fold run to run; the min over many short
-        // alternating trials is the only stable estimator for sub-µs
-        // kernels. Returns per-application seconds as
-        // `[simd, autovec, strict]`.
-        fn duel(mut run: impl FnMut(Path)) -> [f64; 3] {
-            let mut best = [f64::INFINITY; 3];
-            for _ in 0..9 {
-                for (slot, path) in
-                    [Path::Simd, Path::Autovec, Path::Strict].into_iter().enumerate()
-                {
-                    best[slot] = best[slot].min(time_per_round(1, 2, || run(path)));
-                }
-            }
-            best.map(|b| b / PW_K as f64)
-        }
-
-        let mut dst_c = seed_c.clone();
-        let [simd_s, autovec_s, scalar_s] = duel(|path| {
-            for _ in 0..PW_K {
-                let d = std::hint::black_box(&mut dst_c);
-                match path {
-                    Path::Simd => znn_simd::mul_assign_c(d, &unit),
-                    Path::Autovec => znn_simd::scalar::mul_assign_c(d, &unit),
-                    Path::Strict => strict_cmul(d, &unit),
-                }
-            }
-        });
-        push_kernel("pointwise_cmul", scalar_s, autovec_s, simd_s, &mut recs);
-
-        let mut dst_c = seed_c.clone();
-        let [simd_s, autovec_s, scalar_s] = duel(|path| {
-            for _ in 0..PW_K {
-                let d = std::hint::black_box(&mut dst_c);
-                match path {
-                    // the correlation-spectrum kernel `corr_spectrum` runs
-                    Path::Simd => znn_simd::conj_mul_assign_c(d, &unit),
-                    Path::Autovec => znn_simd::scalar::conj_mul_assign_c(d, &unit),
-                    Path::Strict => strict_conj_mul(d, &unit),
-                }
-            }
-        });
-        push_kernel("pointwise_conj_mul", scalar_s, autovec_s, simd_s, &mut recs);
-
-        let mut dst_f = seed_f.clone();
-        let [simd_s, autovec_s, scalar_s] = duel(|path| {
-            for _ in 0..PW_K {
-                let d = std::hint::black_box(&mut dst_f);
-                match path {
-                    Path::Simd => znn_simd::fma_acc_f(d, 1.0e-3, &seed_f),
-                    Path::Autovec => znn_simd::scalar::fma_acc_f(d, 1.0e-3, &seed_f),
-                    Path::Strict => strict_fma(d, 1.0e-3, &seed_f),
-                }
-            }
-        });
-        push_kernel("conv_fma_row", scalar_s, autovec_s, simd_s, &mut recs);
-
-        // The FFT packed stage's element loops at a real line length of
-        // 30 (hn = 15 packed values: four 4-bin vectors, the last one
-        // overlapping),
-        // over 64 lines per application (~8 KiB per stream, L1-resident)
-        // with the engine's twiddles. Each application rewrites its
-        // output from unchanged inputs, so repeats neither decay nor
-        // grow. The portable twin is the only baseline (its reversed
-        // mirror reads keep it one lane), so the scalar and autovec
-        // columns coincide as in the radix rows.
-        const PK_N: usize = 30;
-        const PK_LINES: usize = 64;
-        let hn = PK_N / 2;
-        let twiddles = |sign: f64| -> Vec<Complex32> {
-            (0..=hn)
-                .map(|k| {
-                    let ang = sign * 2.0 * std::f64::consts::PI * k as f64 / PK_N as f64;
-                    Complex32::new(ang.cos() as f32, ang.sin() as f32)
-                })
-                .collect()
-        };
-        let (tw_fwd, tw_inv) = (twiddles(-1.0), twiddles(1.0));
-        let packed: Vec<Complex32> =
-            seed_c.iter().copied().cycle().take(PK_LINES * (hn + 1)).collect();
-        let mut out = vec![Complex32::new(0.0, 0.0); PK_LINES * (hn + 1)];
-        let [simd_s, autovec_s, _] = duel(|path| {
-            for _ in 0..PW_K {
-                let d = std::hint::black_box(&mut out);
-                for (dst, z) in d.chunks_exact_mut(hn + 1).zip(packed.chunks_exact(hn + 1)) {
-                    match path {
-                        Path::Simd => znn_simd::r2c_unpack(dst, &z[..hn], &tw_fwd),
-                        Path::Autovec | Path::Strict => {
-                            znn_simd::scalar::r2c_unpack(dst, &z[..hn], &tw_fwd)
-                        }
-                    }
-                }
-            }
-        });
-        push_kernel("r2c_unpack_n30", autovec_s, autovec_s, simd_s, &mut recs);
-
-        let [simd_s, autovec_s, _] = duel(|path| {
-            for _ in 0..PW_K {
-                let d = std::hint::black_box(&mut out);
-                for (z, x) in d.chunks_exact_mut(hn + 1).zip(packed.chunks_exact(hn + 1)) {
-                    match path {
-                        Path::Simd => znn_simd::c2r_repack(&mut z[..hn], x, &tw_inv),
-                        Path::Autovec | Path::Strict => {
-                            znn_simd::scalar::c2r_repack(&mut z[..hn], x, &tw_inv)
-                        }
-                    }
-                }
-            }
-        });
-        push_kernel("c2r_repack_n30", autovec_s, autovec_s, simd_s, &mut recs);
-
-        // The kernel gradient's f64 tap dot at the direct workload's
-        // 22³ s2 layer: 3³ taps at sparsity 2 over the 22² output rows
-        // of a 26³ input, widened to f64 once as `conv::kernel_gradient`
-        // does. One dot is ~10⁵ times longer than a pointwise
-        // application, so each trial runs it once and the duel's
-        // per-application scaling is undone. The twin is the only
-        // baseline, as in the packed-stage rows.
-        let (n, out, s) = (Vec3::cube(26), Vec3::cube(22), 2);
-        let rows: Vec<(usize, usize)> = (0..out[0])
-            .flat_map(|ox| (0..out[1]).map(move |oy| (ox, oy)))
-            .map(|(ox, oy)| (out.offset(Vec3::new(ox, oy, 0)), n.offset(Vec3::new(ox, oy, 0))))
-            .collect();
-        let offs: Vec<usize> = Vec3::cube(3).iter().map(|u| n.offset(u * s)).collect();
-        let g = ops::random(out, 13);
-        let x: Vec<f64> = ops::random(n, 14).as_slice().iter().map(|&v| f64::from(v)).collect();
-        let mut dots = vec![0.0f64; offs.len()];
-        let [simd_s, autovec_s, _] = duel(|path| {
-            let d = std::hint::black_box(&mut dots);
-            match path {
-                Path::Simd => znn_simd::dot_taps_f64(d, g.as_slice(), &x, out[2], &rows, &offs),
-                Path::Autovec | Path::Strict => {
-                    znn_simd::scalar::dot_taps_f64(d, g.as_slice(), &x, out[2], &rows, &offs)
-                }
-            }
-        })
-        .map(|t| t * PW_K as f64);
-        push_kernel("dot_taps_k27", autovec_s, autovec_s, simd_s, &mut recs);
-
-        json.push_str(&recs.join(",\n"));
-        json.push_str("\n    ],\n");
-
-        // end to end: the whole 64³ r2c forward pipeline, default
-        // engine vs pinned-scalar kernels on one thread
-        let img = ops::random(Vec3::cube(64), 12);
-        let simd_engine = FftEngine::new();
-        let scalar_engine = FftEngine::with_scalar_kernels();
-        let (warm, reps) = reps_for(64);
-        let simd_fwd = time_per_round(warm, reps, || {
-            std::hint::black_box(simd_engine.rfft3(&img));
-        });
-        let scalar_fwd = time_per_round(warm, reps, || {
-            std::hint::black_box(scalar_engine.rfft3(&img));
-        });
-        // the scalar-kernel engine runs the one-lane butterflies, so
-        // scalar and autovec coincide here as in the radix rows
-        row(&[
-            "e2e_rfft3_64".to_string(),
-            fmt(scalar_fwd),
-            fmt(scalar_fwd),
-            fmt(simd_fwd),
-            format!("{:.2}x", scalar_fwd / simd_fwd),
-            format!("{:.2}x", scalar_fwd / simd_fwd),
-        ]);
-        let _ = writeln!(
-            json,
-            "    \"e2e_64\": {{\"scalar_fwd_s\": {scalar_fwd:.6e}, \
-             \"simd_fwd_s\": {simd_fwd:.6e}, \"speedup\": {:.2}}}",
-            scalar_fwd / simd_fwd
-        );
-        json.push_str("  }");
-    }
-    json.push_str("\n}\n");
+    members.push(simd(timing));
 
     println!("shape check: bytes ratio tends to 1/2 (exactly (⌊n/2⌋+1)/n");
     println!("per packed line).");
@@ -696,15 +283,255 @@ fn main() {
         Spectrum::zeros(m).stored_bytes(),
         m.len() * std::mem::size_of::<Complex32>(),
     );
+    write_record("fft", smoke, &members);
+}
 
-    match std::fs::write("BENCH_fft.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_fft.json"),
-        Err(e) => {
-            // fail loudly: CI greps the file for its fields, and a
-            // swallowed write error would let those checks pass
-            // vacuously against a stale committed copy
-            eprintln!("\ncould not write BENCH_fft.json: {e}");
-            std::process::exit(1);
+/// The `"simd"` member: the dispatched vector kernels vs two baselines
+/// — true scalar arithmetic (`scalar_s`, the speedup denominator) and
+/// the auto-vectorized portable twins (`autovec_s`, the code
+/// `ZNN_FORCE_SCALAR` runs) — per butterfly radix family, per
+/// pointwise op, the packed stage and the kernel gradient's tap dot,
+/// then the end-to-end 64³ r2c forward delta.
+fn simd(timing: (usize, usize)) -> String {
+    use znn_fft::line::{Direction, LinePlan};
+
+    let mut recs = Vec::new();
+    let mut push_kernel = |name: &str, scalar_s: f64, autovec_s: f64, simd_s: f64| {
+        let (speedup, autovec_speedup) = (scalar_s / simd_s, autovec_s / simd_s);
+        row(&[
+            name.to_string(),
+            fmt(scalar_s),
+            fmt(autovec_s),
+            fmt(simd_s),
+            format!("{speedup:.2}x"),
+            format!("{autovec_speedup:.2}x"),
+        ]);
+        recs.push(format!(
+            "      \"{name}\": {{\"scalar_s\": {scalar_s:.6e}, \"autovec_s\": {autovec_s:.6e}, \
+             \"simd_s\": {simd_s:.6e}, \"speedup\": {speedup:.2}, \
+             \"autovec_speedup\": {autovec_speedup:.2}}}"
+        ));
+    };
+
+    println!(
+        "\n# simd — microkernels ({}) vs scalar arithmetic and the\n\
+         # auto-vectorized portable twins (the `ZNN_FORCE_SCALAR` path)\n",
+        znn_simd::isa_name()
+    );
+    header(&["kernel", "scalar s", "autovec s", "simd s", "vs scalar", "vs autovec"]);
+
+    // one length per radix family, batched to ~64k elements per call
+    // exactly like the 3D engine drives the line plans; each call
+    // transforms a copy of the same lines, made off the clock
+    for (label, n) in [("radix4_n64", 64usize), ("radix3_n27", 27), ("radix5_n125", 125), ("trailing2_n128", 128)] {
+        let lines = (64 * 1024 / n).max(8);
+        let base: Vec<Complex32> = (0..lines * n)
+            .map(|i| Complex32::new(ops::splitmix_f32(8, i as u64), ops::splitmix_f32(9, i as u64)))
+            .collect();
+        // the scalar butterflies are genuinely one-lane (their dataflow
+        // defeats the auto-vectorizer), so the scalar and autovec
+        // baselines coincide for the radix rows
+        let plans = [LinePlan::scalar(n, Direction::Forward), LinePlan::new(n, Direction::Forward)];
+        let mut buf = base.clone();
+        let mut scratch = vec![Complex32::new(0.0, 0.0); plans.iter().map(LinePlan::scratch_len).max().unwrap_or(0)];
+        let t = median_s(2, timing, |i| {
+            buf.copy_from_slice(&base);
+            let t0 = Instant::now();
+            plans[i].process_with_scratch(black_box(&mut buf), &mut scratch);
+            black_box(&buf);
+            t0.elapsed()
+        });
+        push_kernel(label, t[0], t[0], t[1]);
+    }
+
+    // The pointwise layer, measured compute-bound: an L1-resident
+    // working set (1024 complexes = 8 KiB per stream) with K in-place
+    // applications per timed call, so the numbers isolate the kernel's
+    // ALU throughput rather than DRAM bandwidth (a spectrum-sized
+    // streaming sweep reads ~1x for every kernel — both sides sit at
+    // the same memory wall). The multiplier is unit-magnitude (e^{iθ}),
+    // so repeated in-place products neither decay into denormals nor
+    // overflow; the FMA accumulant grows only linearly in K.
+    const PW_N: usize = 1024;
+    const PW_K: usize = 256;
+    let unit: Vec<Complex32> = (0..PW_N)
+        .map(|i| {
+            let theta = std::f32::consts::PI * ops::splitmix_f32(10, i as u64);
+            Complex32::new(theta.cos(), theta.sin())
+        })
+        .collect();
+    let seed_c: Vec<Complex32> = (0..PW_N)
+        .map(|i| Complex32::new(ops::splitmix_f32(11, i as u64), ops::splitmix_f32(12, i as u64)))
+        .collect();
+    let seed_f: Vec<f32> = seed_c.iter().map(|z| z.re).collect();
+
+    // True one-lane scalar baselines for the `scalar s` column. The
+    // portable twins in `znn_simd::scalar` are straight-line loops that
+    // LLVM auto-vectorizes to SSE2 at opt-level 3 — that compiled form
+    // is what `ZNN_FORCE_SCALAR` actually runs and is recorded in the
+    // `autovec` column. To measure scalar *arithmetic* (one lane per
+    // instruction — the baseline the paper's SIMD-width argument is
+    // stated against), the same per-element operations are walked in
+    // an odd-stride order the vectorizer cannot fuse; the stride is a
+    // unit mod the power-of-two length, so each pass still touches
+    // every element exactly once in the same L1-resident working set.
+    fn strided<T>(dst: &mut [T], mut op: impl FnMut(&mut T, usize)) {
+        let mask = dst.len() - 1;
+        let mut j = 0usize;
+        for _ in 0..dst.len() {
+            op(&mut dst[j], j);
+            j = (j + 17) & mask;
         }
     }
+
+    #[derive(Clone, Copy)]
+    enum Path {
+        Simd,
+        Autovec,
+        Strict,
+    }
+    const PATHS: [Path; 3] = [Path::Simd, Path::Autovec, Path::Strict];
+
+    // The three paths of one kernel interleaved under the one timer;
+    // per-application seconds as `[simd, autovec, strict]`.
+    fn duel(timing: (usize, usize), mut run: impl FnMut(Path)) -> [f64; 3] {
+        let t = median_s(3, timing, |i| run(PATHS[i]));
+        [t[0], t[1], t[2]].map(|s| s / PW_K as f64)
+    }
+
+    let mut dst_c = seed_c.clone();
+    let [simd_s, autovec_s, scalar_s] = duel(timing, |path| {
+        for _ in 0..PW_K {
+            let d = black_box(&mut dst_c);
+            match path {
+                Path::Simd => znn_simd::mul_assign_c(d, &unit),
+                Path::Autovec => znn_simd::scalar::mul_assign_c(d, &unit),
+                Path::Strict => strided(d, |z, j| *z *= unit[j]),
+            }
+        }
+    });
+    push_kernel("pointwise_cmul", scalar_s, autovec_s, simd_s);
+
+    let mut dst_c = seed_c.clone();
+    let [simd_s, autovec_s, scalar_s] = duel(timing, |path| {
+        for _ in 0..PW_K {
+            let d = black_box(&mut dst_c);
+            match path {
+                // the correlation-spectrum kernel `corr_spectrum` runs
+                Path::Simd => znn_simd::conj_mul_assign_c(d, &unit),
+                Path::Autovec => znn_simd::scalar::conj_mul_assign_c(d, &unit),
+                Path::Strict => strided(d, |z, j| *z *= unit[j].conj()),
+            }
+        }
+    });
+    push_kernel("pointwise_conj_mul", scalar_s, autovec_s, simd_s);
+
+    let mut dst_f = seed_f.clone();
+    let [simd_s, autovec_s, scalar_s] = duel(timing, |path| {
+        for _ in 0..PW_K {
+            let d = black_box(&mut dst_f);
+            match path {
+                Path::Simd => znn_simd::fma_acc_f(d, 1.0e-3, &seed_f),
+                Path::Autovec => znn_simd::scalar::fma_acc_f(d, 1.0e-3, &seed_f),
+                Path::Strict => strided(d, |v, j| *v = 1.0e-3f32.mul_add(seed_f[j], *v)),
+            }
+        }
+    });
+    push_kernel("conv_fma_row", scalar_s, autovec_s, simd_s);
+
+    // The FFT packed stage's element loops at a real line length of 30
+    // (hn = 15 packed values: four 4-bin vectors, the last one
+    // overlapping), over 64 lines per application (~8 KiB per stream,
+    // L1-resident) with the engine's twiddles. Each application
+    // rewrites its output from unchanged inputs, so repeats neither
+    // decay nor grow. The portable twin is the only baseline (its
+    // reversed mirror reads keep it one lane), so the scalar and
+    // autovec columns coincide as in the radix rows.
+    const PK_N: usize = 30;
+    const PK_LINES: usize = 64;
+    let hn = PK_N / 2;
+    let twiddles = |sign: f64| -> Vec<Complex32> {
+        (0..=hn)
+            .map(|k| {
+                let ang = sign * 2.0 * std::f64::consts::PI * k as f64 / PK_N as f64;
+                Complex32::new(ang.cos() as f32, ang.sin() as f32)
+            })
+            .collect()
+    };
+    let (tw_fwd, tw_inv) = (twiddles(-1.0), twiddles(1.0));
+    let packed: Vec<Complex32> = seed_c.iter().copied().cycle().take(PK_LINES * (hn + 1)).collect();
+    let mut out = vec![Complex32::new(0.0, 0.0); PK_LINES * (hn + 1)];
+    let [simd_s, autovec_s, _] = duel(timing, |path| {
+        for _ in 0..PW_K {
+            let d = black_box(&mut out);
+            for (dst, z) in d.chunks_exact_mut(hn + 1).zip(packed.chunks_exact(hn + 1)) {
+                match path {
+                    Path::Simd => znn_simd::r2c_unpack(dst, &z[..hn], &tw_fwd),
+                    Path::Autovec | Path::Strict => znn_simd::scalar::r2c_unpack(dst, &z[..hn], &tw_fwd),
+                }
+            }
+        }
+    });
+    push_kernel("r2c_unpack_n30", autovec_s, autovec_s, simd_s);
+
+    let [simd_s, autovec_s, _] = duel(timing, |path| {
+        for _ in 0..PW_K {
+            let d = black_box(&mut out);
+            for (z, x) in d.chunks_exact_mut(hn + 1).zip(packed.chunks_exact(hn + 1)) {
+                match path {
+                    Path::Simd => znn_simd::c2r_repack(&mut z[..hn], x, &tw_inv),
+                    Path::Autovec | Path::Strict => znn_simd::scalar::c2r_repack(&mut z[..hn], x, &tw_inv),
+                }
+            }
+        }
+    });
+    push_kernel("c2r_repack_n30", autovec_s, autovec_s, simd_s);
+
+    // The kernel gradient's f64 tap dot at the direct workload's 22³ s2
+    // layer: 3³ taps at sparsity 2 over the 22² output rows of a 26³
+    // input, widened to f64 once as `conv::kernel_gradient` does. One
+    // dot is ~10⁵ times longer than a pointwise application, so each
+    // call runs it once and the duel's per-application scaling is
+    // undone. The twin is the only baseline, as in the packed-stage
+    // rows.
+    let (n, out, s) = (Vec3::cube(26), Vec3::cube(22), 2);
+    let rows: Vec<(usize, usize)> = (0..out[0])
+        .flat_map(|ox| (0..out[1]).map(move |oy| (ox, oy)))
+        .map(|(ox, oy)| (out.offset(Vec3::new(ox, oy, 0)), n.offset(Vec3::new(ox, oy, 0))))
+        .collect();
+    let offs: Vec<usize> = Vec3::cube(3).iter().map(|u| n.offset(u * s)).collect();
+    let g = ops::random(out, 13);
+    let x: Vec<f64> = ops::random(n, 14).as_slice().iter().map(|&v| f64::from(v)).collect();
+    let mut dots = vec![0.0f64; offs.len()];
+    let [simd_s, autovec_s, _] = duel(timing, |path| {
+        let d = black_box(&mut dots);
+        match path {
+            Path::Simd => znn_simd::dot_taps_f64(d, g.as_slice(), &x, out[2], &rows, &offs),
+            Path::Autovec | Path::Strict => {
+                znn_simd::scalar::dot_taps_f64(d, g.as_slice(), &x, out[2], &rows, &offs)
+            }
+        }
+    })
+    .map(|t| t * PW_K as f64);
+    push_kernel("dot_taps_k27", autovec_s, autovec_s, simd_s);
+
+    // end to end: the whole 64³ r2c forward pipeline, default engine vs
+    // pinned-scalar kernels on one thread
+    let img = ops::random(Vec3::cube(64), 12);
+    let engines = [FftEngine::new(), FftEngine::with_scalar_kernels()];
+    let t = median_s(2, timing, |i| drop(black_box(engines[i].rfft3(&img))));
+    let (simd_fwd, scalar_fwd, speedup) = (t[0], t[1], t[1] / t[0]);
+    // the scalar-kernel engine runs the one-lane butterflies, so scalar
+    // and autovec coincide here as in the radix rows
+    let cells = [scalar_fwd, scalar_fwd, simd_fwd].map(fmt);
+    let ratio = format!("{speedup:.2}x");
+    row(&["e2e_rfft3_64".to_string()].into_iter().chain(cells).chain([ratio.clone(), ratio]).collect::<Vec<_>>());
+    format!(
+        "\"simd\": {{\n    \"isa\": \"{}\",\n    \"forced_scalar\": {},\n    \"kernels\": {{\n{}\n    }},\n    \
+         \"e2e_64\": {{\"scalar_fwd_s\": {scalar_fwd:.6e}, \"simd_fwd_s\": {simd_fwd:.6e}, \
+         \"speedup\": {speedup:.2}}}\n  }}",
+        znn_simd::isa_name(),
+        znn_simd::forced_scalar(),
+        recs.join(",\n")
+    )
 }

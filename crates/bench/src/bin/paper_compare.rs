@@ -10,13 +10,16 @@
 //! nets. Every case builds five engines on the same graph: the
 //! layerwise baseline; ZNN under three `NetPlan::force` plans (direct,
 //! FFT, FFT with pow2 pads); and ZNN under the planner's `Autotune`
-//! plan. All five are built and warmed first, then timed round-robin,
+//! plan. When Auto's plan equals a fixed one in every edge's method and
+//! pad, it is the same engine: it is built and timed once, and its time
+//! is reported under both names (`"auto_same_as"`). All engines are
+//! built and warmed first, then timed round-robin under [`median_s`],
 //! the first engine rotating each pass, and each reports its median
 //! round. A ZNN round is one `train_step` plus its flushed updates, so
 //! no engine's pending work runs while another is timed.
 //!
-//! Verdicts — **the bin exits non-zero if any fails**, so a regression
-//! cannot silently refresh the committed `BENCH_plan.json`:
+//! Verdicts — **the bin exits non-zero through [`Verdicts`] if any
+//! fails**; the record is written either way:
 //! 1. on every case, ZNN's best forced strategy is no slower than
 //!    layerwise ([`beats_layerwise`]);
 //! 2. on every case, Auto is within the gap bound of the best fixed
@@ -28,11 +31,10 @@
 //! `--smoke` runs the planner nets at smaller sizes and a fixed subset
 //! of the grids, with fewer rounds, for CI.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use znn_baseline::LayerwiseNet;
 use znn_bench::{
-    auto_within_gap, beats_layerwise, crossover, header, machine_json, median_round_us, row,
+    auto_within_gap, beats_layerwise, crossover, header, median_s, row, write_record, Verdicts,
     GAP_BOUND,
 };
 use znn_core::{TrainConfig, Znn};
@@ -126,12 +128,19 @@ fn cases(smoke: bool) -> Vec<Case> {
     cases
 }
 
+/// Whether two plans run the same engine: equal in every edge's method
+/// and pad.
+fn same_engine(a: &NetPlan, b: &NetPlan) -> bool {
+    let key = |p: &NetPlan| p.edges.iter().map(|e| e.as_ref().map(|e| (e.method, e.pad))).collect::<Vec<_>>();
+    key(a) == key(b)
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let workers = std::thread::available_parallelism()
         .map(|v| v.get())
         .unwrap_or(1);
-    let (warmup, rounds) = if smoke { (1, 9) } else { (2, 15) };
+    let timing = if smoke { (1, 9) } else { (2, 15) };
     // every ZNN engine enters through `with_plan`, so the config's conv
     // policy is never consulted; layerwise trains with its loss and rate
     let cfg = TrainConfig {
@@ -144,12 +153,9 @@ fn main() {
         "machine prior: {} ({} cores, {:.2} GFLOP/s, {:.2} GB/s)\n",
         machine.name, machine.cores, machine.gflops, machine.bandwidth_gbs
     );
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"smoke\": {smoke},\n  \"workers\": {workers},");
-    let _ = writeln!(json, "  {},", machine_json());
 
     let planner = Planner::new(PlanConfig::for_machine(machine.clone()));
-    let mut failures = Vec::new();
+    let mut v = Verdicts::default();
     let mut records = Vec::new();
     // (dimensionality, output edge, kernel edge, FFT beat direct)
     let mut grid_wins = Vec::new();
@@ -176,8 +182,11 @@ fn main() {
                 .expect("net sizes");
             plans.push((Arc::new(forced), predicted_us));
         }
+        let same_as = plans.iter().position(|(p, _)| same_engine(p, &auto));
         let auto = Arc::new(auto);
-        plans.push((Arc::clone(&auto), prior_us));
+        if same_as.is_none() {
+            plans.push((Arc::clone(&auto), prior_us));
+        }
         let engines: Vec<Znn> = plans
             .iter()
             .map(|(plan, _)| {
@@ -190,21 +199,21 @@ fn main() {
         let x = ops::random(engines[0].input_shape(), 11);
         let t = ops::random(case.out, 12).map(|v| 0.3 * v);
         let (xs, ts) = (std::slice::from_ref(&x), std::slice::from_ref(&t));
-        let mut timed: Vec<Box<dyn FnMut()>> = engines
-            .iter()
-            .map(|znn| {
-                Box::new(move || {
-                    znn.train_step(xs, ts);
-                    znn.flush_updates();
-                }) as Box<dyn FnMut()>
-            })
-            .collect();
-        timed.push(Box::new(|| {
-            layerwise.train_step(xs, ts, cfg.loss, cfg.learning_rate);
-        }));
-        let mut us = median_round_us(&mut timed, warmup, rounds);
+        // the engines, then layerwise
+        let mut us: Vec<f64> = median_s(engines.len() + 1, timing, |i| match engines.get(i) {
+            Some(znn) => {
+                znn.train_step(xs, ts);
+                znn.flush_updates();
+            }
+            None => {
+                layerwise.train_step(xs, ts, cfg.loss, cfg.learning_rate);
+            }
+        })
+        .into_iter()
+        .map(|s| s * 1e6)
+        .collect();
         let layerwise_us = us.pop().expect("layerwise is timed last");
-        let auto_us = us[FIXED.len()];
+        let auto_us = us[same_as.unwrap_or(FIXED.len())];
         let best = us[..FIXED.len()]
             .iter()
             .copied()
@@ -212,24 +221,14 @@ fn main() {
         let gap = auto_us / best;
         let pass = auto_within_gap(auto_us, best);
         let beats = beats_layerwise(best, layerwise_us);
-        if !pass {
-            failures.push(format!(
-                "{}: Auto {auto_us:.0}µs is {gap:.3}x the best fixed {best:.0}µs",
-                case.name
-            ));
-        }
-        if !beats {
-            failures.push(format!(
-                "{}: best forced {best:.0}µs, layerwise {layerwise_us:.0}µs",
-                case.name
-            ));
-        }
+        v.check(&format!("{}: Auto within the gap bound of the best fixed strategy", case.name), pass);
+        v.check(&format!("{}: best forced strategy no slower than layerwise", case.name), beats);
         if let Some((dim, o, k)) = case.grid {
             // FFT at its better pad against direct
             grid_wins.push((dim, o, k, us[1].min(us[2]) < us[0]));
         }
         let mut cells = vec![case.name.clone(), format!("{:.2}", layerwise_us / 1e3)];
-        cells.extend(us.iter().map(|v| format!("{:.2}", v / 1e3)));
+        cells.extend(us[..FIXED.len()].iter().chain([&auto_us]).map(|v| format!("{:.2}", v / 1e3)));
         cells.extend([format!("{gap:.3}"), beats.to_string()]);
         row(&cells);
 
@@ -258,9 +257,11 @@ fn main() {
                 )
             })
             .collect();
+        let same_as = same_as.map_or("null".into(), |i| format!("\"{}\"", FIXED[i].0));
         records.push(format!(
             "    {{\"net\": \"{}\",\n     \"layers\": [\n{}\n     ],\n     \
              \"predicted_round_us_prior\": {prior_us:.1},\n     \"auto_measured_us\": {auto_us:.1},\n     \
+             \"auto_same_as\": {same_as},\n     \
              \"fixed\": [\n{}\n     ],\n     \"best_fixed_us\": {best:.1},\n     \"gap\": {gap:.4},\n     \
              \"verdict\": \"{}\",\n     \"layerwise_us\": {layerwise_us:.1},\n     \"beats_layerwise\": {beats}}}",
             case.name,
@@ -269,7 +270,6 @@ fn main() {
             if pass { "pass" } else { "fail" },
         ));
     }
-    let _ = writeln!(json, "  \"nets\": [\n{}\n  ],", records.join(",\n"));
 
     // verdict 3 per grid row; `cases` lists each row's kernels growing
     println!("\nmeasured FFT-vs-direct crossover kernel per grid row (null: FFT never won):");
@@ -279,39 +279,20 @@ fn main() {
         let (dim, o) = (points[0].0, points[0].1);
         let (first, ok) = crossover(&points.iter().map(|w| w.3).collect::<Vec<_>>());
         let kernel = first.map_or("null".into(), |i| points[i].2.to_string());
-        println!(
-            "  {dim} out {o}: {kernel}{}",
-            if ok { "" } else { " (not monotone)" }
-        );
-        if !ok {
-            failures.push(format!(
-                "{dim} out {o}: FFT beat direct at k{kernel} but not at every larger kernel"
-            ));
-        }
+        println!("  {dim} out {o}: {kernel}");
+        v.check(&format!("{dim} out {o}: once FFT beats direct, it beats it at every larger kernel"), ok);
         monotone &= ok;
         rows.push(format!(
             "    {{\"dim\": \"{dim}\", \"out\": {o}, \"kernel\": {kernel}, \"monotone\": {ok}}}"
         ));
     }
-    let all_pass = failures.is_empty();
-    let _ = writeln!(json, "  \"crossover\": [\n{}\n  ],", rows.join(",\n"));
-    let _ = writeln!(json, "  \"crossover_monotone\": {monotone},");
-    let _ = writeln!(
-        json,
-        "  \"gap_bound\": {GAP_BOUND},\n  \"all_pass\": {all_pass}\n}}"
-    );
-
-    match std::fs::write("BENCH_plan.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_plan.json"),
-        Err(e) => {
-            eprintln!("could not write BENCH_plan.json: {e}");
-            std::process::exit(1);
-        }
-    }
-    for f in &failures {
-        eprintln!("FAILED VERDICT: {f}");
-    }
-    if !all_pass {
-        std::process::exit(1);
-    }
+    let members = [
+        format!("\"workers\": {workers}"),
+        format!("\"nets\": [\n{}\n  ]", records.join(",\n")),
+        format!("\"crossover\": [\n{}\n  ]", rows.join(",\n")),
+        format!("\"crossover_monotone\": {monotone}"),
+        format!("\"gap_bound\": {GAP_BOUND}"),
+    ];
+    write_record("plan", smoke, &members);
+    std::process::exit(v.exit_code());
 }

@@ -8,17 +8,17 @@
 //! claims the model breaks are recorded instead: the §X policy ranking
 //! and width monotonicity in Figs 6–7; the §VII ablations are timed and
 //! recorded, not asserted. Timed columns run their engines interleaved
-//! under [`median_round_us`]. The simulator schedules
+//! under [`median_s`]. The simulator schedules
 //! `znn_plan::cost`'s task prices of a forced `NetPlan`, so a pricing
-//! change moves Figs 5–7 and §X. Writes `BENCH_sched.json` (§VII, §X);
-//! `--smoke` shrinks grids and rounds.
+//! change moves Figs 5–7 and §X. Writes `BENCH_sched.json` (§VII, §X)
+//! through [`write_record`]; `--smoke` shrinks grids and rounds.
 
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::slice::from_ref;
+use std::time::Instant;
 use znn_alloc::PoolSet;
 use znn_bench::*;
 use znn_core::{ConvPolicy, TrainConfig, Znn};
@@ -28,10 +28,8 @@ use znn_plan::brent::{achievable_speedup, NetworkModel};
 use znn_plan::flops::{ConvAlgorithm, LayerModel};
 use znn_plan::{cost::task_costs, tinf::t_inf, DEFAULT_C};
 use znn_plan::{simulate, Machine, NetPlan, SimConfig, SimResult};
-use znn_sched::{queue::TaskQueue, Accumulate, ConcurrentSum, QueuePolicy};
+use znn_sched::{queue::TaskQueue, Accumulate, ConcurrentSum, QueuePolicy, ThreadPool};
 use znn_tensor::{ops, Image, Vec3};
-
-type Rounds<'a> = Vec<Box<dyn FnMut() + 'a>>;
 
 const ALGOS: [ConvAlgorithm; 3] =
     [ConvAlgorithm::Direct, ConvAlgorithm::Fft, ConvAlgorithm::FftMemoized];
@@ -68,17 +66,11 @@ fn simulator(dim: &str, width: usize) -> impl Fn(&Machine, usize, QueuePolicy) -
 
 /// Median seconds per training round of each engine, interleaved; a
 /// round is `train_step` plus its flushed updates.
-fn round_s(engines: &[Znn], xs: &[Image], ts: &[Image], (warmup, n): (usize, usize)) -> Vec<f64> {
-    let mut rounds: Rounds = engines
-        .iter()
-        .map(|z| -> Box<dyn FnMut()> {
-            Box::new(move || {
-                z.train_step(xs, ts);
-                z.flush_updates();
-            })
-        })
-        .collect();
-    median_round_us(&mut rounds, warmup, n).iter().map(|us| us * 1e-6).collect()
+fn round_s(engines: &[Znn], xs: &[Image], ts: &[Image], timing: (usize, usize)) -> Vec<f64> {
+    median_s(engines.len(), timing, |i| {
+        engines[i].train_step(xs, ts);
+        engines[i].flush_updates();
+    })
 }
 
 fn join<T>(xs: impl IntoIterator<Item = T>, f: impl Fn(T) -> String, sep: &str) -> String {
@@ -171,17 +163,16 @@ fn nonlinear(n: f64, f: f64) -> [(&'static str, &'static str, LayerModel, f64); 
     ]
 }
 
-fn table1((warmup, n): (usize, usize), v: &mut Verdicts) {
+fn table1(timing: (usize, usize), v: &mut Verdicts) {
     println!("# Table I — nonlinear layer costs (f nodes, n^3 images)\n");
     let (img, w, f) = (ops::random(Vec3::cube(48), 1), Vec3::cube(2), 4);
-    let mut layer_ops: Rounds = vec![
-        Box::new(|| (0..f).for_each(|_| drop(black_box(max_pool(&img, w))))),
-        Box::new(|| {
-            (0..f).for_each(|_| drop(black_box(max_filter(&img, w, Vec3::one(), FilterImpl::Deque))))
-        }),
-        Box::new(|| (0..f).for_each(|_| drop(black_box(Transfer::Relu.forward(&img, 0.1))))),
-    ];
-    let s: Vec<f64> = median_round_us(&mut layer_ops, warmup, n).iter().map(|us| us * 1e-6).collect();
+    let s = median_s(3, timing, |i| {
+        (0..f).for_each(|_| match i {
+            0 => drop(black_box(max_pool(&img, w))),
+            1 => drop(black_box(max_filter(&img, w, Vec3::one(), FilterImpl::Deque))),
+            _ => drop(black_box(Transfer::Relu.forward(&img, 0.1))),
+        })
+    });
     header(&[
         "layer", "analytic fwd FLOPs", "analytic bwd FLOPs", "analytic upd FLOPs", "measured fwd s/layer",
     ]);
@@ -333,14 +324,15 @@ fn memory(timing: (usize, usize), v: &mut Verdicts) {
 }
 
 fn sched(smoke: bool, timing: (usize, usize)) {
-    let mut json = format!("{{\n  \"smoke\": {smoke},\n  {},\n", machine_json());
-    let _ = writeln!(json, "  \"queue_ablation\": [\n{}\n  ],", queue_ablation(timing));
-    let _ = writeln!(json, "  \"sum_ablation\": {},", sum_ablation(timing));
+    let mut members = vec![
+        format!("\"queue_ablation\": [\n{}\n  ]", queue_ablation(timing)),
+        format!("\"sum_ablation\": {}", sum_ablation(timing)),
+    ];
     let width = if smoke { 4 } else { 20 };
     println!("\n# §X — scheduling ablation (simulated makespan, lower is better)\n");
     let machine = Machine::xeon_e5_18core();
     let policies = [QueuePolicy::Priority, QueuePolicy::Fifo, QueuePolicy::Lifo];
-    let _ = writeln!(json, "  \"sim_machine\": \"{}\",\n  \"sim_workers\": 18,", machine.name);
+    members.push(format!("\"sim_machine\": \"{}\",\n  \"sim_workers\": 18", machine.name));
     header(&["network", "priority", "fifo", "lifo", "fastest"]);
     let mut recs = Vec::new();
     for (dim, key) in [("2D", "net2d"), ("3D", "net3d")] {
@@ -354,7 +346,7 @@ fn sched(smoke: bool, timing: (usize, usize)) {
              \"fifo_s\": {fifo:.6e}, \"lifo_s\": {lifo:.6e}, \"fastest\": \"{fastest:?}\"}}"
         ));
     }
-    let _ = writeln!(json, "  \"simulated\": [\n{}\n  ],", recs.join(",\n"));
+    members.push(format!("\"simulated\": [\n{}\n  ]", recs.join(",\n")));
     println!("\nrecorded, not asserted: which policy the simulator finds fastest.");
 
     println!("\n# host rows: real engine under each policy (s/update)\n");
@@ -373,12 +365,8 @@ fn sched(smoke: bool, timing: (usize, usize)) {
             format!("    {{\"policy\": \"{policy:?}\", \"s_per_update\": {s:.6e}}}")
         })
         .collect();
-    let _ = writeln!(json, "  \"host\": [\n{}\n  ]\n}}", recs.join(",\n"));
-    if let Err(e) = std::fs::write("BENCH_sched.json", &json) {
-        eprintln!("\ncould not write BENCH_sched.json: {e}");
-        std::process::exit(1);
-    }
-    println!("\nwrote BENCH_sched.json");
+    members.push(format!("\"host\": [\n{}\n  ]", recs.join(",\n")));
+    write_record("sched", smoke, &members);
 }
 
 /// §VII-A: the heap of lists pops in O(log K) over K distinct
@@ -389,24 +377,22 @@ fn queue_ablation(timing: (usize, usize)) -> String {
     println!("\n# §VII-A — heap of lists vs binary heap (push N, pop all; µs)\n");
     header(&["N tasks", "K priorities", "heap of lists", "binary heap"]);
     let rows = [(10_000u64, 8u64), (10_000, 1000)].map(|(n, k)| {
-        let mut rounds: Rounds = vec![
-            Box::new(move || {
+        let s = median_s(2, timing, |i| {
+            if i == 0 {
                 let mut q = TaskQueue::new(QueuePolicy::Priority);
                 (0..n).for_each(|i| q.push(i % k, i));
                 while black_box(q.pop()).is_some() {}
-            }),
-            Box::new(move || {
+            } else {
                 let mut q = BinaryHeap::new();
                 (0..n).for_each(|i| q.push(Reverse((i % k, i))));
                 while black_box(q.pop()).is_some() {}
-            }),
-        ];
-        let us = median_round_us(&mut rounds, timing.0, timing.1);
-        row(&[n.to_string(), k.to_string(), fmt(us[0]), fmt(us[1])]);
+            }
+        });
+        let (lists, heap) = (s[0] * 1e6, s[1] * 1e6);
+        row(&[n.to_string(), k.to_string(), fmt(lists), fmt(heap)]);
         format!(
-            "    {{\"tasks\": {n}, \"priorities\": {k}, \"heap_of_lists_us\": {:.1}, \
-             \"binary_heap_us\": {:.1}}}",
-            us[0], us[1]
+            "    {{\"tasks\": {n}, \"priorities\": {k}, \"heap_of_lists_us\": {lists:.1}, \
+             \"binary_heap_us\": {heap:.1}}}"
         )
     });
     println!("\nrecorded, not asserted: the heap of lists' cost against a binary heap.");
@@ -422,47 +408,38 @@ impl Accumulate for Summand {
     }
 }
 
-/// Calls `contribute` with a fresh copy of every image, as a task's
-/// output is fresh, from `threads` scoped threads that split the images.
-fn spread(images: &[Image], threads: usize, contribute: impl Fn(Image) + Sync) {
-    std::thread::scope(|s| {
-        for part in images.chunks(images.len().div_ceil(threads)) {
-            let contribute = &contribute;
-            s.spawn(move || part.iter().for_each(|x| contribute(x.clone())));
-        }
-    });
-}
-
 /// §VII-B: Algorithm 4's wait-free sum, which holds its lock only for
 /// pointer swaps, against adding each image under the lock, whose
-/// critical section grows with the image: eight 24³ contributions from
-/// as many threads as the host has. Returns the JSON object.
+/// critical section grows with the image: eight 64³ contributions,
+/// one task each on a persistent pool of the host's width, so a
+/// locked add outlasts a dispatch. Each contribution is a fresh copy,
+/// as a task's output is, made off the clock. Returns the JSON object.
 fn sum_ablation(timing: (usize, usize)) -> String {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let images: Vec<Image> = (0..8).map(|i| ops::random(Vec3::cube(24), i)).collect();
-    let images = &images;
-    println!("\n# §VII-B — wait-free vs locked sum, 8 × 24³ from {threads} threads (µs)\n");
+    let (pool, n) = (ThreadPool::with_workers(threads), 64);
+    let images: Vec<Image> = (0..8).map(|i| ops::random(Vec3::cube(n), i)).collect();
+    println!("\n# §VII-B — wait-free vs locked sum, 8 × {n}³ on {threads} pool workers (µs)\n");
     header(&["wait-free", "locked"]);
-    let mut rounds: Rounds = vec![
-        Box::new(move || {
-            let sum = ConcurrentSum::new(images.len());
-            spread(images, threads, |x| _ = sum.add(Summand(x)));
+    let s = median_s(2, timing, |i| {
+        let fresh = images.clone();
+        let t0 = Instant::now();
+        if i == 0 {
+            let sum = &ConcurrentSum::new(fresh.len());
+            pool.scope(|s| fresh.into_iter().for_each(|x| s.spawn(move |_| _ = sum.add(Summand(x)))));
             black_box(sum.take());
-        }),
-        Box::new(move || {
-            let acc = Mutex::new(Image::zeros(images[0].shape()));
-            spread(images, threads, |x| ops::add_assign(&mut acc.lock(), &x));
-            black_box(acc.into_inner());
-        }),
-    ];
-    let us = median_round_us(&mut rounds, timing.0, timing.1);
-    row(&[fmt(us[0]), fmt(us[1])]);
+        } else {
+            let acc = &Mutex::new(Image::zeros(images[0].shape()));
+            pool.scope(|s| fresh.into_iter().for_each(|x| s.spawn(move |_| ops::add_assign(&mut acc.lock(), &x))));
+            black_box(acc.lock());
+        }
+        t0.elapsed()
+    });
+    let (wait_free, locked) = (s[0] * 1e6, s[1] * 1e6);
+    row(&[fmt(wait_free), fmt(locked)]);
     println!("\nrecorded, not asserted: the wait-free sum's cost against the locked one.");
     format!(
-        "{{\"images\": {}, \"n\": 24, \"threads\": {threads}, \"wait_free_us\": {:.1}, \
-         \"locked_us\": {:.1}}}",
-        images.len(),
-        us[0],
-        us[1]
+        "{{\"images\": {}, \"n\": {n}, \"threads\": {threads}, \"wait_free_us\": {wait_free:.1}, \
+         \"locked_us\": {locked:.1}}}",
+        images.len()
     )
 }

@@ -4,11 +4,12 @@
 //!   an idle server. p50/p99 service latency (submit → worker fulfill,
 //!   measured with `Ticket::wait_timed` so client collection lag is
 //!   not charged) and dense output volumes per second.
-//! * `"overload"` — open-loop arrivals paced at 2× the measured
-//!   service capacity against a tight admission watermark. Admission
-//!   control must shed (`shed_under_overload`), and the p99 of the
-//!   requests it *does* admit must stay within 3× the uncontended p99
-//!   (`p99_bounded`) — the whole point of shedding at a watermark
+//! * `"overload"` — open-loop arrivals paced at 2× the service
+//!   capacity (every pressure phase is paced from [`service_estimate`],
+//!   which one host stall cannot move) against a tight admission
+//!   watermark. Admission control must shed (`shed_under_overload`),
+//!   and the p99 of the requests it *does* admit must stay within 3×
+//!   the uncontended p99 (`p99_bounded`) — the whole point of shedding at a watermark
 //!   instead of queueing unboundedly. The uncontended reference p99
 //!   (`p99_baseline_s`) is measured through the *same* open-loop
 //!   harness at 0.5× capacity (where the queue never builds), so the
@@ -27,15 +28,14 @@
 //!   faults (`resident_flat`), and after shutdown every pooled lease
 //!   must be home (`pool_leaked_bytes` = 0).
 //!
-//! Emits `BENCH_serve.json` and exits non-zero if any verdict fails,
-//! so CI's `--smoke` run gates the overload-safety properties, not
-//! just the numbers' existence.
+//! Writes `BENCH_serve.json` and exits non-zero through `Verdicts` if
+//! any verdict fails, so CI's `--smoke` run gates the overload-safety
+//! properties, not just the numbers' existence.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use znn_alloc::PoolSet;
-use znn_bench::{fmt, header, row};
+use znn_bench::{fmt, header, row, write_record, Verdicts};
 use znn_core::{ConvPolicy, DenseConfig, DenseNet};
 use znn_fault::{FaultKind, FaultPlan};
 use znn_graph::NetBuilder;
@@ -66,6 +66,20 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty sample");
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx]
+}
+
+/// The service time the pressure phases are paced from: the fastest of
+/// the medians of four consecutive windows of the uncontended samples,
+/// in the order they were taken. A host stall slows only the windows it
+/// overlaps, so unlike the p50 of all samples it cannot pace a phase
+/// below capacity.
+fn service_estimate(samples: &[f64]) -> f64 {
+    let window_p50 = |w: &[f64]| {
+        let mut w = w.to_vec();
+        w.sort_by(f64::total_cmp);
+        percentile(&w, 0.5)
+    };
+    samples.chunks(samples.len().div_ceil(4)).map(window_p50).fold(f64::INFINITY, f64::min)
 }
 
 /// Open-loop paced run against a fresh server until `admit` requests
@@ -138,19 +152,17 @@ fn main() {
     net.warmup(in_shape);
     let input = ops::random(in_shape, 11);
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let mut failures: Vec<&'static str> = Vec::new();
+    let mut v = Verdicts::default();
     // workers beyond the core count oversubscribe and inflate every
     // concurrent service time, which is overload the *machine* causes,
     // not overload the server must bound
     let workers = std::thread::available_parallelism()
         .map(|n| n.get().min(2))
         .unwrap_or(1);
-    let _ = writeln!(json, "  \"workers\": {workers},");
+    let mut members = vec![format!("\"workers\": {workers}")];
 
     // --- uncontended latency floor ----------------------------------
-    let (p50_idle, p99_idle, volumes_per_s) = {
+    let (p50_idle, p99_idle, service_s, volumes_per_s) = {
         let server = Server::start(
             Arc::clone(&net),
             ServeConfig {
@@ -165,23 +177,24 @@ fn main() {
         let start = Instant::now();
         let mut lat: Vec<f64> = (0..reps).map(|_| serve_one(&server, &input)).collect();
         let elapsed = start.elapsed().as_secs_f64();
+        let service_s = service_estimate(&lat);
         lat.sort_by(f64::total_cmp);
         let stats = server.shutdown();
         assert_eq!(stats.shed_overload, 0, "idle server must not shed");
         (
             percentile(&lat, 0.50),
             percentile(&lat, 0.99),
+            service_s,
             reps as f64 / elapsed,
         )
     };
     println!("# serve soak — uncontended floor\n");
-    header(&["p50 s", "p99 s", "volumes/s"]);
-    row(&[fmt(p50_idle), fmt(p99_idle), format!("{volumes_per_s:.1}")]);
-    json.push_str("  \"uncontended\": {\n");
-    let _ = writeln!(json, "    \"p50_s\": {p50_idle:.6e},");
-    let _ = writeln!(json, "    \"p99_s\": {p99_idle:.6e},");
-    let _ = writeln!(json, "    \"volumes_per_s\": {volumes_per_s:.2}");
-    json.push_str("  },\n");
+    header(&["p50 s", "p99 s", "service estimate s", "volumes/s"]);
+    row(&[fmt(p50_idle), fmt(p99_idle), fmt(service_s), format!("{volumes_per_s:.1}")]);
+    members.push(format!(
+        "\"uncontended\": {{\"p50_s\": {p50_idle:.6e}, \"p99_s\": {p99_idle:.6e}, \
+         \"service_estimate_s\": {service_s:.6e}, \"volumes_per_s\": {volumes_per_s:.2}}}"
+    ));
 
     // --- overload at 2× capacity ------------------------------------
     // same server shape for baseline and overload; only the arrival
@@ -198,7 +211,7 @@ fn main() {
     // each p99 below is read from `n` admitted requests: at 100 it is
     // the second-slowest, so one preempted request cannot decide it
     let n = if smoke { 100 } else { 400 };
-    let service = Duration::from_secs_f64(p50_idle);
+    let service = Duration::from_secs_f64(service_s);
     // baseline: 0.5× capacity — the queue never builds, so this is
     // the uncontended p99 as seen through the open-loop harness
     let (base_lat, _) = open_loop(&net, tight.clone(), &input, 2 * service / workers as u32, n);
@@ -211,12 +224,6 @@ fn main() {
     let p99_ratio = p99_over / p99_base;
     let shed_under_overload = shed_rate > 0.0;
     let p99_bounded = p99_ratio <= 3.0;
-    if !shed_under_overload {
-        failures.push("overload did not shed (watermark never fired)");
-    }
-    if !p99_bounded {
-        failures.push("admitted p99 exceeded 3x the uncontended p99");
-    }
     println!("\n# overload at 2x capacity (watermark 1, baseline at 0.5x)\n");
     header(&["p50 s", "p99 s", "baseline p99 s", "shed rate", "p99 ratio"]);
     row(&[
@@ -226,15 +233,13 @@ fn main() {
         format!("{:.1}%", 100.0 * shed_rate),
         format!("{p99_ratio:.2}"),
     ]);
-    json.push_str("  \"overload\": {\n");
-    let _ = writeln!(json, "    \"p50_s\": {p50_over:.6e},");
-    let _ = writeln!(json, "    \"p99_s\": {p99_over:.6e},");
-    let _ = writeln!(json, "    \"p99_baseline_s\": {p99_base:.6e},");
-    let _ = writeln!(json, "    \"shed_rate\": {shed_rate:.4},");
-    let _ = writeln!(json, "    \"p99_ratio\": {p99_ratio:.3},");
-    let _ = writeln!(json, "    \"shed_under_overload\": {shed_under_overload},");
-    let _ = writeln!(json, "    \"p99_bounded\": {p99_bounded}");
-    json.push_str("  },\n");
+    v.check("shed_under_overload: the watermark fired under overload", shed_under_overload);
+    v.check("p99_bounded: admitted p99 within 3x the uncontended p99", p99_bounded);
+    members.push(format!(
+        "\"overload\": {{\"p50_s\": {p50_over:.6e}, \"p99_s\": {p99_over:.6e}, \
+         \"p99_baseline_s\": {p99_base:.6e}, \"shed_rate\": {shed_rate:.4}, \"p99_ratio\": {p99_ratio:.3}, \
+         \"shed_under_overload\": {shed_under_overload}, \"p99_bounded\": {p99_bounded}}}"
+    ));
 
     // --- degradation ladder under pressure --------------------------
     let (degraded_batches, degrade_shed_rate) = {
@@ -250,9 +255,6 @@ fn main() {
         (stats.degraded_batches, stats.shed_rate())
     };
     let ladder_engaged = degraded_batches > 0;
-    if !ladder_engaged {
-        failures.push("degradation ladder never engaged under pressure");
-    }
     println!("\n# degradation ladder (degrade at 2, shed at 6)\n");
     header(&["degraded batches", "shed rate", "ladder engaged"]);
     row(&[
@@ -260,11 +262,11 @@ fn main() {
         format!("{:.1}%", 100.0 * degrade_shed_rate),
         ladder_engaged.to_string(),
     ]);
-    json.push_str("  \"degrade\": {\n");
-    let _ = writeln!(json, "    \"degraded_batches\": {degraded_batches},");
-    let _ = writeln!(json, "    \"shed_rate\": {degrade_shed_rate:.4},");
-    let _ = writeln!(json, "    \"ladder_engaged\": {ladder_engaged}");
-    json.push_str("  },\n");
+    v.check("ladder_engaged: batches degraded under pressure", ladder_engaged);
+    members.push(format!(
+        "\"degrade\": {{\"degraded_batches\": {degraded_batches}, \"shed_rate\": {degrade_shed_rate:.4}, \
+         \"ladder_engaged\": {ladder_engaged}}}"
+    ));
 
     // pool baseline once every size class is warm: every phase so far
     // served the same volume shape; nothing after this may grow the
@@ -272,7 +274,7 @@ fn main() {
     let resident_baseline = pools.resident_bytes();
 
     // --- fault mix under deadlines ----------------------------------
-    let fault_stats = {
+    {
         let slow = Duration::from_millis(40);
         let plan = Arc::new(
             FaultPlan::new()
@@ -337,17 +339,8 @@ fn main() {
             && stats.panicked > 0
             && stats.lease_refused == plan.fired_of(FaultKind::RejectLease) as u64
             && stats.panicked == plan.fired_of(FaultKind::TaskPanic) as u64;
-        if !survived {
-            failures.push("fault mix not survived with reconciled counters");
-        }
         println!("\n# fault mix under deadlines ({n} requests)\n");
-        header(&[
-            "completed",
-            "deadline missed",
-            "panicked",
-            "lease refused",
-            "survived",
-        ]);
+        header(&["completed", "deadline missed", "panicked", "lease refused", "survived"]);
         row(&[
             stats.completed.to_string(),
             stats.deadline_missed.to_string(),
@@ -355,22 +348,17 @@ fn main() {
             stats.lease_refused.to_string(),
             survived.to_string(),
         ]);
-        json.push_str("  \"faults\": {\n");
-        let _ = writeln!(json, "    \"requests\": {n},");
-        let _ = writeln!(json, "    \"completed\": {},", stats.completed);
-        let _ = writeln!(json, "    \"deadline_missed\": {},", stats.deadline_missed);
-        let _ = writeln!(
-            json,
-            "    \"deadline_miss_rate\": {:.4},",
-            stats.deadline_miss_rate()
-        );
-        let _ = writeln!(json, "    \"panicked\": {},", stats.panicked);
-        let _ = writeln!(json, "    \"lease_refused\": {},", stats.lease_refused);
-        let _ = writeln!(json, "    \"survived\": {survived}");
-        json.push_str("  },\n");
-        stats
-    };
-    let _ = fault_stats;
+        v.check("survived: every request of the fault mix got its typed answer", survived);
+        members.push(format!(
+            "\"faults\": {{\"requests\": {n}, \"completed\": {}, \"deadline_missed\": {}, \
+             \"deadline_miss_rate\": {:.4}, \"panicked\": {}, \"lease_refused\": {}, \"survived\": {survived}}}",
+            stats.completed,
+            stats.deadline_missed,
+            stats.deadline_miss_rate(),
+            stats.panicked,
+            stats.lease_refused
+        ));
+    }
 
     // --- flat memory + zero leaks -----------------------------------
     // all three phases served the same input shape through the same
@@ -380,12 +368,6 @@ fn main() {
     let resident_end = pools.resident_bytes();
     let leaked = pools.stats().bytes_in_use();
     let resident_flat = resident_end <= resident_baseline;
-    if !resident_flat {
-        failures.push("pool resident bytes grew after the first traffic phase");
-    }
-    if leaked != 0 {
-        failures.push("pooled bytes still leased after shutdown — leak");
-    }
     println!("\n# pool custody and resident flatness\n");
     header(&["baseline resident", "final resident", "leaked bytes", "flat"]);
     row(&[
@@ -394,15 +376,12 @@ fn main() {
         leaked.to_string(),
         resident_flat.to_string(),
     ]);
-    json.push_str("  \"pool\": {\n");
-    let _ = writeln!(json, "    \"resident_baseline_bytes\": {resident_baseline},");
-    let _ = writeln!(json, "    \"resident_end_bytes\": {resident_end},");
-    let _ = writeln!(json, "    \"resident_flat\": {resident_flat},");
-    let _ = writeln!(json, "    \"pool_leaked_bytes\": {leaked}");
-    json.push_str("  },\n");
-    let verdict = failures.is_empty();
-    let _ = writeln!(json, "  \"verdict\": {verdict}");
-    json.push_str("}\n");
+    v.check("resident_flat: pool resident bytes flat after the first traffic phase", resident_flat);
+    v.check("pool_leaked_bytes == 0 after shutdown", leaked == 0);
+    members.push(format!(
+        "\"pool\": {{\"resident_baseline_bytes\": {resident_baseline}, \"resident_end_bytes\": {resident_end}, \
+         \"resident_flat\": {resident_flat}, \"pool_leaked_bytes\": {leaked}}}"
+    ));
 
     println!(
         "\nshape check: the server sheds typed at the watermark instead of\n\
@@ -410,20 +389,6 @@ fn main() {
          every lease returned, contains panics per request, and serves\n\
          the whole soak out of a flat pool."
     );
-
-    match std::fs::write("BENCH_serve.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_serve.json"),
-        Err(e) => {
-            // fail loudly: CI greps the file for these fields, and a
-            // swallowed write error would let that check pass vacuously
-            eprintln!("\ncould not write BENCH_serve.json: {e}");
-            std::process::exit(1);
-        }
-    }
-    if !verdict {
-        for f in &failures {
-            eprintln!("FAILED VERDICT: {f}");
-        }
-        std::process::exit(1);
-    }
+    write_record("serve", smoke, &members);
+    std::process::exit(v.exit_code());
 }

@@ -7,40 +7,53 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-use std::time::Instant;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 use znn_plan::Machine;
 
-/// Times `f` over `reps` repetitions after `warmup` unrecorded runs;
-/// returns seconds per repetition — the paper's measurement protocol
-/// ("5 warm-up rounds and then averaging the time required for the next
-/// 50 rounds"), scaled down for CI-sized runs.
-pub fn time_per_round(warmup: usize, reps: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..warmup {
-        f();
-    }
-    let start = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    start.elapsed().as_secs_f64() / reps.max(1) as f64
+/// What a timed call returns: `()` puts the whole call on the clock; a
+/// `Duration` is the length of the call's own timed part, so setup
+/// such as a spectrum clone or an output zero-fill stays off it.
+pub trait Timed {
+    /// The time to record for a call that took `whole`.
+    fn on_clock(self, whole: Duration) -> Duration;
 }
 
-/// Median wall time per round, in µs, of each of `rounds` over `n`
-/// measured rounds after `warmup` unmeasured ones. Every round is
-/// warmed before any is timed; then they run round-robin, one round
-/// each per pass with the first rotating between passes, so host drift
-/// spreads over all of them alike.
-pub fn median_round_us(rounds: &mut [Box<dyn FnMut() + '_>], warmup: usize, n: usize) -> Vec<f64> {
-    for round in rounds.iter_mut() {
-        (0..warmup).for_each(|_| round());
+impl Timed for () {
+    fn on_clock(self, whole: Duration) -> Duration {
+        whole
     }
-    let mut samples = vec![Vec::with_capacity(n); rounds.len()];
+}
+
+impl Timed for Duration {
+    fn on_clock(self, _: Duration) -> Duration {
+        self
+    }
+}
+
+/// The harness's one timer: median seconds per call of each of `arms`
+/// alternatives, `call(i)` running the i-th. Every arm is called
+/// `warmup` times before any is timed; then each of `n` passes calls
+/// every arm once, the first rotating between passes, so host drift
+/// spreads over all of them alike. This is the paper's protocol ("5
+/// warm-up rounds and then averaging the time required for the next 50
+/// rounds") with a median, which one stall cannot move, for the mean.
+pub fn median_s<T: Timed>(
+    arms: usize,
+    (warmup, n): (usize, usize),
+    mut call: impl FnMut(usize) -> T,
+) -> Vec<f64> {
+    for arm in 0..arms {
+        (0..warmup).for_each(|_| _ = call(arm));
+    }
+    let mut samples = vec![Vec::with_capacity(n); arms];
     for pass in 0..n {
-        for i in 0..rounds.len() {
-            let e = (pass + i) % rounds.len();
+        for i in 0..arms {
+            let arm = (pass + i) % arms;
             let t0 = Instant::now();
-            rounds[e]();
-            samples[e].push(t0.elapsed().as_secs_f64() * 1e6);
+            let timed = call(arm);
+            samples[arm].push(timed.on_clock(t0.elapsed()).as_secs_f64());
         }
     }
     samples.into_iter().map(median).collect()
@@ -62,6 +75,184 @@ pub fn machine_json() -> String {
          \"bandwidth_gbs\": {:.3}}}",
         m.name, m.cores, m.gflops, m.bandwidth_gbs
     )
+}
+
+/// The names of the five records, one per bench bin: `BENCH_<name>.json`.
+pub const RECORDS: [&str; 5] = ["fft", "sched", "plan", "serve", "fault"];
+
+/// Where a run writes record `name`: the committed `BENCH_<name>.json`
+/// in the working directory for a full run, under `target/smoke/` for
+/// `--smoke`, so a smoke run never dirties the checkout.
+pub fn record_path(name: &str, smoke: bool) -> PathBuf {
+    let file = format!("BENCH_{name}.json");
+    if smoke {
+        Path::new("target/smoke").join(file)
+    } else {
+        file.into()
+    }
+}
+
+/// The one record writer: writes record `name` as a JSON object of
+/// `"smoke"`, the host's `"machine"` and `members` (each a rendered
+/// `"key": value`) to [`record_path`]. A failed write exits 1, so no
+/// check can pass against a stale copy.
+pub fn write_record(name: &str, smoke: bool, members: &[String]) {
+    let path = record_path(name, smoke);
+    let mut all = vec![format!("\"smoke\": {smoke}"), machine_json()];
+    all.extend_from_slice(members);
+    let json = format!("{{\n  {}\n}}\n", all.join(",\n  "));
+    let written = path.parent().map_or(Ok(()), std::fs::create_dir_all);
+    match written.and_then(|()| std::fs::write(&path, json)) {
+        Ok(()) => println!("\nwrote {}", path.display()),
+        Err(e) => {
+            eprintln!("\ncould not write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    }
+}
+
+/// The key paths of the JSON document `json`: `a.b` for key `b` of the
+/// object under key `a`, and `a[].b` for a key of any object in array
+/// `a`, whatever the array's length. `Err` says where `json` stops
+/// being JSON.
+pub fn json_keys(json: &str) -> Result<BTreeSet<String>, String> {
+    let mut p = JsonWalk { s: json.as_bytes(), at: 0, keys: BTreeSet::new() };
+    p.value("")?;
+    p.skip_ws();
+    if p.at < p.s.len() {
+        return Err(format!("trailing bytes at byte {}", p.at));
+    }
+    Ok(p.keys)
+}
+
+/// A recursive-descent walk over a JSON text that collects key paths.
+struct JsonWalk<'a> {
+    s: &'a [u8],
+    at: usize,
+    keys: BTreeSet<String>,
+}
+
+impl JsonWalk<'_> {
+    fn skip_ws(&mut self) {
+        while self.s.get(self.at).is_some_and(u8::is_ascii_whitespace) {
+            self.at += 1;
+        }
+    }
+
+    /// Consumes `c` after any whitespace, if it is next.
+    fn eat(&mut self, c: u8) -> bool {
+        self.skip_ws();
+        let next = self.s.get(self.at) == Some(&c);
+        self.at += usize::from(next);
+        next
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        if !self.eat(c) {
+            return Err(format!("expected '{}' at byte {}", c as char, self.at));
+        }
+        Ok(())
+    }
+
+    /// Walks one value, the one at key path `path`.
+    fn value(&mut self, path: &str) -> Result<(), String> {
+        self.skip_ws();
+        match self.s.get(self.at) {
+            Some(b'{') => {
+                self.at += 1;
+                if self.eat(b'}') {
+                    return Ok(());
+                }
+                loop {
+                    self.skip_ws();
+                    let key = self.string()?;
+                    let key = if path.is_empty() { key } else { format!("{path}.{key}") };
+                    self.expect(b':')?;
+                    self.value(&key)?;
+                    self.keys.insert(key);
+                    if !self.eat(b',') {
+                        return self.expect(b'}');
+                    }
+                }
+            }
+            Some(b'[') => {
+                self.at += 1;
+                if self.eat(b']') {
+                    return Ok(());
+                }
+                let item = format!("{path}[]");
+                loop {
+                    self.value(&item)?;
+                    if !self.eat(b',') {
+                        return self.expect(b']');
+                    }
+                }
+            }
+            Some(b'"') => self.string().map(drop),
+            _ => self.scalar(),
+        }
+    }
+
+    /// The string at `at`, each escape reduced to the character after
+    /// its backslash.
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut text = Vec::new();
+        loop {
+            match self.s.get(self.at) {
+                Some(b'"') => {
+                    self.at += 1;
+                    return Ok(String::from_utf8_lossy(&text).into_owned());
+                }
+                Some(b'\\') => {
+                    text.extend(self.s.get(self.at + 1));
+                    self.at += 2;
+                }
+                Some(&c) => {
+                    text.push(c);
+                    self.at += 1;
+                }
+                None => return Err("unterminated string".into()),
+            }
+        }
+    }
+
+    /// `true`, `false`, `null` or a number.
+    fn scalar(&mut self) -> Result<(), String> {
+        let from = self.at;
+        let token_byte = |c: &u8| c.is_ascii_alphanumeric() || b"+-.".contains(c);
+        while self.s.get(self.at).is_some_and(token_byte) {
+            self.at += 1;
+        }
+        let token = std::str::from_utf8(&self.s[from..self.at]).unwrap_or("");
+        let number = token.bytes().all(|c| c.is_ascii_digit() || b"+-.eE".contains(&c))
+            && token.parse::<f64>().is_ok();
+        if !number && !["true", "false", "null"].contains(&token) {
+            return Err(format!("not a JSON value at byte {from}"));
+        }
+        Ok(())
+    }
+}
+
+/// Checks a committed record against the smoke run of the same bin:
+/// the committed one must come from a full run (`"smoke": false`) and
+/// name its host (`"machine"`), and both must have the same key paths.
+/// `Err` names what is wrong.
+pub fn check_record(committed: &str, smoke: &str) -> Result<(), String> {
+    let keys = json_keys(committed).map_err(|e| format!("committed record: {e}"))?;
+    let smoke_keys = json_keys(smoke).map_err(|e| format!("smoke output: {e}"))?;
+    if !keys.contains("smoke") || !committed.contains("\"smoke\": false") {
+        return Err("the committed record is not from a full run (\"smoke\": false)".into());
+    }
+    if !keys.contains("machine") {
+        return Err("the committed record names no \"machine\"".into());
+    }
+    let missing: Vec<_> = keys.difference(&smoke_keys).collect();
+    let extra: Vec<_> = smoke_keys.difference(&keys).collect();
+    if !missing.is_empty() || !extra.is_empty() {
+        return Err(format!("smoke output lacks {missing:?} and adds {extra:?}"));
+    }
+    Ok(())
 }
 
 /// Prints a markdown-style table row.
@@ -219,24 +410,58 @@ mod tests {
     use super::*;
 
     #[test]
-    fn timing_is_positive() {
-        let t = time_per_round(0, 3, || {
-            std::hint::black_box((0..10_000).sum::<u64>());
+    fn the_timer_counts_only_the_timed_part_and_rotates_the_first_arm() {
+        let mut calls = Vec::new();
+        let s = median_s(3, (1, 3), |arm| {
+            calls.push(arm);
+            // setup the arm keeps off the clock
+            std::thread::sleep(Duration::from_millis(2));
+            Duration::from_micros(7 + arm as u64)
         });
-        assert!(t > 0.0);
+        assert_eq!(s, [7e-6, 8e-6, 9e-6]);
+        // one warm-up each, then passes starting at arms 0, 1, 2
+        assert_eq!(calls, [0, 1, 2, 0, 1, 2, 1, 2, 0, 2, 0, 1]);
+        // an arm returning () is timed whole
+        let whole = median_s(1, (0, 3), |_| std::thread::sleep(Duration::from_millis(1)));
+        assert!(whole[0] >= 1e-3);
+        assert_eq!(median(vec![5.0, 1.0, 4.0, 2.0, 3.0]), 3.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
+    }
+
+    fn keys(json: &str) -> Vec<String> {
+        json_keys(json).expect("valid JSON").into_iter().collect()
     }
 
     #[test]
-    fn median_rounds_rotate_the_first_engine_after_warming_each() {
-        let calls = std::cell::RefCell::new(Vec::new());
-        let calls = &calls;
-        let mut rounds: Vec<Box<dyn FnMut()>> =
-            (0..3).map(|i| Box::new(move || calls.borrow_mut().push(i)) as _).collect();
-        assert_eq!(median_round_us(&mut rounds, 1, 3).len(), 3);
-        // one warm-up each, then passes starting at engines 0, 1, 2
-        assert_eq!(*calls.borrow(), [0, 1, 2, 0, 1, 2, 1, 2, 0, 2, 0, 1]);
-        assert_eq!(median(vec![5.0, 1.0, 4.0, 2.0, 3.0]), 3.0);
-        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
+    fn json_keys_name_nested_objects_and_collapse_arrays() {
+        let doc = r#"{"machine": {"name": "host", "cores": 2},
+            "rows": [{"n": 16, "t": 1.5e-4}, {"n": 24, "u": -3}], "empty": {}, "list": [1, [2], []]}"#;
+        let want = ["empty", "list", "machine", "machine.cores", "machine.name", "rows", "rows[].n"];
+        assert_eq!(keys(doc), [&want[..], &["rows[].t", "rows[].u"]].concat());
+        assert_eq!(keys("[{\"a\": {\"b\": null}}]"), ["[].a", "[].a.b"]);
+        assert!(keys("7").is_empty() && keys(" \"text\" ").is_empty());
+    }
+
+    #[test]
+    fn json_keys_read_escaped_strings_numbers_and_bools() {
+        let doc = r#"{"say \"hi\"": "a \"quoted\" \\ value, {not: a key}", "t": true, "f": false,
+            "x": 6.851e-6, "y": -12, "z": 0.5}"#;
+        assert_eq!(keys(doc), ["f", "say \"hi\"", "t", "x", "y", "z"]);
+        for bad in ["{\"a\": inf}", "{\"a\": NaN}", "{\"a\": -inf}", "{\"a\": 1,}", "{\"a\" 1}", "[1 2]", "\"open", "{} {}"] {
+            assert!(json_keys(bad).is_err(), "{bad} is not JSON");
+        }
+    }
+
+    #[test]
+    fn a_record_checks_against_its_smoke_run_by_key_paths() {
+        let full = r#"{"smoke": false, "machine": {"cores": 2}, "rows": [{"n": 1}, {"n": 2}]}"#;
+        let smoke = r#"{"smoke": true, "machine": {"cores": 2}, "rows": [{"n": 1}]}"#;
+        assert_eq!(check_record(full, smoke), Ok(()));
+        assert!(check_record(full, &smoke.replace(r#"{"n": 1}"#, "{}")).is_err());
+        assert!(check_record(full, &smoke.replace("rows", "cols")).is_err());
+        assert!(check_record(&full.replace("false", "true"), smoke).is_err());
+        assert!(check_record(&full.replace("machine", "host"), &smoke.replace("machine", "host")).is_err());
+        assert!(check_record(full, "{").is_err());
     }
 
     #[test]
