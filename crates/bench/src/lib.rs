@@ -410,7 +410,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn the_timer_counts_only_the_timed_part_and_rotates_the_first_arm() {
+    fn timing_is_positive() {
+        // an arm returning () is timed whole
+        let t = median_s(1, (0, 3), |_| {
+            std::hint::black_box((0..10_000).sum::<u64>());
+        });
+        assert!(t[0] > 0.0);
+        let whole = median_s(1, (0, 3), |_| std::thread::sleep(Duration::from_millis(1)));
+        assert!(whole[0] >= 1e-3);
+    }
+
+    #[test]
+    fn median_rounds_rotate_the_first_engine_after_warming_each() {
         let mut calls = Vec::new();
         let s = median_s(3, (1, 3), |arm| {
             calls.push(arm);
@@ -421,9 +432,6 @@ mod tests {
         assert_eq!(s, [7e-6, 8e-6, 9e-6]);
         // one warm-up each, then passes starting at arms 0, 1, 2
         assert_eq!(calls, [0, 1, 2, 0, 1, 2, 1, 2, 0, 2, 0, 1]);
-        // an arm returning () is timed whole
-        let whole = median_s(1, (0, 3), |_| std::thread::sleep(Duration::from_millis(1)));
-        assert!(whole[0] >= 1e-3);
         assert_eq!(median(vec![5.0, 1.0, 4.0, 2.0, 3.0]), 3.0);
         assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
     }
