@@ -195,7 +195,11 @@ fn main() {
              (median of {blocks} interleaved blocks of {rounds} rounds, no checkpoints)\n"
         );
         header(&["plain s/round", "recoverable s/round", "overhead"]);
-        row(&[fmt(plain_s), fmt(rec_s), format!("{overhead_pct:.1}%")]);
+        row(&[
+            fmt(plain_s),
+            fmt(rec_s),
+            format!("{overhead_pct:.1}%"),
+        ]);
         members.push(format!(
             "\"overhead\": {{\"plain_round_s\": {plain_s:.6e}, \"recoverable_round_s\": {rec_s:.6e}, \
              \"overhead_pct_round\": {overhead_pct:.2}}}"
@@ -304,6 +308,12 @@ fn main() {
         .collect();
     members.push(format!("\"faults\": [\n{}\n  ]", recs.join(",\n")));
     members.push(format!("\"faults_survived\": {faults_survived}"));
+    // a dropped or renamed class must fail too, not only a failed one
+    v.check("faults_survived == 5: all five fault classes survived", faults_survived == 5);
+    v.check(
+        "the recurring task_panic class was run",
+        records.iter().any(|r| r.kind == "task_panic_recurring"),
+    );
 
     // --- pooled-buffer conservation under unwinding ------------------
     {

@@ -5,15 +5,16 @@
 //!   measured with `Ticket::wait_timed` so client collection lag is
 //!   not charged) and dense output volumes per second.
 //! * `"overload"` — open-loop arrivals paced at 2× the service
-//!   capacity (every pressure phase is paced from [`service_estimate`],
+//!   capacity (the pressure phases are paced from [`service_estimate`],
 //!   which one host stall cannot move) against a tight admission
 //!   watermark. Admission control must shed (`shed_under_overload`),
 //!   and the p99 of the requests it *does* admit must stay within 3×
 //!   the uncontended p99 (`p99_bounded`) — the whole point of shedding at a watermark
 //!   instead of queueing unboundedly. The uncontended reference p99
 //!   (`p99_baseline_s`) is measured through the *same* open-loop
-//!   harness at 0.5× capacity (where the queue never builds), so the
-//!   ratio isolates queueing delay from submitter-thread wakeup noise.
+//!   harness at 0.5× the capacity the uncontended p50 implies (where
+//!   the queue never builds), so the ratio isolates queueing delay from
+//!   submitter-thread wakeup noise.
 //! * `"degrade"` — the same pressure against a server whose
 //!   degradation watermark sits below its admission watermark: workers
 //!   must halve their batch size (`ladder_engaged`) before shedding.
@@ -211,12 +212,13 @@ fn main() {
     // each p99 below is read from `n` admitted requests: at 100 it is
     // the second-slowest, so one preempted request cannot decide it
     let n = if smoke { 100 } else { 400 };
-    let service = Duration::from_secs_f64(service_s);
     // baseline: 0.5× capacity — the queue never builds, so this is
     // the uncontended p99 as seen through the open-loop harness
-    let (base_lat, _) = open_loop(&net, tight.clone(), &input, 2 * service / workers as u32, n);
+    let p50 = Duration::from_secs_f64(p50_idle);
+    let (base_lat, _) = open_loop(&net, tight.clone(), &input, 2 * p50 / workers as u32, n);
     let p99_base = percentile(&base_lat, 0.99);
     // overload: 2× what the workers can drain
+    let service = Duration::from_secs_f64(service_s);
     let (over_lat, over_stats) =
         open_loop(&net, tight, &input, service / workers as u32 / 2, n);
     let (p50_over, p99_over) = (percentile(&over_lat, 0.50), percentile(&over_lat, 0.99));
@@ -340,7 +342,13 @@ fn main() {
             && stats.lease_refused == plan.fired_of(FaultKind::RejectLease) as u64
             && stats.panicked == plan.fired_of(FaultKind::TaskPanic) as u64;
         println!("\n# fault mix under deadlines ({n} requests)\n");
-        header(&["completed", "deadline missed", "panicked", "lease refused", "survived"]);
+        header(&[
+            "completed",
+            "deadline missed",
+            "panicked",
+            "lease refused",
+            "survived",
+        ]);
         row(&[
             stats.completed.to_string(),
             stats.deadline_missed.to_string(),
