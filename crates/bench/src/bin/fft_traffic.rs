@@ -11,13 +11,15 @@
 //!
 //! Every timed row is a `median_s` median, its alternatives interleaved
 //! under one `(warm-up, measured)` protocol. Writes `BENCH_fft.json`;
-//! `--smoke` runs one small size, and CI checks its key paths against
+//! `--smoke` runs 16³ and 60³ only, and CI checks its key paths against
 //! the committed record's.
 //!
 //! Five extra sections ride along, each always recorded:
 //!
 //! * `"pruned"` — the pruned transforms of §IV at `train3d_fft`'s
-//!   geometries, each beside the full-box transform it replaces.
+//!   geometries, each beside the full-box transform it replaces. At 60³
+//!   the full box is the `"sizes"` row's own forward or inverse, timed
+//!   in the same call.
 //! * `"direct_passes"` — the three direct passes through one
 //!   `conv::DirectConv` per distinct conv geometry of the
 //!   `train3d_direct` and `train2d_recover` nets.
@@ -70,7 +72,7 @@ fn conv_geometries(g: &Graph, out: Vec3) -> Vec<(Vec3, Vec3, Vec3)> {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let sizes: &[usize] = if smoke {
-        &[16]
+        &[16, 60]
     } else {
         &[16, 24, 32, 48, 60, 64, 120]
     };
@@ -80,6 +82,15 @@ fn main() {
 
     println!("# transform traffic — r2c half-spectrum bytes and time\n");
     let engine = FftEngine::new().with_buffer_pools(PoolSet::new());
+    // Pruned transforms (§IV) at `train3d_fft`'s 60³ geometry are timed
+    // in the 60³ row's own call, beside the full-box forward and inverse
+    // they replace, so each transform is measured once. A kernel
+    // spectrum transforms only the lines the kernel touches; the kernel
+    // gradient and the forward crop inverse only the lines their output
+    // keeps.
+    let k = Vec3::cube(5);
+    let w = ops::random(k, 3);
+    let mut at_60 = Vec::new();
     header(&["shape", "spectrum bytes", "bytes vs full spectrum", "fwd s", "inv s"]);
     let mut records: Vec<String> = Vec::new();
     for &n in sizes {
@@ -88,13 +99,16 @@ fn main() {
         let spec = engine.rfft3(&img);
         let r2c_bytes = spec.stored_bytes();
         let complex_bytes = m.len() * std::mem::size_of::<Complex32>();
-        // the inverse consumes a spectrum cloned off the clock
-        let t = median_s(2, timing, |i| {
-            let s = (i == 1).then(|| spec.clone());
+        // every inverse consumes a spectrum cloned off the clock
+        let t = median_s(if n == 60 { 5 } else { 2 }, timing, |i| {
+            let s = [1, 3, 4].contains(&i).then(|| spec.clone());
             let t0 = Instant::now();
-            match s {
-                None => drop(black_box(engine.rfft3(&img))),
-                Some(s) => drop(black_box(engine.irfft3(s))),
+            match (i, s) {
+                (0, _) => drop(black_box(engine.rfft3(&img))),
+                (1, Some(s)) => drop(black_box(engine.irfft3(s))),
+                (2, _) => drop(black_box(spectra::kernel_spectrum(&engine, &w, Vec3::one(), m))),
+                (3, Some(s)) => drop(black_box(spectra::kernel_gradient_from_corr(&engine, s, k, Vec3::one()))),
+                (_, s) => drop(black_box(engine.inverse_real(s.expect("cloned"), Vec3::cube(4), Vec3::cube(51)))),
             }
             t0.elapsed()
         });
@@ -110,48 +124,34 @@ fn main() {
             "    {{\"n\": {n}, \"r2c_bytes\": {r2c_bytes}, \"r2c_fwd_s\": {t_r2c:.6e}, \
              \"r2c_inv_s\": {t_inv:.6e}}}"
         ));
+        if n == 60 {
+            at_60 = t;
+        }
     }
     members.push(format!("\"sizes\": [\n{}\n  ]", records.join(",\n")));
 
-    // Pruned transforms (§IV): each beside the full-box transform it
-    // replaces, on the same pooled engine. A kernel spectrum transforms
-    // only the lines the dilated kernel touches; the kernel gradient and
-    // the forward crop inverse only the lines their output keeps.
     println!("\n# pruned — pruned transforms beside their full-box equivalents\n");
     header(&["transform", "pruned s", "full box s", "speedup"]);
     let mut recs = Vec::new();
-    let mut push_pruned = |name: String, pruned_s: f64, full_s: f64| {
+    let mut push_pruned = |name: &str, pruned_s: f64, full_s: f64| {
         let speedup = full_s / pruned_s;
-        row(&[name.clone(), fmt(pruned_s), fmt(full_s), format!("{speedup:.2}x")]);
+        row(&[name.into(), fmt(pruned_s), fmt(full_s), format!("{speedup:.2}x")]);
         recs.push(format!(
             "    \"{name}\": {{\"pruned_s\": {pruned_s:.6e}, \"full_box_s\": {full_s:.6e}, \
              \"speedup\": {speedup:.2}}}"
         ));
     };
-    let k = Vec3::cube(5);
-    let w = ops::random(k, 3);
-    for (s, n) in [(1usize, 60usize), (4, 40)] {
-        let (s, m) = (Vec3::cube(s), Vec3::cube(n));
-        let padded = pad::pad(&pad::dilate(&w, s), m, Vec3::zero());
-        let t = median_s(2, timing, |i| match i {
-            0 => drop(black_box(spectra::kernel_spectrum(&engine, &w, s, m))),
-            _ => drop(black_box(engine.rfft3(&padded))),
-        });
-        push_pruned(format!("kernel_spectrum_k5_s{}_to_{n}", s[0]), t[0], t[1]);
-    }
-    let spec = engine.rfft3(&ops::random(Vec3::cube(60), 4));
-    let t = median_s(3, timing, |i| {
-        let s = spec.clone();
-        let t0 = Instant::now();
-        match i {
-            0 => drop(black_box(engine.irfft3(s))),
-            1 => drop(black_box(spectra::kernel_gradient_from_corr(&engine, s, k, Vec3::one()))),
-            _ => drop(black_box(engine.inverse_real(s, Vec3::cube(4), Vec3::cube(51)))),
-        }
-        t0.elapsed()
+    push_pruned("kernel_spectrum_k5_s1_to_60", at_60[2], at_60[0]);
+    // the strided kernel's 40³ box is no row of its own
+    let (s4, m) = (Vec3::cube(4), Vec3::cube(40));
+    let padded = pad::pad(&pad::dilate(&w, s4), m, Vec3::zero());
+    let t = median_s(2, timing, |i| match i {
+        0 => drop(black_box(spectra::kernel_spectrum(&engine, &w, s4, m))),
+        _ => drop(black_box(engine.rfft3(&padded))),
     });
-    push_pruned("kernel_gradient_k5_of_60".into(), t[1], t[0]);
-    push_pruned("inverse_crop_51_of_60".into(), t[2], t[0]);
+    push_pruned("kernel_spectrum_k5_s4_to_40", t[0], t[1]);
+    push_pruned("kernel_gradient_k5_of_60", at_60[3], at_60[1]);
+    push_pruned("inverse_crop_51_of_60", at_60[4], at_60[1]);
     members.push(format!("\"pruned\": {{\n{}\n  }}", recs.join(",\n")));
 
     // The three direct passes of one conv edge as the engine runs them,

@@ -13,20 +13,23 @@
 //! plan. When Auto's plan equals a fixed one in every edge's method and
 //! pad, it is the same engine: it is built and timed once, and its time
 //! is reported under both names (`"auto_same_as"`). All engines are
-//! built and warmed first, then timed round-robin under [`median_s`],
-//! the first engine rotating each pass, and each reports its median
-//! round. A ZNN round is one `train_step` plus its flushed updates, so
-//! no engine's pending work runs while another is timed.
+//! built and warmed first, then timed round-robin under
+//! [`paired::judge`], the first engine rotating each pass, and each
+//! reports its median round. A ZNN round is one `train_step` plus its
+//! flushed updates, so no engine's pending work runs while another is
+//! timed.
 //!
 //! Verdicts — **the bin exits non-zero through [`Verdicts`] if any
-//! fails**; the record is written either way:
+//! fails**; the record is written either way. Each timed verdict is a
+//! [`paired`] verdict on one score per pass, whose bound is 1:
 //! 1. on every case, ZNN's best forced strategy is no slower than
-//!    layerwise ([`beats_layerwise`]);
+//!    layerwise ([`layerwise_score`]);
 //! 2. on every case, Auto is within the gap bound of the best fixed
-//!    strategy ([`auto_within_gap`]);
+//!    strategy ([`gap_score`]);
 //! 3. per dimensionality and output size of the grids, once FFT beats
 //!    direct at some kernel it beats it at every larger one
-//!    ([`crossover`]). The crossover kernel is recorded, not asserted.
+//!    ([`crossover`]), each point's win a paired verdict on FFT's round
+//!    over direct's. The crossover kernel is recorded, not asserted.
 //!
 //! `--smoke` runs the planner nets at smaller sizes and a fixed subset
 //! of the grids, with fewer rounds, for CI.
@@ -34,7 +37,7 @@
 use std::sync::Arc;
 use znn_baseline::LayerwiseNet;
 use znn_bench::{
-    auto_within_gap, beats_layerwise, crossover, header, median_s, row, write_record, Verdicts,
+    crossover, gap_score, header, layerwise_score, median, paired, row, write_record, Verdicts,
     GAP_BOUND,
 };
 use znn_core::{TrainConfig, Znn};
@@ -135,6 +138,29 @@ fn same_engine(a: &NetPlan, b: &NetPlan) -> bool {
     key(a) == key(b)
 }
 
+/// The per-pass scores of one case's samples `s[arm][pass]`: the fixed
+/// strategies' arms first, Auto's at `auto` (its own arm, or the fixed
+/// one whose engine it shares), layerwise's last. The rows are Auto
+/// against the best fixed strategy ([`gap_score`]), that strategy
+/// against layerwise ([`layerwise_score`]) and, on a grid point, FFT at
+/// its better pad over direct, below 1 when FFT wins. "Best" and
+/// "better" go by median.
+fn scores(s: &[Vec<f64>], auto: usize, grid: bool) -> Vec<Vec<f64>> {
+    let fastest = |arms: std::ops::Range<usize>| {
+        arms.min_by(|&a, &b| median(&s[a]).total_cmp(&median(&s[b]))).expect("an arm")
+    };
+    let (best, fft, layerwise) = (fastest(0..FIXED.len()), fastest(1..FIXED.len()), s.len() - 1);
+    let us = |a: usize, b: usize| s[a].iter().zip(&s[b]).map(|(x, y)| (x * 1e6, y * 1e6));
+    let mut rows = vec![
+        us(auto, best).map(|(a, b)| gap_score(a, b)).collect(),
+        us(best, layerwise).map(|(b, l)| layerwise_score(b, l)).collect(),
+    ];
+    if grid {
+        rows.push(us(fft, 0).map(|(f, d)| f / d).collect());
+    }
+    rows
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let workers = std::thread::available_parallelism()
@@ -166,8 +192,8 @@ fn main() {
         "fft ms",
         "fft_pow2 ms",
         "auto ms",
-        "gap",
-        "beats layerwise",
+        "gap score",
+        "layerwise score",
     ]);
     for case in cases(smoke) {
         let auto = planner
@@ -200,36 +226,34 @@ fn main() {
         let t = ops::random(case.out, 12).map(|v| 0.3 * v);
         let (xs, ts) = (std::slice::from_ref(&x), std::slice::from_ref(&t));
         // the engines, then layerwise
-        let mut us: Vec<f64> = median_s(engines.len() + 1, timing, |i| match engines.get(i) {
-            Some(znn) => {
-                znn.train_step(xs, ts);
-                znn.flush_updates();
-            }
-            None => {
-                layerwise.train_step(xs, ts, cfg.loss, cfg.learning_rate);
-            }
-        })
-        .into_iter()
-        .map(|s| s * 1e6)
-        .collect();
-        let layerwise_us = us.pop().expect("layerwise is timed last");
-        let auto_us = us[same_as.unwrap_or(FIXED.len())];
-        let best = us[..FIXED.len()]
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        let gap = auto_us / best;
-        let pass = auto_within_gap(auto_us, best);
-        let beats = beats_layerwise(best, layerwise_us);
-        v.check(&format!("{}: Auto within the gap bound of the best fixed strategy", case.name), pass);
-        v.check(&format!("{}: best forced strategy no slower than layerwise", case.name), beats);
-        if let Some((dim, o, k)) = case.grid {
-            // FFT at its better pad against direct
-            grid_wins.push((dim, o, k, us[1].min(us[2]) < us[0]));
+        let auto_arm = same_as.unwrap_or(FIXED.len());
+        let (verdicts, samples) = paired::judge(
+            engines.len() + 1,
+            timing,
+            |i| match engines.get(i) {
+                Some(znn) => {
+                    znn.train_step(xs, ts);
+                    znn.flush_updates();
+                }
+                None => {
+                    layerwise.train_step(xs, ts, cfg.loss, cfg.learning_rate);
+                }
+            },
+            |s| scores(s, auto_arm, case.grid.is_some()),
+        );
+        let us: Vec<f64> = samples.iter().map(|s| median(s) * 1e6).collect();
+        let (gap, beats) = (verdicts[0], verdicts[1]);
+        v.timed(&format!("{}: Auto within the gap bound of the best fixed strategy", case.name), &gap);
+        v.timed(&format!("{}: best forced strategy no slower than layerwise", case.name), &beats);
+        let fft_beats_direct = verdicts.get(2).copied();
+        if let (Some((dim, o, k)), Some(win)) = (case.grid, fft_beats_direct) {
+            grid_wins.push((dim, o, k, win));
         }
+        let (auto_us, layerwise_us) = (us[auto_arm], us[engines.len()]);
+        let best = us[..FIXED.len()].iter().copied().fold(f64::INFINITY, f64::min);
         let mut cells = vec![case.name.clone(), format!("{:.2}", layerwise_us / 1e3)];
         cells.extend(us[..FIXED.len()].iter().chain([&auto_us]).map(|v| format!("{:.2}", v / 1e3)));
-        cells.extend([format!("{gap:.3}"), beats.to_string()]);
+        cells.extend([gap, beats].map(|v| format!("{:.3}", v.stat.median)));
         row(&cells);
 
         // the per-edge chosen plan, deduped by conv geometry
@@ -258,16 +282,18 @@ fn main() {
             })
             .collect();
         let same_as = same_as.map_or("null".into(), |i| format!("\"{}\"", FIXED[i].0));
+        let fft_beats_direct = fft_beats_direct.map_or(String::new(), |w| format!(",\n     \"fft_beats_direct\": {}", w.json()));
         records.push(format!(
             "    {{\"net\": \"{}\",\n     \"layers\": [\n{}\n     ],\n     \
              \"predicted_round_us_prior\": {prior_us:.1},\n     \"auto_measured_us\": {auto_us:.1},\n     \
              \"auto_same_as\": {same_as},\n     \
-             \"fixed\": [\n{}\n     ],\n     \"best_fixed_us\": {best:.1},\n     \"gap\": {gap:.4},\n     \
-             \"verdict\": \"{}\",\n     \"layerwise_us\": {layerwise_us:.1},\n     \"beats_layerwise\": {beats}}}",
+             \"fixed\": [\n{}\n     ],\n     \"best_fixed_us\": {best:.1},\n     \"gap\": {},\n     \
+             \"layerwise_us\": {layerwise_us:.1},\n     \"beats_layerwise\": {}{fft_beats_direct}}}",
             case.name,
             layers.join(",\n"),
             fixed.join(",\n"),
-            if pass { "pass" } else { "fail" },
+            gap.json(),
+            beats.json(),
         ));
     }
 
@@ -277,10 +303,16 @@ fn main() {
     let mut rows = Vec::new();
     for points in grid_wins.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
         let (dim, o) = (points[0].0, points[0].1);
-        let (first, ok) = crossover(&points.iter().map(|w| w.3).collect::<Vec<_>>());
+        let (first, ok) = crossover(&points.iter().map(|w| w.3.pass).collect::<Vec<_>>());
         let kernel = first.map_or("null".into(), |i| points[i].2.to_string());
         println!("  {dim} out {o}: {kernel}");
-        v.check(&format!("{dim} out {o}: once FFT beats direct, it beats it at every larger kernel"), ok);
+        // the FFT-over-direct median score of each kernel, so a failure
+        // names the points that decided it
+        let wins: Vec<String> = points.iter().map(|w| format!("k{} {}", w.2, w.3)).collect();
+        v.check(
+            &format!("{dim} out {o}: once FFT beats direct, it beats it at every larger kernel [{}]", wins.join("; ")),
+            ok,
+        );
         monotone &= ok;
         rows.push(format!(
             "    {{\"dim\": \"{dim}\", \"out\": {o}, \"kernel\": {kernel}, \"monotone\": {ok}}}"

@@ -7,6 +7,8 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
+pub mod paired;
+
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -32,18 +34,20 @@ impl Timed for Duration {
     }
 }
 
-/// The harness's one timer: median seconds per call of each of `arms`
-/// alternatives, `call(i)` running the i-th. Every arm is called
-/// `warmup` times before any is timed; then each of `n` passes calls
-/// every arm once, the first rotating between passes, so host drift
-/// spreads over all of them alike. This is the paper's protocol ("5
-/// warm-up rounds and then averaging the time required for the next 50
-/// rounds") with a median, which one stall cannot move, for the mean.
-pub fn median_s<T: Timed>(
+/// The harness's one timer: `samples[arm][pass]`, the seconds of each
+/// call of each of `arms` alternatives, `call(i)` running the i-th.
+/// Every arm is called `warmup` times before any is timed; then each of
+/// `n` passes calls every arm once, the first rotating between passes,
+/// so host drift spreads over all of them alike and the samples of one
+/// pass are a pair the [`paired`] statistic compares. This is the
+/// paper's protocol ("5 warm-up rounds and then averaging the time
+/// required for the next 50 rounds") with a median, which one stall
+/// cannot move, for the mean.
+pub fn samples_s<T: Timed>(
     arms: usize,
     (warmup, n): (usize, usize),
     mut call: impl FnMut(usize) -> T,
-) -> Vec<f64> {
+) -> Vec<Vec<f64>> {
     for arm in 0..arms {
         (0..warmup).for_each(|_| _ = call(arm));
     }
@@ -56,13 +60,23 @@ pub fn median_s<T: Timed>(
             samples[arm].push(timed.on_clock(t0.elapsed()).as_secs_f64());
         }
     }
-    samples.into_iter().map(median).collect()
+    samples
+}
+
+/// The median seconds per call of each arm, over [`samples_s`]'s samples.
+pub fn median_s<T: Timed>(
+    arms: usize,
+    timing: (usize, usize),
+    call: impl FnMut(usize) -> T,
+) -> Vec<f64> {
+    samples_s(arms, timing, call).iter().map(|s| median(s)).collect()
 }
 
 /// The middle sample, the upper middle of an even count.
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+pub fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
 }
 
 /// The `"machine"` field by which a BENCH file names its host: the
@@ -280,20 +294,23 @@ pub fn fmt(v: f64) -> String {
 /// Auto may be this factor slower than the best fixed strategy…
 pub const GAP_BOUND: f64 = 1.15;
 /// …or this many µs slower: the scheduler noise floor, which on a
-/// shared host rivals whole rounds of the small nets. Every timed
-/// verdict forgives a gap this small.
+/// shared host rivals whole rounds of the small nets. `paper_compare`'s
+/// gap and layerwise verdicts forgive a gap this small; `serve_soak`'s
+/// p99 bound is a pure ratio.
 pub const ABS_SLACK_US: f64 = 3_000.0;
 
-/// The planner verdict: the `Autotune` plan's median round is within
-/// [`GAP_BOUND`] or [`ABS_SLACK_US`] of the best fixed strategy's.
-pub fn auto_within_gap(auto_us: f64, best_fixed_us: f64) -> bool {
-    auto_us / best_fixed_us <= GAP_BOUND || auto_us - best_fixed_us <= ABS_SLACK_US
+/// The planner verdict's score of one pass, ≤ 1 when the `Autotune`
+/// plan's round is within [`GAP_BOUND`] or [`ABS_SLACK_US`] of the best
+/// fixed strategy's round of the same pass.
+pub fn gap_score(auto_us: f64, best_fixed_us: f64) -> f64 {
+    (auto_us / best_fixed_us / GAP_BOUND).min((auto_us - ABS_SLACK_US) / best_fixed_us)
 }
 
-/// The paper's headline verdict: ZNN's best forced strategy runs a
-/// round no slower than the layerwise baseline, up to [`ABS_SLACK_US`].
-pub fn beats_layerwise(best_forced_us: f64, layerwise_us: f64) -> bool {
-    best_forced_us - layerwise_us <= ABS_SLACK_US
+/// The paper's headline verdict's score of one pass, ≤ 1 when ZNN's
+/// best forced strategy runs a round no slower than the layerwise
+/// baseline's round of the same pass, up to [`ABS_SLACK_US`].
+pub fn layerwise_score(best_forced_us: f64, layerwise_us: f64) -> f64 {
+    (best_forced_us - ABS_SLACK_US) / layerwise_us
 }
 
 /// Reads one row of cases ordered by growing kernel, `fft_wins[i]`
@@ -318,6 +335,13 @@ impl Verdicts {
         if !pass {
             self.0.push(name.into());
         }
+    }
+
+    /// Records the timed verdict `name`, naming the statistic that
+    /// decided it, so a failure says whether it failed in the first round
+    /// or after an unresolved one was extended.
+    pub fn timed(&mut self, name: &str, verdict: &paired::Verdict) {
+        self.check(&format!("{name} [{verdict}]"), verdict.pass);
     }
 
     /// 0 if every verdict passed; else names each failure on stderr, 1.
@@ -432,8 +456,11 @@ mod tests {
         assert_eq!(s, [7e-6, 8e-6, 9e-6]);
         // one warm-up each, then passes starting at arms 0, 1, 2
         assert_eq!(calls, [0, 1, 2, 0, 1, 2, 1, 2, 0, 2, 0, 1]);
-        assert_eq!(median(vec![5.0, 1.0, 4.0, 2.0, 3.0]), 3.0);
-        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
+        assert_eq!(median(&[5.0, 1.0, 4.0, 2.0, 3.0]), 3.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 3.0);
+        // the samples behind the medians, pass-aligned per arm
+        let s = samples_s(2, (0, 3), |arm| Duration::from_micros(1 + arm as u64));
+        assert_eq!(s, [[1e-6; 3], [2e-6; 3]]);
     }
 
     fn keys(json: &str) -> Vec<String> {
@@ -537,18 +564,19 @@ mod tests {
     #[test]
     fn gap_bound_and_slack_hold_exactly_at_their_boundaries() {
         // 115 / 100 rounds to the same double as the 1.15 literal
-        assert!(auto_within_gap(115_000.0, 100_000.0));
-        assert!(!auto_within_gap(115_001.0, 100_000.0));
+        assert_eq!(gap_score(115_000.0, 100_000.0), 1.0);
+        assert!(gap_score(115_001.0, 100_000.0) > 1.0);
         // below the bound's reach, the absolute slack decides
-        assert!(auto_within_gap(4_000.0, 1_000.0));
-        assert!(!auto_within_gap(4_000.5, 1_000.0));
+        assert_eq!(gap_score(4_000.0, 1_000.0), 1.0);
+        assert!(gap_score(4_000.5, 1_000.0) > 1.0);
+        assert!(gap_score(90_000.0, 100_000.0) < 1.0);
     }
 
     #[test]
     fn beating_layerwise_forgives_only_the_slack() {
-        assert!(beats_layerwise(90_000.0, 100_000.0));
-        assert!(beats_layerwise(103_000.0, 100_000.0));
-        assert!(!beats_layerwise(103_000.5, 100_000.0));
+        assert!(layerwise_score(90_000.0, 100_000.0) < 1.0);
+        assert_eq!(layerwise_score(103_000.0, 100_000.0), 1.0);
+        assert!(layerwise_score(103_000.5, 100_000.0) > 1.0);
     }
 
     #[test]
