@@ -4,7 +4,7 @@
 //!   an idle server. p50/p99 service latency (submit → worker fulfill,
 //!   measured with `Ticket::wait_timed` so client collection lag is
 //!   not charged) and dense output volumes per second.
-//! * `"overload"` — open-loop arrivals paced at 2× the service
+//! * `"overload"` — open-loop arrivals paced at 4× the service
 //!   capacity (the pressure phases are paced from [`service_estimate`],
 //!   which one host stall cannot move) against a tight admission
 //!   watermark. Admission control must shed (`shed_under_overload`),
@@ -199,28 +199,33 @@ fn main() {
          \"service_estimate_s\": {service_s:.6e}, \"volumes_per_s\": {volumes_per_s:.2}}}"
     ));
 
-    // --- overload at 2× capacity ------------------------------------
+    // --- overload at 4× capacity ------------------------------------
     // same server shape for baseline and overload; only the arrival
     // rate changes, so the ratio measures queueing, not the harness
     let tight = ServeConfig {
         workers,
-        // deeper than a window's overload can fill, so that the
-        // watermark alone bounds admitted-request latency: at most 1
-        // queued ahead, no batch-mates in this phase
+        // a server without the watermark fills this queue in every
+        // overload window, so only the watermark bounds
+        // admitted-request latency: at most 1 queued ahead, no
+        // batch-mates in this phase
         queue_capacity: 64,
         admission_watermark: 1,
         max_batch: 1,
         ..ServeConfig::default()
     };
-    // each window's p99 is read from `n` admitted requests: at 100 it
-    // is the second-slowest, so one preempted request cannot decide it
+    // a baseline window's p99 is read from `n` admitted requests: at
+    // 100 it is the second-slowest, so one preempted request cannot
+    // decide it. An overload window admits 4n, which at 4× the drain
+    // rate queues past the capacity of 64 without the watermark even
+    // when the service estimate is twice the real service time
     let n = if smoke { 100 } else { 400 };
+    let admit = [n, 4 * n];
     // baseline: 0.5× capacity — the queue never builds, so this is
     // the uncontended p99 as seen through the open-loop harness;
-    // overload: 2× what the workers can drain
+    // overload: 4× what the workers can drain
     let p50 = Duration::from_secs_f64(p50_idle);
     let service = Duration::from_secs_f64(service_s);
-    let intervals = [2 * p50 / workers as u32, service / workers as u32 / 2];
+    let intervals = [2 * p50 / workers as u32, service / workers as u32 / 4];
     // baseline and overload windows alternate, and each pair's ratio of
     // p99s is one score, so a host stall moves one pair, not the verdict
     let mut shed = (0, 0); // (shed, submitted) over the overload windows
@@ -228,7 +233,7 @@ fn main() {
         2,
         (0, if smoke { 9 } else { 15 }),
         |arm| {
-            let (lat, stats) = open_loop(&net, tight.clone(), &input, intervals[arm], n);
+            let (lat, stats) = open_loop(&net, tight.clone(), &input, intervals[arm], admit[arm]);
             if arm == 1 {
                 shed = (shed.0 + stats.shed_overload, shed.1 + stats.submitted);
             }
@@ -240,7 +245,7 @@ fn main() {
     let (p99_base, p99_over) = (median(&p99s[0]), median(&p99s[1]));
     let shed_rate = shed.0 as f64 / shed.1 as f64;
     let shed_under_overload = shed.0 > 0;
-    println!("\n# overload at 2x capacity (watermark 1, baseline at 0.5x; medians of the windows)\n");
+    println!("\n# overload at 4x capacity (watermark 1, baseline at 0.5x; medians of the windows)\n");
     header(&["p99 s", "baseline p99 s", "shed rate", "p99 ratio / 3"]);
     row(&[
         fmt(p99_over),

@@ -5,8 +5,11 @@
 //! (typically max-filtering) graph forward-only, with
 //!
 //! * **shared immutable state** — one net is safely shared by any
-//!   number of worker threads (`&self` evaluation, the one interior
-//!   cache behind a lock that is read-only after warmup);
+//!   number of worker threads (`&self` evaluation; the two interior
+//!   caches sit behind locks and are read-only after warmup);
+//! * **one plan per input shape** — derived through the step `Znn`
+//!   builds its engine with (`NetGeometry::derive`) on the first
+//!   evaluation at a shape, and only looked up after that;
 //! * **memoized kernel spectra** — FFT-convolved edges transform each
 //!   kernel once per transform geometry and every subsequent volume
 //!   reuses the cached half-spectrum (§IV memoization, here across
@@ -30,20 +33,20 @@
 //! dense sliding-window output, produced in one pass.
 
 use crate::config::{Chooser, ConvPolicy};
-use crate::engine::transform_shape;
-use crate::state::{Contribution, FreqPlan};
+use crate::state::{Contribution, NetGeometry, SpectrumCache};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
+use std::iter::zip;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use znn_alloc::{lease_image, PoolSet};
-use znn_fft::{spectra, FftEngine};
+use znn_fft::{good_shape, spectra, FftEngine};
 use znn_graph::init::ParamSet;
 use znn_graph::{shapes, EdgeOp, Graph, GraphError, NodeId};
 use znn_ops::filter::max_filter_output;
 use znn_ops::pool::max_pool;
-use znn_ops::{conv, ConvMethod};
+use znn_ops::ConvMethod;
 use znn_plan::Planner;
 use znn_sched::Accumulate;
 use znn_tensor::{ops, Image, Spectrum, Vec3};
@@ -159,10 +162,10 @@ pub struct BlockEvent {
 /// A thread-safe forward-only evaluator producing dense outputs.
 ///
 /// Construction validates the graph; evaluation is `&self` and may be
-/// called concurrently from any number of threads. The memoized
-/// kernel spectra are filled on first use — call [`DenseNet::warmup`]
-/// once to make them read-only before sharing the net across server
-/// workers.
+/// called concurrently from any number of threads. The per-shape plans
+/// and the memoized kernel spectra are filled on first use — call
+/// [`DenseNet::warmup`] once per served input shape to make them
+/// read-only before sharing the net across server workers.
 pub struct DenseNet {
     graph: Graph,
     params: ParamSet,
@@ -171,9 +174,14 @@ pub struct DenseNet {
     /// `cfg.conv` resolved once at construction.
     chooser: Chooser,
     fft: Arc<FftEngine>,
-    /// Memoized kernel half-spectra keyed by (edge index, transform
-    /// shape) — the cross-request §IV cache.
-    kernel_spectra: Mutex<HashMap<(usize, Vec3), Arc<Spectrum>>>,
+    /// The graph's topological order: one node step each.
+    order: Vec<NodeId>,
+    /// The plan per input shapes (one per input node); it depends only
+    /// on shapes and the conv policy, so new parameters keep it.
+    plans: Mutex<HashMap<Vec<Vec3>, Arc<NetGeometry>>>,
+    /// Memoized kernel half-spectra per edge, keyed by transform shape
+    /// — the cross-request §IV cache.
+    kernel_spectra: Vec<SpectrumCache>,
 }
 
 impl DenseNet {
@@ -189,8 +197,11 @@ impl DenseNet {
     pub fn with_params(graph: Graph, params: ParamSet, cfg: DenseConfig) -> Result<Self, DenseError> {
         graph.validate()?;
         // the minimal input establishes that the graph admits *some*
-        // dense evaluation; concrete shapes are re-derived per call
+        // dense evaluation; each concrete input shape gets its own plan
+        // on first use
         let fov = shapes::required_input_shape(&graph, Vec3::one())?;
+        let order = graph.topo_order()?;
+        let edges = graph.edge_count();
         let mut fft = FftEngine::new();
         if let Some(p) = &cfg.pools {
             fft = fft.with_buffer_pools(Arc::clone(p));
@@ -203,7 +214,9 @@ impl DenseNet {
             cfg,
             chooser,
             fft: Arc::new(fft),
-            kernel_spectra: Mutex::new(HashMap::new()),
+            order,
+            plans: Mutex::new(HashMap::new()),
+            kernel_spectra: (0..edges).map(|_| SpectrumCache::default()).collect(),
         })
     }
 
@@ -219,9 +232,9 @@ impl DenseNet {
 
     /// Mutable access to the parameters. Invalidates the memoized
     /// kernel spectra (they are derived from the kernels being
-    /// replaced).
+    /// replaced); the per-shape plans stay.
     pub fn params_mut(&mut self) -> &mut ParamSet {
-        self.kernel_spectra.get_mut().clear();
+        self.kernel_spectra.iter().for_each(SpectrumCache::clear);
         &mut self.params
     }
 
@@ -252,21 +265,18 @@ impl DenseNet {
 
     /// Number of kernel half-spectra currently memoized.
     pub fn memoized_spectra(&self) -> usize {
-        self.kernel_spectra.lock().len()
+        self.kernel_spectra.iter().map(SpectrumCache::len).sum()
     }
 
     /// Bytes of kernel half-spectra currently memoized — the
     /// read-only-after-warmup cache shared across requests.
     pub fn memoized_spectrum_bytes(&self) -> usize {
-        self.kernel_spectra
-            .lock()
-            .values()
-            .map(|s| s.stored_bins() * std::mem::size_of::<[f32; 2]>())
-            .sum()
+        self.kernel_spectra.iter().map(SpectrumCache::bytes).sum()
     }
 
     /// Runs one throwaway evaluation at `input_shape` so every interior
-    /// cache (kernel spectra, FFT plans, pool classes) is populated.
+    /// cache (the shape's plan, kernel spectra, FFT plans, pool
+    /// classes) is populated.
     /// After warmup, evaluation at this shape takes no interior locks
     /// beyond cheap cache reads and allocates only from the pools.
     pub fn warmup(&self, input_shape: Vec3) {
@@ -276,7 +286,7 @@ impl DenseNet {
             .iter()
             .map(|_| lease_image(self.cfg.pools.as_ref(), input_shape))
             .collect();
-        let _ = self.forward_multi(&inputs);
+        let _ = self.forward_steps(&inputs, &mut |_| ControlFlow::Continue(()));
     }
 
     /// Dense forward pass for a single-input, single-output graph.
@@ -285,17 +295,10 @@ impl DenseNet {
     pub fn forward(&self, input: &Image) -> Image {
         assert_eq!(self.graph.inputs().len(), 1, "forward wants a single-input graph");
         assert_eq!(self.graph.outputs().len(), 1, "forward wants a single-output graph");
-        self.forward_multi(std::slice::from_ref(input))
-            .pop()
-            .expect("single output")
-    }
-
-    /// Dense forward pass; returns the output node images in
-    /// [`Graph::outputs`] order. Thread-safe: concurrent callers share
-    /// the memoized kernel spectra and the FFT plan cache.
-    pub(crate) fn forward_multi(&self, inputs: &[Image]) -> Vec<Image> {
-        self.forward_steps(inputs, &mut |_| ControlFlow::Continue(()))
-            .expect("a no-op checkpoint never cancels")
+        let never = &mut |_: &BlockEvent| ControlFlow::Continue(());
+        let outs = self.forward_steps(std::slice::from_ref(input), never);
+        let mut outs = outs.expect("a no-op checkpoint never cancels");
+        outs.pop().expect("single output")
     }
 
     /// Dense forward pass with cooperative cancellation, for a
@@ -341,7 +344,8 @@ impl DenseNet {
         Ok(outs.pop().expect("single output"))
     }
 
-    /// The one evaluator behind every forward entry: each node in
+    /// The one evaluator behind every forward entry, returning the
+    /// output node images in [`Graph::outputs`] order: each node in
     /// topological order is one step, and `checkpoint` is called
     /// before it. A `Break` drops every intermediate (returning its
     /// pooled bytes) and reports the steps already done.
@@ -357,39 +361,7 @@ impl DenseNet {
             "expected {} input images",
             input_nodes.len()
         );
-        let order = self.graph.topo_order().expect("validated graph");
-        let node_shape = shapes::infer_shapes_multi(
-            &self.graph,
-            input_nodes.iter().zip(inputs).map(|(&n, img)| (n, img.shape())).collect(),
-        )
-        .expect("input shapes must fit the graph");
-        // each conv edge's (method, pad, crop) at its source shape
-        let conv: Vec<Option<(ConvMethod, Vec3, Vec3)>> = self
-            .graph
-            .edges()
-            .iter()
-            .map(|e| match e.op {
-                EdgeOp::Conv { kernel, sparsity } => {
-                    let (method, m) = self.conv_plan(node_shape[&e.from], kernel, sparsity);
-                    Some((method, m, kernel.dilated(sparsity) - Vec3::one()))
-                }
-                _ => None,
-            })
-            .collect();
-        // nodes that sum their fan-in as half-spectra: one inverse
-        // transform per node, not per edge (§IV)
-        let freq: Vec<Option<FreqPlan>> = self
-            .graph
-            .nodes()
-            .iter()
-            .enumerate()
-            .map(|(i, node)| {
-                FreqPlan::for_sum(
-                    node.in_edges.iter().map(|e| conv[e.0]),
-                    node_shape[&NodeId(i)],
-                )
-            })
-            .collect();
+        let plan = self.plan(inputs.iter().map(|img| img.shape()).collect());
         let mut sums: Vec<Option<Contribution>> =
             (0..self.graph.node_count()).map(|_| None).collect();
         for (n, img) in input_nodes.iter().zip(inputs) {
@@ -397,34 +369,23 @@ impl DenseNet {
         }
         let outputs = self.graph.outputs();
         let mut outs: HashMap<usize, Image> = HashMap::new();
-        let total = order.len();
-        for (index, n) in order.into_iter().enumerate() {
+        let total = self.order.len();
+        for (index, &n) in self.order.iter().enumerate() {
             if let ControlFlow::Break(()) = checkpoint(&BlockEvent { index, total }) {
                 return Err(Cancelled {
                     blocks_done: index,
                     blocks_total: total,
                 });
             }
-            let img = match sums[n.0].take().expect("topological order fills sums") {
-                Contribution::Spatial(img) => img,
-                Contribution::Freq(spec) => {
-                    let plan = freq[n.0].expect("freq sum implies a plan");
-                    self.fft.inverse_real(spec, plan.crop_at, plan.out_shape)
-                }
-                Contribution::Unread => unreachable!("forward contributions are always read"),
-            };
+            let sum = sums[n.0].take().expect("topological order fills sums");
+            let img = sum.into_image(&self.fft, plan.fwd_freq[n.0]);
+            let img = img.expect("forward contributions are always read");
             // the node's forward spectrum is computed once and shared
             // by every FFT-convolved edge leaving it (§IV)
-            let mut node_spec: Option<(Vec3, Arc<Spectrum>)> = None;
+            let node_spec = SpectrumCache::default();
             for &eid in &self.graph.node(n).out_edges {
                 let to = self.graph.edge(eid).to;
-                let out = self.edge_forward(
-                    eid.0,
-                    &img,
-                    conv[eid.0],
-                    freq[to.0].is_some(),
-                    &mut node_spec,
-                );
+                let out = self.edge_forward(eid.0, &img, &plan, to, &node_spec);
                 match &mut sums[to.0] {
                     None => sums[to.0] = Some(out),
                     Some(acc) => acc.accumulate(out),
@@ -440,12 +401,25 @@ impl DenseNet {
             .collect())
     }
 
-    /// Method and FFT pad for one convolution geometry.
-    fn conv_plan(&self, n: Vec3, k: Vec3, sparsity: Vec3) -> (ConvMethod, Vec3) {
-        match &self.chooser {
-            Chooser::Forced(method) => (*method, transform_shape(n)),
-            Chooser::Priced(p) => p.choose_forward(n, k, sparsity),
+    /// The plan for evaluation at `input_shapes` (one per input node),
+    /// derived on first use at those shapes.
+    pub(crate) fn plan(&self, input_shapes: Vec<Vec3>) -> Arc<NetGeometry> {
+        if let Some(p) = self.plans.lock().get(&input_shapes) {
+            return Arc::clone(p);
         }
+        let inputs = zip(self.graph.inputs(), input_shapes.iter().copied()).collect();
+        let shape_of = shapes::infer_shapes_multi(&self.graph, inputs);
+        let shape_of = shape_of.expect("input shapes must fit the graph");
+        let plan = Arc::new(NetGeometry::derive(
+            &self.graph,
+            &shape_of,
+            |_, n, k, sparsity| match &self.chooser {
+                Chooser::Forced(method) => (*method, good_shape(n)),
+                Chooser::Priced(p) => p.choose_forward(n, k, sparsity),
+            },
+            false,
+        ));
+        Arc::clone(self.plans.lock().entry(input_shapes).or_insert(plan))
     }
 
     fn kernel_spectrum(&self, eid: usize, w: &Image, sparsity: Vec3, m: Vec3) -> Arc<Spectrum> {
@@ -454,57 +428,45 @@ impl DenseNet {
         if !self.cfg.memoize_spectra {
             return Arc::new(compute());
         }
-        if let Some(s) = self.kernel_spectra.lock().get(&(eid, m)) {
-            return Arc::clone(s);
-        }
-        let spec = Arc::new(compute());
-        Arc::clone(
-            self.kernel_spectra
-                .lock()
-                .entry((eid, m))
-                .or_insert(spec),
-        )
+        self.kernel_spectra[eid].get_or_compute(m, compute)
     }
 
-    /// One edge's forward contribution. `conv` is a conv edge's
-    /// (method, pad, crop); `freq_sum` says its target sums in the
-    /// frequency domain, so an FFT product is returned untransformed.
+    /// One edge's forward contribution to node `to` under `plan`. An
+    /// FFT product into a node that sums in the frequency domain is
+    /// returned untransformed.
     fn edge_forward(
         &self,
         eid: usize,
         input: &Image,
-        conv: Option<(ConvMethod, Vec3, Vec3)>,
-        freq_sum: bool,
-        node_spec: &mut Option<(Vec3, Arc<Spectrum>)>,
+        plan: &NetGeometry,
+        to: NodeId,
+        node_spec: &SpectrumCache,
     ) -> Contribution {
         let e = &self.graph.edges()[eid];
         let out = match e.op {
             EdgeOp::Conv { sparsity, .. } => {
-                let (method, m, crop_at) = conv.expect("every conv edge has a plan");
+                let geom = plan.conv[eid]
+                    .as_ref()
+                    .expect("every conv edge has a geometry");
                 let w = self.params.kernels[eid].as_ref().expect("conv kernel");
-                let out_shape = conv::valid_shape(input.shape(), w.shape(), sparsity)
-                    .expect("validated geometry");
-                match method {
+                match geom.method {
                     ConvMethod::Direct => {
-                        let mut out = lease_image(self.cfg.pools.as_ref(), out_shape);
-                        conv::conv_valid_into(input, w, sparsity, &mut out);
+                        let d = geom.direct.as_ref().expect("direct edge has its tables");
+                        let mut out = lease_image(self.cfg.pools.as_ref(), d.output_shape());
+                        d.forward_into(input, w, &mut out);
                         out
                     }
                     ConvMethod::Fft => {
-                        let x_spec = match node_spec {
-                            Some((cached_m, s)) if *cached_m == m => Arc::clone(s),
-                            _ => {
-                                let s = Arc::new(self.fft.forward_padded(input, m));
-                                *node_spec = Some((m, Arc::clone(&s)));
-                                s
-                            }
-                        };
+                        let m = geom.m;
+                        let x_spec =
+                            node_spec.get_or_compute(m, || self.fft.forward_padded(input, m));
                         let w_spec = self.kernel_spectrum(eid, w, sparsity, m);
                         let prod = ops::mul_s(&x_spec, &w_spec);
-                        if freq_sum {
+                        if plan.fwd_freq[to.0].is_some() {
                             return Contribution::Freq(prod);
                         }
-                        self.fft.inverse_real(prod, crop_at, out_shape)
+                        self.fft
+                            .inverse_real(prod, geom.crop_at, plan.node_shape[to.0])
                     }
                 }
             }
@@ -516,5 +478,50 @@ impl DenseNet {
             }
         };
         Contribution::Spatial(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use znn_graph::builder::scalability_net_3d;
+
+    /// A plan is derived once per input shape: warmup fills it, requests
+    /// at that shape only look it up, and a second shape adds one.
+    #[test]
+    fn plans_are_cached_per_input_shape() {
+        for conv in [
+            ConvPolicy::ForceDirect,
+            ConvPolicy::ForceFft,
+            ConvPolicy::Autotune,
+        ] {
+            let cfg = DenseConfig {
+                conv,
+                ..DenseConfig::default()
+            };
+            let mut dense = DenseNet::new(scalability_net_3d(2).0, 3, cfg).unwrap();
+            let plans = |d: &DenseNet| d.plans.lock().len();
+            let n = Vec3([28, 27, 26]);
+            assert_eq!(plans(&dense), 0);
+            dense.warmup(n);
+            assert_eq!(plans(&dense), 1, "{conv:?}");
+            let first = dense.plan(vec![n]);
+            for seed in 0..3 {
+                dense.forward(&ops::random(n, seed));
+                dense
+                    .forward_blocked(&ops::random(n, seed), n, &mut |_| ControlFlow::Continue(()))
+                    .unwrap();
+            }
+            assert_eq!(plans(&dense), 1, "{conv:?}");
+            assert!(Arc::ptr_eq(&first, &dense.plan(vec![n])));
+            // new parameters keep the plan: it depends only on shapes
+            let _ = dense.params_mut();
+            dense.forward(&ops::random(n, 9));
+            assert_eq!(plans(&dense), 1, "{conv:?}");
+            let m = Vec3([27, 27, 27]);
+            dense.forward(&ops::random(m, 4));
+            dense.forward(&ops::random(m, 5));
+            assert_eq!(plans(&dense), 2, "{conv:?}");
+        }
     }
 }

@@ -1,42 +1,25 @@
 //! The task-parallel training engine.
 
 use crate::config::{Chooser, TrainConfig};
-use crate::state::{Contribution, ConvEdge, EdgeState, FreqPlan, MaxEdge, NodeState, TransferEdge};
+use crate::state::{
+    Contribution, ConvEdge, EdgeState, FreqPlan, MaxEdge, NetGeometry, NodeState, TransferEdge,
+};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::iter::zip;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use znn_fault::FaultKind;
-use znn_fft::{good_shape, spectra, FftEngine};
+use znn_fft::{spectra, FftEngine};
 use znn_graph::init::{bias_init, kernel_init, ParamSet};
 use znn_graph::{priority, shapes, EdgeId, EdgeOp, Graph, NodeId};
 use znn_ops::filter::{max_filter, max_filter_backward, max_filter_output, FilterImpl};
 use znn_ops::pool::{max_pool, max_pool_backward};
-use znn_ops::{conv, ConvMethod, Transfer};
+use znn_ops::{ConvMethod, Transfer};
 use znn_plan::NetPlan;
 use znn_sched::{Executor, Latch, Scheduler, StealingExecutor, UPDATE_PRIORITY};
-use znn_tensor::{ops, Image, Spectrum, Tensor3, Vec3};
-
-/// The memoized-transform shape for a node of shape `n`: `good_shape`,
-/// checked against the fast-path invariant.
-///
-/// Every spectrum the engine memoizes for a training round is planned
-/// at this shape, so an odd packed axis here would silently double
-/// spectrum memory and forfeit the half-length packed stage on every
-/// transform of the round ([`Spectrum::packed_axis_is_even`]). The
-/// assert turns that quiet regression into an immediate, attributable
-/// panic at engine construction.
-pub(crate) fn transform_shape(n: Vec3) -> Vec3 {
-    let m = good_shape(n);
-    assert!(
-        Spectrum::packed_axis_is_even(m),
-        "good_shape({n}) = {m} has an odd packed-axis extent; the r2c fast path \
-         and tight half-spectrum require it to be even (or unit)"
-    );
-    m
-}
+use znn_tensor::{ops, Image, Tensor3, Vec3};
 
 /// Statistics of one training round.
 #[derive(Clone, Copy, Debug, Default)]
@@ -214,9 +197,6 @@ impl Znn {
     ) -> Result<Self, shapes::ShapeError> {
         let input_shape = shapes::required_input_shape(&graph, output_shape)?;
         let shape_map = shapes::infer_shapes(&graph, input_shape)?;
-        let node_shape: Vec<Vec3> = (0..graph.node_count())
-            .map(|i| shape_map[&NodeId(i)])
-            .collect();
         assert_eq!(
             net_plan.edges.len(),
             graph.edge_count(),
@@ -240,55 +220,32 @@ impl Znn {
             Box::new(Executor::new(cfg.workers, cfg.queue))
         };
 
-        // method and pad of every conv edge come from the plan
-        let conv_plan = |i: usize, n: Vec3| {
+        // method and pad of every conv edge come from the plan; an FFT
+        // edge without memoized spectra takes its kernel gradient
+        // directly too
+        let plan = |i: usize, _, _, _| {
             let ep = net_plan.edges[i]
                 .unwrap_or_else(|| panic!("plan is missing an entry for conv edge {i}"));
-            assert!(
-                n.le(ep.pad),
-                "plan pad {} for edge {i} is smaller than its image {n}",
-                ep.pad
-            );
-            assert!(
-                Spectrum::packed_axis_is_even(ep.pad),
-                "plan pad {} for edge {i} has an odd packed axis",
-                ep.pad
-            );
-            ep
+            (ep.method, ep.pad)
         };
+        let geom = NetGeometry::derive(&graph, &shape_map, plan, !cfg.memoize_fft);
 
-        // per-edge runtime state with deterministic parameter init; the
-        // direct passes' tables are built once per distinct geometry
-        let mut geometries = HashMap::new();
+        // per-edge runtime state with deterministic parameter init
         let edges: Vec<EdgeState> = graph
             .edges()
             .iter()
+            .zip(geom.conv)
             .enumerate()
-            .map(|(i, e)| match e.op {
-                EdgeOp::Conv { kernel, sparsity } => {
-                    let n = node_shape[e.from.0];
-                    let ep = conv_plan(i, n);
-                    // an FFT edge without memoized spectra takes its kernel
-                    // gradient directly too
-                    let runs_direct = ep.method == ConvMethod::Direct || !cfg.memoize_fft;
-                    let direct = runs_direct.then(|| {
-                        let d = geometries.entry((n, kernel, sparsity)).or_insert_with(|| {
-                            Arc::new(conv::DirectConv::new(n, kernel, sparsity))
-                        });
-                        Arc::clone(d)
-                    });
-                    EdgeState::Conv(ConvEdge {
-                        kernel: Mutex::new(kernel_init(cfg.seed, EdgeId(i), kernel)),
-                        velocity: Mutex::new(None),
-                        method: ep.method,
-                        direct,
-                        kernel_spectrum: Mutex::new(None),
-                        update: znn_sched::UpdateHandle::new(),
-                        k: kernel,
-                        sparsity,
-                        m: ep.pad,
-                    })
-                }
+            .map(|(i, (e, geom))| match e.op {
+                EdgeOp::Conv { kernel, sparsity } => EdgeState::Conv(ConvEdge {
+                    kernel: Mutex::new(kernel_init(cfg.seed, EdgeId(i), kernel)),
+                    velocity: Mutex::new(None),
+                    geom: geom.expect("every conv edge has a geometry"),
+                    kernel_spectrum: Mutex::new(None),
+                    update: znn_sched::UpdateHandle::new(),
+                    k: kernel,
+                    sparsity,
+                }),
                 EdgeOp::Transfer { function } => EdgeState::Transfer(TransferEdge {
                     bias: Mutex::new(bias_init(cfg.seed, EdgeId(i))),
                     function,
@@ -301,50 +258,36 @@ impl Znn {
                     sparsity: Vec3::one(),
                     is_pool: true,
                     argmax: Mutex::new(None),
-                    in_shape: node_shape[e.from.0],
                 }),
                 EdgeOp::MaxFilter { window, sparsity } => EdgeState::Max(MaxEdge {
                     window,
                     sparsity,
                     is_pool: false,
                     argmax: Mutex::new(None),
-                    in_shape: node_shape[e.from.0],
                 }),
             })
             .collect();
 
-        // node state + frequency-accumulation eligibility
-        let mut nodes: Vec<NodeState> = (0..graph.node_count())
-            .map(|i| {
-                let n = graph.node(NodeId(i));
-                NodeState::new(n.in_edges.len(), n.out_edges.len(), node_shape[i])
+        // node state + frequency-accumulation eligibility; backward:
+        // out-edge products are full correlations cropped at the
+        // origin, so only the transform shape must agree (always true
+        // for planner pads, which are keyed per node; a hand-built plan
+        // with divergent pads merely loses the frequency-domain sum,
+        // not correctness)
+        let node_geom = zip(geom.fwd_freq, &geom.node_shape);
+        let nodes: Vec<NodeState> = zip(graph.nodes(), node_geom)
+            .map(|(node, (fwd_freq, &shape))| {
+                let out = node.out_edges.iter().map(|&e| match &edges[e.0] {
+                    EdgeState::Conv(c) => Some((c.geom.method, c.geom.m, Vec3::zero())),
+                    _ => None,
+                });
+                NodeState {
+                    fwd_freq,
+                    bwd_freq: FreqPlan::for_sum(out, shape),
+                    ..NodeState::new(node.in_edges.len(), node.out_edges.len())
+                }
             })
             .collect();
-        let conv_edge = |e: EdgeId| match &edges[e.0] {
-            EdgeState::Conv(c) => Some(c),
-            _ => None,
-        };
-        for (i, node) in graph.nodes().iter().enumerate() {
-            // forward: in-edge products crop at the dilated kernel's
-            // far corner (valid convolution)
-            nodes[i].fwd_freq = FreqPlan::for_sum(
-                node.in_edges.iter().map(|&e| {
-                    conv_edge(e).map(|c| (c.method, c.m, c.k.dilated(c.sparsity) - Vec3::one()))
-                }),
-                node_shape[i],
-            );
-            // backward: out-edge products are full correlations cropped
-            // at the origin, so only the transform shape must agree
-            // (always true for planner pads, which are keyed per node; a
-            // hand-built plan with divergent pads merely loses the
-            // frequency-domain sum, not correctness)
-            nodes[i].bwd_freq = FreqPlan::for_sum(
-                node.out_edges
-                    .iter()
-                    .map(|&e| conv_edge(e).map(|c| (c.method, c.m, Vec3::zero()))),
-                node_shape[i],
-            );
-        }
 
         let fwd_prio_map = priority::forward_priorities(&graph);
         let bwd_prio_map = priority::backward_priorities(&graph);
@@ -355,11 +298,9 @@ impl Znn {
             .map(|i| bwd_prio_map[&EdgeId(i)])
             .collect();
 
-        let outputs = graph.outputs().len();
-        let inputs = graph.inputs().len();
         let inner = Arc::new(Inner {
             graph,
-            node_shape,
+            node_shape: geom.node_shape,
             nodes,
             edges,
             fwd_prio,
@@ -367,8 +308,9 @@ impl Znn {
             fft,
             cfg,
             sched,
-            fwd_latch: Latch::new(outputs),
-            bwd_latch: Latch::new(inputs),
+            // latches start open until a round arms them
+            fwd_latch: Latch::new(0),
+            bwd_latch: Latch::new(0),
             training: AtomicBool::new(false),
             round: AtomicU64::new(0),
             step: AtomicU32::new(1.0f32.to_bits()),
@@ -379,13 +321,6 @@ impl Znn {
             net_plan,
             last_round_us: AtomicU64::new(0),
         });
-        // latches start "open" until a round arms them
-        for _ in 0..outputs {
-            inner.fwd_latch.count_down();
-        }
-        for _ in 0..inputs {
-            inner.bwd_latch.count_down();
-        }
         Ok(Znn { inner })
     }
 
@@ -402,7 +337,7 @@ impl Znn {
     /// The convolution method edge `e` runs (`None` for non-conv edges).
     pub fn conv_method(&self, e: EdgeId) -> Option<ConvMethod> {
         match &self.inner.edges[e.0] {
-            EdgeState::Conv(c) => Some(c.method),
+            EdgeState::Conv(c) => Some(c.geom.method),
             _ => None,
         }
     }
@@ -764,6 +699,23 @@ impl Znn {
             .sum()
     }
 
+    /// Bytes of kernel half-spectra currently memoized on the conv
+    /// edges — what `memoize_fft` keeps beyond the per-round node
+    /// spectra of [`Znn::memoized_spectrum_bytes`] (§IX-B); 0 with it
+    /// off, and after new kernels are written until the next pass.
+    pub fn memoized_kernel_spectrum_bytes(&self) -> usize {
+        let kept = |e: &EdgeState| match e {
+            EdgeState::Conv(c) => c.kernel_spectrum.lock().clone(),
+            _ => None,
+        };
+        self.inner
+            .edges
+            .iter()
+            .filter_map(kept)
+            .map(|k| k.stored_bytes())
+            .sum()
+    }
+
     /// Panics unless `inputs` match the input nodes in count and shape.
     /// Called before a round changes any state, so a rejected call
     /// leaves the engine as it was.
@@ -917,16 +869,16 @@ impl Inner {
         to: NodeId,
         input: &Image,
     ) -> Contribution {
-        match c.method {
+        match c.geom.method {
             ConvMethod::Direct => {
-                let d = c.direct.as_ref().expect("direct edge has its tables");
+                let d = c.geom.direct.as_ref().expect("direct edge has its tables");
                 let w = c.kernel.lock();
                 let mut out = Inner::lease_image(inner, d.output_shape());
                 d.forward_into(input, &w, &mut out);
                 Contribution::Spatial(out)
             }
             ConvMethod::Fft => {
-                let m = c.m;
+                let m = c.geom.m;
                 // the source node's image spectrum is computed once and
                 // shared by every edge leaving that node (§IV)
                 let x_spec = inner.nodes[from.0]
@@ -939,14 +891,11 @@ impl Inner {
                     // defer the inverse transform to the node sum: one
                     // inverse FFT per node, not per edge
                     Some(_) => Contribution::Freq(prod),
-                    None => {
-                        let crop_at = c.k.dilated(c.sparsity) - Vec3::one();
-                        Contribution::Spatial(inner.fft.inverse_real(
-                            prod,
-                            crop_at,
-                            inner.node_shape[to.0],
-                        ))
-                    }
+                    None => Contribution::Spatial(inner.fft.inverse_real(
+                        prod,
+                        c.geom.crop_at,
+                        inner.node_shape[to.0],
+                    )),
                 }
             }
         }
@@ -975,16 +924,9 @@ impl Inner {
 
     fn finalize_forward(inner: &Arc<Inner>, v: NodeId) {
         let node = &inner.nodes[v.0];
-        let total = node.fwd_sum.take();
-        let img = match total {
-            Contribution::Spatial(i) => i,
-            Contribution::Freq(spec) => {
-                let plan = node.fwd_freq.expect("freq sum implies a plan");
-                inner.fft.inverse_real(spec, plan.crop_at, plan.out_shape)
-            }
-            Contribution::Unread => unreachable!("forward contributions are always read"),
-        };
-        debug_assert_eq!(img.shape(), node.shape);
+        let total = node.fwd_sum.take().into_image(&inner.fft, node.fwd_freq);
+        let img = total.expect("forward contributions are always read");
+        debug_assert_eq!(img.shape(), inner.node_shape[v.0]);
         node.fwd_spectra.clear();
         let img = Arc::new(img);
         *node.fwd_image.lock() = Some(Arc::clone(&img));
@@ -1064,12 +1006,13 @@ impl Inner {
             EdgeState::Max(m) => {
                 // forward stores a fresh argmax every training round
                 let argmax = m.argmax.lock().take().expect("forward before backward");
+                let node_shape = inner.node_shape[from.0];
                 if !read {
                     Contribution::Unread
                 } else if m.is_pool {
-                    Contribution::Spatial(max_pool_backward(&grad, &argmax, m.in_shape))
+                    Contribution::Spatial(max_pool_backward(&grad, &argmax, node_shape))
                 } else {
-                    Contribution::Spatial(max_filter_backward(&grad, &argmax, m.in_shape))
+                    Contribution::Spatial(max_filter_backward(&grad, &argmax, node_shape))
                 }
             }
         };
@@ -1086,16 +1029,16 @@ impl Inner {
         to: NodeId,
         grad: &Arc<Image>,
     ) -> Contribution {
-        match c.method {
+        match c.geom.method {
             ConvMethod::Direct => {
-                let d = c.direct.as_ref().expect("direct edge has its tables");
+                let d = c.geom.direct.as_ref().expect("direct edge has its tables");
                 let w = c.kernel.lock();
                 let mut out = Inner::lease_image(inner, inner.node_shape[from.0]);
                 d.input_gradient_into(grad, &w, &mut out);
                 Contribution::Spatial(out)
             }
             ConvMethod::Fft => {
-                let m = c.m; // == good(shape of `from`)
+                let m = c.geom.m;
                 let g_spec = inner.nodes[to.0].bwd_spectra.get_or_compute(m, || {
                     inner.fft.forward_padded(grad, m)
                 });
@@ -1149,9 +1092,9 @@ impl Inner {
             let img = inner.nodes[from.0].fwd_image.lock();
             Arc::clone(img.as_ref().expect("forward image retained"))
         };
-        let use_fft = c.method == ConvMethod::Fft && inner.cfg.memoize_fft;
+        let use_fft = c.geom.method == ConvMethod::Fft && inner.cfg.memoize_fft;
         let (x_spec, g_spec) = if use_fft {
-            let m = c.m;
+            let m = c.geom.m;
             let xs = inner.nodes[from.0]
                 .fwd_spectra
                 .get_or_compute(m, || inner.fft.forward_padded(&x, m));
@@ -1182,7 +1125,11 @@ impl Inner {
                         spectra::kernel_gradient_from_corr(&inner2.fft, corr, c.k, c.sparsity)
                     }
                     _ => {
-                        let d = c.direct.as_ref().expect("direct kernel gradient has its tables");
+                        let d = c
+                            .geom
+                            .direct
+                            .as_ref()
+                            .expect("direct kernel gradient has its tables");
                         d.kernel_gradient(&x, &grad)
                     }
                 };
@@ -1258,23 +1205,74 @@ impl Inner {
 
     fn finalize_backward(inner: &Arc<Inner>, u: NodeId) {
         let node = &inner.nodes[u.0];
-        let img = match node.bwd_sum.take() {
-            Contribution::Spatial(i) => i,
-            Contribution::Freq(spec) => {
-                let plan = node.bwd_freq.expect("freq sum implies a plan");
-                inner.fft.inverse_real(spec, plan.crop_at, plan.out_shape)
-            }
-            Contribution::Unread => {
-                // an input node: its backward pass is complete
-                node.bwd_spectra.clear();
-                inner.bwd_latch.count_down();
-                return;
-            }
+        let Some(img) = node.bwd_sum.take().into_image(&inner.fft, node.bwd_freq) else {
+            // an input node: its backward pass is complete
+            node.bwd_spectra.clear();
+            inner.bwd_latch.count_down();
+            return;
         };
         node.bwd_spectra.clear();
         let img = Arc::new(img);
         for &e in &inner.graph.node(u).in_edges {
             Inner::submit_backward(inner, e, Arc::clone(&img));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ConvPolicy, DenseConfig, DenseNet};
+    use znn_graph::builder::{comparison_net, scalability_net_3d};
+
+    /// Training and serving derive conv geometry by one rule: at the
+    /// engine's input shape, a `DenseNet` under the same forced policy
+    /// plans every conv edge's method, pad and crop, and every node's
+    /// forward frequency-domain sum, as the `Znn` does.
+    #[test]
+    fn dense_net_derives_the_engine_geometry() {
+        let nets = [
+            (scalability_net_3d(2).0, Vec3::cube(2)),
+            (
+                comparison_net(3, Vec3::flat(5, 5), Vec3::flat(2, 2), true).0,
+                Vec3::flat(4, 4),
+            ),
+        ];
+        for (graph, out) in nets {
+            for conv in [ConvPolicy::ForceDirect, ConvPolicy::ForceFft] {
+                let cfg = TrainConfig {
+                    conv,
+                    ..TrainConfig::test_default(1)
+                };
+                let znn = Znn::new(graph.clone(), out, cfg).unwrap();
+                let dense = DenseNet::new(
+                    graph.clone(),
+                    1,
+                    DenseConfig {
+                        conv,
+                        ..DenseConfig::default()
+                    },
+                )
+                .unwrap();
+                let plan = dense.plan(vec![znn.input_shape()]);
+                let mut fft_sums = 0;
+                for (i, e) in znn.inner.edges.iter().enumerate() {
+                    let dense_geom = plan.conv[i].as_ref().map(|g| (g.method, g.m, g.crop_at));
+                    let znn_geom = match e {
+                        EdgeState::Conv(c) => Some((c.geom.method, c.geom.m, c.geom.crop_at)),
+                        _ => None,
+                    };
+                    assert_eq!(dense_geom, znn_geom, "edge {i} under {conv:?}");
+                }
+                for (i, node) in znn.inner.nodes.iter().enumerate() {
+                    assert_eq!(plan.fwd_freq[i], node.fwd_freq, "node {i} under {conv:?}");
+                    fft_sums += usize::from(node.fwd_freq.is_some());
+                }
+                assert_eq!(plan.node_shape, znn.inner.node_shape);
+                // the comparison is not vacuous: FFT nets sum in the
+                // frequency domain somewhere, direct ones nowhere
+                assert_eq!(fft_sums > 0, conv == ConvPolicy::ForceFft, "{conv:?}");
+            }
         }
     }
 }

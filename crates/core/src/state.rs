@@ -3,6 +3,8 @@
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
+use znn_fft::FftEngine;
+use znn_graph::{EdgeId, EdgeOp, Graph, NodeId};
 use znn_ops::conv::DirectConv;
 use znn_ops::{ConvMethod, Transfer};
 use znn_sched::{Accumulate, ConcurrentSum, UpdateHandle};
@@ -19,6 +21,21 @@ pub(crate) enum Contribution {
     /// Nothing to add: the backward image of a node without in-edges
     /// has no reader, so its out-edges only count toward completion.
     Unread,
+}
+
+impl Contribution {
+    /// The summed image (`None` if unread); a frequency-domain sum pays
+    /// its node's one inverse transform here, at the node `plan`'s crop.
+    pub(crate) fn into_image(self, fft: &FftEngine, plan: Option<FreqPlan>) -> Option<Image> {
+        match self {
+            Contribution::Spatial(img) => Some(img),
+            Contribution::Freq(spec) => {
+                let p = plan.expect("freq sum implies a plan");
+                Some(fft.inverse_real(spec, p.crop_at, p.out_shape))
+            }
+            Contribution::Unread => None,
+        }
+    }
 }
 
 impl Accumulate for Contribution {
@@ -75,9 +92,93 @@ impl FreqPlan {
     }
 }
 
+/// One conv edge's geometry: method, FFT transform shape `m`, the
+/// corner of the valid output in that transform (the dilated kernel's
+/// far corner), and the direct passes' tables (`None` on an edge that
+/// runs no direct pass).
+pub(crate) struct ConvGeometry {
+    pub method: ConvMethod,
+    pub m: Vec3,
+    pub crop_at: Vec3,
+    pub direct: Option<Arc<DirectConv>>,
+}
+
+/// A net's conv geometry at one set of node shapes, indexed like the
+/// graph: how training (once per engine) and serving (once per input
+/// shape) fix every conv edge's work before any of it runs (§IV).
+pub(crate) struct NetGeometry {
+    pub node_shape: Vec<Vec3>,
+    pub conv: Vec<Option<ConvGeometry>>,
+    /// The forward sum's frequency-domain plan of each node.
+    pub fwd_freq: Vec<Option<FreqPlan>>,
+}
+
+impl NetGeometry {
+    /// `choose(i, source shape, kernel, sparsity)` gives conv edge `i`'s
+    /// (method, pad). Direct edges, and with `fft_direct_gradient` FFT
+    /// edges too, get tables, one per distinct geometry. Panics on a pad
+    /// smaller than its image, or with an odd packed axis, which would
+    /// double spectrum memory ([`Spectrum::packed_axis_is_even`]).
+    pub(crate) fn derive(
+        graph: &Graph,
+        shape_of: &HashMap<NodeId, Vec3>,
+        mut choose: impl FnMut(usize, Vec3, Vec3, Vec3) -> (ConvMethod, Vec3),
+        fft_direct_gradient: bool,
+    ) -> NetGeometry {
+        let node_shape: Vec<Vec3> = (0..graph.node_count())
+            .map(|i| shape_of[&NodeId(i)])
+            .collect();
+        let mut tables = HashMap::new();
+        let conv: Vec<_> = graph
+            .edges()
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let EdgeOp::Conv { kernel, sparsity } = e.op else {
+                    return None;
+                };
+                let n = node_shape[e.from.0];
+                let (method, m) = choose(i, n, kernel, sparsity);
+                assert!(
+                    n.le(m),
+                    "plan pad {m} for edge {i} is smaller than its image {n}"
+                );
+                let even = Spectrum::packed_axis_is_even(m);
+                assert!(even, "plan pad {m} for edge {i} has an odd packed axis");
+                let direct = (method == ConvMethod::Direct || fft_direct_gradient).then(|| {
+                    let d = tables.entry((n, kernel, sparsity));
+                    Arc::clone(d.or_insert_with(|| Arc::new(DirectConv::new(n, kernel, sparsity))))
+                });
+                let crop_at = kernel.dilated(sparsity) - Vec3::one();
+                Some(ConvGeometry {
+                    method,
+                    m,
+                    crop_at,
+                    direct,
+                })
+            })
+            .collect();
+        let fwd_freq = graph
+            .nodes()
+            .iter()
+            .zip(&node_shape)
+            .map(|(node, &shape)| {
+                let geom = |e: &EdgeId| conv[e.0].as_ref().map(|c| (c.method, c.m, c.crop_at));
+                FreqPlan::for_sum(node.in_edges.iter().map(geom), shape)
+            })
+            .collect();
+        NetGeometry {
+            node_shape,
+            conv,
+            fwd_freq,
+        }
+    }
+}
+
 /// A per-(node, transform-shape) cache of image half-spectra, so an
 /// image's r2c FFT is computed once and shared by every edge that needs
-/// it — the `[f' + f + ...]` term structure of Table II. Keys are the
+/// it — the `[f' + f + ...]` term structure of Table II (`DenseNet`
+/// keeps one per edge for kernel spectra too). Keys are the
 /// *logical* transform shapes; each entry stores `⌊m_z/2⌋+1` z-bins.
 #[derive(Default)]
 pub(crate) struct SpectrumCache {
@@ -134,12 +235,10 @@ pub(crate) struct NodeState {
     pub fwd_freq: Option<FreqPlan>,
     /// Frequency-accumulation plan for the backward sum, if eligible.
     pub bwd_freq: Option<FreqPlan>,
-    /// Forward image shape.
-    pub shape: Vec3,
 }
 
 impl NodeState {
-    pub(crate) fn new(in_degree: usize, out_degree: usize, shape: Vec3) -> Self {
+    pub(crate) fn new(in_degree: usize, out_degree: usize) -> Self {
         NodeState {
             fwd_sum: ConcurrentSum::new(in_degree.max(1)),
             bwd_sum: ConcurrentSum::new(out_degree.max(1)),
@@ -148,7 +247,6 @@ impl NodeState {
             bwd_spectra: SpectrumCache::default(),
             fwd_freq: None,
             bwd_freq: None,
-            shape,
         }
     }
 }
@@ -158,19 +256,14 @@ pub(crate) struct ConvEdge {
     pub kernel: Mutex<Image>,
     /// Momentum buffer (allocated on first use).
     pub velocity: Mutex<Option<Image>>,
-    pub method: ConvMethod,
-    /// The direct passes' tables, shared by every edge with the same
-    /// input shape, kernel and sparsity; `None` on an edge that runs no
-    /// direct pass (an FFT edge with memoized spectra).
-    pub direct: Option<Arc<DirectConv>>,
+    /// Method, pad, crop and direct tables, fixed at construction.
+    pub geom: ConvGeometry,
     /// Memoized half-spectrum of the padded kernel at `m` (current
     /// round).
     pub kernel_spectrum: Mutex<Option<Arc<Spectrum>>>,
     pub update: UpdateHandle,
     pub k: Vec3,
     pub sparsity: Vec3,
-    /// Transform shape for this edge's FFT work: `good(source shape)`.
-    pub m: Vec3,
 }
 
 /// Runtime state of a transfer edge.
@@ -194,7 +287,6 @@ pub(crate) struct MaxEdge {
     /// Winner indices from this round's training forward, taken by its
     /// backward (inference forwards of filtering edges store none).
     pub argmax: Mutex<Option<Tensor3<u32>>>,
-    pub in_shape: Vec3,
 }
 
 /// Per-edge runtime state.

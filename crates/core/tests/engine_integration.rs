@@ -254,3 +254,28 @@ fn work_stealing_scheduler_trains_identically() {
     }
     assert!(queue.params().max_abs_diff(&steal.params()) < 1e-3);
 }
+
+#[test]
+fn memoized_kernel_spectra_follow_memoize_fft_and_set_params() {
+    let out = Vec3::cube(2);
+    for memoize_fft in [false, true] {
+        let cfg = TrainConfig {
+            conv: ConvPolicy::ForceFft,
+            memoize_fft,
+            ..TrainConfig::test_default(2)
+        };
+        let znn = Znn::new(boundary_net(), out, cfg).unwrap();
+        assert_eq!(znn.memoized_kernel_spectrum_bytes(), 0);
+        let x = ops::random(znn.input_shape(), 62);
+        znn.forward(std::slice::from_ref(&x));
+        let bytes = znn.memoized_kernel_spectrum_bytes();
+        if memoize_fft {
+            assert!(bytes > 0, "memoized kernel spectra must be counted");
+        } else {
+            assert_eq!(bytes, 0, "no kernel spectra are kept without memoization");
+        }
+        // new kernels make every kept spectrum stale
+        znn.set_params(&znn.params());
+        assert_eq!(znn.memoized_kernel_spectrum_bytes(), 0);
+    }
+}

@@ -32,7 +32,9 @@
 //! policies to [`NetPlan::force`], `Autotune` to [`Planner::plan`] —
 //! and the engine runs only that plan (`Znn::with_plan` accepts a
 //! caller's). `DenseNet` asks [`Planner::choose_forward`] per
-//! geometry. Methods are compared in FLOP-equivalents — the machine's
+//! geometry, once per input shape: its per-shape plan is cached and
+//! derived through the same `znn-core` step that builds the engine's
+//! conv geometry. Methods are compared in FLOP-equivalents — the machine's
 //! speed would divide both prices — so methods and pads are a pure
 //! function of (graph, output shape, `memoize_fft`): a resumed
 //! `Autotune` run replays the same plan on any host. Only the
